@@ -99,14 +99,6 @@ inline std::unique_ptr<rl::DqnAgent> train_agent_parallel(
   return agent;
 }
 
-/// Mean + normal-approximation 95% CI of one metric across replica values.
-/// Thin alias for core::summarize_metric (the implementation moved into the
-/// library so the fleet harness and tests share it); kept so the table
-/// benches read as before.
-inline core::MetricSummary summarize_metric(const std::vector<double>& xs) {
-  return core::summarize_metric(xs);
-}
-
 /// Honors `--trace-out=` / `--metrics-out=` / `--trace-sample=` on the table
 /// benches: when any flag is set, runs `scenario` once more with the
 /// observability taps attached and writes the artifacts. Runs AFTER the

@@ -7,12 +7,14 @@
 
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "util/log.h"
+#include "util/versioned_text.h"
 
 // Injected by the build (CMake runs `git describe --always --dirty`); the
 // fallback keeps out-of-tree or tarball builds compiling.
@@ -31,14 +33,12 @@ inline constexpr int kBenchJsonSchema = 2;
 /// `"key": number` pairs until the object closes.
 inline std::map<std::string, double> read_baseline_metrics(
     const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> file = util::read_file_bytes(path);
+  if (!file) {
     LOG_WARN << "bench: cannot read baseline file " << path;
     return {};
   }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
+  const std::string& text = *file;
   std::map<std::string, double> metrics;
   std::size_t pos = text.find("\"metrics\"");
   if (pos == std::string::npos) return metrics;

@@ -43,7 +43,7 @@ void BM_MlpForward(benchmark::State& state) {
   nn::Matrix x(static_cast<std::size_t>(state.range(0)), 20);
   for (double& v : x.raw()) v = rng.normal();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mlp.forward(x));
+    benchmark::DoNotOptimize(mlp.infer_ws(x).data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -58,8 +58,8 @@ void BM_MlpTrainStep(benchmark::State& state) {
   for (double& v : t.raw()) v = rng.normal();
   for (auto _ : state) {
     mlp.zero_grads();
-    const nn::LossResult lr = nn::mse_loss(mlp.forward(x), t);
-    mlp.backward(lr.grad);
+    const nn::LossResult lr = nn::mse_loss(mlp.forward_ws(x), t);
+    mlp.backward_ws(lr.grad);
     opt.step(mlp.params(), mlp.grads());
   }
   state.SetItemsProcessed(state.iterations() * 32);

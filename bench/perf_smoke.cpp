@@ -71,24 +71,7 @@ double bench_network(int size, int vcs, double rate, std::uint64_t cycles,
   });
 }
 
-double bench_mlp_forward(std::size_t batch, std::uint64_t iters, int repeats) {
-  Rng rng(1);
-  drlnoc::nn::Mlp mlp({20, 64, 64, 36}, drlnoc::nn::Activation::kReLU, rng);
-  drlnoc::nn::Matrix x(batch, 20);
-  for (double& v : x.raw()) v = rng.uniform(-1.0, 1.0);
-  double sink = 0.0;
-  const double rate = measure_rate(iters * batch, repeats, [&] {
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      sink += mlp.forward(x).at(0, 0);
-    }
-  });
-  if (sink == 42.125) std::cerr << "";  // defeat dead-code elimination
-  return rate;
-}
-
-/// The allocation-free workspace path (what act()/learn() actually run);
-/// the plain `mlp_forward_rows_*` metrics keep measuring the value API for
-/// comparability with older baselines.
+/// Inference rows per second on the workspace path act() runs.
 double bench_mlp_forward_ws(std::size_t batch, std::uint64_t iters,
                             int repeats) {
   Rng rng(1);
@@ -101,7 +84,7 @@ double bench_mlp_forward_ws(std::size_t batch, std::uint64_t iters,
       sink += mlp.infer_ws(x).at(0, 0);
     }
   });
-  if (sink == 42.125) std::cerr << "";
+  if (sink == 42.125) std::cerr << "";  // defeat dead-code elimination
   return rate;
 }
 
@@ -115,8 +98,9 @@ double bench_mlp_train(std::uint64_t iters, int repeats) {
   return measure_rate(iters, repeats, [&] {
     for (std::uint64_t i = 0; i < iters; ++i) {
       mlp.zero_grads();
-      const drlnoc::nn::LossResult lr = drlnoc::nn::mse_loss(mlp.forward(x), t);
-      mlp.backward(lr.grad);
+      const drlnoc::nn::LossResult lr =
+          drlnoc::nn::mse_loss(mlp.forward_ws(x), t);
+      mlp.backward_ws(lr.grad);
       opt.step(mlp.params(), mlp.grads());
     }
   });
@@ -186,10 +170,6 @@ int main(int argc, char** argv) {
                        bench_network(32, 4, 0.005, n(3000), repeats));
   metrics.emplace_back("net_step_32x32_vc4_med",
                        bench_network(32, 4, 0.01, n(2000), repeats));
-  metrics.emplace_back("mlp_forward_rows_b1",
-                       bench_mlp_forward(1, n(20000), repeats));
-  metrics.emplace_back("mlp_forward_rows_b32",
-                       bench_mlp_forward(32, n(2000), repeats));
   metrics.emplace_back("mlp_forward_ws_rows_b1",
                        bench_mlp_forward_ws(1, n(20000), repeats));
   metrics.emplace_back("mlp_forward_ws_rows_b32",

@@ -51,10 +51,10 @@ std::vector<TenantCi> tenant_cis(const core::ReplicationResult& rep,
       thru.push_back(s.accepted_rate);
       slo.push_back(s.slo_hit_rate);
     }
-    out[t].latency = bench::summarize_metric(lat);
-    out[t].p95 = bench::summarize_metric(p95);
-    out[t].throughput = bench::summarize_metric(thru);
-    out[t].slo_hit_rate = bench::summarize_metric(slo);
+    out[t].latency = core::summarize_metric(lat);
+    out[t].p95 = core::summarize_metric(p95);
+    out[t].throughput = core::summarize_metric(thru);
+    out[t].slo_hit_rate = core::summarize_metric(slo);
   }
   return out;
 }

@@ -94,9 +94,9 @@ std::vector<CellCi> tenant_cis(const core::ReplicationResult& rep,
       p95.push_back(s.p95_latency);
       thru.push_back(s.accepted_rate);
     }
-    out[t].slo_hit_rate = bench::summarize_metric(slo);
-    out[t].p95 = bench::summarize_metric(p95);
-    out[t].throughput = bench::summarize_metric(thru);
+    out[t].slo_hit_rate = core::summarize_metric(slo);
+    out[t].p95 = core::summarize_metric(p95);
+    out[t].throughput = core::summarize_metric(thru);
   }
   return out;
 }

@@ -31,6 +31,7 @@
 #include "fleet/scorecard.h"
 #include "util/config.h"
 #include "util/log.h"
+#include "util/versioned_text.h"
 
 using namespace drlnoc;
 
@@ -171,10 +172,7 @@ int main(int argc, char** argv) {
     fp.controller = controller;
     if (controller == "drl") {
       fp.policy_file = policy_path;
-      std::ifstream in(policy_path, std::ios::binary);
-      std::stringstream ss;
-      ss << in.rdbuf();
-      fp.policy_blob = ss.str();
+      fp.policy_blob = util::read_file_bytes(policy_path).value_or("");
     }
     fp.epochs = epochs;
     fp.epoch_cycles = static_cast<std::uint64_t>(epoch_cycles);

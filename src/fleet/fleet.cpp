@@ -3,7 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 
 #include "core/env_noc.h"
@@ -11,7 +11,8 @@
 #include "rl/policy_io.h"
 #include "scenario/runtime.h"
 #include "scenario/scenario_io.h"
-#include "util/config.h"
+#include "util/fnv.h"
+#include "util/versioned_text.h"
 
 namespace drlnoc::fleet {
 
@@ -19,24 +20,6 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::invalid_argument("fleet: " + what);
-}
-
-std::uint64_t fnv1a64(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string hex16(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[v & 0xF];
-    v >>= 4;
-  }
-  return out;
 }
 
 void check_params(const FleetParams& params) {
@@ -77,16 +60,15 @@ std::string result_key(const ScenarioSpace& space, std::size_t index,
                        const FleetParams& params) {
   // Everything that determines the outcome feeds the hash, each field
   // separated by an out-of-band byte so concatenations cannot collide.
-  std::uint64_t h = 1469598103934665603ULL;
-  h = fnv1a64(h, space.spec_text);
-  h = fnv1a64(h, std::string(1, '\0') + std::to_string(index));
-  h = fnv1a64(h, std::string(1, '\0') + params.controller);
-  h = fnv1a64(h, std::string(1, '\0') + params.policy_blob);
-  h = fnv1a64(h, std::string(1, '\0') + std::to_string(params.epoch_cycles));
-  h = fnv1a64(h, std::string(1, '\0') + std::to_string(params.epochs));
-  h = fnv1a64(h, std::string(1, '\0') +
-                     (params.qos_features ? "qos" : "aggregate"));
-  return hex16(h);
+  util::Fnv1a64 h;
+  h.bytes(space.spec_text)
+      .byte(0).bytes(std::to_string(index))
+      .byte(0).bytes(params.controller)
+      .byte(0).bytes(params.policy_blob)
+      .byte(0).bytes(std::to_string(params.epoch_cycles))
+      .byte(0).bytes(std::to_string(params.epochs))
+      .byte(0).bytes(params.qos_features ? "qos" : "aggregate");
+  return util::hex16(h.value());
 }
 
 std::string result_path(const std::string& results_dir, std::size_t index,
@@ -143,18 +125,12 @@ void write_result_file(const std::string& path,
 }
 
 std::optional<FleetScenarioResult> read_result_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  const auto nl = text.find('\n');
-  const std::string magic = text.substr(0, nl == std::string::npos ? 0 : nl);
-  if (magic != "drlfr " + std::to_string(kFleetResultFormatVersion)) {
-    throw std::runtime_error("fleet: " + path +
-                             ": missing magic line (expected 'drlfr 1')");
-  }
-  const util::Config cfg = util::Config::from_text(text.substr(nl + 1));
+  const std::optional<std::string> text = util::read_file_bytes(path);
+  if (!text) return std::nullopt;
+  // No unknown-key check: a key added by a newer writer must not make this
+  // reader reject the file.
+  const util::Config cfg = util::parse_versioned_text(
+      *text, {"drlfr", kFleetResultFormatVersion, "fleet: " + path, {}});
   FleetScenarioResult r;
   r.index = static_cast<std::size_t>(cfg.get("index", 0LL));
   r.label = cfg.get("label", std::string());

@@ -1,12 +1,13 @@
 #include "fleet/scenario_space.h"
 
-#include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "scenario/scenario_io.h"
-#include "util/config.h"
+#include "util/versioned_text.h"
 
 namespace drlnoc::fleet {
 
@@ -14,11 +15,6 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::invalid_argument("fleet spec: " + what);
-}
-
-std::string join_path(const std::string& base_dir, const std::string& path) {
-  if (base_dir.empty() || path.empty() || path.front() == '/') return path;
-  return base_dir + "/" + path;
 }
 
 std::vector<std::string> split_csv(const std::string& text) {
@@ -103,96 +99,39 @@ ExpandedScenario ScenarioSpace::expand(std::size_t index) const {
 
 ScenarioSpace ScenarioSpaceReader::read_text(const std::string& text,
                                              const std::string& base_dir) {
-  // Same line-tracked scan as the `.drlsc` reader (minus sections), so parse
-  // errors cite "(line N)" next to the key name.
-  std::istringstream in(text);
-  std::string line;
-  int lineno = 0;
-  bool magic_seen = false;
-  util::Config cfg;
-  while (std::getline(in, line)) {
-    ++lineno;
-    std::string stripped = line;
-    const auto hash = stripped.find('#');
-    if (hash != std::string::npos) stripped.erase(hash);
-    const auto b = stripped.find_first_not_of(" \t\r");
-    if (b == std::string::npos) continue;
-    const auto e = stripped.find_last_not_of(" \t\r");
-    stripped = stripped.substr(b, e - b + 1);
-    if (!magic_seen) {
-      std::istringstream ls(stripped);
-      std::string magic;
-      int version = 0;
-      if (!(ls >> magic >> version) || magic != "drlfs") {
-        throw std::runtime_error(
-            "fleet spec: missing magic line (expected 'drlfs 1')");
-      }
-      if (version != kFleetSpecFormatVersion) {
-        throw std::runtime_error("fleet spec: unsupported format version " +
-                                 std::to_string(version));
-      }
-      magic_seen = true;
-      continue;
-    }
-    const auto eq = stripped.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("fleet spec: bad config line " +
-                                  std::to_string(lineno) + ": " + stripped);
-    }
-    auto trim = [](std::string s) {
-      const auto sb = s.find_first_not_of(" \t");
-      if (sb == std::string::npos) return std::string();
-      const auto se = s.find_last_not_of(" \t");
-      return s.substr(sb, se - sb + 1);
-    };
-    const std::string key = trim(stripped.substr(0, eq));
-    cfg.set(key, trim(stripped.substr(eq + 1)));
-    cfg.set_line(key, lineno);
-  }
-  if (!magic_seen) {
-    throw std::runtime_error(
-        "fleet spec: missing magic line (expected 'drlfs 1')");
-  }
-
-  std::set<std::string> consumed;
-  auto str = [&](const std::string& key, const std::string& fallback) {
-    if (cfg.has(key)) consumed.insert(key);
-    return cfg.get(key, fallback);
-  };
-  auto num = [&](const std::string& key, int fallback) {
-    if (cfg.has(key)) consumed.insert(key);
-    return cfg.get(key, fallback);
-  };
+  const util::Config cfg = util::parse_versioned_text(
+      text, {"drlfs", kFleetSpecFormatVersion, "fleet spec", {}});
+  const util::TrackedConfig c(cfg);
 
   ScenarioSpace space;
   space.spec_text = text;
-  space.name = str("name", space.name);
-  space.base_file = str("base", "");
+  space.name = c.str("name", space.name);
+  space.base_file = c.str("base", "");
   if (space.base_file.empty()) {
     fail("base = <scenario.drlsc> is required");
   }
-  space.seeds = num("seeds", space.seeds);
-  const int axes = num("axes", 0);
+  space.seeds = c.get("seeds", space.seeds);
+  const int axes = c.get("axes", 0);
   if (axes < 0) fail("axes must be >= 0");
   for (int i = 0; i < axes; ++i) {
     const std::string p = "axis" + std::to_string(i) + ".";
     SpaceAxis axis;
-    axis.key = str(p + "key", "");
-    const bool has_csv = cfg.has(p + "values");
-    const bool has_count = cfg.has(p + "count");
+    axis.key = c.str(p + "key", "");
+    const bool has_csv = c.has(p + "values");
+    const bool has_count = c.has(p + "count");
     if (has_csv && has_count) {
       fail(p + "values and " + p + "count are mutually exclusive" +
            cfg.location_suffix(p + "count"));
     }
     if (has_csv) {
-      axis.values = split_csv(str(p + "values", ""));
+      axis.values = split_csv(c.str(p + "values", ""));
     } else if (has_count) {
-      const int count = num(p + "count", 0);
+      const int count = c.get(p + "count", 0);
       if (count < 1) fail(p + "count must be >= 1");
       for (int k = 0; k < count; ++k) {
         const std::string vk = p + "value" + std::to_string(k);
-        if (!cfg.has(vk)) fail(vk + " is missing");
-        axis.values.push_back(str(vk, ""));
+        if (!c.has(vk)) fail(vk + " is missing");
+        axis.values.push_back(c.str(vk, ""));
       }
     } else {
       fail(p + "values (comma list) or " + p + "count + " + p +
@@ -201,26 +140,16 @@ ScenarioSpace ScenarioSpaceReader::read_text(const std::string& text,
     space.axes.push_back(axis);
   }
 
-  for (const std::string& key : cfg.keys()) {
-    if (!consumed.count(key)) {
-      throw std::invalid_argument("fleet spec: unknown key '" + key + "'" +
-                                  cfg.location_suffix(key));
-    }
-  }
+  c.reject_unknown("fleet spec");
 
-  const std::string base_path = join_path(base_dir, space.base_file);
-  std::ifstream base_in(base_path);
-  if (!base_in) fail("cannot open base scenario " + base_path);
-  std::stringstream ss;
-  ss << base_in.rdbuf();
-  space.base_text = ss.str();
+  const std::string base_path = util::join_path(base_dir, space.base_file);
+  std::optional<std::string> base_text = util::read_file_bytes(base_path);
+  if (!base_text) fail("cannot open base scenario " + base_path);
+  space.base_text = std::move(*base_text);
   // Traces/policies inside the base scenario resolve relative to the base
   // scenario's own directory, exactly as a direct ScenarioReader::read_file
   // of it would.
-  const auto base_slash = base_path.find_last_of('/');
-  space.base_dir = base_slash == std::string::npos
-                       ? ""
-                       : base_path.substr(0, base_slash);
+  space.base_dir = util::parent_dir(base_path);
 
   space.validate();
   // Smoke-expand one point so a spec whose overrides misspell a key (or
@@ -230,18 +159,11 @@ ScenarioSpace ScenarioSpaceReader::read_text(const std::string& text,
 }
 
 ScenarioSpace ScenarioSpaceReader::read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("fleet spec: cannot open " + path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto slash = path.find_last_of('/');
-  const std::string base_dir =
-      slash == std::string::npos ? "" : path.substr(0, slash);
-  try {
-    return read_text(ss.str(), base_dir);
-  } catch (const std::exception& e) {
-    throw std::invalid_argument(path + ": " + e.what());
-  }
+  return util::read_text_file(
+      path, "fleet spec",
+      [](const std::string& text, const std::string& base_dir) {
+        return read_text(text, base_dir);
+      });
 }
 
 }  // namespace drlnoc::fleet

@@ -32,12 +32,6 @@ void Linear::forward_into(const Matrix& x, Matrix& y) {
   add_row_inplace(y, b_);
 }
 
-Matrix Linear::forward(const Matrix& x) {
-  Matrix y;
-  forward_into(x, y);
-  return y;
-}
-
 void Linear::infer_into(const Matrix& x, Matrix& y) {
   assert(x.cols() == w_.rows());
   assert(&x != &y);
@@ -106,12 +100,6 @@ void Linear::backward_into(const Matrix& grad_out, Matrix& grad_in) {
   matmul_into(grad_in, grad_out, w_t_);
 }
 
-Matrix Linear::backward(const Matrix& grad_out) {
-  Matrix grad_in;
-  backward_into(grad_out, grad_in);
-  return grad_in;
-}
-
 void Linear::zero_grads() {
   gw_.fill(0.0);
   gb_.fill(0.0);
@@ -131,12 +119,6 @@ void ReLU::forward_into(const Matrix& x, Matrix& y) {
   const double* __restrict__ px = x.data();
   double* __restrict__ py = y.data();
   for (std::size_t i = 0; i < x.size(); ++i) py[i] = px[i] > 0.0 ? px[i] : 0.0;
-}
-
-Matrix ReLU::forward(const Matrix& x) {
-  Matrix y;
-  forward_into(x, y);
-  return y;
 }
 
 void ReLU::infer_into(const Matrix& x, Matrix& y) {
@@ -159,12 +141,6 @@ void ReLU::backward_into(const Matrix& grad_out, Matrix& grad_in) {
   }
 }
 
-Matrix ReLU::backward(const Matrix& grad_out) {
-  Matrix grad_in;
-  backward_into(grad_out, grad_in);
-  return grad_in;
-}
-
 void Tanh::forward_into(const Matrix& x, Matrix& y) {
   assert(&x != &y);
   y.resize_fast(x.rows(), x.cols());
@@ -172,12 +148,6 @@ void Tanh::forward_into(const Matrix& x, Matrix& y) {
   double* __restrict__ py = y.data();
   for (std::size_t i = 0; i < x.size(); ++i) py[i] = std::tanh(px[i]);
   cache_y_ = y;
-}
-
-Matrix Tanh::forward(const Matrix& x) {
-  Matrix y;
-  forward_into(x, y);
-  return y;
 }
 
 void Tanh::infer_into(const Matrix& x, Matrix& y) {
@@ -197,12 +167,6 @@ void Tanh::backward_into(const Matrix& grad_out, Matrix& grad_in) {
   for (std::size_t i = 0; i < grad_out.size(); ++i) {
     pi[i] = pg[i] * (1.0 - pc[i] * pc[i]);
   }
-}
-
-Matrix Tanh::backward(const Matrix& grad_out) {
-  Matrix grad_in;
-  backward_into(grad_out, grad_in);
-  return grad_in;
 }
 
 DuelingHead::DuelingHead(std::size_t in, std::size_t actions)
@@ -227,12 +191,6 @@ void DuelingHead::forward_into(const Matrix& x, Matrix& y) {
       y.at(r, c) = v_ws_.at(r, 0) + a_ws_.at(r, c) - mean;
     }
   }
-}
-
-Matrix DuelingHead::forward(const Matrix& x) {
-  Matrix y;
-  forward_into(x, y);
-  return y;
 }
 
 void DuelingHead::infer_into(const Matrix& x, Matrix& y) {
@@ -275,12 +233,6 @@ void DuelingHead::backward_into(const Matrix& grad_out, Matrix& grad_in) {
   value_.backward_into(dv_ws_, grad_in);
   advantage_.backward_into(da_ws_, dx_ws_);
   grad_in += dx_ws_;
-}
-
-Matrix DuelingHead::backward(const Matrix& grad_out) {
-  Matrix grad_in;
-  backward_into(grad_out, grad_in);
-  return grad_in;
 }
 
 void DuelingHead::backward_params_only(const Matrix& grad_out,
@@ -366,20 +318,6 @@ Mlp& Mlp::operator=(const Mlp& other) {
   Mlp copy(other);
   *this = std::move(copy);
   return *this;
-}
-
-Matrix Mlp::forward(const Matrix& x) {
-  Matrix h = x;
-  for (auto& layer : layers_) h = layer->forward(h);
-  return h;
-}
-
-Matrix Mlp::backward(const Matrix& grad_out) {
-  Matrix g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
-  }
-  return g;
 }
 
 const Matrix& Mlp::forward_ws(const Matrix& x) {

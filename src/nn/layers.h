@@ -1,12 +1,11 @@
 // Layers and the MLP container. Forward caches what backward needs; backward
-// accumulates parameter gradients and returns the input gradient, so layers
+// accumulates parameter gradients and writes the input gradient, so layers
 // compose by simple chaining.
 //
-// Every layer offers two equivalent compute paths: the value-returning
-// forward()/backward() convenience API, and the allocation-free
-// forward_into()/backward_into() workspace API that writes into caller-owned
-// buffers (used by Mlp::forward_ws / Mlp::backward_ws and the DQN learn
-// step). Both paths produce bit-identical results.
+// Every layer writes into caller-owned buffers (forward_into /
+// backward_into / infer_into), and Mlp chains them through
+// persistent per-layer workspace (forward_ws / backward_ws / infer_ws), so
+// steady-state training and inference perform no heap allocation.
 #pragma once
 
 #include <iosfwd>
@@ -23,17 +22,11 @@ class Layer {
  public:
   virtual ~Layer() = default;
   virtual std::string name() const = 0;
-  /// x: (batch, in) -> (batch, out).
-  virtual Matrix forward(const Matrix& x) = 0;
-  /// grad wrt output -> grad wrt input; accumulates parameter grads.
-  virtual Matrix backward(const Matrix& grad_out) = 0;
-  /// Allocation-free paths: write the result into `y` / `grad_in`, which
-  /// must not alias the input. The defaults fall back to the value API;
-  /// concrete layers override with zero-allocation implementations.
-  virtual void forward_into(const Matrix& x, Matrix& y) { y = forward(x); }
-  virtual void backward_into(const Matrix& grad_out, Matrix& grad_in) {
-    grad_in = backward(grad_out);
-  }
+  /// x: (batch, in) -> y: (batch, out). `y` must not alias `x`.
+  virtual void forward_into(const Matrix& x, Matrix& y) = 0;
+  /// grad wrt output -> grad wrt input (written into `grad_in`, which must
+  /// not alias `grad_out`); accumulates parameter grads.
+  virtual void backward_into(const Matrix& grad_out, Matrix& grad_in) = 0;
   /// Inference-only forward: same outputs as forward_into, but skips the
   /// backward caches (target-network evaluation, greedy action selection).
   virtual void infer_into(const Matrix& x, Matrix& y) { forward_into(x, y); }
@@ -63,8 +56,6 @@ class Linear : public Layer {
   void init_xavier(util::Rng& rng);
 
   std::string name() const override { return "linear"; }
-  Matrix forward(const Matrix& x) override;
-  Matrix backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y) override;
   void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
   void infer_into(const Matrix& x, Matrix& y) override;
@@ -84,8 +75,8 @@ class Linear : public Layer {
  private:
   Matrix w_, b_, gw_, gb_, cache_x_;
   // Gradient staging: matmul results land here, then accumulate into
-  // gw_/gb_ with the same element-wise add as the value API (bit-identity
-  // even when gradients are accumulated across multiple backward calls).
+  // gw_/gb_ by element-wise add, so gradients accumulated across several
+  // backward calls round exactly as `gw_ += xᵀ·g` does.
   Matrix gw_stage_, gb_stage_;
   // Wᵀ scratch: the input gradient grad_out·Wᵀ runs through the
   // vectorisable row-major matmul kernel instead of scalar dot products.
@@ -98,8 +89,6 @@ class Linear : public Layer {
 class ReLU : public Layer {
  public:
   std::string name() const override { return "relu"; }
-  Matrix forward(const Matrix& x) override;
-  Matrix backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y) override;
   void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
   void infer_into(const Matrix& x, Matrix& y) override;
@@ -114,8 +103,6 @@ class ReLU : public Layer {
 class Tanh : public Layer {
  public:
   std::string name() const override { return "tanh"; }
-  Matrix forward(const Matrix& x) override;
-  Matrix backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y) override;
   void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
   void infer_into(const Matrix& x, Matrix& y) override;
@@ -136,8 +123,6 @@ class DuelingHead : public Layer {
   void init_he(util::Rng& rng);
 
   std::string name() const override { return "dueling"; }
-  Matrix forward(const Matrix& x) override;
-  Matrix backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y) override;
   void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
   void infer_into(const Matrix& x, Matrix& y) override;
@@ -180,15 +165,12 @@ class Mlp {
   Mlp(Mlp&&) = default;
   Mlp& operator=(Mlp&&) = default;
 
-  Matrix forward(const Matrix& x);
-  /// Gradient wrt network input (parameter grads accumulated inside).
-  Matrix backward(const Matrix& grad_out);
-
-  /// Workspace paths: identical math to forward()/backward(), but all
-  /// intermediate activations/gradients live in persistent per-layer
-  /// buffers, so steady-state calls perform zero heap allocations. The
-  /// returned reference is valid until the next *_ws call on this Mlp.
+  /// Forward pass caching what backward_ws needs. Intermediate
+  /// activations/gradients live in persistent per-layer buffers, so
+  /// steady-state calls perform zero heap allocations. The returned
+  /// reference is valid until the next *_ws call on this Mlp.
   const Matrix& forward_ws(const Matrix& x);
+  /// Gradient wrt network input (parameter grads accumulated inside).
   const Matrix& backward_ws(const Matrix& grad_out);
   /// Inference-only workspace forward: same values as forward_ws but no
   /// backward caches are written (safe for target nets / greedy eval).

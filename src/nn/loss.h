@@ -1,5 +1,5 @@
 // Loss functions. Each returns the scalar loss (mean over contributing
-// elements) and the gradient matrix dL/dpred to feed Mlp::backward().
+// elements) and the gradient matrix dL/dpred to feed Mlp::backward_ws().
 // The masked variants update only the chosen-action entries — the DQN
 // training signal, where the network outputs all Q(s,·) but only Q(s,a) has
 // a regression target.

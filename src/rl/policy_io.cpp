@@ -1,11 +1,11 @@
 #include "rl/policy_io.h"
 
-#include <cstdint>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/fnv.h"
 
 namespace drlnoc::rl {
 
@@ -41,16 +41,6 @@ std::size_t read_size(std::istream& is, const std::string& key) {
          " out of range (expected 1.." + std::to_string(kMaxWidth) + ")");
   }
   return static_cast<std::size_t>(v);
-}
-
-bool is_hex16(const std::string& s) {
-  if (s.size() != 16) return false;
-  for (char c : s) {
-    const bool ok =
-        (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-    if (!ok) return false;
-  }
-  return true;
 }
 
 std::string activation_token(const nn::Mlp& net) {
@@ -143,7 +133,7 @@ PolicyCheckpoint read_policy(std::istream& is) {
   h.scenario_hash = token(is, "scenario hash");
   if (h.scenario_hash == "-") {
     h.scenario_hash.clear();
-  } else if (!is_hex16(h.scenario_hash)) {
+  } else if (!util::is_hex16(h.scenario_hash)) {
     fail("malformed scenario hash '" + h.scenario_hash +
          "' (expected 16 lowercase hex digits or '-')");
   }
@@ -199,15 +189,7 @@ PolicyCheckpoint read_policy_blob(const std::string& blob) {
 }
 
 std::string policy_fingerprint(const std::string& blob) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : blob) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return std::string(buf);
+  return util::hex16(util::Fnv1a64().bytes(blob).value());
 }
 
 }  // namespace drlnoc::rl

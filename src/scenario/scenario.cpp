@@ -2,10 +2,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/fnv.h"
 
 namespace drlnoc::scenario {
 
@@ -134,11 +135,7 @@ void validate_controller(const ControllerSchedule& c) {
   if (!c.policy_pin.empty()) {
     if (c.type != "drl") fail("controller pin is only meaningful for drl "
                               "schedules");
-    bool hex16 = c.policy_pin.size() == 16;
-    for (char ch : c.policy_pin) {
-      hex16 = hex16 && ((ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'f'));
-    }
-    if (!hex16) {
+    if (!util::is_hex16(c.policy_pin)) {
       fail("controller pin '" + c.policy_pin +
            "' is not a policy fingerprint (expected 16 lowercase hex "
            "digits)");
@@ -255,16 +252,9 @@ namespace {
 /// when their semantic fields agree — field reordering or adjacent-field
 /// concatenation cannot alias (each token is '\0'-terminated).
 struct ContentHasher {
-  std::uint64_t h = 1469598103934665603ULL;
+  util::Fnv1a64 h;
 
-  void bytes(const std::string& s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 1099511628211ULL;
-    }
-    h ^= 0;  // terminator byte
-    h *= 1099511628211ULL;
-  }
+  void bytes(const std::string& s) { h.bytes(s).byte(0); }
   void str(const std::string& s) { bytes(s); }
   void i64(long long v) { bytes(std::to_string(v)); }
   void u64(std::uint64_t v) { bytes(std::to_string(v)); }
@@ -378,14 +368,11 @@ std::uint64_t content_hash(const Scenario& scenario) {
     hh.f64(t.lifetime_min);
     hh.f64(t.lifetime_max);
   }
-  return hh.h;
+  return hh.h.value();
 }
 
 std::string content_hash_hex(const Scenario& scenario) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(content_hash(scenario)));
-  return std::string(buf);
+  return util::hex16(content_hash(scenario));
 }
 
 std::string format_node_set(const std::vector<noc::NodeId>& nodes) {

@@ -5,20 +5,9 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace drlnoc::util {
-
-namespace {
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-}  // namespace
 
 Config Config::from_args(int argc, const char* const* argv) {
   Config cfg;
@@ -43,24 +32,6 @@ Config Config::from_args(int argc, const char* const* argv) {
     }
     throw std::invalid_argument("expected key=value, got: " +
                                 std::string(argv[i]));
-  }
-  return cfg;
-}
-
-Config Config::from_text(const std::string& text) {
-  Config cfg;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("bad config line: " + line);
-    }
-    cfg.set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
   }
   return cfg;
 }

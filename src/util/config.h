@@ -17,13 +17,11 @@ class Config {
   /// Parses tokens of the form "key=value"; throws std::invalid_argument on
   /// malformed tokens.
   static Config from_args(int argc, const char* const* argv);
-  /// Parses newline-separated "key=value" text; '#' starts a comment.
-  static Config from_text(const std::string& text);
 
   void set(const std::string& key, const std::string& value);
 
-  /// Records the 1-based source line `key` came from. File-format loaders
-  /// (the `.drlsc`/`.drlfs` readers) call this while scanning their input so
+  /// Records the 1-based source line `key` came from. The versioned text
+  /// reader (util/versioned_text.h) calls this while scanning its input so
   /// the typed getters below can cite the offending line alongside the key
   /// name; configs built from argv carry no lines and report as before.
   void set_line(const std::string& key, int line);

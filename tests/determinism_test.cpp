@@ -9,9 +9,9 @@
 // platforms.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 
+#include "golden_hash.h"
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "rl/dqn.h"
@@ -19,68 +19,6 @@
 
 namespace drlnoc {
 namespace {
-
-/// FNV-1a over 64-bit words; doubles are hashed by bit pattern.
-class Fnv {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  void mix(int v) { mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-void mix_stats(Fnv& h, const noc::EpochStats& s) {
-  h.mix(s.packets_offered);
-  h.mix(s.packets_received);
-  h.mix(s.flits_injected);
-  h.mix(s.flits_ejected);
-  h.mix(s.avg_latency);
-  h.mix(s.p95_latency);
-  h.mix(s.max_latency);
-  h.mix(s.avg_hops);
-  h.mix(s.avg_buffer_occupancy);
-  h.mix(s.source_queue_total);
-}
-
-void mix_records(Fnv& h, const std::vector<noc::PacketRecord>& records) {
-  h.mix(static_cast<std::uint64_t>(records.size()));
-  for (const noc::PacketRecord& r : records) {
-    h.mix(r.packet_id);
-    h.mix(r.src);
-    h.mix(r.dst);
-    h.mix(static_cast<std::uint64_t>(r.length));
-    h.mix(r.inject_time);
-    h.mix(r.eject_time);
-    h.mix(static_cast<std::uint64_t>(r.hops));
-    h.mix(static_cast<std::uint64_t>(r.measured ? 1 : 0));
-  }
-}
-
-/// Microarchitectural state: every input VC occupancy and advertised
-/// capacity, every output VC credit count.
-void mix_router_state(Fnv& h, noc::Network& net) {
-  const int radix = net.topology().radix();
-  const int vcs = net.params().max_vcs;
-  for (int node = 0; node < net.num_nodes(); ++node) {
-    noc::Router& r = net.router(node);
-    h.mix(r.buffered_flits());
-    for (int p = 0; p < radix; ++p) {
-      for (int v = 0; v < vcs; ++v) {
-        h.mix(r.input_occupancy(p, v));
-        h.mix(r.advertised_capacity(p, v));
-        h.mix(r.output_credits(p, v));
-      }
-    }
-  }
-}
 
 TEST(GoldenDeterminism, Mesh8x8UniformWithReconfig) {
   noc::NetworkParams p;
@@ -90,7 +28,7 @@ TEST(GoldenDeterminism, Mesh8x8UniformWithReconfig) {
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "uniform", 0.10);
 
-  Fnv h;
+  GoldenHash h;
   mix_stats(h, net.run_epoch(&w, 1500));
   // Mid-run reconfiguration: fewer VCs, shallower buffers, slower clock —
   // exercises credit withholding and VC gating on live traffic.
@@ -111,7 +49,7 @@ TEST(GoldenDeterminism, Mesh6x6OddEvenTranspose) {
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "transpose", 0.12);
 
-  Fnv h;
+  GoldenHash h;
   mix_stats(h, net.run_epoch(&w, 2000));
   mix_records(h, net.drain_records());
   mix_router_state(h, net);
@@ -130,7 +68,7 @@ TEST(GoldenDeterminism, Mesh16x16UniformLowLoadWithReconfig) {
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "uniform", 0.02);
 
-  Fnv h;
+  GoldenHash h;
   mix_stats(h, net.run_epoch(&w, 1200));
   net.apply_config(noc::NocConfig{2, 4, 2});
   mix_stats(h, net.run_epoch(&w, 1200));
@@ -149,7 +87,7 @@ TEST(GoldenDeterminism, Torus4x4DatelineClasses) {
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "uniform", 0.15);
 
-  Fnv h;
+  GoldenHash h;
   mix_stats(h, net.run_epoch(&w, 2000));
   mix_records(h, net.drain_records());
   mix_router_state(h, net);
@@ -173,7 +111,7 @@ TEST(GoldenDeterminism, DqnLearningTrajectory) {
   rl::Transition t;
   t.state.assign(10, 0.0);
   t.next_state.assign(10, 0.0);
-  Fnv h;
+  GoldenHash h;
   double loss_sum = 0.0;
   for (int i = 0; i < 600; ++i) {
     for (double& v : t.state) v = rng.uniform();

@@ -6,10 +6,10 @@
 // build with faults *disabled* must not perturb the healthy-path goldens.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <sstream>
 
+#include "golden_hash.h"
 #include "core/controller.h"
 #include "core/parallel.h"
 #include "noc/faults.h"
@@ -22,23 +22,7 @@
 namespace drlnoc {
 namespace {
 
-/// FNV-1a over 64-bit words (same helper as tests/determinism_test.cpp).
-class Fnv {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-void mix_stats(Fnv& h, const noc::EpochStats& s) {
+void mix_fault_stats(GoldenHash& h, const noc::EpochStats& s) {
   h.mix(s.packets_offered);
   h.mix(s.packets_received);
   h.mix(s.flits_injected);
@@ -345,13 +329,13 @@ noc::EpochStats faulted_run(int seed_offset) {
 // A faulted run (transient corruption + a mid-run link death + a slowdown)
 // is bit-identical on repeated runs: no hidden RNG stream, no global state.
 TEST(FaultDeterminism, RepeatedFaultedRunsAreBitIdentical) {
-  Fnv a, b;
-  mix_stats(a, faulted_run(0));
-  mix_stats(b, faulted_run(0));
+  GoldenHash a, b;
+  mix_fault_stats(a, faulted_run(0));
+  mix_fault_stats(b, faulted_run(0));
   EXPECT_EQ(a.value(), b.value());
 
-  Fnv c;
-  mix_stats(c, faulted_run(1));  // different traffic seed must differ
+  GoldenHash c;
+  mix_fault_stats(c, faulted_run(1));  // different traffic seed must differ
   EXPECT_NE(a.value(), c.value());
 }
 
@@ -392,7 +376,7 @@ TEST(FaultDeterminism, FaultedEvaluationBitIdenticalAcrossJobs) {
   for (int jobs : {1, 2, 8}) {
     const core::ReplicationResult r = core::evaluate_many(
         ep, heuristic, /*replicas=*/4, core::ExperimentRunner(jobs));
-    Fnv h;
+    GoldenHash h;
     for (const core::Replica& rep : r.replicas) {
       h.mix(rep.seed);
       h.mix(rep.result.total_reward);
@@ -414,8 +398,8 @@ TEST(FaultDeterminism, FaultedEvaluationBitIdenticalAcrossJobs) {
 constexpr std::uint64_t kFaultedGolden = 6244405601593279142ULL;
 
 TEST(FaultDeterminism, FaultedRunGoldenHash) {
-  Fnv h;
-  mix_stats(h, faulted_run(0));
+  GoldenHash h;
+  mix_fault_stats(h, faulted_run(0));
   EXPECT_EQ(h.value(), kFaultedGolden);
 }
 

@@ -393,6 +393,14 @@ struct StressCase {
   int pipeline;
 };
 
+// gtest prints the parameter into the discovered test names; without this it
+// dumps the raw bytes, string addresses included, so the names would change
+// with every run of the binary.
+void PrintTo(const StressCase& c, std::ostream* os) {
+  *os << c.topology << '/' << c.routing << " vc" << c.vcs << " p"
+      << c.pipeline;
+}
+
 class ConservationStress : public ::testing::TestWithParam<StressCase> {};
 
 TEST_P(ConservationStress, NoFlitEverLost) {

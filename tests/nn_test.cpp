@@ -81,7 +81,8 @@ TEST(Linear, ForwardMatchesHand) {
   Matrix x(1, 2);
   x.at(0, 0) = 1.0;
   x.at(0, 1) = 2.0;
-  const Matrix y = lin.forward(x);
+  Matrix y;
+  lin.forward_into(x, y);
   EXPECT_DOUBLE_EQ(y.at(0, 0), 1.0 + 6.0 + 0.5);
   EXPECT_DOUBLE_EQ(y.at(0, 1), 2.0 + 8.0 - 0.5);
 }
@@ -94,10 +95,12 @@ TEST(Activations, ForwardShapes) {
   x.at(0, 1) = 2.0;
   x.at(1, 0) = 0.0;
   x.at(1, 1) = -3.0;
-  const Matrix r = relu.forward(x);
+  Matrix r;
+  relu.forward_into(x, r);
   EXPECT_DOUBLE_EQ(r.at(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(r.at(0, 1), 2.0);
-  const Matrix t = tanh_layer.forward(x);
+  Matrix t;
+  tanh_layer.forward_into(x, t);
   EXPECT_NEAR(t.at(0, 1), std::tanh(2.0), 1e-12);
 }
 
@@ -113,13 +116,13 @@ TEST_P(GradCheck, MlpMatchesFiniteDifferences) {
   for (double& v : target.raw()) v = rng.normal();
 
   auto loss_of = [&](Mlp& net) {
-    return mse_loss(net.forward(x), target).loss;
+    return mse_loss(net.infer_ws(x), target).loss;
   };
 
   // Analytic gradients.
   mlp.zero_grads();
-  const LossResult lr = mse_loss(mlp.forward(x), target);
-  mlp.backward(lr.grad);
+  const LossResult lr = mse_loss(mlp.forward_ws(x), target);
+  mlp.backward_ws(lr.grad);
 
   const double eps = 1e-6;
   auto params = mlp.params();
@@ -185,7 +188,7 @@ TEST(Mlp, CopyAndSoftUpdate) {
   Mlp b({2, 4, 2}, Activation::kReLU, rng);
   b.copy_weights_from(a);
   Matrix x(1, 2, 0.3);
-  EXPECT_EQ(a.forward(x).row(0), b.forward(x).row(0));
+  EXPECT_EQ(a.infer_ws(x).row(0), b.infer_ws(x).row(0));
 
   Mlp c({2, 4, 2}, Activation::kReLU, rng);
   const double before = c.params()[0]->at(0, 0);
@@ -201,7 +204,7 @@ TEST(Mlp, GradClipBoundsNorm) {
   for (double& v : x.raw()) v = rng.normal() * 10;
   for (double& v : t.raw()) v = rng.normal() * 10;
   mlp.zero_grads();
-  mlp.backward(mse_loss(mlp.forward(x), t).grad);
+  mlp.backward_ws(mse_loss(mlp.forward_ws(x), t).grad);
   mlp.clip_grad_norm(0.5);
   double total = 0.0;
   for (Matrix* g : mlp.grads()) total += g->norm() * g->norm();
@@ -213,11 +216,11 @@ TEST(Mlp, SaveLoadPreservesFunction) {
   Mlp mlp({4, 8, 3}, Activation::kTanh, rng);
   Matrix x(2, 4);
   for (double& v : x.raw()) v = rng.normal();
-  const auto before = mlp.forward(x).row(0);
+  const auto before = mlp.infer_ws(x).row(0);
   std::stringstream ss;
   mlp.save(ss);
   Mlp loaded = Mlp::load(ss);
-  const auto after = loaded.forward(x).row(0);
+  const auto after = loaded.infer_ws(x).row(0);
   ASSERT_EQ(before.size(), after.size());
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_NEAR(before[i], after[i], 1e-12);
@@ -230,7 +233,8 @@ TEST(DuelingHead, QDecomposition) {
   head.init_he(rng);
   Matrix x(2, 3);
   for (double& v : x.raw()) v = rng.normal();
-  const Matrix q = head.forward(x);
+  Matrix q;
+  head.forward_into(x, q);
   ASSERT_EQ(q.rows(), 2u);
   ASSERT_EQ(q.cols(), 4u);
   // Per construction, mean_c(Q_rc) == V_r, i.e. advantages are centred:
@@ -246,8 +250,8 @@ TEST(DuelingHead, GradientMatchesFiniteDifferences) {
   for (double& v : x.raw()) v = rng.normal();
   for (double& v : target.raw()) v = rng.normal();
   mlp.zero_grads();
-  const LossResult lr = mse_loss(mlp.forward(x), target);
-  mlp.backward(lr.grad);
+  const LossResult lr = mse_loss(mlp.forward_ws(x), target);
+  mlp.backward_ws(lr.grad);
   auto params = mlp.params();
   auto grads = mlp.grads();
   const double eps = 1e-6;
@@ -256,9 +260,9 @@ TEST(DuelingHead, GradientMatchesFiniteDifferences) {
       double& w = params[p]->raw()[i];
       const double orig = w;
       w = orig + eps;
-      const double up = mse_loss(mlp.forward(x), target).loss;
+      const double up = mse_loss(mlp.infer_ws(x), target).loss;
       w = orig - eps;
-      const double down = mse_loss(mlp.forward(x), target).loss;
+      const double down = mse_loss(mlp.infer_ws(x), target).loss;
       w = orig;
       EXPECT_NEAR(grads[p]->raw()[i], (up - down) / (2 * eps), 1e-5)
           << "param " << p << " index " << i;
@@ -271,11 +275,11 @@ TEST(DuelingHead, SaveLoadRoundTrip) {
   Mlp mlp({4, 8, 3}, Activation::kReLU, rng, /*dueling=*/true);
   Matrix x(1, 4);
   for (double& v : x.raw()) v = rng.normal();
-  const auto before = mlp.forward(x).row(0);
+  const auto before = mlp.infer_ws(x).row(0);
   std::stringstream ss;
   mlp.save(ss);
   Mlp loaded = Mlp::load(ss);
-  const auto after = loaded.forward(x).row(0);
+  const auto after = loaded.infer_ws(x).row(0);
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_NEAR(before[i], after[i], 1e-12);
   }
@@ -317,9 +321,9 @@ TEST(Optimizer, MlpLearnsXor) {
   double loss = 1.0;
   for (int i = 0; i < 2000 && loss > 1e-3; ++i) {
     mlp.zero_grads();
-    const LossResult lr = mse_loss(mlp.forward(x), t);
+    const LossResult lr = mse_loss(mlp.forward_ws(x), t);
     loss = lr.loss;
-    mlp.backward(lr.grad);
+    mlp.backward_ws(lr.grad);
     opt.step(mlp.params(), mlp.grads());
   }
   EXPECT_LT(loss, 1e-3);

@@ -5,13 +5,13 @@
 // determinism hashes from determinism_test.cpp.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "golden_hash.h"
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "obs/flight_recorder.h"
@@ -215,67 +215,6 @@ TEST(ObsSession, HeatmapPathDerivation) {
 // every observer attached at full sampling. The golden constant is the same
 // one determinism_test pins for the bare fabric: observation must be free.
 
-class Fnv {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  void mix(int v) {
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-void mix_stats(Fnv& h, const noc::EpochStats& s) {
-  h.mix(s.packets_offered);
-  h.mix(s.packets_received);
-  h.mix(s.flits_injected);
-  h.mix(s.flits_ejected);
-  h.mix(s.avg_latency);
-  h.mix(s.p95_latency);
-  h.mix(s.max_latency);
-  h.mix(s.avg_hops);
-  h.mix(s.avg_buffer_occupancy);
-  h.mix(s.source_queue_total);
-}
-
-void mix_records(Fnv& h, const std::vector<noc::PacketRecord>& records) {
-  h.mix(static_cast<std::uint64_t>(records.size()));
-  for (const noc::PacketRecord& r : records) {
-    h.mix(r.packet_id);
-    h.mix(r.src);
-    h.mix(r.dst);
-    h.mix(static_cast<std::uint64_t>(r.length));
-    h.mix(r.inject_time);
-    h.mix(r.eject_time);
-    h.mix(static_cast<std::uint64_t>(r.hops));
-    h.mix(static_cast<std::uint64_t>(r.measured ? 1 : 0));
-  }
-}
-
-void mix_router_state(Fnv& h, noc::Network& net) {
-  const int radix = net.topology().radix();
-  const int vcs = net.params().max_vcs;
-  for (int node = 0; node < net.num_nodes(); ++node) {
-    noc::Router& r = net.router(node);
-    h.mix(r.buffered_flits());
-    for (int p = 0; p < radix; ++p) {
-      for (int v = 0; v < vcs; ++v) {
-        h.mix(r.input_occupancy(p, v));
-        h.mix(r.advertised_capacity(p, v));
-        h.mix(r.output_credits(p, v));
-      }
-    }
-  }
-}
-
 std::uint64_t mesh8x8_hash(obs::FlightRecorder* rec,
                            obs::NetworkMetrics* metrics) {
   noc::NetworkParams p;
@@ -286,7 +225,7 @@ std::uint64_t mesh8x8_hash(obs::FlightRecorder* rec,
   if (metrics != nullptr) net.set_metrics(metrics);
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "uniform", 0.10);
-  Fnv h;
+  GoldenHash h;
   mix_stats(h, net.run_epoch(&w, 1500));
   net.apply_config(noc::NocConfig{2, 4, 2});
   mix_stats(h, net.run_epoch(&w, 1500));

@@ -7,18 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "core/env_noc.h"
 #include "core/features.h"
 #include "core/reward.h"
 #include "core/trainer.h"
+#include "golden_hash.h"
 #include "rl/dqn.h"
 #include "scenario/runtime.h"
 #include "scenario/scenario_io.h"
@@ -74,31 +75,6 @@ RewardParams qos_params(double target = 200.0) {
   rp.tenant_qos[0].p95_target = target;
   rp.tenant_qos[1].cls = TenantQosClass::kBackground;
   return rp;
-}
-
-/// FNV-1a over the full delivered-packet stream, tenant tags included
-/// (same folding as tests/scenario_test.cpp).
-std::uint64_t stream_hash(const std::vector<noc::PacketRecord>& records) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(records.size());
-  for (const noc::PacketRecord& r : records) {
-    mix(r.packet_id);
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.src)));
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.dst)));
-    mix(r.length);
-    mix(std::bit_cast<std::uint64_t>(r.inject_time));
-    mix(std::bit_cast<std::uint64_t>(r.eject_time));
-    mix(r.hops);
-    mix(r.measured ? 1u : 0u);
-    mix(r.tenant);
-  }
-  return h;
 }
 
 trace::Trace dnn_trace() {
@@ -643,7 +619,7 @@ std::uint64_t checked_accounting_fold(std::uint64_t seed) {
   EXPECT_EQ(r.stats.tenants.size(), 2u);
 
   std::uint64_t offered = 0, received = 0, flits = 0;
-  std::uint64_t fold = 0xcbf29ce484222325ULL;
+  std::vector<std::uint64_t> counters;
   for (const noc::TenantEpochStats& ts : r.stats.tenants) {
     offered += ts.packets_offered;
     received += ts.packets_received;
@@ -657,31 +633,24 @@ std::uint64_t checked_accounting_fold(std::uint64_t seed) {
       EXPECT_LE(ts.avg_latency, ts.max_latency);
       EXPECT_LE(ts.p95_latency, ts.max_latency + 2.0);  // bucket resolution
     }
-    fold = (fold ^ ts.packets_offered) * 0x100000001b3ULL;
-    fold = (fold ^ ts.packets_received) * 0x100000001b3ULL;
-    fold = (fold ^ ts.flits_ejected) * 0x100000001b3ULL;
+    counters.insert(counters.end(), {ts.packets_offered, ts.packets_received,
+                                     ts.flits_ejected});
   }
   // Tenant slices partition the aggregate exactly.
   EXPECT_EQ(offered, r.stats.packets_offered);
   EXPECT_EQ(received, r.stats.packets_received);
   EXPECT_EQ(flits, r.stats.flits_ejected);
-  return fold;
+  return fold_words(counters);
 }
 
 TEST(QosAccounting, TenantSlicesPartitionAggregateAtAnyThreadCount) {
   std::uint64_t combined[3] = {};
   const int jobs_options[3] = {1, 2, 8};
   for (int k = 0; k < 3; ++k) {
-    const auto folds = util::parallel_map<std::uint64_t>(
+    combined[k] = fold_words(util::parallel_map<std::uint64_t>(
         4, jobs_options[k], [](int i) {
           return checked_accounting_fold(11 + static_cast<std::uint64_t>(i));
-        });
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::uint64_t v : folds) {
-      h ^= v;
-      h *= 0x100000001b3ULL;
-    }
-    combined[k] = h;
+        }));
   }
   EXPECT_EQ(combined[0], combined[1]);
   EXPECT_EQ(combined[0], combined[2]);
@@ -699,7 +668,7 @@ TEST(QosPinning, AnnotationsNeverPerturbTheTrafficStream) {
     auto w = scenario::build_workload(s, net->topology());
     const scenario::ScenarioRunResult r = scenario::run_scenario(*net, *w);
     EXPECT_TRUE(r.completed);
-    std::uint64_t h = stream_hash(net->drain_records());
+    std::uint64_t h = tenant_stream_hash(net->drain_records());
     h ^= 0x9e3779b97f4a7c15ULL * (r.stats.tenants[0].packets_received + 1);
     h ^= 0xc2b2ae3d27d4eb4fULL * (r.stats.tenants[1].packets_received + 1);
     return h;

@@ -9,9 +9,9 @@
 // work never moves a single bit.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 
+#include "golden_hash.h"
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "scenario/runtime.h"
@@ -22,37 +22,9 @@
 namespace drlnoc {
 namespace {
 
-/// FNV-1a over 64-bit words; doubles are hashed by bit pattern (same helper
-/// as tests/determinism_test.cpp).
-class Fnv {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  void mix(int v) {
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-void mix_stats(Fnv& h, const noc::EpochStats& s) {
-  h.mix(s.packets_offered);
-  h.mix(s.packets_received);
-  h.mix(s.flits_injected);
-  h.mix(s.flits_ejected);
-  h.mix(s.avg_latency);
-  h.mix(s.p95_latency);
-  h.mix(s.max_latency);
-  h.mix(s.avg_hops);
-  h.mix(s.avg_buffer_occupancy);
-  h.mix(s.source_queue_total);
+/// mix_stats plus every per-tenant slice.
+void mix_tenant_stats(GoldenHash& h, const noc::EpochStats& s) {
+  mix_stats(h, s);
   for (const noc::TenantEpochStats& t : s.tenants) {
     h.mix(t.packets_offered);
     h.mix(t.packets_received);
@@ -61,36 +33,6 @@ void mix_stats(Fnv& h, const noc::EpochStats& s) {
     h.mix(t.avg_latency);
     h.mix(t.p95_latency);
     h.mix(t.max_latency);
-  }
-}
-
-void mix_records(Fnv& h, const std::vector<noc::PacketRecord>& records) {
-  h.mix(static_cast<std::uint64_t>(records.size()));
-  for (const noc::PacketRecord& r : records) {
-    h.mix(r.packet_id);
-    h.mix(r.src);
-    h.mix(r.dst);
-    h.mix(static_cast<std::uint64_t>(r.length));
-    h.mix(r.inject_time);
-    h.mix(r.eject_time);
-    h.mix(static_cast<std::uint64_t>(r.hops));
-    h.mix(static_cast<std::uint64_t>(r.measured ? 1 : 0));
-  }
-}
-
-void mix_router_state(Fnv& h, noc::Network& net) {
-  const int radix = net.topology().radix();
-  const int vcs = net.params().max_vcs;
-  for (int node = 0; node < net.num_nodes(); ++node) {
-    noc::Router& r = net.router(node);
-    h.mix(r.buffered_flits());
-    for (int p = 0; p < radix; ++p) {
-      for (int v = 0; v < vcs; ++v) {
-        h.mix(r.input_occupancy(p, v));
-        h.mix(r.advertised_capacity(p, v));
-        h.mix(r.output_credits(p, v));
-      }
-    }
   }
 }
 
@@ -126,10 +68,10 @@ TEST(Quiescence, RearmAfterMidEpochReconfigWhileIdle) {
   noc::Network net(p);
   WindowedUniform w(net.topology(), 0.10);
 
-  Fnv h;
+  GoldenHash h;
   // Burst [0,200) plus full drain: the fabric is silent long before cycle
   // 700 (dvfs level 3 runs routers at the core clock).
-  mix_stats(h, net.run_epoch(&w, 700));
+  mix_tenant_stats(h, net.run_epoch(&w, 700));
   EXPECT_TRUE(net.drained());
   // The drained fabric must have fully quiesced: every node left the
   // active worklist.
@@ -141,8 +83,8 @@ TEST(Quiescence, RearmAfterMidEpochReconfigWhileIdle) {
   EXPECT_EQ(net.active_nodes(), net.num_nodes());
   // Second burst [1500,1700) core time falls inside this epoch
   // (700 + 900 router cycles x divisor 4/3 = 1900 core cycles).
-  mix_stats(h, net.run_epoch(&w, 900));
-  mix_stats(h, net.run_epoch(&w, 600));  // drain tail
+  mix_tenant_stats(h, net.run_epoch(&w, 900));
+  mix_tenant_stats(h, net.run_epoch(&w, 600));  // drain tail
   EXPECT_TRUE(net.drained());
   mix_records(h, net.drain_records());
   mix_router_state(h, net);
@@ -188,8 +130,8 @@ TEST(Quiescence, TenantActivationAtWindowBoundaryAfterDrain) {
   EXPECT_GT(r.stats.tenants[0].packets_received, 0u);
   EXPECT_GT(r.stats.tenants[1].packets_received, 0u);
 
-  Fnv h;
-  mix_stats(h, r.stats);
+  GoldenHash h;
+  mix_tenant_stats(h, r.stats);
   h.mix(static_cast<std::uint64_t>(r.cycles));
   EXPECT_EQ(h.value(), 6449430330483873073ULL);
 }
@@ -220,8 +162,8 @@ TEST(Quiescence, DependencyReleaseIntoQuiescentRegion) {
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(workload.delivered(), 4u);
 
-  Fnv h;
-  mix_stats(h, r.stats);
+  GoldenHash h;
+  mix_tenant_stats(h, r.stats);
   h.mix(static_cast<std::uint64_t>(r.cycles));
   mix_router_state(h, net);
   EXPECT_EQ(h.value(), 8664398725549031137ULL);

@@ -5,7 +5,6 @@
 // environment wiring, and the golden thread-invariance hash.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -14,6 +13,7 @@
 
 #include "core/env_noc.h"
 #include "core/trainer.h"
+#include "golden_hash.h"
 #include "noc/simulator.h"
 #include "noc/workload.h"
 #include "scenario/composite_workload.h"
@@ -28,30 +28,6 @@ namespace drlnoc::scenario {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// FNV-1a over the full delivered-packet stream, tenant tags included.
-std::uint64_t stream_hash(const std::vector<noc::PacketRecord>& records) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(records.size());
-  for (const noc::PacketRecord& r : records) {
-    mix(r.packet_id);
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.src)));
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.dst)));
-    mix(r.length);
-    mix(std::bit_cast<std::uint64_t>(r.inject_time));
-    mix(std::bit_cast<std::uint64_t>(r.eject_time));
-    mix(r.hops);
-    mix(r.measured ? 1u : 0u);
-    mix(r.tenant);
-  }
-  return h;
-}
 
 trace::Trace dnn_trace() {
   return trace::generate_dnn_pipeline({16, 4, 4, 3, 64.0, 32.0, 8});
@@ -224,7 +200,8 @@ TEST(ScenarioAcceptance, SingleTenantTraceBitIdenticalToDirectReplay) {
   const auto direct_result =
       trace::run_trace_replay(direct_net, direct, 500000);
   ASSERT_TRUE(direct_result.completed);
-  const std::uint64_t direct_hash = stream_hash(direct_net.drain_records());
+  const std::uint64_t direct_hash =
+      tenant_stream_hash(direct_net.drain_records());
 
   // The same replay expressed as a single-tenant .drlsc scenario, loaded
   // from disk like a user would.
@@ -251,7 +228,7 @@ TEST(ScenarioAcceptance, SingleTenantTraceBitIdenticalToDirectReplay) {
 
   // The delivered-packet stream — ids, endpoints, lengths, timestamps,
   // hops, tenant tags — must match bit for bit.
-  EXPECT_EQ(stream_hash(net->drain_records()), direct_hash);
+  EXPECT_EQ(tenant_stream_hash(net->drain_records()), direct_hash);
 }
 
 TEST(CompositeWorkloadTest, AttributesTenantsAndRespectsWindows) {
@@ -445,7 +422,7 @@ std::uint64_t scenario_run_hash(std::uint64_t seed) {
   auto net = build_network(s);
   auto w = build_workload(s, net->topology());
   const ScenarioRunResult r = run_scenario(*net, *w);
-  std::uint64_t h = stream_hash(net->drain_records());
+  std::uint64_t h = tenant_stream_hash(net->drain_records());
   // Fold in the per-tenant accounting so attribution is pinned too.
   h ^= 0x9e3779b97f4a7c15ULL * (r.stats.tenants[0].packets_received + 1);
   h ^= 0xc2b2ae3d27d4eb4fULL * (r.stats.tenants[1].packets_received + 1);
@@ -459,15 +436,10 @@ TEST(CompositeDeterminism, GoldenStreamHashInvariantAcrossThreads) {
   std::uint64_t combined[3] = {};
   const int jobs_options[3] = {1, 2, 8};
   for (int k = 0; k < 3; ++k) {
-    const auto hashes = util::parallel_map<std::uint64_t>(
-        4, jobs_options[k],
-        [](int i) { return scenario_run_hash(7 + static_cast<std::uint64_t>(i)); });
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::uint64_t v : hashes) {
-      h ^= v;
-      h *= 0x100000001b3ULL;
-    }
-    combined[k] = h;
+    combined[k] = fold_words(util::parallel_map<std::uint64_t>(
+        4, jobs_options[k], [](int i) {
+          return scenario_run_hash(7 + static_cast<std::uint64_t>(i));
+        }));
   }
   EXPECT_EQ(combined[0], combined[1]);
   EXPECT_EQ(combined[0], combined[2]);

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "core/env_noc.h"
+#include "golden_hash.h"
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "trace/generators.h"
@@ -361,27 +362,11 @@ TEST(TraceWorkloadTest, LoopRestartsAfterFullDelivery) {
 
 // --- record -> replay ------------------------------------------------------
 
-/// FNV-1a over the full delivered-packet stream.
+/// The full delivered-packet stream.
 std::uint64_t stream_hash(const std::vector<noc::PacketRecord>& records) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(records.size());
-  for (const noc::PacketRecord& r : records) {
-    mix(r.packet_id);
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.src)));
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.dst)));
-    mix(r.length);
-    mix(std::bit_cast<std::uint64_t>(r.inject_time));
-    mix(std::bit_cast<std::uint64_t>(r.eject_time));
-    mix(r.hops);
-    mix(r.measured ? 1u : 0u);
-  }
-  return h;
+  GoldenHash h;
+  mix_records(h, records);
+  return h.value();
 }
 
 TEST(TraceRecorderTest, RecordReplayIsBitExact) {

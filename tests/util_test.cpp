@@ -9,6 +9,7 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/versioned_text.h"
 
 namespace drlnoc::util {
 namespace {
@@ -267,14 +268,24 @@ TEST(Config, DashedFlagValueMayContainEquals) {
 }
 
 TEST(Config, ParsesTextWithComments) {
-  Config cfg = Config::from_text("a=1\n# comment\n b = hello # trailing\n");
+  Config cfg = parse_versioned_text(
+      "drlx 1\na=1\n# comment\n b = hello # trailing\n",
+      {"drlx", 1, "x", {}});
   EXPECT_EQ(cfg.get("a", 0), 1);
   EXPECT_EQ(cfg.get("b", std::string{}), "hello");
   EXPECT_EQ(cfg.keys().size(), 2u);
 }
 
+/// A Config built from "key=value" flag tokens, the way from_args builds
+/// every command-line config (no source lines are recorded).
+template <typename... Tokens>
+Config flags(Tokens... tokens) {
+  const char* argv[] = {"prog", tokens...};
+  return Config::from_args(static_cast<int>(sizeof...(tokens)) + 1, argv);
+}
+
 TEST(Config, BooleanParsing) {
-  Config cfg = Config::from_text("x=on\ny=No\nz=maybe");
+  Config cfg = flags("x=on", "y=No", "z=maybe");
   EXPECT_TRUE(cfg.get("x", false));
   EXPECT_FALSE(cfg.get("y", true));
   EXPECT_THROW(cfg.get("z", false), std::invalid_argument);
@@ -295,7 +306,7 @@ std::string rejection(Fn&& fn) {
 TEST(Config, RejectsTrailingGarbageOnNumbers) {
   // std::stod("0.1x") silently returned 0.1; a typo'd unit suffix must be
   // a hard error, not a quietly truncated value.
-  Config cfg = Config::from_text("rate=0.1x\njobs=8x\ndepth=4.0");
+  Config cfg = flags("rate=0.1x", "jobs=8x", "depth=4.0");
   EXPECT_EQ(rejection([&] { cfg.get("rate", 0.0); }),
             "bad number for rate: 0.1x (trailing characters)");
   EXPECT_EQ(rejection([&] { cfg.get("jobs", 0); }),
@@ -306,9 +317,8 @@ TEST(Config, RejectsTrailingGarbageOnNumbers) {
 }
 
 TEST(Config, RejectsOverflow) {
-  Config cfg =
-      Config::from_text("wide=99999999999999999999999\nnarrow=3000000000\n"
-                        "huge=1e999");
+  Config cfg = flags("wide=99999999999999999999999", "narrow=3000000000",
+                     "huge=1e999");
   EXPECT_EQ(rejection([&] { cfg.get("wide", 0LL); }),
             "bad integer for wide: 99999999999999999999999 (out of range)");
   // Fits in long long but not int: the int overload must not truncate.
@@ -320,7 +330,7 @@ TEST(Config, RejectsOverflow) {
 }
 
 TEST(Config, RejectsNaNButKeepsInfinity) {
-  Config cfg = Config::from_text("bad=nan\nstop=inf\nneg=-inf");
+  Config cfg = flags("bad=nan", "stop=inf", "neg=-inf");
   EXPECT_EQ(rejection([&] { cfg.get("bad", 0.0); }),
             "bad number for bad: nan (NaN is never a valid knob value)");
   // Open-ended tenant stop times serialize as inf; it must stay parseable.
@@ -329,11 +339,11 @@ TEST(Config, RejectsNaNButKeepsInfinity) {
 }
 
 TEST(Config, RejectsEmptyAndSignOnlyValues) {
-  Config cfg = Config::from_text("a=+\nb=-");
+  Config cfg = flags("a=+", "b=-");
   EXPECT_EQ(rejection([&] { cfg.get("a", 0); }), "bad integer for a: +");
   EXPECT_EQ(rejection([&] { cfg.get("b", 0.0); }), "bad number for b: -");
   // Leading '+' on an otherwise valid number is accepted (shell habit).
-  Config plus = Config::from_text("r=+0.5\nn=+12");
+  Config plus = flags("r=+0.5", "n=+12");
   EXPECT_DOUBLE_EQ(plus.get("r", 0.0), 0.5);
   EXPECT_EQ(plus.get("n", 0), 12);
 }

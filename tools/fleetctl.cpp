@@ -16,8 +16,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "fleet/fleet.h"
 #include "fleet/scenario_space.h"
@@ -28,6 +29,7 @@
 #include "util/config.h"
 #include "util/log.h"
 #include "util/table.h"
+#include "util/versioned_text.h"
 
 using namespace drlnoc;
 
@@ -128,14 +130,12 @@ fleet::FleetParams params_from(const util::Config& cfg) {
   p.controller = cfg.get("controller", p.controller);
   p.policy_file = cfg.get("policy", std::string());
   if (!p.policy_file.empty()) {
-    std::ifstream in(p.policy_file, std::ios::binary);
-    if (!in) {
+    std::optional<std::string> blob = util::read_file_bytes(p.policy_file);
+    if (!blob) {
       throw std::invalid_argument("fleetctl: cannot open policy file " +
                                   p.policy_file);
     }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    p.policy_blob = ss.str();
+    p.policy_blob = std::move(*blob);
   }
   p.policy_pin = cfg.get("policy_pin", std::string());
   const long long cycles =
