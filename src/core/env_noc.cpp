@@ -190,14 +190,23 @@ rl::State NocConfigEnv::reset() {
   epoch_in_episode_ = 0;
   build_network();
   features_.reset();
-  last_stats_ = net_->run_epoch(workload_.get(), params_.epoch_cycles);
+  last_stats_ = run_epoch();
   return features_.extract(last_stats_);
+}
+
+noc::EpochStats NocConfigEnv::run_epoch() {
+  noc::EpochStats stats =
+      net_->run_epoch(workload_.get(), params_.epoch_cycles);
+  // Nothing outside the env can reach net_, so nobody reads its delivered-
+  // packet records; dropping them every epoch keeps memory flat.
+  net_->discard_records();
+  return stats;
 }
 
 rl::StepResult NocConfigEnv::step(int action) {
   if (!net_) throw std::logic_error("step() before reset()");
   net_->apply_config(params_.actions.decode(action));
-  last_stats_ = net_->run_epoch(workload_.get(), params_.epoch_cycles);
+  last_stats_ = run_epoch();
   ++epoch_in_episode_;
 
   rl::StepResult out;

@@ -110,6 +110,8 @@ class NocConfigEnv : public rl::Environment {
 
  private:
   void build_network();
+  /// Simulates one epoch on the episode's fabric and returns its stats.
+  noc::EpochStats run_epoch();
   double calibrate_power_ref();
 
   NocEnvParams params_;

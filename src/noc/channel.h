@@ -40,6 +40,16 @@ class Channel {
     sink_inflight_ = inflight;
   }
 
+  /// Inbound-pending hook (see Router::connect): registers the receiving
+  /// router's pending mask and this channel's bit in it. The bit is set
+  /// whenever the channel holds an item and cleared when it drains, so the
+  /// router's receive phase visits only non-empty channels.
+  void set_pending_bit(std::uint32_t* mask, std::uint32_t bit) {
+    pending_mask_ = mask;
+    pending_bit_ = bit;
+    if (!entries_.empty()) *mask |= bit;
+  }
+
   void send(T item, Cycle now) {
     entries_.push_back(Entry{now + latency_, std::move(item)});
     notify_sink();
@@ -53,8 +63,7 @@ class Channel {
   T receive([[maybe_unused]] Cycle now) {
     assert(ready(now));
     T item = std::move(entries_.front().item);
-    entries_.pop_front();
-    if (sink_inflight_ != nullptr) --*sink_inflight_;
+    pop_front();
     return item;
   }
 
@@ -66,8 +75,7 @@ class Channel {
   void receive_into(T& dst, [[maybe_unused]] Cycle now) {
     assert(ready(now));
     dst = std::move(entries_.front().item);
-    entries_.pop_front();
-    if (sink_inflight_ != nullptr) --*sink_inflight_;
+    pop_front();
   }
   void send_from(const T& item, Cycle now) {
     auto& slot = entries_.push_back_slot();
@@ -85,6 +93,14 @@ class Channel {
       ++*sink_inflight_;
       *sink_active_ = 1;
     }
+    if (pending_mask_ != nullptr) *pending_mask_ |= pending_bit_;
+  }
+  void pop_front() {
+    entries_.pop_front();
+    if (sink_inflight_ != nullptr) --*sink_inflight_;
+    if (pending_mask_ != nullptr && entries_.empty()) {
+      *pending_mask_ &= ~pending_bit_;
+    }
   }
 
   struct Entry {
@@ -95,6 +111,8 @@ class Channel {
   util::RingBuffer<Entry> entries_;
   std::uint8_t* sink_active_ = nullptr;
   std::uint32_t* sink_inflight_ = nullptr;
+  std::uint32_t* pending_mask_ = nullptr;
+  std::uint32_t pending_bit_ = 0;
 };
 
 using FlitChannel = Channel<Flit>;

@@ -357,7 +357,8 @@ void Network::service_faults() {
   }
 }
 
-bool Network::account_faulted_record(const PacketRecord& rec) {
+bool Network::account_faulted_record(const PacketRecord& rec,
+                                     TrafficInjector* injector) {
   const bool tracking = !tenant_offered_.empty();
   if (rec.corrupted) {
     epoch_flits_dropped_ += rec.length;
@@ -376,6 +377,7 @@ bool Network::account_faulted_record(const PacketRecord& rec) {
     if (lost) {
       ++epoch_packets_lost_;
       if (tracking) ++tenant_packets_lost_[tenant_slot(rec.tenant)];
+      if (injector != nullptr) injector->on_packet_lost(rec);
     }
     return true;
   }
@@ -436,7 +438,9 @@ void Network::step(TrafficInjector* injector) {
       // Corrupted deliveries never count as received: they are dropped here
       // and either retried or declared lost. Clean deliveries additionally
       // account retry latency and detour hops while faults are active.
-      if (fault_model_ != nullptr && account_faulted_record(rec)) continue;
+      if (fault_model_ != nullptr && account_faulted_record(rec, injector)) {
+        continue;
+      }
       if (recorder_ != nullptr && recorder_->sampled(rec.packet_id)) {
         recorder_->record(obs::EventKind::kPacketEject, rec.eject_time,
                           cycle_, rec.packet_id, rec.dst,

@@ -48,8 +48,8 @@ struct NetworkParams {
   int width = 8;
   int height = 8;
   std::string routing = "auto";
-  int max_vcs = 4;
-  int max_depth = 8;
+  int max_vcs = 4;    ///< physical VCs per port, at most 32
+  int max_depth = 8;  ///< physical slots per VC, at most 127
   int flits_per_packet = 4;
   Cycle link_latency = 1;
   int pipeline_stages = 1;  ///< router pipeline depth (see RouterParams)
@@ -88,6 +88,10 @@ class TrafficInjector {
   /// in ejection order. Only fires while this injector is driving the step
   /// (drain-only stepping with a null injector notifies nobody).
   virtual void on_packet_delivered(const PacketRecord& /*rec*/) {}
+  /// Called once per packet the fault model gives up on (retry budget
+  /// exhausted), under the same driving rule. Such a packet is never
+  /// delivered, so workloads that track live packets drop it here.
+  virtual void on_packet_lost(const PacketRecord& /*rec*/) {}
   virtual std::string name() const = 0;
 };
 
@@ -221,6 +225,9 @@ class Network {
 
   /// All completed-packet records since the previous call.
   std::vector<PacketRecord> drain_records();
+  /// Drops the completed-packet records without copying them out, for
+  /// owners that never read them (they would otherwise accumulate).
+  void discard_records() { pending_records_.clear(); }
 
   bool drained() const;  ///< no flit anywhere in the system
 
@@ -239,6 +246,10 @@ class Network {
   /// tools poking microarchitectural state) invalidates the quiescence proof.
   Router& router(NodeId id) {
     wake(id);
+    return *routers_[static_cast<std::size_t>(id)];
+  }
+  /// Read-only access leaves the node's armed state alone.
+  const Router& router(NodeId id) const {
     return *routers_[static_cast<std::size_t>(id)];
   }
   Nic& nic(NodeId id) {
@@ -263,10 +274,12 @@ class Network {
   /// Fires due fault events and re-offers due retransmissions; called at the
   /// top of step() only while a fault model is attached.
   void service_faults();
-  /// Fault-path record handling: corrupted deliveries (drop + retry/lose)
-  /// and the retry/reroute accounting of clean deliveries. Returns true when
-  /// the record was corrupted and must not count as received.
-  bool account_faulted_record(const PacketRecord& rec);
+  /// Fault-path record handling: corrupted deliveries (drop + retry/lose,
+  /// reporting a loss to `injector` when non-null) and the retry/reroute
+  /// accounting of clean deliveries. Returns true when the record was
+  /// corrupted and must not count as received.
+  bool account_faulted_record(const PacketRecord& rec,
+                              TrafficInjector* injector);
   int active_capacity() const;
   void refresh_active_capacity();
   /// Accumulator index for a tenant id; ids at or above the tracked count

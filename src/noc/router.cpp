@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "noc/faults.h"
 #include "obs/flight_recorder.h"
@@ -34,15 +35,16 @@ Router::Router(NodeId id, RouterParams params, const RoutingAlgorithm& routing)
                -1),
       va_next_(static_cast<std::size_t>(params.num_ports * params.max_vcs),
                -1),
+      sa_ready_(static_cast<std::size_t>(params.num_ports), 0),
       vc_meta_(static_cast<std::size_t>(params.num_ports * params.max_vcs)) {
   // Hard limits of the compact pipeline state: VcMeta packs ports/VCs/depth
-  // into int8 and SA stage 2 tracks output ports in a 32-bit mask. Checked
-  // unconditionally — exceeding them in a Release build would silently
-  // corrupt arbitration.
-  if (params.num_ports > 32 || params.max_vcs > 127 ||
+  // into int8, and the ready/pending masks hold one bit per port or per VC
+  // in 32-bit words. Checked unconditionally — exceeding them in a Release
+  // build would silently corrupt arbitration.
+  if (params.num_ports > 32 || params.max_vcs > 32 ||
       params.max_depth > 127) {
     throw std::invalid_argument(
-        "Router: num_ports must be <= 32 and max_vcs/max_depth <= 127");
+        "Router: num_ports and max_vcs must be <= 32, max_depth <= 127");
   }
   const auto num_inputs =
       static_cast<std::size_t>(params.num_ports * params.max_vcs);
@@ -50,7 +52,6 @@ Router::Router(NodeId id, RouterParams params, const RoutingAlgorithm& routing)
   route_ready_.reserve(num_inputs);
   va_list_.reserve(num_inputs);
   sa_winners_.reserve(static_cast<std::size_t>(params.num_ports));
-  port_active_.assign(static_cast<std::size_t>(params.num_ports), 0);
   assert(params.max_vcs % params.vc_classes == 0);
   assert(params.active_vcs >= 1 && params.active_vcs <= params.max_vcs);
   assert(params.active_depth >= 1 && params.active_depth <= params.max_depth);
@@ -78,6 +79,7 @@ void Router::refresh_admissible_cache() {
       adm_end_[static_cast<std::size_t>(adm_index(p, c))] = end;
     }
   }
+  va_stalled_ = false;  // newly admissible VCs may unblock waiting heads
 }
 
 void Router::connect(PortId port, FlitChannel* in_flits,
@@ -88,6 +90,11 @@ void Router::connect(PortId port, FlitChannel* in_flits,
   w.out_credits = out_credits;
   w.out_flits = out_flits;
   w.in_credits = in_credits;
+  const std::uint32_t bit = 1u << port;
+  if (in_flits != nullptr) in_flits->set_pending_bit(&flit_pending_, bit);
+  if (in_credits != nullptr) {
+    in_credits->set_pending_bit(&credit_pending_, bit);
+  }
 }
 
 void Router::init_output_credits(PortId port, int credits_per_vc) {
@@ -125,38 +132,69 @@ void Router::step(Cycle cycle) {
 }
 
 void Router::receive_phase(Cycle cycle) {
-  for (int p = 0; p < params_.num_ports; ++p) {
-    auto& w = ports_[static_cast<std::size_t>(p)];
-    if (w.in_flits) {
-      while (w.in_flits->ready(cycle)) {
-        const VcId vc = w.in_flits->peek(cycle).vc;
-        assert(vc >= 0 && vc < params_.max_vcs);
-        InputVc& in = ivc(p, vc);
-        assert(static_cast<int>(in.fifo.size()) < params_.max_depth &&
-               "credit protocol violated: input buffer overflow");
-        // Single copy: channel slot straight into the input FIFO slot.
-        w.in_flits->receive_into(in.fifo.push_back_slot(), cycle);
-        const int idx = p * params_.max_vcs + vc;
-        VcMeta& meta = vc_meta_[static_cast<std::size_t>(idx)];
-        ++meta.occ;
+  // Only non-empty inbound channels are visited: each keeps its bit of the
+  // pending masks set while it holds an item (see Router::connect).
+  for (std::uint32_t m = flit_pending_; m != 0; m &= m - 1) {
+    const int p = std::countr_zero(m);
+    FlitChannel& ch = *ports_[static_cast<std::size_t>(p)].in_flits;
+    while (ch.ready(cycle)) {
+      const VcId vc = ch.peek(cycle).vc;
+      assert(vc >= 0 && vc < params_.max_vcs);
+      InputVc& in = ivc(p, vc);
+      assert(static_cast<int>(in.fifo.size()) < params_.max_depth &&
+             "credit protocol violated: input buffer overflow");
+      // Single copy: channel slot straight into the input FIFO slot.
+      ch.receive_into(in.fifo.push_back_slot(), cycle);
+      const int idx = p * params_.max_vcs + vc;
+      VcMeta& meta = vc_meta_[static_cast<std::size_t>(idx)];
+      if (++meta.occ == 1) {
         // A flit landing in an empty idle VC is a freshly routable head
-        // (an idle VC with older flits was listed when its tail departed).
-        if (meta.state == VcState::kIdle && meta.occ == 1) {
+        // (an idle VC with older flits was listed when its tail departed);
+        // one landing in an empty active VC may make it SA-ready.
+        if (meta.state == VcState::kIdle) {
           route_ready_.push_back(static_cast<std::int16_t>(idx));
+        } else if (meta.state == VcState::kActive) {
+          update_sa_ready(p, vc);
         }
-        ++buffered_total_;
-        ++activity_.buffer_writes;
+      }
+      ++buffered_total_;
+      ++activity_.buffer_writes;
+    }
+  }
+  for (std::uint32_t m = credit_pending_; m != 0; m &= m - 1) {
+    const int p = std::countr_zero(m);
+    CreditChannel& ch = *ports_[static_cast<std::size_t>(p)].in_credits;
+    while (ch.ready(cycle)) {
+      const Credit c = ch.receive(cycle);
+      OutputVc& out = ovc(p, c.vc);
+      ++out.credits;
+      assert(out.credits <= params_.max_depth &&
+             "credit protocol violated: credit overflow");
+      // The first credit of a starved output VC may unblock its owner.
+      if (out.credits == 1 && out.owner >= 0) {
+        update_sa_ready(out.owner / params_.max_vcs,
+                        out.owner % params_.max_vcs);
       }
     }
-    if (w.in_credits) {
-      while (w.in_credits->ready(cycle)) {
-        const Credit c = w.in_credits->receive(cycle);
-        OutputVc& out = ovc(p, c.vc);
-        ++out.credits;
-        assert(out.credits <= params_.max_depth &&
-               "credit protocol violated: credit overflow");
-      }
-    }
+  }
+}
+
+void Router::update_sa_ready(PortId port, VcId vc) {
+  const VcMeta& meta =
+      vc_meta_[static_cast<std::size_t>(port * params_.max_vcs + vc)];
+  std::uint32_t& mask = sa_ready_[static_cast<std::size_t>(port)];
+  const std::uint32_t bit = 1u << vc;
+  if (meta.state == VcState::kActive && meta.occ > 0 &&
+      ovc(meta.out_port, meta.out_vc).credits > 0) {
+    mask |= bit;
+  } else {
+    mask &= ~bit;
+  }
+  const std::uint32_t port_bit = 1u << port;
+  if (mask != 0) {
+    sa_ready_ports_ |= port_bit;
+  } else {
+    sa_ready_ports_ &= ~port_bit;
   }
 }
 
@@ -165,6 +203,8 @@ void Router::route_compute() {
   // flit is an unrouted packet head (filled by receive_phase and tail
   // departures). Routing-call order across VCs has no shared state, so the
   // event order is as good as the old ascending scan.
+  if (route_ready_.empty()) return;
+  va_stalled_ = false;  // new heads join va_list_
   for (const std::int16_t idx : route_ready_) {
     VcMeta& meta = vc_meta_[static_cast<std::size_t>(idx)];
     assert(meta.state == VcState::kIdle && meta.occ > 0);
@@ -188,8 +228,11 @@ void Router::vc_allocate(Cycle cycle) {
   // Requests are bucketed per output VC slot in the persistent
   // va_head_/va_next_ intrusive lists — no per-cycle heap traffic. Only the
   // slots touched this cycle (va_touched_) are visited and reset, so a
-  // cycle with no waiting packets costs one counter check.
-  if (va_list_.empty()) return;
+  // cycle with no waiting packets costs one counter check. A round with no
+  // request at all stalls VA until something can change that (va_stalled_):
+  // whether a request exists depends only on va_list_, the owner of each
+  // output VC and the admissible ranges, never on credits.
+  if (va_list_.empty() || va_stalled_) return;
   const int num_inputs = params_.num_ports * params_.max_vcs;
   va_touched_.clear();
 
@@ -206,7 +249,7 @@ void Router::vc_allocate(Cycle cycle) {
       const VcId end = adm_end_[adm];
       for (VcId ov = begin; ov < end; ++ov) {
         const OutputVc& out = ovc(cand.port, ov);
-        if (out.busy) continue;
+        if (out.owner >= 0) continue;
         if (out.credits > best_credits) {
           best_credits = out.credits;
           best_slot = cand.port * params_.max_vcs + ov;
@@ -224,6 +267,10 @@ void Router::vc_allocate(Cycle cycle) {
       va_head_[static_cast<std::size_t>(best_slot)] = idx;
     }
   }
+  if (va_touched_.empty()) {
+    va_stalled_ = true;
+    return;
+  }
 
   // Stage 2: round-robin grant per output VC. The winner is the requester
   // with the minimum cyclic distance from the round-robin pointer; input
@@ -235,7 +282,7 @@ void Router::vc_allocate(Cycle cycle) {
     int req = va_head_[slot];
     assert(req >= 0);
     OutputVc& out = outputs_[slot];
-    assert(!out.busy);
+    assert(out.owner < 0);
     int& rr = va_rr_[slot];
     int winner = -1;
     int best_distance = num_inputs + 1;
@@ -251,6 +298,7 @@ void Router::vc_allocate(Cycle cycle) {
     wmeta.out_port = static_cast<std::int8_t>(touched / params_.max_vcs);
     wmeta.out_vc = static_cast<std::int8_t>(touched % params_.max_vcs);
     wmeta.state = VcState::kActive;
+    out.owner = static_cast<std::int16_t>(winner);
     for (std::size_t i = 0; i < va_list_.size(); ++i) {  // tiny list
       if (va_list_[i] == winner) {
         va_list_[i] = va_list_.back();
@@ -258,9 +306,7 @@ void Router::vc_allocate(Cycle cycle) {
         break;
       }
     }
-    ++port_active_[static_cast<std::size_t>(winner / params_.max_vcs)];
-    ++sa_active_;
-    out.busy = true;
+    update_sa_ready(winner / params_.max_vcs, winner % params_.max_vcs);
     rr = winner + 1 == num_inputs ? 0 : winner + 1;
     ++activity_.vc_allocs;
     if (recorder_ != nullptr) {
@@ -278,29 +324,29 @@ void Router::vc_allocate(Cycle cycle) {
 
 void Router::switch_allocate_and_traverse(Cycle cycle) {
   // Stage 1: per input port, round-robin across its ACTIVE VCs that have a
-  // flit and a downstream credit. Ports with no active VC (port_active_)
-  // are skipped outright; winners land in the small sa_winners_ scratch.
-  if (sa_active_ == 0) return;  // no packet owns an output VC
+  // flit and a downstream credit — exactly the set bits of sa_ready_[p].
+  // The winner is the first set bit at or after the round-robin pointer,
+  // wrapping to the lowest set bit: the same VC the cyclic scan from the
+  // pointer would stop at. Ports with no ready VC are never visited;
+  // winners land in the small sa_winners_ scratch.
+  if (sa_ready_ports_ == 0) return;
   sa_winners_.clear();
   std::uint32_t op_mask = 0;
-  for (int p = 0; p < params_.num_ports; ++p) {
-    if (port_active_[static_cast<std::size_t>(p)] == 0) continue;
+  for (std::uint32_t ports = sa_ready_ports_; ports != 0;
+       ports &= ports - 1) {
+    const int p = std::countr_zero(ports);
+    const std::uint32_t ready = sa_ready_[static_cast<std::size_t>(p)];
     const int rr = sa_in_rr_[static_cast<std::size_t>(p)];
-    const int base = p * params_.max_vcs;
-    for (int k = 0; k < params_.max_vcs; ++k) {
-      int v = rr + k;
-      if (v >= params_.max_vcs) v -= params_.max_vcs;
-      const VcMeta& meta = vc_meta_[static_cast<std::size_t>(base + v)];
-      if (meta.state != VcState::kActive || meta.occ == 0) continue;
-      const OutputVc& out = ovc(meta.out_port, meta.out_vc);
-      if (out.credits <= 0) continue;
-      sa_winners_.push_back(SaWinner{static_cast<std::int8_t>(p),
-                                     static_cast<std::int8_t>(v),
-                                     meta.out_port});
-      op_mask |= 1u << meta.out_port;
-      ++activity_.sw_arbs;
-      break;
-    }
+    const std::uint32_t from_rr = ready >> rr;
+    const int v = from_rr != 0 ? rr + std::countr_zero(from_rr)
+                               : std::countr_zero(ready);
+    const VcMeta& meta =
+        vc_meta_[static_cast<std::size_t>(p * params_.max_vcs + v)];
+    sa_winners_.push_back(SaWinner{static_cast<std::int8_t>(p),
+                                   static_cast<std::int8_t>(v),
+                                   meta.out_port});
+    op_mask |= 1u << meta.out_port;
+    ++activity_.sw_arbs;
   }
 
   // Stage 2: per output port with winners (ascending, via the bit mask),
@@ -382,10 +428,9 @@ void Router::switch_allocate_and_traverse(Cycle cycle) {
     release_slot(grant_port, grant_vc, cycle);
 
     if (tail) {
-      out.busy = false;
+      out.owner = -1;
+      va_stalled_ = false;  // the freed output VC may serve a waiting head
       gmeta.state = VcState::kIdle;
-      --sa_active_;
-      --port_active_[static_cast<std::size_t>(grant_port)];
       gmeta.out_port = -1;
       gmeta.out_vc = -1;
       in.candidates.clear();
@@ -395,6 +440,7 @@ void Router::switch_allocate_and_traverse(Cycle cycle) {
         route_ready_.push_back(static_cast<std::int16_t>(grant_idx));
       }
     }
+    update_sa_ready(grant_port, grant_vc);
   }
 }
 
@@ -453,6 +499,85 @@ int Router::output_credits(PortId port, VcId vc) const {
 
 int Router::input_occupancy(PortId port, VcId vc) const {
   return static_cast<int>(ivc(port, vc).fifo.size());
+}
+
+std::string Router::audit_schedule_state() const {
+  const std::string where = "router " + std::to_string(id_) + ": ";
+  const int num_inputs = params_.num_ports * params_.max_vcs;
+  for (int slot = 0; slot < num_inputs; ++slot) {
+    const int owner = outputs_[static_cast<std::size_t>(slot)].owner;
+    if (owner < 0) continue;
+    const VcMeta& meta = vc_meta_[static_cast<std::size_t>(owner)];
+    if (meta.state != VcState::kActive ||
+        meta.out_port * params_.max_vcs + meta.out_vc != slot) {
+      return where + "output VC slot " + std::to_string(slot) +
+             " names owner " + std::to_string(owner) +
+             ", which does not hold it";
+    }
+  }
+  std::uint32_t ready_ports = 0;
+  for (int p = 0; p < params_.num_ports; ++p) {
+    std::uint32_t ready = 0;
+    for (int v = 0; v < params_.max_vcs; ++v) {
+      const int idx = p * params_.max_vcs + v;
+      const VcMeta& meta = vc_meta_[static_cast<std::size_t>(idx)];
+      if (meta.occ != static_cast<int>(ivc(p, v).fifo.size())) {
+        return where + "occupancy mirror of input VC " + std::to_string(idx) +
+               " is stale";
+      }
+      if (meta.state != VcState::kActive) continue;
+      const int slot = meta.out_port * params_.max_vcs + meta.out_vc;
+      const OutputVc& out = outputs_[static_cast<std::size_t>(slot)];
+      if (out.owner != idx) {
+        return where + "active input VC " + std::to_string(idx) +
+               " is not the owner of output VC slot " + std::to_string(slot);
+      }
+      if (meta.occ > 0 && out.credits > 0) ready |= 1u << v;
+    }
+    if (ready != sa_ready_[static_cast<std::size_t>(p)]) {
+      return where + "SA-ready mask of port " + std::to_string(p) + " is " +
+             std::to_string(sa_ready_[static_cast<std::size_t>(p)]) +
+             ", expected " + std::to_string(ready);
+    }
+    if (ready != 0) ready_ports |= 1u << p;
+    const PortWiring& w = ports_[static_cast<std::size_t>(p)];
+    const bool flits = w.in_flits != nullptr && !w.in_flits->empty();
+    const bool credits = w.in_credits != nullptr && !w.in_credits->empty();
+    if (flits != (((flit_pending_ >> p) & 1u) != 0) ||
+        credits != (((credit_pending_ >> p) & 1u) != 0)) {
+      return where + "pending mask bit of port " + std::to_string(p) +
+             " disagrees with its inbound channels";
+    }
+  }
+  const std::uint32_t wired_ports =
+      params_.num_ports == 32 ? ~0u : (1u << params_.num_ports) - 1;
+  if (((flit_pending_ | credit_pending_) & ~wired_ports) != 0) {
+    return where + "pending mask has a bit beyond the last port";
+  }
+  if (ready_ports != sa_ready_ports_) {
+    return where + "SA-ready port mask is " + std::to_string(sa_ready_ports_) +
+           ", expected " + std::to_string(ready_ports);
+  }
+  if (va_stalled_) {
+    // The stall flag is conservative: set, it claims no waiting head can
+    // request any output VC. Checked against the uncached ranges.
+    for (const std::int16_t idx : va_list_) {
+      for (const RouteChoice& cand :
+           inputs_[static_cast<std::size_t>(idx)].candidates) {
+        const auto [begin, end] = admissible_range(cand.vc_class, cand.port);
+        for (VcId ov = begin; ov < end; ++ov) {
+          if (outputs_[static_cast<std::size_t>(cand.port * params_.max_vcs +
+                                                ov)]
+                  .owner < 0) {
+            return where + "VA stalled, but input VC " + std::to_string(idx) +
+                   " can request output VC " +
+                   std::to_string(cand.port * params_.max_vcs + ov);
+          }
+        }
+      }
+    }
+  }
+  return "";
 }
 
 }  // namespace drlnoc::noc

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "noc/channel.h"
@@ -47,9 +48,9 @@ struct RouterActivity {
 };
 
 struct RouterParams {
-  int num_ports = 5;
-  int max_vcs = 4;       ///< physical VCs per port
-  int max_depth = 8;     ///< physical buffer slots per VC
+  int num_ports = 5;     ///< at most 32
+  int max_vcs = 4;       ///< physical VCs per port, at most 32
+  int max_depth = 8;     ///< physical buffer slots per VC, at most 127
   int vc_classes = 1;    ///< 1 (mesh) or 2 (ring/torus dateline)
   int active_vcs = 4;    ///< initial configuration
   int active_depth = 8;  ///< initial configuration
@@ -62,10 +63,15 @@ struct RouterParams {
 class Router {
  public:
   Router(NodeId id, RouterParams params, const RoutingAlgorithm& routing);
+  // Inbound channels hold pointers into the router (see connect()).
+  Router(const Router&) = delete;
+  Router& operator=(const Router&) = delete;
 
   /// Wires one port. `in_flits`/`out_credits` form the upstream link
   /// (flits arrive, credits go back); `out_flits`/`in_credits` form the
-  /// downstream link. Any pointer may be shared with a NIC.
+  /// downstream link. Any pointer may be shared with a NIC. The two inbound
+  /// channels (`in_flits`, `in_credits`) are registered with this router's
+  /// pending masks, so the router must not move while they are in use.
   void connect(PortId port, FlitChannel* in_flits, CreditChannel* out_credits,
                FlitChannel* out_flits, CreditChannel* in_credits);
 
@@ -124,6 +130,11 @@ class Router {
   int output_credits(PortId port, VcId vc) const;
   /// Test hook: occupancy of one input VC buffer.
   int input_occupancy(PortId port, VcId vc) const;
+  /// Test hook: recomputes the incrementally maintained scheduling state
+  /// (SA-ready masks, inbound pending masks, output-VC owners, VA stall
+  /// flag) by brute force from the primary state and returns a description
+  /// of the first mismatch, or "" when everything is consistent.
+  std::string audit_schedule_state() const;
 
  private:
   /// Per input VC pipeline state. Kept OUT of InputVc in one compact
@@ -137,7 +148,7 @@ class Router {
     VcState state = VcState::kIdle;
     std::int8_t occ = 0;       ///< mirror of fifo.size() (max_depth <= 127)
     std::int8_t out_port = -1; ///< allocated output port (radix <= 127)
-    std::int8_t out_vc = -1;   ///< allocated output VC (max_vcs <= 127)
+    std::int8_t out_vc = -1;   ///< allocated output VC (max_vcs <= 32)
   };
 
   struct InputVc {
@@ -147,8 +158,10 @@ class Router {
   };
 
   struct OutputVc {
-    int credits = 0;    ///< downstream slots this router may still consume
-    bool busy = false;  ///< owned by an in-flight packet
+    int credits = 0;  ///< downstream slots this router may still consume
+    /// Input slot (port * max_vcs + vc) of the packet that owns this VC, or
+    /// -1 when free. Lets a credit arrival find the input VC it unblocks.
+    std::int16_t owner = -1;
   };
 
   struct PortWiring {
@@ -184,6 +197,9 @@ class Router {
   void route_compute();
   void vc_allocate(Cycle cycle);
   void switch_allocate_and_traverse(Cycle cycle);
+  /// Recomputes one input VC's bit of the SA-ready mask (and its port's bit
+  /// of sa_ready_ports_) from the VC's state, occupancy and credits.
+  void update_sa_ready(PortId port, VcId vc);
   /// Frees one input slot: sends a credit upstream or withholds it when the
   /// advertised capacity must shrink toward the configured depth.
   void release_slot(PortId port, VcId vc, Cycle cycle);
@@ -220,12 +236,24 @@ class Router {
     std::int8_t out_port;
   };
   std::vector<SaWinner> sa_winners_;       // SA stage-1 scratch
-  std::vector<std::int8_t> port_active_;   // per input port: VCs in kActive
-  // Incremental occupancy / pipeline-state counters: they make the common
-  // idle case O(1) — a quiet router's step() skips VA and SA entirely, and
-  // Network's per-cycle statistics need no buffer walks.
+  // Ready bitmasks: each stage visits only what can make progress this
+  // cycle, and every arbitration still picks the same winner as a full scan
+  // (see docs/ARCHITECTURE.md, "Router scheduling state"). Bit v of
+  // sa_ready_[p] is set iff input VC (p, v) is kActive, holds a flit and its
+  // output VC has a credit; sa_ready_ports_ has bit p iff sa_ready_[p] != 0.
+  // Bit p of flit_pending_ / credit_pending_ is set iff port p's inbound
+  // flit / credit channel holds an item (maintained by the channels).
+  // va_stalled_ is set when a VA round found no requestable output VC and
+  // cleared by the only events that can create one: a head joining
+  // va_list_, a tail freeing an output VC, an admissible-range refresh.
+  std::vector<std::uint32_t> sa_ready_;
+  std::uint32_t sa_ready_ports_ = 0;
+  std::uint32_t flit_pending_ = 0;
+  std::uint32_t credit_pending_ = 0;
+  bool va_stalled_ = false;
+  // Incremental occupancy counter: Network's per-cycle statistics need no
+  // buffer walks.
   int buffered_total_ = 0;   // flits across all input VC FIFOs
-  int sa_active_ = 0;        // input VCs in state kActive
   int vcs_per_class_ = 1;    // max_vcs / vc_classes, precomputed
   std::vector<VcId> adm_begin_, adm_end_;  // per (port, class); see above
   // Compact per-input-VC pipeline state (see VcMeta above). Indexed like

@@ -109,7 +109,7 @@ void CompositeWorkload::on_packet_injected(noc::NodeId src,
   assert(pending_tenant_ >= 0 && "on_packet_injected without generate");
   const int ti = pending_tenant_;
   pending_tenant_ = -1;
-  live_.emplace(packet_id, ti);
+  live_.insert(packet_id, ti);
   TenantBinding& b = tenants_[static_cast<std::size_t>(ti)];
   const noc::NodeId local_src =
       b.remap ? local_of_[static_cast<std::size_t>(ti)]
@@ -118,18 +118,9 @@ void CompositeWorkload::on_packet_injected(noc::NodeId src,
   b.injector->on_packet_injected(local_src, packet_id, core_time - b.start);
 }
 
-void CompositeWorkload::on_packet_delivered(const noc::PacketRecord& rec) {
-  const auto it = live_.find(rec.packet_id);
-  if (it == live_.end()) return;  // not ours (e.g. pre-attach warm-up)
-  const int ti = it->second;
-  live_.erase(it);
-  ++delivered_[static_cast<std::size_t>(ti)];
-  TenantBinding& b = tenants_[static_cast<std::size_t>(ti)];
-  if (!b.remap && b.start == 0.0) {
-    b.injector->on_packet_delivered(rec);
-    return;
-  }
-  // Present the record in the child's local node ids and local clock.
+noc::PacketRecord CompositeWorkload::to_local(
+    int ti, const noc::PacketRecord& rec) const {
+  const TenantBinding& b = tenants_[static_cast<std::size_t>(ti)];
   noc::PacketRecord local = rec;
   if (b.remap) {
     const auto& map = local_of_[static_cast<std::size_t>(ti)];
@@ -138,7 +129,26 @@ void CompositeWorkload::on_packet_delivered(const noc::PacketRecord& rec) {
   }
   local.inject_time = rec.inject_time - b.start;
   local.eject_time = rec.eject_time - b.start;
-  b.injector->on_packet_delivered(local);
+  return local;
+}
+
+void CompositeWorkload::on_packet_delivered(const noc::PacketRecord& rec) {
+  int ti = -1;
+  if (!live_.take(rec.packet_id, ti)) return;  // not ours (pre-attach)
+  ++delivered_[static_cast<std::size_t>(ti)];
+  TenantBinding& b = tenants_[static_cast<std::size_t>(ti)];
+  if (!b.remap && b.start == 0.0) {
+    b.injector->on_packet_delivered(rec);
+    return;
+  }
+  b.injector->on_packet_delivered(to_local(ti, rec));
+}
+
+void CompositeWorkload::on_packet_lost(const noc::PacketRecord& rec) {
+  int ti = -1;
+  if (!live_.take(rec.packet_id, ti)) return;
+  tenants_[static_cast<std::size_t>(ti)].injector->on_packet_lost(
+      to_local(ti, rec));
 }
 
 bool CompositeWorkload::quiescent(double core_time) const {

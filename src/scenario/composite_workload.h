@@ -18,11 +18,11 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "noc/network.h"
 #include "trace/trace_workload.h"
+#include "util/live_id_table.h"
 
 namespace drlnoc::scenario {
 
@@ -58,6 +58,7 @@ class CompositeWorkload : public noc::TrafficInjector {
   void on_packet_injected(noc::NodeId src, std::uint64_t packet_id,
                           double core_time) override;
   void on_packet_delivered(const noc::PacketRecord& rec) override;
+  void on_packet_lost(const noc::PacketRecord& rec) override;
   std::string name() const override;
 
   /// Caps every tenant's window at `horizon` (global core time); used by
@@ -87,6 +88,8 @@ class CompositeWorkload : public noc::TrafficInjector {
   bool window_active(const TenantBinding& b, double t) const {
     return t >= b.start && t < b.stop && t < horizon_;
   }
+  /// `rec` in tenant `ti`'s local node ids and local clock.
+  noc::PacketRecord to_local(int ti, const noc::PacketRecord& rec) const;
 
   std::vector<TenantBinding> tenants_;
   /// Per global node: tenant ids that may source there, ascending.
@@ -97,7 +100,7 @@ class CompositeWorkload : public noc::TrafficInjector {
   std::vector<std::uint64_t> emitted_;
   std::vector<std::uint64_t> delivered_;
   /// Live packet -> owning tenant, for delivery routing.
-  std::unordered_map<std::uint64_t, int> live_;
+  util::LiveIdTable<int> live_;
   /// generate() -> packet_length_for()/tenant_for() -> on_packet_injected()
   /// handshake scratch.
   int pending_tenant_ = -1;

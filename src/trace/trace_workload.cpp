@@ -88,15 +88,14 @@ void TraceWorkload::on_packet_injected(noc::NodeId /*src*/,
                                        double core_time) {
   assert(pending_emit_ != SIZE_MAX && "on_packet_injected without generate");
   inject_time_[pending_emit_] = core_time;
-  live_.emplace(packet_id, static_cast<std::uint32_t>(pending_emit_));
+  live_.insert(packet_id, static_cast<std::uint32_t>(pending_emit_));
   pending_emit_ = SIZE_MAX;
 }
 
 void TraceWorkload::on_packet_delivered(const noc::PacketRecord& rec) {
-  const auto it = live_.find(rec.packet_id);
-  if (it == live_.end()) return;  // not one of ours (e.g. warm-up traffic)
-  const std::uint32_t idx = it->second;
-  live_.erase(it);
+  std::uint32_t idx = 0;
+  // Not one of ours (e.g. warm-up traffic) when the id is not live.
+  if (!live_.take(rec.packet_id, idx)) return;
   ++iter_delivered_;
   ++total_delivered_;
 
@@ -113,6 +112,13 @@ void TraceWorkload::on_packet_delivered(const noc::PacketRecord& rec) {
   if (params_.loop && iter_delivered_ == trace_->records.size()) {
     rearm(rec.eject_time);
   }
+}
+
+void TraceWorkload::on_packet_lost(const noc::PacketRecord& rec) {
+  // A lost record is never delivered, so its dependents never release;
+  // only its live entry goes.
+  std::uint32_t idx = 0;
+  live_.take(rec.packet_id, idx);
 }
 
 bool TraceWorkload::done() const {

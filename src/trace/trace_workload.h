@@ -13,11 +13,11 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "noc/network.h"
 #include "trace/trace.h"
+#include "util/live_id_table.h"
 
 namespace drlnoc::trace {
 
@@ -44,6 +44,7 @@ class TraceWorkload : public noc::TrafficInjector {
   void on_packet_injected(noc::NodeId src, std::uint64_t packet_id,
                           double core_time) override;
   void on_packet_delivered(const noc::PacketRecord& rec) override;
+  void on_packet_lost(const noc::PacketRecord& rec) override;
   std::string name() const override;
 
   /// True when every record of the (non-looping) trace has been emitted and
@@ -87,7 +88,7 @@ class TraceWorkload : public noc::TrafficInjector {
   std::vector<std::uint32_t> pending_;         ///< unmet deps per record
   std::vector<double> dep_ready_;              ///< latest dep delivery + delay
   std::vector<double> inject_time_;            ///< -1 until injected
-  std::unordered_map<std::uint64_t, std::uint32_t> live_;  ///< pkt id -> idx
+  util::LiveIdTable<std::uint32_t> live_;     ///< pkt id -> record idx
   std::uint64_t iter_emitted_ = 0;
   std::uint64_t iter_delivered_ = 0;
 

@@ -1,13 +1,17 @@
 // Steady-state allocation audit: a counting global operator new pins the
 // "zero heap allocations in the hot loops" property — Network::step, the
 // Mlp workspace paths, and the DQN observe/learn step must not allocate
-// once their buffers are warm.
+// once their buffers are warm. The same hooks track live heap bytes, which
+// pins that a long RL run does not retain memory per delivered packet.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
+#include "core/env_noc.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
@@ -18,37 +22,45 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+
+void* counted(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+void release(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
+void* operator new(std::size_t size) { return counted(std::malloc(size)); }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
+  return counted(std::aligned_alloc(
+      static_cast<std::size_t>(align),
+      (size + static_cast<std::size_t>(align) - 1) &
+          ~(static_cast<std::size_t>(align) - 1)));
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace drlnoc {
@@ -56,6 +68,10 @@ namespace {
 
 std::uint64_t alloc_count() {
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::int64_t live_bytes() {
+  return g_live_bytes.load(std::memory_order_relaxed);
 }
 
 TEST(SteadyStateAllocations, NetworkStepIsAllocationFree) {
@@ -194,6 +210,32 @@ TEST(SteadyStateAllocations, PrioritizedDqnObserveIsAllocationFree) {
   for (int i = 0; i < 200; ++i) observe_one();
   const std::uint64_t after = alloc_count();
   EXPECT_EQ(after - before, 0u) << "prioritized DQN observe/learn allocated";
+}
+
+TEST(SteadyStateMemory, NocEnvDoesNotRetainDeliveredPackets) {
+  // One long episode on the most capable configuration (no backlog, so
+  // source queues stop growing after warm-up). Each epoch delivers a few
+  // hundred packets; the env must not keep anything per delivered packet.
+  core::NocEnvParams p;
+  p.net.width = p.net.height = 4;
+  p.epoch_cycles = 512;
+  p.epochs_per_episode = 1000;
+  p.seed = 5;
+  core::NocConfigEnv env(p);
+  (void)env.reset();
+  const int action = env.actions().max_action();
+  for (int i = 0; i < 20; ++i) (void)env.step(action);
+
+  const std::int64_t before = live_bytes();
+  std::uint64_t delivered = 0;
+  for (int i = 0; i < 200; ++i) {
+    (void)env.step(action);
+    delivered += env.last_stats().packets_received;
+  }
+  const std::int64_t growth = live_bytes() - before;
+  ASSERT_GT(delivered, 20000u);
+  EXPECT_LT(growth, 16 * 1024) << "bytes retained over " << delivered
+                               << " delivered packets";
 }
 
 }  // namespace

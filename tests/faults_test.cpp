@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <set>
 #include <sstream>
 
 #include "golden_hash.h"
@@ -15,6 +17,7 @@
 #include "noc/faults.h"
 #include "noc/network.h"
 #include "noc/workload.h"
+#include "scenario/composite_workload.h"
 #include "scenario/runtime.h"
 #include "scenario/scenario.h"
 #include "scenario/scenario_io.h"
@@ -549,6 +552,81 @@ TEST(ScenarioFaults, ScriptedFaultsFlowIntoRunMetrics) {
   ASSERT_EQ(r.stats.tenants.size(), 1u);
   EXPECT_EQ(r.stats.tenants[0].packets_received + r.stats.packets_lost,
             r.stats.tenants[0].packets_offered);
+}
+
+/// Uniform traffic that records which of its packets the network reports
+/// delivered and which lost.
+class OutcomeInjector : public noc::TrafficInjector {
+ public:
+  explicit OutcomeInjector(const noc::Topology& topo)
+      : inner_(noc::SteadyWorkload::make(topo, "uniform", 0.09)) {}
+
+  noc::NodeId generate(noc::NodeId src, double core_time,
+                       util::Rng& rng) override {
+    return generating_ ? inner_.generate(src, core_time, rng)
+                       : noc::kInvalidNode;
+  }
+  void on_packet_injected(noc::NodeId /*src*/, std::uint64_t packet_id,
+                          double /*core_time*/) override {
+    injected_.insert(packet_id);
+  }
+  void on_packet_delivered(const noc::PacketRecord& rec) override {
+    EXPECT_TRUE(delivered_.insert(rec.packet_id).second);
+  }
+  void on_packet_lost(const noc::PacketRecord& rec) override {
+    EXPECT_TRUE(lost_.insert(rec.packet_id).second)
+        << "packet " << rec.packet_id << " reported lost twice";
+    EXPECT_TRUE(rec.corrupted);
+  }
+  std::string name() const override { return "outcome"; }
+
+  void stop() { generating_ = false; }
+  const std::set<std::uint64_t>& injected() const { return injected_; }
+  const std::set<std::uint64_t>& delivered() const { return delivered_; }
+  const std::set<std::uint64_t>& lost() const { return lost_; }
+
+ private:
+  noc::SteadyWorkload inner_;
+  bool generating_ = true;
+  std::set<std::uint64_t> injected_, delivered_, lost_;
+};
+
+// Every packet ends exactly one way — delivered or reported lost — and the
+// loss hook reaches a composite's child, so workloads that track live
+// packets can forget the ones that will never arrive.
+TEST(FaultHooks, EveryPacketIsDeliveredOrReportedLostOnce) {
+  noc::NetworkParams p;
+  p.width = p.height = 4;
+  p.seed = 12;
+  noc::Network net(p);
+  noc::FaultParams fp;
+  fp.seed = 3;
+  fp.link_fault_rate = 0.02;
+  fp.retry_timeout = 16;
+  fp.retry_budget = 1;
+  net.set_fault_model(fp);
+  std::vector<scenario::TenantBinding> bindings(1);
+  auto child = std::make_unique<OutcomeInjector>(net.topology());
+  OutcomeInjector& outcome = *child;
+  bindings[0].injector = std::move(child);
+  scenario::CompositeWorkload composite(net.num_nodes(), std::move(bindings));
+
+  std::uint64_t lost = 0;
+  for (int i = 0; i < 3000; ++i) net.step(&composite);
+  lost += net.drain_epoch_stats().packets_lost;
+  outcome.stop();
+  for (int i = 0; i < 100000 && !net.drained(); ++i) net.step(&composite);
+  ASSERT_TRUE(net.drained());
+  lost += net.drain_epoch_stats().packets_lost;
+
+  ASSERT_GT(lost, 0u);
+  EXPECT_EQ(outcome.lost().size(), lost);
+  EXPECT_EQ(outcome.delivered().size() + outcome.lost().size(),
+            outcome.injected().size());
+  for (const std::uint64_t id : outcome.lost()) {
+    EXPECT_EQ(outcome.delivered().count(id), 0u) << "packet " << id;
+  }
+  EXPECT_EQ(composite.delivered(0), outcome.delivered().size());
 }
 
 }  // namespace

@@ -414,6 +414,40 @@ TEST(InjectorHooks, OrderedAcrossReconfigurationEvents) {
   EXPECT_EQ(inj.injected(), inj.delivered());  // nothing lost in reconfigs
 }
 
+TEST(CompositeWorkloadTest, IgnoresDeliveriesInjectedBeforeAttach) {
+  // Warm-up traffic from a plain injector is still in flight when the
+  // composite attaches. Its deliveries must reach neither the composite's
+  // tenant counters nor the child (RecordingInjector fails the test on a
+  // delivery it never saw injected).
+  noc::NetworkParams p;
+  p.width = p.height = 4;
+  p.seed = 8;
+  noc::Network net(p);
+  noc::SteadyWorkload warm =
+      noc::SteadyWorkload::make(net.topology(), "uniform", 0.3);
+  for (int i = 0; i < 300; ++i) net.step(&warm);
+  const std::uint64_t warm_offered = net.total_packets_offered();
+  ASSERT_GT(warm_offered, net.total_packets_received());
+
+  std::vector<TenantBinding> bindings(1);
+  auto child = std::make_unique<RecordingInjector>(net.topology());
+  RecordingInjector& rec = *child;
+  bindings[0].injector = std::move(child);
+  CompositeWorkload composite(net.num_nodes(), std::move(bindings));
+  for (int i = 0; i < 400; ++i) net.step(&composite);
+  rec.stop_generating();
+  for (int i = 0; i < 50000 && !net.drained(); ++i) net.step(&composite);
+  ASSERT_TRUE(net.drained());
+
+  EXPECT_GT(composite.emitted(0), 0u);
+  EXPECT_EQ(composite.delivered(0), composite.emitted(0));
+  EXPECT_EQ(rec.delivered(), rec.injected());
+  EXPECT_EQ(rec.injected(), composite.emitted(0));
+  // Every warm-up packet was delivered while the composite was attached.
+  EXPECT_EQ(net.total_packets_received(),
+            warm_offered + composite.emitted(0));
+}
+
 // --- determinism under the experiment engine -------------------------------
 
 /// One full scenario run folded to a stream hash; seeds vary per task.

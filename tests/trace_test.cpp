@@ -360,6 +360,72 @@ TEST(TraceWorkloadTest, LoopRestartsAfterFullDelivery) {
   EXPECT_GT(net.total_packets_received(), 4u);
 }
 
+TEST(TraceWorkloadTest, RearmForgetsThePreviousIteration) {
+  // Drives the injector hooks by hand: ids are the caller's, and deliveries
+  // can be replayed, duplicated and reordered at will.
+  Trace t;
+  t.nodes = 4;
+  t.records = {{1, 0, 1, 0.0, 1, {}}, {2, 2, 3, 0.0, 1, {}}};
+  TraceWorkloadParams tw;
+  tw.loop = true;
+  TraceWorkload w(t, tw);
+  util::Rng rng(1);
+  auto emit = [&](noc::NodeId src, std::uint64_t id, double now) {
+    ASSERT_NE(w.generate(src, now, rng), noc::kInvalidNode);
+    (void)w.packet_length_for(src, now);
+    w.on_packet_injected(src, id, now);
+  };
+  auto deliver = [&](std::uint64_t id, double now) {
+    noc::PacketRecord rec;
+    rec.packet_id = id;
+    rec.eject_time = now;
+    w.on_packet_delivered(rec);
+  };
+  emit(0, 10, 0.0);
+  emit(2, 11, 0.0);
+  deliver(11, 5.0);  // out of order
+  deliver(10, 6.0);
+  EXPECT_EQ(w.iterations(), 2u);  // rearmed at the last delivery
+  EXPECT_EQ(w.delivered(), 2u);
+
+  // A stale duplicate of iteration 1 after the rearm is not ours.
+  deliver(10, 7.0);
+  EXPECT_EQ(w.delivered(), 2u);
+  // Iteration 2 runs on fresh ids, with a foreign id in between.
+  emit(0, 20, 6.0);
+  emit(2, 22, 6.0);
+  deliver(21, 8.0);  // never injected through this workload
+  EXPECT_EQ(w.delivered(), 2u);
+  deliver(22, 9.0);
+  deliver(20, 9.0);
+  EXPECT_EQ(w.delivered(), 4u);
+  EXPECT_EQ(w.iterations(), 3u);
+}
+
+TEST(TraceWorkloadTest, IgnoresDeliveriesInjectedBeforeAttach) {
+  // Saturating warm-up traffic from another injector is still in flight
+  // when the trace attaches; its deliveries must not count for the trace.
+  noc::NetworkParams p;
+  p.width = p.height = 4;
+  p.seed = 3;
+  noc::Network net(p);
+  noc::SteadyWorkload warm =
+      noc::SteadyWorkload::make(net.topology(), "uniform", 0.3);
+  for (int i = 0; i < 300; ++i) net.step(&warm);
+  const std::uint64_t warm_offered = net.total_packets_offered();
+  const std::uint64_t warm_received = net.total_packets_received();
+  ASSERT_GT(warm_offered, warm_received);
+
+  const Trace t = small_trace();
+  TraceWorkload w(t);
+  const auto result = run_trace_replay(net, w, 200000);
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(w.emitted(), t.records.size());
+  EXPECT_EQ(w.delivered(), t.records.size());
+  // Every warm-up packet was delivered while the trace was attached.
+  EXPECT_EQ(net.total_packets_received(), warm_offered + t.records.size());
+}
+
 // --- record -> replay ------------------------------------------------------
 
 /// The full delivered-packet stream.
