@@ -157,8 +157,8 @@ int main(int argc, char** argv) {
   if (smoke) return 0;
 
   // ---- Engine scaling: the same sweep, serial vs parallel -----------------
-  // sweep_static evaluates all static configs (36 on the standard space);
-  // every config is an independent episode, so wall-clock should fall
+  // sweep_static_parallel evaluates all static configs (36 on the standard
+  // space); every config is an independent episode, so wall-clock should fall
   // roughly linearly with workers while the sorted results stay
   // bit-identical.
   core::NocEnvParams ep;
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
   ep.epoch_cycles = 512;
   ep.epochs_per_episode = cfg.get("sweep_epochs", 16);
 
-  std::cout << "engine scaling: sweep_static over "
+  std::cout << "engine scaling: sweep_static_parallel over "
             << ep.actions.size() << " configs, mesh " << ep.net.width << "x"
             << ep.net.height << "\n";
   util::Table s({"jobs", "seconds", "speedup", "oracle_config",

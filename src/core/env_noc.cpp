@@ -142,7 +142,9 @@ std::size_t NocConfigEnv::state_size() const {
 
 void NocConfigEnv::build_network() {
   noc::NetworkParams np = params_.net;
-  if (!eval_mode_ && params_.reseed_each_episode) {
+  // Training episodes reseed the traffic so the agent cannot overfit one
+  // arrival sequence; evaluation (see evaluate()) keeps the base seed.
+  if (!eval_mode_) {
     np.seed = params_.net.seed + 0x9e3779b9ULL * static_cast<std::uint64_t>(episode_);
   }
   workload_.reset();
@@ -176,7 +178,9 @@ void NocConfigEnv::build_network() {
   }
   auto phased = std::make_unique<noc::PhasedWorkload>(net_->topology(),
                                                       params_.phases);
-  if (!eval_mode_ && params_.random_phase_offset) {
+  // Training episodes start at a random point of the phased workload;
+  // evaluation always starts at phase 0.
+  if (!eval_mode_) {
     util::Rng offset_rng(np.seed ^ 0xabcdef123456ULL);
     phased->set_start_offset(offset_rng.uniform() *
                              phased->total_duration());

@@ -55,12 +55,6 @@ struct NocEnvParams {
   int epochs_per_episode = 48;
   RewardParams reward{};
   std::uint64_t seed = 1;
-  /// When true (default) each reset() reseeds the traffic so the agent
-  /// cannot overfit one arrival sequence.
-  bool reseed_each_episode = true;
-  /// When true (default), training episodes start at a random point of the
-  /// phased workload; evaluation (see evaluate()) always starts at phase 0.
-  bool random_phase_offset = true;
   /// Non-owning observability taps, re-attached to the fabric on every
   /// episode reset. Never copied into parallel experiment workers (the
   /// recorder is not thread-safe); core/parallel strips them per task.

@@ -327,12 +327,4 @@ TrainResult train_dqn_parallel(const NocEnvParams& base, rl::DqnAgent& agent,
   return result;
 }
 
-std::vector<EpisodeResult> sweep_static(NocConfigEnv& env, int jobs) {
-  // Evaluation mode pins the traffic seed and phase offset, so a fresh
-  // environment per action reproduces exactly what a shared environment
-  // would see — which is what lets the sweep fan out across threads.
-  const ExperimentRunner runner(jobs);
-  return sweep_static_parallel(env.params(), runner);
-}
-
 }  // namespace drlnoc::core

@@ -3,7 +3,8 @@
 //                      producing the learning curve (F3)
 //   * evaluate       — one greedy / frozen-policy episode under any
 //                      Controller, producing the comparison metrics (T1, T2)
-//   * find_best_static — oracle sweep over all static configurations
+//   * the oracle sweep over all static configurations is
+//     sweep_static_parallel (core/parallel.h)
 #pragma once
 
 #include <memory>
@@ -109,12 +110,5 @@ struct ParallelTrainParams {
 /// power reference calibrated once — see with_calibrated_power_ref).
 TrainResult train_dqn_parallel(const NocEnvParams& base, rl::DqnAgent& agent,
                                const ParallelTrainParams& params);
-
-/// Evaluates every static configuration for one episode and returns results
-/// sorted by mean EDP (oracle-static baseline; element 0 is the oracle).
-/// Configurations are evaluated concurrently across `jobs` threads (<= 0
-/// means one per hardware thread); results are bit-identical to a serial
-/// sweep at any thread count.
-std::vector<EpisodeResult> sweep_static(NocConfigEnv& env, int jobs = 1);
 
 }  // namespace drlnoc::core

@@ -31,14 +31,12 @@ class Channel {
   Cycle latency() const { return latency_; }
 
   /// Event-driven wake hook (see Network): registers the *receiving* node's
-  /// activity flag and in-flight counter. Every send bumps the counter and
-  /// re-arms the flag, every receive drops the counter, so a zero counter
-  /// proves nothing is in flight toward that node — one leg of the
-  /// network-level quiescence test. Unregistered channels behave as before.
-  void set_sink(std::uint8_t* active, std::uint32_t* inflight) {
-    sink_active_ = active;
-    sink_inflight_ = inflight;
-  }
+  /// activity flag, which every send re-arms. Whether anything is still in
+  /// flight toward that node is read off the channel itself (the router's
+  /// pending masks, Nic::inbound_empty). Unregistered channels wake nobody.
+  void set_wake(std::uint8_t* active) { wake_ = active; }
+  /// The registered activity flag, or null (Network::audit_quiescence).
+  const std::uint8_t* wake_flag() const { return wake_; }
 
   /// Inbound-pending hook (see Router::connect): registers the receiving
   /// router's pending mask and this channel's bit in it. The bit is set
@@ -52,7 +50,7 @@ class Channel {
 
   void send(T item, Cycle now) {
     entries_.push_back(Entry{now + latency_, std::move(item)});
-    notify_sink();
+    notify_receiver();
   }
 
   /// True if an item is deliverable at `now`.
@@ -81,23 +79,19 @@ class Channel {
     auto& slot = entries_.push_back_slot();
     slot.due = now + latency_;
     slot.item = item;
-    notify_sink();
+    notify_receiver();
   }
 
   bool empty() const { return entries_.empty(); }
   std::size_t in_flight() const { return entries_.size(); }
 
  private:
-  void notify_sink() {
-    if (sink_inflight_ != nullptr) {
-      ++*sink_inflight_;
-      *sink_active_ = 1;
-    }
+  void notify_receiver() {
+    if (wake_ != nullptr) *wake_ = 1;
     if (pending_mask_ != nullptr) *pending_mask_ |= pending_bit_;
   }
   void pop_front() {
     entries_.pop_front();
-    if (sink_inflight_ != nullptr) --*sink_inflight_;
     if (pending_mask_ != nullptr && entries_.empty()) {
       *pending_mask_ &= ~pending_bit_;
     }
@@ -109,8 +103,7 @@ class Channel {
   };
   Cycle latency_;
   util::RingBuffer<Entry> entries_;
-  std::uint8_t* sink_active_ = nullptr;
-  std::uint32_t* sink_inflight_ = nullptr;
+  std::uint8_t* wake_ = nullptr;
   std::uint32_t* pending_mask_ = nullptr;
   std::uint32_t pending_bit_ = 0;
 };

@@ -32,7 +32,6 @@ Network::Network(NetworkParams params, PowerParams power_params,
       topology_(make_topology(params_.topology, params_.width,
                               params_.height)),
       routing_(make_routing(params_.routing, *topology_)),
-      epoch_latency_hist_(/*limit=*/16384.0, /*buckets=*/8192),
       epoch_node_recv_(static_cast<std::size_t>(topology_->num_nodes()), 0) {
   if (config_.active_vcs < 1 || config_.active_vcs > params_.max_vcs ||
       config_.active_depth < 1 || config_.active_depth > params_.max_depth ||
@@ -74,8 +73,6 @@ Network::Network(NetworkParams params, PowerParams power_params,
   // The SoA hot-state vectors must reach their final size before wire()
   // hands out pointers into them; everything starts armed.
   node_active_.assign(static_cast<std::size_t>(n), 1);
-  inflight_flits_.assign(static_cast<std::size_t>(n), 0);
-  inflight_credits_.assign(static_cast<std::size_t>(n), 0);
   node_buffered_.assign(static_cast<std::size_t>(n), 0);
   wire();
   per_router_configs_.assign(static_cast<std::size_t>(n), config_);
@@ -102,15 +99,14 @@ void Network::wire() {
   // Inter-router links: one flit channel downstream + one credit channel back.
   links_ = topology_->links();
   num_links_ = static_cast<int>(links_.size());
-  auto sink = [&](auto& chan, NodeId node, std::vector<std::uint32_t>& count) {
-    chan->set_sink(&node_active_[static_cast<std::size_t>(node)],
-                   &count[static_cast<std::size_t>(node)]);
+  auto wake_on_send = [&](auto& chan, NodeId node) {
+    chan->set_wake(&node_active_[static_cast<std::size_t>(node)]);
   };
   for (const Link& link : links_) {
     auto fc = std::make_unique<FlitChannel>(params_.link_latency);
     auto cc = std::make_unique<CreditChannel>(params_.link_latency);
-    sink(fc, link.to.node, inflight_flits_);
-    sink(cc, link.from.node, inflight_credits_);
+    wake_on_send(fc, link.to.node);
+    wake_on_send(cc, link.from.node);
     at(link.from.node, link.from.port).out_flits = fc.get();
     at(link.from.node, link.from.port).in_credits = cc.get();
     at(link.from.node, link.from.port).to_router = true;
@@ -127,10 +123,10 @@ void Network::wire() {
     auto ej_f = std::make_unique<FlitChannel>(1);
     auto ej_c = std::make_unique<CreditChannel>(1);
     // All four NIC channels terminate at node i (router or its own NIC).
-    sink(inj_f, i, inflight_flits_);
-    sink(ej_f, i, inflight_flits_);
-    sink(inj_c, i, inflight_credits_);
-    sink(ej_c, i, inflight_credits_);
+    wake_on_send(inj_f, i);
+    wake_on_send(ej_f, i);
+    wake_on_send(inj_c, i);
+    wake_on_send(ej_c, i);
     at(i, kLocalPort).in_flits = inj_f.get();
     at(i, kLocalPort).out_credits = inj_c.get();
     at(i, kLocalPort).out_flits = ej_f.get();
@@ -189,7 +185,7 @@ void Network::apply_config(const NocConfig& config) {
   }
   // Reconfiguration touches every router (gating, depth, clock) — even
   // quiescent ones must re-run under the new configuration. Depth growth
-  // also floods bonus credits, whose sink hooks alone would only wake
+  // also floods bonus credits, whose wake hooks alone would only wake
   // upstream neighbors.
   wake_all();
 }
@@ -287,11 +283,8 @@ void Network::inject_due_traffic(TrafficInjector* injector) {
               obs::EventKind::kPacketInject, t, cycle_, packet_id, node, dst,
               length > 0 ? length : params_.flits_per_packet);
         }
-        ++epoch_offered_;
+        tally(tenant, [](WindowTally& w) { ++w.offered; });
         ++total_offered_;
-        if (!tenant_offered_.empty()) {
-          ++tenant_offered_[tenant_slot(tenant)];
-        }
       }
     }
     ++next_core_tick_;
@@ -335,7 +328,7 @@ void Network::service_faults() {
                           0, e->node, std::max(1, e->factor));
       }
       // A slowdown affects exactly one node; waking it suffices (its
-      // neighbors re-arm through channel sink hooks as backpressure forms).
+      // neighbors re-arm through channel wake hooks as backpressure forms).
       wake(e->node);
     }
   }
@@ -352,17 +345,14 @@ void Network::service_faults() {
       recorder_->record(obs::EventKind::kPacketRetry, core_time_, cycle_,
                         retry.packet_id, retry.src, retry.dst);
     }
-    ++epoch_retries_;
-    if (!tenant_retries_.empty()) ++tenant_retries_[tenant_slot(retry.tenant)];
+    tally(retry.tenant, [](WindowTally& w) { ++w.retries; });
   }
 }
 
 bool Network::account_faulted_record(const PacketRecord& rec,
                                      TrafficInjector* injector) {
-  const bool tracking = !tenant_offered_.empty();
   if (rec.corrupted) {
-    epoch_flits_dropped_ += rec.length;
-    if (tracking) tenant_flits_dropped_[tenant_slot(rec.tenant)] += rec.length;
+    tally(rec.tenant, [&](WindowTally& w) { w.flits_dropped += rec.length; });
     const bool lost = fault_model_->on_corrupt_delivery(rec, cycle_) ==
                       FaultModel::RetryVerdict::kLost;
     if (recorder_ != nullptr && recorder_->sampled(rec.packet_id)) {
@@ -375,8 +365,7 @@ bool Network::account_faulted_record(const PacketRecord& rec,
       }
     }
     if (lost) {
-      ++epoch_packets_lost_;
-      if (tracking) ++tenant_packets_lost_[tenant_slot(rec.tenant)];
+      tally(rec.tenant, [](WindowTally& w) { ++w.lost; });
       if (injector != nullptr) injector->on_packet_lost(rec);
     }
     return true;
@@ -390,8 +379,7 @@ bool Network::account_faulted_record(const PacketRecord& rec,
         topology_->min_hops(rec.src, rec.dst) + 1);
     if (rec.hops > minimal) {
       const std::uint64_t extra = rec.hops - minimal;
-      epoch_rerouted_hops_ += extra;
-      if (tracking) tenant_rerouted_hops_[tenant_slot(rec.tenant)] += extra;
+      tally(rec.tenant, [&](WindowTally& w) { w.rerouted_hops += extra; });
     }
   }
   return false;
@@ -406,7 +394,7 @@ void Network::step(TrafficInjector* injector) {
 
   // Event-driven sweep: only armed nodes are stepped. Skipping a quiescent
   // node is provably a no-op — its router holds no flits, nothing is in
-  // flight toward it (channel sink counters), and its NIC is idle — and
+  // flight toward it (all inbound channels empty), and its NIC is idle — and
   // channel latency >= 1 makes the per-node NIC/router interleaving
   // indistinguishable from the old all-NICs-then-all-routers order, so the
   // simulated behavior is bit-identical to cycle stepping. Records are
@@ -446,25 +434,18 @@ void Network::step(TrafficInjector* injector) {
                           cycle_, rec.packet_id, rec.dst,
                           static_cast<std::int32_t>(rec.hops), rec.tenant);
       }
-      ++epoch_received_;
+      const double latency = rec.eject_time - rec.inject_time;
+      tally(rec.tenant, [&](WindowTally& w) {
+        ++w.received;
+        w.flits_out += rec.length;
+        if (rec.measured) {
+          w.latency.add(latency);
+          w.latency_hist.add(latency);
+        }
+      });
       ++total_received_;
       ++epoch_node_recv_[static_cast<std::size_t>(rec.dst)];
-      if (rec.measured) {
-        const double latency = rec.eject_time - rec.inject_time;
-        epoch_latency_.add(latency);
-        epoch_latency_hist_.add(latency);
-        epoch_hops_.add(static_cast<double>(rec.hops));
-      }
-      if (!tenant_received_.empty()) {
-        const std::size_t slot = tenant_slot(rec.tenant);
-        ++tenant_received_[slot];
-        tenant_flits_out_[slot] += rec.length;
-        if (rec.measured) {
-          const double latency = rec.eject_time - rec.inject_time;
-          tenant_latency_[slot].add(latency);
-          tenant_latency_hist_[slot].add(latency);
-        }
-      }
+      if (rec.measured) epoch_hops_.add(static_cast<double>(rec.hops));
       if (injector != nullptr) injector->on_packet_delivered(rec);
       pending_records_.push_back(rec);
     }
@@ -473,8 +454,8 @@ void Network::step(TrafficInjector* injector) {
     // Quiescence test after the node's own activity; a send from a
     // later-indexed neighbor re-arms the flag for the *next* cycle, which
     // is exactly when its item can first become ready.
-    if (buffered == 0 && inflight_flits_[idx] == 0 &&
-        inflight_credits_[idx] == 0 && nic.idle()) {
+    if (buffered == 0 && router.inbound_empty() && nic.inbound_empty() &&
+        nic.idle()) {
       node_active_[idx] = 0;
     }
   }
@@ -509,39 +490,52 @@ void Network::set_tenant_tracking(int num_tenants) {
   if (num_tenants < 0) {
     throw std::invalid_argument("set_tenant_tracking: negative tenant count");
   }
-  const auto n = static_cast<std::size_t>(num_tenants);
-  tenant_offered_.assign(n, 0);
-  tenant_received_.assign(n, 0);
-  tenant_flits_out_.assign(n, 0);
-  tenant_flits_dropped_.assign(n, 0);
-  tenant_retries_.assign(n, 0);
-  tenant_packets_lost_.assign(n, 0);
-  tenant_rerouted_hops_.assign(n, 0);
-  tenant_latency_.assign(n, util::Accumulator{});
-  tenant_latency_hist_.clear();
-  tenant_latency_hist_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    tenant_latency_hist_.emplace_back(/*limit=*/16384.0, /*buckets=*/8192);
-  }
+  tenant_windows_.clear();
+  tenant_windows_.resize(static_cast<std::size_t>(num_tenants));
+}
+
+TenantEpochStats Network::WindowTally::drain() {
+  TenantEpochStats s;
+  s.packets_offered = std::exchange(offered, 0);
+  s.packets_received = std::exchange(received, 0);
+  s.packets_measured = latency.count();
+  s.flits_ejected = std::exchange(flits_out, 0);
+  s.avg_latency = latency.mean();
+  s.p95_latency = latency_hist.percentile(0.95);
+  s.max_latency = latency.count() ? latency.max() : 0.0;
+  s.flits_dropped = std::exchange(flits_dropped, 0);
+  s.retries = std::exchange(retries, 0);
+  s.packets_lost = std::exchange(lost, 0);
+  s.rerouted_hops = std::exchange(rerouted_hops, 0);
+  latency.reset();
+  latency_hist.reset();
+  return s;
 }
 
 EpochStats Network::drain_epoch_stats() {
   EpochStats s;
   s.core_cycles = core_time_ - epoch_start_core_time_;
   s.router_cycles = cycle_ - epoch_start_cycle_;
-  s.packets_offered = epoch_offered_;
-  s.packets_received = epoch_received_;
-  s.avg_latency = epoch_latency_.mean();
-  s.p95_latency = epoch_latency_hist_.percentile(0.95);
-  s.max_latency = epoch_latency_.count() ? epoch_latency_.max() : 0.0;
+  // Aggregate flits_ejected is NIC-counter based (below), not the tally's
+  // clean-delivery count.
+  const TenantEpochStats w = window_.drain();
+  s.packets_offered = w.packets_offered;
+  s.packets_received = w.packets_received;
+  s.avg_latency = w.avg_latency;
+  s.p95_latency = w.p95_latency;
+  s.max_latency = w.max_latency;
+  s.flits_dropped = w.flits_dropped;
+  s.retries = w.retries;
+  s.packets_lost = w.packets_lost;
+  s.rerouted_hops = w.rerouted_hops;
   s.avg_hops = epoch_hops_.mean();
   const double node_cycles =
       s.core_cycles * static_cast<double>(num_nodes());
   s.offered_rate = node_cycles > 0.0
-                       ? static_cast<double>(epoch_offered_) / node_cycles
+                       ? static_cast<double>(s.packets_offered) / node_cycles
                        : 0.0;
   s.accepted_rate = node_cycles > 0.0
-                        ? static_cast<double>(epoch_received_) / node_cycles
+                        ? static_cast<double>(s.packets_received) / node_cycles
                         : 0.0;
   s.avg_buffer_occupancy = epoch_occupancy_.mean();
   s.max_buffer_occupancy =
@@ -587,50 +581,15 @@ EpochStats Network::drain_epoch_stats() {
   std::uint64_t backlog = 0;
   for (auto& nic : nics_) backlog += nic->source_queue_len();
   s.source_queue_total = backlog;
-  s.flits_dropped = epoch_flits_dropped_;
-  s.retries = epoch_retries_;
-  s.packets_lost = epoch_packets_lost_;
   s.retry_latency = epoch_retry_latency_.mean();
-  s.rerouted_hops = epoch_rerouted_hops_;
   s.config = config_;
-
-  s.tenants.resize(tenant_offered_.size());
-  for (std::size_t i = 0; i < tenant_offered_.size(); ++i) {
-    TenantEpochStats& ts = s.tenants[i];
-    ts.packets_offered = tenant_offered_[i];
-    ts.packets_received = tenant_received_[i];
-    ts.packets_measured = tenant_latency_[i].count();
-    ts.flits_ejected = tenant_flits_out_[i];
-    ts.avg_latency = tenant_latency_[i].mean();
-    ts.p95_latency = tenant_latency_hist_[i].percentile(0.95);
-    ts.max_latency = tenant_latency_[i].count() ? tenant_latency_[i].max() : 0.0;
-    ts.flits_dropped = tenant_flits_dropped_[i];
-    ts.retries = tenant_retries_[i];
-    ts.packets_lost = tenant_packets_lost_[i];
-    ts.rerouted_hops = tenant_rerouted_hops_[i];
-    tenant_offered_[i] = 0;
-    tenant_received_[i] = 0;
-    tenant_flits_out_[i] = 0;
-    tenant_flits_dropped_[i] = 0;
-    tenant_retries_[i] = 0;
-    tenant_packets_lost_[i] = 0;
-    tenant_rerouted_hops_[i] = 0;
-    tenant_latency_[i].reset();
-    tenant_latency_hist_[i].reset();
-  }
+  s.tenants.reserve(tenant_windows_.size());
+  for (WindowTally& t : tenant_windows_) s.tenants.push_back(t.drain());
 
   // Reset the window.
   epoch_start_core_time_ = core_time_;
   epoch_start_cycle_ = cycle_;
-  epoch_offered_ = 0;
-  epoch_received_ = 0;
-  epoch_flits_dropped_ = 0;
-  epoch_retries_ = 0;
-  epoch_packets_lost_ = 0;
-  epoch_rerouted_hops_ = 0;
   epoch_retry_latency_.reset();
-  epoch_latency_.reset();
-  epoch_latency_hist_.reset();
   epoch_hops_.reset();
   epoch_occupancy_.reset();
   epoch_active_.reset();
@@ -666,6 +625,31 @@ bool Network::drained() const {
   for (const auto& fc : flit_channels_)
     if (!fc->empty()) return false;
   return true;
+}
+
+std::string Network::audit_quiescence() const {
+  auto check_channels = [&](const auto& channels,
+                            const char* item) -> std::string {
+    for (const auto& ch : channels) {
+      const std::uint8_t* flag = ch->wake_flag();
+      if (*flag == 0 && !ch->empty()) {
+        return "node " + std::to_string(flag - node_active_.data()) +
+               " is disarmed with a " + item + " in flight toward it";
+      }
+    }
+    return "";
+  };
+  std::string error = check_channels(flit_channels_, "flit");
+  if (error.empty()) error = check_channels(credit_channels_, "credit");
+  if (!error.empty()) return error;
+  for (std::size_t i = 0; i < routers_.size(); ++i) {
+    if (node_active_[i] != 0) continue;
+    const std::string where = "node " + std::to_string(i) + " is disarmed ";
+    if (!routers_[i]->idle()) return where + "with flits in its router";
+    if (node_buffered_[i] != 0) return where + "with a stale occupancy mirror";
+    if (!nics_[i]->idle()) return where + "with a busy NIC";
+  }
+  return "";
 }
 
 std::uint64_t Network::total_flits_injected() const {

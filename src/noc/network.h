@@ -197,7 +197,7 @@ class Network {
   /// stats then carry one TenantEpochStats per tenant; ids at or above
   /// `num_tenants` fold into the last slot. 0 disables tracking (default).
   void set_tenant_tracking(int num_tenants);
-  int num_tenants() const { return static_cast<int>(tenant_offered_.size()); }
+  int num_tenants() const { return static_cast<int>(tenant_windows_.size()); }
 
   /// Attaches a deterministic fault model built from `params` (replacing any
   /// previous one). Installs fault-aware routing on every router and arms
@@ -265,6 +265,12 @@ class Network {
   bool node_armed(NodeId node) const {
     return node_active_[static_cast<std::size_t>(node)] != 0;
   }
+  /// Test hook: checks the event-driven core's skip decisions against the
+  /// components themselves — walks every channel and every node and
+  /// returns a description of the first disarmed node with an inbound
+  /// item, a non-empty router or a busy NIC (or a stale occupancy mirror),
+  /// or "" when every disarmed node is provably quiescent.
+  std::string audit_quiescence() const;
 
  private:
   void wire();
@@ -282,14 +288,36 @@ class Network {
                               TrafficInjector* injector);
   int active_capacity() const;
   void refresh_active_capacity();
-  /// Accumulator index for a tenant id; ids at or above the tracked count
-  /// fold into the last slot (negatives are clamped to 0 at injection, so
-  /// both the offered and received sides see the same id). Only called when
-  /// tracking is enabled (vectors non-empty).
-  std::size_t tenant_slot(int tenant) const {
-    const std::size_t n = tenant_offered_.size();
+
+  /// One measurement window's packet accounting. Network keeps one for the
+  /// aggregate and one per tracked tenant, and every accounting site goes
+  /// through tally(), so tenant slices partition the aggregate.
+  struct WindowTally {
+    std::uint64_t offered = 0;
+    std::uint64_t received = 0;
+    std::uint64_t flits_out = 0;  ///< flits of clean deliveries
+    std::uint64_t flits_dropped = 0;
+    std::uint64_t retries = 0;
+    std::uint64_t lost = 0;
+    std::uint64_t rerouted_hops = 0;
+    util::Accumulator latency;  ///< measured deliveries only
+    util::Histogram latency_hist{/*limit=*/16384.0, /*buckets=*/8192};
+
+    /// The window's totals; resets the tally for the next window.
+    TenantEpochStats drain();
+  };
+
+  /// Applies `f` to the aggregate window and, while tenant tracking is on,
+  /// to `tenant`'s slot. Ids at or above the tracked count fold into the
+  /// last slot (negatives are clamped to 0 at injection, so both the
+  /// offered and received sides see the same id).
+  template <typename F>
+  void tally(int tenant, F&& f) {
+    f(window_);
+    if (tenant_windows_.empty()) return;
+    const std::size_t n = tenant_windows_.size();
     const auto t = static_cast<std::size_t>(tenant < 0 ? 0 : tenant);
-    return t < n ? t : n - 1;
+    f(tenant_windows_[t < n ? t : n - 1]);
   }
 
   NetworkParams params_;
@@ -318,14 +346,12 @@ class Network {
   // Event-driven stepping core: per-node hot state as struct-of-arrays so
   // the active sweep is cache-linear. A node is skipped while its flag is 0,
   // which requires all three quiescence legs: router empty
-  // (node_buffered_ == 0), nothing in flight toward it on any channel
-  // (inflight_* == 0, maintained by Channel sink hooks), and an idle NIC.
+  // (node_buffered_ == 0), nothing in flight toward it on any channel (the
+  // router's pending masks plus Nic::inbound_empty), and an idle NIC.
   // Channels re-arm the flag on send; injection, reconfiguration, and the
   // mutable accessors re-arm explicitly. The vectors never resize after
   // construction — channels hold raw pointers into them.
   std::vector<std::uint8_t> node_active_;
-  std::vector<std::uint32_t> inflight_flits_;    ///< inbound flits per node
-  std::vector<std::uint32_t> inflight_credits_;  ///< inbound credits per node
   std::vector<std::uint32_t> node_buffered_;  ///< router buffered-flit mirror
   long long buffered_total_ = 0;  ///< sum of node_buffered_ (exact, integer)
 
@@ -337,37 +363,20 @@ class Network {
   double core_time_ = 0.0;
   std::uint64_t next_core_tick_ = 0;
 
-  // Epoch accumulators.
+  // Epoch accumulators: the packet tallies (aggregate, and per tenant
+  // while tracking is on) plus the aggregate-only fabric statistics.
   double epoch_start_core_time_ = 0.0;
   Cycle epoch_start_cycle_ = 0;
-  std::uint64_t epoch_offered_ = 0;
-  std::uint64_t epoch_received_ = 0;
-  std::uint64_t epoch_flits_in_ = 0;
+  WindowTally window_;
+  std::vector<WindowTally> tenant_windows_;  ///< empty = tracking off
+  std::uint64_t epoch_flits_in_ = 0;   ///< NIC flit counters at window start
   std::uint64_t epoch_flits_out_ = 0;
-  util::Accumulator epoch_latency_;
-  util::Histogram epoch_latency_hist_;
   util::Accumulator epoch_hops_;
   util::Accumulator epoch_occupancy_;
   util::Accumulator epoch_active_;  ///< stepped-node fraction per cycle
+  util::Accumulator epoch_retry_latency_;  ///< retried-then-delivered
   std::vector<std::uint64_t> epoch_node_recv_;
   std::vector<PacketRecord> pending_records_;
-  // Fault epoch accumulators (only touched while a fault model is attached).
-  std::uint64_t epoch_flits_dropped_ = 0;
-  std::uint64_t epoch_retries_ = 0;
-  std::uint64_t epoch_packets_lost_ = 0;
-  std::uint64_t epoch_rerouted_hops_ = 0;
-  util::Accumulator epoch_retry_latency_;
-
-  // Per-tenant epoch accumulators; empty unless tenant tracking is enabled.
-  std::vector<std::uint64_t> tenant_offered_;
-  std::vector<std::uint64_t> tenant_received_;
-  std::vector<std::uint64_t> tenant_flits_out_;
-  std::vector<util::Accumulator> tenant_latency_;
-  std::vector<util::Histogram> tenant_latency_hist_;
-  std::vector<std::uint64_t> tenant_flits_dropped_;
-  std::vector<std::uint64_t> tenant_retries_;
-  std::vector<std::uint64_t> tenant_packets_lost_;
-  std::vector<std::uint64_t> tenant_rerouted_hops_;
 
   std::uint64_t total_offered_ = 0;
   std::uint64_t total_received_ = 0;

@@ -74,6 +74,11 @@ class Nic {
   /// True when nothing is pending at this NIC (source queue, partial
   /// transmissions, reassembly).
   bool idle() const;
+  /// True when nothing is queued on the two NIC-bound channels (ejected
+  /// flits, injection credits) — a leg of the network's quiescence test.
+  bool inbound_empty() const {
+    return eject_flits_->empty() && inject_credits_->empty();
+  }
   NodeId id() const { return id_; }
 
  private:

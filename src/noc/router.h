@@ -122,6 +122,9 @@ class Router {
   /// Occupancy of the fullest single input VC (congestion feature).
   int max_vc_occupancy() const;
   bool idle() const { return buffered_flits() == 0; }
+  /// True when no flit or credit is queued on any inbound channel (read off
+  /// the pending masks) — a leg of the network's quiescence test.
+  bool inbound_empty() const { return (flit_pending_ | credit_pending_) == 0; }
 
   /// Test hook: downstream-advertised capacity of one input VC
   /// (must always equal upstream credits + credits in flight + occupancy).

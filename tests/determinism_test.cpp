@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 
+#include "core/trainer.h"
 #include "golden_hash.h"
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "rl/dqn.h"
+#include "rl/policy_io.h"
 #include "util/rng.h"
 
 namespace drlnoc {
@@ -134,6 +137,48 @@ TEST(GoldenDeterminism, DqnLearningTrajectory) {
   }
 
   EXPECT_EQ(h.value(), 8150709562051516707ULL);
+}
+
+TEST(GoldenDeterminism, SerialTrainDqnTrajectory) {
+  // The serial trainer end to end: NocConfigEnv episodes (per-episode
+  // reseed, random phase offset), epsilon-greedy exploration from the
+  // agent's RNG interleaved with replay sampling, mid-episode learning and
+  // periodic greedy evals. Pins the returns curve and the checkpoint bytes
+  // the run leaves behind (captured before the single-record Network
+  // accounting refactor).
+  core::NocEnvParams ep;
+  ep.net.width = ep.net.height = 4;
+  ep.net.seed = 3;
+  ep.epoch_cycles = 256;
+  ep.epochs_per_episode = 6;
+  ep.reward.power_ref_mw = 300.0;  // fixed reference, no calibration run
+  core::NocConfigEnv env(ep);
+
+  rl::DqnParams dp;
+  dp.hidden = {16};
+  dp.min_replay = 16;
+  dp.batch_size = 8;
+  dp.epsilon_decay_steps = 24;
+  dp.seed = 5;
+  rl::DqnAgent agent(env.state_size(), env.num_actions(), dp);
+  core::TrainParams tp;
+  tp.episodes = 5;
+  tp.eval_every = 2;
+  const core::TrainResult r = core::train_dqn(env, agent, tp);
+
+  GoldenHash h;
+  for (double v : r.episode_returns) h.mix(v);
+  for (double v : r.episode_loss) h.mix(v);
+  for (double v : r.eval_rewards) h.mix(v);
+  for (int e : r.eval_episodes) h.mix(e);
+  h.mix(agent.learn_steps());
+  ASSERT_GT(agent.learn_steps(), 0u);
+  ASSERT_EQ(r.eval_rewards.size(), 2u);
+  EXPECT_EQ(h.value(), 17175365790991851270ULL);
+
+  std::ostringstream blob;
+  agent.save(blob);
+  EXPECT_EQ(rl::policy_fingerprint(blob.str()), "c8797c9c04d03868");
 }
 
 }  // namespace

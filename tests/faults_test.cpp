@@ -591,6 +591,62 @@ class OutcomeInjector : public noc::TrafficInjector {
   std::set<std::uint64_t> injected_, delivered_, lost_;
 };
 
+// Tenant slices partition the aggregate under faults: with two tenants,
+// transient corruption, a mid-run link death and a slowdown, the per-tenant
+// counters of one whole-run window sum to the aggregate. Flits are the one
+// asymmetric field: the aggregate counts every ejected flit at the NICs,
+// while a tenant slice splits its flits into clean (flits_ejected) and
+// corrupted (flits_dropped) deliveries.
+TEST(TenantPartition, FaultedSlicesSumToAggregate) {
+  for (const std::uint64_t seed : {5u, 6u, 7u, 8u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    scenario::Scenario s = faulted_scenario();
+    s.net.seed = seed;
+    scenario::TenantSpec hot;
+    hot.name = "hot";
+    hot.kind = scenario::WorkloadKind::kSteady;
+    hot.pattern = "transpose";
+    hot.rate = 0.06;
+    hot.nodes = {0, 3, 5, 10, 12, 15};
+    hot.stop = 2000.0;
+    s.tenants.push_back(hot);
+    s.validate();
+
+    auto net = scenario::build_network(s);
+    net->set_tenant_tracking(2);
+    auto workload = scenario::build_workload(s, net->topology());
+    while (net->core_time() < s.duration) net->step(workload.get());
+    for (int guard = 0; guard < 100000 && !net->drained(); ++guard) {
+      net->step(workload.get());
+    }
+    ASSERT_TRUE(net->drained());
+    const noc::EpochStats agg = net->drain_epoch_stats();
+    ASSERT_EQ(agg.tenants.size(), 2u);
+
+    noc::TenantEpochStats sum;
+    std::uint64_t flits_seen = 0;
+    for (const noc::TenantEpochStats& t : agg.tenants) {
+      EXPECT_GT(t.packets_offered, 0u);
+      sum.packets_offered += t.packets_offered;
+      sum.packets_received += t.packets_received;
+      sum.flits_dropped += t.flits_dropped;
+      sum.retries += t.retries;
+      sum.packets_lost += t.packets_lost;
+      sum.rerouted_hops += t.rerouted_hops;
+      flits_seen += t.flits_ejected + t.flits_dropped;
+    }
+    EXPECT_GT(agg.retries, 0u);
+    EXPECT_GT(agg.rerouted_hops, 0u);
+    EXPECT_EQ(sum.packets_offered, agg.packets_offered);
+    EXPECT_EQ(sum.packets_received, agg.packets_received);
+    EXPECT_EQ(sum.flits_dropped, agg.flits_dropped);
+    EXPECT_EQ(sum.retries, agg.retries);
+    EXPECT_EQ(sum.packets_lost, agg.packets_lost);
+    EXPECT_EQ(sum.rerouted_hops, agg.rerouted_hops);
+    EXPECT_EQ(flits_seen, agg.flits_ejected);
+  }
+}
+
 // Every packet ends exactly one way — delivered or reported lost — and the
 // loss hook reaches a composite's child, so workloads that track live
 // packets can forget the ones that will never arrive.

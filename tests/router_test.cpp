@@ -1,7 +1,8 @@
 // Unit-level router tests on a 2x1 mesh driven through Network, exercising
 // the credit protocol, VC allocation, ordering, and live reconfiguration;
 // plus a saturated 8x8 stress run that audits the routers' incrementally
-// maintained scheduling state (ready masks, VA stall flag) every cycle.
+// maintained scheduling state (ready masks, VA stall flag) and the
+// network's quiescence of disarmed nodes every cycle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -304,15 +305,24 @@ std::uint64_t stress_run(
   return h.value();
 }
 
+// Every cycle of the stress run checks two things: each router's
+// scheduling state against brute force, and the network's skip decisions —
+// every disarmed node must be provably quiescent, with no inbound flit or
+// credit, an empty router and an idle NIC (Network::audit_quiescence).
 TEST(RouterScheduleState, MatchesBruteForceEveryCycleUnderStress) {
   std::string first_error;
   Cycle error_cycle = 0;
+  std::uint64_t disarmed_node_cycles = 0;
   const std::uint64_t hash = stress_run([&](const Network& net) {
+    disarmed_node_cycles +=
+        static_cast<std::uint64_t>(net.num_nodes() - net.active_nodes());
     if (!first_error.empty()) return;
     first_error = audit_all(net);
+    if (first_error.empty()) first_error = net.audit_quiescence();
     error_cycle = net.cycle();
   });
   EXPECT_EQ(first_error, "") << "at cycle " << error_cycle;
+  EXPECT_GT(disarmed_node_cycles, 0u);  // the audit saw skipped nodes
   // Pinned from the build before the ready masks existed: the masks change
   // how the stages find work, never what they decide.
   EXPECT_EQ(hash, 0x5049b742a17fa156ULL);

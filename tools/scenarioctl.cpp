@@ -1,10 +1,11 @@
 // scenarioctl: validate, describe, run, and train on multi-tenant `.drlsc`
-// scenarios.
+// scenarios, and check the `.drlpol` policies training writes.
 //
 //   scenarioctl validate file=mix.drlsc
 //   scenarioctl describe file=mix.drlsc
 //   scenarioctl run      file=mix.drlsc [cycle_limit=N] [duration=T] [seed=S]
 //   scenarioctl train    file=mix.drlsc out=policy.drlpol [episodes=N]
+//   scenarioctl policy   file=policy.drlpol [expect_git=1]
 //
 // The `.drlsc` format is documented in src/scenario/scenario_io.h. `run`
 // executes the scenario on its fabric and prints aggregate plus per-tenant
@@ -19,6 +20,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -38,7 +40,8 @@ using namespace drlnoc;
 namespace {
 
 constexpr const char* kUsage =
-    "usage: scenarioctl <validate|describe|run|train> file=X [key=value...]\n"
+    "usage: scenarioctl <validate|describe|run|train|policy> file=X "
+    "[key=value...]\n"
     "  validate file=X\n"
     "  describe file=X\n"
     "  run      file=X [cycle_limit=N] [duration=T] [seed=S]\n"
@@ -50,6 +53,7 @@ constexpr const char* kUsage =
     "  train    file=X out=F [episodes=N] [round=N] [actors=N]\n"
     "           [eval_every=N] [seed=S] [epochs=N] [epoch_cycles=N]\n"
     "           [qos_features=0|1]\n"
+    "  policy   file=F [expect_git=1]\n"
     "Common: [--log=debug|info|warn|error|off] (or DRLNOC_LOG env var).\n"
     "Pass --help after a subcommand for its full option list; the .drlsc\n"
     "format is specified in docs/FORMATS.md.\n";
@@ -121,6 +125,16 @@ int help(const std::string& command) {
            "use; pass qos_features=0 for a policy a fleet (aggregate\n"
            "features) can serve. Prints the policy version (the checkpoint\n"
            "fingerprint) to pin in runs and fleets.\n";
+  } else if (command == "policy") {
+    std::cout
+        << "scenarioctl policy file=F [expect_git=1]\n"
+           "Validate a `drlpol 1` policy checkpoint with the reader serving\n"
+           "uses (header keys, dimensions, architecture and every weight)\n"
+           "and print `<version>  <path>  # <summary>`, where the version\n"
+           "is the checkpoint fingerprint that pin= / policy_pin= match.\n"
+           "expect_git=1 also fails when the git provenance is `unknown`\n"
+           "(a build without commit stamping). Exit 1 with the reader's\n"
+           "diagnostic on a malformed, truncated or unversioned file.\n";
   } else {
     std::cout << kUsage;
   }
@@ -386,6 +400,48 @@ int cmd_train(const util::Config& cfg) {
   return 0;
 }
 
+/// `policy`: checks a checkpoint with rl::read_policy_blob — the reader
+/// serving uses — and prints its version (rl::policy_fingerprint).
+int cmd_policy(const util::Config& cfg) {
+  const std::string path = cfg.get("file", std::string());
+  if (path.empty()) return usage();
+  std::ifstream is(path, std::ios::binary);
+  if (!is) {
+    LOG_ERROR << "scenarioctl: cannot open " << path;
+    return 1;
+  }
+  const std::string blob{std::istreambuf_iterator<char>(is), {}};
+  rl::PolicyCheckpoint ckpt;
+  try {
+    ckpt = rl::read_policy_blob(blob);
+  } catch (const std::exception& e) {
+    LOG_ERROR << "scenarioctl: " << path << ": " << e.what();
+    return 1;
+  }
+  if (!ckpt.header) {
+    LOG_ERROR << "scenarioctl: " << path
+              << ": bare mlp blob, not a versioned drlpol checkpoint";
+    return 1;
+  }
+  const rl::PolicyHeader& h = *ckpt.header;
+  if (cfg.get("expect_git", false) && h.git.empty()) {
+    LOG_ERROR << "scenarioctl: " << path
+              << ": git provenance is 'unknown' (expect_git=1)";
+    return 1;
+  }
+  std::string hidden;
+  for (const std::size_t width : h.hidden) {
+    hidden += (hidden.empty() ? "" : " ") + std::to_string(width);
+  }
+  std::cout << rl::policy_fingerprint(blob) << "  " << path << "  # obs "
+            << h.obs << " actions " << h.actions << " hidden "
+            << (hidden.empty() ? "-" : hidden) << " " << h.activation << "/"
+            << h.head << " scenario "
+            << (h.scenario_hash.empty() ? "-" : h.scenario_hash) << " git "
+            << (h.git.empty() ? "unknown" : h.git) << "\n";
+  return 0;
+}
+
 int cmd_run(const util::Config& cfg) {
   const std::string path = cfg.get("file", std::string());
   if (path.empty()) return usage();
@@ -487,6 +543,7 @@ int main(int argc, char** argv) {
     if (command == "describe") return cmd_describe(cfg);
     if (command == "run") return cmd_run(cfg);
     if (command == "train") return cmd_train(cfg);
+    if (command == "policy") return cmd_policy(cfg);
     LOG_ERROR << "scenarioctl: unknown command '" << command << "'";
     return usage();
   } catch (const std::exception& e) {
