@@ -87,7 +87,9 @@ inline std::unique_ptr<rl::DqnAgent> train_agent_parallel(
     std::uint64_t seed = 7) {
   const auto steps = static_cast<std::uint64_t>(episodes) *
                      static_cast<std::uint64_t>(ep.epochs_per_episode);
-  core::NocConfigEnv probe(ep);  // observation/action dims only
+  // Calibrated once, for the probe and the trainer's lanes alike.
+  const core::NocEnvParams calibrated = core::with_calibrated_power_ref(ep);
+  core::NocConfigEnv probe(calibrated);  // observation/action dims only
   auto agent = std::make_unique<rl::DqnAgent>(
       probe.state_size(), probe.num_actions(), standard_dqn(steps, seed));
   core::ParallelTrainParams tp;
@@ -95,7 +97,7 @@ inline std::unique_ptr<rl::DqnAgent> train_agent_parallel(
   tp.round = round;
   tp.actors = actors;
   tp.eval_every = 0;
-  core::train_dqn_parallel(ep, *agent, tp);
+  core::train_dqn_parallel(calibrated, *agent, tp);
   return agent;
 }
 

@@ -11,12 +11,13 @@
 namespace drlnoc::core {
 
 namespace {
-/// Applied before member construction: a scenario overrides the network
-/// section so the feature extractor and action-space checks see the
-/// scenario's fabric. The traffic seed stays with NocEnvParams — the RL
-/// evaluation protocol (per-replica seeds, per-episode reseeding) owns it;
-/// the scenario's own seed governs standalone scenarioctl-style runs.
-NocEnvParams resolve_scenario(NocEnvParams p) {
+/// Validates `p` and fills in what it leaves implicit. Applied before member
+/// construction: a scenario overrides the network section so the feature
+/// extractor and action-space checks see the scenario's fabric. The traffic
+/// seed stays with NocEnvParams — the RL evaluation protocol (per-replica
+/// seeds, per-episode reseeding) owns it; the scenario's own seed governs
+/// standalone scenarioctl-style runs.
+NocEnvParams resolve(NocEnvParams p) {
   if (p.scenario) {
     if (p.trace) {
       throw std::invalid_argument(
@@ -63,78 +64,83 @@ NocEnvParams resolve_scenario(NocEnvParams p) {
           std::to_string(p.scenario->tenants.size()));
     }
   }
-  return p;
-}
-}  // namespace
-
-NocConfigEnv::NocConfigEnv(NocEnvParams params)
-    : params_(resolve_scenario(std::move(params))),
-      features_(params_.actions, params_.net.width * params_.net.height,
-                FeatureParams{}, params_.reward.tenant_qos),
-      reward_(params_.reward) {
   // Validate the action space against the hardware limits.
-  for (int a = 0; a < params_.actions.size(); ++a) {
-    const noc::NocConfig c = params_.actions.decode(a);
-    if (c.active_vcs > params_.net.max_vcs ||
-        c.active_depth > params_.net.max_depth) {
+  for (int a = 0; a < p.actions.size(); ++a) {
+    const noc::NocConfig c = p.actions.decode(a);
+    if (c.active_vcs > p.net.max_vcs || c.active_depth > p.net.max_depth) {
       throw std::invalid_argument(
           "action space exceeds physical resources: " + noc::to_string(c));
     }
   }
-  if (params_.trace) {
-    params_.trace->validate();
-    if (!(params_.trace_rate_scale > 0.0) ||
-        !std::isfinite(params_.trace_rate_scale)) {
+  if (p.trace) {
+    p.trace->validate();
+    if (!(p.trace_rate_scale > 0.0) || !std::isfinite(p.trace_rate_scale)) {
       throw std::invalid_argument(
           "trace_rate_scale must be finite and > 0, got " +
-          std::to_string(params_.trace_rate_scale));
+          std::to_string(p.trace_rate_scale));
     }
-    if (params_.trace->nodes > params_.net.width * params_.net.height) {
+    if (p.trace->nodes > p.net.width * p.net.height) {
       throw std::invalid_argument(
-          "trace addresses " + std::to_string(params_.trace->nodes) +
+          "trace addresses " + std::to_string(p.trace->nodes) +
           " nodes but the network has only " +
-          std::to_string(params_.net.width * params_.net.height));
+          std::to_string(p.net.width * p.net.height));
     }
-  } else if (params_.scenario) {
-    // Already validated by resolve_scenario; nothing phased to default.
-  } else if (params_.phases.empty()) {
-    const auto topo = noc::make_topology(params_.net.topology,
-                                         params_.net.width,
-                                         params_.net.height);
-    params_.phases = noc::PhasedWorkload::standard_phases(*topo);
+  } else if (!p.scenario && p.phases.empty()) {
+    const auto topo =
+        noc::make_topology(p.net.topology, p.net.width, p.net.height);
+    p.phases = noc::PhasedWorkload::standard_phases(*topo);
   }
-  power_ref_mw_ = calibrate_power_ref();
+  return p;
+}
+
+/// power_ref_key of already-resolved params.
+PowerRefKey key_of(const NocEnvParams& p) {
+  PowerRefKey key;
+  // Reference = power of the *most capable* configuration under the
+  // workload's busiest phase; "power saving" numbers are relative to it.
+  key.net = p.net;
+  key.net.initial_config = p.actions.decode(p.actions.max_action());
+  key.power = p.power;
+  if (p.scenario) {
+    key.peak_rate =
+        std::clamp(scenario::peak_offered_rate(*p.scenario), 0.01, 0.5);
+  } else if (p.trace) {
+    // Rough equivalent offered load of the trace's root packets, after the
+    // rate-scale knob; a coarse normalizer is fine here.
+    key.peak_rate = std::clamp(
+        p.trace->summary().offered_rate * p.trace_rate_scale, 0.01, 0.5);
+  }
+  for (const noc::Phase& ph : p.phases)
+    key.peak_rate = std::max(key.peak_rate, ph.rate);
+  return key;
+}
+}  // namespace
+
+PowerRefKey power_ref_key(const NocEnvParams& params) {
+  return key_of(resolve(params));
+}
+
+double calibrate_power_ref(const PowerRefKey& key) {
+  noc::Network net(key.net, key.power);
+  noc::SteadyWorkload workload =
+      noc::SteadyWorkload::make(net.topology(), "uniform", key.peak_rate);
+  net.run_epoch(&workload, 2000);  // warm-up, discard
+  const noc::EpochStats stats = net.run_epoch(&workload, 2000);
+  return std::max(1e-3, stats.avg_power_mw(key.power.core_freq_ghz));
+}
+
+NocConfigEnv::NocConfigEnv(NocEnvParams params)
+    : params_(resolve(std::move(params))),
+      features_(params_.actions, params_.net.width * params_.net.height,
+                FeatureParams{}, params_.reward.tenant_qos),
+      reward_(params_.reward) {
+  power_ref_mw_ = params_.reward.power_ref_mw > 0.0
+                      ? params_.reward.power_ref_mw
+                      : calibrate_power_ref(key_of(params_));
   reward_.set_power_ref(power_ref_mw_);
 }
 
 NocConfigEnv::~NocConfigEnv() = default;
-
-double NocConfigEnv::calibrate_power_ref() {
-  if (params_.reward.power_ref_mw > 0.0) return params_.reward.power_ref_mw;
-  // Reference = power of the *most capable* configuration under the
-  // workload's busiest phase; "power saving" numbers are relative to it.
-  noc::NetworkParams np = params_.net;
-  np.initial_config = params_.actions.decode(params_.actions.max_action());
-  noc::Network net(np, params_.power);
-  double max_rate = 0.0;
-  if (params_.scenario) {
-    max_rate =
-        std::clamp(scenario::peak_offered_rate(*params_.scenario), 0.01, 0.5);
-  } else if (params_.trace) {
-    // Rough equivalent offered load of the trace's root packets, after the
-    // rate-scale knob; a coarse normalizer is fine here.
-    max_rate = std::clamp(
-        params_.trace->summary().offered_rate * params_.trace_rate_scale,
-        0.01, 0.5);
-  }
-  for (const noc::Phase& ph : params_.phases)
-    max_rate = std::max(max_rate, ph.rate);
-  noc::SteadyWorkload workload =
-      noc::SteadyWorkload::make(net.topology(), "uniform", max_rate);
-  net.run_epoch(&workload, 2000);  // warm-up, discard
-  const noc::EpochStats stats = net.run_epoch(&workload, 2000);
-  return std::max(1e-3, stats.avg_power_mw(params_.power.core_freq_ghz));
-}
 
 std::size_t NocConfigEnv::state_size() const {
   return features_.state_size();

@@ -62,6 +62,31 @@ struct NocEnvParams {
   obs::NetworkMetrics* metrics = nullptr;
 };
 
+/// Everything the power-reference calibration reads, and nothing else:
+/// equal keys calibrate to bit-identical references. The defaulted
+/// comparisons of NetworkParams and PowerParams mean a field added to either
+/// enters the key without touching this struct.
+struct PowerRefKey {
+  /// The env's resolved fabric (a scenario's, with the env's traffic seed),
+  /// with initial_config set to the action space's most capable config.
+  noc::NetworkParams net{};
+  noc::PowerParams power{};
+  /// Uniform offered rate of the calibration run: the busiest of the
+  /// scenario's peak, the scaled trace rate and the phases.
+  double peak_rate = 0.0;
+
+  bool operator==(const PowerRefKey&) const = default;
+};
+
+/// The calibration key of the environment `params` would build. Validates
+/// `params` exactly as the NocConfigEnv constructor does.
+PowerRefKey power_ref_key(const NocEnvParams& params);
+
+/// The reward's power normaliser: average power of `key.net` under uniform
+/// traffic at `key.peak_rate`, over 2000 cycles after a 2000-cycle warm-up,
+/// in mW. A pure function of the key.
+double calibrate_power_ref(const PowerRefKey& key);
+
 class NocConfigEnv : public rl::Environment {
  public:
   explicit NocConfigEnv(NocEnvParams params);
@@ -106,7 +131,6 @@ class NocConfigEnv : public rl::Environment {
   void build_network();
   /// Simulates one epoch on the episode's fabric and returns its stats.
   noc::EpochStats run_epoch();
-  double calibrate_power_ref();
 
   NocEnvParams params_;
   FeatureExtractor features_;

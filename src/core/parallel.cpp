@@ -16,7 +16,7 @@ NocEnvParams with_calibrated_power_ref(const NocEnvParams& params) {
   p.recorder = nullptr;
   p.metrics = nullptr;
   if (p.reward.power_ref_mw <= 0.0) {
-    p.reward.power_ref_mw = NocConfigEnv(p).power_ref_mw();
+    p.reward.power_ref_mw = calibrate_power_ref(power_ref_key(p));
   }
   return p;
 }

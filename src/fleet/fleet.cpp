@@ -1,5 +1,6 @@
 #include "fleet/fleet.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -159,14 +160,14 @@ std::optional<FleetScenarioResult> read_result_file(const std::string& path) {
   return r;
 }
 
-FleetScenarioResult evaluate_scenario(const ExpandedScenario& point,
-                                      const FleetParams& params,
-                                      obs::FlightRecorder* recorder,
-                                      obs::NetworkMetrics* metrics) {
-  check_params(params);
-  // Install the fleet's controller as the scenario's schedule, so the same
-  // build path (and the same policy-vs-environment dimension check) serves
-  // standalone scheduled runs and fleets.
+namespace {
+
+/// The environment evaluate_scenario runs `point` in: the fleet's
+/// controller installed as the scenario's schedule, so the same build path
+/// (and the same policy-vs-environment dimension check) serves standalone
+/// scheduled runs and fleets.
+core::NocEnvParams scenario_env_params(const ExpandedScenario& point,
+                                       const FleetParams& params) {
   scenario::Scenario scn = point.scenario;
   scn.controller = scenario::ControllerSchedule{};
   scn.controller.type = params.controller;
@@ -182,13 +183,18 @@ FleetScenarioResult evaluate_scenario(const ExpandedScenario& point,
   }
 
   core::NocEnvParams ep;
-  ep.scenario = std::make_shared<scenario::Scenario>(scn);
-  ep.net.seed = scn.net.seed;
+  ep.scenario = std::make_shared<scenario::Scenario>(std::move(scn));
+  ep.net.seed = ep.scenario->net.seed;
   ep.scenario_qos = params.qos_features;
   ep.epoch_cycles = params.epoch_cycles;
   ep.epochs_per_episode = params.epochs;
-  ep.recorder = recorder;
-  ep.metrics = metrics;
+  return ep;
+}
+
+FleetScenarioResult evaluate_env(const ExpandedScenario& point,
+                                 const FleetParams& params,
+                                 const core::NocEnvParams& ep) {
+  const scenario::Scenario& scn = *ep.scenario;
   core::NocConfigEnv env(ep);
   const auto controller = scenario::build_scheduled_controller(scn, env);
   const core::EpisodeResult episode = core::evaluate(env, *controller);
@@ -222,6 +228,19 @@ FleetScenarioResult evaluate_scenario(const ExpandedScenario& point,
   return r;
 }
 
+}  // namespace
+
+FleetScenarioResult evaluate_scenario(const ExpandedScenario& point,
+                                      const FleetParams& params,
+                                      obs::FlightRecorder* recorder,
+                                      obs::NetworkMetrics* metrics) {
+  check_params(params);
+  core::NocEnvParams ep = scenario_env_params(point, params);
+  ep.recorder = recorder;
+  ep.metrics = metrics;
+  return evaluate_env(point, params, ep);
+}
+
 FleetRunOutcome run_fleet(const ScenarioSpace& space, const FleetParams& params,
                           const core::ExperimentRunner& runner) {
   check_params(params);
@@ -250,19 +269,42 @@ FleetRunOutcome run_fleet(const ScenarioSpace& space, const FleetParams& params,
     todo.push_back(index);
   }
 
+  // Points whose calibration inputs match share one power reference, which
+  // is the value each would have calibrated for itself (keys compare with
+  // ==, so every input must match). The distinct keys are calibrated once
+  // each, in parallel, before any point runs. They live for this call only:
+  // a process-wide cache would make a run's cost depend on what ran before
+  // it.
+  std::vector<core::PowerRefKey> keys;
+  std::vector<std::size_t> key_index(todo.size());
+  for (std::size_t i = 0; i < todo.size(); ++i) {
+    const core::PowerRefKey key = core::power_ref_key(
+        scenario_env_params(space.expand(todo[i]), params));
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    key_index[i] = static_cast<std::size_t>(it - keys.begin());
+    if (it == keys.end()) keys.push_back(key);
+  }
+  const std::vector<double> power_refs = runner.map<double>(
+      static_cast<int>(keys.size()), [&keys](int k) {
+        return core::calibrate_power_ref(keys[static_cast<std::size_t>(k)]);
+      });
+
   // Each scenario is an independent simulation with its own seed and its own
   // index-addressed result file, so results are bit-identical at any jobs
   // count. Taps stay detached here (they are single-threaded); the worst-k
   // heatmap reruns attach them serially afterwards.
   runner.for_each(static_cast<int>(todo.size()), [&](int i) {
-    const std::size_t index = todo[static_cast<std::size_t>(i)];
+    const auto slot = static_cast<std::size_t>(i);
+    const std::size_t index = todo[slot];
     const ExpandedScenario point = space.expand(index);
-    const FleetScenarioResult r = evaluate_scenario(point, params);
+    core::NocEnvParams ep = scenario_env_params(point, params);
+    ep.reward.power_ref_mw = power_refs[key_index[slot]];
     write_result_file(
         result_path(params.results_dir, index, result_key(space, index, params)),
-        r);
+        evaluate_env(point, params, ep));
   });
   outcome.ran = todo.size();
+  outcome.calibrations = keys.size();
   return outcome;
 }
 

@@ -117,12 +117,17 @@ struct FleetRunOutcome {
   std::size_t owned = 0;    ///< indices this shard owns
   std::size_t ran = 0;      ///< evaluated this invocation
   std::size_t skipped = 0;  ///< result file already present (resume)
+  /// Power references calibrated: one per distinct core::PowerRefKey among
+  /// the scenarios run (the points that share a key share the value).
+  std::size_t calibrations = 0;
 };
 
 /// Runs this shard's slice of the space in parallel on `runner`, skipping
 /// scenarios whose result file already exists. Results are bit-identical at
 /// any jobs count (each scenario is an independent simulation with its own
-/// seed; files are index-addressed). Throws on an invalid params/space
+/// seed; files are index-addressed) and to evaluate_scenario: the power
+/// reference is calibrated once per distinct key within this call and
+/// shared by every point with that key. Throws on an invalid params/space
 /// combination or when results_dir cannot be created.
 FleetRunOutcome run_fleet(const ScenarioSpace& space, const FleetParams& params,
                           const core::ExperimentRunner& runner);

@@ -55,6 +55,8 @@ struct NetworkParams {
   int pipeline_stages = 1;  ///< router pipeline depth (see RouterParams)
   std::uint64_t seed = 1;
   NocConfig initial_config{};
+
+  bool operator==(const NetworkParams&) const = default;
 };
 
 /// Pulls traffic out of a workload: one call per node per core cycle.

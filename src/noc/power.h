@@ -40,6 +40,8 @@ struct PowerParams {
   double p_static_router_base = 0.8;   ///< per router, un-gateable logic
   double p_static_per_vc_slot = 0.06;  ///< per active buffer slot per port
   double p_static_link = 0.4;          ///< per inter-router link
+
+  bool operator==(const PowerParams&) const = default;
 };
 
 class PowerModel {

@@ -609,6 +609,8 @@ TEST(FleetRun, ResumedScorecardByteIdenticalAtAnyJobs) {
   const fleet::FleetRunOutcome full = fleet::run_fleet(space, ref, jobs1);
   EXPECT_EQ(full.ran, space.size());
   EXPECT_EQ(full.skipped, 0u);
+  // Every point has its own (seed, tenant0.rate): no calibration is shared.
+  EXPECT_EQ(full.calibrations, space.size());
   const std::string want = score_bytes(space, ref);
   EXPECT_NE(want.find("\"missing\": 0"), std::string::npos);
 
@@ -633,8 +635,103 @@ TEST(FleetRun, ResumedScorecardByteIdenticalAtAnyJobs) {
         fleet::run_fleet(space, p, *resume_runner);
     EXPECT_EQ(resumed.ran, deleted);
     EXPECT_EQ(resumed.skipped, space.size() - deleted);
+    // The deleted points differ in tenant0.rate, so none share a reference.
+    EXPECT_EQ(resumed.calibrations, deleted);
     EXPECT_EQ(score_bytes(space, p), want)
         << "resumed scorecard diverged (trial " << trial << ")";
+  }
+}
+
+/// A churned two-tenant base under axes that never enter the power
+/// calibration: churn seed and capacity, and the link fault rate.
+fleet::ScenarioSpace churn_fault_space(const std::string& dir) {
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream base(dir + "/base.drlsc");
+    base << "drlsc 1\nname = memo\nwidth = 4\nheight = 4\nseed = 5\n"
+            "duration = 4000\ntenants = 2\n"
+            "tenant0.name = critical\ntenant0.workload = steady\n"
+            "tenant0.rate = 0.02\ntenant0.qos = latency_critical\n"
+            "tenant0.p95_target = 400\n"
+            "tenant1.name = background\ntenant1.workload = steady\n"
+            "tenant1.rate = 0.04\ntenant1.qos = background\n"
+            "\n[churn]\nseed = 11\narrival_rate = 0.002\ncapacity = 2\n"
+            "templates = 1\ntemplate0.tenant = 1\n"
+            "template0.lifetime = exponential\n"
+            "template0.lifetime_mean = 1500\n";
+  }
+  const std::string spec = dir + "/space.drlfs";
+  {
+    std::ofstream os(spec);
+    os << "drlfs 1\nname = memo\nbase = base.drlsc\nseeds = 2\naxes = 3\n"
+          "axis0.key = churn.seed\naxis0.values = 11,12\n"
+          "axis1.key = churn.capacity\naxis1.values = 1,2\n"
+          "axis2.key = faults.link_fault_rate\naxis2.values = 0,0.0005\n";
+  }
+  return fleet::ScenarioSpaceReader::read_file(spec);
+}
+
+core::PowerRefKey point_key(const fleet::ExpandedScenario& point) {
+  core::NocEnvParams ep;
+  ep.scenario = std::make_shared<scenario::Scenario>(point.scenario);
+  ep.net.seed = point.scenario.net.seed;
+  return core::power_ref_key(ep);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(FleetRun, CalibratesOncePerDistinctKey) {
+  const std::string dir = ::testing::TempDir() + "fleet_power_memo";
+  std::filesystem::remove_all(dir);  // rerun-safe: drop stale result files
+  const fleet::ScenarioSpace space = churn_fault_space(dir);
+  ASSERT_EQ(space.size(), 16u);
+
+  // Churn and fault overrides leave the key alone; the seed replica moves
+  // it (the traffic seed drives the calibration run).
+  for (std::size_t index = 0; index < space.size(); ++index) {
+    const fleet::ExpandedScenario point = space.expand(index);
+    const core::PowerRefKey key = point_key(point);
+    EXPECT_TRUE(key == point_key(space.expand(point.seed_offset)))
+        << point.label;
+    EXPECT_FALSE(key == point_key(space.expand(1 - point.seed_offset)))
+        << point.label;
+  }
+
+  // The reference bytes: every point evaluated on its own, calibrating its
+  // own power reference.
+  const fleet::FleetParams self = tiny_params(dir + "/self");
+  std::filesystem::create_directories(self.results_dir);
+  std::vector<std::string> want(space.size());
+  for (std::size_t index = 0; index < space.size(); ++index) {
+    const std::string path = self.results_dir + "/" + std::to_string(index);
+    fleet::write_result_file(
+        path, fleet::evaluate_scenario(space.expand(index), self));
+    want[index] = file_bytes(path);
+  }
+
+  for (const int jobs : {1, 2, 8}) {
+    const fleet::FleetParams p =
+        tiny_params(dir + "/jobs" + std::to_string(jobs));
+    const core::ExperimentRunner runner(jobs);
+    const fleet::FleetRunOutcome outcome = fleet::run_fleet(space, p, runner);
+    EXPECT_EQ(outcome.ran, space.size()) << "jobs " << jobs;
+    EXPECT_EQ(outcome.calibrations, 2u) << "jobs " << jobs;  // one per seed
+    for (std::size_t index = 0; index < space.size(); ++index) {
+      EXPECT_EQ(file_bytes(fleet::result_path(
+                    p.results_dir, index, fleet::result_key(space, index, p))),
+                want[index])
+          << "jobs " << jobs << ", index " << index;
+    }
+
+    // A resume with nothing left to run calibrates nothing.
+    const fleet::FleetRunOutcome resumed = fleet::run_fleet(space, p, runner);
+    EXPECT_EQ(resumed.ran, 0u);
+    EXPECT_EQ(resumed.skipped, space.size());
+    EXPECT_EQ(resumed.calibrations, 0u);
   }
 }
 

@@ -243,8 +243,10 @@ int cmd_run(const util::Config& cfg) {
   std::cout << "fleet '" << space.name << "': shard " << params.shard << "/"
             << params.shards << " owns " << outcome.owned << " of "
             << space.size() << " scenarios; ran " << outcome.ran
-            << ", skipped " << outcome.skipped
-            << " already-complete (jobs=" << runner.jobs() << ")\n";
+            << ", skipped " << outcome.skipped << " already-complete, "
+            << outcome.calibrations << " power calibration"
+            << (outcome.calibrations == 1 ? "" : "s")
+            << " (jobs=" << runner.jobs() << ")\n";
   return 0;
 }
 

@@ -25,6 +25,7 @@
 #include <string>
 
 #include "core/env_noc.h"
+#include "core/parallel.h"
 #include "core/trainer.h"
 #include "obs/session.h"
 #include "rl/dqn.h"
@@ -370,8 +371,9 @@ int cmd_train(const util::Config& cfg) {
                            static_cast<std::uint64_t>(epochs) * 3 / 4;
   dp.seed = static_cast<std::uint64_t>(cfg.get("seed", 7LL));
 
-  // A throwaway env just for the observation/action dimensions; training
-  // builds its own calibrated lanes.
+  // Calibrated once, so neither the probe (built only for the
+  // observation/action dimensions) nor the trainer's lanes recalibrate.
+  ep = core::with_calibrated_power_ref(ep);
   core::NocConfigEnv probe(ep);
   rl::DqnAgent agent(probe.state_size(), probe.num_actions(), dp);
   const core::TrainResult r = core::train_dqn_parallel(ep, agent, tp);
