@@ -112,17 +112,14 @@ inline bool maybe_traced_run(const util::Config& cfg,
                              double duration_cap = 20000.0) {
   obs::ObsSession session(obs::ObsOptions::from_config(cfg));
   if (!session.enabled()) return true;
-  scenario.validate();
-  auto net = scenario::build_network(scenario);
-  auto workload = scenario::build_workload(scenario, net->topology());
-  session.attach(*net);
-  session.annotate_scenario(scenario);
-  scenario::ScenarioRunParams rp;
-  rp.cycle_limit = scenario.cycle_limit;
-  rp.duration = scenario.duration > 0.0
-                    ? std::min(scenario.duration, duration_cap)
-                    : duration_cap;
-  scenario::run_scenario(*net, *workload, rp);
+  scenario::Scenario capped = scenario;
+  capped.duration = scenario.duration > 0.0
+                        ? std::min(scenario.duration, duration_cap)
+                        : duration_cap;
+  session.annotate_scenario(capped);
+  scenario::run_scenario(capped, session.recorder(),
+                         session.metrics(capped.net.width *
+                                         capped.net.height));
   return session.finish();
 }
 

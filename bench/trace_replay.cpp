@@ -55,10 +55,10 @@ double measure_rate(std::uint64_t items, int repeats,
   return best;
 }
 
-trace::TraceReplayResult replay_once(const noc::NetworkParams& net_params,
-                                     std::shared_ptr<const trace::Trace> t,
-                                     double rate_scale,
-                                     std::uint64_t cycle_limit) {
+noc::RunResult replay_once(const noc::NetworkParams& net_params,
+                           std::shared_ptr<const trace::Trace> t,
+                           double rate_scale,
+                           std::uint64_t cycle_limit) {
   noc::Network net(net_params);
   trace::TraceWorkloadParams tw;
   tw.rate_scale = rate_scale;
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
   for (double s : scales) tasks.push_back({"dnn", dnn_trace, s});
   for (double s : scales) tasks.push_back({"alltoall", a2a_trace, s});
 
-  const auto results = util::parallel_map<trace::TraceReplayResult>(
+  const auto results = util::parallel_map<noc::RunResult>(
       static_cast<int>(tasks.size()), jobs, [&](int i) {
         const SweepTask& task = tasks[static_cast<std::size_t>(i)];
         return replay_once(net_params, task.trace, task.rate_scale, 4000000);

@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 
+#include "noc/simulator.h"
 #include "noc/workload.h"
 #include "trace/generators.h"
 #include "trace/recorder.h"
@@ -21,9 +22,9 @@ using namespace drlnoc;
 
 namespace {
 
-trace::TraceReplayResult replay(const noc::NetworkParams& p,
-                                std::shared_ptr<const trace::Trace> t,
-                                double rate_scale) {
+noc::RunResult replay(const noc::NetworkParams& p,
+                      std::shared_ptr<const trace::Trace> t,
+                      double rate_scale) {
   noc::Network net(p);
   trace::TraceWorkloadParams tw;
   tw.rate_scale = rate_scale;
@@ -66,7 +67,7 @@ int main() {
   util::Table t({"fabric", "core_cycles", "avg_lat", "p95_lat", "complete"});
   for (const auto& [name, params] : {std::pair{"fast (dvfs=3)", fast},
                                      std::pair{"slow (dvfs=0)", slow}}) {
-    const trace::TraceReplayResult r = replay(params, shared, 1.0);
+    const noc::RunResult r = replay(params, shared, 1.0);
     t.row()
         .cell(name)
         .cell(r.stats.core_cycles, 0)
@@ -86,16 +87,15 @@ int main() {
   noc::Network original(p);
   noc::SteadyWorkload synth =
       noc::SteadyWorkload::make(original.topology(), "hotspot", 0.08);
-  for (int i = 0; i < 1500; ++i) original.step(&synth);
-  for (int i = 0; i < 20000 && !original.drained(); ++i)
-    original.step(nullptr);
-  trace::TraceRecorder recorder(original.num_nodes());
-  recorder.capture(original);
+  trace::TraceRecorder recorder(original.num_nodes(), &synth);
+  for (int i = 0; i < 1500; ++i) original.step(&recorder);
+  recorder.set_source(nullptr);  // stop generating, keep capturing
+  noc::run_until(original, &recorder, [] { return true; }, 20000);
   const auto capture = std::make_shared<const trace::Trace>(recorder.build());
 
   noc::Network replayed(p);
   trace::TraceWorkload rw(capture);
-  const trace::TraceReplayResult rr = trace::run_trace_replay(replayed, rw);
+  const noc::RunResult rr = trace::run_trace_replay(replayed, rw);
   std::cout << "4. record -> replay: captured " << capture->records.size()
             << " packets, replay delivered " << rr.stats.packets_received
             << " (avg latency " << util::fmt(rr.stats.avg_latency, 2)

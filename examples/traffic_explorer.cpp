@@ -40,16 +40,7 @@ namespace {
 /// repeat as a comma list); the resulting config is validated against the
 /// topology before any run starts.
 noc::FaultParams fault_params_from(const util::Config& cfg) {
-  noc::FaultParams f;
-  f.link_fault_rate = cfg.get("fault_rate", 0.0);
-  f.seed = static_cast<std::uint64_t>(cfg.get("fault_seed", 1LL));
-  const long long timeout = cfg.get("fault_timeout", 64LL);
-  if (timeout < 1) {
-    throw std::invalid_argument("fault_timeout must be >= 1");
-  }
-  f.retry_timeout = static_cast<noc::Cycle>(timeout);
-  f.retry_backoff = cfg.get("fault_backoff", 2.0);
-  f.retry_budget = cfg.get("fault_budget", 4);
+  noc::FaultParams f = noc::FaultParams::from_config(cfg, {});
   std::string links = cfg.get("fault_link", std::string());
   std::size_t start = 0;
   while (start < links.size()) {
@@ -93,7 +84,7 @@ int explore_trace(const noc::NetworkParams& p, const std::string& path,
   trace::TraceWorkload w(t, tw);
   const auto limit =
       static_cast<std::uint64_t>(cfg.get("cycle_limit", 2000000LL));
-  const trace::TraceReplayResult r = trace::run_trace_replay(net, w, limit);
+  const noc::RunResult r = trace::run_trace_replay(net, w, limit);
   util::Table tab({"workload", "avg_lat", "p95_lat", "avg_hops", "packets",
                    "core_cycles", "power_mW", "complete"});
   tab.row()
@@ -119,19 +110,12 @@ int explore_scenario(const std::string& path, const noc::FaultParams& faults,
   scenario::Scenario s = scenario::ScenarioReader::read_file(path);
   if (faults.enabled()) {
     // Command-line faults replace the scenario's own [faults] section for
-    // this run; the merged scenario is re-validated before the run starts.
+    // this run; run_scenario re-validates the merged scenario first.
     s.faults = faults;
   }
-  s.validate();
-  auto net = scenario::build_network(s);
-  auto workload = scenario::build_workload(s, net->topology());
-  session.attach(*net);
   session.annotate_scenario(s);
-  scenario::ScenarioRunParams rp;
-  rp.cycle_limit = s.cycle_limit;
-  rp.duration = s.duration;
-  const scenario::ScenarioRunResult r =
-      scenario::run_scenario(*net, *workload, rp);
+  const noc::RunResult r = scenario::run_scenario(
+      s, session.recorder(), session.metrics(s.net.width * s.net.height));
   std::cout << "scenario '" << s.name << "' on " << s.net.topology << " "
             << s.net.width << "x" << s.net.height
             << (r.completed ? "" : "  [HIT CYCLE LIMIT]") << "\n";

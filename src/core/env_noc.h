@@ -129,8 +129,6 @@ class NocConfigEnv : public rl::Environment {
 
  private:
   void build_network();
-  /// Simulates one epoch on the episode's fabric and returns its stats.
-  noc::EpochStats run_epoch();
 
   NocEnvParams params_;
   FeatureExtractor features_;

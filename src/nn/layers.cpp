@@ -415,12 +415,6 @@ std::vector<const Matrix*> Mlp::grads() const {
   return out;
 }
 
-std::size_t Mlp::num_parameters() const {
-  std::size_t total = 0;
-  for (const Matrix* p : params()) total += p->size();
-  return total;
-}
-
 void Mlp::copy_weights_from(const Mlp& other) {
   const std::vector<Matrix*>& dst = params();
   const std::vector<const Matrix*> src = other.params();

@@ -187,7 +187,6 @@ class Mlp {
   const std::vector<Matrix*>& grads();
   std::vector<const Matrix*> params() const;
   std::vector<const Matrix*> grads() const;
-  std::size_t num_parameters() const;
 
   /// Hard copy of all weights (target-network sync).
   void copy_weights_from(const Mlp& other);

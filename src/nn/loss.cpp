@@ -20,27 +20,6 @@ LossResult mse_loss(const Matrix& pred, const Matrix& target) {
   return out;
 }
 
-LossResult huber_loss(const Matrix& pred, const Matrix& target, double delta) {
-  assert(pred.rows() == target.rows() && pred.cols() == target.cols());
-  LossResult out;
-  out.grad = Matrix(pred.rows(), pred.cols());
-  const double n = static_cast<double>(pred.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < pred.raw().size(); ++i) {
-    const double d = pred.raw()[i] - target.raw()[i];
-    const double ad = std::abs(d);
-    if (ad <= delta) {
-      acc += 0.5 * d * d;
-      out.grad.raw()[i] = d / n;
-    } else {
-      acc += delta * (ad - 0.5 * delta);
-      out.grad.raw()[i] = (d > 0.0 ? delta : -delta) / n;
-    }
-  }
-  out.loss = acc / n;
-  return out;
-}
-
 MaskedLossResult masked_huber_loss(const Matrix& pred,
                                    const std::vector<int>& action,
                                    const std::vector<double>& target,

@@ -20,10 +20,6 @@ struct LossResult {
 /// Mean squared error over all elements.
 LossResult mse_loss(const Matrix& pred, const Matrix& target);
 
-/// Huber (smooth-L1) with threshold delta over all elements.
-LossResult huber_loss(const Matrix& pred, const Matrix& target,
-                      double delta = 1.0);
-
 /// Per-row masked Huber: row i contributes only column action[i], with
 /// target value target[i] and importance weight weight[i]. Returns the
 /// weighted mean loss; grad rows are zero outside the selected column.

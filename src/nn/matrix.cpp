@@ -285,10 +285,4 @@ void column_sums_into(Matrix& s, const Matrix& a) {
   }
 }
 
-Matrix column_sums(const Matrix& a) {
-  Matrix s;
-  column_sums_into(s, a);
-  return s;
-}
-
 }  // namespace drlnoc::nn

@@ -85,7 +85,6 @@ void transpose_into(Matrix& dst, const Matrix& src);
 /// Adds a 1×n row vector to every row of a (m×n).
 void add_row_inplace(Matrix& a, const Matrix& row);
 /// 1×n column sums of a (m×n) — bias gradient.
-Matrix column_sums(const Matrix& a);
 void column_sums_into(Matrix& s, const Matrix& a);
 
 }  // namespace drlnoc::nn

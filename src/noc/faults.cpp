@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/config.h"
 #include "util/rng.h"
 
 namespace drlnoc::noc {
@@ -72,6 +73,20 @@ std::string to_string(FaultEvent::Kind kind) {
     case FaultEvent::Kind::kSlowdown: return "slowdown";
   }
   return "unknown";
+}
+
+FaultParams FaultParams::from_config(const util::Config& cfg,
+                                     FaultParams base) {
+  base.link_fault_rate = cfg.get("fault_rate", base.link_fault_rate);
+  base.seed = static_cast<std::uint64_t>(
+      cfg.get("fault_seed", static_cast<long long>(base.seed)));
+  const long long timeout =
+      cfg.get("fault_timeout", static_cast<long long>(base.retry_timeout));
+  if (timeout < 1) throw std::invalid_argument("fault_timeout must be >= 1");
+  base.retry_timeout = static_cast<Cycle>(timeout);
+  base.retry_backoff = cfg.get("fault_backoff", base.retry_backoff);
+  base.retry_budget = cfg.get("fault_budget", base.retry_budget);
+  return base;
 }
 
 void FaultParams::validate() const {

@@ -27,6 +27,10 @@
 #include "noc/topology.h"
 #include "noc/types.h"
 
+namespace drlnoc::util {
+class Config;
+}  // namespace drlnoc::util
+
 namespace drlnoc::noc {
 
 /// One scheduled (deterministic) fault event.
@@ -56,6 +60,13 @@ struct FaultParams {
   std::vector<FaultEvent> events;
 
   bool enabled() const { return link_fault_rate > 0.0 || !events.empty(); }
+
+  /// `base` with the command-line keys fault_rate, fault_seed,
+  /// fault_timeout, fault_backoff and fault_budget applied over it (an
+  /// absent key keeps base's value). Throws std::invalid_argument naming
+  /// the key for a malformed value or a fault_timeout below 1; the other
+  /// ranges are left to validate().
+  static FaultParams from_config(const util::Config& cfg, FaultParams base);
 
   /// Range/shape checks that need no topology (rates, factors, budgets).
   /// Throws std::invalid_argument with a message naming the bad key.

@@ -447,7 +447,6 @@ void Network::step(TrafficInjector* injector) {
       ++epoch_node_recv_[static_cast<std::size_t>(rec.dst)];
       if (rec.measured) epoch_hops_.add(static_cast<double>(rec.hops));
       if (injector != nullptr) injector->on_packet_delivered(rec);
-      pending_records_.push_back(rec);
     }
     recs.clear();
 
@@ -602,16 +601,6 @@ EpochStats Network::drain_epoch_stats() {
                       static_cast<std::int32_t>(s.packets_offered));
   }
   return s;
-}
-
-std::vector<PacketRecord> Network::drain_records() {
-  // Copy-then-clear (rather than std::exchange with a fresh vector) so the
-  // accumulator keeps its capacity: per-cycle harvesting stays
-  // allocation-free once a window's worth of records has been seen.
-  std::vector<PacketRecord> out(pending_records_.begin(),
-                                pending_records_.end());
-  pending_records_.clear();
-  return out;
 }
 
 bool Network::drained() const {

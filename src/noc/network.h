@@ -88,7 +88,10 @@ class TrafficInjector {
                                   double /*core_time*/) {}
   /// Called once per packet when its tail flit ejects at the destination,
   /// in ejection order. Only fires while this injector is driving the step
-  /// (drain-only stepping with a null injector notifies nobody).
+  /// (drain-only stepping with a null injector notifies nobody). This is
+  /// the only delivered-packet record stream: Network keeps no log, so a
+  /// caller that wants the records drives the run through a
+  /// trace::TraceRecorder, which can also drain with a null source.
   virtual void on_packet_delivered(const PacketRecord& /*rec*/) {}
   /// Called once per packet the fault model gives up on (retry budget
   /// exhausted), under the same driving rule. Such a packet is never
@@ -224,12 +227,6 @@ class Network {
 
   /// Statistics accumulated since the previous drain (or construction).
   EpochStats drain_epoch_stats();
-
-  /// All completed-packet records since the previous call.
-  std::vector<PacketRecord> drain_records();
-  /// Drops the completed-packet records without copying them out, for
-  /// owners that never read them (they would otherwise accumulate).
-  void discard_records() { pending_records_.clear(); }
 
   bool drained() const;  ///< no flit anywhere in the system
 
@@ -378,7 +375,6 @@ class Network {
   util::Accumulator epoch_active_;  ///< stepped-node fraction per cycle
   util::Accumulator epoch_retry_latency_;  ///< retried-then-delivered
   std::vector<std::uint64_t> epoch_node_recv_;
-  std::vector<PacketRecord> pending_records_;
 
   std::uint64_t total_offered_ = 0;
   std::uint64_t total_received_ = 0;

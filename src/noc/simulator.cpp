@@ -4,6 +4,19 @@
 
 namespace drlnoc::noc {
 
+RunResult run_until(Network& net, TrafficInjector* injector,
+                    const std::function<bool()>& done,
+                    std::uint64_t cycle_limit) {
+  RunResult out;
+  while (out.cycles < cycle_limit && !(done() && net.drained())) {
+    net.step(injector);
+    ++out.cycles;
+  }
+  out.completed = done() && net.drained();
+  out.stats = net.drain_epoch_stats();
+  return out;
+}
+
 SteadyResult run_steady_state(Network& net, TrafficInjector& workload,
                               const SteadyRunParams& params) {
   SteadyResult result;
@@ -40,14 +53,10 @@ SteadyResult run_steady_state(Network& net, TrafficInjector& workload,
   // are recorded. Under saturation the backlog itself must also clear, which
   // the drain limit caps.
   net.set_measuring(false);
-  std::uint64_t extra = 0;
-  while (!net.drained() && extra < params.drain_limit) {
-    net.step(nullptr);
-    ++extra;
-  }
-  result.drained = net.drained();
-
-  result.stats = net.drain_epoch_stats();
+  const RunResult drain =
+      run_until(net, nullptr, [] { return true; }, params.drain_limit);
+  result.drained = drain.completed;
+  result.stats = drain.stats;
   // The drain phase is excluded from rate computations: recompute rates over
   // the measurement window only.
   const double node_cycles =

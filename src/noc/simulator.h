@@ -1,8 +1,11 @@
-// Steady-state measurement methodology (warm-up -> measurement -> drain),
-// the standard protocol behind load-latency and throughput curves.
+// Driving a fabric: run_until, the one loop that steps a Network until its
+// work is done and it drains, plus the steady-state measurement methodology
+// (warm-up -> measurement -> drain) behind load-latency and throughput
+// curves.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -10,6 +13,22 @@
 #include "noc/workload.h"
 
 namespace drlnoc::noc {
+
+/// Outcome of run_until: the run's statistics window and why it stopped.
+struct RunResult {
+  EpochStats stats;          ///< everything since the previous stats drain
+  bool completed = false;    ///< `done` held and the fabric drained
+  std::uint64_t cycles = 0;  ///< router cycles stepped
+};
+
+/// Steps `net` with `injector` (null for drain-only stepping) until `done()`
+/// holds and the fabric has drained, or `cycle_limit` router cycles elapse.
+/// `done` is re-checked before every cycle. Drains the epoch statistics
+/// into the result. Every run-to-completion flow (trace replay, scenario
+/// runs, the steady-state drain) goes through this loop.
+RunResult run_until(Network& net, TrafficInjector* injector,
+                    const std::function<bool()>& done,
+                    std::uint64_t cycle_limit);
 
 struct SteadyRunParams {
   std::uint64_t warmup_cycles = 2000;    ///< router cycles, unmeasured

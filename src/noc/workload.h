@@ -64,7 +64,6 @@ class PhasedWorkload : public TrafficInjector {
   /// Used to start training episodes at random points of the workload so
   /// every phase is seen at every episode position.
   void set_start_offset(double offset) { offset_ = offset; }
-  double start_offset() const { return offset_; }
 
   /// Index of the phase active at the given core time (offset applied).
   std::size_t phase_index(double core_time) const;

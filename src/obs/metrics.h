@@ -48,7 +48,6 @@ class MetricsRegistry {
   void commit_sample(double time);
 
   std::size_t samples() const { return times_.size(); }
-  std::size_t num_metrics() const { return metrics_.size(); }
   int instances(Id id) const;
   const std::string& name(Id id) const;
   /// Current (uncommitted) value of one counter/gauge instance.

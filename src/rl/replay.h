@@ -72,7 +72,6 @@ class PrioritizedReplayBuffer {
   void sample_into(SampledBatch& out, std::size_t batch, util::Rng& rng) const;
   void update_priorities(const std::vector<std::size_t>& indices,
                          const std::vector<double>& td_abs);
-  void set_beta(double beta) { beta_ = beta; }
   double beta() const { return beta_; }
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 
 namespace drlnoc::rl {
@@ -22,21 +21,6 @@ class LinearSchedule {
  private:
   double start_, end_;
   std::uint64_t steps_;
-};
-
-/// Exponential decay: start * decay^t, floored at end.
-class ExponentialSchedule {
- public:
-  ExponentialSchedule(double start, double end, double decay)
-      : start_(start), end_(end), decay_(decay) {}
-
-  double value(std::uint64_t t) const {
-    const double v = start_ * std::pow(decay_, static_cast<double>(t));
-    return std::max(v, end_);
-  }
-
- private:
-  double start_, end_, decay_;
 };
 
 }  // namespace drlnoc::rl

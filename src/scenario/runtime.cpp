@@ -105,24 +105,23 @@ double peak_offered_rate(const Scenario& scenario) {
   return peak;
 }
 
-ScenarioRunResult run_scenario(noc::Network& net, CompositeWorkload& workload,
-                               const ScenarioRunParams& params) {
+noc::RunResult run_scenario(noc::Network& net, CompositeWorkload& workload,
+                            const ScenarioRunParams& params) {
   if (params.duration > 0.0) workload.set_horizon(params.duration);
   net.set_tenant_tracking(workload.num_tenants());
-  ScenarioRunResult out;
-  while (out.cycles < params.cycle_limit &&
-         !(workload.quiescent(net.core_time()) && net.drained())) {
-    net.step(&workload);
-    ++out.cycles;
-  }
-  out.completed = workload.quiescent(net.core_time()) && net.drained();
-  out.stats = net.drain_epoch_stats();
-  return out;
+  return noc::run_until(
+      net, &workload,
+      [&net, &workload] { return workload.quiescent(net.core_time()); },
+      params.cycle_limit);
 }
 
-ScenarioRunResult run_scenario(const Scenario& scenario) {
+noc::RunResult run_scenario(const Scenario& scenario,
+                            obs::FlightRecorder* recorder,
+                            obs::NetworkMetrics* metrics) {
   scenario.validate();
   auto net = build_network(scenario);
+  net->set_flight_recorder(recorder);
+  net->set_metrics(metrics);
   auto workload = build_workload(scenario, net->topology());
   ScenarioRunParams p;
   p.cycle_limit = scenario.cycle_limit;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/trainer.h"
+#include "noc/simulator.h"
 #include "scenario/composite_workload.h"
 #include "scenario/scenario.h"
 
@@ -45,20 +46,18 @@ struct ScenarioRunParams {
   double duration = 0.0;
 };
 
-struct ScenarioRunResult {
-  noc::EpochStats stats;       ///< whole-run window, incl. per-tenant slices
-  bool completed = false;      ///< all tenants quiet and fabric drained
-  std::uint64_t cycles = 0;    ///< router cycles consumed
-};
+/// Steps `net` under `workload` through noc::run_until until every tenant
+/// is quiet and the fabric drains (or the cycle limit trips). Enables
+/// per-tenant tracking on `net`.
+noc::RunResult run_scenario(noc::Network& net, CompositeWorkload& workload,
+                            const ScenarioRunParams& params = {});
 
-/// Steps `net` under `workload` until every tenant is quiet and the fabric
-/// drains (or the cycle limit trips). Enables per-tenant tracking on `net`.
-ScenarioRunResult run_scenario(noc::Network& net, CompositeWorkload& workload,
-                               const ScenarioRunParams& params = {});
-
-/// Convenience: build network + workload from the scenario and run it with
-/// the scenario's duration/cycle_limit.
-ScenarioRunResult run_scenario(const Scenario& scenario);
+/// Owning run: validates the scenario, builds network + workload and runs
+/// them with the scenario's duration/cycle_limit. Optional (non-owning)
+/// observability taps are attached to the fabric before the first cycle.
+noc::RunResult run_scenario(const Scenario& scenario,
+                            obs::FlightRecorder* recorder = nullptr,
+                            obs::NetworkMetrics* metrics = nullptr);
 
 /// Human/JSON-facing per-tenant slice derived from one epoch window.
 struct TenantReport {

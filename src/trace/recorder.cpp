@@ -1,18 +1,47 @@
 #include "trace/recorder.h"
 
 #include <algorithm>
+#include <string>
 
 namespace drlnoc::trace {
 
-TraceRecorder::TraceRecorder(int nodes, int default_length)
-    : nodes_(nodes), default_length_(default_length) {}
+TraceRecorder::TraceRecorder(int nodes, noc::TrafficInjector* source,
+                             int default_length)
+    : nodes_(nodes), source_(source), default_length_(default_length) {}
 
-void TraceRecorder::capture(noc::Network& net) {
-  for (const noc::PacketRecord& rec : net.drain_records()) add(rec);
+noc::NodeId TraceRecorder::generate(noc::NodeId src, double core_time,
+                                    util::Rng& rng) {
+  return source_ != nullptr ? source_->generate(src, core_time, rng)
+                            : noc::kInvalidNode;
 }
 
-void TraceRecorder::add(const noc::PacketRecord& rec) {
+int TraceRecorder::packet_length_for(noc::NodeId src, double core_time) const {
+  return source_ != nullptr ? source_->packet_length_for(src, core_time) : 0;
+}
+
+int TraceRecorder::tenant_for(noc::NodeId src, double core_time) const {
+  return source_ != nullptr ? source_->tenant_for(src, core_time) : 0;
+}
+
+void TraceRecorder::on_packet_injected(noc::NodeId src,
+                                       std::uint64_t packet_id,
+                                       double core_time) {
+  if (source_ != nullptr) {
+    source_->on_packet_injected(src, packet_id, core_time);
+  }
+}
+
+void TraceRecorder::on_packet_delivered(const noc::PacketRecord& rec) {
   records_.push_back(rec);
+  if (source_ != nullptr) source_->on_packet_delivered(rec);
+}
+
+void TraceRecorder::on_packet_lost(const noc::PacketRecord& rec) {
+  if (source_ != nullptr) source_->on_packet_lost(rec);
+}
+
+std::string TraceRecorder::name() const {
+  return "recorder[" + (source_ != nullptr ? source_->name() : "drain") + "]";
 }
 
 Trace TraceRecorder::build() const {

@@ -44,7 +44,6 @@ void TraceWorkload::rearm(double base_time) {
   const std::size_t n = trace_->records.size();
   pending_ = initial_pending_;
   dep_ready_.assign(n, 0.0);
-  inject_time_.assign(n, -1.0);
   live_.clear();
   iter_emitted_ = 0;
   iter_delivered_ = 0;
@@ -85,9 +84,8 @@ int TraceWorkload::packet_length_for(noc::NodeId /*src*/,
 
 void TraceWorkload::on_packet_injected(noc::NodeId /*src*/,
                                        std::uint64_t packet_id,
-                                       double core_time) {
+                                       double /*core_time*/) {
   assert(pending_emit_ != SIZE_MAX && "on_packet_injected without generate");
-  inject_time_[pending_emit_] = core_time;
   live_.insert(packet_id, static_cast<std::uint32_t>(pending_emit_));
   pending_emit_ = SIZE_MAX;
 }
@@ -134,21 +132,14 @@ std::string TraceWorkload::name() const {
   return os.str();
 }
 
-TraceReplayResult run_trace_replay(noc::Network& net, TraceWorkload& workload,
-                                   std::uint64_t cycle_limit) {
+noc::RunResult run_trace_replay(noc::Network& net, TraceWorkload& workload,
+                                std::uint64_t cycle_limit) {
   if (net.num_nodes() < workload.trace().nodes) {
     throw std::invalid_argument(
         "run_trace_replay: trace addresses more nodes than the network has");
   }
-  TraceReplayResult out;
-  while (out.cycles < cycle_limit &&
-         !(workload.done() && net.drained())) {
-    net.step(&workload);
-    ++out.cycles;
-  }
-  out.completed = workload.done() && net.drained();
-  out.stats = net.drain_epoch_stats();
-  return out;
+  return noc::run_until(
+      net, &workload, [&workload] { return workload.done(); }, cycle_limit);
 }
 
 }  // namespace drlnoc::trace

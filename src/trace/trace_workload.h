@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "noc/network.h"
+#include "noc/simulator.h"
 #include "trace/trace.h"
 #include "util/live_id_table.h"
 
@@ -56,9 +57,6 @@ class TraceWorkload : public noc::TrafficInjector {
   std::uint64_t emitted() const { return total_emitted_; }
   std::uint64_t delivered() const { return total_delivered_; }
   std::uint64_t iterations() const { return iterations_; }
-  /// Core-time each record of the current/last iteration was injected;
-  /// negative while not yet injected. Indexed like trace().records.
-  const std::vector<double>& injection_times() const { return inject_time_; }
 
  private:
   struct Ready {
@@ -87,7 +85,6 @@ class TraceWorkload : public noc::TrafficInjector {
   std::vector<ReadyQueue> ready_;              ///< per source node
   std::vector<std::uint32_t> pending_;         ///< unmet deps per record
   std::vector<double> dep_ready_;              ///< latest dep delivery + delay
-  std::vector<double> inject_time_;            ///< -1 until injected
   util::LiveIdTable<std::uint32_t> live_;     ///< pkt id -> record idx
   std::uint64_t iter_emitted_ = 0;
   std::uint64_t iter_delivered_ = 0;
@@ -101,16 +98,16 @@ class TraceWorkload : public noc::TrafficInjector {
   std::uint64_t iterations_ = 0;
 };
 
-/// Drives `net` with `workload` until the trace completes *and* the fabric
-/// drains (or `cycle_limit` router cycles elapse). The workload stays
-/// attached throughout so post-emission deliveries keep gating dependents.
-struct TraceReplayResult {
-  noc::EpochStats stats;
-  bool completed = false;     ///< every record delivered and fabric drained
-  std::uint64_t cycles = 0;   ///< router cycles consumed
-};
+/// The result of run_trace_replay. It is noc::RunResult under an older
+/// name, kept only because the end-to-end benchmark (bench/e2e) names it.
+using TraceReplayResult = noc::RunResult;
 
-TraceReplayResult run_trace_replay(noc::Network& net, TraceWorkload& workload,
-                                   std::uint64_t cycle_limit = 1000000);
+/// Drives `net` with `workload` through noc::run_until until the trace
+/// completes *and* the fabric drains (or `cycle_limit` router cycles
+/// elapse). The workload stays attached throughout so post-emission
+/// deliveries keep gating dependents. Throws std::invalid_argument when the
+/// trace addresses more nodes than `net` has.
+noc::RunResult run_trace_replay(noc::Network& net, TraceWorkload& workload,
+                                std::uint64_t cycle_limit = 1000000);
 
 }  // namespace drlnoc::trace

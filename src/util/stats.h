@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace drlnoc::util {
@@ -75,12 +74,6 @@ class Histogram {
   std::uint64_t overflow_ = 0;
   std::size_t total_ = 0;
   double sum_ = 0.0;
-};
-
-/// Simple named-series container used to dump benchmark data as CSV.
-struct Series {
-  std::string name;
-  std::vector<double> values;
 };
 
 }  // namespace drlnoc::util

@@ -84,19 +84,35 @@ TEST(SteadyStateAllocations, NetworkStepIsAllocationFree) {
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "uniform", 0.04);
   const int kWindow = 2000;
-  // Warm-up: reach steady state and establish every buffer capacity,
-  // including the per-window record accumulators.
+  // Warm-up: reach steady state and establish every buffer capacity.
   for (int i = 0; i < 2 * kWindow; ++i) net.step(&w);
   (void)net.drain_epoch_stats();
-  (void)net.drain_records();
   for (int i = 0; i < kWindow; ++i) net.step(&w);
   (void)net.drain_epoch_stats();
-  (void)net.drain_records();
 
   const std::uint64_t before = alloc_count();
   for (int i = 0; i < kWindow; ++i) net.step(&w);
   const std::uint64_t after = alloc_count();
   EXPECT_EQ(after - before, 0u) << "Network::step allocated in steady state";
+}
+
+TEST(SteadyStateAllocations, NetworkKeepsNoRunHistory) {
+  // A Network holds no per-packet history: stepped for 20k cycles with no
+  // drain call of any kind, its heap footprint must not grow with the
+  // packets it delivers (about 51k here).
+  noc::NetworkParams p;
+  p.width = p.height = 8;
+  p.seed = 3;
+  noc::Network net(p);
+  noc::SteadyWorkload w =
+      noc::SteadyWorkload::make(net.topology(), "uniform", 0.04);
+  for (int i = 0; i < 2000; ++i) net.step(&w);  // buffer capacities settle
+
+  const std::int64_t before = live_bytes();
+  for (int i = 0; i < 20000; ++i) net.step(&w);
+  EXPECT_EQ(live_bytes() - before, 0)
+      << "Network::step retained memory across "
+      << net.total_packets_received() << " deliveries";
 }
 
 TEST(SteadyStateAllocations, NetworkStepAfterReconfigIsAllocationFree) {
@@ -110,7 +126,6 @@ TEST(SteadyStateAllocations, NetworkStepAfterReconfigIsAllocationFree) {
   net.apply_config(noc::NocConfig{2, 4, 2});
   for (int i = 0; i < 3000; ++i) net.step(&w);
   (void)net.drain_epoch_stats();
-  (void)net.drain_records();
   for (int i = 0; i < 1500; ++i) net.step(&w);
 
   const std::uint64_t before = alloc_count();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/action_space.h"
 #include "core/controller.h"
 #include "core/env_noc.h"

@@ -18,6 +18,7 @@
 #include "noc/workload.h"
 #include "rl/dqn.h"
 #include "rl/policy_io.h"
+#include "trace/recorder.h"
 #include "util/rng.h"
 
 namespace drlnoc {
@@ -30,14 +31,15 @@ TEST(GoldenDeterminism, Mesh8x8UniformWithReconfig) {
   noc::Network net(p);
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "uniform", 0.10);
+  trace::TraceRecorder rec(net.num_nodes(), &w);
 
   GoldenHash h;
-  mix_stats(h, net.run_epoch(&w, 1500));
+  mix_stats(h, net.run_epoch(&rec, 1500));
   // Mid-run reconfiguration: fewer VCs, shallower buffers, slower clock —
   // exercises credit withholding and VC gating on live traffic.
   net.apply_config(noc::NocConfig{2, 4, 2});
-  mix_stats(h, net.run_epoch(&w, 1500));
-  mix_records(h, net.drain_records());
+  mix_stats(h, net.run_epoch(&rec, 1500));
+  mix_records(h, rec.records());
   mix_router_state(h, net);
 
   EXPECT_EQ(h.value(), 11893662481098957864ULL);
@@ -51,10 +53,11 @@ TEST(GoldenDeterminism, Mesh6x6OddEvenTranspose) {
   noc::Network net(p);
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "transpose", 0.12);
+  trace::TraceRecorder rec(net.num_nodes(), &w);
 
   GoldenHash h;
-  mix_stats(h, net.run_epoch(&w, 2000));
-  mix_records(h, net.drain_records());
+  mix_stats(h, net.run_epoch(&rec, 2000));
+  mix_records(h, rec.records());
   mix_router_state(h, net);
 
   EXPECT_EQ(h.value(), 634678814998183288ULL);
@@ -70,12 +73,13 @@ TEST(GoldenDeterminism, Mesh16x16UniformLowLoadWithReconfig) {
   noc::Network net(p);
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "uniform", 0.02);
+  trace::TraceRecorder rec(net.num_nodes(), &w);
 
   GoldenHash h;
-  mix_stats(h, net.run_epoch(&w, 1200));
+  mix_stats(h, net.run_epoch(&rec, 1200));
   net.apply_config(noc::NocConfig{2, 4, 2});
-  mix_stats(h, net.run_epoch(&w, 1200));
-  mix_records(h, net.drain_records());
+  mix_stats(h, net.run_epoch(&rec, 1200));
+  mix_records(h, rec.records());
   mix_router_state(h, net);
 
   EXPECT_EQ(h.value(), 10559580170762473702ULL);
@@ -89,10 +93,11 @@ TEST(GoldenDeterminism, Torus4x4DatelineClasses) {
   noc::Network net(p);
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "uniform", 0.15);
+  trace::TraceRecorder rec(net.num_nodes(), &w);
 
   GoldenHash h;
-  mix_stats(h, net.run_epoch(&w, 2000));
-  mix_records(h, net.drain_records());
+  mix_stats(h, net.run_epoch(&rec, 2000));
+  mix_records(h, rec.records());
   mix_router_state(h, net);
 
   EXPECT_EQ(h.value(), 375709662462404824ULL);

@@ -2,10 +2,12 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "noc/network.h"
 #include "noc/simulator.h"
 #include "noc/workload.h"
+#include "trace/recorder.h"
 
 namespace drlnoc::noc {
 namespace {
@@ -22,28 +24,30 @@ NetworkParams small_mesh(std::uint64_t seed = 1) {
   return p;
 }
 
-// Runs traffic then drains; returns (injected flits, ejected flits).
-void run_and_drain(Network& net, TrafficInjector& w, int cycles) {
-  for (int i = 0; i < cycles; ++i) net.step(&w);
-  int guard = 0;
-  while (!net.drained() && guard < 200000) {
-    net.step(nullptr);
-    ++guard;
-  }
-  ASSERT_TRUE(net.drained()) << "network failed to drain";
+// Runs traffic then drains; returns every delivered-packet record, seen by
+// one recorder across both phases.
+std::vector<PacketRecord> run_and_drain(Network& net, TrafficInjector& w,
+                                        int cycles) {
+  trace::TraceRecorder rec(net.num_nodes(), &w);
+  for (int i = 0; i < cycles; ++i) net.step(&rec);
+  rec.set_source(nullptr);
+  EXPECT_TRUE(run_until(net, &rec, [] { return true; }, 200000).completed)
+      << "network failed to drain";
+  return rec.records();
+}
+
+// Drains hand-injected packets; returns their delivered records.
+std::vector<PacketRecord> drain_hand_injected(Network& net) {
+  trace::TraceRecorder rec(net.num_nodes());
+  EXPECT_TRUE(run_until(net, &rec, [] { return true; }, 10000).completed);
+  return rec.records();
 }
 
 TEST(Network, DeliversSinglePacket) {
   Network net(small_mesh());
   // Hand-inject one packet from node 0 to node 15.
   net.nic(0).offer_packet(15, 0.0, true, 1);
-  int guard = 0;
-  while (!net.drained() && guard < 10000) {
-    net.step(nullptr);
-    ++guard;
-  }
-  ASSERT_TRUE(net.drained());
-  auto records = net.drain_records();
+  const auto records = drain_hand_injected(net);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].src, 0);
   EXPECT_EQ(records[0].dst, 15);
@@ -63,8 +67,7 @@ TEST(Network, FlitConservationUniform) {
 TEST(Network, NoPacketLostOrDuplicated) {
   Network net(small_mesh(11));
   SteadyWorkload w = SteadyWorkload::make(net.topology(), "uniform", 0.08);
-  run_and_drain(net, w, 4000);
-  auto records = net.drain_records();
+  const auto records = run_and_drain(net, w, 4000);
   std::set<std::uint64_t> ids;
   for (const auto& r : records) {
     EXPECT_TRUE(ids.insert(r.packet_id).second)
@@ -76,9 +79,9 @@ TEST(Network, NoPacketLostOrDuplicated) {
 TEST(Network, LatencyRespectsLowerBound) {
   Network net(small_mesh(13));
   SteadyWorkload w = SteadyWorkload::make(net.topology(), "uniform", 0.02);
-  run_and_drain(net, w, 4000);
+  const auto records = run_and_drain(net, w, 4000);
   const auto& topo = net.topology();
-  for (const auto& r : net.drain_records()) {
+  for (const auto& r : records) {
     // Lower bound: the head must cross min_hops inter-router links plus the
     // injection and ejection links (1 cycle each, single-cycle routers), and
     // the tail trails by the serialization latency. Core cycles == router
@@ -291,13 +294,7 @@ TEST(Network, CustomPacketLengthsHonored) {
   Network net(small_mesh(45));
   net.nic(0).offer_packet(5, 0.0, true, 1, /*length=*/1);
   net.nic(0).offer_packet(5, 0.0, true, 2, /*length=*/9);
-  int guard = 0;
-  while (!net.drained() && guard < 10000) {
-    net.step(nullptr);
-    ++guard;
-  }
-  ASSERT_TRUE(net.drained());
-  const auto records = net.drain_records();
+  const auto records = drain_hand_injected(net);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].length + records[1].length, 10);
   EXPECT_EQ(net.total_flits_injected(), 10u);
@@ -309,8 +306,7 @@ TEST(Network, PhasePacketLengthFlowsThrough) {
   std::vector<Phase> phases = {
       {"uniform", 0.05, 1e9, "bernoulli", /*flits_per_packet=*/2}};
   PhasedWorkload w(net.topology(), phases);
-  run_and_drain(net, w, 2000);
-  const auto records = net.drain_records();
+  const auto records = run_and_drain(net, w, 2000);
   ASSERT_FALSE(records.empty());
   for (const auto& r : records) EXPECT_EQ(r.length, 2);
 }

@@ -19,6 +19,7 @@
 #include "obs/network_metrics.h"
 #include "obs/profiler.h"
 #include "obs/session.h"
+#include "trace/recorder.h"
 
 namespace drlnoc {
 namespace {
@@ -225,11 +226,12 @@ std::uint64_t mesh8x8_hash(obs::FlightRecorder* rec,
   if (metrics != nullptr) net.set_metrics(metrics);
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "uniform", 0.10);
+  trace::TraceRecorder recorder(net.num_nodes(), &w);
   GoldenHash h;
-  mix_stats(h, net.run_epoch(&w, 1500));
+  mix_stats(h, net.run_epoch(&recorder, 1500));
   net.apply_config(noc::NocConfig{2, 4, 2});
-  mix_stats(h, net.run_epoch(&w, 1500));
-  mix_records(h, net.drain_records());
+  mix_stats(h, net.run_epoch(&recorder, 1500));
+  mix_records(h, recorder.records());
   mix_router_state(h, net);
   return h.value();
 }

@@ -24,6 +24,7 @@
 #include "scenario/runtime.h"
 #include "scenario/scenario_io.h"
 #include "trace/generators.h"
+#include "trace/recorder.h"
 #include "util/thread_pool.h"
 
 namespace drlnoc {
@@ -614,7 +615,7 @@ std::uint64_t checked_accounting_fold(std::uint64_t seed) {
   scenario::Scenario s = mixed_scenario(true, seed);
   auto net = scenario::build_network(s);
   auto w = scenario::build_workload(s, net->topology());
-  const scenario::ScenarioRunResult r = scenario::run_scenario(*net, *w);
+  const noc::RunResult r = scenario::run_scenario(*net, *w);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.stats.tenants.size(), 2u);
 
@@ -666,9 +667,14 @@ TEST(QosPinning, AnnotationsNeverPerturbTheTrafficStream) {
     scenario::Scenario s = mixed_scenario(with_qos);
     auto net = scenario::build_network(s);
     auto w = scenario::build_workload(s, net->topology());
-    const scenario::ScenarioRunResult r = scenario::run_scenario(*net, *w);
+    // run_scenario's steps, driven through a recorder to see the stream.
+    net->set_tenant_tracking(w->num_tenants());
+    trace::TraceRecorder rec(net->num_nodes(), w.get());
+    const noc::RunResult r = noc::run_until(
+        *net, &rec, [&] { return w->quiescent(net->core_time()); },
+        scenario::ScenarioRunParams{}.cycle_limit);
     EXPECT_TRUE(r.completed);
-    std::uint64_t h = tenant_stream_hash(net->drain_records());
+    std::uint64_t h = tenant_stream_hash(rec.records());
     h ^= 0x9e3779b97f4a7c15ULL * (r.stats.tenants[0].packets_received + 1);
     h ^= 0xc2b2ae3d27d4eb4fULL * (r.stats.tenants[1].packets_received + 1);
     return h;

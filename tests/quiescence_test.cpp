@@ -16,6 +16,7 @@
 #include "noc/workload.h"
 #include "scenario/runtime.h"
 #include "scenario/scenario.h"
+#include "trace/recorder.h"
 #include "trace/trace_workload.h"
 #include "util/rng.h"
 
@@ -67,11 +68,12 @@ TEST(Quiescence, RearmAfterMidEpochReconfigWhileIdle) {
   p.initial_config = noc::NocConfig{4, 4, 3};
   noc::Network net(p);
   WindowedUniform w(net.topology(), 0.10);
+  trace::TraceRecorder rec(net.num_nodes(), &w);
 
   GoldenHash h;
   // Burst [0,200) plus full drain: the fabric is silent long before cycle
   // 700 (dvfs level 3 runs routers at the core clock).
-  mix_tenant_stats(h, net.run_epoch(&w, 700));
+  mix_tenant_stats(h, net.run_epoch(&rec, 700));
   EXPECT_TRUE(net.drained());
   // The drained fabric must have fully quiesced: every node left the
   // active worklist.
@@ -83,10 +85,10 @@ TEST(Quiescence, RearmAfterMidEpochReconfigWhileIdle) {
   EXPECT_EQ(net.active_nodes(), net.num_nodes());
   // Second burst [1500,1700) core time falls inside this epoch
   // (700 + 900 router cycles x divisor 4/3 = 1900 core cycles).
-  mix_tenant_stats(h, net.run_epoch(&w, 900));
-  mix_tenant_stats(h, net.run_epoch(&w, 600));  // drain tail
+  mix_tenant_stats(h, net.run_epoch(&rec, 900));
+  mix_tenant_stats(h, net.run_epoch(&rec, 600));  // drain tail
   EXPECT_TRUE(net.drained());
-  mix_records(h, net.drain_records());
+  mix_records(h, rec.records());
   mix_router_state(h, net);
 
   EXPECT_EQ(h.value(), 17408074369770322554ULL);
@@ -124,7 +126,7 @@ TEST(Quiescence, TenantActivationAtWindowBoundaryAfterDrain) {
 
   s.tenants = {t0, t1};
 
-  const scenario::ScenarioRunResult r = scenario::run_scenario(s);
+  const noc::RunResult r = scenario::run_scenario(s);
   EXPECT_TRUE(r.completed);
   ASSERT_EQ(r.stats.tenants.size(), 2u);
   EXPECT_GT(r.stats.tenants[0].packets_received, 0u);
@@ -157,8 +159,7 @@ TEST(Quiescence, DependencyReleaseIntoQuiescentRegion) {
   noc::Network net(p);
   trace::TraceWorkload workload(std::move(t));
 
-  const trace::TraceReplayResult r =
-      trace::run_trace_replay(net, workload, 100000);
+  const noc::RunResult r = trace::run_trace_replay(net, workload, 100000);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(workload.delivered(), 4u);
 

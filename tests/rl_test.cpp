@@ -117,10 +117,6 @@ TEST(Schedules, LinearAndExponential) {
   EXPECT_NEAR(lin.value(50), 0.55, 1e-12);
   EXPECT_DOUBLE_EQ(lin.value(100), 0.1);
   EXPECT_DOUBLE_EQ(lin.value(1000), 0.1);
-  ExponentialSchedule exp(1.0, 0.01, 0.9);
-  EXPECT_DOUBLE_EQ(exp.value(0), 1.0);
-  EXPECT_NEAR(exp.value(10), std::pow(0.9, 10), 1e-12);
-  EXPECT_DOUBLE_EQ(exp.value(10000), 0.01);
 }
 
 // A tiny deterministic chain MDP: states 0..4, action 1 moves right, action 0

@@ -14,6 +14,7 @@
 #include "golden_hash.h"
 #include "noc/network.h"
 #include "noc/workload.h"
+#include "trace/recorder.h"
 
 namespace drlnoc::noc {
 namespace {
@@ -32,13 +33,14 @@ NetworkParams two_node(int depth = 4, int vcs = 2, Cycle link_latency = 1) {
   return p;
 }
 
-void drain(Network& net, int limit = 20000) {
-  int guard = 0;
-  while (!net.drained() && guard < limit) {
-    net.step(nullptr);
-    ++guard;
-  }
-  ASSERT_TRUE(net.drained());
+// Drains the fabric; returns the records of the packets delivered meanwhile.
+// Steps by hand rather than through run_until, which would also drain the
+// epoch statistics and reset the router activity counters tests read.
+std::vector<PacketRecord> drain(Network& net, int limit = 20000) {
+  trace::TraceRecorder rec(net.num_nodes());
+  for (int i = 0; i < limit && !net.drained(); ++i) net.step(&rec);
+  EXPECT_TRUE(net.drained());
+  return rec.records();
 }
 
 TEST(Router, CreditConservationOnIdleLink) {
@@ -116,8 +118,7 @@ TEST(Router, PerVcPairOrderingPreserved) {
     net.nic(0).offer_packet(1, static_cast<double>(i), true,
                             static_cast<std::uint64_t>(i) + 1);
   }
-  drain(net);
-  const auto records = net.drain_records();
+  const auto records = drain(net);
   ASSERT_EQ(records.size(), 50u);
   // Completion times must be non-decreasing in inject order per packet id
   // stream... packets may ride different VCs; require: among packets on the
@@ -268,12 +269,13 @@ std::uint64_t stress_run(
   net.set_fault_model(fp);
   // Far past the ~0.06 uniform saturation point of an 8x8 mesh.
   SteadyWorkload w = SteadyWorkload::make(net.topology(), "uniform", 0.2);
+  trace::TraceRecorder rec(net.num_nodes(), &w);
 
   const NocConfig configs[] = {{4, 8, 3}, {1, 2, 0}, {2, 8, 1}, {4, 1, 2},
                                {3, 5, 0}, {1, 8, 3}, {2, 3, 2}};
   int reconfigs = 0;
   for (int cycle = 1; cycle <= 3200; ++cycle) {
-    net.step(&w);
+    net.step(&rec);
     each_cycle(net);
     if (cycle % 64 != 0) continue;
     ++reconfigs;
@@ -290,8 +292,9 @@ std::uint64_t stress_run(
   }
   // Drain on full resources, still auditing every cycle.
   net.apply_config({4, 8, 3});
+  rec.set_source(nullptr);
   for (int i = 0; i < 100000 && !net.drained(); ++i) {
-    net.step(nullptr);
+    net.step(&rec);
     each_cycle(net);
   }
   EXPECT_TRUE(net.drained());
@@ -301,7 +304,7 @@ std::uint64_t stress_run(
   EXPECT_GT(stats.packets_lost, 0u);
   EXPECT_GT(stats.rerouted_hops, 0u);
   GoldenHash h;
-  mix_records(h, net.drain_records());
+  mix_records(h, rec.records());
   return h.value();
 }
 

@@ -5,6 +5,7 @@
 // environment wiring, and the golden thread-invariance hash.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -20,6 +21,7 @@
 #include "scenario/runtime.h"
 #include "scenario/scenario_io.h"
 #include "trace/generators.h"
+#include "trace/recorder.h"
 #include "trace/trace_io.h"
 #include "trace/trace_workload.h"
 #include "util/thread_pool.h"
@@ -188,6 +190,19 @@ TEST(ScenarioIo, InfiniteStopRoundTrips) {
 
 // --- composite merging -----------------------------------------------------
 
+/// run_scenario's steps with a recorder wrapped around the workload, so the
+/// run's delivered-packet stream can be inspected (the network keeps none).
+noc::RunResult run_recorded(noc::Network& net, CompositeWorkload& w,
+                            trace::TraceRecorder& rec,
+                            const ScenarioRunParams& params = {}) {
+  if (params.duration > 0.0) w.set_horizon(params.duration);
+  net.set_tenant_tracking(w.num_tenants());
+  rec.set_source(&w);
+  return noc::run_until(
+      net, &rec, [&net, &w] { return w.quiescent(net.core_time()); },
+      params.cycle_limit);
+}
+
 TEST(ScenarioAcceptance, SingleTenantTraceBitIdenticalToDirectReplay) {
   const trace::Trace t = dnn_trace();
 
@@ -197,11 +212,11 @@ TEST(ScenarioAcceptance, SingleTenantTraceBitIdenticalToDirectReplay) {
   p.seed = 42;
   noc::Network direct_net(p);
   trace::TraceWorkload direct(t);
-  const auto direct_result =
-      trace::run_trace_replay(direct_net, direct, 500000);
+  trace::TraceRecorder direct_rec(direct_net.num_nodes(), &direct);
+  const noc::RunResult direct_result = noc::run_until(
+      direct_net, &direct_rec, [&direct] { return direct.done(); }, 500000);
   ASSERT_TRUE(direct_result.completed);
-  const std::uint64_t direct_hash =
-      tenant_stream_hash(direct_net.drain_records());
+  const std::uint64_t direct_hash = tenant_stream_hash(direct_rec.records());
 
   // The same replay expressed as a single-tenant .drlsc scenario, loaded
   // from disk like a user would.
@@ -223,22 +238,24 @@ TEST(ScenarioAcceptance, SingleTenantTraceBitIdenticalToDirectReplay) {
   auto w = build_workload(s, net->topology());
   ScenarioRunParams rp;
   rp.cycle_limit = 500000;
-  const ScenarioRunResult r = run_scenario(*net, *w, rp);
+  trace::TraceRecorder rec(net->num_nodes());
+  const noc::RunResult r = run_recorded(*net, *w, rec, rp);
   EXPECT_TRUE(r.completed);
 
   // The delivered-packet stream — ids, endpoints, lengths, timestamps,
   // hops, tenant tags — must match bit for bit.
-  EXPECT_EQ(tenant_stream_hash(net->drain_records()), direct_hash);
+  EXPECT_EQ(tenant_stream_hash(rec.records()), direct_hash);
 }
 
 TEST(CompositeWorkloadTest, AttributesTenantsAndRespectsWindows) {
   const Scenario s = mixed_scenario();
   auto net = build_network(s);
   auto w = build_workload(s, net->topology());
-  const ScenarioRunResult r = run_scenario(*net, *w);
+  trace::TraceRecorder rec(net->num_nodes());
+  const noc::RunResult r = run_recorded(*net, *w, rec);
   ASSERT_TRUE(r.completed);
 
-  const auto records = net->drain_records();
+  const auto& records = rec.records();
   ASSERT_FALSE(records.empty());
   std::uint64_t dnn_count = 0, bg_count = 0;
   for (const noc::PacketRecord& rec : records) {
@@ -288,9 +305,9 @@ TEST(CompositeWorkloadTest, PlacementRemapsTraceEndpoints) {
 
   auto net = build_network(s);
   auto w = build_workload(s, net->topology());
-  const ScenarioRunResult r = run_scenario(*net, *w);
-  ASSERT_TRUE(r.completed);
-  const auto records = net->drain_records();
+  trace::TraceRecorder rec(net->num_nodes());
+  ASSERT_TRUE(run_recorded(*net, *w, rec).completed);
+  const auto& records = rec.records();
   ASSERT_EQ(records.size(), 3u);
   // Local (0->3, 3->1, 1->2) under placement {15,14,11,10}.
   EXPECT_EQ(records[0].src, 15);
@@ -317,9 +334,9 @@ TEST(CompositeWorkloadTest, WindowShiftsTraceReleaseTimes) {
   s.tenants.push_back(std::move(ten));
   auto net = build_network(s);
   auto w = build_workload(s, net->topology());
-  const ScenarioRunResult r = run_scenario(*net, *w);
-  ASSERT_TRUE(r.completed);
-  const auto records = net->drain_records();
+  trace::TraceRecorder rec(net->num_nodes());
+  ASSERT_TRUE(run_recorded(*net, *w, rec).completed);
+  const auto& records = rec.records();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_DOUBLE_EQ(records[0].inject_time, 510.0);
 }
@@ -455,8 +472,9 @@ std::uint64_t scenario_run_hash(std::uint64_t seed) {
   Scenario s = mixed_scenario(seed);
   auto net = build_network(s);
   auto w = build_workload(s, net->topology());
-  const ScenarioRunResult r = run_scenario(*net, *w);
-  std::uint64_t h = tenant_stream_hash(net->drain_records());
+  trace::TraceRecorder rec(net->num_nodes());
+  const noc::RunResult r = run_recorded(*net, *w, rec);
+  std::uint64_t h = tenant_stream_hash(rec.records());
   // Fold in the per-tenant accounting so attribution is pinned too.
   h ^= 0x9e3779b97f4a7c15ULL * (r.stats.tenants[0].packets_received + 1);
   h ^= 0xc2b2ae3d27d4eb4fULL * (r.stats.tenants[1].packets_received + 1);

@@ -110,5 +110,41 @@ TEST(SteadyState, EnergyBalancesAcrossDvfs) {
   EXPECT_LT(lo.avg_power_mw(2.0), hi.avg_power_mw(2.0));
 }
 
+TEST(RunUntil, StopsAtTheCycleLimit) {
+  Network net(mesh4(3));
+  SteadyWorkload w = SteadyWorkload::make(net.topology(), "uniform", 0.05);
+  const RunResult r = run_until(net, &w, [] { return false; }, 500);
+  EXPECT_FALSE(r.completed);
+  EXPECT_EQ(r.cycles, 500u);
+  EXPECT_EQ(r.stats.router_cycles, 500u);
+  EXPECT_GT(r.stats.packets_offered, 0u);
+}
+
+TEST(RunUntil, NullInjectorDrains) {
+  Network net(mesh4(4));
+  SteadyWorkload w = SteadyWorkload::make(net.topology(), "uniform", 0.08);
+  for (int i = 0; i < 300; ++i) net.step(&w);
+  ASSERT_FALSE(net.drained());
+  const RunResult r = run_until(net, nullptr, [] { return true; }, 100000);
+  EXPECT_TRUE(r.completed);
+  EXPECT_TRUE(net.drained());
+  EXPECT_GT(r.cycles, 0u);
+  EXPECT_LT(r.cycles, 100000u);
+  EXPECT_EQ(net.total_packets_received(), net.total_packets_offered());
+  // A drained fabric whose work is done takes no further step.
+  EXPECT_EQ(run_until(net, nullptr, [] { return true; }, 100).cycles, 0u);
+}
+
+TEST(RunUntil, DoneIsRecheckedEveryCycle) {
+  // The fabric is idle throughout, so only `done` keeps the loop going: it
+  // must stop on the exact cycle `done` turns true.
+  Network net(mesh4(5));
+  const RunResult r = run_until(
+      net, nullptr, [&net] { return net.cycle() >= 250; }, 100000);
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.cycles, 250u);
+  EXPECT_EQ(net.cycle(), 250u);
+}
+
 }  // namespace
 }  // namespace drlnoc::noc

@@ -13,6 +13,7 @@
 #include "core/env_noc.h"
 #include "golden_hash.h"
 #include "noc/network.h"
+#include "noc/simulator.h"
 #include "noc/workload.h"
 #include "trace/generators.h"
 #include "trace/recorder.h"
@@ -196,12 +197,27 @@ TEST(TraceSummaryTest, CountsShape) {
 
 // --- timed replay ----------------------------------------------------------
 
+/// A trace replay driven through a recorder: the run's result plus every
+/// delivered-packet record, in completion order.
+struct RecordedReplay {
+  noc::RunResult result;
+  std::vector<noc::PacketRecord> records;
+};
+
+RecordedReplay recorded_replay(noc::Network& net, TraceWorkload& w,
+                               std::uint64_t limit) {
+  TraceRecorder rec(net.num_nodes(), &w);
+  RecordedReplay out;
+  out.result = noc::run_until(net, &rec, [&w] { return w.done(); }, limit);
+  out.records = rec.records();
+  return out;
+}
+
 std::vector<noc::PacketRecord> replay_records(const noc::NetworkParams& p,
                                               TraceWorkload& w,
                                               std::uint64_t limit = 200000) {
   noc::Network net(p);
-  run_trace_replay(net, w, limit);
-  return net.drain_records();
+  return recorded_replay(net, w, limit).records;
 }
 
 TEST(TraceWorkloadTest, TimedReplayHitsExactTicks) {
@@ -216,7 +232,7 @@ TEST(TraceWorkloadTest, TimedReplayHitsExactTicks) {
   TraceWorkload w(t);
   const auto records = replay_records(p, w);
   ASSERT_EQ(records.size(), 3u);
-  // drain_records is in completion order; key by packet id (== trace order
+  // Records arrive in completion order; key by packet id (== trace order
   // here because ids are assigned in injection order).
   double inject_of[4] = {};
   for (const auto& r : records) {
@@ -298,9 +314,9 @@ TEST(TraceWorkloadTest, DependentNeverInjectsBeforeDelivery) {
   p.width = p.height = 4;
   TraceWorkload w(t);
   noc::Network net(p);
-  const auto result = run_trace_replay(net, w, 200000);
-  EXPECT_TRUE(result.completed);
-  const auto records = net.drain_records();
+  const RecordedReplay run = recorded_replay(net, w, 200000);
+  EXPECT_TRUE(run.result.completed);
+  const auto& records = run.records;
   ASSERT_EQ(records.size(), 3u);
   const noc::PacketRecord* by_id[4] = {};
   for (const auto& r : records) by_id[r.packet_id] = &r;
@@ -326,8 +342,9 @@ TEST(TraceWorkloadTest, CongestionShiftsDependentInjection) {
     p.initial_config = config;
     TraceWorkload w(t);
     noc::Network net(p);
-    EXPECT_TRUE(run_trace_replay(net, w, 400000).completed);
-    for (const auto& r : net.drain_records()) {
+    const RecordedReplay run = recorded_replay(net, w, 400000);
+    EXPECT_TRUE(run.result.completed);
+    for (const auto& r : run.records) {
       if (r.packet_id == 2) return r.inject_time;
     }
     return -1.0;
@@ -441,20 +458,24 @@ TEST(TraceRecorderTest, RecordReplayIsBitExact) {
   p.seed = 42;
 
   // Original run: synthetic traffic, run + drain so the capture is complete.
+  // One recorder sees both phases: it forwards to the synthetic source
+  // while injecting, then keeps capturing with a null source while the
+  // fabric drains.
   noc::Network original(p);
   noc::SteadyWorkload synth =
       noc::SteadyWorkload::make(original.topology(), "uniform", 0.10);
-  for (int i = 0; i < 1200; ++i) original.step(&synth);
-  for (int i = 0; i < 50000 && !original.drained(); ++i)
-    original.step(nullptr);
-  ASSERT_TRUE(original.drained());
-  const auto original_records = original.drain_records();
+  TraceRecorder recorder(original.num_nodes(), &synth);
+  for (int i = 0; i < 1200; ++i) original.step(&recorder);
+  recorder.set_source(nullptr);
+  ASSERT_TRUE(
+      noc::run_until(original, &recorder, [] { return true; }, 50000)
+          .completed);
+  const auto& original_records = recorder.records();
   ASSERT_GT(original_records.size(), 100u);
+  EXPECT_EQ(original_records.size(), original.total_packets_offered());
 
-  TraceRecorder recorder(original.num_nodes());
-  for (const auto& rec : original_records) recorder.add(rec);
   const Trace capture = recorder.build();
-  EXPECT_EQ(recorder.captured(), original_records.size());
+  EXPECT_EQ(capture.records.size(), original_records.size());
 
   // Round-trip the capture through the binary format, then replay it on an
   // identically-parameterised network.
@@ -462,13 +483,73 @@ TEST(TraceRecorderTest, RecordReplayIsBitExact) {
   TraceWriter::write_binary(ss, capture);
   TraceWorkload w(TraceReader::read_binary(ss));
   noc::Network replayed(p);
-  const auto result = run_trace_replay(replayed, w, 500000);
-  EXPECT_TRUE(result.completed);
+  const RecordedReplay run = recorded_replay(replayed, w, 500000);
+  EXPECT_TRUE(run.result.completed);
 
   // The delivered-packet stream — ids, endpoints, lengths, per-packet
   // timestamps, hop counts — must be identical bit for bit.
-  EXPECT_EQ(stream_hash(replayed.drain_records()),
-            stream_hash(original_records));
+  EXPECT_EQ(stream_hash(run.records), stream_hash(original_records));
+}
+
+/// A trace workload that counts the losses the network reports to it.
+class LossCountingTrace : public TraceWorkload {
+ public:
+  using TraceWorkload::TraceWorkload;
+  void on_packet_lost(const noc::PacketRecord& rec) override {
+    ++lost_;
+    TraceWorkload::on_packet_lost(rec);
+  }
+  std::uint64_t lost() const { return lost_; }
+
+ private:
+  std::uint64_t lost_ = 0;
+};
+
+TEST(TraceRecorderTest, WrappingAFaultedReplayChangesNothing) {
+  // With retry_budget = 0 every corrupted packet is lost at once, so loss
+  // notifications are on the path. A recorder around the replay must
+  // forward every call, losses included, and leave the run bit-identical.
+  const Trace t = generate_dnn_pipeline({16, 4, 4, 3, 64.0, 32.0, 8});
+  noc::NetworkParams p;
+  p.width = p.height = 4;
+  p.seed = 5;
+  noc::FaultParams faults;
+  faults.seed = 3;
+  faults.link_fault_rate = 0.01;
+  faults.retry_budget = 0;
+  struct Outcome {
+    noc::RunResult result;
+    std::uint64_t lost = 0;
+    std::uint64_t delivered = 0;
+  };
+  const auto run = [&](bool wrapped) {
+    noc::Network net(p);
+    net.set_fault_model(faults);
+    LossCountingTrace w(t);
+    Outcome out;
+    if (wrapped) {
+      TraceRecorder rec(net.num_nodes(), &w);
+      out.result = noc::run_until(net, &rec, [&w] { return w.done(); }, 100000);
+      EXPECT_EQ(rec.records().size(), out.result.stats.packets_received);
+    } else {
+      out.result = run_trace_replay(net, w, 100000);
+    }
+    out.lost = w.lost();
+    out.delivered = w.delivered();
+    return out;
+  };
+  const Outcome bare = run(false);
+  const Outcome wrapped = run(true);
+  ASSERT_GT(bare.result.stats.packets_lost, 0u);
+  EXPECT_EQ(bare.lost, bare.result.stats.packets_lost);
+  EXPECT_EQ(wrapped.lost, bare.lost);
+  EXPECT_EQ(wrapped.delivered, bare.delivered);
+  EXPECT_EQ(wrapped.result.cycles, bare.result.cycles);
+  EXPECT_EQ(wrapped.result.completed, bare.result.completed);
+  GoldenHash bare_stats, wrapped_stats;
+  mix_stats(bare_stats, bare.result.stats);
+  mix_stats(wrapped_stats, wrapped.result.stats);
+  EXPECT_EQ(wrapped_stats.value(), bare_stats.value());
 }
 
 TEST(TraceWorkloadTest, ReplayIsDeterministic) {
@@ -478,8 +559,7 @@ TEST(TraceWorkloadTest, ReplayIsDeterministic) {
   const auto run = [&] {
     TraceWorkload w(dnn);
     noc::Network net(p);
-    run_trace_replay(net, w, 500000);
-    return stream_hash(net.drain_records());
+    return stream_hash(recorded_replay(net, w, 500000).records);
   };
   EXPECT_EQ(run(), run());
 }

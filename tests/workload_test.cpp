@@ -3,6 +3,7 @@
 #include "noc/network.h"
 #include "noc/topology.h"
 #include "noc/workload.h"
+#include "trace/recorder.h"
 
 namespace drlnoc::noc {
 namespace {
@@ -145,10 +146,12 @@ TEST(PhasedWorkload, PerPhaseFlitsPerPacketOverride) {
   p.flits_per_packet = 4;
   Network net(p);
   PhasedWorkload driver(net.topology(), {control, data, defaulted});
-  for (int i = 0; i < 700; ++i) net.step(&driver);
-  while (!net.drained()) net.step(nullptr);
+  trace::TraceRecorder recorder(net.num_nodes(), &driver);
+  for (int i = 0; i < 700; ++i) net.step(&recorder);
+  recorder.set_source(nullptr);
+  while (!net.drained()) net.step(&recorder);
   int seen[10] = {};
-  for (const PacketRecord& rec : net.drain_records()) {
+  for (const PacketRecord& rec : recorder.records()) {
     ASSERT_LT(rec.length, 10);
     ++seen[rec.length];
     const std::size_t phase = driver.phase_index(rec.inject_time);

@@ -295,24 +295,6 @@ int run_with_schedule(const scenario::Scenario& s, obs::ObsSession& session) {
   return 0;
 }
 
-/// `run` fault overrides: tweak (or switch on) the [faults] section from the
-/// command line. Validation of the merged parameters happens in
-/// Scenario::validate below, so a disconnecting or out-of-range override is
-/// rejected exactly like a bad file.
-void apply_fault_overrides(const util::Config& cfg, scenario::Scenario& s) {
-  s.faults.link_fault_rate = cfg.get("fault_rate", s.faults.link_fault_rate);
-  s.faults.seed = static_cast<std::uint64_t>(
-      cfg.get("fault_seed", static_cast<long long>(s.faults.seed)));
-  const long long timeout = cfg.get(
-      "fault_timeout", static_cast<long long>(s.faults.retry_timeout));
-  if (timeout < 1) {
-    throw std::invalid_argument("scenarioctl: fault_timeout must be >= 1");
-  }
-  s.faults.retry_timeout = static_cast<noc::Cycle>(timeout);
-  s.faults.retry_backoff = cfg.get("fault_backoff", s.faults.retry_backoff);
-  s.faults.retry_budget = cfg.get("fault_budget", s.faults.retry_budget);
-}
-
 /// `train`: multi-actor DQN training on the scenario's epoch MDP, saving a
 /// versioned policy checkpoint stamped with the scenario content hash and
 /// the building commit. The printed fingerprint is the policy version to
@@ -454,7 +436,9 @@ int cmd_run(const util::Config& cfg) {
   s.duration = cfg.get("duration", s.duration);
   s.net.seed = static_cast<std::uint64_t>(
       cfg.get("seed", static_cast<long long>(s.net.seed)));
-  apply_fault_overrides(cfg, s);
+  // Fault overrides tweak (or switch on) the [faults] section; the merged
+  // parameters are validated with the rest of the scenario.
+  s.faults = noc::FaultParams::from_config(cfg, s.faults);
   if (s.controller.scheduled()) {
     // Scheduled runs are fixed-length evaluations; their knobs are the
     // schedule's, not the drain-run horizon.
@@ -472,17 +456,11 @@ int cmd_run(const util::Config& cfg) {
     if (!session.finish() && rc == 0) return 1;
     return rc;
   }
-  s.validate();  // overrides may have broken the horizon invariant
-
-  auto net = scenario::build_network(s);
-  auto workload = scenario::build_workload(s, net->topology());
-  session.attach(*net);
+  // run_scenario validates first: overrides may have broken the horizon
+  // invariant.
   session.annotate_scenario(s);
-  scenario::ScenarioRunParams rp;
-  rp.cycle_limit = s.cycle_limit;
-  rp.duration = s.duration;
-  const scenario::ScenarioRunResult r =
-      scenario::run_scenario(*net, *workload, rp);
+  const noc::RunResult r = scenario::run_scenario(
+      s, session.recorder(), session.metrics(s.net.width * s.net.height));
   std::cout << "ran '" << s.name << "' on " << s.net.topology << " "
             << s.net.width << "x" << s.net.height << ": "
             << r.cycles << " router cycles, "

@@ -301,7 +301,7 @@ int cmd_replay(const util::Config& cfg) {
   trace::TraceWorkload workload(std::move(t), tw);
   const auto limit =
       static_cast<std::uint64_t>(cfg.get("cycle_limit", 1000000LL));
-  const trace::TraceReplayResult r =
+  const noc::RunResult r =
       trace::run_trace_replay(net, workload, limit);
 
   std::cout << "replayed " << path << " on " << p.topology << " " << p.width
