@@ -44,22 +44,8 @@ inline std::unique_ptr<rl::DqnAgent> clone_policy(const rl::DqnAgent& agent,
   return copy;
 }
 
-/// DQN hyper-parameters used by every experiment (kept in one place so the
-/// tables are comparable).
-inline rl::DqnParams standard_dqn(std::uint64_t total_env_steps,
-                                  std::uint64_t seed = 7) {
-  rl::DqnParams dp;
-  dp.hidden = {64, 64};
-  dp.gamma = 0.9;
-  dp.lr = 1e-3;
-  dp.min_replay = 128;
-  dp.batch_size = 32;
-  dp.target_sync_every = 250;
-  dp.double_dqn = true;
-  dp.epsilon_decay_steps = total_env_steps * 3 / 4;
-  dp.seed = seed;
-  return dp;
-}
+/// DQN hyper-parameters used by every experiment (core/trainer.h).
+using core::standard_dqn;
 
 /// Trains a fresh agent on `env` and returns it.
 inline std::unique_ptr<rl::DqnAgent> train_agent(core::NocConfigEnv& env,

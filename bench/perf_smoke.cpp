@@ -1,6 +1,8 @@
-// perf_smoke: headless hot-path throughput suite. Runs the fig6 substrate
-// benchmarks without google-benchmark and emits a flat JSON metrics block,
-// seeding the tracked BENCH_*.json trajectory (see README "Performance").
+// perf_smoke: the substrate micro-benchmarks (F6): simulator cycle
+// throughput vs mesh size / VC count / load, MLP inference and training,
+// replay push+sample, and the DQN learn step. Emits a flat JSON metrics
+// block, seeding the tracked BENCH_*.json trajectory (see README
+// "Performance").
 //
 //   ./bench/perf_smoke                           # print JSON to stdout
 //   ./bench/perf_smoke out=BENCH.json            # also write to a file
@@ -18,6 +20,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_json.h"
@@ -27,6 +30,7 @@
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "rl/dqn.h"
+#include "rl/replay.h"
 #include "util/config.h"
 
 namespace {
@@ -101,7 +105,32 @@ double bench_mlp_train(std::uint64_t iters, int repeats) {
       const drlnoc::nn::LossResult lr =
           drlnoc::nn::mse_loss(mlp.forward_ws(x), t);
       mlp.backward_ws(lr.grad);
-      opt.step(mlp.params(), mlp.grads());
+      opt.step(mlp);
+    }
+  });
+}
+
+/// Push + batch-32 sample operations per second through the allocation-free
+/// sample_into path DqnAgent::learn runs; the prioritized buffer also writes
+/// the sampled priorities back, as a learn step does.
+template <class Buffer>
+double bench_replay_push_sample(Buffer& buf, std::uint64_t iters,
+                                int repeats) {
+  Rng rng(3);
+  drlnoc::rl::Transition t;
+  t.state.assign(20, 0.5);
+  t.next_state.assign(20, 0.5);
+  for (int i = 0; i < 1000; ++i) buf.push(t);
+  drlnoc::rl::SampledBatch batch;
+  const std::vector<double> td_abs(32, 1.0);
+  return measure_rate(iters, repeats, [&] {
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      buf.push(t);
+      buf.sample_into(batch, 32, rng);
+      if constexpr (std::is_same_v<Buffer,
+                                   drlnoc::rl::PrioritizedReplayBuffer>) {
+        buf.update_priorities(batch.indices, td_abs);
+      }
     }
   });
 }
@@ -158,6 +187,8 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, double>> metrics;
   metrics.emplace_back("net_step_4x4_vc4",
                        bench_network(4, 4, 0.08, n(20000), repeats));
+  metrics.emplace_back("net_step_8x8_vc1",
+                       bench_network(8, 1, 0.08, n(6000), repeats));
   metrics.emplace_back("net_step_8x8_vc4",
                        bench_network(8, 4, 0.08, n(6000), repeats));
   metrics.emplace_back("net_step_16x16_vc4",
@@ -175,6 +206,12 @@ int main(int argc, char** argv) {
   metrics.emplace_back("mlp_forward_ws_rows_b32",
                        bench_mlp_forward_ws(32, n(2000), repeats));
   metrics.emplace_back("mlp_train_steps_b32", bench_mlp_train(n(1000), repeats));
+  drlnoc::rl::ReplayBuffer uniform(20000);
+  metrics.emplace_back("replay_push_sample_uniform",
+                       bench_replay_push_sample(uniform, n(100000), repeats));
+  drlnoc::rl::PrioritizedReplayBuffer prioritized(20000);
+  metrics.emplace_back("replay_push_sample_prioritized",
+                       bench_replay_push_sample(prioritized, n(20000), repeats));
   metrics.emplace_back("dqn_learn_steps", bench_dqn_learn(n(800), repeats));
 
   drlnoc::bench::write_metrics_json(std::cout, "perf_smoke", metrics, baseline);

@@ -10,6 +10,20 @@
 
 namespace drlnoc::core {
 
+rl::DqnParams standard_dqn(std::uint64_t total_env_steps, std::uint64_t seed) {
+  rl::DqnParams dp;
+  dp.hidden = {64, 64};
+  dp.gamma = 0.9;
+  dp.lr = 1e-3;
+  dp.min_replay = 128;
+  dp.batch_size = 32;
+  dp.target_sync_every = 250;
+  dp.double_dqn = true;
+  dp.epsilon_decay_steps = total_env_steps * 3 / 4;
+  dp.seed = seed;
+  return dp;
+}
+
 EpisodeResult evaluate(NocConfigEnv& env, Controller& controller,
                        bool keep_epochs) {
   obs::ScopedPhase prof(obs::Phase::kEvaluate);

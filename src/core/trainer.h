@@ -81,6 +81,12 @@ struct TrainResult {
   std::vector<int> eval_episodes;       ///< episode index of each eval
 };
 
+/// The DQN hyper-parameters every experiment trains with (bench tables and
+/// `scenarioctl train`), so their policies are comparable. Epsilon anneals
+/// over the first 3/4 of `total_env_steps`.
+rl::DqnParams standard_dqn(std::uint64_t total_env_steps,
+                           std::uint64_t seed = 7);
+
 /// Trains `agent` on `env` for `params.episodes` episodes.
 TrainResult train_dqn(NocConfigEnv& env, rl::DqnAgent& agent,
                       const TrainParams& params);

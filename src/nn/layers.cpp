@@ -5,6 +5,8 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace drlnoc::nn {
 
@@ -24,15 +26,7 @@ void Linear::init_xavier(util::Rng& rng) {
   b_.fill(0.0);
 }
 
-void Linear::forward_into(const Matrix& x, Matrix& y) {
-  assert(x.cols() == w_.rows());
-  assert(&x != &y);
-  cache_x_ = x;
-  matmul_into(y, x, w_);
-  add_row_inplace(y, b_);
-}
-
-void Linear::infer_into(const Matrix& x, Matrix& y) {
+void Linear::forward_into(const Matrix& x, Matrix& y) const {
   assert(x.cols() == w_.rows());
   assert(&x != &y);
   matmul_into(y, x, w_);
@@ -78,24 +72,52 @@ void weight_grad_into(Matrix& stage, Matrix& scratch, const Matrix& x,
   }
 }
 
+/// grad_in = grad_out ⊙ act'(z), reading the ReLU mask from the
+/// pre-activation `z` and the tanh derivative from the output `h`.
+void activation_grad_into(Activation act, const Matrix& grad_out,
+                          const Matrix& z, const Matrix& h, Matrix& grad_in) {
+  assert(&grad_out != &grad_in);
+  grad_in.resize_fast(grad_out.rows(), grad_out.cols());
+  const double* __restrict__ pg = grad_out.data();
+  double* __restrict__ pi = grad_in.data();
+  if (act == Activation::kReLU) {
+    const double* __restrict__ pz = z.data();
+    for (std::size_t i = 0; i < grad_out.size(); ++i) {
+      pi[i] = pz[i] <= 0.0 ? 0.0 : pg[i];
+    }
+  } else {
+    const double* __restrict__ ph = h.data();
+    for (std::size_t i = 0; i < grad_out.size(); ++i) {
+      pi[i] = pg[i] * (1.0 - ph[i] * ph[i]);
+    }
+  }
+}
+
+/// The one layer-width rule, shared by the constructor (std::invalid_argument)
+/// and load() (std::runtime_error).
+template <class Error>
+void check_width(const char* who, std::size_t width, std::size_t index) {
+  if (width < 1 || width > kMaxLayerWidth) {
+    throw Error(std::string(who) + ": implausible layer size " +
+                std::to_string(width) + " at index " + std::to_string(index) +
+                " (expected 1.." + std::to_string(kMaxLayerWidth) + ")");
+  }
+}
+
 }  // namespace
 
-void Linear::backward_params_only(const Matrix& grad_out,
-                                  Matrix& /*scratch*/) {
-  assert(grad_out.rows() == cache_x_.rows() && grad_out.cols() == w_.cols());
-  weight_grad_into(gw_stage_, w_t_, cache_x_, grad_out);
+void Linear::backward_params_only(const Matrix& x, const Matrix& grad_out) {
+  assert(grad_out.rows() == x.rows() && grad_out.cols() == w_.cols());
+  weight_grad_into(gw_stage_, w_t_, x, grad_out);
   gw_ += gw_stage_;
   column_sums_into(gb_stage_, grad_out);
   gb_ += gb_stage_;
 }
 
-void Linear::backward_into(const Matrix& grad_out, Matrix& grad_in) {
-  assert(grad_out.rows() == cache_x_.rows() && grad_out.cols() == w_.cols());
+void Linear::backward_into(const Matrix& x, const Matrix& grad_out,
+                           Matrix& grad_in) {
   assert(&grad_out != &grad_in);
-  weight_grad_into(gw_stage_, w_t_, cache_x_, grad_out);
-  gw_ += gw_stage_;
-  column_sums_into(gb_stage_, grad_out);
-  gb_ += gb_stage_;
+  backward_params_only(x, grad_out);
   transpose_into(w_t_, w_);
   matmul_into(grad_in, grad_out, w_t_);
 }
@@ -105,67 +127,17 @@ void Linear::zero_grads() {
   gb_.fill(0.0);
 }
 
-std::unique_ptr<Layer> Linear::clone() const {
-  auto copy = std::make_unique<Linear>(w_.rows(), w_.cols());
-  copy->w_ = w_;
-  copy->b_ = b_;
-  return copy;
-}
-
-void ReLU::forward_into(const Matrix& x, Matrix& y) {
-  assert(&x != &y);
-  cache_x_ = x;
-  y.resize_fast(x.rows(), x.cols());
-  const double* __restrict__ px = x.data();
-  double* __restrict__ py = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) py[i] = px[i] > 0.0 ? px[i] : 0.0;
-}
-
-void ReLU::infer_into(const Matrix& x, Matrix& y) {
-  assert(&x != &y);
-  y.resize_fast(x.rows(), x.cols());
-  const double* __restrict__ px = x.data();
-  double* __restrict__ py = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) py[i] = px[i] > 0.0 ? px[i] : 0.0;
-}
-
-void ReLU::backward_into(const Matrix& grad_out, Matrix& grad_in) {
-  assert(grad_out.rows() == cache_x_.rows());
-  assert(&grad_out != &grad_in);
-  grad_in.resize_fast(grad_out.rows(), grad_out.cols());
-  const double* __restrict__ pg = grad_out.data();
-  const double* __restrict__ pc = cache_x_.data();
-  double* __restrict__ pi = grad_in.data();
-  for (std::size_t i = 0; i < grad_out.size(); ++i) {
-    pi[i] = pc[i] <= 0.0 ? 0.0 : pg[i];
-  }
-}
-
-void Tanh::forward_into(const Matrix& x, Matrix& y) {
-  assert(&x != &y);
-  y.resize_fast(x.rows(), x.cols());
-  const double* __restrict__ px = x.data();
-  double* __restrict__ py = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) py[i] = std::tanh(px[i]);
-  cache_y_ = y;
-}
-
-void Tanh::infer_into(const Matrix& x, Matrix& y) {
-  assert(&x != &y);
-  y.resize_fast(x.rows(), x.cols());
-  const double* __restrict__ px = x.data();
-  double* __restrict__ py = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) py[i] = std::tanh(px[i]);
-}
-
-void Tanh::backward_into(const Matrix& grad_out, Matrix& grad_in) {
-  assert(&grad_out != &grad_in);
-  grad_in.resize_fast(grad_out.rows(), grad_out.cols());
-  const double* __restrict__ pg = grad_out.data();
-  const double* __restrict__ pc = cache_y_.data();
-  double* __restrict__ pi = grad_in.data();
-  for (std::size_t i = 0; i < grad_out.size(); ++i) {
-    pi[i] = pg[i] * (1.0 - pc[i] * pc[i]);
+void activate_into(Activation act, const Matrix& z, Matrix& h) {
+  assert(&z != &h);
+  h.resize_fast(z.rows(), z.cols());
+  const double* __restrict__ pz = z.data();
+  double* __restrict__ ph = h.data();
+  if (act == Activation::kReLU) {
+    for (std::size_t i = 0; i < z.size(); ++i) {
+      ph[i] = pz[i] > 0.0 ? pz[i] : 0.0;
+    }
+  } else {
+    for (std::size_t i = 0; i < z.size(); ++i) ph[i] = std::tanh(pz[i]);
   }
 }
 
@@ -181,22 +153,6 @@ void DuelingHead::forward_into(const Matrix& x, Matrix& y) {
   assert(&x != &y);
   value_.forward_into(x, v_ws_);      // (batch, 1)
   advantage_.forward_into(x, a_ws_);  // (batch, n)
-  y.resize_fast(a_ws_.rows(), a_ws_.cols());
-  const auto n = static_cast<double>(a_ws_.cols());
-  for (std::size_t r = 0; r < a_ws_.rows(); ++r) {
-    double mean = 0.0;
-    for (std::size_t c = 0; c < a_ws_.cols(); ++c) mean += a_ws_.at(r, c);
-    mean /= n;
-    for (std::size_t c = 0; c < a_ws_.cols(); ++c) {
-      y.at(r, c) = v_ws_.at(r, 0) + a_ws_.at(r, c) - mean;
-    }
-  }
-}
-
-void DuelingHead::infer_into(const Matrix& x, Matrix& y) {
-  assert(&x != &y);
-  value_.infer_into(x, v_ws_);
-  advantage_.infer_into(x, a_ws_);
   y.resize_fast(a_ws_.rows(), a_ws_.cols());
   const auto n = static_cast<double>(a_ws_.cols());
   for (std::size_t r = 0; r < a_ws_.rows(); ++r) {
@@ -227,43 +183,20 @@ void DuelingHead::split_grad(const Matrix& grad_out) {
   }
 }
 
-void DuelingHead::backward_into(const Matrix& grad_out, Matrix& grad_in) {
+void DuelingHead::backward_into(const Matrix& x, const Matrix& grad_out,
+                                Matrix& grad_in) {
   assert(&grad_out != &grad_in);
   split_grad(grad_out);
-  value_.backward_into(dv_ws_, grad_in);
-  advantage_.backward_into(da_ws_, dx_ws_);
+  value_.backward_into(x, dv_ws_, grad_in);
+  advantage_.backward_into(x, da_ws_, dx_ws_);
   grad_in += dx_ws_;
 }
 
-void DuelingHead::backward_params_only(const Matrix& grad_out,
-                                       Matrix& scratch) {
+void DuelingHead::backward_params_only(const Matrix& x,
+                                       const Matrix& grad_out) {
   split_grad(grad_out);
-  value_.backward_params_only(dv_ws_, scratch);
-  advantage_.backward_params_only(da_ws_, scratch);
-}
-
-std::vector<Matrix*> DuelingHead::params() {
-  std::vector<Matrix*> out = value_.params();
-  for (Matrix* p : advantage_.params()) out.push_back(p);
-  return out;
-}
-
-std::vector<Matrix*> DuelingHead::grads() {
-  std::vector<Matrix*> out = value_.grads();
-  for (Matrix* g : advantage_.grads()) out.push_back(g);
-  return out;
-}
-
-std::vector<const Matrix*> DuelingHead::params() const {
-  std::vector<const Matrix*> out = value_.params();
-  for (const Matrix* p : advantage_.params()) out.push_back(p);
-  return out;
-}
-
-std::vector<const Matrix*> DuelingHead::grads() const {
-  std::vector<const Matrix*> out = value_.grads();
-  for (const Matrix* g : advantage_.grads()) out.push_back(g);
-  return out;
+  value_.backward_params_only(x, dv_ws_);
+  advantage_.backward_params_only(x, da_ws_);
 }
 
 void DuelingHead::zero_grads() {
@@ -271,184 +204,152 @@ void DuelingHead::zero_grads() {
   advantage_.zero_grads();
 }
 
-std::unique_ptr<Layer> DuelingHead::clone() const {
-  auto copy = std::make_unique<DuelingHead>(fan_in(), actions());
-  const std::vector<const Matrix*> src = params();
-  const std::vector<Matrix*> dst = copy->params();
-  for (std::size_t i = 0; i < src.size(); ++i) *dst[i] = *src[i];
-  return copy;
-}
-
 Mlp::Mlp(const std::vector<std::size_t>& sizes, Activation act,
          util::Rng& rng, bool dueling)
-    : activation_(act), dueling_(dueling), sizes_(sizes) {
-  if (sizes.size() < 2) throw std::invalid_argument("Mlp needs >= 2 sizes");
-  input_size_ = sizes.front();
-  output_size_ = sizes.back();
-  for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
-    const bool last = i + 2 == sizes.size();
-    if (last && dueling) {
-      auto head = std::make_unique<DuelingHead>(sizes[i], sizes[i + 1]);
-      head->init_he(rng);
-      layers_.push_back(std::move(head));
-      break;
-    }
-    auto linear = std::make_unique<Linear>(sizes[i], sizes[i + 1]);
-    if (act == Activation::kReLU) linear->init_he(rng);
-    else linear->init_xavier(rng);
-    layers_.push_back(std::move(linear));
-    if (!last) {
-      if (act == Activation::kReLU) layers_.push_back(std::make_unique<ReLU>());
-      else layers_.push_back(std::make_unique<Tanh>());
-    }
+    : activation_(act), sizes_(sizes) {
+  if (sizes.size() < 2 || sizes.size() > kMaxLayers) {
+    throw std::invalid_argument("Mlp: " + std::to_string(sizes.size()) +
+                                " sizes (expected 2.." +
+                                std::to_string(kMaxLayers) + ")");
   }
-}
-
-Mlp::Mlp(const Mlp& other)
-    : input_size_(other.input_size_), output_size_(other.output_size_),
-      activation_(other.activation_), dueling_(other.dueling_),
-      sizes_(other.sizes_) {
-  // Workspace buffers and pointer caches are intentionally not copied; they
-  // rebuild lazily against this copy's own layers.
-  for (const auto& layer : other.layers_) layers_.push_back(layer->clone());
-}
-
-Mlp& Mlp::operator=(const Mlp& other) {
-  if (this == &other) return *this;
-  Mlp copy(other);
-  *this = std::move(copy);
-  return *this;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    check_width<std::invalid_argument>("Mlp", sizes[i], i);
+  }
+  const auto init = [&](Linear& layer) {
+    if (act == Activation::kReLU) {
+      layer.init_he(rng);
+    } else {
+      layer.init_xavier(rng);
+    }
+  };
+  const std::size_t n_hidden = sizes.size() - 2;
+  for (std::size_t i = 0; i < n_hidden; ++i) {
+    init(hidden_.emplace_back(sizes[i], sizes[i + 1]));
+  }
+  const std::size_t in = sizes[n_hidden], out = sizes.back();
+  if (dueling) {
+    // He-initialised whatever the activation.
+    head_.emplace<DuelingHead>(in, out).init_he(rng);
+  } else {
+    init(head_.emplace<Linear>(in, out));
+  }
+  pre_.resize(n_hidden);
+  post_.resize(n_hidden);
 }
 
 const Matrix& Mlp::forward_ws(const Matrix& x) {
-  assert(!layers_.empty());
-  acts_.resize(layers_.size());  // no-op after the first call
-  const Matrix* in = &x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i]->forward_into(*in, acts_[i]);
-    in = &acts_[i];
+  assert(!sizes_.empty());
+  x_ = x;
+  const Matrix* in = &x_;
+  for (std::size_t i = 0; i < hidden_.size(); ++i) {
+    hidden_[i].forward_into(*in, pre_[i]);
+    activate_into(activation_, pre_[i], post_[i]);
+    in = &post_[i];
   }
-  return *in;
-}
-
-const Matrix& Mlp::backward_ws(const Matrix& grad_out) {
-  assert(!layers_.empty());
-  const Matrix* g = &grad_out;
-  bool ping = true;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    Matrix& dst = ping ? grad_ping_ : grad_pong_;
-    (*it)->backward_into(*g, dst);
-    g = &dst;
-    ping = !ping;
-  }
-  return *g;
+  std::visit([&](auto& head) { head.forward_into(*in, out_); }, head_);
+  return out_;
 }
 
 const Matrix& Mlp::infer_ws(const Matrix& x) {
-  assert(!layers_.empty());
-  acts_.resize(layers_.size());  // no-op after the first call
+  assert(!sizes_.empty());
   const Matrix* in = &x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i]->infer_into(*in, acts_[i]);
-    in = &acts_[i];
+  for (const Linear& layer : hidden_) {
+    layer.forward_into(*in, infer_z_);
+    activate_into(activation_, infer_z_, infer_h_);
+    in = &infer_h_;
   }
-  return *in;
+  std::visit([&](auto& head) { head.forward_into(*in, infer_out_); }, head_);
+  return infer_out_;
+}
+
+const Matrix* Mlp::backward(const Matrix& grad_out, bool input_grad) {
+  assert(!sizes_.empty());
+  // The head's input is the last hidden output (or the network input).
+  const Matrix& head_in = hidden_.empty() ? x_ : post_.back();
+  if (hidden_.empty() && !input_grad) {
+    std::visit([&](auto& head) { head.backward_params_only(x_, grad_out); },
+               head_);
+    return nullptr;
+  }
+  std::visit(
+      [&](auto& head) { head.backward_into(head_in, grad_out, grad_ping_); },
+      head_);
+  // g holds the gradient wrt the current layer's output; the activation
+  // gradient goes to `dz`, and the layer's input gradient back into g.
+  Matrix* g = &grad_ping_;
+  Matrix* dz = &grad_pong_;
+  for (std::size_t i = hidden_.size(); i-- > 0;) {
+    activation_grad_into(activation_, *g, pre_[i], post_[i], *dz);
+    const Matrix& in = i == 0 ? x_ : post_[i - 1];
+    if (i == 0 && !input_grad) {
+      hidden_[i].backward_params_only(in, *dz);
+      return nullptr;
+    }
+    hidden_[i].backward_into(in, *dz, *g);
+  }
+  return g;
+}
+
+const Matrix& Mlp::backward_ws(const Matrix& grad_out) {
+  return *backward(grad_out, true);
 }
 
 void Mlp::backward_params_ws(const Matrix& grad_out) {
-  assert(!layers_.empty());
-  const Matrix* g = &grad_out;
-  bool ping = true;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    Matrix& dst = ping ? grad_ping_ : grad_pong_;
-    if (it + 1 == layers_.rend()) {
-      // First layer of the stack: its input gradient has no consumer.
-      (*it)->backward_params_only(*g, dst);
-      return;
-    }
-    (*it)->backward_into(*g, dst);
-    g = &dst;
-    ping = !ping;
-  }
+  backward(grad_out, false);
 }
 
 void Mlp::zero_grads() {
-  for (auto& layer : layers_) layer->zero_grads();
+  for (std::size_t k = 0; k < num_linears(); ++k) linear(k).zero_grads();
 }
 
-const std::vector<Matrix*>& Mlp::params() {
-  if (params_cache_.empty()) {
-    for (auto& layer : layers_) {
-      for (Matrix* p : layer->params()) params_cache_.push_back(p);
-    }
+const Linear& Mlp::linear(std::size_t k) const {
+  assert(k < num_linears());
+  if (k < hidden_.size()) return hidden_[k];
+  if (const auto* head = std::get_if<DuelingHead>(&head_)) {
+    return k == hidden_.size() ? head->value() : head->advantage();
   }
-  return params_cache_;
+  return std::get<Linear>(head_);
 }
 
-const std::vector<Matrix*>& Mlp::grads() {
-  if (grads_cache_.empty()) {
-    for (auto& layer : layers_) {
-      for (Matrix* g : layer->grads()) grads_cache_.push_back(g);
-    }
-  }
-  return grads_cache_;
+Linear& Mlp::linear(std::size_t k) {
+  return const_cast<Linear&>(std::as_const(*this).linear(k));
 }
 
-std::vector<const Matrix*> Mlp::params() const {
-  std::vector<const Matrix*> out;
-  for (const auto& layer : layers_) {
-    for (const Matrix* p :
-         static_cast<const Layer&>(*layer).params()) {
-      out.push_back(p);
-    }
-  }
-  return out;
+const Matrix& Mlp::param(std::size_t slot) const {
+  const Linear& layer = linear(slot / 2);
+  return slot % 2 == 0 ? layer.weights() : layer.bias();
 }
 
-std::vector<const Matrix*> Mlp::grads() const {
-  std::vector<const Matrix*> out;
-  for (const auto& layer : layers_) {
-    for (const Matrix* g : static_cast<const Layer&>(*layer).grads()) {
-      out.push_back(g);
-    }
-  }
-  return out;
+Matrix& Mlp::param(std::size_t slot) {
+  return const_cast<Matrix&>(std::as_const(*this).param(slot));
+}
+
+Matrix& Mlp::grad(std::size_t slot) {
+  Linear& layer = linear(slot / 2);
+  return slot % 2 == 0 ? layer.weight_grads() : layer.bias_grads();
 }
 
 void Mlp::copy_weights_from(const Mlp& other) {
-  const std::vector<Matrix*>& dst = params();
-  const std::vector<const Matrix*> src = other.params();
-  if (dst.size() != src.size())
+  if (num_param_slots() != other.num_param_slots())
     throw std::invalid_argument("copy_weights_from: structure mismatch");
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    if (dst[i]->rows() != src[i]->rows() || dst[i]->cols() != src[i]->cols())
+  for (std::size_t s = 0; s < num_param_slots(); ++s) {
+    Matrix& dst = param(s);
+    const Matrix& src = other.param(s);
+    if (dst.rows() != src.rows() || dst.cols() != src.cols())
       throw std::invalid_argument("copy_weights_from: shape mismatch");
-    *dst[i] = *src[i];
-  }
-}
-
-void Mlp::soft_update_from(const Mlp& other, double tau) {
-  const std::vector<Matrix*>& dst = params();
-  const std::vector<const Matrix*> src = other.params();
-  assert(dst.size() == src.size());
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    auto& d = dst[i]->raw();
-    const auto& s = src[i]->raw();
-    for (std::size_t j = 0; j < d.size(); ++j) {
-      d[j] = tau * s[j] + (1.0 - tau) * d[j];
-    }
+    dst = src;
   }
 }
 
 double Mlp::clip_grad_norm(double max_norm) {
   double total_sq = 0.0;
-  for (Matrix* g : grads()) {
-    for (double v : g->raw()) total_sq += v * v;
+  for (std::size_t s = 0; s < num_param_slots(); ++s) {
+    for (double v : grad(s).raw()) total_sq += v * v;
   }
   const double norm = std::sqrt(total_sq);
   if (norm > max_norm && norm > 0.0) {
     const double scale = max_norm / norm;
-    for (Matrix* g : grads()) *g *= scale;
+    for (std::size_t s = 0; s < num_param_slots(); ++s) grad(s) *= scale;
   }
   return norm;
 }
@@ -457,8 +358,8 @@ void Mlp::save(std::ostream& os) const {
   os << "mlp " << sizes_.size() << ' ';
   for (std::size_t s : sizes_) os << s << ' ';
   os << (activation_ == Activation::kReLU ? "relu" : "tanh") << ' '
-     << (dueling_ ? "dueling" : "plain") << '\n';
-  for (const Matrix* p : params()) p->save(os);
+     << (dueling() ? "dueling" : "plain") << '\n';
+  for (std::size_t s = 0; s < num_param_slots(); ++s) param(s).save(os);
 }
 
 Mlp Mlp::load(std::istream& is) {
@@ -467,8 +368,6 @@ Mlp Mlp::load(std::istream& is) {
   // unknown tokens are hard errors — the old silent ReLU/non-dueling
   // fallback could load a tanh or dueling policy as the wrong architecture
   // with plausible-looking (wrong) Q-values.
-  constexpr std::size_t kMaxLayers = 64;
-  constexpr std::size_t kMaxWidth = 1u << 20;
   std::string magic;
   if (!(is >> magic) || magic != "mlp") {
     throw std::runtime_error("Mlp::load: bad magic '" + magic +
@@ -488,12 +387,7 @@ Mlp Mlp::load(std::istream& is) {
                                std::to_string(i) + " of " +
                                std::to_string(n) + " sizes)");
     }
-    if (sizes[i] < 1 || sizes[i] > kMaxWidth) {
-      throw std::runtime_error("Mlp::load: implausible layer size " +
-                               std::to_string(sizes[i]) + " at index " +
-                               std::to_string(i) + " (expected 1.." +
-                               std::to_string(kMaxWidth) + ")");
-    }
+    check_width<std::runtime_error>("Mlp::load", sizes[i], i);
   }
   std::string act, head;
   if (!(is >> act >> head)) throw std::runtime_error("Mlp::load: header tail");
@@ -517,27 +411,26 @@ Mlp Mlp::load(std::istream& is) {
   }
   util::Rng dummy(0);
   Mlp mlp(sizes, activation, dummy, dueling);
-  const std::vector<Matrix*>& params = mlp.params();
-  for (std::size_t i = 0; i < params.size(); ++i) {
+  const std::size_t slots = mlp.num_param_slots();
+  for (std::size_t i = 0; i < slots; ++i) {
+    Matrix& param = mlp.param(i);
     Matrix loaded;
     try {
       loaded = Matrix::load(is);
     } catch (const std::exception& e) {
       throw std::runtime_error("Mlp::load: parameter " + std::to_string(i) +
-                               " of " + std::to_string(params.size()) + ": " +
+                               " of " + std::to_string(slots) + ": " +
                                e.what());
     }
-    if (loaded.rows() != params[i]->rows() ||
-        loaded.cols() != params[i]->cols()) {
+    if (loaded.rows() != param.rows() || loaded.cols() != param.cols()) {
       throw std::runtime_error(
           "Mlp::load: parameter " + std::to_string(i) + " of " +
-          std::to_string(params.size()) + " is " +
-          std::to_string(loaded.rows()) + "x" + std::to_string(loaded.cols()) +
-          " but the declared sizes require " +
-          std::to_string(params[i]->rows()) + "x" +
-          std::to_string(params[i]->cols()));
+          std::to_string(slots) + " is " + std::to_string(loaded.rows()) +
+          "x" + std::to_string(loaded.cols()) +
+          " but the declared sizes require " + std::to_string(param.rows()) +
+          "x" + std::to_string(param.cols()));
     }
-    *params[i] = std::move(loaded);
+    param = std::move(loaded);
   }
   return mlp;
 }

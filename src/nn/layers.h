@@ -1,16 +1,15 @@
-// Layers and the MLP container. Forward caches what backward needs; backward
-// accumulates parameter gradients and writes the input gradient, so layers
-// compose by simple chaining.
+// The Q-network: a stack of Linear layers with an activation between them,
+// ending in a plain Linear or a DuelingHead. Mlp owns every layer by value
+// and applies the activation itself.
 //
-// Every layer writes into caller-owned buffers (forward_into /
-// backward_into / infer_into), and Mlp chains them through
-// persistent per-layer workspace (forward_ws / backward_ws / infer_ws), so
-// steady-state training and inference perform no heap allocation.
+// Forward passes keep what backward needs in Mlp's persistent workspace (the
+// network input, each hidden layer's pre-activation and output), and every
+// layer writes into caller-owned buffers, so steady-state training and
+// inference perform no heap allocation.
 #pragma once
 
 #include <iosfwd>
-#include <memory>
-#include <string>
+#include <variant>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -18,62 +17,42 @@
 
 namespace drlnoc::nn {
 
-class Layer {
- public:
-  virtual ~Layer() = default;
-  virtual std::string name() const = 0;
-  /// x: (batch, in) -> y: (batch, out). `y` must not alias `x`.
-  virtual void forward_into(const Matrix& x, Matrix& y) = 0;
-  /// grad wrt output -> grad wrt input (written into `grad_in`, which must
-  /// not alias `grad_out`); accumulates parameter grads.
-  virtual void backward_into(const Matrix& grad_out, Matrix& grad_in) = 0;
-  /// Inference-only forward: same outputs as forward_into, but skips the
-  /// backward caches (target-network evaluation, greedy action selection).
-  virtual void infer_into(const Matrix& x, Matrix& y) { forward_into(x, y); }
-  /// Backward that only accumulates parameter gradients, skipping the
-  /// input-gradient matmul — valid for the FIRST layer of a network, whose
-  /// input gradient nobody consumes. `scratch` is workspace for the
-  /// default fallback.
-  virtual void backward_params_only(const Matrix& grad_out, Matrix& scratch) {
-    backward_into(grad_out, scratch);
-  }
-  /// Parameter / gradient views (empty for activations).
-  virtual std::vector<Matrix*> params() { return {}; }
-  virtual std::vector<Matrix*> grads() { return {}; }
-  virtual std::vector<const Matrix*> params() const { return {}; }
-  virtual std::vector<const Matrix*> grads() const { return {}; }
-  virtual void zero_grads() {}
-  virtual std::unique_ptr<Layer> clone() const = 0;
-};
+/// Widest layer and largest layer count an Mlp accepts. The constructor and
+/// Mlp::load() check both, so every network that can be built can be saved
+/// and read back.
+inline constexpr std::size_t kMaxLayerWidth = std::size_t{1} << 20;
+inline constexpr std::size_t kMaxLayers = 64;
 
-/// Fully connected: y = x W + b, W is (in, out), b is (1, out).
-class Linear : public Layer {
+/// Fully connected: y = x W + b, W is (in, out), b is (1, out). Backward takes
+/// the forward input `x` again (the Mlp keeps it), so the layer caches nothing.
+class Linear {
  public:
+  Linear() = default;
   Linear(std::size_t in, std::size_t out);
   /// He-uniform initialisation (good default for ReLU nets).
   void init_he(util::Rng& rng);
   /// Xavier-uniform initialisation (tanh nets).
   void init_xavier(util::Rng& rng);
 
-  std::string name() const override { return "linear"; }
-  void forward_into(const Matrix& x, Matrix& y) override;
-  void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
-  void infer_into(const Matrix& x, Matrix& y) override;
-  void backward_params_only(const Matrix& grad_out, Matrix& scratch) override;
-  std::vector<Matrix*> params() override { return {&w_, &b_}; }
-  std::vector<Matrix*> grads() override { return {&gw_, &gb_}; }
-  std::vector<const Matrix*> params() const override { return {&w_, &b_}; }
-  std::vector<const Matrix*> grads() const override { return {&gw_, &gb_}; }
-  void zero_grads() override;
-  std::unique_ptr<Layer> clone() const override;
+  /// x: (batch, in) -> y: (batch, out). `y` must not alias `x`.
+  void forward_into(const Matrix& x, Matrix& y) const;
+  /// Accumulates the parameter gradients of the forward pass on `x` and
+  /// writes the gradient wrt `x` into `grad_in` (must not alias `grad_out`).
+  void backward_into(const Matrix& x, const Matrix& grad_out, Matrix& grad_in);
+  /// backward_into without the input-gradient matmul, for the first layer
+  /// of a network, whose input gradient nobody consumes.
+  void backward_params_only(const Matrix& x, const Matrix& grad_out);
+  void zero_grads();
 
   Matrix& weights() { return w_; }
+  const Matrix& weights() const { return w_; }
   Matrix& bias() { return b_; }
-  std::size_t fan_in() const { return w_.rows(); }
-  std::size_t fan_out() const { return w_.cols(); }
+  const Matrix& bias() const { return b_; }
+  Matrix& weight_grads() { return gw_; }
+  Matrix& bias_grads() { return gb_; }
 
  private:
-  Matrix w_, b_, gw_, gb_, cache_x_;
+  Matrix w_, b_, gw_, gb_;
   // Gradient staging: matmul results land here, then accumulate into
   // gw_/gb_ by element-wise add, so gradients accumulated across several
   // backward calls round exactly as `gw_ += xᵀ·g` does.
@@ -86,56 +65,22 @@ class Linear : public Layer {
   Matrix w_t_;
 };
 
-class ReLU : public Layer {
- public:
-  std::string name() const override { return "relu"; }
-  void forward_into(const Matrix& x, Matrix& y) override;
-  void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
-  void infer_into(const Matrix& x, Matrix& y) override;
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<ReLU>();
-  }
-
- private:
-  Matrix cache_x_;
-};
-
-class Tanh : public Layer {
- public:
-  std::string name() const override { return "tanh"; }
-  void forward_into(const Matrix& x, Matrix& y) override;
-  void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
-  void infer_into(const Matrix& x, Matrix& y) override;
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<Tanh>();
-  }
-
- private:
-  Matrix cache_y_;
-};
-
 /// Dueling head (Wang et al. 2016): splits the representation into a state
 /// value V and advantages A, combining as Q = V + A - mean(A). Drop-in last
 /// layer replacement for the plain Linear output in a Q-network.
-class DuelingHead : public Layer {
+class DuelingHead {
  public:
+  DuelingHead() = default;
   DuelingHead(std::size_t in, std::size_t actions);
   void init_he(util::Rng& rng);
 
-  std::string name() const override { return "dueling"; }
-  void forward_into(const Matrix& x, Matrix& y) override;
-  void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
-  void infer_into(const Matrix& x, Matrix& y) override;
-  void backward_params_only(const Matrix& grad_out, Matrix& scratch) override;
-  std::vector<Matrix*> params() override;
-  std::vector<Matrix*> grads() override;
-  std::vector<const Matrix*> params() const override;
-  std::vector<const Matrix*> grads() const override;
-  void zero_grads() override;
-  std::unique_ptr<Layer> clone() const override;
+  void forward_into(const Matrix& x, Matrix& y);
+  void backward_into(const Matrix& x, const Matrix& grad_out, Matrix& grad_in);
+  void backward_params_only(const Matrix& x, const Matrix& grad_out);
+  void zero_grads();
 
-  std::size_t fan_in() const { return value_.fan_in(); }
-  std::size_t actions() const { return advantage_.fan_out(); }
+  const Linear& value() const { return value_; }
+  const Linear& advantage() const { return advantage_; }
 
  private:
   /// Splits dL/dq into the value gradient (dv_ws_) and the mean-centred
@@ -148,32 +93,31 @@ class DuelingHead : public Layer {
   Matrix v_ws_, a_ws_, dv_ws_, da_ws_, dx_ws_;
 };
 
+/// Hidden-layer nonlinearity. Both stay: the drlpol checkpoint format
+/// records `activation relu|tanh`, and pinned checkpoints use each.
 enum class Activation { kReLU, kTanh };
 
-/// Multi-layer perceptron: Linear (+activation) stack; the last Linear has no
-/// activation (Q-values are unbounded).
+/// h = act(z), element-wise. `h` must not alias `z`.
+void activate_into(Activation act, const Matrix& z, Matrix& h);
+
+/// Multi-layer perceptron: Linear layers with the activation between them;
+/// the last layer has no activation (Q-values are unbounded).
 class Mlp {
  public:
   Mlp() = default;
-  /// sizes = {in, hidden..., out}. With `dueling`, the final layer is a
-  /// DuelingHead instead of a plain Linear.
+  /// sizes = {in, hidden..., out}, each 1..kMaxLayerWidth, at most
+  /// kMaxLayers of them. With `dueling`, the final layer is a DuelingHead
+  /// instead of a plain Linear.
   Mlp(const std::vector<std::size_t>& sizes, Activation act, util::Rng& rng,
       bool dueling = false);
 
-  Mlp(const Mlp& other);
-  Mlp& operator=(const Mlp& other);
-  Mlp(Mlp&&) = default;
-  Mlp& operator=(Mlp&&) = default;
-
-  /// Forward pass caching what backward_ws needs. Intermediate
-  /// activations/gradients live in persistent per-layer buffers, so
-  /// steady-state calls perform zero heap allocations. The returned
-  /// reference is valid until the next *_ws call on this Mlp.
+  /// Forward pass keeping what backward_ws needs. The returned reference is
+  /// valid until the next *_ws call on this Mlp.
   const Matrix& forward_ws(const Matrix& x);
   /// Gradient wrt network input (parameter grads accumulated inside).
   const Matrix& backward_ws(const Matrix& grad_out);
-  /// Inference-only workspace forward: same values as forward_ws but no
-  /// backward caches are written (safe for target nets / greedy eval).
+  /// Inference-only forward: same values as forward_ws, but the state
+  /// backward_ws reads is left untouched (safe for target nets / greedy eval).
   const Matrix& infer_ws(const Matrix& x);
   /// backward_ws minus the first layer's input-gradient matmul — for
   /// training steps that never consume the gradient wrt the network input.
@@ -181,17 +125,17 @@ class Mlp {
 
   void zero_grads();
 
-  /// Cached parameter / gradient pointer lists (built once; the layer
-  /// structure of an Mlp never changes after construction).
-  const std::vector<Matrix*>& params();
-  const std::vector<Matrix*>& grads();
-  std::vector<const Matrix*> params() const;
-  std::vector<const Matrix*> grads() const;
+  /// Parameter slots in their one fixed order: W then b of each hidden
+  /// Linear, then W, b of a plain head, or value W, value b, advantage W,
+  /// advantage b of a dueling head. save(), load(), copy_weights_from() and
+  /// Adam's per-slot moments all rely on this order.
+  std::size_t num_param_slots() const { return 2 * num_linears(); }
+  Matrix& param(std::size_t slot);
+  const Matrix& param(std::size_t slot) const;
+  Matrix& grad(std::size_t slot);
 
   /// Hard copy of all weights (target-network sync).
   void copy_weights_from(const Mlp& other);
-  /// Polyak soft update: θ ← τ·θ_other + (1-τ)·θ.
-  void soft_update_from(const Mlp& other, double tau);
 
   /// Global L2 gradient-norm clipping; returns the pre-clip norm.
   double clip_grad_norm(double max_norm);
@@ -203,25 +147,39 @@ class Mlp {
   /// parameter index — a corrupt file never silently becomes a ReLU net.
   static Mlp load(std::istream& is);
 
-  std::size_t input_size() const { return input_size_; }
-  std::size_t output_size() const { return output_size_; }
+  std::size_t input_size() const { return sizes_.empty() ? 0 : sizes_.front(); }
+  std::size_t output_size() const { return sizes_.empty() ? 0 : sizes_.back(); }
   /// {in, hidden..., out} as passed at construction.
   const std::vector<std::size_t>& sizes() const { return sizes_; }
   Activation activation() const { return activation_; }
-  bool dueling() const { return dueling_; }
+  bool dueling() const { return std::holds_alternative<DuelingHead>(head_); }
 
  private:
-  std::vector<std::unique_ptr<Layer>> layers_;
-  std::size_t input_size_ = 0;
-  std::size_t output_size_ = 0;
+  /// Linear layers in slot order (a dueling head contributes two).
+  std::size_t num_linears() const {
+    if (sizes_.empty()) return 0;
+    return hidden_.size() + (dueling() ? 2 : 1);
+  }
+  Linear& linear(std::size_t k);
+  const Linear& linear(std::size_t k) const;
+  /// Shared body of backward_ws / backward_params_ws; returns the input
+  /// gradient when `input_grad`, otherwise the first layer skips it.
+  const Matrix* backward(const Matrix& grad_out, bool input_grad);
+
+  std::vector<Linear> hidden_;
+  std::variant<Linear, DuelingHead> head_;
   Activation activation_ = Activation::kReLU;
-  bool dueling_ = false;
   std::vector<std::size_t> sizes_;
-  // Workspace (not copied; rebuilt lazily). acts_[i] holds layer i's
-  // output; gradients ping-pong between two buffers through backward_ws.
-  std::vector<Matrix> acts_;
+  // Training workspace: the network input and each hidden layer's
+  // pre-activation and output, written by forward_ws and read by backward.
+  // The ReLU mask reads the pre-activation, the tanh derivative the output.
+  Matrix x_, out_;
+  std::vector<Matrix> pre_, post_;
+  // Inference buffers: a hidden layer's pre-activation and output, and the
+  // head's output, so no buffer changes width from call to call.
+  Matrix infer_z_, infer_h_, infer_out_;
+  // Gradient buffers, ping-ponged layer to layer.
   Matrix grad_ping_, grad_pong_;
-  std::vector<Matrix*> params_cache_, grads_cache_;
 };
 
 }  // namespace drlnoc::nn

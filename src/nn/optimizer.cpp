@@ -6,62 +6,22 @@
 
 namespace drlnoc::nn {
 
-Sgd::Sgd(double lr, double momentum) : lr_(lr), momentum_(momentum) {
+Adam::Adam(double lr) : lr_(lr) {
   if (lr <= 0.0) throw std::invalid_argument("learning rate must be > 0");
 }
 
-void Sgd::step(const std::vector<Matrix*>& params,
-               const std::vector<Matrix*>& grads) {
-  assert(params.size() == grads.size());
-  if (velocity_.size() != params.size()) {
-    velocity_.assign(params.size(), {});
-  }
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    auto& p = params[i]->raw();
-    const auto& g = grads[i]->raw();
-    assert(p.size() == g.size());
-    if (momentum_ > 0.0) {
-      auto& vel = velocity_[i];
-      if (vel.size() != p.size()) vel.assign(p.size(), 0.0);
-      double* __restrict__ pp = p.data();
-      const double* __restrict__ pg = g.data();
-      double* __restrict__ pv = vel.data();
-      for (std::size_t j = 0; j < p.size(); ++j) {
-        pv[j] = momentum_ * pv[j] - lr_ * pg[j];
-        pp[j] += pv[j];
-      }
-    } else {
-      double* __restrict__ pp = p.data();
-      const double* __restrict__ pg = g.data();
-      for (std::size_t j = 0; j < p.size(); ++j) pp[j] -= lr_ * pg[j];
-    }
-  }
-}
-
-Adam::Adam(double lr, double beta1, double beta2, double eps)
-    : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
-  if (lr <= 0.0) throw std::invalid_argument("learning rate must be > 0");
-}
-
-void Adam::reset() {
-  t_ = 0;
-  m_.clear();
-  v_.clear();
-}
-
-void Adam::step(const std::vector<Matrix*>& params,
-                const std::vector<Matrix*>& grads) {
-  assert(params.size() == grads.size());
-  if (m_.size() != params.size()) {
-    m_.assign(params.size(), {});
-    v_.assign(params.size(), {});
+void Adam::step(Mlp& net) {
+  const std::size_t slots = net.num_param_slots();
+  if (m_.size() != slots) {
+    m_.assign(slots, {});
+    v_.assign(slots, {});
   }
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    auto& p = params[i]->raw();
-    const auto& g = grads[i]->raw();
+  const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
+  for (std::size_t i = 0; i < slots; ++i) {
+    auto& p = net.param(i).raw();
+    const auto& g = net.grad(i).raw();
     assert(p.size() == g.size());
     auto& m = m_[i];
     auto& v = v_[i];
@@ -77,20 +37,13 @@ void Adam::step(const std::vector<Matrix*>& params,
     double* __restrict__ pm = m.data();
     double* __restrict__ pv = v.data();
     for (std::size_t j = 0; j < p.size(); ++j) {
-      pm[j] = beta1_ * pm[j] + (1.0 - beta1_) * pg[j];
-      pv[j] = beta2_ * pv[j] + (1.0 - beta2_) * pg[j] * pg[j];
+      pm[j] = kBeta1 * pm[j] + (1.0 - kBeta1) * pg[j];
+      pv[j] = kBeta2 * pv[j] + (1.0 - kBeta2) * pg[j] * pg[j];
       const double mhat = pm[j] / bc1;
       const double vhat = pv[j] / bc2;
-      pp[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+      pp[j] -= lr_ * mhat / (std::sqrt(vhat) + kEps);
     }
   }
-}
-
-std::unique_ptr<Optimizer> make_optimizer(const std::string& kind, double lr) {
-  if (kind == "sgd") return std::make_unique<Sgd>(lr);
-  if (kind == "sgdm") return std::make_unique<Sgd>(lr, 0.9);
-  if (kind == "adam") return std::make_unique<Adam>(lr);
-  throw std::invalid_argument("unknown optimizer: " + kind);
 }
 
 }  // namespace drlnoc::nn

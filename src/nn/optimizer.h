@@ -1,56 +1,28 @@
-// First-order optimizers over (parameter, gradient) matrix pairs.
+// Adam (Kingma & Ba, 2015), the one optimizer the DQN trains with.
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "nn/matrix.h"
+#include "nn/layers.h"
 
 namespace drlnoc::nn {
 
-class Optimizer {
+class Adam {
  public:
-  virtual ~Optimizer() = default;
-  virtual std::string name() const = 0;
-  /// Applies one update; params[i] is updated in place from grads[i].
-  /// Shapes must stay identical across calls (state is per-slot).
-  virtual void step(const std::vector<Matrix*>& params,
-                    const std::vector<Matrix*>& grads) = 0;
-  virtual void reset() {}
-};
-
-/// SGD with optional classical momentum.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(double lr, double momentum = 0.0);
-  std::string name() const override { return "sgd"; }
-  void step(const std::vector<Matrix*>& params,
-            const std::vector<Matrix*>& grads) override;
-  void reset() override { velocity_.clear(); }
+  explicit Adam(double lr);
+  /// Applies one update to every parameter slot of `net` from its
+  /// accumulated gradients. Moments are kept per slot (Mlp::param order)
+  /// and reset for a slot whose shape changed.
+  void step(Mlp& net);
 
  private:
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEps = 1e-8;
+
   double lr_;
-  double momentum_;
-  std::vector<std::vector<double>> velocity_;
-};
-
-/// Adam (Kingma & Ba, 2015).
-class Adam : public Optimizer {
- public:
-  explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
-                double eps = 1e-8);
-  std::string name() const override { return "adam"; }
-  void step(const std::vector<Matrix*>& params,
-            const std::vector<Matrix*>& grads) override;
-  void reset() override;
-
- private:
-  double lr_, beta1_, beta2_, eps_;
   long long t_ = 0;
   std::vector<std::vector<double>> m_, v_;
 };
-
-std::unique_ptr<Optimizer> make_optimizer(const std::string& kind, double lr);
 
 }  // namespace drlnoc::nn

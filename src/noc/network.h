@@ -171,7 +171,7 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Applies a configuration; takes effect immediately and never drops
-  /// in-flight flits (DESIGN.md invariant 6).
+  /// in-flight flits (docs/ARCHITECTURE.md, "Run-time reconfiguration").
   void apply_config(const NocConfig& config);
   const NocConfig& config() const { return config_; }
 

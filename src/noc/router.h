@@ -13,7 +13,8 @@
 //   * active buffer depth — implemented exactly with credit withholding:
 //                         the downstream input unit withholds credits to
 //                         shrink advertised capacity, or grants bonus
-//                         credits to grow it (see DESIGN.md §4).
+//                         credits to grow it (see docs/ARCHITECTURE.md,
+//                         "Run-time reconfiguration").
 #pragma once
 
 #include <cstdint>

@@ -12,9 +12,13 @@
 namespace drlnoc::rl {
 
 namespace {
-std::vector<std::size_t> layer_sizes(std::size_t in,
-                                     const std::vector<std::size_t>& hidden,
+/// {in, hidden..., out} for the agent's Q-networks. Runs before either
+/// network is built, so it is where the agent's own arguments are checked.
+std::vector<std::size_t> layer_sizes(std::size_t in, const DqnParams& params,
                                      int out) {
+  params.validate();
+  if (out < 1) throw std::invalid_argument("need >= 1 action");
+  const std::vector<std::size_t>& hidden = params.hidden;
   std::vector<std::size_t> sizes;
   sizes.push_back(in);
   for (std::size_t h : hidden) sizes.push_back(h);
@@ -59,14 +63,22 @@ void DqnParams::validate() const {
               static_cast<double>(replay_capacity));
   }
   if (n_step < 1) bad_param("n_step (expected >= 1)", n_step);
-  if (!std::isfinite(tau) || tau < 0.0 || tau > 1.0) {
-    bad_param("tau (expected in [0, 1])", tau);
+  if (target_sync_every < 1) {
+    bad_param("target_sync_every (expected >= 1)",
+              static_cast<double>(target_sync_every));
   }
-  if (target_sync_every == 0 && tau == 0.0) {
-    throw std::invalid_argument(
-        "DqnParams: target_sync_every = 0 with tau = 0 leaves the target "
-        "network with no update rule; set target_sync_every > 0 for "
-        "periodic hard syncs or tau > 0 for Polyak updates");
+  // Two input/output layers join the hidden ones in the Mlp.
+  if (hidden.size() + 2 > nn::kMaxLayers) {
+    bad_param("hidden.size() (expected <= " +
+                  std::to_string(nn::kMaxLayers - 2) + ")",
+              static_cast<double>(hidden.size()));
+  }
+  for (std::size_t i = 0; i < hidden.size(); ++i) {
+    if (hidden[i] < 1 || hidden[i] > nn::kMaxLayerWidth) {
+      bad_param("hidden[" + std::to_string(i) + "] (expected 1.." +
+                    std::to_string(nn::kMaxLayerWidth) + ")",
+                static_cast<double>(hidden[i]));
+    }
   }
   if (!std::isfinite(grad_clip) || grad_clip <= 0.0) {
     bad_param("grad_clip (expected > 0)", grad_clip);
@@ -83,14 +95,12 @@ void DqnParams::validate() const {
 DqnAgent::DqnAgent(std::size_t state_size, int num_actions, DqnParams params)
     : state_size_(state_size), num_actions_(num_actions),
       params_(std::move(params)), rng_(params_.seed),
-      online_(layer_sizes(state_size, params_.hidden, num_actions),
+      online_(layer_sizes(state_size, params_, num_actions),
               nn::Activation::kReLU, rng_, params_.dueling),
       target_(online_),
-      optimizer_(nn::make_optimizer(params_.optimizer, params_.lr)),
+      optimizer_(params_.lr),
       epsilon_(params_.epsilon_start, params_.epsilon_end,
                params_.epsilon_decay_steps) {
-  if (num_actions < 1) throw std::invalid_argument("need >= 1 action");
-  params_.validate();
   if (params_.prioritized) {
     prioritized_replay_ = std::make_unique<PrioritizedReplayBuffer>(
         params_.replay_capacity, params_.per_alpha, params_.per_beta);
@@ -217,22 +227,19 @@ double DqnAgent::learn() {
   }
 
   stack_states_into(ws_next_states_, batch.transitions, true);
-  // Next-state values are inference-only: infer_ws skips the backward
-  // caches, so the training forward below is free to own them. The target
-  // net's workspace is untouched until its next forward, so its result can
-  // be used by reference; the online net's next-state values must be copied
-  // out before the training forward overwrites the shared workspace.
+  // Next-state values are inference-only. infer_ws and the training
+  // forward below keep separate buffers, so both results are used by
+  // reference. For Double-DQN the online net's values pick the action;
+  // otherwise td_target never reads q_next_online.
   const nn::Matrix& q_next_target = target_.infer_ws(ws_next_states_);
-  // For Double-DQN the online net's next-state values pick the action.
-  if (params_.double_dqn) {
-    ws_q_next_online_ = online_.infer_ws(ws_next_states_);
-  }
+  const nn::Matrix& q_next_online =
+      params_.double_dqn ? online_.infer_ws(ws_next_states_) : q_next_target;
 
   ws_actions_.resize(batch.transitions.size());
   ws_targets_.resize(batch.transitions.size());
   for (std::size_t i = 0; i < batch.transitions.size(); ++i) {
     ws_actions_[i] = batch.transitions[i].action;
-    ws_targets_[i] = td_target(batch.transitions[i], ws_q_next_online_,
+    ws_targets_[i] = td_target(batch.transitions[i], q_next_online,
                                q_next_target, i);
   }
 
@@ -244,17 +251,14 @@ double DqnAgent::learn() {
   online_.zero_grads();
   online_.backward_params_ws(ws_loss_.grad);
   online_.clip_grad_norm(params_.grad_clip);
-  optimizer_->step(online_.params(), online_.grads());
+  optimizer_.step(online_);
 
   if (params_.prioritized) {
     prioritized_replay_->update_priorities(batch.indices, ws_loss_.td_abs);
   }
 
   ++learn_steps_;
-  if (params_.tau > 0.0) {
-    target_.soft_update_from(online_, params_.tau);
-  } else if (params_.target_sync_every > 0 &&
-             learn_steps_ % params_.target_sync_every == 0) {
+  if (learn_steps_ % params_.target_sync_every == 0) {
     target_.copy_weights_from(online_);
   }
   return ws_loss_.loss;

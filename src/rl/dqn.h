@@ -1,13 +1,14 @@
 // Deep Q-Network agent (Mnih et al. 2015) with the standard stabilizers:
-// experience replay (uniform or prioritized), a periodically synced target
-// network, Huber loss, gradient clipping, epsilon-greedy exploration, and an
-// optional Double-DQN target (van Hasselt et al. 2016).
+// experience replay (uniform or prioritized), a target network hard-synced
+// every `target_sync_every` learn steps, Huber loss, gradient clipping,
+// epsilon-greedy exploration, and an optional Double-DQN target (van Hasselt
+// et al. 2016). The online and target Q-networks are nn::Mlp values, trained
+// by one nn::Adam.
 #pragma once
 
 #include <iosfwd>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "nn/layers.h"
@@ -25,8 +26,7 @@ namespace drlnoc::rl {
 struct DqnParams {
   std::vector<std::size_t> hidden = {64, 64};
   double gamma = 0.9;
-  double lr = 1e-3;
-  std::string optimizer = "adam";
+  double lr = 1e-3;  ///< Adam learning rate
   std::size_t replay_capacity = 20000;
   std::size_t batch_size = 32;
   std::size_t min_replay = 256;        ///< learning starts after this many
@@ -35,8 +35,6 @@ struct DqnParams {
   bool double_dqn = true;
   bool dueling = false;       ///< dueling V/A head (Wang et al. 2016)
   int n_step = 1;             ///< n-step return aggregation
-  double tau = 0.0;           ///< >0: Polyak soft target update per learn
-                              ///< step (disables periodic hard sync)
   bool prioritized = false;
   double per_alpha = 0.6;
   double per_beta = 0.4;
@@ -46,9 +44,8 @@ struct DqnParams {
   std::uint64_t seed = 7;
 
   /// Throws std::invalid_argument naming the offending field when a value is
-  /// out of range. Notably rejects the `target_sync_every == 0 && tau == 0`
-  /// combination, which would leave the target network with no update rule
-  /// at all (and used to crash learn() with a modulo by zero).
+  /// out of range. DqnAgent calls it before building any network, so a bad
+  /// `hidden` width fails here rather than as an unreadable checkpoint.
   void validate() const;
 };
 
@@ -110,7 +107,7 @@ class DqnAgent {
   util::Rng rng_;
   nn::Mlp online_;
   nn::Mlp target_;
-  std::unique_ptr<nn::Optimizer> optimizer_;
+  nn::Adam optimizer_;
   LinearSchedule epsilon_;
   std::unique_ptr<ReplayBuffer> uniform_replay_;
   std::unique_ptr<PrioritizedReplayBuffer> prioritized_replay_;
@@ -123,7 +120,6 @@ class DqnAgent {
   nn::Matrix ws_state_;          ///< 1×state input for act / q_values
   nn::Matrix ws_states_;         ///< stacked batch states
   nn::Matrix ws_next_states_;    ///< stacked batch next-states
-  nn::Matrix ws_q_next_online_;  ///< copied out of the online net workspace
   nn::MaskedLossResult ws_loss_;
   SampledBatch ws_batch_;
   Transition ws_store_;          ///< discount-defaulted copy staged for push

@@ -11,8 +11,8 @@ namespace drlnoc::rl {
 
 namespace {
 
-constexpr std::size_t kMaxHidden = 62;  // mlp layer cap (64) minus in/out
-constexpr std::size_t kMaxWidth = 1u << 20;
+constexpr std::size_t kMaxHidden = nn::kMaxLayers - 2;  // minus in/out
+constexpr std::size_t kMaxWidth = nn::kMaxLayerWidth;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("drlpol: " + what);

@@ -2,8 +2,9 @@
 //
 // The whole repository routes randomness through util::Rng so that a single
 // 64-bit seed reproduces an entire simulation + training run bit-for-bit
-// (DESIGN.md invariant 9). The generator is xoshiro256**, seeded via
-// splitmix64; both are public-domain algorithms by Blackman & Vigna.
+// (docs/ARCHITECTURE.md, "Determinism rules"). The generator is
+// xoshiro256**, seeded via splitmix64; both are public-domain algorithms by
+// Blackman & Vigna.
 #pragma once
 
 #include <array>

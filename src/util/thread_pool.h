@@ -2,8 +2,8 @@
 // hardware threads. Deliberately work-stealing-free: tasks are pulled from a
 // single FIFO queue, and every task is addressed by its index, so results are
 // written to pre-sized slots and parallel output is bit-identical to serial
-// regardless of scheduling order or thread count (DESIGN.md invariant 9
-// extended to the experiment layer).
+// regardless of scheduling order or thread count (docs/ARCHITECTURE.md,
+// "Determinism rules", rule 1).
 #pragma once
 
 #include <condition_variable>

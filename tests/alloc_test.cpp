@@ -150,7 +150,7 @@ TEST(SteadyStateAllocations, MlpWorkspacePathsAreAllocationFree) {
     // mse_loss allocates; keep it OUT of the audited window below.
     mlp.zero_grads();
     mlp.backward_ws(loss.grad);
-    opt.step(mlp.params(), mlp.grads());
+    opt.step(mlp);
   };
   one_step();
   one_step();
@@ -163,7 +163,7 @@ TEST(SteadyStateAllocations, MlpWorkspacePathsAreAllocationFree) {
     mlp.backward_ws(loss.grad);
     mlp.backward_params_ws(loss.grad);
     (void)mlp.clip_grad_norm(10.0);
-    opt.step(mlp.params(), mlp.grads());
+    opt.step(mlp);
   }
   const std::uint64_t after = alloc_count();
   EXPECT_EQ(after - before, 0u) << "Mlp workspace path allocated";

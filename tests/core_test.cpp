@@ -292,7 +292,7 @@ TEST(Trainer, StaticSweepSortedByEdp) {
 }
 
 TEST(Trainer, TrainingIsDeterministicForSeed) {
-  // DESIGN invariant 9 end-to-end: same seeds => identical training returns.
+  // Determinism end to end: same seeds => identical training returns.
   auto run = [] {
     NocEnvParams ep = small_env();
     ep.epochs_per_episode = 6;

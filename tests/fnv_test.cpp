@@ -44,8 +44,8 @@ TEST(HashPins, PersistedHashesOfFixedInputs) {
   util::Rng rng(1);
   nn::Mlp net({3, 4, 2}, nn::Activation::kTanh, rng, /*dueling=*/true);
   double v = -1.0;  // weights set by hand: the pin ignores the initialiser
-  for (nn::Matrix* p : net.params()) {
-    for (double& w : p->raw()) {
+  for (std::size_t s = 0; s < net.num_param_slots(); ++s) {
+    for (double& w : net.param(s).raw()) {
       w = v;
       v += 0.125;
     }

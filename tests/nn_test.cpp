@@ -88,23 +88,27 @@ TEST(Linear, ForwardMatchesHand) {
 }
 
 TEST(Activations, ForwardShapes) {
-  ReLU relu;
-  Tanh tanh_layer;
   Matrix x(2, 2);
   x.at(0, 0) = -1.0;
   x.at(0, 1) = 2.0;
   x.at(1, 0) = 0.0;
   x.at(1, 1) = -3.0;
   Matrix r;
-  relu.forward_into(x, r);
+  activate_into(Activation::kReLU, x, r);
+  ASSERT_EQ(r.rows(), 2u);
+  ASSERT_EQ(r.cols(), 2u);
   EXPECT_DOUBLE_EQ(r.at(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(r.at(0, 1), 2.0);
+  EXPECT_DOUBLE_EQ(r.at(1, 1), 0.0);
   Matrix t;
-  tanh_layer.forward_into(x, t);
+  activate_into(Activation::kTanh, x, t);
+  ASSERT_EQ(t.rows(), 2u);
+  ASSERT_EQ(t.cols(), 2u);
   EXPECT_NEAR(t.at(0, 1), std::tanh(2.0), 1e-12);
+  EXPECT_NEAR(t.at(1, 1), std::tanh(-3.0), 1e-12);
 }
 
-// Finite-difference gradient check for the whole MLP (DESIGN invariant 8).
+// Finite-difference gradient check for the whole MLP.
 class GradCheck : public ::testing::TestWithParam<Activation> {};
 
 TEST_P(GradCheck, MlpMatchesFiniteDifferences) {
@@ -125,12 +129,10 @@ TEST_P(GradCheck, MlpMatchesFiniteDifferences) {
   mlp.backward_ws(lr.grad);
 
   const double eps = 1e-6;
-  auto params = mlp.params();
-  auto grads = mlp.grads();
   int checked = 0;
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    for (std::size_t i = 0; i < params[p]->raw().size(); i += 3) {
-      double& w = params[p]->raw()[i];
+  for (std::size_t p = 0; p < mlp.num_param_slots(); ++p) {
+    for (std::size_t i = 0; i < mlp.param(p).raw().size(); i += 3) {
+      double& w = mlp.param(p).raw()[i];
       const double orig = w;
       w = orig + eps;
       const double up = loss_of(mlp);
@@ -138,7 +140,7 @@ TEST_P(GradCheck, MlpMatchesFiniteDifferences) {
       const double down = loss_of(mlp);
       w = orig;
       const double numeric = (up - down) / (2.0 * eps);
-      const double analytic = grads[p]->raw()[i];
+      const double analytic = mlp.grad(p).raw()[i];
       EXPECT_NEAR(analytic, numeric,
                   1e-4 * std::max(1.0, std::abs(numeric)))
           << "param " << p << " index " << i;
@@ -189,12 +191,24 @@ TEST(Mlp, CopyAndSoftUpdate) {
   b.copy_weights_from(a);
   Matrix x(1, 2, 0.3);
   EXPECT_EQ(a.infer_ws(x).row(0), b.infer_ws(x).row(0));
+  Mlp dueling({2, 4, 2}, Activation::kReLU, rng, /*dueling=*/true);
+  EXPECT_THROW(dueling.copy_weights_from(a), std::invalid_argument);
+}
 
-  Mlp c({2, 4, 2}, Activation::kReLU, rng);
-  const double before = c.params()[0]->at(0, 0);
-  const double src = a.params()[0]->at(0, 0);
-  c.soft_update_from(a, 0.25);
-  EXPECT_NEAR(c.params()[0]->at(0, 0), 0.25 * src + 0.75 * before, 1e-12);
+TEST(Mlp, RejectsLayerWidthsItCouldNotLoad) {
+  util::Rng rng(8);
+  EXPECT_THROW(Mlp({4, 0, 3}, Activation::kReLU, rng), std::invalid_argument);
+  EXPECT_THROW(Mlp({0, 3}, Activation::kReLU, rng), std::invalid_argument);
+  EXPECT_THROW(Mlp({4, kMaxLayerWidth + 1, 3}, Activation::kReLU, rng),
+               std::invalid_argument);
+  EXPECT_THROW(Mlp(std::vector<std::size_t>(kMaxLayers + 1, 2),
+                   Activation::kReLU, rng),
+               std::invalid_argument);
+  // The largest accepted layer count saves to a blob load() reads back.
+  Mlp deep(std::vector<std::size_t>(kMaxLayers, 2), Activation::kTanh, rng);
+  std::stringstream ss;
+  deep.save(ss);
+  EXPECT_EQ(Mlp::load(ss).sizes(), deep.sizes());
 }
 
 TEST(Mlp, GradClipBoundsNorm) {
@@ -207,7 +221,9 @@ TEST(Mlp, GradClipBoundsNorm) {
   mlp.backward_ws(mse_loss(mlp.forward_ws(x), t).grad);
   mlp.clip_grad_norm(0.5);
   double total = 0.0;
-  for (Matrix* g : mlp.grads()) total += g->norm() * g->norm();
+  for (std::size_t s = 0; s < mlp.num_param_slots(); ++s) {
+    total += mlp.grad(s).norm() * mlp.grad(s).norm();
+  }
   EXPECT_LE(std::sqrt(total), 0.5 + 1e-9);
 }
 
@@ -237,10 +253,21 @@ TEST(DuelingHead, QDecomposition) {
   head.forward_into(x, q);
   ASSERT_EQ(q.rows(), 2u);
   ASSERT_EQ(q.cols(), 4u);
-  // Per construction, mean_c(Q_rc) == V_r, i.e. advantages are centred:
-  // Q - rowmean(Q) must equal A - rowmean(A); check rowmean(Q) is finite
-  // and the head has 2 param groups (value + advantage).
-  EXPECT_EQ(head.params().size(), 4u);  // W_v, b_v, W_a, b_a
+  // Advantages are centred, so mean_c(Q_rc) == V_r.
+  Matrix v;
+  head.value().forward_into(x, v);
+  for (std::size_t r = 0; r < q.rows(); ++r) {
+    double mean = 0.0;
+    for (std::size_t c = 0; c < q.cols(); ++c) mean += q.at(r, c) / 4.0;
+    EXPECT_NEAR(mean, v.at(r, 0), 1e-12) << "row " << r;
+  }
+  // A dueling Mlp's head holds four slots: W_v, b_v, W_a, b_a.
+  Mlp mlp({3, 4}, Activation::kReLU, rng, /*dueling=*/true);
+  ASSERT_EQ(mlp.num_param_slots(), 4u);
+  EXPECT_EQ(mlp.param(0).cols(), 1u);
+  EXPECT_EQ(mlp.param(1).cols(), 1u);
+  EXPECT_EQ(mlp.param(2).cols(), 4u);
+  EXPECT_EQ(mlp.param(3).cols(), 4u);
 }
 
 TEST(DuelingHead, GradientMatchesFiniteDifferences) {
@@ -252,19 +279,17 @@ TEST(DuelingHead, GradientMatchesFiniteDifferences) {
   mlp.zero_grads();
   const LossResult lr = mse_loss(mlp.forward_ws(x), target);
   mlp.backward_ws(lr.grad);
-  auto params = mlp.params();
-  auto grads = mlp.grads();
   const double eps = 1e-6;
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    for (std::size_t i = 0; i < params[p]->raw().size(); i += 2) {
-      double& w = params[p]->raw()[i];
+  for (std::size_t p = 0; p < mlp.num_param_slots(); ++p) {
+    for (std::size_t i = 0; i < mlp.param(p).raw().size(); i += 2) {
+      double& w = mlp.param(p).raw()[i];
       const double orig = w;
       w = orig + eps;
       const double up = mse_loss(mlp.infer_ws(x), target).loss;
       w = orig - eps;
       const double down = mse_loss(mlp.infer_ws(x), target).loss;
       w = orig;
-      EXPECT_NEAR(grads[p]->raw()[i], (up - down) / (2 * eps), 1e-5)
+      EXPECT_NEAR(mlp.grad(p).raw()[i], (up - down) / (2 * eps), 1e-5)
           << "param " << p << " index " << i;
     }
   }
@@ -285,25 +310,21 @@ TEST(DuelingHead, SaveLoadRoundTrip) {
   }
 }
 
-TEST(Optimizer, SgdDescendsQuadratic) {
-  // Minimize (w - 3)^2 by hand-fed gradients.
-  Matrix w(1, 1, 0.0), g(1, 1);
-  Sgd opt(0.1);
-  for (int i = 0; i < 200; ++i) {
-    g.at(0, 0) = 2.0 * (w.at(0, 0) - 3.0);
-    opt.step({&w}, {&g});
-  }
-  EXPECT_NEAR(w.at(0, 0), 3.0, 1e-6);
-}
-
 TEST(Optimizer, AdamDescendsQuadratic) {
-  Matrix w(1, 1, -5.0), g(1, 1);
+  // Minimize (w - 3)^2 by hand-fed gradients on a 1x1 network's weight.
+  util::Rng rng(1);
+  Mlp net({1, 1}, Activation::kReLU, rng);
+  double& w = net.param(0).at(0, 0);
+  w = -5.0;
   Adam opt(0.2);
   for (int i = 0; i < 500; ++i) {
-    g.at(0, 0) = 2.0 * (w.at(0, 0) - 3.0);
-    opt.step({&w}, {&g});
+    net.zero_grads();
+    net.grad(0).at(0, 0) = 2.0 * (w - 3.0);
+    opt.step(net);
   }
-  EXPECT_NEAR(w.at(0, 0), 3.0, 1e-3);
+  EXPECT_NEAR(w, 3.0, 1e-3);
+  EXPECT_DOUBLE_EQ(net.param(1).at(0, 0), 0.0);  // zero-gradient bias stays
+  EXPECT_THROW(Adam(-1.0), std::invalid_argument);
 }
 
 TEST(Optimizer, MlpLearnsXor) {
@@ -324,16 +345,9 @@ TEST(Optimizer, MlpLearnsXor) {
     const LossResult lr = mse_loss(mlp.forward_ws(x), t);
     loss = lr.loss;
     mlp.backward_ws(lr.grad);
-    opt.step(mlp.params(), mlp.grads());
+    opt.step(mlp);
   }
   EXPECT_LT(loss, 1e-3);
-}
-
-TEST(Optimizer, FactoryKinds) {
-  EXPECT_EQ(make_optimizer("sgd", 0.1)->name(), "sgd");
-  EXPECT_EQ(make_optimizer("adam", 0.1)->name(), "adam");
-  EXPECT_THROW(make_optimizer("rmsprop", 0.1), std::invalid_argument);
-  EXPECT_THROW(Adam(-1.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -321,41 +321,14 @@ TEST(ScenarioContentHash, StableAndFieldSensitive) {
 // ---------------------------------------------------------------------------
 // Bugfix regressions
 
-TEST(DqnParamsValidation, SyncDisabledWithPolyakIsLegal) {
-  // Regression: target_sync_every = 0 used to crash learn() with a modulo
-  // by zero whenever tau was 0; with tau > 0 it is a legal configuration
-  // (Polyak-only updates) and must run PAST the old crash point.
-  rl::DqnParams dp;
-  dp.hidden = {8};
-  dp.min_replay = 4;
-  dp.batch_size = 4;
-  dp.target_sync_every = 0;
-  dp.tau = 0.01;
-  rl::DqnAgent agent(4, 3, dp);
-  util::Rng rng(1);
-  rl::Transition t;
-  t.state.assign(4, 0.0);
-  t.next_state.assign(4, 0.0);
-  bool learned = false;
-  for (int i = 0; i < 32; ++i) {
-    for (double& v : t.state) v = rng.uniform();
-    for (double& v : t.next_state) v = rng.uniform();
-    t.action = static_cast<int>(rng.below(3));
-    t.reward = -rng.uniform();
-    t.done = (i % 8) == 7;
-    if (agent.observe(t)) learned = true;
-  }
-  EXPECT_TRUE(learned);
-  EXPECT_GT(agent.learn_steps(), 0u);
-}
-
 TEST(DqnParamsValidation, RejectsSyncDisabledWithoutPolyak) {
+  // Regression: target_sync_every = 0 used to crash learn() with a modulo
+  // by zero. The hard sync is the target network's only update rule.
   rl::DqnParams dp;
   dp.target_sync_every = 0;
-  dp.tau = 0.0;
   try {
     rl::DqnAgent agent(4, 3, dp);
-    FAIL() << "expected rejection of target_sync_every=0 with tau=0";
+    FAIL() << "expected rejection of target_sync_every=0";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("target_sync_every"),
               std::string::npos)
@@ -375,9 +348,33 @@ TEST(DqnParamsValidation, RejectsOutOfRangeFields) {
   rejects([](rl::DqnParams& p) { p.batch_size = 0; });
   rejects([](rl::DqnParams& p) { p.replay_capacity = 8; p.batch_size = 16; });
   rejects([](rl::DqnParams& p) { p.n_step = 0; });
-  rejects([](rl::DqnParams& p) { p.tau = -0.1; });
-  rejects([](rl::DqnParams& p) { p.tau = 1.5; });
   rejects([](rl::DqnParams& p) { p.epsilon_start = 2.0; });
+}
+
+TEST(DqnParamsValidation, RejectsNetworksItsCheckpointReaderWouldRefuse) {
+  // Regression: hidden = {0} used to build an agent whose saved checkpoint
+  // rl::read_policy then refused ("implausible hidden size 0").
+  rl::DqnParams dp;
+  dp.hidden = {0};
+  try {
+    rl::DqnAgent agent(4, 3, dp);
+    FAIL() << "expected rejection of a zero-width hidden layer";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("hidden[0]"), std::string::npos)
+        << e.what();
+  }
+  dp.hidden = {8};
+  EXPECT_THROW(rl::DqnAgent(0, 3, dp), std::invalid_argument);
+  EXPECT_THROW(rl::DqnAgent(4, 0, dp), std::invalid_argument);
+  dp.hidden.assign(nn::kMaxLayers - 1, 2);  // one layer too many
+  EXPECT_THROW(rl::DqnAgent(4, 3, dp), std::invalid_argument);
+
+  // The deepest accepted agent round-trips through its own reader.
+  dp.hidden.assign(nn::kMaxLayers - 2, 2);
+  rl::DqnAgent agent(4, 3, dp);
+  std::stringstream ss;
+  agent.save(ss);
+  EXPECT_EQ(rl::read_policy(ss).net.sizes().size(), nn::kMaxLayers);
 }
 
 TEST(MlpLoadHardening, RejectsUnknownTokensAndImplausibleSizes) {

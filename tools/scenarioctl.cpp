@@ -339,19 +339,11 @@ int cmd_train(const util::Config& cfg) {
   tp.eval_every = cfg.get("eval_every", tp.eval_every);
   tp.verbose = true;
 
-  // The experiment-wide hyper-parameters (bench/bench_common.h's
-  // standard_dqn), sized to the training horizon.
-  rl::DqnParams dp;
-  dp.hidden = {64, 64};
-  dp.gamma = 0.9;
-  dp.lr = 1e-3;
-  dp.min_replay = 128;
-  dp.batch_size = 32;
-  dp.target_sync_every = 250;
-  dp.double_dqn = true;
-  dp.epsilon_decay_steps = static_cast<std::uint64_t>(tp.episodes) *
-                           static_cast<std::uint64_t>(epochs) * 3 / 4;
-  dp.seed = static_cast<std::uint64_t>(cfg.get("seed", 7LL));
+  // The experiment-wide hyper-parameters, sized to the training horizon.
+  const rl::DqnParams dp = core::standard_dqn(
+      static_cast<std::uint64_t>(tp.episodes) *
+          static_cast<std::uint64_t>(epochs),
+      static_cast<std::uint64_t>(cfg.get("seed", 7LL)));
 
   // Calibrated once, so neither the probe (built only for the
   // observation/action dimensions) nor the trainer's lanes recalibrate.
