@@ -1,6 +1,7 @@
 // perf_smoke: the substrate micro-benchmarks (F6): simulator cycle
 // throughput vs mesh size / VC count / load, MLP inference and training,
-// replay push+sample, and the DQN learn step. Emits a flat JSON metrics
+// replay push+sample, the DQN learn step, and `.drltrb` trace ingest.
+// Emits a flat JSON metrics
 // block, seeding the tracked BENCH_*.json trajectory (see README
 // "Performance").
 //
@@ -15,6 +16,7 @@
 // BENCH_*.json); its "metrics" object is compared key-by-key.
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -31,6 +33,9 @@
 #include "noc/workload.h"
 #include "rl/dqn.h"
 #include "rl/replay.h"
+#include "trace/generators.h"
+#include "trace/trace_io.h"
+#include "trace/trace_workload.h"
 #include "util/config.h"
 
 namespace {
@@ -159,6 +164,35 @@ double bench_dqn_learn(std::uint64_t iters, int repeats) {
   });
 }
 
+/// Records per second through `.drltrb` ingest: TraceReader::read_file plus
+/// TraceWorkload construction (validation and the dependents index) on the
+/// graph bench/e2e's replay_dnn_16x16 generates, 43,008 records and 589,824
+/// dependency edges. Node placement does not change the ingest work, so the
+/// generator's own placement is kept.
+double bench_trace_ingest(std::uint64_t iters, int repeats) {
+  drlnoc::trace::DnnPipelineParams dp;
+  dp.nodes = 256;
+  dp.layers = 8;
+  dp.tiles_per_layer = 16;
+  dp.batches = 24;
+  const drlnoc::trace::Trace t = drlnoc::trace::generate_dnn_pipeline(dp);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "perf_smoke_ingest.drltrb")
+          .string();
+  drlnoc::trace::TraceWriter::write_file(path, t);
+  std::size_t sink = 0;
+  const double rate = measure_rate(iters * t.records.size(), repeats, [&] {
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      const drlnoc::trace::TraceWorkload w(
+          drlnoc::trace::TraceReader::read_file(path));
+      sink += w.trace().records.size();
+    }
+  });
+  std::filesystem::remove(path);
+  if (sink == 42) std::cerr << "";  // defeat dead-code elimination
+  return rate;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -213,6 +247,7 @@ int main(int argc, char** argv) {
   metrics.emplace_back("replay_push_sample_prioritized",
                        bench_replay_push_sample(prioritized, n(20000), repeats));
   metrics.emplace_back("dqn_learn_steps", bench_dqn_learn(n(800), repeats));
+  metrics.emplace_back("trace_ingest_dnn", bench_trace_ingest(n(10), repeats));
 
   drlnoc::bench::write_metrics_json(std::cout, "perf_smoke", metrics, baseline);
   if (cfg.has("out")) {

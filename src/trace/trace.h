@@ -60,4 +60,18 @@ class Trace {
   TraceSummary summary() const;
 };
 
+/// The records that depend on each record, as one CSR array: record i's
+/// dependents, in ascending record order, are
+/// `targets[begin[i] .. begin[i + 1])`.
+struct Dependents {
+  std::vector<std::size_t> begin;      ///< records + 1 offsets
+  std::vector<std::uint32_t> targets;  ///< record positions
+  bool operator==(const Dependents&) const = default;
+};
+
+/// Validates `trace` exactly as Trace::validate does and builds its
+/// dependents from the id index that validation filled, so the only
+/// scratch is that index: O(records), whatever the number of edges.
+Dependents build_dependents(const Trace& trace);
+
 }  // namespace drlnoc::trace

@@ -1,10 +1,12 @@
 #include "trace/trace_io.h"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +19,7 @@ namespace {
 constexpr char kMagic[4] = {'D', 'R', 'L', 'T'};
 constexpr std::size_t kHeaderBytes = 32;
 constexpr std::size_t kRecordBytes = 32;
+constexpr std::size_t kMaxReservedRecords = std::size_t{1} << 16;
 
 // --- little-endian packing (portable, independent of host byte order) ------
 void put_u16(std::string& out, std::uint16_t v) {
@@ -34,10 +37,12 @@ void put_u64(std::string& out, std::uint64_t v) {
   }
 }
 
+/// Little-endian reads from a buffer whose bounds the caller has already
+/// checked: read_binary checks every record and dependency slice against
+/// the data size up front, from the header counts.
 class ByteCursor {
  public:
-  ByteCursor(const std::string& data, std::size_t offset)
-      : data_(data), pos_(offset) {}
+  explicit ByteCursor(const char* p) : p_(p) {}
 
   std::uint16_t u16() { return static_cast<std::uint16_t>(uint_n(2)); }
   std::uint32_t u32() { return static_cast<std::uint32_t>(uint_n(4)); }
@@ -46,22 +51,19 @@ class ByteCursor {
   double f64() { return std::bit_cast<double>(u64()); }
 
  private:
+  // Portable, independent of host byte order; compilers fold the loop into
+  // one load.
   std::uint64_t uint_n(int bytes) {
-    if (pos_ + static_cast<std::size_t>(bytes) > data_.size()) {
-      throw std::runtime_error("trace binary: truncated file");
-    }
     std::uint64_t v = 0;
     for (int i = 0; i < bytes; ++i) {
-      const auto byte = static_cast<unsigned char>(
-          data_[pos_ + static_cast<std::size_t>(i)]);
-      v |= static_cast<std::uint64_t>(byte) << (8 * i);
+      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p_[i]))
+           << (8 * i);
     }
-    pos_ += static_cast<std::size_t>(bytes);
+    p_ += bytes;
     return v;
   }
 
-  const std::string& data_;
-  std::size_t pos_;
+  const char* p_;
 };
 
 std::string format_double(double v) {
@@ -90,6 +92,82 @@ std::uint64_t parse_u64(const std::string& token, const char* what) {
                              token);
   }
   return v;
+}
+
+constexpr std::size_t kWindowBytes = std::size_t{1} << 16;
+
+/// Reads a seekable stream through one fixed buffer, so a `.drltrb` read
+/// holds at most kWindowBytes of the file at a time, however large it is.
+/// (A whole-file buffer is freed while the per-record dependency lists
+/// built after it live on, leaving a file-sized hole in the heap whose
+/// reuse, and so the peak resident size, depends on what else was
+/// allocated.) Positions count from where the stream stood at construction.
+class Window {
+ public:
+  explicit Window(std::streambuf& sb) : sb_(sb), buf_(kWindowBytes) {
+    origin_ = sb.pubseekoff(0, std::ios::cur, std::ios::in);
+    const std::streamoff end = sb.pubseekoff(0, std::ios::end, std::ios::in);
+    sb.pubseekpos(origin_, std::ios::in);
+    if (end > origin_) size_ = static_cast<std::uint64_t>(end - origin_);
+  }
+
+  /// Bytes from the starting position to the end of the stream.
+  std::uint64_t size() const { return size_; }
+
+  /// The next `n` <= kWindowBytes bytes. The caller has checked them
+  /// against size(), so running short means the stream itself failed.
+  const char* take(std::size_t n) {
+    if (end_ - begin_ < n) refill(n);
+    const char* p = buf_.data() + begin_;
+    begin_ += n;
+    return p;
+  }
+
+  /// Makes the next take() start at byte `pos`; free when `pos` is still
+  /// in the buffer.
+  void seek(std::uint64_t pos) {
+    if (pos >= base_ && pos - base_ <= end_) {
+      begin_ = static_cast<std::size_t>(pos - base_);
+      return;
+    }
+    if (sb_.pubseekpos(origin_ + static_cast<std::streamoff>(pos),
+                       std::ios::in) < 0) {
+      throw std::runtime_error("trace binary: seek failed");
+    }
+    base_ = pos;
+    begin_ = end_ = 0;
+  }
+
+ private:
+  void refill(std::size_t n) {
+    const std::size_t kept = end_ - begin_;
+    std::memmove(buf_.data(), buf_.data() + begin_, kept);
+    base_ += begin_;
+    begin_ = 0;
+    const std::streamsize got =
+        sb_.sgetn(buf_.data() + kept,
+                  static_cast<std::streamsize>(kWindowBytes - kept));
+    end_ = kept + static_cast<std::size_t>(std::max<std::streamsize>(got, 0));
+    if (end_ < n) throw std::runtime_error("trace binary: read failed");
+  }
+
+  std::streambuf& sb_;
+  std::vector<char> buf_;
+  std::streamoff origin_ = 0;
+  std::uint64_t size_ = 0;
+  std::uint64_t base_ = 0;  ///< stream position of buf_[0]
+  std::size_t begin_ = 0;   ///< next unread byte of buf_
+  std::size_t end_ = 0;     ///< end of the bytes read into buf_
+};
+
+/// The file size a `.drltrb` header declares, in decimal, or "more than
+/// 2^64" when it does not fit in 64 bits.
+std::string declared_bytes(std::uint64_t records, std::uint64_t deps) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  if (records > (kMax - kHeaderBytes) / kRecordBytes) return "more than 2^64";
+  const std::uint64_t base = kHeaderBytes + kRecordBytes * records;
+  if (deps > (kMax - base) / 8) return "more than 2^64";
+  return std::to_string(base + 8 * deps);
 }
 
 }  // namespace
@@ -149,8 +227,10 @@ Trace TraceReader::read_text(std::istream& is) {
       continue;
     }
     if (first == "records") {
+      // Only a preallocation hint, so a corrupt count may not reserve
+      // more than a bounded amount up front.
       std::size_t n = 0;
-      if (ls >> n) trace.records.reserve(n);
+      if (ls >> n) trace.records.reserve(std::min(n, kMaxReservedRecords));
       continue;
     }
 
@@ -227,19 +307,27 @@ void TraceWriter::write_binary(std::ostream& os, const Trace& trace) {
 }
 
 Trace TraceReader::read_binary(std::istream& is) {
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  const std::string data = ss.str();
-  if (data.size() < sizeof(kMagic) ||
-      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
+  // A stream that cannot seek (a pipe, say) cannot report its size, so it
+  // is first copied into memory. Either way the header counts are checked
+  // against the size before anything is allocated.
+  std::stringbuf copy;
+  std::streambuf* sb = is.rdbuf();
+  if (sb == nullptr || sb->pubseekoff(0, std::ios::cur, std::ios::in) < 0) {
+    if (sb != nullptr) std::ostream(&copy) << sb;
+    sb = &copy;
+  }
+  Window in(*sb);
+  const std::uint64_t size = in.size();
+  if (size < sizeof(kMagic) ||
+      std::memcmp(in.take(sizeof(kMagic)), kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("trace binary: bad magic");
   }
-  if (data.size() < kHeaderBytes) {
+  if (size < kHeaderBytes) {
     throw std::runtime_error("trace binary: truncated header: " +
-                             std::to_string(data.size()) + " of " +
+                             std::to_string(size) + " of " +
                              std::to_string(kHeaderBytes) + " bytes");
   }
-  ByteCursor header(data, sizeof(kMagic));
+  ByteCursor header(in.take(kHeaderBytes - sizeof(kMagic)));
   const std::uint16_t version = header.u16();
   if (version != kTraceFormatVersion) {
     throw std::runtime_error("trace binary: unsupported version " +
@@ -252,32 +340,35 @@ Trace TraceReader::read_binary(std::istream& is) {
   const std::uint64_t record_count = header.u64();
   const std::uint64_t dep_total = header.u64();
 
-  const std::size_t deps_base =
-      kHeaderBytes + kRecordBytes * static_cast<std::size_t>(record_count);
-  if (data.size() < deps_base) {
+  // Counts are checked against the bytes present by division, before any
+  // multiply or allocation, so no header value can wrap past the check.
+  const std::uint64_t complete = (size - kHeaderBytes) / kRecordBytes;
+  if (record_count > complete) {
     // Point at the first record the file ends inside of, so a corrupted
     // artifact is diagnosable without a hex dump.
-    const std::size_t complete = (data.size() - kHeaderBytes) / kRecordBytes;
     throw std::runtime_error(
         "trace binary: truncated file: header declares " +
         std::to_string(record_count) + " records but the data ends inside "
-        "record " + std::to_string(complete) + " (" +
-        std::to_string(data.size()) + " of " +
-        std::to_string(deps_base + 8 * static_cast<std::size_t>(dep_total)) +
-        " bytes)");
+        "record " + std::to_string(complete) + " (" + std::to_string(size) +
+        " of " + declared_bytes(record_count, dep_total) + " bytes)");
   }
-  if (data.size() < deps_base + 8 * static_cast<std::size_t>(dep_total)) {
-    const std::size_t have = (data.size() - deps_base) / 8;
+  const std::uint64_t deps_base = kHeaderBytes + kRecordBytes * record_count;
+  const std::uint64_t have = (size - deps_base) / 8;
+  if (dep_total > have) {
     throw std::runtime_error(
         "trace binary: truncated file: header declares " +
         std::to_string(dep_total) + " dependency entries but only " +
         std::to_string(have) + " fit in the data");
   }
 
-  trace.records.resize(static_cast<std::size_t>(record_count));
-  ByteCursor cur(data, kHeaderBytes);
-  for (std::size_t i = 0; i < trace.records.size(); ++i) {
+  // Each record's slice as (offset << 32 | record), so that sorting puts
+  // the slices in file order.
+  const auto n = static_cast<std::size_t>(record_count);
+  std::vector<std::uint64_t> slices(n);
+  trace.records.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     TraceRecord& r = trace.records[i];
+    ByteCursor cur(in.take(kRecordBytes));
     r.id = cur.u64();
     r.src = cur.i32();
     r.dst = cur.i32();
@@ -285,14 +376,30 @@ Trace TraceReader::read_binary(std::istream& is) {
     r.length = static_cast<int>(cur.u16());
     const std::uint16_t dep_count = cur.u16();
     const std::uint32_t dep_offset = cur.u32();
-    if (static_cast<std::uint64_t>(dep_offset) + dep_count > dep_total) {
+    if (std::uint64_t{dep_offset} + dep_count > dep_total) {
       throw std::runtime_error(
           "trace binary: dependency slice out of range on record " +
           std::to_string(i));
     }
-    ByteCursor deps(data, deps_base + 8 * static_cast<std::size_t>(dep_offset));
     r.deps.resize(dep_count);
-    for (std::uint64_t& dep : r.deps) dep = deps.u64();
+    slices[i] = std::uint64_t{dep_offset} << 32 | i;
+  }
+  // The dependency table streams through the window once, whatever the
+  // layout; the writer's back-to-back slices are already in order. Only
+  // overlapping slices seek backwards.
+  if (!std::is_sorted(slices.begin(), slices.end())) {
+    std::sort(slices.begin(), slices.end());
+  }
+  for (const std::uint64_t slice : slices) {
+    std::vector<std::uint64_t>& deps =
+        trace.records[static_cast<std::uint32_t>(slice)].deps;
+    if (deps.empty()) continue;
+    in.seek(deps_base + 8 * (slice >> 32));
+    for (std::size_t k = 0; k < deps.size();) {
+      const std::size_t run = std::min(deps.size() - k, kWindowBytes / 8);
+      ByteCursor cur(in.take(8 * run));
+      for (const std::size_t stop = k + run; k < stop; ++k) deps[k] = cur.u64();
+    }
   }
   return trace;
 }

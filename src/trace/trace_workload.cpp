@@ -1,10 +1,10 @@
 #include "trace/trace_workload.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 namespace drlnoc::trace {
@@ -13,27 +13,23 @@ TraceWorkload::TraceWorkload(std::shared_ptr<const Trace> trace,
                              TraceWorkloadParams params)
     : trace_(std::move(trace)), params_(params) {
   if (!trace_) throw std::invalid_argument("TraceWorkload: null trace");
-  trace_->validate();
+  dependents_ = build_dependents(*trace_);
   if (!(params_.rate_scale > 0.0) || !std::isfinite(params_.rate_scale)) {
     throw std::invalid_argument("TraceWorkload: rate_scale must be > 0");
   }
 
   const std::size_t n = trace_->records.size();
-  std::unordered_map<std::uint64_t, std::uint32_t> index;
-  index.reserve(n);
-  dependents_.resize(n);
-  initial_pending_.assign(n, 0);
+  initial_pending_.resize(n);
+  std::size_t senders = 0;  // highest source + 1
   for (std::size_t i = 0; i < n; ++i) {
     const TraceRecord& r = trace_->records[i];
-    for (std::uint64_t dep : r.deps) {
-      // validate() guarantees the dependency was declared earlier.
-      dependents_[index.at(dep)].push_back(static_cast<std::uint32_t>(i));
-    }
+    senders = std::max(senders, static_cast<std::size_t>(r.src) + 1);
     initial_pending_[i] = static_cast<std::uint32_t>(r.deps.size());
-    index.emplace(r.id, static_cast<std::uint32_t>(i));
   }
 
-  ready_.resize(static_cast<std::size_t>(trace_->nodes));
+  // One queue per node that sends, not per node the header declares, so
+  // set-up stays O(records + edges) whatever `nodes` says.
+  ready_.resize(senders);
   rearm(0.0);
 }
 
@@ -64,7 +60,9 @@ void TraceWorkload::release(std::size_t idx, double ready_time) {
 
 noc::NodeId TraceWorkload::generate(noc::NodeId src, double core_time,
                                     util::Rng& /*rng*/) {
-  if (src < 0 || src >= trace_->nodes) return noc::kInvalidNode;
+  if (src < 0 || static_cast<std::size_t>(src) >= ready_.size()) {
+    return noc::kInvalidNode;
+  }
   ReadyQueue& q = ready_[static_cast<std::size_t>(src)];
   if (q.empty() || q.top().ready_time > core_time) return noc::kInvalidNode;
   assert(pending_emit_ == SIZE_MAX && "injection handshake out of order");
@@ -97,7 +95,9 @@ void TraceWorkload::on_packet_delivered(const noc::PacketRecord& rec) {
   ++iter_delivered_;
   ++total_delivered_;
 
-  for (std::uint32_t dep_idx : dependents_[idx]) {
+  for (std::size_t e = dependents_.begin[idx]; e < dependents_.begin[idx + 1];
+       ++e) {
+    const std::uint32_t dep_idx = dependents_.targets[e];
     double& gate = dep_ready_[dep_idx];
     if (rec.eject_time > gate) gate = rec.eject_time;
     assert(pending_[dep_idx] > 0);

@@ -18,7 +18,9 @@
 #include "noc/workload.h"
 #include "rl/dqn.h"
 #include "rl/policy_io.h"
+#include "trace/generators.h"
 #include "trace/recorder.h"
+#include "trace/trace_workload.h"
 #include "util/rng.h"
 
 namespace drlnoc {
@@ -101,6 +103,32 @@ TEST(GoldenDeterminism, Torus4x4DatelineClasses) {
   mix_router_state(h, net);
 
   EXPECT_EQ(h.value(), 375709662462404824ULL);
+}
+
+TEST(GoldenDeterminism, DnnPipelineReplay8x8) {
+  // Dependency-gated replay: every non-root packet releases only once its
+  // predecessors are delivered, so this pins trace validation, the
+  // dependents index and the delivery feedback along with the fabric.
+  trace::DnnPipelineParams dp;
+  dp.nodes = 64;
+  dp.layers = 4;
+  dp.tiles_per_layer = 8;
+  dp.batches = 2;
+  noc::NetworkParams p;
+  p.width = p.height = 8;
+  p.seed = 17;
+  noc::Network net(p);
+  trace::TraceWorkload w(trace::generate_dnn_pipeline(dp));
+  const noc::RunResult r = trace::run_trace_replay(net, w, 1000000);
+  ASSERT_TRUE(r.completed);
+  ASSERT_EQ(w.delivered(), w.trace().records.size());
+
+  GoldenHash h;
+  mix_stats(h, r.stats);
+  h.mix(r.cycles);
+  mix_router_state(h, net);
+
+  EXPECT_EQ(h.value(), 16122044399029859480ULL);
 }
 
 TEST(GoldenDeterminism, DqnLearningTrajectory) {

@@ -9,6 +9,8 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/env_noc.h"
 #include "golden_hash.h"
@@ -19,6 +21,7 @@
 #include "trace/recorder.h"
 #include "trace/trace_io.h"
 #include "trace/trace_workload.h"
+#include "util/rng.h"
 
 namespace drlnoc::trace {
 namespace {
@@ -159,31 +162,326 @@ TEST(TraceIo, FileRoundTripBothFormats) {
   EXPECT_EQ(TraceReader::read_file(bin_path), t);
 }
 
+/// Little-endian u64 into `bytes` at `offset`, as the binary header holds it.
+void poke_u64(std::string& bytes, std::size_t offset, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[offset + static_cast<std::size_t>(i)] =
+        static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+TEST(TraceIo, HugeHeaderCountsAreTruncation) {
+  std::stringstream ss;
+  TraceWriter::write_binary(ss, small_trace());
+  const std::string full = ss.str();
+  // The record count sits at offset 16 and the dependency count at 24.
+  // Counts this large wrap `32 * count` (or `8 * count`) in 64 bits, so the
+  // reader must compare them with the bytes present by division.
+  const std::uint64_t huge_records = (std::uint64_t{1} << 59) + 1;
+  for (const std::uint64_t records :
+       {huge_records, std::uint64_t{1} << 63, ~std::uint64_t{0}}) {
+    std::string bad = full;
+    poke_u64(bad, 16, records);
+    std::stringstream in(bad);
+    try {
+      TraceReader::read_binary(in);
+      FAIL() << "record count " << records << " accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("truncated file: header declares " +
+                          std::to_string(records) + " records"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("ends inside record 4"), std::string::npos) << what;
+    }
+  }
+  for (const std::uint64_t deps :
+       {(std::uint64_t{1} << 61) + 1, ~std::uint64_t{0}}) {
+    std::string bad = full;
+    poke_u64(bad, 24, deps);
+    std::stringstream in(bad);
+    try {
+      TraceReader::read_binary(in);
+      FAIL() << "dependency count " << deps << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(deps) +
+                                           " dependency entries but only 3"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  // Through read_file the same diagnosis names the file.
+  const std::string path = ::testing::TempDir() + "trace_huge_count.drltrb";
+  std::string bad = full;
+  poke_u64(bad, 16, huge_records);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
+  }
+  try {
+    TraceReader::read_file(path);
+    FAIL() << "huge record count accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind(path + ": trace binary: truncated file", 0), 0u)
+        << what;
+  }
+}
+
+TEST(TraceIo, ReadsSlicesInAnyLayout) {
+  // The writer stores the dependency slices back to back in record order,
+  // but any in-range layout is valid. Here they are in reverse record
+  // order, with 80 KiB of unused entries in the middle, so the reader must
+  // sort them and skip past its 64 KiB window.
+  const Trace t = generate_dnn_pipeline({16, 4, 4, 32, 64.0, 32.0, 8});
+  std::ostringstream os;
+  TraceWriter::write_binary(os, t);
+  const std::size_t n = t.records.size();
+  const std::size_t table = 32 + 32 * n;  // header, then 32 bytes a record
+  std::string reordered = os.str().substr(0, table);
+  const auto append_u64 = [&reordered](std::uint64_t v) {
+    reordered.append(8, '\0');
+    poke_u64(reordered, reordered.size() - 8, v);
+  };
+  std::uint64_t next = 0;
+  for (std::size_t i = n; i-- > 0;) {
+    if (i == n / 2) {
+      for (int k = 0; k < 10240; ++k) append_u64(0xdeadbeef);
+      next += 10240;
+    }
+    // A record's u32 slice offset is its last field, at byte 28.
+    for (int b = 0; b < 4; ++b) {
+      reordered[32 + 32 * i + 28 + static_cast<std::size_t>(b)] =
+          static_cast<char>((next >> (8 * b)) & 0xff);
+    }
+    for (std::uint64_t dep : t.records[i].deps) append_u64(dep);
+    next += t.records[i].deps.size();
+  }
+  poke_u64(reordered, 24, next);  // the header's dependency entry count
+  std::stringstream in(reordered);
+  EXPECT_EQ(TraceReader::read_binary(in), t);
+
+  // Slices may also overlap: point record 4 (deps {3}, at offset 2) at the
+  // second entry of record 3's slice {1, 2}.
+  std::stringstream ss;
+  TraceWriter::write_binary(ss, small_trace());
+  std::string overlap = ss.str();
+  overlap[32 + 32 * 3 + 28] = 1;
+  std::stringstream overlap_in(overlap);
+  Trace expected = small_trace();
+  expected.records[3].deps = {2};
+  EXPECT_EQ(TraceReader::read_binary(overlap_in), expected);
+}
+
+TEST(TraceIo, ReadsNonSeekableStreams) {
+  // A stream buffer that cannot seek (a pipe, stdin) cannot report its
+  // size, so the reader copies it into memory and then parses it as it
+  // would a file.
+  struct Unseekable : std::stringbuf {
+    using std::stringbuf::stringbuf;
+    pos_type seekoff(off_type, std::ios_base::seekdir,
+                     std::ios_base::openmode) override {
+      return pos_type(off_type(-1));
+    }
+  };
+  const Trace t = generate_dnn_pipeline({16, 4, 4, 32, 64.0, 32.0, 8});
+  std::ostringstream os;
+  TraceWriter::write_binary(os, t);
+  ASSERT_GT(os.str().size(), std::size_t{1} << 16);  // several buffer growths
+  Unseekable buf(os.str());
+  std::istream in(&buf);
+  EXPECT_EQ(TraceReader::read_binary(in), t);
+}
+
+// --- hostile input ---------------------------------------------------------
+
+/// Writes `bytes` to `path` and loads it through read_file. Each input must
+/// either load, validate and build a workload, or throw a std::exception
+/// whose message names the file. Returns whether it loaded.
+bool loads_or_names_file(const std::string& path, const std::string& bytes) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  Trace t;
+  try {
+    t = TraceReader::read_file(path);
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    return false;
+  }
+  EXPECT_NO_THROW(t.validate());
+  EXPECT_NO_THROW(TraceWorkload{t});
+  return true;
+}
+
+/// The seeded corpus: `bytes` cut at every offset in `cuts`, then single
+/// bit flips and whole-byte overwrites at seeded positions.
+std::vector<std::string> hostile_corpus(const std::string& bytes,
+                                        const std::vector<std::size_t>& cuts,
+                                        std::uint64_t seed) {
+  std::vector<std::string> corpus;
+  for (std::size_t cut : cuts) corpus.push_back(bytes.substr(0, cut));
+  util::Rng rng(seed);
+  for (int i = 0; i < 300; ++i) {
+    std::string m = bytes;
+    char& at = m[static_cast<std::size_t>(rng.below(m.size()))];
+    if (i % 3 == 2) {
+      at = static_cast<char>(rng.below(256));
+    } else {
+      at = static_cast<char>(at ^ (1 << rng.below(8)));
+    }
+    corpus.push_back(std::move(m));
+  }
+  return corpus;
+}
+
+Trace hostile_seed_trace() {
+  return generate_dnn_pipeline({16, 3, 4, 2, 64.0, 32.0, 8});
+}
+
+TEST(TraceHostileInput, BinaryCorpus) {
+  const Trace t = hostile_seed_trace();
+  std::stringstream ss;
+  TraceWriter::write_binary(ss, t);
+  const std::string bytes = ss.str();
+  // Every record boundary, every dependency-entry boundary, and inside the
+  // header.
+  std::vector<std::size_t> cuts = {0, 3, 4, 16, 31};
+  for (std::size_t c = 32; c <= bytes.size(); c += 32) {
+    if (c <= 32 + 32 * t.records.size()) cuts.push_back(c);
+  }
+  for (std::size_t c = 32 + 32 * t.records.size(); c <= bytes.size(); c += 8) {
+    cuts.push_back(c);
+  }
+  const std::string path = ::testing::TempDir() + "hostile.drltrb";
+  int loaded = 0;
+  int rejected = 0;
+  for (const std::string& input : hostile_corpus(bytes, cuts, 2026)) {
+    (loads_or_names_file(path, input) ? loaded : rejected) += 1;
+  }
+  // The intact file is in the corpus (the last cut), and most damage to a
+  // packed format is fatal, so both outcomes occur.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(TraceHostileInput, TextCorpus) {
+  const Trace t = hostile_seed_trace();
+  std::stringstream ss;
+  TraceWriter::write_text(ss, t);
+  const std::string bytes = ss.str();
+  std::vector<std::size_t> cuts = {0};
+  for (std::size_t c = 0; c < bytes.size(); ++c) {
+    if (bytes[c] == '\n') cuts.push_back(c + 1);  // after every line
+  }
+  const std::string path = ::testing::TempDir() + "hostile.drltrc";
+  int loaded = 0;
+  int rejected = 0;
+  for (const std::string& input : hostile_corpus(bytes, cuts, 2027)) {
+    (loads_or_names_file(path, input) ? loaded : rejected) += 1;
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 // --- validation ------------------------------------------------------------
 
+/// `t` with every id and dependency multiplied by `stride`.
+Trace strided(Trace t, std::uint64_t stride) {
+  for (TraceRecord& r : t.records) {
+    r.id *= stride;
+    for (std::uint64_t& dep : r.deps) dep *= stride;
+  }
+  return t;
+}
+
+/// The message validate() rejects `t` with, or "accepted".
+std::string rejection(const Trace& t) {
+  try {
+    t.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
 TEST(TraceValidate, CatchesStructuralErrors) {
-  Trace t = small_trace();
-  EXPECT_NO_THROW(t.validate());
+  // Every rule's exact message, for dense ids and for ids 2^40 apart, so
+  // both layouts of the validator's id index are held to the same wording.
+  for (const std::uint64_t k : {std::uint64_t{1}, std::uint64_t{1} << 40}) {
+    SCOPED_TRACE("id stride " + std::to_string(k));
+    const auto id = [k](std::uint64_t i) { return std::to_string(i * k); };
+    const auto with = [k](auto&& edit) {
+      Trace t = strided(small_trace(), k);
+      edit(t);
+      return rejection(t);
+    };
+    EXPECT_EQ(rejection(strided(small_trace(), k)), "accepted");
 
-  Trace dup = small_trace();
-  dup.records[1].id = 1;
-  EXPECT_THROW(dup.validate(), std::invalid_argument);
+    EXPECT_EQ(with([](Trace& t) { t.nodes = 1; }),
+              "trace: needs >= 2 nodes, got 1");
+    EXPECT_EQ(with([](Trace& t) { t.default_length = 0; }),
+              "trace: default_length out of range");
+    EXPECT_EQ(with([](Trace& t) { t.default_length = 0x10000; }),
+              "trace: default_length out of range");
+    EXPECT_EQ(with([](Trace& t) { t.records[1].id = 0; }),
+              "trace: record id 0 reserved");
+    EXPECT_EQ(with([](Trace& t) { t.records[0].dst = 16; }),
+              "trace record " + id(1) + ": endpoint outside [0, nodes)");
+    EXPECT_EQ(with([](Trace& t) { t.records[0].src = -1; }),
+              "trace record " + id(1) + ": endpoint outside [0, nodes)");
+    EXPECT_EQ(with([](Trace& t) { t.records[0].dst = t.records[0].src; }),
+              "trace record " + id(1) + ": self-send (src == dst)");
+    for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      EXPECT_EQ(with([bad](Trace& t) { t.records[0].time = bad; }),
+                "trace record " + id(1) + ": time must be finite and >= 0");
+    }
+    for (const int bad : {-1, 0x10000}) {
+      EXPECT_EQ(with([bad](Trace& t) { t.records[1].length = bad; }),
+                "trace record " + id(2) + ": length outside [0, 65535] flits");
+    }
+    EXPECT_EQ(with([k](Trace& t) { t.records[3].deps = {3 * k, 4 * k}; }),
+              "trace record " + id(4) + ": depends on itself");
+    EXPECT_EQ(with([k](Trace& t) { t.records[3].deps = {99 * k}; }),
+              "trace record " + id(4) + ": dependency " + id(99) +
+                  " not declared earlier in the trace");
+    EXPECT_EQ(with([](Trace& t) { t.records[3].deps = {0}; }),
+              "trace record " + id(4) +
+                  ": dependency 0 not declared earlier in the trace");
+    // Forward reference: the DAG order is violated.
+    EXPECT_EQ(with([k](Trace& t) { t.records[0].deps = {4 * k}; }),
+              "trace record " + id(1) + ": dependency " + id(4) +
+                  " not declared earlier in the trace");
+    EXPECT_EQ(with([k](Trace& t) { t.records[2].deps = {1 * k, 2 * k, k}; }),
+              "trace record " + id(3) + ": duplicate dependency " + id(1));
+    EXPECT_EQ(with([k](Trace& t) { t.records[1].id = k; }),
+              "trace: duplicate record id " + id(1));
 
-  Trace fwd = small_trace();
-  fwd.records[0].deps = {4};  // forward reference: DAG order violated
-  EXPECT_THROW(fwd.validate(), std::invalid_argument);
-
-  Trace self_send = small_trace();
-  self_send.records[0].dst = self_send.records[0].src;
-  EXPECT_THROW(self_send.validate(), std::invalid_argument);
-
-  Trace range = small_trace();
-  range.records[0].dst = 16;
-  EXPECT_THROW(range.validate(), std::invalid_argument);
-
-  Trace neg_time = small_trace();
-  neg_time.records[0].time = -1.0;
-  EXPECT_THROW(neg_time.validate(), std::invalid_argument);
+    // Order: the first bad record wins, and within a record the checks run
+    // endpoint, self-send, time, length, then each dependency in turn.
+    EXPECT_EQ(with([k](Trace& t) {
+                t.records[3].id = k;  // duplicate id, but later
+                t.records[2].time = -1.0;
+              }),
+              "trace record " + id(3) + ": time must be finite and >= 0");
+    EXPECT_EQ(with([](Trace& t) {
+                t.records[0].length = -1;
+                t.records[0].dst = t.records[0].src;
+              }),
+              "trace record " + id(1) + ": self-send (src == dst)");
+    EXPECT_EQ(with([k](Trace& t) { t.records[3].deps = {99 * k, 4 * k}; }),
+              "trace record " + id(4) + ": dependency " + id(99) +
+                  " not declared earlier in the trace");
+    // A duplicate id is only reported once the record's dependencies pass.
+    EXPECT_EQ(with([k](Trace& t) {
+                t.records[3].id = k;
+                t.records[3].deps = {3 * k, 3 * k};
+              }),
+              "trace record " + id(1) + ": duplicate dependency " + id(3));
+  }
 }
 
 TEST(TraceSummaryTest, CountsShape) {
@@ -562,6 +860,35 @@ TEST(TraceWorkloadTest, ReplayIsDeterministic) {
     return stream_hash(recorded_replay(net, w, 500000).records);
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(TraceWorkloadTest, SparseIdsReplayLikeTheirRenumbering) {
+  // The generator numbers records 1..n; spreading the ids 2^40 apart sends
+  // validation and the dependents build through the hashed index, which
+  // must give the same dependents and replay to the same result.
+  const Trace dense = generate_dnn_pipeline({16, 4, 4, 3, 64.0, 32.0, 8});
+  const Trace sparse = strided(dense, std::uint64_t{1} << 40);
+  EXPECT_NO_THROW(sparse.validate());
+  EXPECT_EQ(build_dependents(sparse), build_dependents(dense));
+
+  noc::NetworkParams p;
+  p.width = p.height = 4;
+  const auto replay = [&p](const Trace& t) {
+    TraceWorkload w(t);
+    noc::Network net(p);
+    return recorded_replay(net, w, 500000);
+  };
+  const RecordedReplay a = replay(dense);
+  const RecordedReplay b = replay(sparse);
+  ASSERT_TRUE(a.result.completed);
+  EXPECT_EQ(b.result.completed, a.result.completed);
+  EXPECT_EQ(b.result.cycles, a.result.cycles);
+  GoldenHash ha;
+  GoldenHash hb;
+  mix_stats(ha, a.result.stats);
+  mix_stats(hb, b.result.stats);
+  EXPECT_EQ(hb.value(), ha.value());
+  EXPECT_EQ(stream_hash(b.records), stream_hash(a.records));
 }
 
 // --- generators ------------------------------------------------------------
