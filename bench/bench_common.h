@@ -7,7 +7,6 @@
 #include <cmath>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,21 +26,6 @@ namespace drlnoc::bench {
 /// bit-identical at any jobs value — the flag only buys wall-clock.
 inline core::ExperimentRunner runner_from(const util::Config& cfg) {
   return core::ExperimentRunner(cfg.get("jobs", 0));
-}
-
-/// Clones a trained agent's policy network. Worker threads must not share
-/// one DqnAgent (forward passes cache activations), so each parallel
-/// evaluation task gets its own frozen copy; greedy actions are identical to
-/// the original's because the weights are.
-inline std::unique_ptr<rl::DqnAgent> clone_policy(const rl::DqnAgent& agent,
-                                                  std::size_t state_size,
-                                                  int num_actions) {
-  std::stringstream weights;
-  agent.save(weights);
-  auto copy = std::make_unique<rl::DqnAgent>(state_size, num_actions,
-                                             agent.params());
-  copy->load_weights(weights);
-  return copy;
 }
 
 /// DQN hyper-parameters used by every experiment (core/trainer.h).

@@ -101,11 +101,9 @@ int main(int argc, char** argv) {
   core::NocConfigEnv train_env(train_ep);
   auto agent = bench::train_agent(train_env, episodes);
   const double power_ref = train_env.power_ref_mw();
-  const std::size_t state_size = train_env.state_size();
-  const int num_actions = train_env.num_actions();
 
   // One task per offered rate: each evaluates the three controllers against
-  // its own private environments, with a frozen clone of the trained policy.
+  // its own private environments, with its own copy of the trained network.
   struct RateRow {
     core::EpisodeResult drl, smax, smin;
   };
@@ -118,9 +116,7 @@ int main(int argc, char** argv) {
         ep.epochs_per_episode = 20;
         ep.reward.power_ref_mw = power_ref;
         core::NocConfigEnv env(ep);
-        const auto policy =
-            bench::clone_policy(*agent, state_size, num_actions);
-        core::DrlController drl(env.actions(), *policy);
+        core::DrlController drl(env, agent->policy());
         auto smax = core::StaticController::maximal(env.actions());
         auto smin = core::StaticController::minimal(env.actions());
         RateRow row;

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       ep.reward.power_ref_mw = power_ref;
       core::NocConfigEnv env(ep);
 
-      core::DrlController drl(env.actions(), *agent);
+      core::DrlController drl(env, agent->policy());
       core::HeuristicParams hp;
       hp.num_nodes = size * size;
       core::HeuristicController heuristic(env.actions(), hp);

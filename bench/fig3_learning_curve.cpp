@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   const auto rn = core::evaluate(env, *smin);
   const auto sweep = core::sweep_static_parallel(
       env.params(), core::ExperimentRunner(cfg.get("jobs", 0)));
-  core::DrlController drl(env.actions(), agent);
+  core::DrlController drl(env, agent.policy());
   const auto rd = core::evaluate(env, drl);
   std::cout << "\nreference returns:  static-max " << util::fmt(rx.total_reward, 2)
             << "   static-min " << util::fmt(rn.total_reward, 2)

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
                "structured 0.06)\n\n";
 
   auto agent = bench::train_agent(env, episodes);
-  core::DrlController drl(env.actions(), *agent);
+  core::DrlController drl(env, agent->policy());
   const auto result = core::evaluate(env, drl, /*keep_epochs=*/true);
 
   util::Table t({"epoch", "offered", "accepted", "latency", "occup",

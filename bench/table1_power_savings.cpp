@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     eval_ep.reward.power_ref_mw = power_ref;
     core::NocConfigEnv env(eval_ep);
 
-    core::DrlController drl(env.actions(), *agent);
+    core::DrlController drl(env, agent->policy());
     auto smax = core::StaticController::maximal(env.actions());
     auto smin = core::StaticController::minimal(env.actions());
     const auto rd = core::evaluate(env, drl);

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
   util::Table t(bench::result_headers());
 
-  core::DrlController drl(env.actions(), *agent);
+  core::DrlController drl(env, agent->policy());
   bench::result_row(t, core::evaluate(env, drl));
 
   core::HeuristicParams hp;
@@ -63,17 +63,13 @@ int main(int argc, char** argv) {
   // (base_seed + replica index); the engine runs replicas concurrently.
   std::cout << "replication over " << replicas
             << " traffic seeds (mean +/- 95% CI):\n";
-  const std::size_t state_size = env.state_size();
-  const int num_actions = env.num_actions();
   core::NocEnvParams rep = ep;
   rep.reward.power_ref_mw = env.power_ref_mw();  // comparable across seeds
 
   const auto drl_rep = core::evaluate_many(
       rep,
       [&](const core::NocConfigEnv& e) -> std::unique_ptr<core::Controller> {
-        auto policy = bench::clone_policy(*agent, state_size, num_actions);
-        return std::make_unique<core::OwningDrlController>(e.actions(),
-                                                           std::move(policy));
+        return std::make_unique<core::DrlController>(e, agent->policy());
       },
       replicas, runner);
   const auto max_rep = core::evaluate_many(

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
     tp.episodes = episodes;
     tp.eval_every = 0;
     core::train_dqn(env, agent, tp);
-    core::DrlController drl(env.actions(), agent, v.label);
+    core::DrlController drl(env, agent.policy(), v.label);
     bench::result_row(t, core::evaluate(env, drl));
   }
 
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     ep.reward.w_power = w_power;
     core::NocConfigEnv env(ep);
     auto agent = bench::train_agent(env, episodes);
-    core::DrlController drl(env.actions(), *agent);
+    core::DrlController drl(env, agent->policy());
     const auto r = core::evaluate(env, drl);
     w.row()
         .cell(w_power, 1)

@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
         core::NocConfigEnv env(ep);
 
         auto agent = bench::train_agent(env, c.episodes);
-        core::DrlController drl(env.actions(), *agent);
+        core::DrlController drl(env, agent->policy());
         auto smax = core::StaticController::maximal(env.actions());
         CaseResult r;
         r.drl = core::evaluate(env, drl);

@@ -123,8 +123,6 @@ int main(int argc, char** argv) {
   auto agent = bench::train_agent(env, episodes);
 
   // --- replication: frozen policies vs statics across traffic seeds -------
-  const std::size_t state_size = env.state_size();
-  const int num_actions = env.num_actions();
   core::NocEnvParams rep = ep;
   rep.reward.power_ref_mw = env.power_ref_mw();  // comparable across seeds
 
@@ -138,10 +136,8 @@ int main(int argc, char** argv) {
                   rep,
                   [&](const core::NocConfigEnv& e)
                       -> std::unique_ptr<core::Controller> {
-                    auto policy =
-                        bench::clone_policy(*agent, state_size, num_actions);
-                    return std::make_unique<core::OwningDrlController>(
-                        e.actions(), std::move(policy));
+                    return std::make_unique<core::DrlController>(
+                        e, agent->policy());
                   },
                   replicas, runner)});
   entries.push_back(

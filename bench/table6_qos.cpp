@@ -181,11 +181,8 @@ int main(int argc, char** argv) {
            qos_rep,
            [&](const core::NocConfigEnv& e)
                -> std::unique_ptr<core::Controller> {
-             auto policy = bench::clone_policy(*qos_agent,
-                                               qos_env.state_size(),
-                                               qos_env.num_actions());
-             return std::make_unique<core::OwningDrlController>(
-                 e.actions(), std::move(policy));
+             return std::make_unique<core::DrlController>(
+                 e, qos_agent->policy());
            },
            replicas, runner)});
   entries.push_back(
@@ -194,11 +191,8 @@ int main(int argc, char** argv) {
            agg_rep,
            [&](const core::NocConfigEnv& e)
                -> std::unique_ptr<core::Controller> {
-             auto policy = bench::clone_policy(*agg_agent,
-                                               agg_env.state_size(),
-                                               agg_env.num_actions());
-             return std::make_unique<core::OwningDrlController>(
-                 e.actions(), std::move(policy));
+             return std::make_unique<core::DrlController>(
+                 e, agg_agent->policy());
            },
            replicas, runner)});
   entries.push_back(

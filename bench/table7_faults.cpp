@@ -226,10 +226,7 @@ int main(int argc, char** argv) {
       if (name == "drl") {
         factory = [&](const core::NocConfigEnv& e)
             -> std::unique_ptr<core::Controller> {
-          auto policy = bench::clone_policy(*agent, env.state_size(),
-                                            env.num_actions());
-          return std::make_unique<core::OwningDrlController>(
-              e.actions(), std::move(policy));
+          return std::make_unique<core::DrlController>(e, agent->policy());
         };
       } else if (name == "heuristic") {
         factory = [size](const core::NocConfigEnv& e)

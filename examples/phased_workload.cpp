@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   tp.eval_every = 0;
   core::train_dqn(env, agent, tp);
 
-  core::DrlController drl(env.actions(), agent);
+  core::DrlController drl(env, agent.policy());
   const auto result = core::evaluate(env, drl, /*keep_epochs=*/true);
 
   // Aggregate the chosen configuration per load regime.

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
             << "\n\n";
 
   // --- 3. compare against static-max ---------------------------------------
-  core::DrlController drl(env.actions(), agent);
+  core::DrlController drl(env, agent.policy());
   auto stat = core::StaticController::maximal(env.actions());
   const auto drl_result = core::evaluate(env, drl);
   const auto max_result = core::evaluate(env, *stat);

@@ -1,6 +1,9 @@
 #include "core/controller.h"
 
 #include <algorithm>
+#include <stdexcept>
+
+#include "core/env_noc.h"
 
 namespace drlnoc::core {
 
@@ -90,12 +93,26 @@ int HeuristicController::decide(const noc::EpochStats& stats,
   return ladder_[static_cast<std::size_t>(position_)];
 }
 
-DrlController::DrlController(const ActionSpace& /*space*/, rl::DqnAgent& agent,
+DrlController::DrlController(const NocConfigEnv& env, nn::Mlp policy,
                              std::string label)
-    : agent_(agent), label_(std::move(label)) {}
+    : policy_(std::move(policy)), label_(std::move(label)) {
+  const std::size_t actions = static_cast<std::size_t>(env.num_actions());
+  if (policy_.input_size() != env.state_size() ||
+      policy_.output_size() != actions) {
+    throw std::invalid_argument(
+        "DrlController: policy expects state " +
+        std::to_string(policy_.input_size()) + " / actions " +
+        std::to_string(policy_.output_size()) +
+        " but the environment has state " + std::to_string(env.state_size()) +
+        " / actions " + std::to_string(actions) +
+        " (was the policy trained with the same QoS annotations?)");
+  }
+}
 
 int DrlController::decide(const noc::EpochStats&, const rl::State& state) {
-  return agent_.act_greedy(state);
+  state_.resize_fast(1, state.size());
+  state_.set_row(0, state);
+  return static_cast<int>(argmax_row(policy_.infer_ws(state_), 0));
 }
 
 }  // namespace drlnoc::core

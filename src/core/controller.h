@@ -4,7 +4,7 @@
 //   * StaticController     — any fixed configuration (static-max/min etc.)
 //   * HeuristicController  — threshold escalation ladder with hysteresis,
 //                            the classic hand-tuned baseline
-//   * DrlController        — greedy policy of a trained DQN agent
+//   * DrlController        — greedy policy of a trained Q-network
 #pragma once
 
 #include <memory>
@@ -12,11 +12,13 @@
 #include <vector>
 
 #include "core/action_space.h"
+#include "nn/layers.h"
 #include "noc/network.h"
-#include "rl/dqn.h"
 #include "rl/env.h"
 
 namespace drlnoc::core {
+
+class NocConfigEnv;
 
 class Controller {
  public:
@@ -78,31 +80,24 @@ class HeuristicController : public Controller {
   int calm_streak_ = 0;
 };
 
-/// Greedy policy of a (trained) DQN agent. Non-owning.
+/// Greedy policy of a trained Q-network, which the controller owns: built
+/// from `agent.policy()` after training or from a checkpoint's network
+/// (rl::read_policy) when serving. The constructor is the one dimension
+/// check for a served policy: it throws std::invalid_argument, naming both
+/// sides, when the network's input or output width differs from the env's
+/// state size or action count. Greedy actions are bit-identical to
+/// DqnAgent::act_greedy on the same weights.
 class DrlController : public Controller {
  public:
-  DrlController(const ActionSpace& space, rl::DqnAgent& agent,
+  DrlController(const NocConfigEnv& env, nn::Mlp policy,
                 std::string label = "drl");
   std::string name() const override { return label_; }
   int decide(const noc::EpochStats&, const rl::State& state) override;
 
  private:
-  rl::DqnAgent& agent_;
+  nn::Mlp policy_;
   std::string label_;
-};
-
-/// DrlController that owns its agent — for parallel evaluation tasks, where
-/// each worker carries a private frozen clone of the trained policy.
-class OwningDrlController : public DrlController {
- public:
-  OwningDrlController(const ActionSpace& space,
-                      std::unique_ptr<rl::DqnAgent> agent,
-                      std::string label = "drl")
-      : DrlController(space, *agent, std::move(label)),
-        agent_(std::move(agent)) {}
-
- private:
-  std::unique_ptr<rl::DqnAgent> agent_;
+  nn::Matrix state_;  ///< 1×state input row, reused every decision
 };
 
 }  // namespace drlnoc::core

@@ -1,12 +1,10 @@
 #include "core/env_noc.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "noc/simulator.h"
 #include "scenario/runtime.h"
-#include "trace/trace_workload.h"
 
 namespace drlnoc::core {
 
@@ -19,10 +17,6 @@ namespace {
 /// standalone scenarioctl-style runs.
 NocEnvParams resolve(NocEnvParams p) {
   if (p.scenario) {
-    if (p.trace) {
-      throw std::invalid_argument(
-          "NocEnvParams: set either trace or scenario, not both");
-    }
     p.scenario->validate();
     const std::uint64_t seed = p.net.seed;
     p.net = p.scenario->net;
@@ -72,20 +66,7 @@ NocEnvParams resolve(NocEnvParams p) {
           "action space exceeds physical resources: " + noc::to_string(c));
     }
   }
-  if (p.trace) {
-    p.trace->validate();
-    if (!(p.trace_rate_scale > 0.0) || !std::isfinite(p.trace_rate_scale)) {
-      throw std::invalid_argument(
-          "trace_rate_scale must be finite and > 0, got " +
-          std::to_string(p.trace_rate_scale));
-    }
-    if (p.trace->nodes > p.net.width * p.net.height) {
-      throw std::invalid_argument(
-          "trace addresses " + std::to_string(p.trace->nodes) +
-          " nodes but the network has only " +
-          std::to_string(p.net.width * p.net.height));
-    }
-  } else if (!p.scenario && p.phases.empty()) {
+  if (!p.scenario && p.phases.empty()) {
     const auto topo =
         noc::make_topology(p.net.topology, p.net.width, p.net.height);
     p.phases = noc::PhasedWorkload::standard_phases(*topo);
@@ -104,11 +85,6 @@ PowerRefKey key_of(const NocEnvParams& p) {
   if (p.scenario) {
     key.peak_rate =
         std::clamp(scenario::peak_offered_rate(*p.scenario), 0.01, 0.5);
-  } else if (p.trace) {
-    // Rough equivalent offered load of the trace's root packets, after the
-    // rate-scale knob; a coarse normalizer is fine here.
-    key.peak_rate = std::clamp(
-        p.trace->summary().offered_rate * p.trace_rate_scale, 0.01, 0.5);
   }
   for (const noc::Phase& ph : p.phases)
     key.peak_rate = std::max(key.peak_rate, ph.rate);
@@ -173,13 +149,6 @@ void NocConfigEnv::build_network() {
     composite_ = composite.get();
     workload_ = std::move(composite);
     net_->set_tenant_tracking(params_.scenario->num_tenants());
-    return;
-  }
-  if (params_.trace) {
-    trace::TraceWorkloadParams tw;
-    tw.rate_scale = params_.trace_rate_scale;
-    tw.loop = true;  // RL episodes of any length stay well-defined
-    workload_ = std::make_unique<trace::TraceWorkload>(params_.trace, tw);
     return;
   }
   auto phased = std::make_unique<noc::PhasedWorkload>(net_->topology(),

@@ -14,7 +14,6 @@
 #include "noc/workload.h"
 #include "rl/env.h"
 #include "scenario/scenario.h"
-#include "trace/trace.h"
 
 namespace drlnoc::obs {
 class FlightRecorder;
@@ -32,18 +31,13 @@ struct NocEnvParams {
   noc::PowerParams power{};
   ActionSpace actions = ActionSpace::standard();
   std::vector<noc::Phase> phases{};  ///< empty => PhasedWorkload::standard
-  /// When set, episodes replay this application trace (dependency-aware,
-  /// looping — see trace/trace_workload.h) instead of the phased workload.
-  /// Trace replay ignores the traffic seed and phase offset: the arrival
-  /// process is the trace itself, modulated only by simulated congestion.
-  std::shared_ptr<const trace::Trace> trace{};
-  double trace_rate_scale = 1.0;  ///< load knob for trace episodes
   /// When set, episodes run this multi-tenant scenario: the fabric comes
   /// from the scenario (`net` is overridden by scenario->net — except the
   /// traffic seed, which stays with `net.seed` so the evaluation protocol's
   /// per-replica/per-episode seeding applies to scenarios too), the
   /// workload is the deterministic composite of the scenario's tenants, and
-  /// epoch stats carry per-tenant slices. Mutually exclusive with `trace`.
+  /// epoch stats carry per-tenant slices. Trace episodes are a scenario
+  /// with one looping trace tenant.
   std::shared_ptr<const scenario::Scenario> scenario{};
   /// When true (default) a scenario's per-tenant QoS annotations switch the
   /// reward and feature extractor into tenant-aware mode (reward.tenant_qos
@@ -72,7 +66,7 @@ struct PowerRefKey {
   noc::NetworkParams net{};
   noc::PowerParams power{};
   /// Uniform offered rate of the calibration run: the busiest of the
-  /// scenario's peak, the scaled trace rate and the phases.
+  /// scenario's peak and the phases.
   double peak_rate = 0.0;
 
   bool operator==(const PowerRefKey&) const = default;
@@ -110,7 +104,7 @@ class NocConfigEnv : public rl::Environment {
   const noc::EpochStats& last_stats() const { return last_stats_; }
   /// The active episode's injector; null before the first reset().
   const noc::TrafficInjector* workload() const { return workload_.get(); }
-  /// Non-null when the episode runs a PhasedWorkload (i.e. no trace set).
+  /// Non-null when the episode runs a PhasedWorkload (i.e. no scenario set).
   const noc::PhasedWorkload* phased_workload() const { return phased_; }
   /// Non-null when the episode runs a multi-tenant scenario.
   const scenario::CompositeWorkload* composite_workload() const {

@@ -64,7 +64,7 @@ std::vector<EpisodeResult> sweep_static_parallel(
 /// Builds the controller for one evaluation task. Called once per task on the
 /// worker thread with that task's freshly built environment, so the factory
 /// must be safe to invoke concurrently (it should only read shared state —
-/// e.g. clone trained weights — never mutate it).
+/// e.g. copy a trained network — never mutate it).
 using ControllerFactory =
     std::function<std::unique_ptr<Controller>(const NocConfigEnv& env)>;
 

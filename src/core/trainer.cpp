@@ -181,7 +181,7 @@ TrainResult train_dqn(NocConfigEnv& env, rl::DqnAgent& agent,
     result.episode_loss.push_back(loss_count ? loss_sum / loss_count : 0.0);
 
     if (params.eval_every > 0 && (ep + 1) % params.eval_every == 0) {
-      DrlController greedy(env.actions(), agent);
+      DrlController greedy(env, agent.policy());
       const EpisodeResult eval = evaluate(env, greedy);
       result.eval_rewards.push_back(eval.total_reward);
       result.eval_episodes.push_back(ep + 1);
@@ -326,7 +326,7 @@ TrainResult train_dqn_parallel(const NocEnvParams& base, rl::DqnAgent& agent,
       for (int l = 0; l < lanes; ++l) {
         const int g = first + l;
         if ((g + 1) % params.eval_every != 0) continue;
-        DrlController greedy(eval_env.actions(), agent);
+        DrlController greedy(eval_env, agent.policy());
         const EpisodeResult eval = evaluate(eval_env, greedy);
         result.eval_rewards.push_back(eval.total_reward);
         result.eval_episodes.push_back(g + 1);

@@ -2,7 +2,9 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -102,6 +104,32 @@ void check_width(const char* who, std::size_t width, std::size_t index) {
                 std::to_string(width) + " at index " + std::to_string(index) +
                 " (expected 1.." + std::to_string(kMaxLayerWidth) + ")");
   }
+}
+
+/// Weights and biases of an Mlp of these sizes. Each layer holds at most
+/// (kMaxLayerWidth + 1)^2 of them (a dueling head's value stream included),
+/// so for checked sizes the count cannot wrap.
+std::uint64_t param_count(const std::vector<std::size_t>& sizes,
+                          bool dueling) {
+  static_assert(kMaxLayers * (kMaxLayerWidth + 1) * (kMaxLayerWidth + 1) <
+                std::numeric_limits<std::uint64_t>::max() / 2);
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
+    n += (sizes[i] + 1) * sizes[i + 1];
+  }
+  if (dueling) n += sizes[sizes.size() - 2] + 1;  // the value stream
+  return n;
+}
+
+/// Bytes from the read position of `is` to its end; -1 if it cannot seek.
+std::streamoff bytes_left(std::istream& is) {
+  std::streambuf* sb = is.rdbuf();
+  if (sb == nullptr) return -1;
+  const std::streamoff here = sb->pubseekoff(0, std::ios::cur, std::ios::in);
+  if (here < 0) return -1;
+  const std::streamoff end = sb->pubseekoff(0, std::ios::end, std::ios::in);
+  sb->pubseekpos(here, std::ios::in);
+  return end < 0 ? -1 : end - here;
 }
 
 }  // namespace
@@ -363,11 +391,11 @@ void Mlp::save(std::ostream& os) const {
 }
 
 Mlp Mlp::load(std::istream& is) {
-  // A blob from outside the process is untrusted: the layer count and every
-  // layer width are range-checked BEFORE any allocation sized by them, and
-  // unknown tokens are hard errors — the old silent ReLU/non-dueling
-  // fallback could load a tanh or dueling policy as the wrong architecture
-  // with plausible-looking (wrong) Q-values.
+  // A blob from outside the process is untrusted: the layer count, every
+  // layer width and the parameter count they declare are checked BEFORE any
+  // allocation sized by them, and unknown tokens are hard errors — the old
+  // silent ReLU/non-dueling fallback could load a tanh or dueling policy as
+  // the wrong architecture with plausible-looking (wrong) Q-values.
   std::string magic;
   if (!(is >> magic) || magic != "mlp") {
     throw std::runtime_error("Mlp::load: bad magic '" + magic +
@@ -409,28 +437,31 @@ Mlp Mlp::load(std::istream& is) {
     throw std::runtime_error("Mlp::load: unknown head '" + head +
                              "' (expected dueling|plain)");
   }
+  // Every parameter is written as text: at least one digit, and a separator
+  // before the next. A stream too short for that many is refused here.
+  const std::uint64_t count = param_count(sizes, dueling);
+  const std::streamoff left = bytes_left(is);
+  if (left < 0 || static_cast<std::uint64_t>(left) < 2 * count - 1) {
+    std::string declared;
+    for (std::size_t s : sizes) declared += std::to_string(s) + " ";
+    throw std::runtime_error(
+        "Mlp::load: sizes " + declared + "declare " + std::to_string(count) +
+        " parameters (at least " + std::to_string(2 * count - 1) +
+        " bytes) but " +
+        (left < 0 ? std::string("the stream cannot report its size")
+                  : "only " + std::to_string(left) + " bytes follow"));
+  }
   util::Rng dummy(0);
   Mlp mlp(sizes, activation, dummy, dueling);
   const std::size_t slots = mlp.num_param_slots();
   for (std::size_t i = 0; i < slots; ++i) {
-    Matrix& param = mlp.param(i);
-    Matrix loaded;
     try {
-      loaded = Matrix::load(is);
+      mlp.param(i).load(is);
     } catch (const std::exception& e) {
       throw std::runtime_error("Mlp::load: parameter " + std::to_string(i) +
                                " of " + std::to_string(slots) + ": " +
                                e.what());
     }
-    if (loaded.rows() != param.rows() || loaded.cols() != param.cols()) {
-      throw std::runtime_error(
-          "Mlp::load: parameter " + std::to_string(i) + " of " +
-          std::to_string(slots) + " is " + std::to_string(loaded.rows()) +
-          "x" + std::to_string(loaded.cols()) +
-          " but the declared sizes require " + std::to_string(param.rows()) +
-          "x" + std::to_string(param.cols()));
-    }
-    param = std::move(loaded);
   }
   return mlp;
 }

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace drlnoc::nn {
 
@@ -64,14 +65,18 @@ void Matrix::save(std::ostream& os) const {
   }
 }
 
-Matrix Matrix::load(std::istream& is) {
+void Matrix::load(std::istream& is) {
   std::size_t rows = 0, cols = 0;
   if (!(is >> rows >> cols)) throw std::runtime_error("Matrix::load: header");
-  Matrix m(rows, cols);
-  for (double& v : m.data_) {
+  if (rows != rows_ || cols != cols_) {
+    throw std::runtime_error(
+        "Matrix::load: block is " + std::to_string(rows) + "x" +
+        std::to_string(cols) + " but " + std::to_string(rows_) + "x" +
+        std::to_string(cols_) + " is expected");
+  }
+  for (double& v : data_) {
     if (!(is >> v)) throw std::runtime_error("Matrix::load: payload");
   }
-  return m;
 }
 
 std::size_t argmax_row(const Matrix& m, std::size_t r) {

@@ -51,7 +51,10 @@ class Matrix {
   double norm() const;
 
   void save(std::ostream& os) const;
-  static Matrix load(std::istream& is);
+  /// Reads a save() block into this matrix. The block must declare this
+  /// matrix's shape; any other shape is refused before a value is read, so
+  /// sizes taken from a file never size an allocation.
+  void load(std::istream& is);
 
  private:
   std::size_t rows_ = 0;

@@ -268,31 +268,4 @@ void DqnAgent::save(std::ostream& os, const PolicyMeta& meta) const {
   write_policy(os, online_, meta);
 }
 
-void DqnAgent::load_weights(std::istream& is) {
-  PolicyCheckpoint ckpt = read_policy(is);
-  if (ckpt.net.input_size() != state_size_) {
-    throw std::runtime_error(
-        "DqnAgent::load_weights: policy expects " +
-        std::to_string(ckpt.net.input_size()) +
-        " observations but this agent's state size is " +
-        std::to_string(state_size_));
-  }
-  if (ckpt.net.output_size() != static_cast<std::size_t>(num_actions_)) {
-    throw std::runtime_error(
-        "DqnAgent::load_weights: policy has " +
-        std::to_string(ckpt.net.output_size()) +
-        " actions but this agent has " + std::to_string(num_actions_));
-  }
-  load_weights(std::move(ckpt.net));
-}
-
-void DqnAgent::load_weights(nn::Mlp net) {
-  online_ = std::move(net);
-  // Clone rather than copy_weights_from: the checkpoint's architecture may
-  // differ from the one this agent was constructed with (serving loads any
-  // compatible-dimension policy), and the stale target structure would
-  // reject it.
-  target_ = online_;
-}
-
 }  // namespace drlnoc::rl

@@ -79,18 +79,15 @@ class DqnAgent {
   std::size_t replay_size() const;
   const DqnParams& params() const { return params_; }
 
+  /// The online Q-network, whose greedy action act_greedy takes. Copy it
+  /// into a core::DrlController to serve the trained policy.
+  const nn::Mlp& policy() const { return online_; }
+
   /// Writes a versioned `drlpol 1` checkpoint: header (dims, architecture,
   /// optional training-scenario hash and git provenance) followed by the
   /// raw weight blob. Pass a default-constructed PolicyMeta for an
-  /// anonymous checkpoint.
+  /// anonymous checkpoint. rl::read_policy reads it back.
   void save(std::ostream& os, const PolicyMeta& meta = {}) const;
-  /// Loads a checkpoint written by save() — or a legacy bare `mlp` blob —
-  /// rejecting dimension mismatches against this agent's state/action
-  /// space with errors naming both sides.
-  void load_weights(std::istream& is);
-  /// Adopts an already-deserialized policy network (e.g. one probed for
-  /// dimension checks) as the online net; the target net is synced to it.
-  void load_weights(nn::Mlp net);
 
  private:
   /// Folds the n-step window into aggregated transitions pushed to replay.

@@ -1,7 +1,6 @@
 #include "scenario/runtime.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -10,7 +9,6 @@
 #include "nn/layers.h"
 #include "noc/topology.h"
 #include "noc/traffic.h"
-#include "rl/dqn.h"
 #include "rl/policy_io.h"
 #include "util/log.h"
 
@@ -159,8 +157,6 @@ std::unique_ptr<core::Controller> build_scheduled_controller(
             " (the policy file changed since it was pinned)");
       }
     }
-    // Probe the policy's architecture first for a diagnosable mismatch
-    // (DqnAgent::load_weights would adopt whatever the blob holds).
     // Accepts drlpol checkpoints and legacy bare mlp blobs alike.
     rl::PolicyCheckpoint ckpt;
     try {
@@ -170,18 +166,9 @@ std::unique_ptr<core::Controller> build_scheduled_controller(
           "scenario: controller policy is not a DqnAgent::save artifact (" +
           std::string(e.what()) + ")");
     }
-    if (ckpt.net.input_size() != env.state_size() ||
-        ckpt.net.output_size() !=
-            static_cast<std::size_t>(env.num_actions())) {
-      throw std::invalid_argument(
-          "scenario: controller policy expects state " +
-          std::to_string(ckpt.net.input_size()) + " / actions " +
-          std::to_string(ckpt.net.output_size()) +
-          " but the environment has state " +
-          std::to_string(env.state_size()) + " / actions " +
-          std::to_string(env.num_actions()) +
-          " (was the policy trained with the same QoS annotations?)");
-    }
+    // The controller's constructor is the dimension check.
+    auto controller = std::make_unique<core::DrlController>(
+        env, std::move(ckpt.net), "drl[" + ctl.policy_file + "]");
     // Scenario-hash provenance is advisory: fleets legitimately evaluate
     // one policy across scenario variants, so a mismatch warns but runs.
     if (ckpt.header && !ckpt.header->scenario_hash.empty()) {
@@ -193,13 +180,7 @@ std::unique_ptr<core::Controller> build_scheduled_controller(
                  << " ('" << scenario.name << "')";
       }
     }
-    auto agent = std::make_unique<rl::DqnAgent>(
-        env.state_size(), env.num_actions(), rl::DqnParams{});
-    // Install the probed network itself, so the weights that were
-    // dimension-checked are exactly the weights that run.
-    agent->load_weights(std::move(ckpt.net));
-    return std::make_unique<core::OwningDrlController>(
-        env.actions(), std::move(agent), "drl[" + ctl.policy_file + "]");
+    return controller;
   }
   throw std::invalid_argument("scenario: unknown controller type '" +
                               ctl.type + "'");

@@ -81,9 +81,10 @@ std::vector<TenantReport> tenant_reports(const Scenario& scenario,
 
 /// Builds the controller named by `scenario.controller` against `env`'s
 /// action space. DRL schedules deserialize the policy blob (DqnAgent::save
-/// output) and validate its dimensions against the environment. Throws
-/// std::invalid_argument when no schedule is set or the policy does not fit
-/// the environment's state/action sizes.
+/// output) into a core::DrlController, whose constructor checks its
+/// dimensions against the environment. Throws std::invalid_argument when no
+/// schedule is set or the policy does not fit the environment's
+/// state/action sizes.
 std::unique_ptr<core::Controller> build_scheduled_controller(
     const Scenario& scenario, const core::NocConfigEnv& env);
 

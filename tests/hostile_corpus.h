@@ -1,0 +1,48 @@
+// The seeded mutation corpus behind the hostile-input tests: a valid file
+// cut at chosen offsets, then single bit flips and whole-byte overwrites at
+// seeded positions. Each parser test feeds every input to its reader and
+// requires a clean load or a std::exception, never a crash or an unbounded
+// allocation (the sanitizer build runs them too).
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
+
+namespace drlnoc {
+
+/// `bytes` cut at every offset in `cuts`, then 300 single-byte mutations:
+/// two bit flips for every overwrite with a random byte.
+inline std::vector<std::string> hostile_corpus(
+    const std::string& bytes, const std::vector<std::size_t>& cuts,
+    std::uint64_t seed) {
+  std::vector<std::string> corpus;
+  for (std::size_t cut : cuts) corpus.push_back(bytes.substr(0, cut));
+  util::Rng rng(seed);
+  for (int i = 0; i < 300; ++i) {
+    std::string m = bytes;
+    char& at = m[static_cast<std::size_t>(rng.below(m.size()))];
+    if (i % 3 == 2) {
+      at = static_cast<char>(rng.below(256));
+    } else {
+      at = static_cast<char>(at ^ (1 << rng.below(8)));
+    }
+    corpus.push_back(std::move(m));
+  }
+  return corpus;
+}
+
+/// Offset 0 and the offset after every newline of `text`: a text file cut
+/// at each line boundary.
+inline std::vector<std::size_t> line_cuts(const std::string& text) {
+  std::vector<std::size_t> cuts = {0};
+  for (std::size_t c = 0; c < text.size(); ++c) {
+    if (text[c] == '\n') cuts.push_back(c + 1);
+  }
+  return cuts;
+}
+
+}  // namespace drlnoc

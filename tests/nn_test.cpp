@@ -62,7 +62,8 @@ TEST(Matrix, SaveLoadRoundTrip) {
   for (double& v : m.raw()) v = rng.normal();
   std::stringstream ss;
   m.save(ss);
-  const Matrix n = Matrix::load(ss);
+  Matrix n(3, 4);
+  n.load(ss);
   ASSERT_EQ(n.rows(), 3u);
   ASSERT_EQ(n.cols(), 4u);
   for (std::size_t i = 0; i < m.raw().size(); ++i) {

@@ -24,13 +24,24 @@ NocEnvParams phased_env() {
   return ep;  // standard phases
 }
 
+/// A one-tenant scenario looping a DNN trace at 2.5x its rate.
 NocEnvParams trace_env() {
-  NocEnvParams ep;
-  ep.net.width = ep.net.height = 4;
-  ep.net.seed = 5;
-  ep.trace = std::make_shared<const trace::Trace>(
+  auto scn = std::make_shared<scenario::Scenario>();
+  scn->net.width = scn->net.height = 4;
+  // A looping tenant needs a horizon to validate; RL episodes run a fixed
+  // number of epochs whatever it is.
+  scn->duration = 1e9;
+  scenario::TenantSpec dnn;
+  dnn.name = "dnn";
+  dnn.kind = scenario::WorkloadKind::kTrace;
+  dnn.trace = std::make_shared<const trace::Trace>(
       trace::generate_dnn_pipeline({16, 4, 4, 3, 64.0, 32.0, 8}));
-  ep.trace_rate_scale = 2.5;
+  dnn.rate_scale = 2.5;
+  dnn.loop = true;
+  scn->tenants.push_back(dnn);
+  NocEnvParams ep;
+  ep.scenario = scn;
+  ep.net.seed = 5;
   return ep;
 }
 
@@ -99,9 +110,10 @@ TEST(PowerRef, KeyHoldsTheResolvedCalibrationInputs) {
   EXPECT_GT(phased.peak_rate, 0.0);
 
   // The trace rate is scaled, not clamped, at this load.
-  const NocEnvParams t = trace_env();
-  EXPECT_EQ(power_ref_key(t).peak_rate,
-            t.trace->summary().offered_rate * t.trace_rate_scale);
+  const NocEnvParams trace = trace_env();
+  const scenario::TenantSpec& t = trace.scenario->tenants[0];
+  EXPECT_EQ(power_ref_key(trace).peak_rate,
+            t.trace->summary().offered_rate * t.rate_scale);
 
   // A scenario supplies the fabric; the env keeps the traffic seed.
   const PowerRefKey scn = power_ref_key(two_tenant_env());
@@ -177,9 +189,9 @@ TEST(PowerRef, KeyValidatesLikeTheEnvironment) {
   NocEnvParams ep = phased_env();
   ep.net.max_vcs = 2;  // the standard space includes 4 VCs
   EXPECT_THROW(power_ref_key(ep), std::invalid_argument);
-  NocEnvParams both = two_tenant_env();
-  both.trace = trace_env().trace;
-  EXPECT_THROW(power_ref_key(both), std::invalid_argument);
+  NocEnvParams qos = two_tenant_env();
+  qos.reward.tenant_qos.resize(1);  // the scenario has two tenants
+  EXPECT_THROW(power_ref_key(qos), std::invalid_argument);
 }
 
 }  // namespace

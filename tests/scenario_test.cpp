@@ -544,14 +544,6 @@ TEST(ScenarioEnv, EpisodesRunOnScenariosWithPerTenantStats) {
   EXPECT_GT(res.tenants[1].accepted_rate, 0.0);
 }
 
-TEST(ScenarioEnv, RejectsTraceAndScenarioTogether) {
-  core::NocEnvParams ep;
-  ep.net.width = ep.net.height = 4;
-  ep.scenario = std::make_shared<Scenario>(mixed_scenario());
-  ep.trace = std::make_shared<const trace::Trace>(dnn_trace());
-  EXPECT_THROW(core::NocConfigEnv{ep}, std::invalid_argument);
-}
-
 TEST(ScenarioEnv, ReplicaSeedsChangeBackgroundTraffic) {
   // The evaluation protocol's seed stream must reach scenario episodes:
   // different net.seed => different synthetic background arrivals.

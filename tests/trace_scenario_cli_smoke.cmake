@@ -3,7 +3,9 @@
 # replays must print identical tables), replay an all-reduce ring at twice
 # the rate, then author a two-tenant scenario over the DNN trace and
 # validate, describe and run it. A run that hits its cycle limit must exit 1
-# and say so, in both tools.
+# and say so, in both tools. Last, a [faults]-annotated scenario (transient
+# link corruption plus a scheduled link death) must describe its fault
+# schedule and report every fault metric row when run.
 #
 #   cmake -DTRACECTL=<tracectl binary> -DSCENARIOCTL=<scenarioctl binary> \
 #         -DWORK=<scratch dir> -P tests/trace_scenario_cli_smoke.cmake
@@ -83,3 +85,44 @@ run_tool(0 "${SCENARIOCTL}" out describe file=mix.drlsc)
 run_tool(0 "${SCENARIOCTL}" out run file=mix.drlsc)
 run_tool(1 "${SCENARIOCTL}" limited run file=mix.drlsc cycle_limit=10)
 expect_cycle_limit("${limited}" "scenarioctl run cycle_limit=10")
+
+# --- faults ----------------------------------------------------------------
+file(WRITE "${WORK}/faulty.drlsc" "drlsc 1
+name = ci_fault_smoke
+width = 4
+height = 4
+seed = 42
+duration = 20000
+tenants = 1
+tenant0.workload = steady
+tenant0.rate = 0.05
+tenant0.stop = 20000
+
+[faults]
+seed = 7
+link_fault_rate = 0.005
+retry_timeout = 48
+events = 1
+event0.at_cycle = 5000
+event0.kind = link_down
+event0.node = 5
+event0.port = 1
+")
+run_tool(0 "${SCENARIOCTL}" out validate file=faulty.drlsc)
+run_tool(0 "${SCENARIOCTL}" described describe file=faulty.drlsc)
+if(NOT described MATCHES "\nfaults: seed 7, link_fault_rate 0.005000"
+   OR NOT described MATCHES "event0: cycle 5000 link_down node 5 port 1")
+  message(FATAL_ERROR "describe did not show the fault schedule:\n"
+                      "${described}")
+endif()
+run_tool(0 "${SCENARIOCTL}" faulted run file=faulty.drlsc)
+# Corruption and the dead link must show in the counters; this schedule
+# loses no packet, but the row must still be printed.
+foreach(row flits_dropped retries rerouted_hops)
+  if(NOT faulted MATCHES "\n${row} +[1-9][0-9]* *\n")
+    message(FATAL_ERROR "run printed no nonzero ${row} row:\n${faulted}")
+  endif()
+endforeach()
+if(NOT faulted MATCHES "\npackets_lost +[0-9]+ *\n")
+  message(FATAL_ERROR "run printed no packets_lost row:\n${faulted}")
+endif()

@@ -14,9 +14,12 @@
 
 #include "core/env_noc.h"
 #include "golden_hash.h"
+#include "hostile_corpus.h"
 #include "noc/network.h"
 #include "noc/simulator.h"
 #include "noc/workload.h"
+#include "scenario/composite_workload.h"
+#include "scenario/scenario.h"
 #include "trace/generators.h"
 #include "trace/recorder.h"
 #include "trace/trace_io.h"
@@ -25,6 +28,26 @@
 
 namespace drlnoc::trace {
 namespace {
+
+/// RL episodes over a trace: a 4x4 scenario whose one tenant loops `t` at
+/// `rate_scale`.
+core::NocEnvParams trace_env(Trace t, double rate_scale = 1.0) {
+  auto scn = std::make_shared<scenario::Scenario>();
+  scn->net.width = scn->net.height = 4;
+  // A looping tenant needs a horizon to validate; RL episodes run a fixed
+  // number of epochs whatever it is.
+  scn->duration = 1e9;
+  scenario::TenantSpec tenant;
+  tenant.name = "trace";
+  tenant.kind = scenario::WorkloadKind::kTrace;
+  tenant.trace = std::make_shared<const Trace>(std::move(t));
+  tenant.rate_scale = rate_scale;
+  tenant.loop = true;
+  scn->tenants.push_back(std::move(tenant));
+  core::NocEnvParams ep;
+  ep.scenario = scn;
+  return ep;
+}
 
 Trace small_trace() {
   Trace t;
@@ -316,27 +339,6 @@ bool loads_or_names_file(const std::string& path, const std::string& bytes) {
   return true;
 }
 
-/// The seeded corpus: `bytes` cut at every offset in `cuts`, then single
-/// bit flips and whole-byte overwrites at seeded positions.
-std::vector<std::string> hostile_corpus(const std::string& bytes,
-                                        const std::vector<std::size_t>& cuts,
-                                        std::uint64_t seed) {
-  std::vector<std::string> corpus;
-  for (std::size_t cut : cuts) corpus.push_back(bytes.substr(0, cut));
-  util::Rng rng(seed);
-  for (int i = 0; i < 300; ++i) {
-    std::string m = bytes;
-    char& at = m[static_cast<std::size_t>(rng.below(m.size()))];
-    if (i % 3 == 2) {
-      at = static_cast<char>(rng.below(256));
-    } else {
-      at = static_cast<char>(at ^ (1 << rng.below(8)));
-    }
-    corpus.push_back(std::move(m));
-  }
-  return corpus;
-}
-
 Trace hostile_seed_trace() {
   return generate_dnn_pipeline({16, 3, 4, 2, 64.0, 32.0, 8});
 }
@@ -372,14 +374,11 @@ TEST(TraceHostileInput, TextCorpus) {
   std::stringstream ss;
   TraceWriter::write_text(ss, t);
   const std::string bytes = ss.str();
-  std::vector<std::size_t> cuts = {0};
-  for (std::size_t c = 0; c < bytes.size(); ++c) {
-    if (bytes[c] == '\n') cuts.push_back(c + 1);  // after every line
-  }
   const std::string path = ::testing::TempDir() + "hostile.drltrc";
   int loaded = 0;
   int rejected = 0;
-  for (const std::string& input : hostile_corpus(bytes, cuts, 2027)) {
+  for (const std::string& input :
+       hostile_corpus(bytes, line_cuts(bytes), 2027)) {
     (loads_or_names_file(path, input) ? loaded : rejected) += 1;
   }
   EXPECT_GT(loaded, 0);
@@ -573,13 +572,11 @@ TEST(TraceWorkloadTest, RejectsNonpositiveRateScale) {
 }
 
 TEST(TraceEnv, RejectsNonpositiveTraceRateScale) {
-  core::NocEnvParams ep;
-  ep.net.width = ep.net.height = 4;
-  ep.trace = std::make_shared<const Trace>(small_trace());
-  ep.trace_rate_scale = 0.0;
-  EXPECT_THROW(core::NocConfigEnv{ep}, std::invalid_argument);
-  ep.trace_rate_scale = -2.0;
-  EXPECT_THROW(core::NocConfigEnv{ep}, std::invalid_argument);
+  for (const double bad : {0.0, -2.0}) {
+    EXPECT_THROW(core::NocConfigEnv{trace_env(small_trace(), bad)},
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(TraceWorkloadTest, PerSourceQueueDrainsOnePerTick) {
@@ -934,10 +931,8 @@ TEST(Generators, AllToAllShape) {
 // --- RL environment wiring -------------------------------------------------
 
 TEST(TraceEnv, EpisodesRunOnTraceWorkloads) {
-  core::NocEnvParams ep;
-  ep.net.width = ep.net.height = 4;
-  ep.trace = std::make_shared<const Trace>(
-      generate_dnn_pipeline({16, 4, 4, 3, 64.0, 32.0, 8}));
+  core::NocEnvParams ep =
+      trace_env(generate_dnn_pipeline({16, 4, 4, 3, 64.0, 32.0, 8}));
   ep.epoch_cycles = 256;
   ep.epochs_per_episode = 4;
   core::NocConfigEnv env(ep);
@@ -945,8 +940,8 @@ TEST(TraceEnv, EpisodesRunOnTraceWorkloads) {
 
   const rl::State s0 = env.reset();
   EXPECT_EQ(s0.size(), env.state_size());
-  EXPECT_NE(env.workload(), nullptr);
-  EXPECT_NE(env.workload()->name().find("trace"), std::string::npos);
+  ASSERT_NE(env.composite_workload(), nullptr);
+  EXPECT_NE(env.composite_workload()->tenant(0).trace, nullptr);
   double traffic = 0.0;
   for (int a = 0; a < 3; ++a) {
     const rl::StepResult r = env.step(a % env.num_actions());
@@ -963,11 +958,37 @@ TEST(TraceEnv, EpisodesRunOnTraceWorkloads) {
 }
 
 TEST(TraceEnv, RejectsTraceLargerThanNetwork) {
-  core::NocEnvParams ep;
-  ep.net.width = ep.net.height = 4;  // 16 nodes
-  ep.trace = std::make_shared<const Trace>(
-      generate_alltoall({64, 1, 8.0, 4, 0.0}));
-  EXPECT_THROW(core::NocConfigEnv{ep}, std::invalid_argument);
+  // 64 endpoints on the 16-node fabric.
+  EXPECT_THROW(core::NocConfigEnv{trace_env(
+                   generate_alltoall({64, 1, 8.0, 4, 0.0}))},
+               std::invalid_argument);
+}
+
+TEST(TraceEnv, EpisodesMatchThePinnedTraceEnvironment) {
+  // Pinned from the environment's former built-in trace mode, which looped
+  // the trace itself: a one-tenant scenario must reproduce a training and an
+  // evaluation episode (states, rewards, epoch counters) and the calibrated
+  // power reference bit for bit.
+  core::NocEnvParams ep =
+      trace_env(generate_dnn_pipeline({16, 4, 4, 3, 64.0, 32.0, 8}), 2.5);
+  ep.epoch_cycles = 256;
+  ep.epochs_per_episode = 6;
+  core::NocConfigEnv env(ep);
+  GoldenHash h;
+  h.mix(env.power_ref_mw());
+  for (int episode = 0; episode < 2; ++episode) {
+    env.set_eval_mode(episode == 1);
+    for (double v : env.reset()) h.mix(v);
+    bool done = false;
+    for (int k = 0; !done; ++k) {
+      const rl::StepResult r = env.step((7 * k + episode) % env.num_actions());
+      for (double v : r.next_state) h.mix(v);
+      h.mix(r.reward);
+      mix_stats(h, env.last_stats());
+      done = r.done;
+    }
+  }
+  EXPECT_EQ(h.value(), 0xb465f95968795ff7ULL);
 }
 
 TEST(Generators, CollectivesReplayToCompletion) {

@@ -1,14 +1,19 @@
 // Parallel training & versioned policy serving: actor-count invariance of
 // train_dqn_parallel, drlpol checkpoint round-trips and rejection messages,
-// batched greedy inference, and the DqnParams / Mlp::load hardening.
+// batched greedy inference, the DqnParams / Mlp::load hardening, and a
+// seeded hostile-input corpus of drlpol files.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/env_noc.h"
 #include "core/parallel.h"
 #include "core/trainer.h"
+#include "hostile_corpus.h"
 #include "nn/layers.h"
 #include "rl/dqn.h"
 #include "rl/policy_io.h"
@@ -165,7 +170,7 @@ TEST(PolicyCheckpoint, SaveLoadEvaluateRoundTrip) {
   tp.eval_every = 0;
   train_dqn(env, trained, tp);
 
-  DrlController c1(env.actions(), trained);
+  DrlController c1(env, trained.policy());
   const EpisodeResult before = evaluate(env, c1);
 
   std::ostringstream os;
@@ -173,11 +178,8 @@ TEST(PolicyCheckpoint, SaveLoadEvaluateRoundTrip) {
   meta.git = "test-build";
   trained.save(os, meta);
 
-  rl::DqnAgent loaded(env.state_size(), env.num_actions(),
-                      small_agent_params());
   std::istringstream is(os.str());
-  loaded.load_weights(is);
-  DrlController c2(env.actions(), loaded);
+  DrlController c2(env, rl::read_policy(is).net);
   const EpisodeResult after = evaluate(env, c2);
 
   EXPECT_EQ(before.total_reward, after.total_reward);
@@ -228,26 +230,38 @@ TEST(PolicyCheckpoint, LegacyBareBlobStillLoads) {
   EXPECT_FALSE(ckpt.header.has_value());
   EXPECT_EQ(ckpt.net.input_size(), 6u);
   EXPECT_EQ(ckpt.net.output_size(), 4u);
-  rl::DqnAgent fresh(6, 4, dp);
-  std::istringstream is(os.str());
-  fresh.load_weights(is);  // no throw
+  for (std::size_t s = 0; s < ckpt.net.num_param_slots(); ++s) {
+    EXPECT_EQ(ckpt.net.param(s).raw(), agent.policy().param(s).raw()) << s;
+  }
 }
 
 TEST(PolicyCheckpoint, DimensionMismatchNamesBothSides) {
+  // The DrlController constructor is the one dimension check for a served
+  // policy: a checkpoint of the wrong input or output width is refused
+  // with a message naming the policy's and the environment's sizes.
+  const NocConfigEnv env(small_env());
+  const std::size_t obs = env.state_size();
+  const int actions = env.num_actions();
   rl::DqnParams dp;
   dp.hidden = {16};
-  rl::DqnAgent agent(6, 4, dp);
-  std::ostringstream os;
-  agent.save(os);
-  rl::DqnAgent other(9, 4, dp);  // wrong obs size
-  std::istringstream is(os.str());
-  try {
-    other.load_weights(is);
-    FAIL() << "expected dimension rejection";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("6"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("9"), std::string::npos) << msg;
+  for (const auto& [wrong_obs, wrong_actions] :
+       {std::pair{obs + 3, actions}, std::pair{obs, actions - 5}}) {
+    std::ostringstream os;
+    rl::DqnAgent(wrong_obs, wrong_actions, dp).save(os);
+    try {
+      DrlController c(env, rl::read_policy_blob(os.str()).net);
+      FAIL() << "expected dimension rejection";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("state " + std::to_string(wrong_obs)),
+                std::string::npos) << msg;
+      EXPECT_NE(msg.find("actions " + std::to_string(wrong_actions)),
+                std::string::npos) << msg;
+      EXPECT_NE(msg.find("state " + std::to_string(obs)), std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("actions " + std::to_string(actions)),
+                std::string::npos) << msg;
+    }
   }
 }
 
@@ -409,11 +423,76 @@ TEST(MlpLoadHardening, RejectsUnknownTokensAndImplausibleSizes) {
   expect_error("mlp 1 4 relu plain", "implausible layer count 1");
   // An absurd width likewise.
   expect_error("mlp 3 4 99999999 3 relu plain", "implausible layer size");
+  // Widths in range that declare more parameters than the stream can hold
+  // (539492356, 4 GiB of doubles) are refused before the net is built...
+  expect_error("mlp 3 1024 524288 4 relu plain\n0 0\n",
+               "sizes 1024 524288 4 declare 539492356 parameters");
+  // ...and a block declaring a shape other than its parameter's (20000x20000,
+  // 3.2 GB) before the block is allocated.
+  bad = good;
+  bad.replace(bad.find("\n4 8\n") + 1, 3, "20000 20000");
+  expect_error(bad, "parameter 0 of 4: Matrix::load: block is 20000x20000 "
+                    "but 4x8 is expected");
   // Truncation names the parameter index.
   bad = good.substr(0, good.size() - good.size() / 3);
   expect_error(bad, "parameter");
   // Bad magic names the token.
   expect_error("pkl blob", "bad magic 'pkl'");
+}
+
+// ---------------------------------------------------------------------------
+// Hostile drlpol input
+
+/// Reads `blob` as a checkpoint. Each input must either throw a
+/// std::exception or load; a loaded policy is then served by DrlController
+/// or refused by it for its dimensions. Returns whether it loaded.
+bool loads_or_throws(const NocConfigEnv& env, const std::string& blob) {
+  rl::PolicyCheckpoint ckpt;
+  try {
+    ckpt = rl::read_policy_blob(blob);
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()), "");
+    return false;
+  }
+  try {
+    DrlController drl(env, std::move(ckpt.net));
+    const int action = drl.decide({}, rl::State(env.state_size(), 0.5));
+    EXPECT_GE(action, 0);
+    EXPECT_LT(action, env.num_actions());
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("DrlController"), std::string::npos)
+        << e.what();
+  }
+  return true;
+}
+
+TEST(PolicyHostileInput, PlainAndDuelingCorpus) {
+  const NocConfigEnv env(small_env());
+  rl::DqnParams dp;
+  dp.hidden = {8};
+  std::ostringstream plain;
+  rl::DqnAgent(env.state_size(), env.num_actions(), dp).save(plain);
+  util::Rng rng(11);
+  std::ostringstream dueling;
+  rl::PolicyMeta meta;
+  meta.scenario_hash = "00deadbeef001234";
+  rl::write_policy(dueling,
+                   nn::Mlp({env.state_size(), 6,
+                            static_cast<std::size_t>(env.num_actions())},
+                           nn::Activation::kTanh, rng, true),
+                   meta);
+  std::uint64_t seed = 2028;
+  for (const std::string& bytes : {plain.str(), dueling.str()}) {
+    int loaded = 0;
+    int rejected = 0;
+    for (const std::string& input :
+         hostile_corpus(bytes, line_cuts(bytes), seed++)) {
+      (loads_or_throws(env, input) ? loaded : rejected) += 1;
+    }
+    // The intact file is the last cut; a cut mid-file is always refused.
+    EXPECT_GT(loaded, 0);
+    EXPECT_GT(rejected, 0);
+  }
 }
 
 }  // namespace
