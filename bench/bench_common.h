@@ -7,7 +7,9 @@
 #include <cmath>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/env_noc.h"
@@ -16,10 +18,29 @@
 #include "obs/session.h"
 #include "rl/dqn.h"
 #include "scenario/runtime.h"
+#include "scenario/scenario.h"
+#include "trace/generators.h"
 #include "util/config.h"
+#include "util/log.h"
 #include "util/table.h"
 
 namespace drlnoc::bench {
+
+/// Parses a bench command line (`key=value`, `--key value`, `--key=value`)
+/// and applies `log=`. The bare flag `--smoke` or `smoke` means `smoke=1`,
+/// so every spelling reads back as `cfg.get("smoke", false)`.
+inline util::Config bench_config(int argc, char** argv) {
+  std::vector<const char*> args;
+  for (int i = 0; i < argc; ++i) {
+    const std::string_view tok = argv[i];
+    args.push_back(i > 0 && (tok == "--smoke" || tok == "smoke") ? "smoke=1"
+                                                                 : argv[i]);
+  }
+  util::Config cfg =
+      util::Config::from_args(static_cast<int>(args.size()), args.data());
+  util::init_log(cfg.get("log", std::string()));
+  return cfg;
+}
 
 /// Resolves the shared `--jobs N` flag (also accepted as `jobs=N`). The
 /// default 0 means one worker per hardware thread. Every experiment is
@@ -30,6 +51,37 @@ inline core::ExperimentRunner runner_from(const util::Config& cfg) {
 
 /// DQN hyper-parameters used by every experiment (core/trainer.h).
 using core::standard_dqn;
+
+/// The per-task factory for a named controller: "drl" serves `policy`
+/// (which must outlive the factory), "heuristic" is sized for `num_nodes`,
+/// and "static-max"/"static-min" pin the extreme configurations.
+inline core::ControllerFactory controller_factory(
+    const std::string& name, int num_nodes,
+    const nn::Mlp* policy = nullptr) {
+  if (name == "drl") {
+    return [policy](const core::NocConfigEnv& e)
+               -> std::unique_ptr<core::Controller> {
+      return std::make_unique<core::DrlController>(e, *policy);
+    };
+  }
+  if (name == "heuristic") {
+    return [num_nodes](const core::NocConfigEnv& e)
+               -> std::unique_ptr<core::Controller> {
+      core::HeuristicParams hp;
+      hp.num_nodes = num_nodes;
+      return std::make_unique<core::HeuristicController>(e.actions(), hp);
+    };
+  }
+  if (name != "static-max" && name != "static-min") {
+    throw std::invalid_argument("bench: unknown controller " + name);
+  }
+  const bool max = name == "static-max";
+  return [max](const core::NocConfigEnv& e)
+             -> std::unique_ptr<core::Controller> {
+    return max ? core::StaticController::maximal(e.actions())
+               : core::StaticController::minimal(e.actions());
+  };
+}
 
 /// Trains a fresh agent on `env` and returns it.
 inline std::unique_ptr<rl::DqnAgent> train_agent(core::NocConfigEnv& env,
@@ -69,6 +121,67 @@ inline std::unique_ptr<rl::DqnAgent> train_agent_parallel(
   tp.eval_every = 0;
   core::train_dqn_parallel(calibrated, *agent, tp);
   return agent;
+}
+
+/// The two-tenant interference scenario of T5, T6 and train_parallel: a
+/// looping 16-endpoint DNN-pipeline trace on nodes 0-15 plus uniform
+/// background traffic over the whole `size` x `size` mesh.
+struct DnnBackgroundParams {
+  int size = 8;
+  /// CI scale: 2 DNN batches per trace iteration instead of 4, and
+  /// 4 x 256-cycle epochs per episode instead of 48 x 512.
+  bool smoke = false;
+  double rate_scale = 1.0;  ///< DNN trace replay speed
+  double bg_rate = 0.05;    ///< background packets / node / core cycle
+  /// > 0 makes the DNN tenant latency-critical with this p95 SLO (core
+  /// cycles) and the background tenant QoS class background; the scenario
+  /// is then named "qos_dnn_vs_background", else "dnn_plus_background".
+  double p95_target = 0.0;
+};
+
+/// Environment parameters running the DNN-plus-background scenario; the
+/// scenario itself is `scenario`, and its `net.seed` seeds the traffic.
+inline core::NocEnvParams dnn_background_env(const DnnBackgroundParams& p) {
+  const bool qos = p.p95_target > 0.0;
+  auto s = std::make_shared<scenario::Scenario>();
+  s->name = qos ? "qos_dnn_vs_background" : "dnn_plus_background";
+  s->net.width = s->net.height = p.size;
+  s->net.seed = 42;
+
+  scenario::TenantSpec dnn;
+  dnn.name = "dnn";
+  dnn.kind = scenario::WorkloadKind::kTrace;
+  trace::DnnPipelineParams dp;
+  dp.nodes = 16;
+  dp.batches = p.smoke ? 2 : 4;
+  dnn.trace = std::make_shared<const trace::Trace>(
+      trace::generate_dnn_pipeline(dp));
+  dnn.rate_scale = p.rate_scale;
+  dnn.loop = true;  // RL episodes of any length stay fed
+  dnn.nodes = scenario::parse_node_set("0-15", p.size * p.size);
+  if (qos) {
+    dnn.qos = scenario::QosClass::kLatencyCritical;
+    dnn.p95_target = p.p95_target;
+  }
+  s->tenants.push_back(std::move(dnn));
+
+  scenario::TenantSpec bg;
+  bg.name = "background";
+  bg.kind = scenario::WorkloadKind::kSteady;
+  bg.pattern = "uniform";
+  bg.rate = p.bg_rate;
+  if (qos) bg.qos = scenario::QosClass::kBackground;
+  s->tenants.push_back(std::move(bg));
+  // Horizon for standalone (scenarioctl-style) runs; RL episodes are
+  // bounded by epochs_per_episode instead.
+  s->duration = 1e6;
+
+  core::NocEnvParams ep;
+  ep.net.seed = s->net.seed;  // base of the per-replica seed stream
+  ep.scenario = std::move(s);
+  ep.epoch_cycles = p.smoke ? 256 : 512;
+  ep.epochs_per_episode = p.smoke ? 4 : 48;
+  return ep;
 }
 
 /// Honors `--trace-out=` / `--metrics-out=` / `--trace-sample=` on the table

@@ -1,8 +1,7 @@
-// Shared JSON metric emission for the headless benchmarks (perf_smoke,
-// trace_replay): a flat "metrics" object of rates, an optional "baseline"
-// echo and per-key "speedup" block when comparing against a previous
-// BENCH_*.json. Keeping the format in one place keeps every tracked
-// trajectory file diffable by the same tooling.
+// Shared JSON metric emission for the benchmarks: a flat "metrics" object,
+// an optional "baseline" echo and per-key "speedup" block when comparing
+// against a previous BENCH_*.json (perf_smoke). Keeping the format in one
+// place keeps every tracked trajectory file diffable by the same tooling.
 #pragma once
 
 #include <fstream>
@@ -109,6 +108,24 @@ inline void write_metrics_json(
     os << "  }";
   }
   os << "\n}\n";
+}
+
+/// write_metrics_json into the file at `path`. Returns false, after logging
+/// the path, when the file cannot be opened or written; a bench folds that
+/// into a non-zero exit code.
+inline bool write_metrics_file(
+    const std::string& path, const std::string& bench_name,
+    const std::vector<std::pair<std::string, double>>& metrics,
+    const std::map<std::string, double>& baseline,
+    const std::string& units = "per_second", const std::string& note = "") {
+  std::ofstream out(path);
+  if (out) write_metrics_json(out, bench_name, metrics, baseline, units, note);
+  out.close();
+  if (!out) {
+    LOG_ERROR << bench_name << ": cannot write " << path;
+    return false;
+  }
+  return true;
 }
 
 }  // namespace drlnoc::bench

@@ -1,7 +1,8 @@
 // perf_smoke: the substrate micro-benchmarks (F6): simulator cycle
 // throughput vs mesh size / VC count / load, MLP inference and training,
-// replay push+sample, the DQN learn step, and `.drltrb` trace ingest.
-// Emits a flat JSON metrics
+// replay push+sample, the DQN learn step, and the trace subsystem (ingest
+// of `.drltrb` and `.drltrc` files, task-graph generation, the binary
+// round trip and dependency-gated replay). Emits a flat JSON metrics
 // block, seeding the tracked BENCH_*.json trajectory (see README
 // "Performance").
 //
@@ -17,10 +18,11 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -164,12 +166,14 @@ double bench_dqn_learn(std::uint64_t iters, int repeats) {
   });
 }
 
-/// Records per second through `.drltrb` ingest: TraceReader::read_file plus
+/// Records per second through trace ingest: TraceReader::read_file plus
 /// TraceWorkload construction (validation and the dependents index) on the
 /// graph bench/e2e's replay_dnn_16x16 generates, 43,008 records and 589,824
-/// dependency edges. Node placement does not change the ingest work, so the
-/// generator's own placement is kept.
-double bench_trace_ingest(std::uint64_t iters, int repeats) {
+/// dependency edges, stored as `.drltrb` or `.drltrc` per `extension`. Node
+/// placement does not change the ingest work, so the generator's own
+/// placement is kept.
+double bench_trace_ingest(const std::string& extension, std::uint64_t iters,
+                          int repeats) {
   drlnoc::trace::DnnPipelineParams dp;
   dp.nodes = 256;
   dp.layers = 8;
@@ -177,7 +181,8 @@ double bench_trace_ingest(std::uint64_t iters, int repeats) {
   dp.batches = 24;
   const drlnoc::trace::Trace t = drlnoc::trace::generate_dnn_pipeline(dp);
   const std::string path =
-      (std::filesystem::temp_directory_path() / "perf_smoke_ingest.drltrb")
+      (std::filesystem::temp_directory_path() /
+       ("perf_smoke_ingest" + extension))
           .string();
   drlnoc::trace::TraceWriter::write_file(path, t);
   std::size_t sink = 0;
@@ -191,6 +196,60 @@ double bench_trace_ingest(std::uint64_t iters, int repeats) {
   std::filesystem::remove(path);
   if (sink == 42) std::cerr << "";  // defeat dead-code elimination
   return rate;
+}
+
+/// The 8x8 mesh and task graphs of trace_replay's default size, whose
+/// generation, binary round trip and replay the trace_* rates time.
+constexpr int kTraceMesh = 8;
+
+drlnoc::trace::DnnPipelineParams trace_dnn_params() {
+  drlnoc::trace::DnnPipelineParams dnn;
+  dnn.nodes = kTraceMesh * kTraceMesh;
+  dnn.layers = 6;
+  dnn.tiles_per_layer = 8;
+  dnn.batches = 6;
+  return dnn;
+}
+
+/// Task-graph records generated per second.
+double bench_trace_gen(std::uint64_t iters, int repeats) {
+  const drlnoc::trace::DnnPipelineParams dnn = trace_dnn_params();
+  const std::uint64_t records =
+      drlnoc::trace::generate_dnn_pipeline(dnn).records.size();
+  return measure_rate(records * iters, repeats, [&] {
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      (void)drlnoc::trace::generate_dnn_pipeline(dnn);
+    }
+  });
+}
+
+/// Records per second through an in-memory `.drltrb` write plus read.
+double bench_trace_io_roundtrip(std::uint64_t iters, int repeats) {
+  const drlnoc::trace::Trace t =
+      drlnoc::trace::generate_dnn_pipeline(trace_dnn_params());
+  return measure_rate(t.records.size() * iters, repeats, [&] {
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      std::stringstream buf;
+      drlnoc::trace::TraceWriter::write_binary(buf, t);
+      (void)drlnoc::trace::TraceReader::read_binary(buf);
+    }
+  });
+}
+
+/// Router cycles per second replaying `t` to completion, dependency
+/// tracking included.
+double bench_trace_replay(const drlnoc::trace::Trace& t, int repeats) {
+  drlnoc::noc::NetworkParams p;
+  p.width = p.height = kTraceMesh;
+  p.seed = 1;
+  const auto shared = std::make_shared<const drlnoc::trace::Trace>(t);
+  const auto replay = [&] {
+    drlnoc::noc::Network net(p);
+    drlnoc::trace::TraceWorkload workload(shared);
+    return drlnoc::trace::run_trace_replay(net, workload, 2000000).cycles;
+  };
+  // Replay is deterministic, so every run consumes the same cycles.
+  return measure_rate(replay(), repeats, replay);
 }
 
 }  // namespace
@@ -247,12 +306,28 @@ int main(int argc, char** argv) {
   metrics.emplace_back("replay_push_sample_prioritized",
                        bench_replay_push_sample(prioritized, n(20000), repeats));
   metrics.emplace_back("dqn_learn_steps", bench_dqn_learn(n(800), repeats));
-  metrics.emplace_back("trace_ingest_dnn", bench_trace_ingest(n(10), repeats));
+  metrics.emplace_back("trace_ingest_dnn",
+                       bench_trace_ingest(".drltrb", n(10), repeats));
+  metrics.emplace_back("trace_ingest_dnn_text",
+                       bench_trace_ingest(".drltrc", n(10), repeats));
+  metrics.emplace_back("trace_gen_dnn_records", bench_trace_gen(n(50), repeats));
+  metrics.emplace_back("trace_io_roundtrip_records",
+                       bench_trace_io_roundtrip(n(50), repeats));
+  const drlnoc::trace::Trace dnn =
+      drlnoc::trace::generate_dnn_pipeline(trace_dnn_params());
+  drlnoc::trace::AllToAllParams a2a;
+  a2a.nodes = kTraceMesh * kTraceMesh;
+  a2a.rounds = 3;
+  metrics.emplace_back("trace_replay_dnn_cps", bench_trace_replay(dnn, repeats));
+  metrics.emplace_back(
+      "trace_replay_a2a_cps",
+      bench_trace_replay(drlnoc::trace::generate_alltoall(a2a), repeats));
 
   drlnoc::bench::write_metrics_json(std::cout, "perf_smoke", metrics, baseline);
-  if (cfg.has("out")) {
-    std::ofstream out(cfg.get("out", std::string()));
-    drlnoc::bench::write_metrics_json(out, "perf_smoke", metrics, baseline);
+  if (cfg.has("out") &&
+      !drlnoc::bench::write_metrics_file(cfg.get("out", std::string()),
+                                         "perf_smoke", metrics, baseline)) {
+    return 1;
   }
   return 0;
 }

@@ -67,17 +67,11 @@ int main(int argc, char** argv) {
   rep.reward.power_ref_mw = env.power_ref_mw();  // comparable across seeds
 
   const auto drl_rep = core::evaluate_many(
-      rep,
-      [&](const core::NocConfigEnv& e) -> std::unique_ptr<core::Controller> {
-        return std::make_unique<core::DrlController>(e, agent->policy());
-      },
+      rep, bench::controller_factory("drl", size * size, &agent->policy()),
       replicas, runner);
   const auto max_rep = core::evaluate_many(
-      rep,
-      [](const core::NocConfigEnv& e) -> std::unique_ptr<core::Controller> {
-        return core::StaticController::maximal(e.actions());
-      },
-      replicas, runner);
+      rep, bench::controller_factory("static-max", size * size), replicas,
+      runner);
 
   util::Table r({"controller", "reward", "ci95", "latency", "ci95",
                  "power_mW", "ci95"});

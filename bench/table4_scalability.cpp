@@ -16,7 +16,6 @@
 //                                         # substring (e.g. mesh32x32)
 //   table4_scalability out=T4.json        # also write row metrics as JSON
 #include <chrono>
-#include <fstream>
 #include <iostream>
 
 #include "bench_common.h"
@@ -36,20 +35,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--smoke` is a bare flag; strip it before the key=value parser.
-  bool smoke = false;
-  std::vector<const char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
-  util::init_log(cfg.get("log", std::string()));
-  smoke = cfg.get("smoke", smoke);
+  const util::Config cfg = bench::bench_config(argc, argv);
+  const bool smoke = cfg.get("smoke", false);
   const std::string rows_filter = cfg.get("rows", std::string());
   const core::ExperimentRunner runner = bench::runner_from(cfg);
 
@@ -148,10 +135,11 @@ int main(int argc, char** argv) {
                "topology; latency stays in the static-max band (the 16x16 "
                "and 32x32 rows train on reduced budgets).\n\n";
 
-  if (cfg.has("out")) {
-    std::ofstream out(cfg.get("out", std::string()));
-    bench::write_metrics_json(out, smoke ? "table4_smoke" : "table4",
-                              json_metrics, {}, "mixed");
+  if (cfg.has("out") &&
+      !bench::write_metrics_file(cfg.get("out", std::string()),
+                                 smoke ? "table4_smoke" : "table4",
+                                 json_metrics, {}, "mixed")) {
+    return 1;
   }
   // Smoke runs exist for CI: rows only, no engine-scaling section.
   if (smoke) return 0;

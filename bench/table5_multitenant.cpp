@@ -9,7 +9,6 @@
 // emitted JSON) are bit-identical at any --jobs value. `--smoke` shrinks
 // everything for CI; `out=FILE.json` dumps per-tenant metrics via
 // bench/bench_json.h.
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -18,57 +17,13 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
-#include "scenario/scenario.h"
-#include "trace/generators.h"
 #include "util/config.h"
-#include "util/log.h"
 
 using namespace drlnoc;
 
-namespace {
-
-/// Per-tenant mean + 95% CI over the replicas of one controller.
-struct TenantCi {
-  core::MetricSummary latency;
-  core::MetricSummary p95;
-  core::MetricSummary throughput;
-};
-
-std::vector<TenantCi> tenant_cis(const core::ReplicationResult& rep,
-                                 std::size_t num_tenants) {
-  std::vector<TenantCi> out(num_tenants);
-  for (std::size_t t = 0; t < num_tenants; ++t) {
-    std::vector<double> lat, p95, thru;
-    for (const core::Replica& r : rep.replicas) {
-      const core::TenantEpisodeSummary& s = r.result.tenants[t];
-      lat.push_back(s.mean_latency);
-      p95.push_back(s.p95_latency);
-      thru.push_back(s.accepted_rate);
-    }
-    out[t].latency = core::summarize_metric(lat);
-    out[t].p95 = core::summarize_metric(p95);
-    out[t].throughput = core::summarize_metric(thru);
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
-  util::init_log(cfg.get("log", std::string()));
+  const util::Config cfg = bench::bench_config(argc, argv);
+  const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 80);
@@ -78,40 +33,10 @@ int main(int argc, char** argv) {
   const core::ExperimentRunner runner = bench::runner_from(cfg);
 
   // --- the scenario: a 16-endpoint DNN pipeline + fabric-wide background ---
-  auto s = std::make_shared<scenario::Scenario>();
-  s->name = "dnn_plus_background";
-  s->net.width = s->net.height = size;
-  s->net.seed = 42;
-  {
-    scenario::TenantSpec dnn;
-    dnn.name = "dnn";
-    dnn.kind = scenario::WorkloadKind::kTrace;
-    trace::DnnPipelineParams dp;
-    dp.nodes = 16;
-    dp.batches = smoke ? 2 : 4;
-    dnn.trace = std::make_shared<const trace::Trace>(
-        trace::generate_dnn_pipeline(dp));
-    dnn.rate_scale = rate_scale;
-    dnn.loop = true;  // RL episodes of any length stay fed
-    dnn.nodes = scenario::parse_node_set("0-15", size * size);
-    s->tenants.push_back(std::move(dnn));
-
-    scenario::TenantSpec bg;
-    bg.name = "background";
-    bg.kind = scenario::WorkloadKind::kSteady;
-    bg.pattern = "uniform";
-    bg.rate = bg_rate;
-    s->tenants.push_back(std::move(bg));
-  }
-  // Horizon for standalone (scenarioctl-style) runs; RL episodes are
-  // bounded by epochs_per_episode instead.
-  s->duration = 1e6;
-
-  core::NocEnvParams ep;
-  ep.scenario = s;
-  ep.net.seed = s->net.seed;  // base of the per-replica seed stream
-  ep.epoch_cycles = smoke ? 256 : 512;
-  ep.epochs_per_episode = smoke ? 4 : 48;
+  const core::NocEnvParams ep = bench::dnn_background_env(
+      {.size = size, .smoke = smoke, .rate_scale = rate_scale,
+       .bg_rate = bg_rate});
+  const scenario::Scenario& s = *ep.scenario;
   core::NocConfigEnv env(ep);
 
   std::cout << "T5: multi-tenant interference (mesh " << size << "x" << size
@@ -131,58 +56,26 @@ int main(int argc, char** argv) {
     core::ReplicationResult rep;
   };
   std::vector<Entry> entries;
-  entries.push_back(
-      {"drl", core::evaluate_many(
-                  rep,
-                  [&](const core::NocConfigEnv& e)
-                      -> std::unique_ptr<core::Controller> {
-                    return std::make_unique<core::DrlController>(
-                        e, agent->policy());
-                  },
-                  replicas, runner)});
-  entries.push_back(
-      {"heuristic",
-       core::evaluate_many(
-           rep,
-           [&](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             core::HeuristicParams hp;
-             hp.num_nodes = size * size;
-             return std::make_unique<core::HeuristicController>(e.actions(),
-                                                                hp);
-           },
-           replicas, runner)});
-  entries.push_back(
-      {"static-max",
-       core::evaluate_many(
-           rep,
-           [](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return core::StaticController::maximal(e.actions());
-           },
-           replicas, runner)});
-  entries.push_back(
-      {"static-min",
-       core::evaluate_many(
-           rep,
-           [](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return core::StaticController::minimal(e.actions());
-           },
-           replicas, runner)});
+  for (const std::string name :
+       {"drl", "heuristic", "static-max", "static-min"}) {
+    entries.push_back(
+        {name, core::evaluate_many(rep,
+                                   bench::controller_factory(
+                                       name, size * size, &agent->policy()),
+                                   replicas, runner)});
+  }
 
-  const std::size_t num_tenants = s->tenants.size();
   std::cout << "per-tenant metrics over " << replicas
             << " traffic seeds (mean +/- 95% CI):\n";
   util::Table tab({"controller", "tenant", "latency", "ci95", "p95", "ci95",
                    "thru(pkt/node/cyc)", "ci95", "reward"});
   std::vector<std::pair<std::string, double>> metrics;
   for (const Entry& e : entries) {
-    const std::vector<TenantCi> cis = tenant_cis(e.rep, num_tenants);
-    for (std::size_t t = 0; t < num_tenants; ++t) {
+    const std::vector<core::TenantReplication>& cis = e.rep.tenants;
+    for (std::size_t t = 0; t < cis.size(); ++t) {
       tab.row()
           .cell(e.name)
-          .cell(s->tenants[t].name)
+          .cell(s.tenants[t].name)
           .cell(cis[t].latency.mean, 2)
           .cell(cis[t].latency.ci95, 2)
           .cell(cis[t].p95.mean, 1)
@@ -190,7 +83,7 @@ int main(int argc, char** argv) {
           .cell(cis[t].throughput.mean, 5)
           .cell(cis[t].throughput.ci95, 5)
           .cell(t == 0 ? util::fmt(e.rep.reward.mean, 2) : std::string());
-      const std::string key = e.name + "." + s->tenants[t].name;
+      const std::string key = e.name + "." + s.tenants[t].name;
       metrics.emplace_back(key + ".latency", cis[t].latency.mean);
       metrics.emplace_back(key + ".latency_ci95", cis[t].latency.ci95);
       metrics.emplace_back(key + ".p95", cis[t].p95.mean);
@@ -208,17 +101,14 @@ int main(int argc, char** argv) {
 
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      LOG_ERROR << "table5: cannot write " << out_path;
+    if (!bench::write_metrics_file(out_path, "table5_multitenant", metrics, {},
+                                   "mixed (core-cycle latency, pkt/node/cycle "
+                                   "throughput, mW)")) {
       return 1;
     }
-    bench::write_metrics_json(out, "table5_multitenant", metrics, {},
-                              "mixed (core-cycle latency, pkt/node/cycle "
-                              "throughput, mW)");
     std::cout << "wrote " << out_path << "\n";
   }
   // Optional observability pass (after the measured comparisons, so every
   // table cell above is observer-free).
-  return bench::maybe_traced_run(cfg, *s) ? 0 : 1;
+  return bench::maybe_traced_run(cfg, s) ? 0 : 1;
 }

@@ -12,7 +12,6 @@
 // results (including the emitted JSON) are bit-identical at any
 // --jobs/actors= value. `--smoke` shrinks everything for CI; `out=FILE.json`
 // dumps per-tenant metrics via bench/bench_json.h.
-#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -22,60 +21,14 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
-#include "scenario/scenario.h"
-#include "trace/generators.h"
 #include "util/config.h"
 #include "util/log.h"
 
 using namespace drlnoc;
 
-namespace {
-
-/// Per-tenant mean + 95% CI over the replicas of one controller.
-struct TenantCi {
-  core::MetricSummary latency;
-  core::MetricSummary p95;
-  core::MetricSummary throughput;
-  core::MetricSummary slo_hit_rate;
-};
-
-std::vector<TenantCi> tenant_cis(const core::ReplicationResult& rep,
-                                 std::size_t num_tenants) {
-  std::vector<TenantCi> out(num_tenants);
-  for (std::size_t t = 0; t < num_tenants; ++t) {
-    std::vector<double> lat, p95, thru, slo;
-    for (const core::Replica& r : rep.replicas) {
-      const core::TenantEpisodeSummary& s = r.result.tenants[t];
-      lat.push_back(s.mean_latency);
-      p95.push_back(s.p95_latency);
-      thru.push_back(s.accepted_rate);
-      slo.push_back(s.slo_hit_rate);
-    }
-    out[t].latency = core::summarize_metric(lat);
-    out[t].p95 = core::summarize_metric(p95);
-    out[t].throughput = core::summarize_metric(thru);
-    out[t].slo_hit_rate = core::summarize_metric(slo);
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
-  util::init_log(cfg.get("log", std::string()));
+  const util::Config cfg = bench::bench_config(argc, argv);
+  const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 80);
@@ -91,44 +44,13 @@ int main(int argc, char** argv) {
   const core::ExperimentRunner runner = bench::runner_from(cfg);
 
   // --- the scenario: latency-critical DNN pipeline + background sweep ------
-  auto s = std::make_shared<scenario::Scenario>();
-  s->name = "qos_dnn_vs_background";
-  s->net.width = s->net.height = size;
-  s->net.seed = 42;
-  {
-    scenario::TenantSpec dnn;
-    dnn.name = "dnn";
-    dnn.kind = scenario::WorkloadKind::kTrace;
-    trace::DnnPipelineParams dp;
-    dp.nodes = 16;
-    dp.batches = smoke ? 2 : 4;
-    dnn.trace = std::make_shared<const trace::Trace>(
-        trace::generate_dnn_pipeline(dp));
-    dnn.rate_scale = rate_scale;
-    dnn.loop = true;  // RL episodes of any length stay fed
-    dnn.nodes = scenario::parse_node_set("0-15", size * size);
-    dnn.qos = scenario::QosClass::kLatencyCritical;
-    dnn.p95_target = p95_target;
-    s->tenants.push_back(std::move(dnn));
-
-    scenario::TenantSpec bg;
-    bg.name = "background";
-    bg.kind = scenario::WorkloadKind::kSteady;
-    bg.pattern = "uniform";
-    bg.rate = bg_rate;
-    bg.qos = scenario::QosClass::kBackground;
-    s->tenants.push_back(std::move(bg));
-  }
-  s->duration = 1e6;  // horizon for standalone runs; episodes bound RL use
-
   // Two training environments over one scenario: the QoS objective (SLO
   // penalty + background energy credit + per-tenant features) and the
   // aggregate ablation (scenario_qos=false ignores the annotations).
-  core::NocEnvParams qos_ep;
-  qos_ep.scenario = s;
-  qos_ep.net.seed = s->net.seed;  // base of the per-replica seed stream
-  qos_ep.epoch_cycles = smoke ? 256 : 512;
-  qos_ep.epochs_per_episode = smoke ? 4 : 48;
+  const core::NocEnvParams qos_ep = bench::dnn_background_env(
+      {.size = size, .smoke = smoke, .rate_scale = rate_scale,
+       .bg_rate = bg_rate, .p95_target = p95_target});
+  const scenario::Scenario& s = *qos_ep.scenario;
   core::NocEnvParams agg_ep = qos_ep;
   agg_ep.scenario_qos = false;
 
@@ -158,7 +80,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     rl::PolicyMeta meta;
-    meta.scenario_hash = scenario::content_hash_hex(*s);
+    meta.scenario_hash = scenario::content_hash_hex(s);
     meta.git = DRLNOC_GIT_DESCRIBE;
     qos_agent->save(out, meta);
     std::cout << "saved QoS policy to " << policy_path << "\n";
@@ -174,59 +96,39 @@ int main(int argc, char** argv) {
     std::string name;
     core::ReplicationResult rep;
   };
+  const int nodes = size * size;
   std::vector<Entry> entries;
   entries.push_back(
       {"drl-qos",
        core::evaluate_many(
            qos_rep,
-           [&](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return std::make_unique<core::DrlController>(
-                 e, qos_agent->policy());
-           },
+           bench::controller_factory("drl", nodes, &qos_agent->policy()),
            replicas, runner)});
   entries.push_back(
       {"drl-aggregate",
        core::evaluate_many(
            agg_rep,
-           [&](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return std::make_unique<core::DrlController>(
-                 e, agg_agent->policy());
-           },
+           bench::controller_factory("drl", nodes, &agg_agent->policy()),
            replicas, runner)});
-  entries.push_back(
-      {"static-max",
-       core::evaluate_many(
-           qos_rep,
-           [](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return core::StaticController::maximal(e.actions());
-           },
-           replicas, runner)});
-  entries.push_back(
-      {"static-min",
-       core::evaluate_many(
-           qos_rep,
-           [](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return core::StaticController::minimal(e.actions());
-           },
-           replicas, runner)});
+  for (const std::string name : {"static-max", "static-min"}) {
+    entries.push_back(
+        {name, core::evaluate_many(qos_rep,
+                                   bench::controller_factory(name, nodes),
+                                   replicas, runner)});
+  }
 
-  const std::size_t num_tenants = s->tenants.size();
   std::cout << "per-tenant metrics over " << replicas
             << " traffic seeds (mean +/- 95% CI):\n";
   util::Table tab({"controller", "tenant", "slo_hit", "ci95", "p95", "ci95",
                    "latency", "thru(pkt/node/cyc)", "power_mW"});
   std::vector<std::pair<std::string, double>> metrics;
   for (const Entry& e : entries) {
-    const std::vector<TenantCi> cis = tenant_cis(e.rep, num_tenants);
-    for (std::size_t t = 0; t < num_tenants; ++t) {
-      const bool critical = s->tenants[t].p95_target > 0.0;
+    const std::vector<core::TenantReplication>& cis = e.rep.tenants;
+    for (std::size_t t = 0; t < cis.size(); ++t) {
+      const bool critical = s.tenants[t].p95_target > 0.0;
       tab.row()
           .cell(e.name)
-          .cell(s->tenants[t].name)
+          .cell(s.tenants[t].name)
           .cell(critical ? util::fmt(100.0 * cis[t].slo_hit_rate.mean, 1) + "%"
                          : std::string("-"))
           .cell(critical ? util::fmt(100.0 * cis[t].slo_hit_rate.ci95, 1)
@@ -236,7 +138,7 @@ int main(int argc, char** argv) {
           .cell(cis[t].latency.mean, 2)
           .cell(cis[t].throughput.mean, 5)
           .cell(t == 0 ? util::fmt(e.rep.power_mw.mean, 1) : std::string());
-      const std::string key = e.name + "." + s->tenants[t].name;
+      const std::string key = e.name + "." + s.tenants[t].name;
       metrics.emplace_back(key + ".slo_hit_rate", cis[t].slo_hit_rate.mean);
       metrics.emplace_back(key + ".slo_hit_rate_ci95",
                            cis[t].slo_hit_rate.ci95);
@@ -256,17 +158,14 @@ int main(int argc, char** argv) {
 
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      LOG_ERROR << "table6: cannot write " << out_path;
+    if (!bench::write_metrics_file(out_path, "table6_qos", metrics, {},
+                                   "mixed (SLO hit fraction, core-cycle "
+                                   "latency, pkt/node/cycle throughput, mW)")) {
       return 1;
     }
-    bench::write_metrics_json(out, "table6_qos", metrics, {},
-                              "mixed (SLO hit fraction, core-cycle latency, "
-                              "pkt/node/cycle throughput, mW)");
     std::cout << "wrote " << out_path << "\n";
   }
   // Optional observability pass (after the measured comparisons, so every
   // table cell above is observer-free).
-  return bench::maybe_traced_run(cfg, *s) ? 0 : 1;
+  return bench::maybe_traced_run(cfg, s) ? 0 : 1;
 }

@@ -14,8 +14,6 @@
 // emitted JSON) are bit-identical at any --jobs value. `--smoke` shrinks
 // everything for CI; `out=FILE.json` dumps the metrics via
 // bench/bench_json.h.
-#include <cmath>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -27,7 +25,6 @@
 #include "noc/faults.h"
 #include "scenario/scenario.h"
 #include "util/config.h"
-#include "util/log.h"
 
 using namespace drlnoc;
 
@@ -75,32 +72,6 @@ std::vector<FaultLevel> fault_levels(int size, double low, double high) {
   return levels;
 }
 
-/// Per-tenant mean + 95% CI over the replicas of one (controller, level)
-/// cell, plus the fabric-level fault accounting averaged per replica.
-struct CellCi {
-  core::MetricSummary slo_hit_rate;
-  core::MetricSummary p95;
-  core::MetricSummary throughput;
-};
-
-std::vector<CellCi> tenant_cis(const core::ReplicationResult& rep,
-                               std::size_t num_tenants) {
-  std::vector<CellCi> out(num_tenants);
-  for (std::size_t t = 0; t < num_tenants; ++t) {
-    std::vector<double> slo, p95, thru;
-    for (const core::Replica& r : rep.replicas) {
-      const core::TenantEpisodeSummary& s = r.result.tenants[t];
-      slo.push_back(s.slo_hit_rate);
-      p95.push_back(s.p95_latency);
-      thru.push_back(s.accepted_rate);
-    }
-    out[t].slo_hit_rate = core::summarize_metric(slo);
-    out[t].p95 = core::summarize_metric(p95);
-    out[t].throughput = core::summarize_metric(thru);
-  }
-  return out;
-}
-
 struct FaultTotals {
   double retries = 0.0;        ///< mean per replica
   double packets_lost = 0.0;   ///< mean per replica
@@ -125,20 +96,8 @@ FaultTotals fault_totals(const core::ReplicationResult& rep) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
-  util::init_log(cfg.get("log", std::string()));
+  const util::Config cfg = bench::bench_config(argc, argv);
+  const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 60);
@@ -204,7 +163,7 @@ int main(int argc, char** argv) {
   struct Cell {
     std::string controller;
     std::string level;
-    std::vector<CellCi> tenants;
+    std::vector<core::TenantReplication> tenants;
     FaultTotals faults;
     double power_mw = 0.0;
   };
@@ -222,31 +181,14 @@ int main(int argc, char** argv) {
     rep_ep.reward.power_ref_mw = env.power_ref_mw();
 
     for (const std::string& name : controllers) {
-      core::ControllerFactory factory;
-      if (name == "drl") {
-        factory = [&](const core::NocConfigEnv& e)
-            -> std::unique_ptr<core::Controller> {
-          return std::make_unique<core::DrlController>(e, agent->policy());
-        };
-      } else if (name == "heuristic") {
-        factory = [size](const core::NocConfigEnv& e)
-            -> std::unique_ptr<core::Controller> {
-          core::HeuristicParams hp;
-          hp.num_nodes = size * size;
-          return std::make_unique<core::HeuristicController>(e.actions(), hp);
-        };
-      } else {
-        factory = [](const core::NocConfigEnv& e)
-            -> std::unique_ptr<core::Controller> {
-          return core::StaticController::maximal(e.actions());
-        };
-      }
-      const core::ReplicationResult rep =
-          core::evaluate_many(rep_ep, factory, replicas, runner);
+      const core::ReplicationResult rep = core::evaluate_many(
+          rep_ep,
+          bench::controller_factory(name, size * size, &agent->policy()),
+          replicas, runner);
       Cell cell;
       cell.controller = name;
       cell.level = level.name;
-      cell.tenants = tenant_cis(rep, s->tenants.size());
+      cell.tenants = rep.tenants;
       cell.faults = fault_totals(rep);
       cell.power_mw = rep.power_mw.mean;
       cells.push_back(std::move(cell));
@@ -323,16 +265,13 @@ int main(int argc, char** argv) {
 
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      LOG_ERROR << "table7: cannot write " << out_path;
+    if (!bench::write_metrics_file(out_path, "table7_faults", metrics, {},
+                                   "mixed (SLO hit fraction, core-cycle "
+                                   "latency, pkt/node/cycle throughput, "
+                                   "retention fraction, mean per-replica "
+                                   "fault counts, mW)")) {
       return 1;
     }
-    bench::write_metrics_json(out, "table7_faults", metrics, {},
-                              "mixed (SLO hit fraction, core-cycle latency, "
-                              "pkt/node/cycle throughput, retention "
-                              "fraction, mean per-replica fault counts, "
-                              "mW)");
     std::cout << "wrote " << out_path << "\n";
   }
   // Optional observability pass at the worst severity (after the measured

@@ -101,20 +101,8 @@ void write_file(const std::string& path, const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
-  util::init_log(cfg.get("log", std::string()));
+  const util::Config cfg = bench::bench_config(argc, argv);
+  const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 40);
@@ -219,14 +207,11 @@ int main(int argc, char** argv) {
 
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      LOG_ERROR << "table8: cannot write " << out_path;
+    if (!bench::write_metrics_file(out_path, "table8_fleet", metrics, {},
+                                   "mixed (SLO hit fraction, core-cycle "
+                                   "latency, mW)")) {
       return 1;
     }
-    bench::write_metrics_json(out, "table8_fleet", metrics, {},
-                              "mixed (SLO hit fraction, core-cycle latency, "
-                              "mW)");
     std::cout << "wrote " << out_path << "\n";
   }
   return 0;

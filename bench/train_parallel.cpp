@@ -15,7 +15,6 @@
 // Timings are machine-dependent: refresh on an idle machine, best of
 // `repeats` runs.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -25,10 +24,7 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
-#include "scenario/scenario.h"
-#include "trace/generators.h"
 #include "util/config.h"
-#include "util/log.h"
 
 using namespace drlnoc;
 
@@ -51,20 +47,8 @@ double best_seconds(int repeats, Fn&& fn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
-  util::init_log(cfg.get("log", std::string()));
+  const util::Config cfg = bench::bench_config(argc, argv);
+  const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 4 : 16);
@@ -73,42 +57,10 @@ int main(int argc, char** argv) {
   const int repeats = cfg.get("repeats", smoke ? 1 : 3);
 
   // The T6 scenario (table6_qos.cpp): latency-critical DNN pipeline over a
-  // background sweep — the training workload whose wall clock this PR
-  // targets.
-  auto s = std::make_shared<scenario::Scenario>();
-  s->name = "qos_dnn_vs_background";
-  s->net.width = s->net.height = size;
-  s->net.seed = 42;
-  {
-    scenario::TenantSpec dnn;
-    dnn.name = "dnn";
-    dnn.kind = scenario::WorkloadKind::kTrace;
-    trace::DnnPipelineParams dp;
-    dp.nodes = 16;
-    dp.batches = smoke ? 2 : 4;
-    dnn.trace = std::make_shared<const trace::Trace>(
-        trace::generate_dnn_pipeline(dp));
-    dnn.loop = true;
-    dnn.nodes = scenario::parse_node_set("0-15", size * size);
-    dnn.qos = scenario::QosClass::kLatencyCritical;
-    dnn.p95_target = smoke ? 200.0 : 300.0;
-    s->tenants.push_back(std::move(dnn));
-
-    scenario::TenantSpec bg;
-    bg.name = "background";
-    bg.kind = scenario::WorkloadKind::kSteady;
-    bg.pattern = "uniform";
-    bg.rate = 0.05;
-    bg.qos = scenario::QosClass::kBackground;
-    s->tenants.push_back(std::move(bg));
-  }
-  s->duration = 1e6;
-
-  core::NocEnvParams ep;
-  ep.scenario = s;
-  ep.net.seed = s->net.seed;
-  ep.epoch_cycles = smoke ? 256 : 512;
-  ep.epochs_per_episode = smoke ? 4 : 48;
+  // background sweep — the training workload whose wall clock this bench
+  // measures.
+  const core::NocEnvParams ep = bench::dnn_background_env(
+      {.size = size, .smoke = smoke, .p95_target = smoke ? 200.0 : 300.0});
 
   std::cout << "train_parallel: " << episodes << " episodes x "
             << ep.epochs_per_episode << " epochs on mesh " << size << "x"
@@ -147,22 +99,19 @@ int main(int argc, char** argv) {
 
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      LOG_ERROR << "train_parallel: cannot write " << out_path;
+    if (!bench::write_metrics_file(
+            out_path, "train_parallel", metrics, {},
+            "seconds (and dimensionless speedups)",
+            "T6 QoS-scenario training wall clock: serial train_dqn vs the "
+            "multi-actor collector. Speedup scales with build_host_threads — on "
+            "a single-core host the collector's batched forwards (computed for "
+            "every lane each step, exploring or not, so curves stay "
+            "bit-identical at any actors count) cost wall clock instead of "
+            "hiding behind parallel env stepping; expect >=3x at actors=8 on an "
+            ">=8-thread machine. Refresh with: ./build/bench/train_parallel "
+            "actors=8 out=BENCH_PR10.json")) {
       return 1;
     }
-    bench::write_metrics_json(
-        out, "train_parallel", metrics, {},
-        "seconds (and dimensionless speedups)",
-        "T6 QoS-scenario training wall clock: serial train_dqn vs the "
-        "multi-actor collector. Speedup scales with build_host_threads — on "
-        "a single-core host the collector's batched forwards (computed for "
-        "every lane each step, exploring or not, so curves stay "
-        "bit-identical at any actors count) cost wall clock instead of "
-        "hiding behind parallel env stepping; expect >=3x at actors=8 on an "
-        ">=8-thread machine. Refresh with: ./build/bench/train_parallel "
-        "actors=8 out=BENCH_PR10.json");
     std::cout << "wrote " << out_path << "\n";
   }
   return 0;

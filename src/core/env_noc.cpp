@@ -109,7 +109,7 @@ NocConfigEnv::NocConfigEnv(NocEnvParams params)
     : params_(resolve(std::move(params))),
       features_(params_.actions, params_.net.width * params_.net.height,
                 FeatureParams{}, params_.reward.tenant_qos),
-      reward_(params_.reward) {
+      reward_(params_.reward, params_.power.core_freq_ghz) {
   power_ref_mw_ = params_.reward.power_ref_mw > 0.0
                       ? params_.reward.power_ref_mw
                       : calibrate_power_ref(key_of(params_));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace drlnoc::core {
 
@@ -73,6 +74,15 @@ MetricSummary summarize(const std::vector<Replica>& replicas,
   return summarize_metric(xs);
 }
 
+MetricSummary summarize_tenant(const std::vector<Replica>& replicas,
+                               std::size_t t,
+                               double TenantEpisodeSummary::*metric) {
+  std::vector<double> xs;
+  xs.reserve(replicas.size());
+  for (const Replica& r : replicas) xs.push_back(r.result.tenants[t].*metric);
+  return summarize_metric(xs);
+}
+
 }  // namespace
 
 ReplicationResult evaluate_many(const NocEnvParams& base,
@@ -104,6 +114,30 @@ ReplicationResult evaluate_many(const NocEnvParams& base,
       out.replicas, [](const EpisodeResult& r) { return r.mean_power_mw; });
   out.edp = summarize(out.replicas,
                       [](const EpisodeResult& r) { return r.mean_edp; });
+
+  const std::size_t num_tenants =
+      out.replicas.empty() ? 0 : out.replicas.front().result.tenants.size();
+  for (const Replica& r : out.replicas) {
+    if (r.result.tenants.size() != num_tenants) {
+      throw std::invalid_argument(
+          "evaluate_many: replica seeds " +
+          std::to_string(out.replicas.front().seed) + " and " +
+          std::to_string(r.seed) + " report " + std::to_string(num_tenants) +
+          " and " + std::to_string(r.result.tenants.size()) + " tenants");
+    }
+  }
+  out.tenants.resize(num_tenants);
+  for (std::size_t t = 0; t < num_tenants; ++t) {
+    TenantReplication& tr = out.tenants[t];
+    tr.latency = summarize_tenant(out.replicas, t,
+                                  &TenantEpisodeSummary::mean_latency);
+    tr.p95 =
+        summarize_tenant(out.replicas, t, &TenantEpisodeSummary::p95_latency);
+    tr.throughput = summarize_tenant(out.replicas, t,
+                                     &TenantEpisodeSummary::accepted_rate);
+    tr.slo_hit_rate = summarize_tenant(out.replicas, t,
+                                       &TenantEpisodeSummary::slo_hit_rate);
+  }
   return out;
 }
 

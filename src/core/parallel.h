@@ -89,17 +89,30 @@ struct MetricSummary {
 /// bug, and letting it poison a mean hides where it entered.
 MetricSummary summarize_metric(const std::vector<double>& xs);
 
+/// One tenant's metrics across replicas (TenantEpisodeSummary fields).
+struct TenantReplication {
+  MetricSummary latency;       ///< mean_latency
+  MetricSummary p95;           ///< p95_latency
+  MetricSummary throughput;    ///< accepted_rate
+  MetricSummary slo_hit_rate;  ///< slo_hit_rate
+};
+
 struct ReplicationResult {
   std::vector<Replica> replicas;  ///< ordered by task index
   MetricSummary reward;
   MetricSummary latency;
   MetricSummary power_mw;
   MetricSummary edp;
+  /// Index-aligned with each replica's EpisodeResult::tenants (empty for
+  /// single-tenant workloads).
+  std::vector<TenantReplication> tenants;
 };
 
 /// Evaluates `controller_factory`'s policy over `replicas` episodes whose
 /// traffic seeds are `base.net.seed + task_index` (the deterministic
-/// per-task RNG stream), in parallel, and aggregates confidence intervals.
+/// per-task RNG stream), in parallel, and aggregates confidence intervals,
+/// per tenant too. Throws std::invalid_argument when the replicas report
+/// different tenant counts (no per-tenant interval spans them).
 ReplicationResult evaluate_many(const NocEnvParams& base,
                                 const ControllerFactory& controller_factory,
                                 int replicas, const ExperimentRunner& runner);

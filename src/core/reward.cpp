@@ -29,7 +29,6 @@ void RewardParams::validate() const {
   check_weight("w_background_energy", w_background_energy);
   check_weight("latency_ref", latency_ref, /*positive=*/true);
   check_weight("power_ref_mw", power_ref_mw);
-  check_weight("core_freq_ghz", core_freq_ghz, /*positive=*/true);
   for (std::size_t i = 0; i < tenant_qos.size(); ++i) {
     const TenantQosSpec& q = tenant_qos[i];
     const std::string who = "reward: tenant_qos[" + std::to_string(i) + "] ";
@@ -47,9 +46,10 @@ void RewardParams::validate() const {
   }
 }
 
-RewardFunction::RewardFunction(RewardParams params)
-    : params_(std::move(params)) {
+RewardFunction::RewardFunction(RewardParams params, double core_freq_ghz)
+    : params_(std::move(params)), core_freq_ghz_(core_freq_ghz) {
   params_.validate();
+  check_weight("core_freq_ghz", core_freq_ghz_, /*positive=*/true);
 }
 
 RewardFunction::Breakdown RewardFunction::breakdown(
@@ -67,7 +67,7 @@ RewardFunction::Breakdown RewardFunction::breakdown(
   }
   b.latency_term = params_.w_latency * lat_norm;
 
-  const double power = stats.avg_power_mw(params_.core_freq_ghz);
+  const double power = stats.avg_power_mw(core_freq_ghz_);
   const double ref = params_.power_ref_mw > 0.0 ? params_.power_ref_mw : 1.0;
   b.power_term = params_.w_power * std::min(2.0, power / ref);
 

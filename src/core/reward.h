@@ -40,7 +40,6 @@ struct RewardParams {
   double w_saturation = 4.0;
   double latency_ref = 60.0;   ///< core cycles; typical low-load latency
   double power_ref_mw = 0.0;   ///< 0 => auto-calibrated by the environment
-  double core_freq_ghz = 2.0;
 
   // Tenant-aware QoS mode (empty tenant_qos = aggregate objective).
   double w_slo = 4.0;  ///< weight of each tenant's SLO-violation penalty
@@ -56,8 +55,13 @@ struct RewardParams {
 
 class RewardFunction {
  public:
-  /// Validates `params` (std::invalid_argument on bad weights/refs/targets).
-  explicit RewardFunction(RewardParams params);
+  /// Validates `params` and `core_freq_ghz` (std::invalid_argument on bad
+  /// weights/refs/targets or a nonpositive clock). Epoch power is read at
+  /// `core_freq_ghz`, the fabric's core clock (noc::PowerParams), which the
+  /// power reference is calibrated at too.
+  explicit RewardFunction(
+      RewardParams params,
+      double core_freq_ghz = noc::PowerParams{}.core_freq_ghz);
 
   const RewardParams& params() const { return params_; }
   void set_power_ref(double mw) { params_.power_ref_mw = mw; }
@@ -89,6 +93,7 @@ class RewardFunction {
 
  private:
   RewardParams params_;
+  double core_freq_ghz_;
 };
 
 }  // namespace drlnoc::core

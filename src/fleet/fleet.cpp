@@ -125,13 +125,13 @@ void write_result_file(const std::string& path,
   }
 }
 
-std::optional<FleetScenarioResult> read_result_file(const std::string& path) {
-  const std::optional<std::string> text = util::read_file_bytes(path);
-  if (!text) return std::nullopt;
+namespace {
+
+FleetScenarioResult parse_result(const std::string& text) {
   // No unknown-key check: a key added by a newer writer must not make this
   // reader reject the file.
   const util::Config cfg = util::parse_versioned_text(
-      *text, {"drlfr", kFleetResultFormatVersion, "fleet: " + path, {}});
+      text, {"drlfr", kFleetResultFormatVersion, "fleet result", {}});
   FleetScenarioResult r;
   r.index = static_cast<std::size_t>(cfg.get("index", 0LL));
   r.label = cfg.get("label", std::string());
@@ -146,7 +146,7 @@ std::optional<FleetScenarioResult> read_result_file(const std::string& path) {
   r.packets_lost = static_cast<std::uint64_t>(cfg.get("packets_lost", 0LL));
   r.rerouted_hops = static_cast<std::uint64_t>(cfg.get("rerouted_hops", 0LL));
   r.policy_version = cfg.get("policy_version", std::string());
-  const int tenants = cfg.get("tenants", 0);
+  const int tenants = util::block_count(cfg, "tenants", 0, "fleet result");
   for (int i = 0; i < tenants; ++i) {
     const std::string p = "tenant" + std::to_string(i) + ".";
     FleetTenantOutcome t;
@@ -158,6 +158,18 @@ std::optional<FleetScenarioResult> read_result_file(const std::string& path) {
     r.tenants.push_back(t);
   }
   return r;
+}
+
+}  // namespace
+
+std::optional<FleetScenarioResult> read_result_file(const std::string& path) {
+  const std::optional<std::string> text = util::read_file_bytes(path);
+  if (!text) return std::nullopt;
+  try {
+    return parse_result(*text);
+  } catch (const std::exception& e) {
+    throw std::invalid_argument(path + ": " + e.what());
+  }
 }
 
 namespace {

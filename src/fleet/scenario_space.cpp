@@ -52,9 +52,18 @@ void ScenarioSpace::validate() const {
       fail(who + "duplicate axis key '" + axis.key + "'");
     }
   }
+  // Multiplied out step by step: size() wraps past 2^64 points.
   constexpr std::size_t kMaxPoints = 1000000;
-  if (size() > kMaxPoints) {
-    fail("space has " + std::to_string(size()) +
+  std::size_t points = static_cast<std::size_t>(seeds);
+  for (const SpaceAxis& axis : axes) {
+    if (points > kMaxPoints / axis.values.size()) {
+      fail("space has more than " + std::to_string(kMaxPoints) +
+           " points, over the sanity cap");
+    }
+    points *= axis.values.size();
+  }
+  if (points > kMaxPoints) {
+    fail("space has " + std::to_string(points) +
          " points, over the sanity cap of " + std::to_string(kMaxPoints));
   }
 }

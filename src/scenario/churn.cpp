@@ -58,7 +58,10 @@ void ChurnParams::validate(std::size_t declared_tenants,
          "the scenario a finite duration");
   }
   if (capacity < 0) fail("capacity must be >= 0");
-  if (max_arrivals < 1) fail("max_arrivals must be >= 1");
+  if (max_arrivals < 1 || max_arrivals > kMaxChurnArrivals) {
+    fail("max_arrivals must be in [1, " + std::to_string(kMaxChurnArrivals) +
+         "]");
+  }
   if (templates.empty()) {
     fail("at least one template is required (templates = N + "
          "templateN.tenant = ...)");

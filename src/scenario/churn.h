@@ -38,6 +38,10 @@ struct ChurnTemplate {
   double lifetime_max = 0.0;
 };
 
+/// Largest accepted ChurnParams::max_arrivals, so no [churn] block expands
+/// into more churned tenants than this.
+inline constexpr int kMaxChurnArrivals = 1 << 16;
+
 /// The `[churn]` block of a `.drlsc` scenario. `arrival_rate > 0` enables
 /// the model; a default-constructed ChurnParams is inert and serialises to
 /// nothing, so churn-free scenarios stay byte-identical.

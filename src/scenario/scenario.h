@@ -112,8 +112,12 @@ struct Scenario {
   std::string name = "scenario";
   noc::NetworkParams net{};
   std::vector<TenantSpec> tenants;
-  /// Run horizon in core cycles; 0 = run until every tenant finishes (trace
-  /// tenants deliver every record, windowed tenants pass their stop time).
+  /// Run horizon in core cycles of plain runs (`scenarioctl run` without a
+  /// [controller] block, run_scenario): tenants stop injecting at it; 0 =
+  /// run until every tenant finishes (trace tenants deliver every record,
+  /// windowed tenants pass their stop time). Scheduled runs, RL training and
+  /// fleets run `epochs x epoch_cycles` router cycles and never read it;
+  /// churn expansion still takes it as its default arrival horizon.
   double duration = 0.0;
   /// Router-cycle safety limit for scenario runs.
   std::uint64_t cycle_limit = 2000000;

@@ -56,7 +56,7 @@ TenantSpec parse_tenant(const TrackedConfig& c, int index, int num_nodes,
       break;
     case WorkloadKind::kPhased: {
       t.phase_scale = c.get(p + "phase_scale", t.phase_scale);
-      const int phases = c.get(p + "phases", 0);
+      const int phases = c.count(p + "phases", 0, "scenario");
       for (int k = 0; k < phases; ++k) {
         const std::string pp = p + "phase" + std::to_string(k) + ".";
         noc::Phase ph;
@@ -96,10 +96,7 @@ noc::FaultParams parse_faults(const TrackedConfig& c) {
   f.retry_timeout = static_cast<noc::Cycle>(timeout);
   f.retry_backoff = c.get("faults.retry_backoff", f.retry_backoff);
   f.retry_budget = c.get("faults.retry_budget", f.retry_budget);
-  const int events = c.get("faults.events", 0);
-  if (events < 0) {
-    throw std::invalid_argument("scenario: faults.events must be >= 0");
-  }
+  const int events = c.count("faults.events", 0, "scenario");
   for (int k = 0; k < events; ++k) {
     const std::string ep = "faults.event" + std::to_string(k) + ".";
     noc::FaultEvent e;
@@ -138,10 +135,7 @@ ChurnParams parse_churn(const TrackedConfig& c) {
   ch.horizon = c.get("churn.horizon", ch.horizon);
   ch.capacity = c.get("churn.capacity", ch.capacity);
   ch.max_arrivals = c.get("churn.max_arrivals", ch.max_arrivals);
-  const int templates = c.get("churn.templates", 0);
-  if (templates < 0) {
-    throw std::invalid_argument("scenario: churn.templates must be >= 0");
-  }
+  const int templates = c.count("churn.templates", 0, "scenario");
   for (int k = 0; k < templates; ++k) {
     const std::string tp = "churn.template" + std::to_string(k) + ".";
     ChurnTemplate t;
@@ -233,10 +227,7 @@ Scenario ScenarioReader::read_text(
   s.cycle_limit = static_cast<std::uint64_t>(
       c.get("cycle_limit", static_cast<long long>(s.cycle_limit)));
 
-  const int tenants = c.get("tenants", 0);
-  if (tenants <= 0) {
-    throw std::invalid_argument("scenario: tenants must be >= 1");
-  }
+  const int tenants = c.count("tenants", 1, "scenario");
   const int num_nodes = s.net.width * s.net.height;
   for (int i = 0; i < tenants; ++i) {
     s.tenants.push_back(parse_tenant(c, i, num_nodes, base_dir));

@@ -10,6 +10,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 namespace drlnoc::trace {
@@ -72,27 +73,63 @@ std::string format_double(double v) {
   return std::string(buf, res.ptr);  // shortest round-trip representation
 }
 
-double parse_double(const std::string& token, const char* what) {
+double parse_double(std::string_view token, const char* what) {
   double v = 0.0;
   const auto res =
       std::from_chars(token.data(), token.data() + token.size(), v);
   if (res.ec != std::errc{} || res.ptr != token.data() + token.size()) {
     throw std::runtime_error(std::string("trace text: bad ") + what + ": " +
-                             token);
+                             std::string(token));
   }
   return v;
 }
 
-std::uint64_t parse_u64(const std::string& token, const char* what) {
+std::uint64_t parse_u64(std::string_view token, const char* what) {
   std::uint64_t v = 0;
   const auto res =
       std::from_chars(token.data(), token.data() + token.size(), v);
   if (res.ec != std::errc{} || res.ptr != token.data() + token.size()) {
     throw std::runtime_error(std::string("trace text: bad ") + what + ": " +
-                             token);
+                             std::string(token));
   }
   return v;
 }
+
+/// `token` as a whole number of type T; false when it is empty, malformed
+/// or out of range.
+template <typename T>
+bool parse_whole(std::string_view token, T& out) {
+  const auto res =
+      std::from_chars(token.data(), token.data() + token.size(), out);
+  return !token.empty() && res.ec == std::errc{} &&
+         res.ptr == token.data() + token.size();
+}
+
+/// Whitespace-separated tokens of one line, as views into it.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) : rest_(line) {}
+
+  /// The next token; empty at the end of the line.
+  std::string_view next() {
+    std::size_t begin = 0;
+    while (begin < rest_.size() && is_space(rest_[begin])) ++begin;
+    std::size_t end = begin;
+    while (end < rest_.size() && !is_space(rest_[end])) ++end;
+    const std::string_view token = rest_.substr(begin, end - begin);
+    rest_.remove_prefix(end);
+    return token;
+  }
+
+ private:
+  /// The C locale's isspace: ' ', '\t', '\n', '\v', '\f', '\r'. (The set
+  /// lookups of find_first_of cost more than the whole number parse.)
+  static bool is_space(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+
+  std::string_view rest_;
+};
 
 constexpr std::size_t kWindowBytes = std::size_t{1} << 16;
 
@@ -193,13 +230,13 @@ Trace TraceReader::read_text(std::istream& is) {
   trace.default_length = 4;
   bool saw_version = false;
   bool saw_nodes = false;
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string first;
-    if (!(ls >> first)) continue;  // blank / comment-only line
+  std::string buffer;  // one line at a time, reused
+  while (std::getline(is, buffer)) {
+    const std::string_view line =
+        std::string_view(buffer).substr(0, buffer.find('#'));
+    Tokens tokens(line);
+    const std::string_view first = tokens.next();
+    if (first.empty()) continue;  // blank / comment-only line
 
     if (!saw_version) {
       if (first != "drltrc") {
@@ -207,21 +244,22 @@ Trace TraceReader::read_text(std::istream& is) {
             "trace text: missing 'drltrc <version>' header");
       }
       int version = 0;
-      if (!(ls >> version) || version != kTraceFormatVersion) {
+      if (!parse_whole(tokens.next(), version) ||
+          version != kTraceFormatVersion) {
         throw std::runtime_error("trace text: unsupported version");
       }
       saw_version = true;
       continue;
     }
     if (first == "nodes") {
-      if (!(ls >> trace.nodes)) {
+      if (!parse_whole(tokens.next(), trace.nodes)) {
         throw std::runtime_error("trace text: bad nodes");
       }
       saw_nodes = true;
       continue;
     }
     if (first == "default_length") {
-      if (!(ls >> trace.default_length)) {
+      if (!parse_whole(tokens.next(), trace.default_length)) {
         throw std::runtime_error("trace text: bad default_length");
       }
       continue;
@@ -230,37 +268,43 @@ Trace TraceReader::read_text(std::istream& is) {
       // Only a preallocation hint, so a corrupt count may not reserve
       // more than a bounded amount up front.
       std::size_t n = 0;
-      if (ls >> n) trace.records.reserve(std::min(n, kMaxReservedRecords));
+      if (parse_whole(tokens.next(), n)) {
+        trace.records.reserve(std::min(n, kMaxReservedRecords));
+      }
       continue;
     }
 
     // A record line: id src dst time flits [deps]
     TraceRecord rec;
     rec.id = parse_u64(first, "record id");
-    std::string time_token;
-    if (!(ls >> rec.src >> rec.dst >> time_token >> rec.length)) {
-      throw std::runtime_error("trace text: malformed record line: " + line);
+    const std::string_view src = tokens.next();
+    const std::string_view dst = tokens.next();
+    const std::string_view time = tokens.next();
+    const std::string_view length = tokens.next();
+    if (!parse_whole(src, rec.src) || !parse_whole(dst, rec.dst) ||
+        time.empty() || !parse_whole(length, rec.length)) {
+      throw std::runtime_error("trace text: malformed record line: " +
+                               std::string(line));
     }
-    rec.time = parse_double(time_token, "record time");
-    std::string deps_token;
-    if (ls >> deps_token) {
-      std::size_t start = 0;
-      while (start <= deps_token.size()) {
-        const std::size_t comma = deps_token.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? deps_token.size() : comma;
-        rec.deps.push_back(
-            parse_u64(deps_token.substr(start, end - start), "dependency id"));
-        if (comma == std::string::npos) break;
-        start = comma + 1;
+    rec.time = parse_double(time, "record time");
+    std::string_view deps = tokens.next();
+    if (!deps.empty()) {
+      const auto commas = std::count(deps.begin(), deps.end(), ',');
+      rec.deps.reserve(static_cast<std::size_t>(commas) + 1);
+      for (;;) {
+        const std::size_t comma = deps.find(',');
+        rec.deps.push_back(parse_u64(deps.substr(0, comma), "dependency id"));
+        if (comma == std::string_view::npos) break;
+        deps.remove_prefix(comma + 1);
       }
     }
-    std::string extra;
-    if (ls >> extra) {
+    const std::string_view extra = tokens.next();
+    if (!extra.empty()) {
       // Deps are comma-separated in one token; trailing tokens would
       // otherwise be dropped silently (e.g. space-separated deps).
       throw std::runtime_error("trace text: unexpected trailing token '" +
-                               extra + "' on record line: " + line);
+                               std::string(extra) +
+                               "' on record line: " + std::string(line));
     }
     trace.records.push_back(std::move(rec));
   }

@@ -79,6 +79,18 @@ Config parse_versioned_text(const std::string& text,
   return cfg;
 }
 
+int block_count(const Config& cfg, const std::string& key, int min,
+                const std::string& error_prefix) {
+  const int n = cfg.get(key, 0);
+  if (n < min || n > kMaxBlockCount) {
+    throw std::invalid_argument(
+        error_prefix + ": " + key + " = " + std::to_string(n) +
+        " is outside [" + std::to_string(min) + ", " +
+        std::to_string(kMaxBlockCount) + "]" + cfg.location_suffix(key));
+  }
+  return n;
+}
+
 void TrackedConfig::reject_unknown(const std::string& error_prefix) const {
   for (const std::string& key : cfg_.keys()) {
     if (!consumed_.count(key)) {

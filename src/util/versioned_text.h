@@ -33,6 +33,18 @@ struct TextFormat {
 /// duplicate sections throw std::invalid_argument.
 Config parse_versioned_text(const std::string& text, const TextFormat& format);
 
+/// Largest block count (`tenants = N`, `faults.events = N`, ...) the text
+/// formats accept. A block may consist of defaults only, so the keys present
+/// do not bound a count; this cap keeps a corrupt count from allocating
+/// without bound.
+inline constexpr int kMaxBlockCount = 4096;
+
+/// `cfg`'s integer `key` (0 when absent) as a block count. Throws
+/// std::invalid_argument("<error_prefix>: <key> = N is outside [<min>,
+/// 4096] (line L)") when it is out of range.
+int block_count(const Config& cfg, const std::string& key, int min,
+                const std::string& error_prefix);
+
 /// Read-only view of a Config that remembers every key it served, so a
 /// strict loader can reject the keys nobody asked for (typically typos).
 /// The Config must outlive the view.
@@ -52,6 +64,12 @@ class TrackedConfig {
   }
   std::string str(const std::string& key, const std::string& fallback) const {
     return get<std::string>(key, fallback);
+  }
+  /// block_count over the viewed Config.
+  int count(const std::string& key, int min,
+            const std::string& error_prefix) const {
+    if (cfg_.has(key)) consumed_.insert(key);
+    return block_count(cfg_, key, min, error_prefix);
   }
 
   /// Throws std::invalid_argument("<error_prefix>: unknown key 'k' (line N)")

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/action_space.h"
@@ -127,6 +128,27 @@ TEST(Reward, SaturationDominates) {
   EXPECT_GT(b.saturation_term, b.latency_term);
   EXPECT_GT(b.saturation_term, 2.0);
   EXPECT_LT(b.reward, -3.0);
+}
+
+TEST(Reward, PowerTermReadsTheFabricClock) {
+  // The power reference is calibrated at PowerParams::core_freq_ghz, so
+  // every epoch's power must be read at that clock too: at 3 GHz an epoch
+  // of the same energy spans 2/3 of the wall time it would at 2 GHz.
+  NocEnvParams ep;
+  ep.net.width = ep.net.height = 4;
+  ep.epoch_cycles = 256;
+  ep.epochs_per_episode = 2;
+  ep.power.core_freq_ghz = 3.0;
+  NocConfigEnv env(ep);
+  env.reset();
+  const rl::StepResult r = env.step(0);
+  const noc::EpochStats& stats = env.last_stats();
+  const double expected =
+      ep.reward.w_power *
+      std::min(2.0, stats.avg_power_mw(3.0) / env.power_ref_mw());
+  EXPECT_GT(stats.dynamic_energy_pj + stats.static_energy_pj, 0.0);
+  EXPECT_EQ(env.reward().breakdown(stats).power_term, expected);
+  EXPECT_EQ(r.reward, env.reward().compute(stats));
 }
 
 TEST(Reward, ZeroDeliveryCountsAsSaturated) {

@@ -36,6 +36,9 @@
 #include "scenario/churn.h"
 #include "scenario/scenario.h"
 #include "scenario/scenario_io.h"
+#include "util/versioned_text.h"
+
+#include "hostile_corpus.h"
 
 namespace drlnoc {
 namespace {
@@ -881,6 +884,107 @@ TEST(FleetPolicy, PinRejectionMessages) {
         fleet::run_fleet(space, heur, core::ExperimentRunner(1));
       }).find("policy_pin is only meaningful with controller=drl"),
       std::string::npos);
+}
+
+// ---------------------------------------------------------- hostile input ---
+
+TEST(FleetHostileInput, SpecCorpus) {
+  const std::string dir = ::testing::TempDir() + "fleet_hostile_spec/";
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "base.drlsc")
+      << "drlsc 1\nname = hb\nwidth = 4\nheight = 4\nseed = 5\n"
+         "duration = 4000\ntenants = 2\n"
+         "tenant0.rate = 0.02\ntenant0.qos = latency_critical\n"
+         "tenant0.p95_target = 400\n"
+         "tenant1.rate = 0.04\ntenant1.qos = background\n"
+         "[churn]\narrival_rate = 0.0002\nmax_arrivals = 16\n"
+         "templates = 1\ntemplate0.tenant = 1\n"
+         "template0.lifetime = fixed\ntemplate0.lifetime_mean = 1000\n";
+  const std::string spec =
+      "drlfs 1\n"
+      "name = hostile\n"
+      "base = base.drlsc\n"
+      "seeds = 2\n"
+      "axes = 2\n"
+      "axis0.key = tenant1.rate\n"
+      "axis0.values = 0.03,0.06\n"
+      "axis1.key = churn.arrival_rate\n"
+      "axis1.count = 2\n"
+      "axis1.value0 = 0.0001\n"
+      "axis1.value1 = 0.0003\n";
+  const std::string path = dir + "hostile.drlfs";
+  int loaded = 0;
+  int rejected = 0;
+  for (const std::string& input : hostile_corpus(spec, line_cuts(spec), 2029)) {
+    const bool ok = loads_or_names_path(path, input, [](const std::string& p) {
+      const fleet::ScenarioSpace space = fleet::ScenarioSpaceReader::read_file(p);
+      // Every point of a loaded space expands (or names what is wrong).
+      for (std::size_t i = 0; i < space.size(); ++i) {
+        try {
+          space.expand(i);
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()), "");
+        }
+      }
+    });
+    (ok ? loaded : rejected) += 1;
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(FleetHostileInput, ResultCorpus) {
+  const std::string dir = ::testing::TempDir() + "fleet_hostile_result/";
+  std::filesystem::create_directories(dir);
+  fleet::FleetScenarioResult r;
+  r.index = 5;
+  r.label = "hostile[5] tenant1.rate=0.06 seed+1";
+  r.seed = 6;
+  r.reward = -12.5;
+  r.mean_latency = 41.25;
+  r.p95_latency = 97.0;
+  r.mean_power_mw = 210.125;
+  r.mean_edp = 3.5e6;
+  r.flits_dropped = 3;
+  r.retries = 2;
+  r.packets_lost = 1;
+  r.rerouted_hops = 9;
+  r.policy_version = "0123456789abcdef";
+  for (const char* name : {"critical", "background"}) {
+    fleet::FleetTenantOutcome t;
+    t.name = name;
+    t.qos = name == std::string("critical") ? "latency_critical"
+                                             : "background";
+    t.slo_hit_rate = 0.75;
+    t.p95_latency = 120.5;
+    t.accepted_rate = 0.0125;
+    r.tenants.push_back(t);
+  }
+  const std::string intact = dir + "intact" + fleet::kFleetResultExtension;
+  fleet::write_result_file(intact, r);
+  const std::string bytes = util::read_file_bytes(intact).value();
+
+  const std::string path = dir + "hostile" + fleet::kFleetResultExtension;
+  int loaded = 0;
+  int rejected = 0;
+  for (const std::string& input :
+       hostile_corpus(bytes, line_cuts(bytes), 2030)) {
+    const bool ok = loads_or_names_path(path, input, [](const std::string& p) {
+      EXPECT_TRUE(fleet::read_result_file(p).has_value());
+    });
+    (ok ? loaded : rejected) += 1;
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
+
+  // A tenant block may be all defaults, so only the cap bounds the count.
+  std::string huge = bytes;
+  const std::size_t at = huge.find("\ntenants = 2\n") + 11;
+  huge.replace(at, 1, "2000000000");
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << huge;
+  EXPECT_NE(rejection([&] { fleet::read_result_file(path); })
+                .find("tenants = 2000000000 is outside [0, 4096]"),
+            std::string::npos);
 }
 
 }  // namespace

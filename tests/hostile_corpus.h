@@ -7,8 +7,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <fstream>
 #include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "util/rng.h"
 
@@ -43,6 +47,26 @@ inline std::vector<std::size_t> line_cuts(const std::string& text) {
     if (text[c] == '\n') cuts.push_back(c + 1);
   }
   return cuts;
+}
+
+/// Writes `bytes` to `path` and calls `load(path)`: true when it returns,
+/// false when it throws a std::exception whose message names `path` (the
+/// text loaders prefix every error with the file). Any other outcome fails
+/// the running test.
+template <typename Load>
+bool loads_or_names_path(const std::string& path, const std::string& bytes,
+                         Load&& load) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    load(path);
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    return false;
+  }
+  return true;
 }
 
 }  // namespace drlnoc

@@ -126,7 +126,7 @@ TEST(RewardValidate, RejectsBadWeightsAndRefs) {
   rp = {}; rp.latency_ref = -60.0; expect_invalid(rp);
   rp = {}; rp.power_ref_mw = -1.0; expect_invalid(rp);
   rp = {}; rp.power_ref_mw = kInf; expect_invalid(rp);
-  rp = {}; rp.core_freq_ghz = 0.0; expect_invalid(rp);
+  EXPECT_THROW(RewardFunction(RewardParams{}, 0.0), std::invalid_argument);
 }
 
 TEST(RewardValidate, RejectsContradictoryQosTargets) {
@@ -246,7 +246,7 @@ TEST(QosReward, QosOffMatchesLegacyFormulaBitExactly) {
   noc::EpochStats stats = two_tenant_stats();  // tenant slices are ignored
   const double l = stats.avg_latency / rp.latency_ref;
   const double lat_term = rp.w_latency * (l / (l + 1.0));
-  const double power = stats.avg_power_mw(rp.core_freq_ghz);
+  const double power = stats.avg_power_mw(noc::PowerParams{}.core_freq_ghz);
   const double pow_term = rp.w_power * std::min(2.0, power / rp.power_ref_mw);
   double sat = std::max(0.0, stats.offered_rate - stats.accepted_rate) /
                stats.offered_rate;
@@ -565,6 +565,50 @@ TEST(ControllerSchedule, HeuristicScheduleRuns) {
   const scenario::ScheduledRunResult r = scenario::run_scheduled(s);
   EXPECT_EQ(r.episode.controller, "heuristic");
   EXPECT_EQ(r.episode.actions.size(), 3u);
+}
+
+TEST(ControllerSchedule, DurationCapsOnlyPlainRuns) {
+  // A scheduled run lasts controller.epochs x controller.epoch_cycles router
+  // cycles whatever Scenario::duration says; only a plain run_scenario
+  // stops the tenants at the duration.
+  scenario::Scenario s = mixed_scenario(true);
+  s.tenants[0].loop = true;
+  s.tenants[1].stop = kInf;
+  s.controller.type = "static-max";
+  s.controller.epoch_cycles = 256;
+  s.controller.epochs = 4;
+  s.duration = 300.0;
+  const scenario::ScheduledRunResult short_run = scenario::run_scheduled(s);
+  const noc::RunResult short_plain = scenario::run_scenario(s);
+  s.duration = 1e6;
+  const scenario::ScheduledRunResult long_run = scenario::run_scheduled(s);
+  s.duration = 3000.0;
+  const noc::RunResult long_plain = scenario::run_scenario(s);
+
+  const core::EpisodeResult& a = short_run.episode;
+  const core::EpisodeResult& b = long_run.episode;
+  EXPECT_EQ(a.total_reward, b.total_reward);
+  EXPECT_EQ(a.mean_latency, b.mean_latency);
+  EXPECT_EQ(a.p95_latency, b.p95_latency);
+  EXPECT_EQ(a.mean_power_mw, b.mean_power_mw);
+  EXPECT_EQ(a.mean_edp, b.mean_edp);
+  EXPECT_EQ(a.offered_rate, b.offered_rate);
+  EXPECT_EQ(a.accepted_rate, b.accepted_rate);
+  EXPECT_EQ(a.backlog_end, b.backlog_end);
+  EXPECT_EQ(a.actions, b.actions);
+  ASSERT_EQ(a.tenants.size(), b.tenants.size());
+  for (std::size_t t = 0; t < a.tenants.size(); ++t) {
+    EXPECT_EQ(a.tenants[t].packets_offered, b.tenants[t].packets_offered);
+    EXPECT_EQ(a.tenants[t].packets_received, b.tenants[t].packets_received);
+    EXPECT_EQ(a.tenants[t].slo_hits, b.tenants[t].slo_hits);
+  }
+  EXPECT_EQ(short_run.power_ref_mw, long_run.power_ref_mw);
+  // 4 x 256 router cycles offer traffic well past the 300-cycle duration,
+  // which the plain runs do honour.
+  EXPECT_GT(a.tenants[1].packets_offered,
+            short_plain.stats.tenants[1].packets_offered);
+  EXPECT_LT(short_plain.stats.packets_offered,
+            long_plain.stats.packets_offered);
 }
 
 TEST(ControllerSchedule, DrlScheduleLoadsAndValidatesThePolicy) {

@@ -15,6 +15,7 @@
 #include "core/env_noc.h"
 #include "core/trainer.h"
 #include "golden_hash.h"
+#include "hostile_corpus.h"
 #include "noc/simulator.h"
 #include "noc/workload.h"
 #include "scenario/composite_workload.h"
@@ -562,6 +563,100 @@ TEST(ScenarioEnv, ReplicaSeedsChangeBackgroundTraffic) {
     return env.last_stats().tenants[1].packets_offered;
   };
   EXPECT_NE(offered_with_seed(42), offered_with_seed(43));
+}
+
+// --- hostile input ------------------------------------------------------------
+
+/// A `.drlsc` file that exercises every part of the format: a trace tenant
+/// (its trace written next to the scenario) and a synthetic one, plus the
+/// [controller], [faults] and [churn] sections.
+std::string hostile_base_scenario(const std::string& dir) {
+  trace::TraceWriter::write_file(
+      dir + "hostile_tenant.drltrc",
+      trace::generate_dnn_pipeline({16, 3, 4, 2, 64.0, 32.0, 8}));
+  return "drlsc 1\n"
+         "name = hostile_base\n"
+         "topology = mesh\n"
+         "width = 4\n"
+         "height = 4\n"
+         "seed = 7\n"
+         "duration = 20000\n"
+         "tenants = 2\n"
+         "tenant0.name = dnn\n"
+         "tenant0.workload = trace\n"
+         "tenant0.trace = hostile_tenant.drltrc\n"
+         "tenant0.loop = 1\n"
+         "tenant0.nodes = 0-15\n"
+         "tenant0.qos = latency_critical\n"
+         "tenant0.p95_target = 300\n"
+         "tenant1.name = background\n"
+         "tenant1.workload = steady\n"
+         "tenant1.pattern = uniform\n"
+         "tenant1.rate = 0.04\n"
+         "tenant1.stop = 15000\n"
+         "tenant1.qos = background\n"
+         "\n[controller]\n"
+         "type = heuristic\n"
+         "epoch_cycles = 256\n"
+         "epochs = 4\n"
+         "\n[faults]\n"
+         "seed = 3\n"
+         "link_fault_rate = 0.001\n"
+         "retry_timeout = 32\n"
+         "retry_budget = 4\n"
+         "events = 1\n"
+         "event0.kind = link_down\n"
+         "event0.at_cycle = 100\n"
+         "event0.node = 5\n"
+         "event0.port = 1\n"
+         "\n[churn]\n"
+         "seed = 11\n"
+         "arrival_rate = 0.0001\n"
+         "capacity = 3\n"
+         "max_arrivals = 64\n"
+         "templates = 1\n"
+         "template0.tenant = 1\n"
+         "template0.lifetime = exponential\n"
+         "template0.lifetime_mean = 4000\n";
+}
+
+TEST(ScenarioHostileInput, TextCorpus) {
+  const std::string dir = ::testing::TempDir();
+  const std::string base = hostile_base_scenario(dir);
+  const Scenario intact = ScenarioReader::read_text(base, dir);
+  ASSERT_EQ(intact.tenants.front().kind, WorkloadKind::kTrace);
+  ASSERT_TRUE(intact.controller.scheduled());
+  ASSERT_TRUE(intact.faults.enabled());
+  ASSERT_TRUE(intact.churn.enabled());
+
+  const std::string path = dir + "hostile.drlsc";
+  int loaded = 0;
+  int rejected = 0;
+  for (const std::string& input : hostile_corpus(base, line_cuts(base), 2028)) {
+    const bool ok = loads_or_names_path(path, input, [](const std::string& p) {
+      // A loaded scenario is valid and serialises.
+      std::ostringstream os;
+      ScenarioWriter::write_text(os, ScenarioReader::read_file(p));
+    });
+    (ok ? loaded : rejected) += 1;
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
+
+  // Each of these counts would otherwise build two billion blocks.
+  for (const std::string key :
+       {"tenants", "events", "templates", "max_arrivals"}) {
+    std::string text = base;
+    const std::size_t at = text.find("\n" + key + " = ") + key.size() + 4;
+    text.replace(at, text.find('\n', at) - at, "2000000000");
+    try {
+      ScenarioReader::read_text(text, dir);
+      ADD_FAILURE() << key << " = 2000000000 accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
