@@ -92,10 +92,12 @@ int main(int argc, char** argv) {
   core::NocEnvParams train_ep;
   train_ep.net.width = train_ep.net.height = size;
   train_ep.net.seed = 21;
-  train_ep.phases = {{"uniform", 0.01, 4e3, "bernoulli"},
-                     {"uniform", 0.04, 4e3, "bernoulli"},
-                     {"uniform", 0.07, 4e3, "bernoulli"},
-                     {"uniform", 0.10, 4e3, "bernoulli"}};
+  train_ep.scenario = std::make_shared<scenario::Scenario>(
+      scenario::phased_scenario(train_ep.net,
+                                {{"uniform", 0.01, 4e3, "bernoulli"},
+                                 {"uniform", 0.04, 4e3, "bernoulli"},
+                                 {"uniform", 0.07, 4e3, "bernoulli"},
+                                 {"uniform", 0.10, 4e3, "bernoulli"}}));
   train_ep.epoch_cycles = 512;
   train_ep.epochs_per_episode = 32;
   core::NocConfigEnv train_env(train_ep);
@@ -111,8 +113,10 @@ int main(int argc, char** argv) {
   const auto part_b = runner.map<RateRow>(
       static_cast<int>(eval_rates.size()), [&](int i) {
         core::NocEnvParams ep = train_ep;
-        ep.phases = {{"uniform", eval_rates[static_cast<std::size_t>(i)], 1e6,
-                      "bernoulli"}};
+        ep.scenario = std::make_shared<scenario::Scenario>(
+            scenario::phased_scenario(
+                ep.net, {{"uniform", eval_rates[static_cast<std::size_t>(i)],
+                          1e6, "bernoulli"}}));
         ep.epochs_per_episode = 20;
         ep.reward.power_ref_mw = power_ref;
         core::NocConfigEnv env(ep);

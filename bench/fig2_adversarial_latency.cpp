@@ -20,11 +20,13 @@ int main(int argc, char** argv) {
   train_ep.net.seed = 33;
   train_ep.epoch_cycles = 512;
   train_ep.epochs_per_episode = 36;
-  train_ep.phases = {{"transpose", 0.02, 4e3, "bernoulli"},
-                     {"transpose", 0.08, 4e3, "bernoulli"},
-                     {"hotspot", 0.03, 4e3, "burst"},
-                     {"hotspot", 0.07, 4e3, "burst"},
-                     {"uniform", 0.005, 4e3, "bernoulli"}};
+  train_ep.scenario = std::make_shared<scenario::Scenario>(
+      scenario::phased_scenario(train_ep.net,
+                                {{"transpose", 0.02, 4e3, "bernoulli"},
+                                 {"transpose", 0.08, 4e3, "bernoulli"},
+                                 {"hotspot", 0.03, 4e3, "burst"},
+                                 {"hotspot", 0.07, 4e3, "burst"},
+                                 {"uniform", 0.005, 4e3, "bernoulli"}}));
   core::NocConfigEnv train_env(train_ep);
   auto agent = bench::train_agent(train_env, episodes);
   const double power_ref = train_env.power_ref_mw();
@@ -38,8 +40,11 @@ int main(int argc, char** argv) {
                    "max_lat", "max_mW", "min_lat"});
     for (double rate : {0.02, 0.05, 0.08}) {
       core::NocEnvParams ep = train_ep;
-      ep.phases = {{pattern, rate, 1e6,
-                    std::string(pattern) == "hotspot" ? "burst" : "bernoulli"}};
+      ep.scenario = std::make_shared<scenario::Scenario>(
+          scenario::phased_scenario(
+              ep.net, {{pattern, rate, 1e6,
+                        std::string(pattern) == "hotspot" ? "burst"
+                                                          : "bernoulli"}}));
       ep.epochs_per_episode = 20;
       ep.reward.power_ref_mw = power_ref;
       core::NocConfigEnv env(ep);

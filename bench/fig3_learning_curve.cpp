@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
   ep.net.seed = 42;
   ep.epoch_cycles = 512;
   ep.epochs_per_episode = 48;
-  ep.seed = 1;
   core::NocConfigEnv env(ep);
 
   std::cout << "F3: DQN learning curve (mesh " << ep.net.width << "x"

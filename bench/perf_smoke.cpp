@@ -3,24 +3,20 @@
 // replay push+sample, the DQN learn step, and the trace subsystem (ingest
 // of `.drltrb` and `.drltrc` files, task-graph generation, the binary
 // round trip and dependency-gated replay). Emits a flat JSON metrics
-// block, seeding the tracked BENCH_*.json trajectory (see README
-// "Performance").
+// block (see README "Performance").
 //
 //   ./bench/perf_smoke                           # print JSON to stdout
 //   ./bench/perf_smoke out=BENCH.json            # also write to a file
-//   ./bench/perf_smoke baseline=BENCH_PR2.json   # add baseline + speedup
 //   ./bench/perf_smoke scale=0.2                 # quicker, noisier run
 //
 // Every metric is a rate (higher is better), measured as the best of
 // `repeats` timed windows so one scheduler hiccup cannot poison the number.
-// The baseline file may be any previous perf_smoke output (or a tracked
-// BENCH_*.json); its "metrics" object is compared key-by-key.
+// Compare two builds by running both on the same machine.
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -265,18 +261,6 @@ int main(int argc, char** argv) {
     return static_cast<std::uint64_t>(std::max(1.0, base * scale));
   };
 
-  // Read the baseline before the (minutes-long) timed runs so a bad path
-  // fails fast instead of after the whole suite.
-  std::map<std::string, double> baseline;
-  if (cfg.has("baseline")) {
-    const std::string path = cfg.get("baseline", std::string());
-    baseline = drlnoc::bench::read_baseline_metrics(path);
-    if (baseline.empty()) {
-      LOG_WARN << "perf_smoke: baseline " << path
-               << " yielded no metrics; speedup block will be omitted";
-    }
-  }
-
   std::vector<std::pair<std::string, double>> metrics;
   metrics.emplace_back("net_step_4x4_vc4",
                        bench_network(4, 4, 0.08, n(20000), repeats));
@@ -323,10 +307,10 @@ int main(int argc, char** argv) {
       "trace_replay_a2a_cps",
       bench_trace_replay(drlnoc::trace::generate_alltoall(a2a), repeats));
 
-  drlnoc::bench::write_metrics_json(std::cout, "perf_smoke", metrics, baseline);
+  drlnoc::bench::write_metrics_json(std::cout, "perf_smoke", metrics);
   if (cfg.has("out") &&
       !drlnoc::bench::write_metrics_file(cfg.get("out", std::string()),
-                                         "perf_smoke", metrics, baseline)) {
+                                         "perf_smoke", metrics)) {
     return 1;
   }
   return 0;

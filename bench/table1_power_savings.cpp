@@ -24,11 +24,13 @@ int main(int argc, char** argv) {
   ep.net.seed = 42;
   ep.epoch_cycles = 512;
   ep.epochs_per_episode = 48;
-  ep.phases = {{"uniform", 0.005, 4e3, "bernoulli"},
-               {"uniform", rate, 4e3, "bernoulli"},
-               {"transpose", rate, 4e3, "bernoulli"},
-               {"hotspot", rate * 0.8, 4e3, "burst"},
-               {"bitcomp", rate, 4e3, "bernoulli"}};
+  ep.scenario = std::make_shared<scenario::Scenario>(
+      scenario::phased_scenario(ep.net,
+                                {{"uniform", 0.005, 4e3, "bernoulli"},
+                                 {"uniform", rate, 4e3, "bernoulli"},
+                                 {"transpose", rate, 4e3, "bernoulli"},
+                                 {"hotspot", rate * 0.8, 4e3, "burst"},
+                                 {"bitcomp", rate, 4e3, "bernoulli"}}));
   core::NocConfigEnv train_env(ep);
   auto agent = bench::train_agent(train_env, episodes);
   const double power_ref = train_env.power_ref_mw();
@@ -43,8 +45,10 @@ int main(int argc, char** argv) {
     core::NocEnvParams eval_ep = ep;
     // Alternate the pattern with idle windows: self-configuration's value
     // is exactly in riding that variation.
-    eval_ep.phases = {{"uniform", 0.005, 4e3, "bernoulli"},
-                      {pattern, rate, 4e3, "bernoulli"}};
+    eval_ep.scenario = std::make_shared<scenario::Scenario>(
+        scenario::phased_scenario(eval_ep.net,
+                                  {{"uniform", 0.005, 4e3, "bernoulli"},
+                                   {pattern, rate, 4e3, "bernoulli"}}));
     eval_ep.reward.power_ref_mw = power_ref;
     core::NocConfigEnv env(eval_ep);
 

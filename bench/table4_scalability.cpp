@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   if (cfg.has("out") &&
       !bench::write_metrics_file(cfg.get("out", std::string()),
                                  smoke ? "table4_smoke" : "table4",
-                                 json_metrics, {}, "mixed")) {
+                                 json_metrics, "mixed")) {
     return 1;
   }
   // Smoke runs exist for CI: rows only, no engine-scaling section.

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
 
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
-    if (!bench::write_metrics_file(out_path, "table5_multitenant", metrics, {},
+    if (!bench::write_metrics_file(out_path, "table5_multitenant", metrics,
                                    "mixed (core-cycle latency, pkt/node/cycle "
                                    "throughput, mW)")) {
       return 1;

@@ -265,7 +265,7 @@ int main(int argc, char** argv) {
 
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
-    if (!bench::write_metrics_file(out_path, "table7_faults", metrics, {},
+    if (!bench::write_metrics_file(out_path, "table7_faults", metrics,
                                    "mixed (SLO hit fraction, core-cycle "
                                    "latency, pkt/node/cycle throughput, "
                                    "retention fraction, mean per-replica "

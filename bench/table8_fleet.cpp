@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
 
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
-    if (!bench::write_metrics_file(out_path, "table8_fleet", metrics, {},
+    if (!bench::write_metrics_file(out_path, "table8_fleet", metrics,
                                    "mixed (SLO hit fraction, core-cycle "
                                    "latency, mW)")) {
       return 1;

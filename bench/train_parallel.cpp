@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
     if (!bench::write_metrics_file(
-            out_path, "train_parallel", metrics, {},
+            out_path, "train_parallel", metrics,
             "seconds (and dimensionless speedups)",
             "T6 QoS-scenario training wall clock: serial train_dqn vs the "
             "multi-actor collector. Speedup scales with build_host_threads — on "

@@ -5,10 +5,13 @@
 //   ./build/examples/phased_workload
 //   ./build/examples/phased_workload episodes=200 size=8
 #include <iostream>
+#include <memory>
+#include <vector>
 
 #include "core/env_noc.h"
 #include "core/trainer.h"
 #include "rl/dqn.h"
+#include "scenario/scenario.h"
 #include "util/config.h"
 #include "util/table.h"
 
@@ -25,12 +28,14 @@ int main(int argc, char** argv) {
   core::NocEnvParams ep;
   ep.net.width = ep.net.height = size;
   ep.net.seed = 7;
-  ep.phases = {
+  const std::vector<noc::Phase> profile = {
       {"uniform", 0.002, 5e3, "bernoulli"},   // idle / barrier wait
       {"uniform", 0.09, 5e3, "bernoulli"},    // all-to-all compute
       {"hotspot", 0.04, 5e3, "burst"},        // bursty reduction
       {"neighbor", 0.10, 5e3, "bernoulli"},   // stencil exchange
   };
+  ep.scenario = std::make_shared<scenario::Scenario>(
+      scenario::phased_scenario(ep.net, profile));
   ep.epoch_cycles = 512;
   ep.epochs_per_episode = 44;
   core::NocConfigEnv env(ep);

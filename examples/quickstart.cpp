@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   ep.net.width = ep.net.height = cfg.get("size", 4);  // small & quick
   ep.epoch_cycles = 512;
   ep.epochs_per_episode = 24;
-  ep.seed = 1;
 
   core::NocConfigEnv env(ep);
   const int episodes = cfg.get("episodes", 40);

@@ -4,59 +4,62 @@
 #include <stdexcept>
 
 #include "noc/simulator.h"
+#include "noc/workload.h"
 #include "scenario/runtime.h"
 
 namespace drlnoc::core {
 
 namespace {
 /// Validates `p` and fills in what it leaves implicit. Applied before member
-/// construction: a scenario overrides the network section so the feature
-/// extractor and action-space checks see the scenario's fabric. The traffic
-/// seed stays with NocEnvParams — the RL evaluation protocol (per-replica
-/// seeds, per-episode reseeding) owns it; the scenario's own seed governs
+/// construction: the scenario (the standard phased one when unset)
+/// overrides the network section so the feature extractor and action-space
+/// checks see the scenario's fabric. The traffic seed stays with
+/// NocEnvParams — the RL evaluation protocol (per-replica seeds,
+/// per-episode reseeding) owns it; the scenario's own seed governs
 /// standalone scenarioctl-style runs.
 NocEnvParams resolve(NocEnvParams p) {
-  if (p.scenario) {
-    p.scenario->validate();
-    const std::uint64_t seed = p.net.seed;
-    p.net = p.scenario->net;
-    p.net.seed = seed;
-    // QoS annotations switch reward + features into tenant-aware mode.
-    // Explicitly provided reward.tenant_qos wins over the scenario's.
-    if (p.scenario_qos && p.reward.tenant_qos.empty() &&
-        p.scenario->has_qos()) {
-      p.reward.tenant_qos.reserve(p.scenario->tenants.size());
-      for (const scenario::TenantSpec& t : p.scenario->tenants) {
-        TenantQosSpec q;
-        switch (t.qos) {
-          case scenario::QosClass::kLatencyCritical:
-            q.cls = TenantQosClass::kLatencyCritical;
-            break;
-          case scenario::QosClass::kBestEffort:
-            q.cls = TenantQosClass::kBestEffort;
-            break;
-          case scenario::QosClass::kBackground:
-            q.cls = TenantQosClass::kBackground;
-            break;
-        }
-        q.p95_target = t.p95_target;
-        p.reward.tenant_qos.push_back(q);
+  if (!p.scenario) {
+    if (!p.reward.tenant_qos.empty()) {
+      throw std::invalid_argument(
+          "NocEnvParams: reward.tenant_qos requires a scenario that "
+          "declares the tenants it describes");
+    }
+    p.scenario = std::make_shared<const scenario::Scenario>(
+        scenario::phased_scenario(p.net));
+  }
+  p.scenario->validate();
+  const std::uint64_t seed = p.net.seed;
+  p.net = p.scenario->net;
+  p.net.seed = seed;
+  // QoS annotations switch reward + features into tenant-aware mode.
+  // Explicitly provided reward.tenant_qos wins over the scenario's.
+  if (p.scenario_qos && p.reward.tenant_qos.empty() &&
+      p.scenario->has_qos()) {
+    p.reward.tenant_qos.reserve(p.scenario->tenants.size());
+    for (const scenario::TenantSpec& t : p.scenario->tenants) {
+      TenantQosSpec q;
+      switch (t.qos) {
+        case scenario::QosClass::kLatencyCritical:
+          q.cls = TenantQosClass::kLatencyCritical;
+          break;
+        case scenario::QosClass::kBestEffort:
+          q.cls = TenantQosClass::kBestEffort;
+          break;
+        case scenario::QosClass::kBackground:
+          q.cls = TenantQosClass::kBackground;
+          break;
       }
+      q.p95_target = t.p95_target;
+      p.reward.tenant_qos.push_back(q);
     }
   }
-  if (!p.reward.tenant_qos.empty()) {
-    if (!p.scenario) {
-      throw std::invalid_argument(
-          "NocEnvParams: reward.tenant_qos requires a scenario (only "
-          "scenario episodes carry per-tenant epoch slices)");
-    }
-    if (p.reward.tenant_qos.size() != p.scenario->tenants.size()) {
-      throw std::invalid_argument(
-          "NocEnvParams: reward.tenant_qos describes " +
-          std::to_string(p.reward.tenant_qos.size()) +
-          " tenants but the scenario has " +
-          std::to_string(p.scenario->tenants.size()));
-    }
+  if (!p.reward.tenant_qos.empty() &&
+      p.reward.tenant_qos.size() != p.scenario->tenants.size()) {
+    throw std::invalid_argument(
+        "NocEnvParams: reward.tenant_qos describes " +
+        std::to_string(p.reward.tenant_qos.size()) +
+        " tenants but the scenario has " +
+        std::to_string(p.scenario->tenants.size()));
   }
   // Validate the action space against the hardware limits.
   for (int a = 0; a < p.actions.size(); ++a) {
@@ -66,11 +69,6 @@ NocEnvParams resolve(NocEnvParams p) {
           "action space exceeds physical resources: " + noc::to_string(c));
     }
   }
-  if (!p.scenario && p.phases.empty()) {
-    const auto topo =
-        noc::make_topology(p.net.topology, p.net.width, p.net.height);
-    p.phases = noc::PhasedWorkload::standard_phases(*topo);
-  }
   return p;
 }
 
@@ -78,16 +76,12 @@ NocEnvParams resolve(NocEnvParams p) {
 PowerRefKey key_of(const NocEnvParams& p) {
   PowerRefKey key;
   // Reference = power of the *most capable* configuration under the
-  // workload's busiest phase; "power saving" numbers are relative to it.
+  // scenario's peak load; "power saving" numbers are relative to it.
   key.net = p.net;
   key.net.initial_config = p.actions.decode(p.actions.max_action());
   key.power = p.power;
-  if (p.scenario) {
-    key.peak_rate =
-        std::clamp(scenario::peak_offered_rate(*p.scenario), 0.01, 0.5);
-  }
-  for (const noc::Phase& ph : p.phases)
-    key.peak_rate = std::max(key.peak_rate, ph.rate);
+  key.peak_rate =
+      std::clamp(scenario::peak_offered_rate(*p.scenario), 0.01, 0.5);
   return key;
 }
 }  // namespace
@@ -125,43 +119,29 @@ std::size_t NocConfigEnv::state_size() const {
 void NocConfigEnv::build_network() {
   noc::NetworkParams np = params_.net;
   // Training episodes reseed the traffic so the agent cannot overfit one
-  // arrival sequence; evaluation (see evaluate()) keeps the base seed.
+  // arrival sequence, and start every phased tenant at a random point of
+  // its phase sequence so every phase is seen at every episode position;
+  // evaluation (see evaluate()) keeps the base seed and phase 0.
+  double phase_start = 0.0;
   if (!eval_mode_) {
     np.seed = params_.net.seed + 0x9e3779b9ULL * static_cast<std::uint64_t>(episode_);
+    phase_start = util::Rng(np.seed ^ 0xabcdef123456ULL).uniform();
   }
   workload_.reset();
-  phased_ = nullptr;
-  composite_ = nullptr;
   net_ = std::make_unique<noc::Network>(np, params_.power);
   // Observability taps survive episode resets: the rebuilt fabric re-attaches
   // the same recorder/metrics, so one trace spans a whole training run.
   if (params_.recorder != nullptr) net_->set_flight_recorder(params_.recorder);
   if (params_.metrics != nullptr) net_->set_metrics(params_.metrics);
-  if (params_.scenario) {
-    // Each episode gets its own fault model at the same seed, so fault
-    // timing is reproducible per episode and independent of how many
-    // episodes (or parallel experiment threads) ran before this one.
-    if (params_.scenario->faults.enabled()) {
-      net_->set_fault_model(params_.scenario->faults);
-    }
-    auto composite =
-        scenario::build_workload(*params_.scenario, net_->topology());
-    composite_ = composite.get();
-    workload_ = std::move(composite);
-    net_->set_tenant_tracking(params_.scenario->num_tenants());
-    return;
+  // Each episode gets its own fault model at the same seed, so fault
+  // timing is reproducible per episode and independent of how many
+  // episodes (or parallel experiment threads) ran before this one.
+  if (params_.scenario->faults.enabled()) {
+    net_->set_fault_model(params_.scenario->faults);
   }
-  auto phased = std::make_unique<noc::PhasedWorkload>(net_->topology(),
-                                                      params_.phases);
-  // Training episodes start at a random point of the phased workload;
-  // evaluation always starts at phase 0.
-  if (!eval_mode_) {
-    util::Rng offset_rng(np.seed ^ 0xabcdef123456ULL);
-    phased->set_start_offset(offset_rng.uniform() *
-                             phased->total_duration());
-  }
-  phased_ = phased.get();
-  workload_ = std::move(phased);
+  workload_ = scenario::build_workload(*params_.scenario, net_->topology(),
+                                       phase_start);
+  net_->set_tenant_tracking(params_.scenario->num_tenants());
 }
 
 rl::State NocConfigEnv::reset() {

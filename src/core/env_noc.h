@@ -5,13 +5,11 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "core/action_space.h"
 #include "core/features.h"
 #include "core/reward.h"
 #include "noc/network.h"
-#include "noc/workload.h"
 #include "rl/env.h"
 #include "scenario/scenario.h"
 
@@ -30,14 +28,11 @@ struct NocEnvParams {
   noc::NetworkParams net{};
   noc::PowerParams power{};
   ActionSpace actions = ActionSpace::standard();
-  std::vector<noc::Phase> phases{};  ///< empty => PhasedWorkload::standard
-  /// When set, episodes run this multi-tenant scenario: the fabric comes
-  /// from the scenario (`net` is overridden by scenario->net — except the
-  /// traffic seed, which stays with `net.seed` so the evaluation protocol's
-  /// per-replica/per-episode seeding applies to scenarios too), the
-  /// workload is the deterministic composite of the scenario's tenants, and
-  /// epoch stats carry per-tenant slices. Trace episodes are a scenario
-  /// with one looping trace tenant.
+  /// The workload of every episode; null = scenario::phased_scenario(net),
+  /// the standard 4-phase mix. The fabric comes from the scenario, except
+  /// the traffic seed, which stays with `net.seed` so the evaluation
+  /// protocol's per-replica/per-episode seeding applies; epoch stats carry
+  /// per-tenant slices.
   std::shared_ptr<const scenario::Scenario> scenario{};
   /// When true (default) a scenario's per-tenant QoS annotations switch the
   /// reward and feature extractor into tenant-aware mode (reward.tenant_qos
@@ -48,7 +43,6 @@ struct NocEnvParams {
   std::uint64_t epoch_cycles = 512;  ///< router cycles per epoch
   int epochs_per_episode = 48;
   RewardParams reward{};
-  std::uint64_t seed = 1;
   /// Non-owning observability taps, re-attached to the fabric on every
   /// episode reset. Never copied into parallel experiment workers (the
   /// recorder is not thread-safe); core/parallel strips them per task.
@@ -65,8 +59,8 @@ struct PowerRefKey {
   /// with initial_config set to the action space's most capable config.
   noc::NetworkParams net{};
   noc::PowerParams power{};
-  /// Uniform offered rate of the calibration run: the busiest of the
-  /// scenario's peak and the phases.
+  /// Uniform offered rate of the calibration run: the scenario's peak
+  /// offered rate (a phased tenant's busiest phase), clamped to [0.01, 0.5].
   double peak_rate = 0.0;
 
   bool operator==(const PowerRefKey&) const = default;
@@ -92,23 +86,19 @@ class NocConfigEnv : public rl::Environment {
   rl::State reset() override;
   rl::StepResult step(int action) override;
 
-  /// Evaluation mode: fixed traffic seed and phase offset 0, so different
-  /// controllers see byte-identical workloads. evaluate() toggles this.
+  /// Evaluation mode: fixed traffic seed and phased tenants at phase 0, so
+  /// controllers see byte-identical workloads (training episodes reseed and
+  /// start at a random phase point). evaluate() toggles this.
   void set_eval_mode(bool eval) { eval_mode_ = eval; }
-  bool eval_mode() const { return eval_mode_; }
 
   const ActionSpace& actions() const { return params_.actions; }
   const RewardFunction& reward() const { return reward_; }
   const NocEnvParams& params() const { return params_; }
   /// Stats of the epoch the last step() simulated.
   const noc::EpochStats& last_stats() const { return last_stats_; }
-  /// The active episode's injector; null before the first reset().
-  const noc::TrafficInjector* workload() const { return workload_.get(); }
-  /// Non-null when the episode runs a PhasedWorkload (i.e. no scenario set).
-  const noc::PhasedWorkload* phased_workload() const { return phased_; }
-  /// Non-null when the episode runs a multi-tenant scenario.
-  const scenario::CompositeWorkload* composite_workload() const {
-    return composite_;
+  /// The episode's merged tenants; null before the first reset().
+  const scenario::CompositeWorkload* workload() const {
+    return workload_.get();
   }
   int episode() const { return episode_; }
   /// Positions the episode counter so the NEXT reset() runs global episode
@@ -118,7 +108,7 @@ class NocConfigEnv : public rl::Environment {
   /// lanes use this to interleave the one serial episode sequence.
   void seek_episode(int episode) { episode_ = episode; }
   /// The auto-calibrated power normalizer (max-config power at the
-  /// workload's busiest phase), in mW.
+  /// scenario's peak offered rate), in mW.
   double power_ref_mw() const { return power_ref_mw_; }
 
  private:
@@ -128,9 +118,7 @@ class NocConfigEnv : public rl::Environment {
   FeatureExtractor features_;
   RewardFunction reward_;
   std::unique_ptr<noc::Network> net_;
-  std::unique_ptr<noc::TrafficInjector> workload_;
-  noc::PhasedWorkload* phased_ = nullptr;  ///< non-null for phased episodes
-  scenario::CompositeWorkload* composite_ = nullptr;  ///< scenario episodes
+  std::unique_ptr<scenario::CompositeWorkload> workload_;
   noc::EpochStats last_stats_{};
   int episode_ = 0;
   int epoch_in_episode_ = 0;

@@ -67,7 +67,6 @@ class PhasedWorkload : public TrafficInjector {
 
   /// Index of the phase active at the given core time (offset applied).
   std::size_t phase_index(double core_time) const;
-  const std::vector<Phase>& phases() const { return phases_; }
   double total_duration() const { return total_duration_; }
 
   /// The canonical 4-phase workload used throughout the experiments:

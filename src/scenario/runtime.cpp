@@ -24,7 +24,8 @@ std::unique_ptr<noc::Network> build_network(const Scenario& scenario) {
 }
 
 std::unique_ptr<CompositeWorkload> build_workload(const Scenario& scenario,
-                                                  const noc::Topology& topo) {
+                                                  const noc::Topology& topo,
+                                                  double phase_start) {
   // Callers (the loader, the env, run_scenario) validate once up front;
   // re-validating here would re-walk every trace record on each RL episode
   // reset.
@@ -57,13 +58,16 @@ std::unique_ptr<CompositeWorkload> build_workload(const Scenario& scenario,
         b.injector = std::make_unique<noc::SteadyWorkload>(
             noc::SteadyWorkload::make(topo, t.pattern, t.rate, t.process));
         break;
-      case WorkloadKind::kPhased:
-        b.injector = std::make_unique<noc::PhasedWorkload>(
+      case WorkloadKind::kPhased: {
+        auto child = std::make_unique<noc::PhasedWorkload>(
             topo, t.phases.empty()
                       ? noc::PhasedWorkload::standard_phases(topo,
                                                              t.phase_scale)
                       : t.phases);
+        child->set_start_offset(phase_start * child->total_duration());
+        b.injector = std::move(child);
         break;
+      }
     }
     bindings.push_back(std::move(b));
   }

@@ -28,11 +28,13 @@ std::unique_ptr<noc::Network> build_network(const Scenario& scenario);
 
 /// Builds the merged injector for `scenario` over `topo` (the fabric's
 /// topology — synthetic tenants draw destinations from it). Tenant ids are
-/// the declaration indices. The scenario must already be validated (the
-/// loader, the env, and run_scenario(Scenario) all do so); this runs on
-/// every RL episode reset and skips the O(records) re-walk.
+/// the declaration indices; every kPhased tenant starts the fraction
+/// `phase_start` of the way through its phases. The scenario must already
+/// be validated (the loader, the env, and run_scenario(Scenario) all do
+/// so); this runs on every RL episode reset and skips the O(records) re-walk.
 std::unique_ptr<CompositeWorkload> build_workload(const Scenario& scenario,
-                                                  const noc::Topology& topo);
+                                                  const noc::Topology& topo,
+                                                  double phase_start = 0.0);
 
 /// Peak synthetic-equivalent offered rate across tenants (packets/node/
 /// core-cycle); the scenario counterpart of the phased workload's busiest

@@ -375,6 +375,24 @@ std::string content_hash_hex(const Scenario& scenario) {
   return util::hex16(content_hash(scenario));
 }
 
+Scenario phased_scenario(const noc::NetworkParams& net,
+                         std::vector<noc::Phase> phases) {
+  if (phases.empty()) {
+    phases = noc::PhasedWorkload::standard_phases(
+        *noc::make_topology(net.topology, net.width, net.height));
+  }
+  Scenario s;
+  s.name = "phased";
+  s.net = net;
+  for (const noc::Phase& ph : phases) s.duration += ph.duration_core_cycles;
+  TenantSpec t;
+  t.name = "phased";
+  t.kind = WorkloadKind::kPhased;
+  t.phases = std::move(phases);
+  s.tenants.push_back(std::move(t));
+  return s;
+}
+
 std::string format_node_set(const std::vector<noc::NodeId>& nodes) {
   if (nodes.empty()) return "all";
   std::ostringstream os;

@@ -155,6 +155,13 @@ struct Scenario {
   void validate() const;
 };
 
+/// The scenario an RL environment runs when given none: one whole-fabric
+/// kPhased tenant "phased" playing `phases` (empty = the standard 4-phase
+/// mix) on `net`, with a duration of one pass through them (the finite
+/// horizon validate() asks of an open-ended tenant).
+Scenario phased_scenario(const noc::NetworkParams& net,
+                         std::vector<noc::Phase> phases = {});
+
 /// Parses a node-set expression over `num_nodes` fabric nodes:
 /// "all" (empty result = whole fabric), or a comma list of ids and
 /// inclusive ranges, e.g. "0-15", "3,7,12-14". Order is preserved (it is

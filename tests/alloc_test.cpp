@@ -235,7 +235,6 @@ TEST(SteadyStateMemory, NocEnvDoesNotRetainDeliveredPackets) {
   p.net.width = p.net.height = 4;
   p.epoch_cycles = 512;
   p.epochs_per_episode = 1000;
-  p.seed = 5;
   core::NocConfigEnv env(p);
   (void)env.reset();
   const int action = env.actions().max_action();

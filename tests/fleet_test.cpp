@@ -915,7 +915,7 @@ TEST(FleetHostileInput, SpecCorpus) {
   const std::string path = dir + "hostile.drlfs";
   int loaded = 0;
   int rejected = 0;
-  for (const std::string& input : hostile_corpus(spec, line_cuts(spec), 2029)) {
+  for (const std::string& input : text_corpus(spec, 2029)) {
     const bool ok = loads_or_names_path(path, input, [](const std::string& p) {
       const fleet::ScenarioSpace space = fleet::ScenarioSpaceReader::read_file(p);
       // Every point of a loaded space expands (or names what is wrong).
@@ -967,8 +967,7 @@ TEST(FleetHostileInput, ResultCorpus) {
   const std::string path = dir + "hostile" + fleet::kFleetResultExtension;
   int loaded = 0;
   int rejected = 0;
-  for (const std::string& input :
-       hostile_corpus(bytes, line_cuts(bytes), 2030)) {
+  for (const std::string& input : text_corpus(bytes, 2030)) {
     const bool ok = loads_or_names_path(path, input, [](const std::string& p) {
       EXPECT_TRUE(fleet::read_result_file(p).has_value());
     });

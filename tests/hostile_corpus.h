@@ -1,8 +1,9 @@
 // The seeded mutation corpus behind the hostile-input tests: a valid file
 // cut at chosen offsets, then single bit flips and whole-byte overwrites at
-// seeded positions. Each parser test feeds every input to its reader and
-// requires a clean load or a std::exception, never a crash or an unbounded
-// allocation (the sanitizer build runs them too).
+// seeded positions; text formats add duplicated and swapped lines. Each
+// parser test feeds every input to its reader and requires a clean load or
+// a std::exception, never a crash or an unbounded allocation (the sanitizer
+// build runs them too).
 #pragma once
 
 #include <cstddef>
@@ -10,6 +11,7 @@
 #include <exception>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,6 +49,63 @@ inline std::vector<std::size_t> line_cuts(const std::string& text) {
     if (text[c] == '\n') cuts.push_back(c + 1);
   }
   return cuts;
+}
+
+/// `text` with its lines rearranged: each line doubled in place (a
+/// duplicated key or block header), each pair of neighbouring lines swapped,
+/// then 50 seeded swaps of two distant lines (numbered blocks out of order).
+/// Files of more than 100 lines double and swap 100 seeded lines instead of
+/// every one.
+inline std::vector<std::string> line_corpus(const std::string& text,
+                                            std::uint64_t seed) {
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < text.size();) {
+    const std::size_t nl = text.find('\n', at);
+    const std::size_t end = nl == std::string::npos ? text.size() : nl + 1;
+    lines.push_back(text.substr(at, end - at));
+    at = end;
+  }
+  std::vector<std::string> corpus;
+  if (lines.size() < 2) return corpus;
+  const auto join = [](const std::vector<std::string>& ls) {
+    std::string out;
+    for (const std::string& l : ls) out += l;
+    return out;
+  };
+  util::Rng rng(seed);
+  const std::size_t n = lines.size();
+  const std::size_t picks = n > 100 ? 100 : n;
+  for (std::size_t k = 0; k < picks; ++k) {
+    const std::size_t i =
+        n > 100 ? static_cast<std::size_t>(rng.below(n)) : k;
+    std::vector<std::string> doubled = lines;
+    doubled.insert(doubled.begin() + static_cast<std::ptrdiff_t>(i),
+                   lines[i]);
+    corpus.push_back(join(doubled));
+    if (i + 1 < n) {
+      std::vector<std::string> swapped = lines;
+      std::swap(swapped[i], swapped[i + 1]);
+      corpus.push_back(join(swapped));
+    }
+  }
+  for (int k = 0; k < 50; ++k) {
+    std::vector<std::string> swapped = lines;
+    std::swap(swapped[static_cast<std::size_t>(rng.below(n))],
+              swapped[static_cast<std::size_t>(rng.below(n))]);
+    corpus.push_back(join(swapped));
+  }
+  return corpus;
+}
+
+/// The corpus of a text format: hostile_corpus cut at every line boundary,
+/// then line_corpus's duplicated and swapped lines.
+inline std::vector<std::string> text_corpus(const std::string& text,
+                                            std::uint64_t seed) {
+  std::vector<std::string> corpus = hostile_corpus(text, line_cuts(text), seed);
+  for (std::string& input : line_corpus(text, seed ^ 0x5eedULL)) {
+    corpus.push_back(std::move(input));
+  }
+  return corpus;
 }
 
 /// Writes `bytes` to `path` and calls `load(path)`: true when it returns,

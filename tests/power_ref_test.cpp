@@ -165,7 +165,8 @@ TEST(PowerRef, KeyCoversEveryCalibrationInput) {
        [](NocEnvParams& p) {
          noc::Phase only;
          only.rate = 0.07;
-         p.phases = {only};
+         p.scenario = std::make_shared<scenario::Scenario>(
+             scenario::phased_scenario(p.net, {only}));
        }},
   };
   for (const auto& [what, mutate] : changes) {

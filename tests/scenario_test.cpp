@@ -516,11 +516,11 @@ TEST(ScenarioEnv, EpisodesRunOnScenariosWithPerTenantStats) {
   ep.epoch_cycles = 256;
   ep.epochs_per_episode = 4;
   core::NocConfigEnv env(ep);
-  EXPECT_EQ(env.phased_workload(), nullptr);
+  EXPECT_EQ(env.workload(), nullptr);
   EXPECT_EQ(env.params().net.width, 4);  // fabric came from the scenario
 
   const rl::State s0 = env.reset();
-  EXPECT_NE(env.composite_workload(), nullptr);  // built by reset()
+  EXPECT_NE(env.workload(), nullptr);  // built by reset()
   EXPECT_EQ(s0.size(), env.state_size());
   double traffic = 0.0;
   for (int a = 0; a < 3; ++a) {
@@ -563,6 +563,90 @@ TEST(ScenarioEnv, ReplicaSeedsChangeBackgroundTraffic) {
     return env.last_stats().tenants[1].packets_offered;
   };
   EXPECT_NE(offered_with_seed(42), offered_with_seed(43));
+}
+
+TEST(PhasedEnv, EpisodesMatchThePinnedPhasedEnvironment) {
+  // Pinned from the environment's former built-in phased mode, which drove
+  // a bare PhasedWorkload: the one-tenant phased scenario must reproduce a
+  // training episode (random phase start), an evaluation episode (phase 0)
+  // and the calibrated power reference bit for bit.
+  core::NocEnvParams ep;
+  ep.net.width = ep.net.height = 4;
+  ep.net.seed = 19;
+  ep.scenario = std::make_shared<Scenario>(
+      phased_scenario(ep.net, {{"uniform", 0.01, 1500.0, "bernoulli"},
+                               {"hotspot", 0.05, 1500.0, "burst", 2},
+                               {"transpose", 0.07, 1500.0, "bernoulli"}}));
+  ep.epoch_cycles = 256;
+  ep.epochs_per_episode = 6;
+  core::NocConfigEnv env(ep);
+  GoldenHash h;
+  h.mix(env.power_ref_mw());
+  for (int episode = 0; episode < 2; ++episode) {
+    env.set_eval_mode(episode == 1);
+    for (double v : env.reset()) h.mix(v);
+    bool done = false;
+    for (int k = 0; !done; ++k) {
+      const rl::StepResult r = env.step((7 * k + episode) % env.num_actions());
+      for (double v : r.next_state) h.mix(v);
+      h.mix(r.reward);
+      mix_stats(h, env.last_stats());
+      done = r.done;
+    }
+  }
+  EXPECT_EQ(env.power_ref_mw(), 0x1.0080c9539b888p+9);
+  EXPECT_EQ(h.value(), 0x75fde1b4e474876fULL);
+}
+
+TEST(PhasedEnv, PhasedTenantsStartAtRandomInTrainingAndAtPhaseZeroInEval) {
+  // A phased tenant next to a steady one: training episode g starts it at
+  // the fraction drawn from its traffic seed, evaluation at phase 0.
+  auto s = std::make_shared<Scenario>();
+  s->net.width = s->net.height = 4;
+  s->duration = 1e6;
+  TenantSpec steady;
+  steady.name = "steady";
+  steady.rate = 0.02;
+  s->tenants.push_back(steady);
+  TenantSpec phased;
+  phased.name = "phased";
+  phased.kind = WorkloadKind::kPhased;
+  for (int i = 0; i < 8; ++i) {
+    phased.phases.push_back({"uniform", 0.01 * (i + 1), 1000.0, "bernoulli"});
+  }
+  s->tenants.push_back(phased);
+  core::NocEnvParams ep;
+  ep.scenario = s;
+  ep.net.seed = 23;
+  ep.epoch_cycles = 64;
+  ep.epochs_per_episode = 1;
+  core::NocConfigEnv env(ep);
+  const auto phase_at_zero = [&env] {
+    const auto* w = dynamic_cast<const noc::PhasedWorkload*>(
+        env.workload()->tenant(1).injector.get());
+    EXPECT_NE(w, nullptr);
+    return w == nullptr ? std::size_t{0} : w->phase_index(0.0);
+  };
+
+  noc::PhasedWorkload reference(*noc::make_topology("mesh", 4, 4),
+                                phased.phases);
+  bool moved = false;
+  for (int g = 1; g <= 6; ++g) {
+    env.reset();  // training episode g
+    const std::uint64_t seed =
+        23 + 0x9e3779b9ULL * static_cast<std::uint64_t>(g);
+    const double u = util::Rng(seed ^ 0xabcdef123456ULL).uniform();
+    reference.set_start_offset(u * reference.total_duration());
+    EXPECT_EQ(phase_at_zero(), reference.phase_index(0.0)) << "episode " << g;
+    moved = moved || phase_at_zero() != 0;
+  }
+  EXPECT_TRUE(moved) << "no training episode left phase 0";
+
+  env.set_eval_mode(true);
+  for (int i = 0; i < 3; ++i) {
+    env.reset();
+    EXPECT_EQ(phase_at_zero(), 0u);
+  }
 }
 
 // --- hostile input ------------------------------------------------------------
@@ -632,7 +716,7 @@ TEST(ScenarioHostileInput, TextCorpus) {
   const std::string path = dir + "hostile.drlsc";
   int loaded = 0;
   int rejected = 0;
-  for (const std::string& input : hostile_corpus(base, line_cuts(base), 2028)) {
+  for (const std::string& input : text_corpus(base, 2028)) {
     const bool ok = loads_or_names_path(path, input, [](const std::string& p) {
       // A loaded scenario is valid and serialises.
       std::ostringstream os;

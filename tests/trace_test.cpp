@@ -377,8 +377,7 @@ TEST(TraceHostileInput, TextCorpus) {
   const std::string path = ::testing::TempDir() + "hostile.drltrc";
   int loaded = 0;
   int rejected = 0;
-  for (const std::string& input :
-       hostile_corpus(bytes, line_cuts(bytes), 2027)) {
+  for (const std::string& input : text_corpus(bytes, 2027)) {
     (loads_or_names_file(path, input) ? loaded : rejected) += 1;
   }
   EXPECT_GT(loaded, 0);
@@ -936,12 +935,12 @@ TEST(TraceEnv, EpisodesRunOnTraceWorkloads) {
   ep.epoch_cycles = 256;
   ep.epochs_per_episode = 4;
   core::NocConfigEnv env(ep);
-  EXPECT_EQ(env.phased_workload(), nullptr);  // trace episodes, not phased
+  EXPECT_EQ(env.workload(), nullptr);  // built by reset()
 
   const rl::State s0 = env.reset();
   EXPECT_EQ(s0.size(), env.state_size());
-  ASSERT_NE(env.composite_workload(), nullptr);
-  EXPECT_NE(env.composite_workload()->tenant(0).trace, nullptr);
+  ASSERT_NE(env.workload(), nullptr);
+  EXPECT_NE(env.workload()->tenant(0).trace, nullptr);
   double traffic = 0.0;
   for (int a = 0; a < 3; ++a) {
     const rl::StepResult r = env.step(a % env.num_actions());
