@@ -6,12 +6,18 @@
 
 #include <cassert>
 #include <cstdint>
-#include <utility>
 
 #include "noc/types.h"
 #include "util/ring_buffer.h"
 
+namespace drlnoc::obs {
+class FlightRecorder;
+}  // namespace drlnoc::obs
+
 namespace drlnoc::noc {
+
+class FaultModel;
+class RoutingAlgorithm;
 
 /// FIFO delay line carrying items of type T with a fixed latency in cycles.
 ///
@@ -19,38 +25,30 @@ namespace drlnoc::noc {
 /// (at most one send per cycle, drained within `latency` cycles), so the
 /// per-cycle send/receive path never touches the heap; the ring only grows
 /// on bursts such as the bonus credits of a depth reconfiguration.
+///
+/// A channel names its receiver by node index and, for router-bound
+/// channels, by its port's bit in that router's pending masks (0 for
+/// NIC-bound channels); FabricView::send re-arms both.
 template <typename T>
 class Channel {
  public:
-  explicit Channel(Cycle latency = 1)
-      : latency_(latency), entries_(static_cast<std::size_t>(latency) + 1) {
+  explicit Channel(Cycle latency = 1, NodeId to = kInvalidNode,
+                   std::uint32_t pending_bit = 0)
+      : latency_(latency), to_(to), pending_bit_(pending_bit),
+        entries_(static_cast<std::size_t>(latency) + 1) {
     assert(latency >= 1 && "zero-latency channels would create same-cycle "
                            "visibility between routers");
   }
 
   Cycle latency() const { return latency_; }
+  NodeId to() const { return to_; }
+  std::uint32_t pending_bit() const { return pending_bit_; }
 
-  /// Event-driven wake hook (see Network): registers the *receiving* node's
-  /// activity flag, which every send re-arms. Whether anything is still in
-  /// flight toward that node is read off the channel itself (the router's
-  /// pending masks, Nic::inbound_empty). Unregistered channels wake nobody.
-  void set_wake(std::uint8_t* active) { wake_ = active; }
-  /// The registered activity flag, or null (Network::audit_quiescence).
-  const std::uint8_t* wake_flag() const { return wake_; }
-
-  /// Inbound-pending hook (see Router::connect): registers the receiving
-  /// router's pending mask and this channel's bit in it. The bit is set
-  /// whenever the channel holds an item and cleared when it drains, so the
-  /// router's receive phase visits only non-empty channels.
-  void set_pending_bit(std::uint32_t* mask, std::uint32_t bit) {
-    pending_mask_ = mask;
-    pending_bit_ = bit;
-    if (!entries_.empty()) *mask |= bit;
-  }
-
-  void send(T item, Cycle now) {
-    entries_.push_back(Entry{now + latency_, std::move(item)});
-    notify_receiver();
+  /// Copies `item` straight into its delay-line slot.
+  void send(const T& item, Cycle now) {
+    auto& slot = entries_.push_back_slot();
+    slot.due = now + latency_;
+    slot.item = item;
   }
 
   /// True if an item is deliverable at `now`.
@@ -58,57 +56,58 @@ class Channel {
     return !entries_.empty() && entries_.front().due <= now;
   }
 
-  T receive([[maybe_unused]] Cycle now) {
+  /// Pops the oldest item. The returned reference reads the popped slot in
+  /// place (no copy) and stays valid until the next send.
+  const T& receive([[maybe_unused]] Cycle now) {
     assert(ready(now));
-    T item = std::move(entries_.front().item);
-    pop_front();
+    const T& item = entries_.front().item;
+    entries_.pop_front();
     return item;
-  }
-
-  /// Single-copy variants of send/receive for the per-flit hot path.
-  const T& peek([[maybe_unused]] Cycle now) const {
-    assert(ready(now));
-    return entries_.front().item;
-  }
-  void receive_into(T& dst, [[maybe_unused]] Cycle now) {
-    assert(ready(now));
-    dst = std::move(entries_.front().item);
-    pop_front();
-  }
-  void send_from(const T& item, Cycle now) {
-    auto& slot = entries_.push_back_slot();
-    slot.due = now + latency_;
-    slot.item = item;
-    notify_receiver();
   }
 
   bool empty() const { return entries_.empty(); }
   std::size_t in_flight() const { return entries_.size(); }
 
  private:
-  void notify_receiver() {
-    if (wake_ != nullptr) *wake_ = 1;
-    if (pending_mask_ != nullptr) *pending_mask_ |= pending_bit_;
-  }
-  void pop_front() {
-    entries_.pop_front();
-    if (pending_mask_ != nullptr && entries_.empty()) {
-      *pending_mask_ &= ~pending_bit_;
-    }
-  }
-
   struct Entry {
     Cycle due = 0;
     T item{};
   };
   Cycle latency_;
+  NodeId to_;
+  std::uint32_t pending_bit_;
   util::RingBuffer<Entry> entries_;
-  std::uint8_t* wake_ = nullptr;
-  std::uint32_t* pending_mask_ = nullptr;
-  std::uint32_t pending_bit_ = 0;
 };
 
 using FlitChannel = Channel<Flit>;
 using CreditChannel = Channel<Credit>;
+
+/// The fabric as one router or NIC step sees it. Network builds a view for
+/// each step (and each reconfiguration); components name their channels by
+/// index into `flits`/`credits` and hold no pointer into the fabric.
+struct FabricView {
+  FlitChannel* flits;
+  CreditChannel* credits;
+  std::uint8_t* node_active;      ///< per node: stepped next cycle
+  std::uint32_t* flit_pending;    ///< per node: ports with inbound flits
+  std::uint32_t* credit_pending;  ///< per node: ports with inbound credits
+  const RoutingAlgorithm* routing;
+  const FaultModel* faults;       ///< null on a healthy fabric
+  obs::FlightRecorder* recorder;  ///< null while tracing is off
+
+  /// Sends on channel `ch` and re-arms its receiver: the node's activity
+  /// flag and its port's pending bit. The receiver clears the bit when it
+  /// empties the channel.
+  void send(int ch, const Flit& flit, Cycle now) const {
+    flits[ch].send(flit, now);
+    node_active[flits[ch].to()] = 1;
+    flit_pending[flits[ch].to()] |= flits[ch].pending_bit();
+  }
+  void send(int ch, Credit credit, Cycle now) const {
+    credits[ch].send(credit, now);
+    node_active[credits[ch].to()] = 1;
+    credit_pending[credits[ch].to()] |= credits[ch].pending_bit();
+  }
+};
 
 }  // namespace drlnoc::noc

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/config.h"
 #include "util/rng.h"
@@ -159,12 +160,13 @@ void FaultParams::validate(const Topology& topo) const {
 
 // --- FaultAwareRouting ------------------------------------------------------
 
-FaultAwareRouting::FaultAwareRouting(const RoutingAlgorithm& base,
-                                     const Topology& topo)
-    : base_(base), topo_(topo) {}
+FaultAwareRouting::FaultAwareRouting(
+    std::shared_ptr<const RoutingAlgorithm> base,
+    std::shared_ptr<const Topology> topo)
+    : base_(std::move(base)), topo_(std::move(topo)) {}
 
 void FaultAwareRouting::recompute(const std::vector<std::uint8_t>& dead) {
-  build_fault_distances(topo_, dead, dist_);
+  build_fault_distances(*topo_, dead, dist_);
   dead_ = dead;
   degraded_ = true;
 }
@@ -172,16 +174,16 @@ void FaultAwareRouting::recompute(const std::vector<std::uint8_t>& dead) {
 void FaultAwareRouting::route(const Flit& flit, NodeId node, PortId in_port,
                               std::vector<RouteChoice>& out) const {
   if (!degraded_) {
-    base_.route(flit, node, in_port, out);
+    base_->route(flit, node, in_port, out);
     return;
   }
   if (node == flit.dst) {
     out.push_back(RouteChoice{kLocalPort, flit.vc_class});
     return;
   }
-  const auto n = static_cast<std::size_t>(topo_.num_nodes());
+  const auto n = static_cast<std::size_t>(topo_->num_nodes());
   const std::int16_t* d = &dist_[static_cast<std::size_t>(flit.dst) * n];
-  const int radix = topo_.radix();
+  const int radix = topo_->radix();
   // Lowest-numbered live port on a minimal surviving path. Ascending port
   // order is east/west before north/south on meshes, biasing the detour
   // toward dimension order. A U-turn is only admissible as a last resort:
@@ -190,7 +192,7 @@ void FaultAwareRouting::route(const Flit& flit, NodeId node, PortId in_port,
   PortId u_turn = -1;
   for (PortId p = 1; p < radix; ++p) {
     if (dead_[static_cast<std::size_t>(node * radix + p)] != 0) continue;
-    const auto nb = topo_.neighbor(node, p);
+    const auto nb = topo_->neighbor(node, p);
     if (!nb) continue;
     if (d[nb->node] + 1 != d[node]) continue;
     // Dateline classes never reset under degraded routing: detours may mix
@@ -198,7 +200,7 @@ void FaultAwareRouting::route(const Flit& flit, NodeId node, PortId in_port,
     // dateline crossing, never de-escalate) keeps ring/torus wrap cycles
     // broken at the cost of restricting detoured packets to class 1.
     std::uint8_t cls = flit.vc_class;
-    if (topo_.crosses_dateline(node, p)) cls = 1;
+    if (topo_->crosses_dateline(node, p)) cls = 1;
     if (p == in_port) {
       u_turn = p;
       continue;
@@ -208,7 +210,7 @@ void FaultAwareRouting::route(const Flit& flit, NodeId node, PortId in_port,
   }
   if (u_turn >= 0) {
     std::uint8_t cls = flit.vc_class;
-    if (topo_.crosses_dateline(node, u_turn)) cls = 1;
+    if (topo_->crosses_dateline(node, u_turn)) cls = 1;
     out.push_back(RouteChoice{u_turn, cls});
     return;
   }

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -82,13 +83,16 @@ std::string to_string(FaultEvent::Kind kind);
 /// Minimal-path rerouting around dead links. Healthy (no dead links) it
 /// delegates verbatim to the wrapped base algorithm, so installing it does
 /// not perturb routing decisions; after the first link death it switches to
-/// a BFS shortest-path table over the surviving directed links.
+/// a BFS shortest-path table over the surviving directed links. The base
+/// algorithm and topology are immutable and shared; the tables are copied
+/// with the routing.
 class FaultAwareRouting : public RoutingAlgorithm {
  public:
-  FaultAwareRouting(const RoutingAlgorithm& base, const Topology& topo);
+  FaultAwareRouting(std::shared_ptr<const RoutingAlgorithm> base,
+                    std::shared_ptr<const Topology> topo);
 
-  std::string name() const override { return base_.name() + "+fault"; }
-  bool adaptive() const override { return base_.adaptive(); }
+  std::string name() const override { return base_->name() + "+fault"; }
+  bool adaptive() const override { return base_->adaptive(); }
   void route(const Flit& flit, NodeId node, PortId in_port,
              std::vector<RouteChoice>& out) const override;
 
@@ -99,8 +103,8 @@ class FaultAwareRouting : public RoutingAlgorithm {
   bool degraded() const { return degraded_; }
 
  private:
-  const RoutingAlgorithm& base_;
-  const Topology& topo_;
+  std::shared_ptr<const RoutingAlgorithm> base_;
+  std::shared_ptr<const Topology> topo_;
   bool degraded_ = false;
   std::vector<std::uint8_t> dead_;  ///< copy of the live dead-link flags
   /// dist_[dst * n + node]: live hop count from `node` to `dst`.

@@ -24,6 +24,18 @@ double EpochStats::avg_power_mw(double core_freq_ghz) const {
   return total_energy_pj() / wall_ns;  // pJ / ns == mW
 }
 
+namespace {
+void validate_config(const NocConfig& config, const NetworkParams& params,
+                     int num_levels) {
+  if (config.active_vcs < 1 || config.active_vcs > params.max_vcs ||
+      config.active_depth < 1 || config.active_depth > params.max_depth ||
+      config.dvfs_level < 0 || config.dvfs_level >= num_levels) {
+    throw std::invalid_argument("NocConfig out of range: " +
+                                to_string(config));
+  }
+}
+}  // namespace
+
 Network::Network(NetworkParams params, PowerParams power_params,
                  std::vector<DvfsLevel> levels)
     : params_(std::move(params)),
@@ -33,11 +45,7 @@ Network::Network(NetworkParams params, PowerParams power_params,
                               params_.height)),
       routing_(make_routing(params_.routing, *topology_)),
       epoch_node_recv_(static_cast<std::size_t>(topology_->num_nodes()), 0) {
-  if (config_.active_vcs < 1 || config_.active_vcs > params_.max_vcs ||
-      config_.active_depth < 1 || config_.active_depth > params_.max_depth ||
-      config_.dvfs_level < 0 || config_.dvfs_level >= power_.num_levels()) {
-    throw std::invalid_argument("initial NocConfig out of range");
-  }
+  validate_config(config_, params_, power_.num_levels());
   if (topology_->required_vc_classes() > params_.max_vcs) {
     throw std::invalid_argument(
         "topology needs more VC classes than physical VCs");
@@ -64,117 +72,88 @@ Network::Network(NetworkParams params, PowerParams power_params,
   np.active_vcs = config_.active_vcs;
   np.flits_per_packet = params_.flits_per_packet;
 
-  routers_.reserve(static_cast<std::size_t>(n));
-  nics_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    routers_.push_back(std::make_unique<Router>(i, rp, *routing_));
-    nics_.push_back(std::make_unique<Nic>(i, np));
-  }
-  // The SoA hot-state vectors must reach their final size before wire()
-  // hands out pointers into them; everything starts armed.
+  wire(rp, np);
+  // Everything starts armed.
   node_active_.assign(static_cast<std::size_t>(n), 1);
   node_buffered_.assign(static_cast<std::size_t>(n), 0);
-  wire();
+  flit_pending_.assign(static_cast<std::size_t>(n), 0);
+  credit_pending_.assign(static_cast<std::size_t>(n), 0);
   per_router_configs_.assign(static_cast<std::size_t>(n), config_);
   refresh_active_capacity();
 }
 
-Network::~Network() = default;
-
-void Network::wire() {
-  struct PortChans {
-    FlitChannel* in_flits = nullptr;
-    CreditChannel* out_credits = nullptr;
-    FlitChannel* out_flits = nullptr;
-    CreditChannel* in_credits = nullptr;
-    bool to_router = false;  ///< downstream endpoint is another router
-  };
+void Network::wire(const RouterParams& rp, const NicParams& np) {
   const int radix = topology_->radix();
   const int n = topology_->num_nodes();
-  std::vector<PortChans> chans(static_cast<std::size_t>(n * radix));
-  auto at = [&](NodeId node, PortId port) -> PortChans& {
-    return chans[static_cast<std::size_t>(node * radix + port)];
+  std::vector<PortChannels> ports(static_cast<std::size_t>(n * radix));
+  auto at = [&](NodeId node, PortId port) -> PortChannels& {
+    return ports[static_cast<std::size_t>(node * radix + port)];
   };
-
-  // Inter-router links: one flit channel downstream + one credit channel back.
   links_ = topology_->links();
   num_links_ = static_cast<int>(links_.size());
-  auto wake_on_send = [&](auto& chan, NodeId node) {
-    chan->set_wake(&node_active_[static_cast<std::size_t>(node)]);
-  };
+  flit_channels_.reserve(links_.size() + 2 * static_cast<std::size_t>(n));
+  credit_channels_.reserve(links_.size() + 2 * static_cast<std::size_t>(n));
+
+  // Inter-router link k: flit channel k downstream, credit channel k back.
+  // Each names its receiving router and that port's pending-mask bit.
   for (const Link& link : links_) {
-    auto fc = std::make_unique<FlitChannel>(params_.link_latency);
-    auto cc = std::make_unique<CreditChannel>(params_.link_latency);
-    wake_on_send(fc, link.to.node);
-    wake_on_send(cc, link.from.node);
-    at(link.from.node, link.from.port).out_flits = fc.get();
-    at(link.from.node, link.from.port).in_credits = cc.get();
-    at(link.from.node, link.from.port).to_router = true;
-    at(link.to.node, link.to.port).in_flits = fc.get();
-    at(link.to.node, link.to.port).out_credits = cc.get();
-    flit_channels_.push_back(std::move(fc));
-    credit_channels_.push_back(std::move(cc));
+    const int k = static_cast<int>(flit_channels_.size());
+    flit_channels_.emplace_back(params_.link_latency, link.to.node,
+                                1u << link.to.port);
+    credit_channels_.emplace_back(params_.link_latency, link.from.node,
+                                  1u << link.from.port);
+    at(link.from.node, link.from.port).out_flits = k;
+    at(link.from.node, link.from.port).in_credits = k;
+    at(link.to.node, link.to.port).in_flits = k;
+    at(link.to.node, link.to.port).out_credits = k;
   }
 
-  // NIC links (injection + ejection), latency 1.
+  // NIC links, latency 1: injection at index k, ejection at k + 1. All four
+  // terminate at node i; the NIC-bound ones carry no pending bit.
+  nics_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    auto inj_f = std::make_unique<FlitChannel>(1);
-    auto inj_c = std::make_unique<CreditChannel>(1);
-    auto ej_f = std::make_unique<FlitChannel>(1);
-    auto ej_c = std::make_unique<CreditChannel>(1);
-    // All four NIC channels terminate at node i (router or its own NIC).
-    wake_on_send(inj_f, i);
-    wake_on_send(ej_f, i);
-    wake_on_send(inj_c, i);
-    wake_on_send(ej_c, i);
-    at(i, kLocalPort).in_flits = inj_f.get();
-    at(i, kLocalPort).out_credits = inj_c.get();
-    at(i, kLocalPort).out_flits = ej_f.get();
-    at(i, kLocalPort).in_credits = ej_c.get();
-    nics_[static_cast<std::size_t>(i)]->connect(inj_f.get(), inj_c.get(),
-                                                ej_f.get(), ej_c.get());
-    nics_[static_cast<std::size_t>(i)]->init_credits(config_.active_depth);
-    flit_channels_.push_back(std::move(inj_f));
-    flit_channels_.push_back(std::move(ej_f));
-    credit_channels_.push_back(std::move(inj_c));
-    credit_channels_.push_back(std::move(ej_c));
+    const int k = static_cast<int>(flit_channels_.size());
+    flit_channels_.emplace_back(1, i, 1u << kLocalPort);
+    flit_channels_.emplace_back(1, i, 0);
+    credit_channels_.emplace_back(1, i, 0);
+    credit_channels_.emplace_back(1, i, 1u << kLocalPort);
+    at(i, kLocalPort) = PortChannels{k, k, k + 1, k + 1};
+    nics_.emplace_back(i, np, NicChannels{k, k, k + 1, k + 1});
+    nics_.back().init_credits(config_.active_depth);
   }
 
+  routers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
+    const auto first = ports.begin() + i * radix;
+    Router& r = routers_.emplace_back(
+        i, rp, std::vector<PortChannels>(first, first + radix));
     for (int p = 0; p < radix; ++p) {
-      const PortChans& pc = at(i, p);
-      routers_[static_cast<std::size_t>(i)]->connect(
-          p, pc.in_flits, pc.out_credits, pc.out_flits, pc.in_credits);
-      if (pc.out_flits != nullptr) {
-        // Credits for a downstream router reflect its active depth; the NIC
-        // ejection buffer is never gated, so it advertises full depth.
-        const int credits =
-            pc.to_router ? config_.active_depth : params_.max_depth;
-        routers_[static_cast<std::size_t>(i)]->init_output_credits(p, credits);
-      }
+      if (at(i, p).out_flits < 0) continue;
+      // Credits for a downstream router reflect its active depth; the NIC
+      // ejection buffer is never gated, so it advertises full depth.
+      r.init_output_credits(
+          p, p != kLocalPort ? config_.active_depth : params_.max_depth);
     }
   }
 }
 
-namespace {
-void validate_config(const NocConfig& config, const NetworkParams& params,
-                     int num_levels) {
-  if (config.active_vcs < 1 || config.active_vcs > params.max_vcs ||
-      config.active_depth < 1 || config.active_depth > params.max_depth ||
-      config.dvfs_level < 0 || config.dvfs_level >= num_levels) {
-    throw std::invalid_argument("NocConfig out of range: " +
-                                to_string(config));
-  }
+FabricView Network::view() {
+  const RoutingAlgorithm* routing = routing_.get();
+  if (fault_routing_) routing = &*fault_routing_;
+  return FabricView{flit_channels_.data(), credit_channels_.data(),
+                    node_active_.data(),   flit_pending_.data(),
+                    credit_pending_.data(), routing,
+                    fault_model(),          recorder_};
 }
-}  // namespace
 
 void Network::apply_config(const NocConfig& config) {
   validate_config(config, params_, power_.num_levels());
-  for (auto& r : routers_) {
-    r->set_active_vcs(config.active_vcs, cycle_);
-    r->set_active_depth(config.active_depth, cycle_);
+  const FabricView v = view();
+  for (Router& r : routers_) {
+    r.set_active_vcs(config.active_vcs, cycle_);
+    r.set_active_depth(config.active_depth, cycle_, v);
   }
-  for (auto& nic : nics_) nic->set_active_vcs(config.active_vcs);
+  for (Nic& nic : nics_) nic.set_active_vcs(config.active_vcs);
   config_ = config;
   per_router_configs_.assign(static_cast<std::size_t>(num_nodes()), config);
   refresh_active_capacity();
@@ -203,11 +182,12 @@ void Network::apply_per_router(const std::vector<NocConfig>& configs) {
     }
   }
   NocConfig representative = configs.front();
+  const FabricView v = view();
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    auto& r = routers_[i];
-    r->set_active_vcs(configs[i].active_vcs, cycle_);
-    r->set_active_depth(configs[i].active_depth, cycle_);
-    nics_[i]->set_active_vcs(configs[i].active_vcs);
+    Router& r = routers_[i];
+    r.set_active_vcs(configs[i].active_vcs, cycle_);
+    r.set_active_depth(configs[i].active_depth, cycle_, v);
+    nics_[i].set_active_vcs(configs[i].active_vcs);
     representative.active_vcs =
         std::max(representative.active_vcs, configs[i].active_vcs);
     representative.active_depth =
@@ -215,7 +195,7 @@ void Network::apply_per_router(const std::vector<NocConfig>& configs) {
   }
   // VC allocation gates on the *downstream* router's active VC set.
   for (const Link& link : links_) {
-    routers_[static_cast<std::size_t>(link.from.node)]->set_output_active_vcs(
+    routers_[static_cast<std::size_t>(link.from.node)].set_output_active_vcs(
         link.from.port,
         configs[static_cast<std::size_t>(link.to.node)].active_vcs);
   }
@@ -228,13 +208,6 @@ void Network::apply_per_router(const std::vector<NocConfig>& configs) {
                       representative.dvfs_level);
   }
   wake_all();
-}
-
-void Network::set_flight_recorder(obs::FlightRecorder* recorder) {
-  recorder_ = recorder;
-  // Attach through routers_ directly: the mutable router() accessor would
-  // re-arm quiescent nodes and perturb the event-driven schedule.
-  for (auto& r : routers_) r->set_flight_recorder(recorder);
 }
 
 void Network::set_metrics(obs::NetworkMetrics* metrics) {
@@ -274,7 +247,7 @@ void Network::inject_due_traffic(TrafficInjector* injector) {
         // (received).
         const int tenant = std::max(0, injector->tenant_for(node, t));
         const std::uint64_t packet_id = next_packet_id_++;
-        nics_[static_cast<std::size_t>(node)]->offer_packet(
+        nics_[static_cast<std::size_t>(node)].offer_packet(
             dst, t, measuring_, packet_id, length, tenant);
         wake(node);  // source NIC has work now
         injector->on_packet_injected(node, packet_id, t);
@@ -294,13 +267,9 @@ void Network::inject_due_traffic(TrafficInjector* injector) {
 void Network::set_fault_model(const FaultParams& params) {
   // Construction validates the params against the topology, including the
   // fail-fast connectivity check for cycle-0 link deaths.
-  fault_model_ = std::make_unique<FaultModel>(params, *topology_);
-  fault_routing_ = std::make_unique<FaultAwareRouting>(*routing_, *topology_);
+  fault_model_.emplace(params, *topology_);
+  fault_routing_.emplace(routing_, topology_);
   node_step_divisor_.assign(static_cast<std::size_t>(num_nodes()), 1);
-  for (auto& r : routers_) {
-    r->set_routing(*fault_routing_);
-    r->set_fault_model(fault_model_.get());
-  }
   // The model may fire events on the very next cycle; everyone re-arms.
   wake_all();
 }
@@ -337,7 +306,7 @@ void Network::service_faults() {
     // Retries re-enter through the source NIC with the original packet id
     // and inject time: latency spans the retry delay, dependency-gated
     // workloads keep their id maps, and offered counts are not re-inflated.
-    nics_[static_cast<std::size_t>(retry.src)]->offer_packet(
+    nics_[static_cast<std::size_t>(retry.src)].offer_packet(
         retry.dst, retry.inject_time, retry.measured, retry.packet_id,
         retry.length, retry.tenant);
     wake(retry.src);
@@ -387,10 +356,11 @@ bool Network::account_faulted_record(const PacketRecord& rec,
 
 void Network::step(TrafficInjector* injector) {
   obs::ScopedPhase prof(obs::Phase::kNetStep);
-  if (fault_model_ != nullptr) service_faults();
+  if (fault_model_) service_faults();
   inject_due_traffic(injector);
   const double divisor = power_.clock_divisor(config_.dvfs_level);
   core_time_ += divisor;
+  const FabricView v = view();
 
   // Event-driven sweep: only armed nodes are stepped. Skipping a quiescent
   // node is provably a no-op — its router holds no flits, nothing is in
@@ -404,7 +374,7 @@ void Network::step(TrafficInjector* injector) {
   for (int node = 0; node < n; ++node) {
     const auto idx = static_cast<std::size_t>(node);
     if (node_active_[idx] == 0) continue;
-    if (fault_model_ != nullptr) {
+    if (fault_model_) {
       // Router slowdown: a degraded node runs only every `div` router
       // cycles. It stays armed (its work is deferred, not done) and the
       // credit protocol bounds what can pile up on its inbound channels.
@@ -412,10 +382,10 @@ void Network::step(TrafficInjector* injector) {
       if (div > 1 && cycle_ % div != 0) continue;
     }
     ++stepped;
-    Nic& nic = *nics_[idx];
-    Router& router = *routers_[idx];
-    nic.step(cycle_, core_time_);
-    router.step(cycle_);
+    Nic& nic = nics_[idx];
+    Router& router = routers_[idx];
+    nic.step(cycle_, core_time_, v);
+    router.step(cycle_, v);
 
     const int buffered = router.buffered_flits();
     buffered_total_ += buffered - static_cast<long long>(node_buffered_[idx]);
@@ -426,7 +396,7 @@ void Network::step(TrafficInjector* injector) {
       // Corrupted deliveries never count as received: they are dropped here
       // and either retried or declared lost. Clean deliveries additionally
       // account retry latency and detour hops while faults are active.
-      if (fault_model_ != nullptr && account_faulted_record(rec, injector)) {
+      if (fault_model_ && account_faulted_record(rec, injector)) {
         continue;
       }
       if (recorder_ != nullptr && recorder_->sampled(rec.packet_id)) {
@@ -453,8 +423,8 @@ void Network::step(TrafficInjector* injector) {
     // Quiescence test after the node's own activity; a send from a
     // later-indexed neighbor re-arms the flag for the *next* cycle, which
     // is exactly when its item can first become ready.
-    if (buffered == 0 && router.inbound_empty() && nic.inbound_empty() &&
-        nic.idle()) {
+    if (buffered == 0 && (flit_pending_[idx] | credit_pending_[idx]) == 0 &&
+        nic_inbound_empty(nic) && nic.idle()) {
       node_active_[idx] = 0;
     }
   }
@@ -552,19 +522,19 @@ EpochStats Network::drain_epoch_stats() {
   RouterActivity activity;
   std::uint64_t fin = 0, fout = 0;
   for (std::size_t i = 0; i < routers_.size(); ++i) {
-    Router& r = *routers_[i];
+    Router& r = routers_[i];
     // Per-router metrics snapshot must happen before the activity reset.
     if (metrics_ != nullptr) {
       metrics_->sample_node(static_cast<int>(i), r.activity().link_flits,
                             r.buffered_flits(), r.max_vc_occupancy(),
-                            nics_[i]->source_queue_len());
+                            nics_[i].source_queue_len());
     }
     activity += r.activity();
     r.reset_activity();
   }
-  for (auto& nic : nics_) {
-    fin += nic->injected_flits();
-    fout += nic->ejected_flits();
+  for (const Nic& nic : nics_) {
+    fin += nic.injected_flits();
+    fout += nic.ejected_flits();
   }
   s.flits_injected = fin - epoch_flits_in_;
   s.flits_ejected = fout - epoch_flits_out_;
@@ -578,7 +548,7 @@ EpochStats Network::drain_epoch_stats() {
       config_.dvfs_level, wall_ns);
 
   std::uint64_t backlog = 0;
-  for (auto& nic : nics_) backlog += nic->source_queue_len();
+  for (const Nic& nic : nics_) backlog += nic.source_queue_len();
   s.source_queue_total = backlog;
   s.retry_latency = epoch_retry_latency_.mean();
   s.config = config_;
@@ -606,50 +576,72 @@ EpochStats Network::drain_epoch_stats() {
 bool Network::drained() const {
   // A retransmission waiting on its timeout is still in the system: the
   // fabric may be momentarily empty, but the packet will re-enter.
-  if (fault_model_ != nullptr && fault_model_->retries_pending()) return false;
-  for (const auto& nic : nics_)
-    if (!nic->idle()) return false;
-  for (const auto& r : routers_)
-    if (!r->idle()) return false;
-  for (const auto& fc : flit_channels_)
-    if (!fc->empty()) return false;
+  if (fault_model_ && fault_model_->retries_pending()) return false;
+  for (const Nic& nic : nics_)
+    if (!nic.idle()) return false;
+  for (const Router& r : routers_)
+    if (!r.idle()) return false;
+  for (const FlitChannel& fc : flit_channels_)
+    if (!fc.empty()) return false;
   return true;
 }
 
+bool Network::nic_inbound_empty(const Nic& nic) const {
+  return flit_channels_[static_cast<std::size_t>(nic.channels().eject_flits)]
+             .empty() &&
+         credit_channels_[static_cast<std::size_t>(
+                              nic.channels().inject_credits)]
+             .empty();
+}
+
 std::string Network::audit_quiescence() const {
+  // Rebuild every node's pending masks from its non-empty inbound channels;
+  // a non-empty channel must also have its receiver armed.
+  const std::size_t n = routers_.size();
+  std::vector<std::uint32_t> flits(n, 0), credits(n, 0);
   auto check_channels = [&](const auto& channels,
+                            std::vector<std::uint32_t>& pending,
                             const char* item) -> std::string {
     for (const auto& ch : channels) {
-      const std::uint8_t* flag = ch->wake_flag();
-      if (*flag == 0 && !ch->empty()) {
-        return "node " + std::to_string(flag - node_active_.data()) +
-               " is disarmed with a " + item + " in flight toward it";
+      if (ch.empty()) continue;
+      const auto to = static_cast<std::size_t>(ch.to());
+      if (node_active_[to] == 0) {
+        return "node " + std::to_string(to) + " is disarmed with a " + item +
+               " in flight toward it";
       }
+      pending[to] |= ch.pending_bit();
     }
     return "";
   };
-  std::string error = check_channels(flit_channels_, "flit");
-  if (error.empty()) error = check_channels(credit_channels_, "credit");
+  std::string error = check_channels(flit_channels_, flits, "flit");
+  if (error.empty()) {
+    error = check_channels(credit_channels_, credits, "credit");
+  }
   if (!error.empty()) return error;
-  for (std::size_t i = 0; i < routers_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string where = "node " + std::to_string(i) + " ";
+    if (flits[i] != flit_pending_[i] || credits[i] != credit_pending_[i]) {
+      return where + "has pending masks that disagree with its channels";
+    }
     if (node_active_[i] != 0) continue;
-    const std::string where = "node " + std::to_string(i) + " is disarmed ";
-    if (!routers_[i]->idle()) return where + "with flits in its router";
-    if (node_buffered_[i] != 0) return where + "with a stale occupancy mirror";
-    if (!nics_[i]->idle()) return where + "with a busy NIC";
+    if (!routers_[i].idle()) return where + "is disarmed with router flits";
+    if (node_buffered_[i] != 0) {
+      return where + "is disarmed with a stale occupancy mirror";
+    }
+    if (!nics_[i].idle()) return where + "is disarmed with a busy NIC";
   }
   return "";
 }
 
 std::uint64_t Network::total_flits_injected() const {
   std::uint64_t total = 0;
-  for (const auto& nic : nics_) total += nic->injected_flits();
+  for (const Nic& nic : nics_) total += nic.injected_flits();
   return total;
 }
 
 std::uint64_t Network::total_flits_ejected() const {
   std::uint64_t total = 0;
-  for (const auto& nic : nics_) total += nic->ejected_flits();
+  for (const Nic& nic : nics_) total += nic.ejected_flits();
   return total;
 }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -161,14 +162,13 @@ struct EpochStats {
   double edp() const { return total_energy_pj() * avg_latency; }
 };
 
+/// A value type: copying a Network copies the whole simulation state (see
+/// docs/ARCHITECTURE.md, "Fabric ownership and copying"), and the copy
+/// steps bit-identically to the original from the cycle it was taken.
 class Network {
  public:
   explicit Network(NetworkParams params, PowerParams power_params = {},
                    std::vector<DvfsLevel> levels = default_dvfs_levels());
-  ~Network();
-
-  Network(const Network&) = delete;
-  Network& operator=(const Network&) = delete;
 
   /// Applies a configuration; takes effect immediately and never drops
   /// in-flight flits (docs/ARCHITECTURE.md, "Run-time reconfiguration").
@@ -205,19 +205,23 @@ class Network {
   int num_tenants() const { return static_cast<int>(tenant_windows_.size()); }
 
   /// Attaches a deterministic fault model built from `params` (replacing any
-  /// previous one). Installs fault-aware routing on every router and arms
-  /// the per-node slowdown bookkeeping. With no model attached (the
+  /// previous one). Switches the fabric to fault-aware routing and arms the
+  /// per-node slowdown bookkeeping. With no model attached (the
   /// default), every fault branch in the stepping hot path is behind a null
   /// check and the simulation is bit-identical to a fault-free build.
   void set_fault_model(const FaultParams& params);
-  const FaultModel* fault_model() const { return fault_model_.get(); }
+  const FaultModel* fault_model() const {
+    return fault_model_ ? &*fault_model_ : nullptr;
+  }
 
   /// Attaches a (non-owning) flight recorder for sampled packet-lifecycle
-  /// and fault/config trace events; null detaches. Propagated to every
-  /// router. The recorder never consumes RNG state nor arms nodes, so an
-  /// attached recorder leaves the simulation bit-identical (pinned by the
-  /// observability golden tests).
-  void set_flight_recorder(obs::FlightRecorder* recorder);
+  /// and fault/config trace events; null detaches. Routers see it through
+  /// the per-step FabricView. The recorder never consumes RNG state nor
+  /// arms nodes, so an attached recorder leaves the simulation bit-identical
+  /// (pinned by the observability golden tests).
+  void set_flight_recorder(obs::FlightRecorder* recorder) {
+    recorder_ = recorder;
+  }
   const obs::FlightRecorder* flight_recorder() const { return recorder_; }
 
   /// Attaches a (non-owning) metrics sink sampled at every epoch drain;
@@ -245,15 +249,15 @@ class Network {
   /// tools poking microarchitectural state) invalidates the quiescence proof.
   Router& router(NodeId id) {
     wake(id);
-    return *routers_[static_cast<std::size_t>(id)];
+    return routers_[static_cast<std::size_t>(id)];
   }
   /// Read-only access leaves the node's armed state alone.
   const Router& router(NodeId id) const {
-    return *routers_[static_cast<std::size_t>(id)];
+    return routers_[static_cast<std::size_t>(id)];
   }
   Nic& nic(NodeId id) {
     wake(id);
-    return *nics_[static_cast<std::size_t>(id)];
+    return nics_[static_cast<std::size_t>(id)];
   }
   /// Number of nodes currently armed (stepped next cycle). Observability for
   /// tests and benchmarks; a drained network decays to 0.
@@ -267,14 +271,20 @@ class Network {
   /// Test hook: checks the event-driven core's skip decisions against the
   /// components themselves — walks every channel and every node and
   /// returns a description of the first disarmed node with an inbound
-  /// item, a non-empty router or a busy NIC (or a stale occupancy mirror),
-  /// or "" when every disarmed node is provably quiescent.
+  /// item, a non-empty router or a busy NIC, a stale occupancy mirror or a
+  /// pending-mask bit that disagrees with its channel, or "" when every
+  /// disarmed node is provably quiescent.
   std::string audit_quiescence() const;
 
  private:
-  void wire();
+  void wire(const RouterParams& rp, const NicParams& np);
+  /// The fabric as routers and NICs see it this step.
+  FabricView view();
   void wake(NodeId node) { node_active_[static_cast<std::size_t>(node)] = 1; }
   void wake_all();
+  /// The NIC-bound leg of the quiescence test: no ejected flit and no
+  /// injection credit in flight toward `nic`.
+  bool nic_inbound_empty(const Nic& nic) const;
   void inject_due_traffic(TrafficInjector* injector);
   /// Fires due fault events and re-offers due retransmissions; called at the
   /// top of step() only while a fault model is attached.
@@ -322,20 +332,23 @@ class Network {
   NetworkParams params_;
   PowerModel power_;
   NocConfig config_;
-  std::unique_ptr<Topology> topology_;
-  std::unique_ptr<RoutingAlgorithm> routing_;
-  std::vector<std::unique_ptr<Router>> routers_;
-  std::vector<std::unique_ptr<Nic>> nics_;
-  // Channel storage; routers/NICs hold raw non-owning pointers into these.
-  std::vector<std::unique_ptr<FlitChannel>> flit_channels_;
-  std::vector<std::unique_ptr<CreditChannel>> credit_channels_;
+  // Immutable after construction, so copies share them.
+  std::shared_ptr<const Topology> topology_;
+  std::shared_ptr<const RoutingAlgorithm> routing_;
+  // The components, in node order; they name channels by index into
+  // flit_channels_/credit_channels_ (links first, then four per NIC).
+  std::vector<Router> routers_;
+  std::vector<Nic> nics_;
+  std::vector<FlitChannel> flit_channels_;
+  std::vector<CreditChannel> credit_channels_;
   std::vector<Link> links_;
   int num_links_ = 0;
-  // Fault machinery; all null/empty (and all hot-path branches dead) until
-  // set_fault_model() installs them.
-  std::unique_ptr<FaultModel> fault_model_;
-  std::unique_ptr<FaultAwareRouting> fault_routing_;
+  // Fault machinery; empty (and all hot-path branches dead) until
+  // set_fault_model() installs it.
+  std::optional<FaultModel> fault_model_;
+  std::optional<FaultAwareRouting> fault_routing_;
   // Observability taps; null (and every hook branch dead) until attached.
+  // Not owned: a copy of the Network writes to the same taps.
   obs::FlightRecorder* recorder_ = nullptr;
   obs::NetworkMetrics* metrics_ = nullptr;
   std::vector<std::uint32_t> node_step_divisor_;  ///< slowdown gating (>= 1)
@@ -345,12 +358,15 @@ class Network {
   // Event-driven stepping core: per-node hot state as struct-of-arrays so
   // the active sweep is cache-linear. A node is skipped while its flag is 0,
   // which requires all three quiescence legs: router empty
-  // (node_buffered_ == 0), nothing in flight toward it on any channel (the
-  // router's pending masks plus Nic::inbound_empty), and an idle NIC.
-  // Channels re-arm the flag on send; injection, reconfiguration, and the
-  // mutable accessors re-arm explicitly. The vectors never resize after
-  // construction — channels hold raw pointers into them.
+  // (node_buffered_ == 0), nothing in flight toward it on any channel (its
+  // pending masks plus the NIC's two inbound channels), and an idle NIC.
+  // Every send re-arms the receiver (FabricView::send); injection,
+  // reconfiguration, and the mutable accessors re-arm explicitly.
   std::vector<std::uint8_t> node_active_;
+  // Bit p is set iff the router's port-p inbound flit / credit channel
+  // holds an item; set by the sender, cleared by the receiving router.
+  std::vector<std::uint32_t> flit_pending_;
+  std::vector<std::uint32_t> credit_pending_;
   std::vector<std::uint32_t> node_buffered_;  ///< router buffered-flit mirror
   long long buffered_total_ = 0;  ///< sum of node_buffered_ (exact, integer)
 

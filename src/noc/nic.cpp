@@ -5,26 +5,15 @@
 
 namespace drlnoc::noc {
 
-Nic::Nic(NodeId id, NicParams params)
-    : id_(id), params_(params),
+Nic::Nic(NodeId id, NicParams params, NicChannels channels)
+    : id_(id), params_(params), channels_(channels),
       credits_(static_cast<std::size_t>(params.max_vcs), params.max_depth),
       tx_(static_cast<std::size_t>(params.max_vcs)),
-      rx_(static_cast<std::size_t>(params.max_vcs)) {
-  // Injection credits start at the router input unit's initially advertised
-  // capacity (its active depth); Network overrides via init pattern below.
-}
+      rx_(static_cast<std::size_t>(params.max_vcs)) {}
 
 void Nic::init_credits(int per_vc) {
   assert(per_vc >= 0 && per_vc <= params_.max_depth);
   std::fill(credits_.begin(), credits_.end(), per_vc);
-}
-
-void Nic::connect(FlitChannel* inject_flits, CreditChannel* inject_credits,
-                  FlitChannel* eject_flits, CreditChannel* eject_credits) {
-  inject_flits_ = inject_flits;
-  inject_credits_ = inject_credits;
-  eject_flits_ = eject_flits;
-  eject_credits_ = eject_credits;
 }
 
 void Nic::offer_packet(NodeId dst, double core_time, bool measured,
@@ -55,54 +44,50 @@ int Nic::pick_injection_vc() const {
   return best;
 }
 
-void Nic::step(Cycle cycle, double core_time) {
+void Nic::step(Cycle cycle, double core_time, const FabricView& view) {
   // 1. Ejection: drain every deliverable flit, return credits immediately.
-  if (eject_flits_) {
-    while (eject_flits_->ready(cycle)) {
-      const Flit flit = eject_flits_->receive(cycle);
-      assert(flit.dst == id_ && "flit ejected at wrong node");
-      RxState& rx = rx_[static_cast<std::size_t>(flit.vc)];
-      if (is_head(flit.type)) {
-        assert(!rx.active && "head flit interleaved into busy ejection VC");
-        rx.active = true;
-        rx.corrupted = false;
-        rx.expected_seq = 0;
-      }
-      assert(rx.active);
-      rx.corrupted = rx.corrupted || flit.corrupted;
-      assert(flit.seq == rx.expected_seq && "flit reordering within a VC");
-      ++rx.expected_seq;
-      ++ejected_flits_;
-      if (eject_credits_) eject_credits_->send(Credit{flit.vc}, cycle);
-      if (is_tail(flit.type)) {
-        rx.active = false;
-        PacketRecord rec;
-        rec.packet_id = flit.packet_id;
-        rec.src = flit.src;
-        rec.dst = flit.dst;
-        rec.length = flit.packet_len;
-        rec.inject_time = flit.inject_time;
-        rec.eject_time = core_time;
-        rec.hops = flit.hops;
-        rec.measured = flit.measured;
-        rec.tenant = flit.tenant;
-        rec.corrupted = rx.corrupted;
-        records_.push_back(rec);
-        ++received_packets_;
-      }
+  FlitChannel& eject = view.flits[channels_.eject_flits];
+  while (eject.ready(cycle)) {
+    const Flit flit = eject.receive(cycle);
+    assert(flit.dst == id_ && "flit ejected at wrong node");
+    RxState& rx = rx_[static_cast<std::size_t>(flit.vc)];
+    if (is_head(flit.type)) {
+      assert(!rx.active && "head flit interleaved into busy ejection VC");
+      rx.active = true;
+      rx.corrupted = false;
+      rx.expected_seq = 0;
+    }
+    assert(rx.active);
+    rx.corrupted = rx.corrupted || flit.corrupted;
+    assert(flit.seq == rx.expected_seq && "flit reordering within a VC");
+    ++rx.expected_seq;
+    ++ejected_flits_;
+    view.send(channels_.eject_credits, Credit{flit.vc}, cycle);
+    if (is_tail(flit.type)) {
+      rx.active = false;
+      PacketRecord rec;
+      rec.packet_id = flit.packet_id;
+      rec.src = flit.src;
+      rec.dst = flit.dst;
+      rec.length = flit.packet_len;
+      rec.inject_time = flit.inject_time;
+      rec.eject_time = core_time;
+      rec.hops = flit.hops;
+      rec.measured = flit.measured;
+      rec.tenant = flit.tenant;
+      rec.corrupted = rx.corrupted;
+      records_.push_back(rec);
+      ++received_packets_;
     }
   }
 
   // 2. Credits from the router's local input unit.
-  if (inject_credits_) {
-    while (inject_credits_->ready(cycle)) {
-      const Credit c = inject_credits_->receive(cycle);
-      ++credits_[static_cast<std::size_t>(c.vc)];
-      assert(credits_[static_cast<std::size_t>(c.vc)] <= params_.max_depth);
-    }
+  CreditChannel& credits = view.credits[channels_.inject_credits];
+  while (credits.ready(cycle)) {
+    const Credit c = credits.receive(cycle);
+    ++credits_[static_cast<std::size_t>(c.vc)];
+    assert(credits_[static_cast<std::size_t>(c.vc)] <= params_.max_depth);
   }
-
-  if (!inject_flits_) return;
 
   // 3. Injection: the local link carries one flit per router cycle.
   //    Round-robin across in-progress transmissions first; start a new
@@ -149,7 +134,7 @@ void Nic::step(Cycle cycle, double core_time) {
               : head       ? FlitType::kHead
               : tail       ? FlitType::kTail
                            : FlitType::kBody;
-  inject_flits_->send_from(flit, cycle);
+  view.send(channels_.inject_flits, flit, cycle);
   --credits_[static_cast<std::size_t>(send_vc)];
   ++injected_flits_;
   ++tx.next_seq;

@@ -37,14 +37,20 @@ struct NicParams {
   int flits_per_packet = 4;
 };
 
+/// Channel indices of a NIC's two links (all four required), into
+/// FabricView::flits and FabricView::credits: injection (NIC -> router local
+/// input, credits back) and ejection (router local output -> NIC, credits
+/// back).
+struct NicChannels {
+  int inject_flits = -1;
+  int inject_credits = -1;
+  int eject_flits = -1;
+  int eject_credits = -1;
+};
+
 class Nic {
  public:
-  Nic(NodeId id, NicParams params);
-
-  /// Wires the injection link (NIC -> router local input) and the ejection
-  /// link (router local output -> NIC).
-  void connect(FlitChannel* inject_flits, CreditChannel* inject_credits,
-               FlitChannel* eject_flits, CreditChannel* eject_credits);
+  Nic(NodeId id, NicParams params, NicChannels channels);
 
   /// Sets initial per-VC injection credits to the capacity advertised by the
   /// router's local input unit (its initial active depth).
@@ -57,8 +63,9 @@ class Nic {
   void offer_packet(NodeId dst, double core_time, bool measured,
                     std::uint64_t packet_id, int length = 0, int tenant = 0);
 
-  /// One router-clock cycle: drain ejection link, then inject up to one flit.
-  void step(Cycle cycle, double core_time);
+  /// One router-clock cycle over the fabric `view`: drain the ejection
+  /// link, then inject up to one flit.
+  void step(Cycle cycle, double core_time, const FabricView& view);
 
   /// Tracks the network's active-VC configuration so injection only starts
   /// packets on VCs the routers will service.
@@ -74,12 +81,8 @@ class Nic {
   /// True when nothing is pending at this NIC (source queue, partial
   /// transmissions, reassembly).
   bool idle() const;
-  /// True when nothing is queued on the two NIC-bound channels (ejected
-  /// flits, injection credits) — a leg of the network's quiescence test.
-  bool inbound_empty() const {
-    return eject_flits_->empty() && inject_credits_->empty();
-  }
   NodeId id() const { return id_; }
+  const NicChannels& channels() const { return channels_; }
 
  private:
   struct PendingPacket {
@@ -111,10 +114,7 @@ class Nic {
 
   NodeId id_;
   NicParams params_;
-  FlitChannel* inject_flits_ = nullptr;
-  CreditChannel* inject_credits_ = nullptr;
-  FlitChannel* eject_flits_ = nullptr;
-  CreditChannel* eject_credits_ = nullptr;
+  NicChannels channels_;
 
   util::RingBuffer<PendingPacket> source_queue_;
   std::vector<int> credits_;   ///< per injection VC

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "noc/faults.h"
 #include "obs/flight_recorder.h"
@@ -21,9 +22,8 @@ RouterActivity& RouterActivity::operator+=(const RouterActivity& o) {
   return *this;
 }
 
-Router::Router(NodeId id, RouterParams params, const RoutingAlgorithm& routing)
-    : id_(id), params_(params), routing_(&routing),
-      ports_(static_cast<std::size_t>(params.num_ports)),
+Router::Router(NodeId id, RouterParams params, std::vector<PortChannels> ports)
+    : id_(id), params_(params), ports_(std::move(ports)),
       inputs_(static_cast<std::size_t>(params.num_ports * params.max_vcs)),
       outputs_(static_cast<std::size_t>(params.num_ports * params.max_vcs)),
       out_active_vcs_(static_cast<std::size_t>(params.num_ports),
@@ -46,6 +46,7 @@ Router::Router(NodeId id, RouterParams params, const RoutingAlgorithm& routing)
     throw std::invalid_argument(
         "Router: num_ports and max_vcs must be <= 32, max_depth <= 127");
   }
+  assert(static_cast<int>(ports_.size()) == params.num_ports);
   const auto num_inputs =
       static_cast<std::size_t>(params.num_ports * params.max_vcs);
   va_touched_.reserve(num_inputs);
@@ -82,21 +83,6 @@ void Router::refresh_admissible_cache() {
   va_stalled_ = false;  // newly admissible VCs may unblock waiting heads
 }
 
-void Router::connect(PortId port, FlitChannel* in_flits,
-                     CreditChannel* out_credits, FlitChannel* out_flits,
-                     CreditChannel* in_credits) {
-  auto& w = ports_[static_cast<std::size_t>(port)];
-  w.in_flits = in_flits;
-  w.out_credits = out_credits;
-  w.out_flits = out_flits;
-  w.in_credits = in_credits;
-  const std::uint32_t bit = 1u << port;
-  if (in_flits != nullptr) in_flits->set_pending_bit(&flit_pending_, bit);
-  if (in_credits != nullptr) {
-    in_credits->set_pending_bit(&credit_pending_, bit);
-  }
-}
-
 void Router::init_output_credits(PortId port, int credits_per_vc) {
   assert(credits_per_vc >= 0 && credits_per_vc <= params_.max_depth);
   for (int v = 0; v < params_.max_vcs; ++v) {
@@ -124,27 +110,30 @@ std::pair<VcId, VcId> Router::admissible_range(std::uint8_t vc_class,
   return {begin, end};
 }
 
-void Router::step(Cycle cycle) {
-  receive_phase(cycle);
-  route_compute();
-  vc_allocate(cycle);
-  switch_allocate_and_traverse(cycle);
+void Router::step(Cycle cycle, const FabricView& view) {
+  receive_phase(cycle, view);
+  route_compute(*view.routing);
+  vc_allocate(cycle, view.recorder);
+  switch_allocate_and_traverse(cycle, view);
 }
 
-void Router::receive_phase(Cycle cycle) {
-  // Only non-empty inbound channels are visited: each keeps its bit of the
-  // pending masks set while it holds an item (see Router::connect).
-  for (std::uint32_t m = flit_pending_; m != 0; m &= m - 1) {
+void Router::receive_phase(Cycle cycle, const FabricView& view) {
+  // Only non-empty inbound channels are visited: a send sets its port's bit
+  // of the node's pending masks (FabricView::send), and the bit is cleared
+  // here once the channel is empty.
+  std::uint32_t& flit_pending = view.flit_pending[id_];
+  for (std::uint32_t m = flit_pending; m != 0; m &= m - 1) {
     const int p = std::countr_zero(m);
-    FlitChannel& ch = *ports_[static_cast<std::size_t>(p)].in_flits;
+    FlitChannel& ch = view.flits[ports_[static_cast<std::size_t>(p)].in_flits];
     while (ch.ready(cycle)) {
-      const VcId vc = ch.peek(cycle).vc;
+      const Flit& flit = ch.receive(cycle);
+      const VcId vc = flit.vc;
       assert(vc >= 0 && vc < params_.max_vcs);
       InputVc& in = ivc(p, vc);
       assert(static_cast<int>(in.fifo.size()) < params_.max_depth &&
              "credit protocol violated: input buffer overflow");
       // Single copy: channel slot straight into the input FIFO slot.
-      ch.receive_into(in.fifo.push_back_slot(), cycle);
+      in.fifo.push_back_slot() = flit;
       const int idx = p * params_.max_vcs + vc;
       VcMeta& meta = vc_meta_[static_cast<std::size_t>(idx)];
       if (++meta.occ == 1) {
@@ -160,10 +149,13 @@ void Router::receive_phase(Cycle cycle) {
       ++buffered_total_;
       ++activity_.buffer_writes;
     }
+    if (ch.empty()) flit_pending &= ~(1u << p);
   }
-  for (std::uint32_t m = credit_pending_; m != 0; m &= m - 1) {
+  std::uint32_t& credit_pending = view.credit_pending[id_];
+  for (std::uint32_t m = credit_pending; m != 0; m &= m - 1) {
     const int p = std::countr_zero(m);
-    CreditChannel& ch = *ports_[static_cast<std::size_t>(p)].in_credits;
+    CreditChannel& ch =
+        view.credits[ports_[static_cast<std::size_t>(p)].in_credits];
     while (ch.ready(cycle)) {
       const Credit c = ch.receive(cycle);
       OutputVc& out = ovc(p, c.vc);
@@ -176,6 +168,7 @@ void Router::receive_phase(Cycle cycle) {
                         out.owner % params_.max_vcs);
       }
     }
+    if (ch.empty()) credit_pending &= ~(1u << p);
   }
 }
 
@@ -198,7 +191,7 @@ void Router::update_sa_ready(PortId port, VcId vc) {
   }
 }
 
-void Router::route_compute() {
+void Router::route_compute(const RoutingAlgorithm& routing) {
   // Event-driven: route_ready_ lists exactly the idle VCs whose head-of-line
   // flit is an unrouted packet head (filled by receive_phase and tail
   // departures). Routing-call order across VCs has no shared state, so the
@@ -213,7 +206,7 @@ void Router::route_compute() {
     assert(is_head(head.type) &&
            "input VC idle but head-of-line flit is not a packet head");
     in.candidates.clear();
-    routing_->route(head, id_, idx / params_.max_vcs, in.candidates);
+    routing.route(head, id_, idx / params_.max_vcs, in.candidates);
     assert(!in.candidates.empty());
     meta.state = VcState::kVcAlloc;
     va_list_.push_back(idx);
@@ -221,7 +214,7 @@ void Router::route_compute() {
   route_ready_.clear();
 }
 
-void Router::vc_allocate(Cycle cycle) {
+void Router::vc_allocate(Cycle cycle, obs::FlightRecorder* recorder) {
   // Stage 1: each waiting input VC nominates its single preferred
   // (out_port, out_vc): among route candidates, the free admissible VC with
   // the most downstream credits (adaptive routing's congestion signal).
@@ -309,11 +302,11 @@ void Router::vc_allocate(Cycle cycle) {
     update_sa_ready(winner / params_.max_vcs, winner % params_.max_vcs);
     rr = winner + 1 == num_inputs ? 0 : winner + 1;
     ++activity_.vc_allocs;
-    if (recorder_ != nullptr) {
+    if (recorder != nullptr) {
       const Flit& head =
           inputs_[static_cast<std::size_t>(winner)].fifo.front();
-      if (recorder_->sampled(head.packet_id)) {
-        recorder_->record(obs::EventKind::kPacketVcAlloc,
+      if (recorder->sampled(head.packet_id)) {
+        recorder->record(obs::EventKind::kPacketVcAlloc,
                           static_cast<double>(cycle), cycle, head.packet_id,
                           id_, wmeta.out_port, wmeta.out_vc);
       }
@@ -322,7 +315,8 @@ void Router::vc_allocate(Cycle cycle) {
   }
 }
 
-void Router::switch_allocate_and_traverse(Cycle cycle) {
+void Router::switch_allocate_and_traverse(Cycle cycle,
+                                          const FabricView& view) {
   // Stage 1: per input port, round-robin across its ACTIVE VCs that have a
   // flit and a downstream credit — exactly the set bits of sa_ready_[p].
   // The winner is the first set bit at or after the round-robin pointer,
@@ -396,15 +390,15 @@ void Router::switch_allocate_and_traverse(Cycle cycle) {
     // link, or transient at link_fault_rate). The flit keeps flowing so
     // credits and quiescence counters stay exact; the destination NIC
     // discards the corrupted packet end to end.
-    if (fault_model_ != nullptr && op != kLocalPort && !flit.corrupted &&
-        fault_model_->corrupt_on_link(id_, op, flit, cycle)) {
+    if (view.faults != nullptr && op != kLocalPort && !flit.corrupted &&
+        view.faults->corrupt_on_link(id_, op, flit, cycle)) {
       flit.corrupted = true;
     }
     // Trace hook: one hop event per packet per link (head flits only),
     // ejections are traced at the NIC harvest instead of kLocalPort here.
-    if (recorder_ != nullptr && op != kLocalPort && is_head(flit.type) &&
-        recorder_->sampled(flit.packet_id)) {
-      recorder_->record(obs::EventKind::kPacketHop,
+    if (view.recorder != nullptr && op != kLocalPort && is_head(flit.type) &&
+        view.recorder->sampled(flit.packet_id)) {
+      view.recorder->record(obs::EventKind::kPacketHop,
                         static_cast<double>(cycle), cycle, flit.packet_id,
                         id_, op, static_cast<std::int32_t>(flit.hops));
     }
@@ -414,18 +408,18 @@ void Router::switch_allocate_and_traverse(Cycle cycle) {
 
     --out.credits;
     assert(out.credits >= 0);
-    auto& w = ports_[static_cast<std::size_t>(op)];
-    assert(w.out_flits && "port with traffic must be wired");
+    const int out_ch = ports_[static_cast<std::size_t>(op)].out_flits;
+    assert(out_ch >= 0 && "port with traffic must be wired");
     // Extra pipeline stages delay link entry; the channel keeps FIFO order
     // because every flit gets the same extra delay.
-    w.out_flits->send_from(
-        flit, cycle + static_cast<Cycle>(params_.pipeline_stages - 1));
+    view.send(out_ch, flit,
+              cycle + static_cast<Cycle>(params_.pipeline_stages - 1));
     in.fifo.pop_front();
     --gmeta.occ;
     --buffered_total_;
     ++activity_.link_flits;
 
-    release_slot(grant_port, grant_vc, cycle);
+    release_slot(grant_port, grant_vc, cycle, view);
 
     if (tail) {
       out.owner = -1;
@@ -444,15 +438,16 @@ void Router::switch_allocate_and_traverse(Cycle cycle) {
   }
 }
 
-void Router::release_slot(PortId port, VcId vc, Cycle cycle) {
+void Router::release_slot(PortId port, VcId vc, Cycle cycle,
+                          const FabricView& view) {
   InputVc& in = ivc(port, vc);
   if (in.advertised > params_.active_depth) {
     // Shrinking: withhold this credit; advertised capacity drops by one.
     --in.advertised;
     return;
   }
-  auto& w = ports_[static_cast<std::size_t>(port)];
-  if (w.out_credits) w.out_credits->send(Credit{vc}, cycle);
+  const int ch = ports_[static_cast<std::size_t>(port)].out_credits;
+  if (ch >= 0) view.send(ch, Credit{vc}, cycle);
 }
 
 void Router::set_active_vcs(int vcs, Cycle /*now*/) {
@@ -464,18 +459,18 @@ void Router::set_active_vcs(int vcs, Cycle /*now*/) {
   refresh_admissible_cache();
 }
 
-void Router::set_active_depth(int depth, Cycle now) {
+void Router::set_active_depth(int depth, Cycle now, const FabricView& view) {
   assert(depth >= 1 && depth <= params_.max_depth);
   params_.active_depth = depth;
   for (int p = 0; p < params_.num_ports; ++p) {
-    auto& w = ports_[static_cast<std::size_t>(p)];
     for (int v = 0; v < params_.max_vcs; ++v) {
       InputVc& in = ivc(p, v);
       // Growth: grant bonus credits immediately. Shrink happens lazily via
       // credit withholding in release_slot().
       while (in.advertised < depth) {
         ++in.advertised;
-        if (w.out_credits) w.out_credits->send(Credit{v}, now);
+        const int ch = ports_[static_cast<std::size_t>(p)].out_credits;
+        if (ch >= 0) view.send(ch, Credit{v}, now);
       }
     }
   }
@@ -540,19 +535,6 @@ std::string Router::audit_schedule_state() const {
              ", expected " + std::to_string(ready);
     }
     if (ready != 0) ready_ports |= 1u << p;
-    const PortWiring& w = ports_[static_cast<std::size_t>(p)];
-    const bool flits = w.in_flits != nullptr && !w.in_flits->empty();
-    const bool credits = w.in_credits != nullptr && !w.in_credits->empty();
-    if (flits != (((flit_pending_ >> p) & 1u) != 0) ||
-        credits != (((credit_pending_ >> p) & 1u) != 0)) {
-      return where + "pending mask bit of port " + std::to_string(p) +
-             " disagrees with its inbound channels";
-    }
-  }
-  const std::uint32_t wired_ports =
-      params_.num_ports == 32 ? ~0u : (1u << params_.num_ports) - 1;
-  if (((flit_pending_ | credit_pending_) & ~wired_ports) != 0) {
-    return where + "pending mask has a bit beyond the last port";
   }
   if (ready_ports != sa_ready_ports_) {
     return where + "SA-ready port mask is " + std::to_string(sa_ready_ports_) +

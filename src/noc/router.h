@@ -27,13 +27,7 @@
 #include "noc/types.h"
 #include "util/ring_buffer.h"
 
-namespace drlnoc::obs {
-class FlightRecorder;
-}  // namespace drlnoc::obs
-
 namespace drlnoc::noc {
-
-class FaultModel;
 
 /// Energy-event counters; consumed by the power model and reset per epoch.
 struct RouterActivity {
@@ -61,32 +55,37 @@ struct RouterParams {
   int pipeline_stages = 1;
 };
 
+/// Channel indices of one router port (-1: none), into FabricView::flits
+/// and FabricView::credits. `in_flits`/`out_credits` form the upstream link
+/// (flits arrive, credits go back); `out_flits`/`in_credits` the downstream
+/// one. Either side may be a NIC.
+struct PortChannels {
+  int in_flits = -1;
+  int out_credits = -1;
+  int out_flits = -1;
+  int in_credits = -1;
+};
+
 class Router {
  public:
-  Router(NodeId id, RouterParams params, const RoutingAlgorithm& routing);
-  // Inbound channels hold pointers into the router (see connect()).
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
-
-  /// Wires one port. `in_flits`/`out_credits` form the upstream link
-  /// (flits arrive, credits go back); `out_flits`/`in_credits` form the
-  /// downstream link. Any pointer may be shared with a NIC. The two inbound
-  /// channels (`in_flits`, `in_credits`) are registered with this router's
-  /// pending masks, so the router must not move while they are in use.
-  void connect(PortId port, FlitChannel* in_flits, CreditChannel* out_credits,
-               FlitChannel* out_flits, CreditChannel* in_credits);
+  /// `ports` holds one entry per port (params.num_ports).
+  Router(NodeId id, RouterParams params, std::vector<PortChannels> ports);
 
   /// Sets the initial credit count of every VC of an output port to the
   /// capacity advertised by the downstream input unit. Called once by
-  /// Network after wiring, before the first step().
+  /// Network after construction, before the first step().
   void init_output_credits(PortId port, int credits_per_vc);
 
-  /// One router-clock cycle.
-  void step(Cycle cycle);
+  /// One router-clock cycle over the fabric `view`: receives from the
+  /// inbound channels named in the node's pending masks, routes with
+  /// view.routing, consults view.faults at link traversal and traces to
+  /// view.recorder (each null-checked where optional).
+  void step(Cycle cycle, const FabricView& view);
 
-  /// Reconfiguration (safe at any cycle; never drops flits).
+  /// Reconfiguration (safe at any cycle; never drops flits). Depth growth
+  /// sends bonus credits upstream through `view`.
   void set_active_vcs(int vcs, Cycle now);
-  void set_active_depth(int depth, Cycle now);
+  void set_active_depth(int depth, Cycle now, const FabricView& view);
   int active_vcs() const { return params_.active_vcs; }
   int active_depth() const { return params_.active_depth; }
 
@@ -96,20 +95,6 @@ class Router {
   /// every (re)configuration; defaults to this router's own active_vcs.
   void set_output_active_vcs(PortId port, int vcs);
   int output_active_vcs(PortId port) const;
-
-  /// Swaps the routing function (e.g. for fault-aware rerouting). The new
-  /// algorithm must outlive the router; takes effect from the next RC stage.
-  void set_routing(const RoutingAlgorithm& routing) { routing_ = &routing; }
-  /// Attaches a fault model consulted at link traversal (null detaches).
-  /// With no model attached the ST stage is unchanged (healthy fast path).
-  void set_fault_model(const FaultModel* model) { fault_model_ = model; }
-  /// Attaches a flight recorder for sampled per-hop / VC-allocation trace
-  /// events (null detaches). Mirrors the fault-model discipline: with no
-  /// recorder the hot path pays one null check per event site and the
-  /// simulated behavior is bit-identical.
-  void set_flight_recorder(obs::FlightRecorder* recorder) {
-    recorder_ = recorder;
-  }
 
   NodeId id() const { return id_; }
   const RouterParams& params() const { return params_; }
@@ -123,9 +108,6 @@ class Router {
   /// Occupancy of the fullest single input VC (congestion feature).
   int max_vc_occupancy() const;
   bool idle() const { return buffered_flits() == 0; }
-  /// True when no flit or credit is queued on any inbound channel (read off
-  /// the pending masks) — a leg of the network's quiescence test.
-  bool inbound_empty() const { return (flit_pending_ | credit_pending_) == 0; }
 
   /// Test hook: downstream-advertised capacity of one input VC
   /// (must always equal upstream credits + credits in flight + occupancy).
@@ -135,9 +117,10 @@ class Router {
   /// Test hook: occupancy of one input VC buffer.
   int input_occupancy(PortId port, VcId vc) const;
   /// Test hook: recomputes the incrementally maintained scheduling state
-  /// (SA-ready masks, inbound pending masks, output-VC owners, VA stall
-  /// flag) by brute force from the primary state and returns a description
-  /// of the first mismatch, or "" when everything is consistent.
+  /// (SA-ready masks, output-VC owners, VA stall flag) by brute force from
+  /// the primary state and returns a description of the first mismatch, or
+  /// "" when everything is consistent. Network::audit_quiescence checks the
+  /// inbound pending masks.
   std::string audit_schedule_state() const;
 
  private:
@@ -168,13 +151,6 @@ class Router {
     std::int16_t owner = -1;
   };
 
-  struct PortWiring {
-    FlitChannel* in_flits = nullptr;
-    CreditChannel* out_credits = nullptr;
-    FlitChannel* out_flits = nullptr;
-    CreditChannel* in_credits = nullptr;
-  };
-
   InputVc& ivc(PortId p, VcId v) {
     return inputs_[static_cast<std::size_t>(p * params_.max_vcs + v)];
   }
@@ -197,23 +173,21 @@ class Router {
     return port * params_.vc_classes + static_cast<int>(vc_class);
   }
 
-  void receive_phase(Cycle cycle);
-  void route_compute();
-  void vc_allocate(Cycle cycle);
-  void switch_allocate_and_traverse(Cycle cycle);
+  void receive_phase(Cycle cycle, const FabricView& view);
+  void route_compute(const RoutingAlgorithm& routing);
+  void vc_allocate(Cycle cycle, obs::FlightRecorder* recorder);
+  void switch_allocate_and_traverse(Cycle cycle, const FabricView& view);
   /// Recomputes one input VC's bit of the SA-ready mask (and its port's bit
   /// of sa_ready_ports_) from the VC's state, occupancy and credits.
   void update_sa_ready(PortId port, VcId vc);
   /// Frees one input slot: sends a credit upstream or withholds it when the
   /// advertised capacity must shrink toward the configured depth.
-  void release_slot(PortId port, VcId vc, Cycle cycle);
+  void release_slot(PortId port, VcId vc, Cycle cycle,
+                    const FabricView& view);
 
   NodeId id_;
   RouterParams params_;
-  const RoutingAlgorithm* routing_;
-  const FaultModel* fault_model_ = nullptr;
-  obs::FlightRecorder* recorder_ = nullptr;
-  std::vector<PortWiring> ports_;
+  std::vector<PortChannels> ports_;
   std::vector<InputVc> inputs_;
   std::vector<OutputVc> outputs_;
   std::vector<int> out_active_vcs_;  ///< per output port (downstream gating)
@@ -245,15 +219,11 @@ class Router {
   // (see docs/ARCHITECTURE.md, "Router scheduling state"). Bit v of
   // sa_ready_[p] is set iff input VC (p, v) is kActive, holds a flit and its
   // output VC has a credit; sa_ready_ports_ has bit p iff sa_ready_[p] != 0.
-  // Bit p of flit_pending_ / credit_pending_ is set iff port p's inbound
-  // flit / credit channel holds an item (maintained by the channels).
   // va_stalled_ is set when a VA round found no requestable output VC and
   // cleared by the only events that can create one: a head joining
   // va_list_, a tail freeing an output VC, an admissible-range refresh.
   std::vector<std::uint32_t> sa_ready_;
   std::uint32_t sa_ready_ports_ = 0;
-  std::uint32_t flit_pending_ = 0;
-  std::uint32_t credit_pending_ = 0;
   bool va_stalled_ = false;
   // Incremental occupancy counter: Network's per-cycle statistics need no
   // buffer walks.

@@ -17,8 +17,7 @@ constexpr PortId kCw = 1;
 constexpr PortId kCcw = 2;
 }  // namespace
 
-void Topology::build_cache() const {
-  if (cache_built_) return;
+void Topology::build_cache() {
   const int slots = num_nodes() * radix();
   neighbor_cache_.assign(static_cast<std::size_t>(slots), std::nullopt);
   dateline_cache_.assign(static_cast<std::size_t>(slots), false);
@@ -28,16 +27,13 @@ void Topology::build_cache() const {
     neighbor_cache_[idx] = link.to;
     dateline_cache_[idx] = link.dateline;
   }
-  cache_built_ = true;
 }
 
 std::optional<LinkEnd> Topology::neighbor(NodeId node, PortId out_port) const {
-  build_cache();
   return neighbor_cache_[static_cast<std::size_t>(node * radix() + out_port)];
 }
 
 bool Topology::crosses_dateline(NodeId node, PortId out_port) const {
-  build_cache();
   return dateline_cache_[static_cast<std::size_t>(node * radix() + out_port)];
 }
 
@@ -45,6 +41,7 @@ Mesh2D::Mesh2D(int width, int height) : width_(width), height_(height) {
   if (width < 2 || height < 1) {
     throw std::invalid_argument("Mesh2D requires width >= 2, height >= 1");
   }
+  build_cache();
 }
 
 std::string Mesh2D::name() const {
@@ -79,6 +76,7 @@ Torus2D::Torus2D(int width, int height) : width_(width), height_(height) {
     // the mesh port convention; require >= 3 to keep wiring unambiguous.
     throw std::invalid_argument("Torus2D requires width, height >= 3");
   }
+  build_cache();
 }
 
 std::string Torus2D::name() const {
@@ -111,6 +109,7 @@ int Torus2D::min_hops(NodeId src, NodeId dst) const {
 
 Ring::Ring(int nodes) : nodes_(nodes) {
   if (nodes < 3) throw std::invalid_argument("Ring requires >= 3 nodes");
+  build_cache();
 }
 
 std::string Ring::name() const { return "ring" + std::to_string(nodes_); }

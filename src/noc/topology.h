@@ -52,13 +52,14 @@ class Topology {
   bool crosses_dateline(NodeId node, PortId out_port) const;
 
  protected:
-  /// Lazily built adjacency cache keyed by node*radix+port.
-  void build_cache() const;
+  /// Builds the adjacency cache keyed by node*radix+port from links().
+  /// Every concrete topology calls it at the end of its constructor, so a
+  /// constructed topology is immutable and safe to share across threads.
+  void build_cache();
 
  private:
-  mutable std::vector<std::optional<LinkEnd>> neighbor_cache_;
-  mutable std::vector<bool> dateline_cache_;
-  mutable bool cache_built_ = false;
+  std::vector<std::optional<LinkEnd>> neighbor_cache_;
+  std::vector<bool> dateline_cache_;
 };
 
 /// 2-D mesh; ports: 0=local, 1=east(+x), 2=west(-x), 3=north(+y), 4=south(-y).

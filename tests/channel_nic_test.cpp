@@ -46,28 +46,43 @@ TEST(Channel, LateItemsStayReady) {
   EXPECT_EQ(ch.receive(10), 42);
 }
 
-// NIC harness: wire a NIC to hand-held channels and step it manually.
+// NIC harness: a NIC at node 0 whose channels are index 0 (injection) and
+// index 1 (ejection) of hand-held channel arrays, stepped manually through a
+// FabricView over them. The router-bound channels carry port 0's pending
+// bit, the NIC-bound ones none.
 class NicHarness : public ::testing::Test {
  protected:
   NicHarness()
-      : nic_(0, NicParams{4, 8, 1, 4, 4}), inj_f_(1), inj_c_(1), ej_f_(1),
-        ej_c_(1) {
-    nic_.connect(&inj_f_, &inj_c_, &ej_f_, &ej_c_);
+      : flits_{FlitChannel(1, 0, 1u), FlitChannel(1, 0, 0u)},
+        credits_{CreditChannel(1, 0, 0u), CreditChannel(1, 0, 1u)},
+        nic_(0, NicParams{4, 8, 1, 4, 4}, NicChannels{0, 0, 1, 1}) {
     nic_.init_credits(8);
   }
 
+  void step(Cycle cycle, double core_time) {
+    const FabricView view{flits_.data(),  credits_.data(), &active_,
+                          &flit_pending_, &credit_pending_, nullptr,
+                          nullptr,        nullptr};
+    nic_.step(cycle, core_time, view);
+  }
+
+  std::vector<FlitChannel> flits_;
+  std::vector<CreditChannel> credits_;
+  std::uint8_t active_ = 0;
+  std::uint32_t flit_pending_ = 0;
+  std::uint32_t credit_pending_ = 0;
   Nic nic_;
-  FlitChannel inj_f_;
-  CreditChannel inj_c_;
-  FlitChannel ej_f_;
-  CreditChannel ej_c_;
+  FlitChannel& inj_f_ = flits_[0];
+  CreditChannel& inj_c_ = credits_[0];
+  FlitChannel& ej_f_ = flits_[1];
+  CreditChannel& ej_c_ = credits_[1];
 };
 
 TEST_F(NicHarness, PacketizesWithCorrectFlitTypes) {
   nic_.offer_packet(5, 0.0, true, 1);
   std::vector<Flit> flits;
   for (Cycle t = 0; t < 10 && flits.size() < 4; ++t) {
-    nic_.step(t, static_cast<double>(t));
+    step(t, static_cast<double>(t));
     while (inj_f_.ready(t + 1)) flits.push_back(inj_f_.receive(t + 1));
   }
   ASSERT_EQ(flits.size(), 4u);
@@ -84,9 +99,28 @@ TEST_F(NicHarness, PacketizesWithCorrectFlitTypes) {
   EXPECT_EQ(nic_.injected_flits(), 4u);
 }
 
+TEST_F(NicHarness, SendsReArmTheReceiver) {
+  // An injected flit arms node 0 and sets port 0's flit-pending bit; the
+  // credit for an ejected flit sets port 0's credit-pending bit.
+  nic_.offer_packet(3, 0.0, true, 1, /*length=*/1);
+  step(0, 0.0);
+  EXPECT_EQ(active_, 1);
+  EXPECT_EQ(flit_pending_, 1u);
+  EXPECT_EQ(credit_pending_, 0u);
+  Flit f;
+  f.dst = 0;
+  ej_f_.send(f, 0);
+  active_ = 0;
+  step(1, 1.0);
+  EXPECT_EQ(active_, 1);
+  EXPECT_EQ(credit_pending_, 1u);
+  ASSERT_TRUE(ej_c_.ready(2));
+  EXPECT_EQ(ej_c_.receive(2).vc, f.vc);
+}
+
 TEST_F(NicHarness, SingleFlitPacketIsHeadTail) {
   nic_.offer_packet(3, 0.0, true, 1, /*length=*/1);
-  nic_.step(0, 0.0);
+  step(0, 0.0);
   ASSERT_TRUE(inj_f_.ready(1));
   EXPECT_EQ(inj_f_.receive(1).type, FlitType::kHeadTail);
 }
@@ -96,7 +130,7 @@ TEST_F(NicHarness, StopsWhenOutOfCredits) {
   nic_.offer_packet(5, 0.0, true, 1);  // 4 flits but only 2 credits on VC
   int sent = 0;
   for (Cycle t = 0; t < 8; ++t) {
-    nic_.step(t, static_cast<double>(t));
+    step(t, static_cast<double>(t));
     while (inj_f_.ready(t + 1)) {
       ++sent;
       (void)inj_f_.receive(t + 1);
@@ -108,7 +142,7 @@ TEST_F(NicHarness, StopsWhenOutOfCredits) {
   inj_c_.send(Credit{0}, 8);
   inj_c_.send(Credit{0}, 9);
   for (Cycle t = 9; t < 14; ++t) {
-    nic_.step(t, static_cast<double>(t));
+    step(t, static_cast<double>(t));
     while (inj_f_.ready(t + 1)) {
       ++sent;
       (void)inj_f_.receive(t + 1);
@@ -136,7 +170,7 @@ TEST_F(NicHarness, ReassemblesAndRecordsLatency) {
   ej_f_.send(make(0, FlitType::kHead), 0);
   ej_f_.send(make(1, FlitType::kBody), 1);
   ej_f_.send(make(2, FlitType::kTail), 2);
-  for (Cycle t = 0; t < 5; ++t) nic_.step(t, static_cast<double>(t) + 10.0);
+  for (Cycle t = 0; t < 5; ++t) step(t, static_cast<double>(t) + 10.0);
   ASSERT_EQ(nic_.records().size(), 1u);
   const PacketRecord& r = nic_.records()[0];
   EXPECT_EQ(r.packet_id, 9u);
@@ -165,7 +199,7 @@ TEST_F(NicHarness, InterleavesPacketsAcrossVcs) {
   std::map<std::uint64_t, VcId> vc_of;
   int got = 0;
   for (Cycle t = 0; t < 20 && got < 8; ++t) {
-    nic_.step(t, static_cast<double>(t));
+    step(t, static_cast<double>(t));
     while (inj_f_.ready(t + 1)) {
       const Flit f = inj_f_.receive(t + 1);
       auto [it, inserted] = vc_of.emplace(f.packet_id, f.vc);
@@ -184,7 +218,7 @@ TEST_F(NicHarness, RespectsActiveVcGating) {
   nic_.offer_packet(5, 0.0, true, 1);
   nic_.offer_packet(6, 0.0, true, 2);
   for (Cycle t = 0; t < 30; ++t) {
-    nic_.step(t, static_cast<double>(t));
+    step(t, static_cast<double>(t));
     while (inj_f_.ready(t + 1)) {
       EXPECT_EQ(inj_f_.receive(t + 1).vc, 0);
     }

@@ -1,0 +1,291 @@
+// Network is a value type: a copy taken at any cycle, stepped on with its
+// own injector, must continue exactly as the original does. Each case builds
+// three identical (network, injector) pairs: a reference that is never
+// copied, a source, and a target whose network is replaced at cycle t by a
+// copy of the source's — once by copy-construction, once by copy-assignment.
+// All three must end with bit-identical epoch statistics and delivered
+// records, and the copy must pass the quiescence audit.
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <memory>
+#include <thread>
+#include <type_traits>
+
+#include "golden_hash.h"
+#include "noc/network.h"
+#include "noc/workload.h"
+#include "obs/flight_recorder.h"
+#include "scenario/runtime.h"
+#include "trace/generators.h"
+#include "trace/recorder.h"
+#include "trace/trace_workload.h"
+
+namespace drlnoc {
+namespace {
+
+static_assert(std::is_copy_constructible_v<noc::Network> &&
+              std::is_copy_assignable_v<noc::Network>);
+static_assert(std::is_copy_constructible_v<noc::Router> &&
+              std::is_copy_assignable_v<noc::Router>);
+static_assert(std::is_copy_constructible_v<noc::Nic> &&
+              std::is_copy_assignable_v<noc::Nic>);
+
+constexpr noc::Cycle kEpoch = 128;
+constexpr std::uint64_t kCycleLimit = 200000;
+
+/// One (network, injector) pair; the recorder wraps the injector to capture
+/// the delivered-packet stream.
+struct Pair {
+  std::unique_ptr<noc::Network> net;
+  std::unique_ptr<noc::TrafficInjector> source;
+  std::unique_ptr<trace::TraceRecorder> rec;
+  GoldenHash stats;
+};
+
+/// How a case builds a pair and decides that its run is over.
+struct Case {
+  std::function<Pair()> make;
+  std::function<bool(const Pair&)> done;
+};
+
+void mix_epoch(GoldenHash& h, const noc::EpochStats& s) {
+  mix_stats(h, s);
+  h.mix(s.flits_dropped);
+  h.mix(s.retries);
+  h.mix(s.packets_lost);
+  h.mix(s.retry_latency);
+  h.mix(s.rerouted_hops);
+  h.mix(s.avg_active_fraction);
+  h.mix(s.dynamic_energy_pj);
+  for (const noc::TenantEpochStats& t : s.tenants) {
+    h.mix(t.packets_offered);
+    h.mix(t.packets_received);
+    h.mix(t.flits_ejected);
+    h.mix(t.avg_latency);
+    h.mix(t.p95_latency);
+    h.mix(t.retries);
+  }
+}
+
+/// Steps `p` until `stop` holds or the cycle limit, folding every epoch's
+/// statistics into its hash.
+void advance(Pair& p, const std::function<bool(const Pair&)>& stop) {
+  while (!stop(p) && p.net->cycle() < kCycleLimit) {
+    p.net->step(p.rec.get());
+    if (p.net->cycle() % kEpoch == 0) {
+      mix_epoch(p.stats, p.net->drain_epoch_stats());
+    }
+  }
+}
+
+struct Outcome {
+  noc::Cycle cycles = 0;
+  std::uint64_t stats = 0;
+  std::uint64_t records = 0;
+  bool operator==(const Outcome&) const = default;
+};
+
+Outcome finish(Pair& p, const Case& c) {
+  advance(p, c.done);
+  EXPECT_LT(p.net->cycle(), kCycleLimit) << "run did not finish";
+  mix_epoch(p.stats, p.net->drain_epoch_stats());
+  return Outcome{p.net->cycle(), p.stats.value(),
+                 tenant_stream_hash(p.rec->records())};
+}
+
+int buffered_flits(const noc::Network& net) {
+  int total = 0;
+  for (noc::NodeId n = 0; n < net.num_nodes(); ++n) {
+    total += net.router(n).buffered_flits();
+  }
+  return total;
+}
+
+/// Runs the reference, then for t in {0, mid} and both copy forms, a
+/// source/target pair whose target continues on a copy of the source.
+void expect_copies_continue_identically(const Case& c, noc::Cycle mid) {
+  Pair reference = c.make();
+  const Outcome expected = finish(reference, c);
+  for (const noc::Cycle t : {noc::Cycle{0}, mid}) {
+    for (const bool assign : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "t=" << t << " assign=" << assign);
+      Pair source = c.make();
+      Pair target = c.make();
+      const auto until_t = [t](const Pair& p) { return p.net->cycle() >= t; };
+      advance(source, until_t);
+      advance(target, until_t);
+      ASSERT_EQ(source.net->cycle(), t);
+      if (t > 0) {
+        EXPECT_GT(buffered_flits(*source.net), 0);
+      }
+      if (assign) {
+        *target.net = *source.net;
+      } else {
+        target.net = std::make_unique<noc::Network>(*source.net);
+      }
+      EXPECT_EQ(target.net->audit_quiescence(), "");
+      EXPECT_EQ(finish(source, c), expected);
+      EXPECT_EQ(finish(target, c), expected);
+      EXPECT_EQ(target.net->audit_quiescence(), "");
+    }
+  }
+}
+
+noc::FaultEvent fault_event(noc::Cycle at, noc::FaultEvent::Kind kind,
+                            noc::NodeId node, noc::PortId port, int factor) {
+  noc::FaultEvent e;
+  e.at_cycle = at;
+  e.kind = kind;
+  e.node = node;
+  e.port = port;
+  e.factor = factor;
+  return e;
+}
+
+TEST(NetworkCopy, FaultedRunWithALaterLinkDeathAndSlowdown) {
+  // Transient corruption with retries from the start; a slowdown and a link
+  // death (with its routing-table recompute) both fire after the copy.
+  constexpr noc::Cycle kMid = 500;
+  Case c;
+  c.make = [] {
+    noc::NetworkParams p;
+    p.width = p.height = 4;
+    p.seed = 11;
+    Pair pair;
+    pair.net = std::make_unique<noc::Network>(p);
+    noc::FaultParams fp;
+    fp.seed = 3;
+    fp.link_fault_rate = 0.01;
+    fp.retry_timeout = 32;
+    using Kind = noc::FaultEvent::Kind;
+    fp.events = {fault_event(kMid + 100, Kind::kSlowdown, 5, 1, 3),
+                 fault_event(kMid + 200, Kind::kLinkDown, 6, 1, 2),
+                 fault_event(kMid + 900, Kind::kSlowdown, 5, 1, 1)};
+    pair.net->set_fault_model(fp);
+    pair.source = std::make_unique<noc::SteadyWorkload>(
+        noc::SteadyWorkload::make(pair.net->topology(), "uniform", 0.15));
+    pair.rec = std::make_unique<trace::TraceRecorder>(pair.net->num_nodes(),
+                                                      pair.source.get());
+    return pair;
+  };
+  c.done = [](const Pair& p) { return p.net->cycle() >= 2500; };
+  expect_copies_continue_identically(c, kMid);
+
+  // The run reaches the fault paths it claims to cover.
+  Pair probe = c.make();
+  advance(probe, c.done);
+  const noc::EpochStats s = probe.net->drain_epoch_stats();
+  EXPECT_GT(s.retries + s.rerouted_hops, 0u);
+  EXPECT_TRUE(probe.net->fault_model()->any_link_dead());
+}
+
+TEST(NetworkCopy, MultiTenantScenario) {
+  // A DNN pipeline trace sharing a 4x4 mesh with windowed uniform
+  // background, with per-tenant accounting on.
+  Case c;
+  c.make = [] {
+    scenario::Scenario s;
+    s.net.width = s.net.height = 4;
+    s.net.seed = 42;
+    scenario::TenantSpec dnn;
+    dnn.name = "dnn";
+    dnn.kind = scenario::WorkloadKind::kTrace;
+    dnn.trace = std::make_shared<const trace::Trace>(
+        trace::generate_dnn_pipeline({16, 4, 4, 3, 64.0, 32.0, 8}));
+    s.tenants.push_back(std::move(dnn));
+    scenario::TenantSpec bg;
+    bg.name = "bg";
+    bg.kind = scenario::WorkloadKind::kSteady;
+    bg.rate = 0.05;
+    bg.start = 100.0;
+    bg.stop = 3000.0;
+    s.tenants.push_back(std::move(bg));
+    Pair pair;
+    pair.net = scenario::build_network(s);
+    auto w = scenario::build_workload(s, pair.net->topology());
+    pair.net->set_tenant_tracking(w->num_tenants());
+    pair.source = std::move(w);
+    pair.rec = std::make_unique<trace::TraceRecorder>(pair.net->num_nodes(),
+                                                      pair.source.get());
+    return pair;
+  };
+  c.done = [](const Pair& p) {
+    const auto& w = static_cast<const scenario::CompositeWorkload&>(*p.source);
+    return w.quiescent(p.net->core_time()) && p.net->drained();
+  };
+  expect_copies_continue_identically(c, 700);
+}
+
+TEST(NetworkCopy, DependencyGatedTraceReplay) {
+  // Records wait on their dependencies' deliveries, so the injector's live
+  // packet map must line up with the copy's packet ids.
+  Case c;
+  c.make = [] {
+    noc::NetworkParams p;
+    p.width = p.height = 4;
+    Pair pair;
+    pair.net = std::make_unique<noc::Network>(p);
+    pair.source = std::make_unique<trace::TraceWorkload>(
+        trace::generate_dnn_pipeline({16, 4, 4, 3, 64.0, 32.0, 8}));
+    pair.rec = std::make_unique<trace::TraceRecorder>(pair.net->num_nodes(),
+                                                      pair.source.get());
+    return pair;
+  };
+  c.done = [](const Pair& p) {
+    return static_cast<const trace::TraceWorkload&>(*p.source).done() &&
+           p.net->drained();
+  };
+  expect_copies_continue_identically(c, 300);
+}
+
+TEST(NetworkCopy, CopiesStepOnSeparateThreads) {
+  // Copies share only the immutable topology and base routing. Two copies
+  // of one fabric each install a fault model with a link death and step
+  // concurrently with their own injectors, so both threads read the shared
+  // topology's adjacency (fault validation, the routing-table rebuild and
+  // every degraded route) before anything else has. Both must match a
+  // sequential run of a third copy.
+  noc::NetworkParams p;
+  p.width = p.height = 4;
+  p.seed = 5;
+  const noc::Network original(p);
+  const auto run = [](noc::Network net) {
+    noc::FaultParams fp;
+    fp.events = {fault_event(10, noc::FaultEvent::Kind::kLinkDown, 6, 1, 2)};
+    net.set_fault_model(fp);
+    auto w = noc::SteadyWorkload::make(net.topology(), "uniform", 0.1);
+    GoldenHash h;
+    for (int e = 0; e < 8; ++e) {
+      for (int c = 0; c < 256; ++c) net.step(&w);
+      mix_epoch(h, net.drain_epoch_stats());
+    }
+    return h.value();
+  };
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::thread ta([&] { a = run(original); });
+  std::thread tb([&] { b = run(original); });
+  ta.join();
+  tb.join();
+  const std::uint64_t expected = run(original);
+  EXPECT_EQ(a, expected);
+  EXPECT_EQ(b, expected);
+}
+
+TEST(NetworkCopy, CopySharesObservabilityTaps) {
+  // Taps are not owned: a copy writes to the same recorder until the caller
+  // detaches it, and detaching on the copy leaves the original attached.
+  noc::NetworkParams p;
+  p.width = p.height = 4;
+  noc::Network net(p);
+  obs::FlightRecorder recorder(obs::FlightRecorderParams{});
+  net.set_flight_recorder(&recorder);
+  noc::Network copy(net);
+  EXPECT_EQ(copy.flight_recorder(), &recorder);
+  copy.set_flight_recorder(nullptr);
+  EXPECT_EQ(net.flight_recorder(), &recorder);
+}
+
+}  // namespace
+}  // namespace drlnoc

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "noc/network.h"
@@ -265,6 +266,22 @@ TEST(Network, RejectsBadConfig) {
   EXPECT_THROW(net.apply_config(NocConfig{0, 8, 3}), std::invalid_argument);
   EXPECT_THROW(net.apply_config(NocConfig{4, 9, 3}), std::invalid_argument);
   EXPECT_THROW(net.apply_config(NocConfig{4, 8, 4}), std::invalid_argument);
+}
+
+TEST(Network, RejectsBadInitialConfigNamingIt) {
+  // The constructor runs the same check as apply_config, message included.
+  for (const NocConfig& bad :
+       {NocConfig{0, 8, 3}, NocConfig{4, 9, 3}, NocConfig{4, 8, 4}}) {
+    NetworkParams p = small_mesh();
+    p.initial_config = bad;
+    try {
+      Network net(p);
+      ADD_FAILURE() << "accepted " << to_string(bad);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "NocConfig out of range: " + to_string(bad));
+    }
+  }
 }
 
 TEST(Network, PipelineStagesRaiseLatencyProportionally) {

@@ -150,18 +150,19 @@ TEST(ChannelRing, SteadyStateReusesCapacity) {
   EXPECT_LE(ch.in_flight(), 3u);
 }
 
-TEST(ChannelRing, PeekAndReceiveInto) {
+TEST(ChannelRing, ReceiveReadsThePoppedSlot) {
+  // receive() pops and returns the popped slot itself: readable, without a
+  // copy, until the next send.
   noc::FlitChannel ch(1);
   noc::Flit f;
   f.packet_id = 99;
   f.vc = 3;
-  ch.send_from(f, 0);
+  ch.send(f, 0);
   ASSERT_TRUE(ch.ready(1));
-  EXPECT_EQ(ch.peek(1).vc, 3);
-  noc::Flit out;
-  ch.receive_into(out, 1);
-  EXPECT_EQ(out.packet_id, 99u);
+  const noc::Flit& out = ch.receive(1);
   EXPECT_TRUE(ch.empty());
+  EXPECT_EQ(out.vc, 3);
+  EXPECT_EQ(out.packet_id, 99u);
 }
 
 }  // namespace
