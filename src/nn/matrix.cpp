@@ -165,12 +165,6 @@ void matmul_into(Matrix& c, const Matrix& a, const Matrix& b) {
   }
 }
 
-Matrix matmul(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  matmul_into(c, a, b);
-  return c;
-}
-
 void matmul_tn_into(Matrix& c, const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
   assert(&c != &a && &c != &b);
@@ -200,12 +194,6 @@ void matmul_tn_into(Matrix& c, const Matrix& a, const Matrix& b) {
       if (nnz > 0) accumulate_row(ci, n, pb, nz, av, nnz);
     }
   }
-}
-
-Matrix matmul_tn(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  matmul_tn_into(c, a, b);
-  return c;
 }
 
 void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b) {
@@ -247,12 +235,6 @@ void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b) {
       ci[j] = acc;
     }
   }
-}
-
-Matrix matmul_nt(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  matmul_nt_into(c, a, b);
-  return c;
 }
 
 void transpose_into(Matrix& dst, const Matrix& src) {

@@ -148,25 +148,8 @@ FabricView Network::view() {
 
 void Network::apply_config(const NocConfig& config) {
   validate_config(config, params_, power_.num_levels());
-  const FabricView v = view();
-  for (Router& r : routers_) {
-    r.set_active_vcs(config.active_vcs, cycle_);
-    r.set_active_depth(config.active_depth, cycle_, v);
-  }
-  for (Nic& nic : nics_) nic.set_active_vcs(config.active_vcs);
-  config_ = config;
   per_router_configs_.assign(static_cast<std::size_t>(num_nodes()), config);
-  refresh_active_capacity();
-  if (recorder_ != nullptr) {
-    recorder_->record(obs::EventKind::kConfigApply, core_time_, cycle_, 0,
-                      config.active_vcs, config.active_depth,
-                      config.dvfs_level);
-  }
-  // Reconfiguration touches every router (gating, depth, clock) — even
-  // quiescent ones must re-run under the new configuration. Depth growth
-  // also floods bonus credits, whose wake hooks alone would only wake
-  // upstream neighbors.
-  wake_all();
+  reconfigure();
 }
 
 void Network::apply_per_router(const std::vector<NocConfig>& configs) {
@@ -181,32 +164,49 @@ void Network::apply_per_router(const std::vector<NocConfig>& configs) {
           "must match");
     }
   }
-  NocConfig representative = configs.front();
+  per_router_configs_ = configs;
+  reconfigure();
+}
+
+void Network::reconfigure() {
+  NocConfig representative = per_router_configs_.front();
+  bool mixed_vcs = false;
   const FabricView v = view();
-  for (std::size_t i = 0; i < configs.size(); ++i) {
+  for (std::size_t i = 0; i < per_router_configs_.size(); ++i) {
+    const NocConfig& c = per_router_configs_[i];
     Router& r = routers_[i];
-    r.set_active_vcs(configs[i].active_vcs, cycle_);
-    r.set_active_depth(configs[i].active_depth, cycle_, v);
-    nics_[i].set_active_vcs(configs[i].active_vcs);
+    r.set_active_vcs(c.active_vcs, cycle_);
+    r.set_active_depth(c.active_depth, cycle_, v);
+    nics_[i].set_active_vcs(c.active_vcs);
+    mixed_vcs = mixed_vcs || c.active_vcs != representative.active_vcs;
     representative.active_vcs =
-        std::max(representative.active_vcs, configs[i].active_vcs);
+        std::max(representative.active_vcs, c.active_vcs);
     representative.active_depth =
-        std::max(representative.active_depth, configs[i].active_depth);
+        std::max(representative.active_depth, c.active_depth);
   }
   // VC allocation gates on the *downstream* router's active VC set.
-  for (const Link& link : links_) {
-    routers_[static_cast<std::size_t>(link.from.node)].set_output_active_vcs(
-        link.from.port,
-        configs[static_cast<std::size_t>(link.to.node)].active_vcs);
+  // set_active_vcs above gated every output port on the router's own
+  // count, which is already right when all routers share one count.
+  if (mixed_vcs) {
+    for (const Link& link : links_) {
+      routers_[static_cast<std::size_t>(link.from.node)]
+          .set_output_active_vcs(
+              link.from.port,
+              per_router_configs_[static_cast<std::size_t>(link.to.node)]
+                  .active_vcs);
+    }
   }
   config_ = representative;
-  per_router_configs_ = configs;
   refresh_active_capacity();
   if (recorder_ != nullptr) {
     recorder_->record(obs::EventKind::kConfigApply, core_time_, cycle_, 0,
                       representative.active_vcs, representative.active_depth,
                       representative.dvfs_level);
   }
+  // Reconfiguration touches every router (gating, depth, clock) — even
+  // quiescent ones must re-run under the new configuration. Depth growth
+  // also floods bonus credits, whose wake hooks alone would only wake
+  // upstream neighbors.
   wake_all();
 }
 

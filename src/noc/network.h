@@ -278,6 +278,9 @@ class Network {
 
  private:
   void wire(const RouterParams& rp, const NicParams& np);
+  /// The one reconfiguration body behind apply_config and apply_per_router:
+  /// puts per_router_configs_ (already validated) into effect.
+  void reconfigure();
   /// The fabric as routers and NICs see it this step.
   FabricView view();
   void wake(NodeId node) { node_active_[static_cast<std::size_t>(node)] = 1; }

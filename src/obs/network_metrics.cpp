@@ -1,74 +1,145 @@
 #include "obs/network_metrics.h"
 
+#include <iterator>
 #include <ostream>
+#include <stdexcept>
 
 #include "noc/network.h"
 
 namespace drlnoc::obs {
+namespace {
+
+/// The catalogue in export order: the per-router families first (one value
+/// per node), then the aggregates commit_epoch takes from EpochStats.
+/// Counters are per-epoch totals, gauges per-epoch levels; every series is
+/// written once per epoch.
+struct Series {
+  const char* name;
+  const char* kind;
+};
+constexpr Series kSeries[] = {
+    {"router.link_flits", "gauge"},
+    {"router.buffered_flits", "gauge"},
+    {"router.max_vc_occupancy", "gauge"},
+    {"nic.queue_depth", "gauge"},
+    {"net.latency_avg", "gauge"},
+    {"net.latency_p95", "gauge"},
+    {"net.offered_rate", "gauge"},
+    {"net.accepted_rate", "gauge"},
+    {"net.avg_buffer_occupancy", "gauge"},
+    {"net.avg_active_fraction", "gauge"},
+    {"net.energy_pj", "gauge"},
+    {"net.packets_offered", "counter"},
+    {"net.packets_received", "counter"},
+    {"fault.retries", "counter"},
+    {"fault.packets_lost", "counter"},
+    {"fault.rerouted_hops", "counter"},
+    {"fault.flits_dropped", "counter"},
+};
+constexpr std::size_t kNodeFamilies = 4;
+constexpr std::size_t kAggregates = std::size(kSeries) - kNodeFamilies;
+
+}  // namespace
 
 NetworkMetrics::NetworkMetrics(int num_nodes) : num_nodes_(num_nodes) {
-  link_flits_ = reg_.add_gauge("router.link_flits", num_nodes);
-  buffered_ = reg_.add_gauge("router.buffered_flits", num_nodes);
-  max_vc_occ_ = reg_.add_gauge("router.max_vc_occupancy", num_nodes);
-  nic_queue_ = reg_.add_gauge("nic.queue_depth", num_nodes);
-  latency_avg_ = reg_.add_gauge("net.latency_avg");
-  latency_p95_ = reg_.add_gauge("net.latency_p95");
-  offered_rate_ = reg_.add_gauge("net.offered_rate");
-  accepted_rate_ = reg_.add_gauge("net.accepted_rate");
-  occupancy_ = reg_.add_gauge("net.avg_buffer_occupancy");
-  active_fraction_ = reg_.add_gauge("net.avg_active_fraction");
-  energy_pj_ = reg_.add_gauge("net.energy_pj");
-  packets_offered_ = reg_.add_counter("net.packets_offered");
-  packets_received_ = reg_.add_counter("net.packets_received");
-  retries_ = reg_.add_counter("fault.retries");
-  packets_lost_ = reg_.add_counter("fault.packets_lost");
-  rerouted_hops_ = reg_.add_counter("fault.rerouted_hops");
-  flits_dropped_ = reg_.add_counter("fault.flits_dropped");
-  latency_hist_ = reg_.add_histogram("net.epoch_latency_avg",
-                                     /*limit=*/4096.0, /*buckets=*/512);
+  if (num_nodes < 1) {
+    throw std::invalid_argument("NetworkMetrics: num_nodes must be >= 1");
+  }
+  nodes_.assign(kNodeFamilies * static_cast<std::size_t>(num_nodes), 0.0);
 }
 
 void NetworkMetrics::sample_node(int node, std::uint64_t link_flits,
                                  int buffered_flits, int max_vc_occupancy,
                                  std::uint64_t nic_queue_depth) {
-  reg_.set_gauge(link_flits_, node, static_cast<double>(link_flits));
-  reg_.set_gauge(buffered_, node, static_cast<double>(buffered_flits));
-  reg_.set_gauge(max_vc_occ_, node, static_cast<double>(max_vc_occupancy));
-  reg_.set_gauge(nic_queue_, node, static_cast<double>(nic_queue_depth));
+  const auto n = static_cast<std::size_t>(num_nodes_);
+  double* at = nodes_.data() + node;
+  at[0] = static_cast<double>(link_flits);
+  at[n] = static_cast<double>(buffered_flits);
+  at[2 * n] = static_cast<double>(max_vc_occupancy);
+  at[3 * n] = static_cast<double>(nic_queue_depth);
 }
 
 void NetworkMetrics::commit_epoch(double time, const noc::EpochStats& stats) {
-  reg_.set_gauge(latency_avg_, 0, stats.avg_latency);
-  reg_.set_gauge(latency_p95_, 0, stats.p95_latency);
-  reg_.set_gauge(offered_rate_, 0, stats.offered_rate);
-  reg_.set_gauge(accepted_rate_, 0, stats.accepted_rate);
-  reg_.set_gauge(occupancy_, 0, stats.avg_buffer_occupancy);
-  reg_.set_gauge(active_fraction_, 0, stats.avg_active_fraction);
-  reg_.set_gauge(energy_pj_, 0, stats.total_energy_pj());
-  reg_.add_to_counter(packets_offered_, 0,
-                      static_cast<double>(stats.packets_offered));
-  reg_.add_to_counter(packets_received_, 0,
-                      static_cast<double>(stats.packets_received));
-  reg_.add_to_counter(retries_, 0, static_cast<double>(stats.retries));
-  reg_.add_to_counter(packets_lost_, 0,
-                      static_cast<double>(stats.packets_lost));
-  reg_.add_to_counter(rerouted_hops_, 0,
-                      static_cast<double>(stats.rerouted_hops));
-  reg_.add_to_counter(flits_dropped_, 0,
-                      static_cast<double>(stats.flits_dropped));
-  if (stats.packets_received > 0) reg_.observe(latency_hist_, stats.avg_latency);
-  reg_.commit_sample(time);
+  const double aggregates[] = {
+      stats.avg_latency,
+      stats.p95_latency,
+      stats.offered_rate,
+      stats.accepted_rate,
+      stats.avg_buffer_occupancy,
+      stats.avg_active_fraction,
+      stats.total_energy_pj(),
+      static_cast<double>(stats.packets_offered),
+      static_cast<double>(stats.packets_received),
+      static_cast<double>(stats.retries),
+      static_cast<double>(stats.packets_lost),
+      static_cast<double>(stats.rerouted_hops),
+      static_cast<double>(stats.flits_dropped),
+  };
+  static_assert(sizeof(aggregates) / sizeof(double) == kAggregates);
+  times_.push_back(time);
+  rows_.insert(rows_.end(), nodes_.begin(), nodes_.end());
+  rows_.insert(rows_.end(), std::begin(aggregates), std::end(aggregates));
+  if (stats.packets_received > 0) latency_hist_.add(stats.avg_latency);
 }
 
 void NetworkMetrics::write_json(std::ostream& os) const {
+  const auto n = static_cast<std::size_t>(num_nodes_);
+  const std::size_t width = nodes_.size() + kAggregates;
   os << "{\n\"schema\": 1,\n\"kind\": \"drlnoc-metrics\",\n\"num_nodes\": "
      << num_nodes_ << ",\n\"registry\": ";
-  reg_.write_json(os);
-  os << "}\n";
+  os.precision(10);
+  os << "{\n\"samples\": " << times_.size() << ",\n\"times\": [";
+  for (std::size_t i = 0; i < times_.size(); ++i) {
+    os << (i ? ", " : "") << times_[i];
+  }
+  os << "],\n\"series\": [\n";
+  for (std::size_t s = 0; s < std::size(kSeries); ++s) {
+    const bool per_node = s < kNodeFamilies;
+    const std::size_t offset =
+        per_node ? s * n : nodes_.size() + (s - kNodeFamilies);
+    os << (s ? ",\n" : "") << "{\"name\": \"" << kSeries[s].name
+       << "\", \"kind\": \"" << kSeries[s].kind
+       << "\", \"instances\": " << (per_node ? num_nodes_ : 1)
+       << ", \"values\": [";
+    for (std::size_t r = 0; r < times_.size(); ++r) {
+      const double* row = rows_.data() + r * width + offset;
+      os << (r ? ", " : "");
+      if (!per_node) {
+        os << row[0];
+        continue;
+      }
+      os << "[";
+      for (std::size_t k = 0; k < n; ++k) os << (k ? ", " : "") << row[k];
+      os << "]";
+    }
+    os << "]}";
+  }
+  const util::Histogram& h = latency_hist_;
+  os << "\n],\n\"histograms\": [\n"
+     << "{\"name\": \"net.epoch_latency_avg\", \"count\": " << h.count()
+     << ", \"mean\": " << h.mean() << ", \"p50\": " << h.percentile(0.5)
+     << ", \"p95\": " << h.percentile(0.95)
+     << ", \"p99\": " << h.percentile(0.99)
+     << ", \"overflow\": " << h.overflow() << ", \"buckets\": [";
+  for (std::size_t i = 0; i < h.buckets().size(); ++i) {
+    os << (i ? ", " : "") << h.buckets()[i];
+  }
+  os << "]}\n]\n}\n}\n";
 }
 
 void NetworkMetrics::write_heatmap_csv(std::ostream& os) const {
-  reg_.write_heatmap_csv(os, "router.link_flits");
+  const std::size_t width = nodes_.size() + kAggregates;
+  os.precision(10);
+  os << "time";
+  for (int k = 0; k < num_nodes_; ++k) os << ",i" << k;
+  os << "\n";
+  for (std::size_t r = 0; r < times_.size(); ++r) {
+    os << times_[r];
+    // router.link_flits is the row's first family.
+    const double* row = rows_.data() + r * width;
+    for (int k = 0; k < num_nodes_; ++k) os << "," << row[k];
+    os << "\n";
+  }
 }
 
 }  // namespace drlnoc::obs

@@ -23,12 +23,6 @@ void ReplayBuffer::push(const Transition& t) {
   }
 }
 
-SampledBatch ReplayBuffer::sample(std::size_t batch, util::Rng& rng) const {
-  SampledBatch out;
-  sample_into(out, batch, rng);
-  return out;
-}
-
 void ReplayBuffer::sample_into(SampledBatch& out, std::size_t batch,
                                util::Rng& rng) const {
   assert(!data_.empty());
@@ -108,13 +102,6 @@ void PrioritizedReplayBuffer::push(const Transition& t) {
   tree_.update(next_, max_seen_priority_);
   next_ = (next_ + 1) % capacity_;
   size_ = std::min(size_ + 1, capacity_);
-}
-
-SampledBatch PrioritizedReplayBuffer::sample(std::size_t batch,
-                                             util::Rng& rng) const {
-  SampledBatch out;
-  sample_into(out, batch, rng);
-  return out;
 }
 
 void PrioritizedReplayBuffer::sample_into(SampledBatch& out, std::size_t batch,

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "golden_hash.h"
 #include "noc/network.h"
 #include "noc/simulator.h"
 #include "noc/workload.h"
@@ -338,6 +339,32 @@ TEST(Network, PerRouterConfigValidation) {
   configs[3].dvfs_level = 2;
   EXPECT_NO_THROW(net.apply_per_router(configs));
   EXPECT_EQ(net.config_of(5), (NocConfig{2, 4, 2}));
+}
+
+// apply_config is apply_per_router with one config for every router: the
+// two step bit-identically through a run of reconfigurations.
+TEST(Network, UniformPerRouterConfigMatchesApplyConfig) {
+  const std::vector<NocConfig> schedule = {
+      {2, 4, 2}, {4, 8, 3}, {1, 2, 1}, {3, 6, 3}};
+  auto run = [&](bool per_router) {
+    Network net(small_mesh(57));
+    SteadyWorkload w = SteadyWorkload::make(net.topology(), "uniform", 0.1);
+    trace::TraceRecorder recorder(net.num_nodes(), &w);
+    GoldenHash h;
+    for (const NocConfig& c : schedule) {
+      if (per_router) {
+        net.apply_per_router(std::vector<NocConfig>(16, c));
+      } else {
+        net.apply_config(c);
+      }
+      EXPECT_EQ(net.config(), c);
+      mix_stats(h, net.run_epoch(&recorder, 800));
+    }
+    mix_records(h, recorder.records());
+    mix_router_state(h, net);
+    return h.value();
+  };
+  EXPECT_EQ(run(/*per_router=*/true), run(/*per_router=*/false));
 }
 
 TEST(Network, HeterogeneousConfigConservesFlits) {

@@ -31,7 +31,8 @@ TEST(Matrix, MatmulAgainstHand) {
   double av[] = {1, 2, 3, 4, 5, 6}, bv[] = {7, 8, 9, 10, 11, 12};
   std::copy(av, av + 6, a.raw().begin());
   std::copy(bv, bv + 6, b.raw().begin());
-  const Matrix c = matmul(a, b);
+  Matrix c;
+  matmul_into(c, a, b);
   EXPECT_DOUBLE_EQ(c.at(0, 0), 58.0);
   EXPECT_DOUBLE_EQ(c.at(0, 1), 64.0);
   EXPECT_DOUBLE_EQ(c.at(1, 0), 139.0);
@@ -44,13 +45,15 @@ TEST(Matrix, TransposedProductsConsistent) {
   for (double& v : a.raw()) v = rng.normal();
   for (double& v : b.raw()) v = rng.normal();
   for (double& v : c.raw()) v = rng.normal();
-  // matmul_tn(a, b) == aᵀ b; check one element by explicit sum.
-  const Matrix tn = matmul_tn(a, b);
+  // matmul_tn_into(tn, a, b): tn = aᵀ b; check one element by explicit sum.
+  Matrix tn;
+  matmul_tn_into(tn, a, b);
   double expect = 0.0;
   for (int k = 0; k < 4; ++k) expect += a.at(k, 1) * b.at(k, 2);
   EXPECT_NEAR(tn.at(1, 2), expect, 1e-12);
-  // matmul_nt(a, c) == a cᵀ (3 columns shared).
-  const Matrix nt = matmul_nt(a, c);
+  // matmul_nt_into(nt, a, c): nt = a cᵀ (3 columns shared).
+  Matrix nt;
+  matmul_nt_into(nt, a, c);
   expect = 0.0;
   for (int k = 0; k < 3; ++k) expect += a.at(2, k) * c.at(4, k);
   EXPECT_NEAR(nt.at(2, 4), expect, 1e-12);

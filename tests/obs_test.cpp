@@ -1,5 +1,5 @@
 // Observability subsystem tests: flight-recorder ring/sampling semantics,
-// Chrome trace export shape, metrics-registry kinds and bucket boundaries,
+// Chrome trace export shape, the per-epoch metrics table and its exports,
 // profiler accounting — and the load-bearing guarantee: attaching every
 // observer at full sampling must not move a single bit of the golden
 // determinism hashes from determinism_test.cpp.
@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,11 +14,11 @@
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "obs/network_metrics.h"
 #include "obs/profiler.h"
 #include "obs/session.h"
 #include "trace/recorder.h"
+#include "util/fnv.h"
 
 namespace drlnoc {
 namespace {
@@ -97,77 +96,91 @@ TEST(FlightRecorder, ChromeTraceShape) {
   EXPECT_NE(json.find("\"ph\": \"C\""), std::string::npos);
 }
 
-// --- metrics registry -------------------------------------------------------
+// --- network metrics --------------------------------------------------------
 
-TEST(MetricsRegistry, CounterResetsPerSampleGaugePersists) {
-  obs::MetricsRegistry reg;
-  const auto c = reg.add_counter("pkts");
-  const auto g = reg.add_gauge("lat");
-  reg.add_to_counter(c, 0, 3.0);
-  reg.set_gauge(g, 0, 42.0);
-  reg.commit_sample(1.0);
-  reg.commit_sample(2.0);  // no updates in this window
-  ASSERT_EQ(reg.samples(), 2u);
-  EXPECT_DOUBLE_EQ(reg.sample_value(0, c), 3.0);
-  EXPECT_DOUBLE_EQ(reg.sample_value(1, c), 0.0);  // counter reset
-  EXPECT_DOUBLE_EQ(reg.sample_value(0, g), 42.0);
-  EXPECT_DOUBLE_EQ(reg.sample_value(1, g), 42.0);  // gauge persists
-}
-
-TEST(MetricsRegistry, MultiInstanceHeatmapCsv) {
-  obs::MetricsRegistry reg;
-  const auto fam = reg.add_gauge("router.flits", /*instances=*/3);
-  reg.set_gauge(fam, 0, 1.0);
-  reg.set_gauge(fam, 2, 9.0);
-  reg.commit_sample(10.0);
+// A faulted 4x4 run over six epochs with a reconfiguration between them:
+// the metrics JSON followed by the heatmap CSV.
+std::string faulted_metrics_artifacts() {
+  noc::NetworkParams p;
+  p.width = p.height = 4;
+  p.seed = 17;
+  noc::Network net(p);
+  noc::FaultParams fp;
+  fp.seed = 5;
+  fp.link_fault_rate = 0.02;
+  fp.retry_timeout = 32;
+  fp.retry_budget = 1;
+  noc::FaultEvent down;
+  down.at_cycle = 300;
+  down.node = 5;
+  down.port = 1;
+  fp.events.push_back(down);
+  net.set_fault_model(fp);
+  obs::NetworkMetrics metrics(net.num_nodes());
+  net.set_metrics(&metrics);
+  noc::SteadyWorkload w =
+      noc::SteadyWorkload::make(net.topology(), "uniform", 0.12);
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    net.run_epoch(&w, 400);
+    net.apply_config(
+        noc::NocConfig{2 + epoch % 3, 4 + epoch % 5, 1 + epoch % 3});
+  }
   std::ostringstream os;
-  reg.write_heatmap_csv(os, "router.flits");
-  const std::string csv = os.str();
-  EXPECT_EQ(csv.substr(0, csv.find('\n')), "time,i0,i1,i2");
-  EXPECT_NE(csv.find("10,1,0,9"), std::string::npos);
+  metrics.write_json(os);
+  metrics.write_heatmap_csv(os);
+  return os.str();
 }
 
-TEST(MetricsRegistry, HeatmapRejectsUnknownAndHistogramMetrics) {
-  obs::MetricsRegistry reg;
-  reg.add_histogram("lat_hist", 100.0, 10);
+TEST(NetworkMetrics, GoldenArtifactsOfAFaultedRun) {
+  const std::string bytes = faulted_metrics_artifacts();
+  // The run must exercise the fault series the golden pins.
+  EXPECT_EQ(bytes.find("\"fault.retries\", \"kind\": \"counter\", "
+                       "\"instances\": 1, \"values\": [0, 0, 0, 0, 0, 0]"),
+            std::string::npos);
+  EXPECT_EQ(util::Fnv1a64(util::Fnv1a64::kStandardBasis).bytes(bytes).value(),
+            17418328190577266042ULL);
+}
+
+TEST(NetworkMetrics, EachRowHoldsThatEpochsCounts) {
+  obs::NetworkMetrics metrics(2);
+  noc::EpochStats first;
+  first.packets_offered = 3;
+  first.avg_latency = 42.0;
+  metrics.sample_node(1, /*link_flits=*/7, 0, 0, 0);
+  metrics.commit_epoch(1.0, first);
+  metrics.commit_epoch(2.0, noc::EpochStats{});  // an idle epoch
+  ASSERT_EQ(metrics.samples(), 2u);
   std::ostringstream os;
-  EXPECT_THROW(reg.write_heatmap_csv(os, "nope"), std::invalid_argument);
-  EXPECT_THROW(reg.write_heatmap_csv(os, "lat_hist"), std::invalid_argument);
-}
-
-TEST(MetricsRegistry, HistogramBucketBoundaries) {
-  obs::MetricsRegistry reg;
-  // limit 100, 10 buckets => width 10: [0,10), [10,20), ... [90,100).
-  const auto h = reg.add_histogram("lat", 100.0, 10);
-  reg.observe(h, 0.0);    // first bucket, lower edge
-  reg.observe(h, 9.999);  // still the first bucket
-  reg.observe(h, 10.0);   // exactly on a boundary -> second bucket
-  reg.observe(h, 99.999); // last bucket
-  reg.observe(h, 100.0);  // == limit -> overflow, not last bucket
-  reg.observe(h, 250.0);  // far overflow
-  reg.observe(h, -5.0);   // clamped into the first bucket
-  const util::Histogram& hist = reg.histogram(h);
-  EXPECT_EQ(hist.count(), 7u);
-  EXPECT_EQ(hist.buckets()[0], 3u);
-  EXPECT_EQ(hist.buckets()[1], 1u);
-  EXPECT_EQ(hist.buckets()[9], 1u);
-  EXPECT_EQ(hist.overflow(), 2u);
-}
-
-TEST(MetricsRegistry, JsonExportContainsSeriesAndHistograms) {
-  obs::MetricsRegistry reg;
-  const auto c = reg.add_counter("pkts");
-  const auto h = reg.add_histogram("lat", 10.0, 5);
-  reg.add_to_counter(c, 0, 2.0);
-  reg.observe(h, 3.0);
-  reg.commit_sample(1.0);
-  std::ostringstream os;
-  reg.write_json(os);
+  metrics.write_json(os);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"samples\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"pkts\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"lat\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\": \"counter\""), std::string::npos);
+  EXPECT_NE(json.find("\"times\": [1, 2]"), std::string::npos);
+  // A counter row is that epoch's count, not a running total.
+  EXPECT_NE(json.find("{\"name\": \"net.packets_offered\", \"kind\": "
+                      "\"counter\", \"instances\": 1, \"values\": [3, 0]}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\": \"net.latency_avg\", \"kind\": "
+                      "\"gauge\", \"instances\": 1, \"values\": [42, 0]}"),
+            std::string::npos);
+  // A router not sampled again keeps its last sample.
+  EXPECT_NE(json.find("{\"name\": \"router.link_flits\", \"kind\": "
+                      "\"gauge\", \"instances\": 2, "
+                      "\"values\": [[0, 7], [0, 7]]}"),
+            std::string::npos);
+  // Only epochs that delivered packets feed the latency histogram.
+  EXPECT_NE(json.find("{\"name\": \"net.epoch_latency_avg\", \"count\": 0,"),
+            std::string::npos);
+}
+
+TEST(NetworkMetrics, HeatmapCsvHasOneRowPerEpoch) {
+  obs::NetworkMetrics metrics(3);
+  metrics.sample_node(0, /*link_flits=*/1, 5, 5, 5);
+  metrics.sample_node(2, /*link_flits=*/9, 5, 5, 5);
+  metrics.commit_epoch(10.0, noc::EpochStats{});
+  metrics.sample_node(1, /*link_flits=*/4, 5, 5, 5);
+  metrics.commit_epoch(20.5, noc::EpochStats{});
+  std::ostringstream os;
+  metrics.write_heatmap_csv(os);
+  EXPECT_EQ(os.str(), "time,i0,i1,i2\n10,1,0,9\n20.5,1,4,9\n");
 }
 
 // --- profiler ---------------------------------------------------------------
@@ -250,7 +263,7 @@ TEST(ObserverNonPerturbation, GoldenHashUnchangedWithAllObserversAttached) {
   EXPECT_EQ(observed, 11893662481098957864ULL);
   // The observers actually saw the run (they just didn't touch it).
   EXPECT_GT(rec.recorded(), 0u);
-  EXPECT_GT(metrics.registry().samples(), 0u);
+  EXPECT_GT(metrics.samples(), 0u);
 }
 
 TEST(ObserverNonPerturbation, PartialSamplingMatchesBareRun) {

@@ -39,8 +39,9 @@ TEST(ReplayBuffer, SampleUniformAndWeightsAreOne) {
   for (int i = 0; i < 100; ++i) buf.push(make_transition(i));
   util::Rng rng(1);
   std::map<double, int> counts;
+  SampledBatch b;  // one workspace, refilled by every draw
   for (int rep = 0; rep < 500; ++rep) {
-    const SampledBatch b = buf.sample(20, rng);
+    buf.sample_into(b, 20, rng);
     EXPECT_EQ(b.transitions.size(), 20u);
     for (double w : b.weights) EXPECT_DOUBLE_EQ(w, 1.0);
     for (const auto& t : b.transitions) ++counts[t.reward];
@@ -80,8 +81,9 @@ TEST(PrioritizedReplay, SamplesProportionallyToPriority) {
   util::Rng rng(3);
   std::map<double, int> counts;
   const int reps = 3000;
+  SampledBatch b;
   for (int rep = 0; rep < reps; ++rep) {
-    const SampledBatch b = buf.sample(4, rng);
+    buf.sample_into(b, 4, rng);
     for (const auto& t : b.transitions) ++counts[t.reward];
   }
   const double total_mass = 36.0;  // 1+2+...+8
@@ -98,8 +100,9 @@ TEST(PrioritizedReplay, ImportanceWeightsFavorRareSamples) {
   buf.update_priorities({0, 1, 2, 3}, {10.0, 1.0, 1.0, 1.0});
   util::Rng rng(5);
   double w_hot = -1.0, w_cold = -1.0;
+  SampledBatch b;
   for (int rep = 0; rep < 200; ++rep) {
-    const SampledBatch b = buf.sample(4, rng);
+    buf.sample_into(b, 4, rng);
     for (std::size_t i = 0; i < b.indices.size(); ++i) {
       if (b.indices[i] == 0) w_hot = b.weights[i];
       else w_cold = b.weights[i];

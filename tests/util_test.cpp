@@ -174,6 +174,23 @@ TEST(Histogram, OverflowBucket) {
   EXPECT_DOUBLE_EQ(h.percentile(1.0), 10.0);
 }
 
+TEST(Histogram, BucketBoundaries) {
+  // limit 100, 10 buckets => width 10: [0,10), [10,20), ... [90,100).
+  Histogram h(100.0, 10);
+  h.add(0.0);     // first bucket, lower edge
+  h.add(9.999);   // still the first bucket
+  h.add(10.0);    // exactly on a boundary -> second bucket
+  h.add(99.999);  // last bucket
+  h.add(100.0);   // == limit -> overflow, not last bucket
+  h.add(250.0);   // far overflow
+  h.add(-5.0);    // clamped into the first bucket
+  EXPECT_EQ(h.count(), 7u);
+  EXPECT_EQ(h.buckets()[0], 3u);
+  EXPECT_EQ(h.buckets()[1], 1u);
+  EXPECT_EQ(h.buckets()[9], 1u);
+  EXPECT_EQ(h.overflow(), 2u);
+}
+
 TEST(Histogram, EmptyPercentileIsZero) {
   Histogram h(10.0, 10);
   EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);

@@ -20,6 +20,7 @@
 #include <string>
 #include <utility>
 
+#include "cli_main.h"
 #include "fleet/fleet.h"
 #include "fleet/scenario_space.h"
 #include "fleet/scorecard.h"
@@ -51,12 +52,7 @@ constexpr const char* kUsage =
     "Pass --help after a subcommand for details; the .drlfs format is\n"
     "specified in docs/FORMATS.md.\n";
 
-int usage() {
-  std::cerr << kUsage;
-  return 2;
-}
-
-int help(const std::string& command) {
+void help(const std::string& command) {
   if (command == "describe") {
     std::cout
         << "fleetctl describe spec=X\n"
@@ -106,15 +102,6 @@ int help(const std::string& command) {
   } else {
     std::cout << kUsage;
   }
-  return 0;
-}
-
-bool wants_help(int argc, char** argv) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") return true;
-  }
-  return false;
 }
 
 fleet::ScenarioSpace load_space(const util::Config& cfg) {
@@ -308,25 +295,10 @@ int cmd_score(const util::Config& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  if (command == "--help" || command == "-h") {
-    std::cout << kUsage;
-    return 0;
-  }
-  if (wants_help(argc, argv)) return help(command);
-  try {
-    // Config::from_args skips its argv[0] slot; shift past the subcommand.
-    const util::Config cfg = util::Config::from_args(argc - 1, argv + 1);
-    util::init_log(cfg.get("log", std::string()));
-    if (command == "describe") return cmd_describe(cfg);
-    if (command == "generate") return cmd_generate(cfg);
-    if (command == "run" || command == "resume") return cmd_run(cfg);
-    if (command == "score") return cmd_score(cfg);
-    LOG_ERROR << "fleetctl: unknown command '" << command << "'";
-    return usage();
-  } catch (const std::exception& e) {
-    LOG_ERROR << "fleetctl: " << e.what();
-    return 1;
-  }
+  return cli::run_main(argc, argv, "fleetctl", kUsage, help,
+                       {{"describe", cmd_describe},
+                        {"generate", cmd_generate},
+                        {"run", cmd_run},
+                        {"resume", cmd_run},
+                        {"score", cmd_score}});
 }

@@ -24,6 +24,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli_main.h"
 #include "core/env_noc.h"
 #include "core/parallel.h"
 #include "core/trainer.h"
@@ -59,14 +60,11 @@ constexpr const char* kUsage =
     "Pass --help after a subcommand for its full option list; the .drlsc\n"
     "format is specified in docs/FORMATS.md.\n";
 
-int usage() {
-  std::cerr << kUsage;
-  return 2;
-}
+int usage() { return cli::usage_error(kUsage); }
 
 /// Detailed per-subcommand help, printed to stdout for `scenarioctl <cmd>
 /// --help` (exit 0, unlike the exit-2 usage() error path).
-int help(const std::string& command) {
+void help(const std::string& command) {
   if (command == "validate") {
     std::cout
         << "scenarioctl validate file=X\n"
@@ -139,15 +137,6 @@ int help(const std::string& command) {
   } else {
     std::cout << kUsage;
   }
-  return 0;
-}
-
-bool wants_help(int argc, char** argv) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") return true;
-  }
-  return false;
 }
 
 void describe_tenants(const scenario::Scenario& s) {
@@ -500,26 +489,10 @@ int cmd_run(const util::Config& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  if (command == "--help" || command == "-h") {
-    std::cout << kUsage;
-    return 0;
-  }
-  if (wants_help(argc, argv)) return help(command);
-  try {
-    // Config::from_args skips its argv[0] slot; shift past the subcommand.
-    const util::Config cfg = util::Config::from_args(argc - 1, argv + 1);
-    util::init_log(cfg.get("log", std::string()));
-    if (command == "validate") return cmd_validate(cfg);
-    if (command == "describe") return cmd_describe(cfg);
-    if (command == "run") return cmd_run(cfg);
-    if (command == "train") return cmd_train(cfg);
-    if (command == "policy") return cmd_policy(cfg);
-    LOG_ERROR << "scenarioctl: unknown command '" << command << "'";
-    return usage();
-  } catch (const std::exception& e) {
-    LOG_ERROR << "scenarioctl: " << e.what();
-    return 1;
-  }
+  return cli::run_main(argc, argv, "scenarioctl", kUsage, help,
+                       {{"validate", cmd_validate},
+                        {"describe", cmd_describe},
+                        {"run", cmd_run},
+                        {"train", cmd_train},
+                        {"policy", cmd_policy}});
 }

@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cli_main.h"
 #include "noc/network.h"
 #include "trace/generators.h"
 #include "trace/trace_io.h"
@@ -44,14 +45,11 @@ constexpr const char* kUsage =
     "Pass --help after a subcommand for its full option list; formats are\n"
     "specified in docs/FORMATS.md.\n";
 
-int usage() {
-  std::cerr << kUsage;
-  return 2;
-}
+int usage() { return cli::usage_error(kUsage); }
 
 /// Detailed per-subcommand help, printed to stdout for `tracectl <cmd>
 /// --help` (exit 0, unlike the exit-2 usage() error path).
-int help(const std::string& command) {
+void help(const std::string& command) {
   if (command == "info") {
     std::cout
         << "tracectl info file=X [show=N]\n"
@@ -94,7 +92,6 @@ int help(const std::string& command) {
   } else {
     std::cout << kUsage;
   }
-  return 0;
 }
 
 int cmd_info(const util::Config& cfg) {
@@ -320,37 +317,13 @@ int cmd_replay(const util::Config& cfg) {
   return r.completed ? 0 : 1;
 }
 
-bool wants_help(int argc, char** argv) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  if (command == "--help" || command == "-h") {
-    std::cout << kUsage;
-    return 0;
-  }
-  if (wants_help(argc, argv)) return help(command);
-  try {
-    // Config::from_args skips its argv[0] slot; shift past the subcommand.
-    const util::Config cfg = util::Config::from_args(argc - 1, argv + 1);
-    util::init_log(cfg.get("log", std::string()));
-    if (command == "info") return cmd_info(cfg);
-    if (command == "stats") return cmd_stats(cfg);
-    if (command == "convert") return cmd_convert(cfg);
-    if (command == "generate") return cmd_generate(cfg);
-    if (command == "replay") return cmd_replay(cfg);
-    LOG_ERROR << "tracectl: unknown command '" << command << "'";
-    return usage();
-  } catch (const std::exception& e) {
-    LOG_ERROR << "tracectl: " << e.what();
-    return 1;
-  }
+  return cli::run_main(argc, argv, "tracectl", kUsage, help,
+                       {{"info", cmd_info},
+                        {"stats", cmd_stats},
+                        {"convert", cmd_convert},
+                        {"generate", cmd_generate},
+                        {"replay", cmd_replay}});
 }
