@@ -107,8 +107,8 @@ int main(int argc, char** argv) {
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 40);
   const int epochs = cfg.get("epochs", smoke ? 4 : 24);
-  const long long epoch_cycles = cfg.get("epoch_cycles",
-                                         smoke ? 256LL : 512LL);
+  const std::uint64_t epoch_cycles =
+      cfg.get("epoch_cycles", std::uint64_t{smoke ? 256u : 512u});
   const std::string workdir = cfg.get("workdir", std::string("table8_work"));
   const core::ExperimentRunner runner = bench::runner_from(cfg);
 
@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
       std::make_shared<scenario::Scenario>(train_point.scenario);
   train_ep.net.seed = train_point.scenario.net.seed;
   train_ep.scenario_qos = false;
-  train_ep.epoch_cycles = static_cast<std::uint64_t>(epoch_cycles);
+  train_ep.epoch_cycles = epoch_cycles;
   train_ep.epochs_per_episode = epochs;
   core::NocConfigEnv train_env(train_ep);
   auto agent = bench::train_agent(train_env, episodes);
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
       fp.policy_blob = util::read_file_bytes(policy_path).value_or("");
     }
     fp.epochs = epochs;
-    fp.epoch_cycles = static_cast<std::uint64_t>(epoch_cycles);
+    fp.epoch_cycles = epoch_cycles;
     fp.results_dir = workdir + "/results";
     const fleet::FleetRunOutcome outcome =
         fleet::run_fleet(space, fp, runner);

@@ -82,8 +82,8 @@ int explore_trace(const noc::NetworkParams& p, const std::string& path,
   if (faults.enabled()) net.set_fault_model(faults);
   session.attach(net);
   trace::TraceWorkload w(t, tw);
-  const auto limit =
-      static_cast<std::uint64_t>(cfg.get("cycle_limit", 2000000LL));
+  const std::uint64_t limit =
+      cfg.get("cycle_limit", std::uint64_t{2000000});
   const noc::RunResult r = trace::run_trace_replay(net, w, limit);
   util::Table tab({"workload", "avg_lat", "p95_lat", "avg_hops", "packets",
                    "core_cycles", "power_mW", "complete"});
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
   noc::NetworkParams p;
   p.topology = topology;
   p.width = p.height = size;
-  p.seed = cfg.get("seed", 1);
+  p.seed = cfg.get("seed", p.seed);
   p.routing = cfg.get("routing", std::string("auto"));
 
   const noc::FaultParams faults = fault_params_from(cfg);

@@ -38,17 +38,7 @@ NocEnvParams resolve(NocEnvParams p) {
     p.reward.tenant_qos.reserve(p.scenario->tenants.size());
     for (const scenario::TenantSpec& t : p.scenario->tenants) {
       TenantQosSpec q;
-      switch (t.qos) {
-        case scenario::QosClass::kLatencyCritical:
-          q.cls = TenantQosClass::kLatencyCritical;
-          break;
-        case scenario::QosClass::kBestEffort:
-          q.cls = TenantQosClass::kBestEffort;
-          break;
-        case scenario::QosClass::kBackground:
-          q.cls = TenantQosClass::kBackground;
-          break;
-      }
+      q.cls = t.qos;
       q.p95_target = t.p95_target;
       p.reward.tenant_qos.push_back(q);
     }

@@ -36,7 +36,9 @@ std::vector<std::string> FeatureExtractor::feature_names() const {
   for (int f : space_.dvfs_options())
     names.push_back("cfg_dvfs" + std::to_string(f));
   for (std::size_t i = 0; i < tenant_qos_.size(); ++i) {
-    const std::string p = "t" + std::to_string(i) + "_";
+    std::string p = "t";
+    p += std::to_string(i);
+    p += '_';
     names.push_back(p + "share");
     names.push_back(p + "p95");
     names.push_back(p + "shortfall");

@@ -15,16 +15,14 @@
 #include <vector>
 
 #include "noc/network.h"
+#include "scenario/scenario.h"
 
 namespace drlnoc::core {
 
-/// QoS class of one tenant, as the reward sees it (core-side mirror of
-/// scenario::QosClass — core/reward must not depend on the scenario layer).
-enum class TenantQosClass {
-  kLatencyCritical,  ///< SLO-violation penalty against p95_target
-  kBestEffort,       ///< no extra term
-  kBackground,       ///< energy credit for throttling
-};
+/// QoS class of one tenant, as the reward sees it: kLatencyCritical adds an
+/// SLO-violation penalty against p95_target, kBestEffort no extra term,
+/// kBackground an energy credit for throttling.
+using TenantQosClass = scenario::QosClass;
 
 /// Per-tenant QoS spec; index-aligned with EpochStats.tenants.
 struct TenantQosSpec {

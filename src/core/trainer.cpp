@@ -185,11 +185,6 @@ TrainResult train_dqn(NocConfigEnv& env, rl::DqnAgent& agent,
       const EpisodeResult eval = evaluate(env, greedy);
       result.eval_rewards.push_back(eval.total_reward);
       result.eval_episodes.push_back(ep + 1);
-      if (params.verbose) {
-        std::cout << "episode " << ep + 1 << " return=" << ep_return
-                  << " eval=" << eval.total_reward
-                  << " eps=" << agent.epsilon() << '\n';
-      }
     }
   }
   return result;

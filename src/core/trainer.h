@@ -71,7 +71,6 @@ EpisodeResult evaluate(NocConfigEnv& env, Controller& controller,
 struct TrainParams {
   int episodes = 40;
   int eval_every = 10;       ///< 0 disables periodic greedy evals
-  bool verbose = false;
 };
 
 struct TrainResult {

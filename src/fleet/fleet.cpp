@@ -133,18 +133,18 @@ FleetScenarioResult parse_result(const std::string& text) {
   const util::Config cfg = util::parse_versioned_text(
       text, {"drlfr", kFleetResultFormatVersion, "fleet result", {}});
   FleetScenarioResult r;
-  r.index = static_cast<std::size_t>(cfg.get("index", 0LL));
+  r.index = cfg.get("index", std::uint64_t{0});
   r.label = cfg.get("label", std::string());
-  r.seed = static_cast<std::uint64_t>(cfg.get("seed", 0LL));
+  r.seed = cfg.get("seed", r.seed);
   r.reward = cfg.get("reward", 0.0);
   r.mean_latency = cfg.get("mean_latency", 0.0);
   r.p95_latency = cfg.get("p95_latency", 0.0);
   r.mean_power_mw = cfg.get("mean_power_mw", 0.0);
   r.mean_edp = cfg.get("mean_edp", 0.0);
-  r.flits_dropped = static_cast<std::uint64_t>(cfg.get("flits_dropped", 0LL));
-  r.retries = static_cast<std::uint64_t>(cfg.get("retries", 0LL));
-  r.packets_lost = static_cast<std::uint64_t>(cfg.get("packets_lost", 0LL));
-  r.rerouted_hops = static_cast<std::uint64_t>(cfg.get("rerouted_hops", 0LL));
+  r.flits_dropped = cfg.get("flits_dropped", r.flits_dropped);
+  r.retries = cfg.get("retries", r.retries);
+  r.packets_lost = cfg.get("packets_lost", r.packets_lost);
+  r.rerouted_hops = cfg.get("rerouted_hops", r.rerouted_hops);
   r.policy_version = cfg.get("policy_version", std::string());
   const int tenants = util::block_count(cfg, "tenants", 0, "fleet result");
   for (int i = 0; i < tenants; ++i) {

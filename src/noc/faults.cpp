@@ -79,12 +79,8 @@ std::string to_string(FaultEvent::Kind kind) {
 FaultParams FaultParams::from_config(const util::Config& cfg,
                                      FaultParams base) {
   base.link_fault_rate = cfg.get("fault_rate", base.link_fault_rate);
-  base.seed = static_cast<std::uint64_t>(
-      cfg.get("fault_seed", static_cast<long long>(base.seed)));
-  const long long timeout =
-      cfg.get("fault_timeout", static_cast<long long>(base.retry_timeout));
-  if (timeout < 1) throw std::invalid_argument("fault_timeout must be >= 1");
-  base.retry_timeout = static_cast<Cycle>(timeout);
+  base.seed = cfg.get("fault_seed", base.seed);
+  base.retry_timeout = cfg.get("fault_timeout", base.retry_timeout);
   base.retry_backoff = cfg.get("fault_backoff", base.retry_backoff);
   base.retry_budget = cfg.get("fault_budget", base.retry_budget);
   return base;

@@ -65,8 +65,8 @@ struct FaultParams {
   /// `base` with the command-line keys fault_rate, fault_seed,
   /// fault_timeout, fault_backoff and fault_budget applied over it (an
   /// absent key keeps base's value). Throws std::invalid_argument naming
-  /// the key for a malformed value or a fault_timeout below 1; the other
-  /// ranges are left to validate().
+  /// the key for a malformed value (a signed fault_seed or fault_timeout
+  /// included); ranges are left to validate().
   static FaultParams from_config(const util::Config& cfg, FaultParams base);
 
   /// Range/shape checks that need no topology (rates, factors, budgets).

@@ -34,11 +34,39 @@ void validate_config(const NocConfig& config, const NetworkParams& params,
                                 to_string(config));
   }
 }
+
+NetworkParams validated(NetworkParams params) {
+  params.validate();
+  return params;
+}
 }  // namespace
+
+void NetworkParams::validate() const {
+  const auto require = [](bool ok, const char* field, const char* rule,
+                          auto value) {
+    if (ok) return;
+    std::string msg = "network: ";
+    msg += field;
+    msg += " must be ";
+    msg += rule;
+    msg += ", got ";
+    msg += std::to_string(value);
+    throw std::invalid_argument(msg);
+  };
+  require(width >= 1, "width", ">= 1", width);
+  require(height >= 1, "height", ">= 1", height);
+  require(max_vcs >= 1 && max_vcs <= 32, "max_vcs", "in [1, 32]", max_vcs);
+  require(max_depth >= 1 && max_depth <= 127, "max_depth", "in [1, 127]",
+          max_depth);
+  require(link_latency >= 1, "link_latency", ">= 1", link_latency);
+  require(pipeline_stages >= 1, "pipeline_stages", ">= 1", pipeline_stages);
+  require(flits_per_packet >= 1 && flits_per_packet <= 65535,
+          "flits_per_packet", "in [1, 65535]", flits_per_packet);
+}
 
 Network::Network(NetworkParams params, PowerParams power_params,
                  std::vector<DvfsLevel> levels)
-    : params_(std::move(params)),
+    : params_(validated(std::move(params))),
       power_(power_params, std::move(levels)),
       config_(params_.initial_config),
       topology_(make_topology(params_.topology, params_.width,

@@ -57,6 +57,13 @@ struct NetworkParams {
   std::uint64_t seed = 1;
   NocConfig initial_config{};
 
+  /// The one fabric range check: width and height >= 1, max_vcs in
+  /// [1, 32], max_depth in [1, 127] (the router's packed pipeline state),
+  /// link_latency and pipeline_stages >= 1, flits_per_packet in [1, 65535].
+  /// Throws std::invalid_argument("network: <field> must be ..., got N").
+  /// The Network constructor and Scenario::validate call it.
+  void validate() const;
+
   bool operator==(const NetworkParams&) const = default;
 };
 

@@ -49,16 +49,6 @@ double PowerModel::dynamic_energy(const RouterActivity& a,
   return pj * scale;
 }
 
-double PowerModel::static_energy(int routers, int ports, int links,
-                                 int active_vcs, int active_depth,
-                                 int level_idx, double wall_ns) const {
-  const double slots = static_cast<double>(routers) *
-                       static_cast<double>(ports) *
-                       static_cast<double>(active_vcs) *
-                       static_cast<double>(active_depth);
-  return static_energy_slots(routers, links, slots, level_idx, wall_ns);
-}
-
 double PowerModel::static_energy_slots(int routers, int links,
                                        double total_vc_slots, int level_idx,
                                        double wall_ns) const {

@@ -60,13 +60,9 @@ class PowerModel {
   double dynamic_energy(const RouterActivity& activity, int level_idx) const;
 
   /// Static energy (pJ) burned over `wall_ns` nanoseconds by a network of
-  /// `routers` routers (each `ports` ports) and `links` links, with the
-  /// given gating configuration.
-  double static_energy(int routers, int ports, int links, int active_vcs,
-                       int active_depth, int level_idx, double wall_ns) const;
-
-  /// Heterogeneous variant: `total_vc_slots` is the sum over all routers of
-  /// ports x active_vcs x active_depth (per-router configurations differ).
+  /// `routers` routers and `links` links, where `total_vc_slots` is the sum
+  /// over all routers of ports x active_vcs x active_depth (per-router
+  /// configurations may differ).
   double static_energy_slots(int routers, int links, double total_vc_slots,
                              int level_idx, double wall_ns) const;
 

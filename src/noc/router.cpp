@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -39,13 +38,10 @@ Router::Router(NodeId id, RouterParams params, std::vector<PortChannels> ports)
       vc_meta_(static_cast<std::size_t>(params.num_ports * params.max_vcs)) {
   // Hard limits of the compact pipeline state: VcMeta packs ports/VCs/depth
   // into int8, and the ready/pending masks hold one bit per port or per VC
-  // in 32-bit words. Checked unconditionally — exceeding them in a Release
-  // build would silently corrupt arbitration.
-  if (params.num_ports > 32 || params.max_vcs > 32 ||
-      params.max_depth > 127) {
-    throw std::invalid_argument(
-        "Router: num_ports and max_vcs must be <= 32, max_depth <= 127");
-  }
+  // in 32-bit words. NetworkParams::validate enforces them in every build;
+  // topologies have radix <= 5.
+  assert(params.num_ports <= 32 && params.max_vcs <= 32 &&
+         params.max_depth <= 127);
   assert(static_cast<int>(ports_.size()) == params.num_ports);
   const auto num_inputs =
       static_cast<std::size_t>(params.num_ports * params.max_vcs);

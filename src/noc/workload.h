@@ -30,7 +30,6 @@ class SteadyWorkload : public TrafficInjector {
   NodeId generate(NodeId src, double core_time, util::Rng& rng) override;
   std::string name() const override;
 
-  void set_rate(double rate) { rate_ = rate; }
   double rate() const { return rate_; }
 
  private:

@@ -16,9 +16,8 @@ ObsOptions ObsOptions::from_config(const util::Config& cfg) {
   opts.trace_out = cfg.get("trace-out", std::string());
   opts.metrics_out = cfg.get("metrics-out", std::string());
   opts.sample_rate = cfg.get("trace-sample", opts.sample_rate);
-  const long long cap =
-      cfg.get("trace-capacity", static_cast<long long>(opts.capacity));
-  if (cap > 0) opts.capacity = static_cast<std::size_t>(cap);
+  const std::uint64_t cap = cfg.get("trace-capacity", std::uint64_t{0});
+  if (cap > 0) opts.capacity = cap;
   return opts;
 }
 

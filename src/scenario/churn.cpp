@@ -180,7 +180,8 @@ void expand_churn(Scenario& scenario) {
     TenantSpec clone = tenants[static_cast<std::size_t>(tmpl.tenant)];
     // '@' rather than '#': instance names flow into Config-style artifacts
     // (fleet result files) where '#' would start a comment.
-    clone.name += "@" + std::to_string(i);
+    clone.name += '@';
+    clone.name += std::to_string(i);
     clone.start = inst.start;
     clone.stop = inst.stop;
     clone.churned = true;

@@ -164,8 +164,8 @@ bool Scenario::has_qos() const {
 
 void Scenario::validate() const {
   if (tenants.empty()) fail("no tenants");
+  net.validate();
   const int num_nodes = net.width * net.height;
-  if (num_nodes <= 0) fail("empty fabric");
   if (!(duration >= 0.0) || !std::isfinite(duration)) {
     fail("duration must be finite and >= 0");
   }

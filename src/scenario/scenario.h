@@ -141,10 +141,11 @@ struct Scenario {
   /// QoS-free scenarios stay bit-identical to pre-QoS behavior.
   bool has_qos() const;
 
-  /// Throws std::invalid_argument on malformed scenarios: no tenants,
-  /// nonpositive/nonfinite rates or rate scales, inverted windows, node ids
-  /// out of range or duplicated within a tenant, trace placements that do
-  /// not cover the trace, traces addressing more nodes than the fabric has,
+  /// Throws std::invalid_argument on malformed scenarios: no tenants, a
+  /// fabric NetworkParams::validate rejects, nonpositive/nonfinite rates
+  /// or rate scales, inverted windows, node ids out of range or duplicated
+  /// within a tenant, trace placements that do not cover the trace,
+  /// traces addressing more nodes than the fabric has,
   /// a scenario with no finite horizon (every tenant open-ended synthetic
   /// and duration 0 would never terminate), QoS targets that contradict the
   /// class (latency-critical without a p95_target, targets on other

@@ -82,30 +82,16 @@ TenantSpec parse_tenant(const TrackedConfig& c, int index, int num_nodes,
 
 noc::FaultParams parse_faults(const TrackedConfig& c) {
   noc::FaultParams f;
-  f.seed = static_cast<std::uint64_t>(
-      c.get("faults.seed", static_cast<long long>(f.seed)));
+  f.seed = c.get("faults.seed", f.seed);
   f.link_fault_rate = c.get("faults.link_fault_rate", f.link_fault_rate);
-  const long long timeout = c.get("faults.retry_timeout",
-                                  static_cast<long long>(f.retry_timeout));
-  if (timeout < 1) {
-    // Checked before the uint64 cast (same wrap hazard as epoch_cycles).
-    throw std::invalid_argument(
-        "scenario: faults.retry_timeout must be >= 1, got " +
-        std::to_string(timeout));
-  }
-  f.retry_timeout = static_cast<noc::Cycle>(timeout);
+  f.retry_timeout = c.get("faults.retry_timeout", f.retry_timeout);
   f.retry_backoff = c.get("faults.retry_backoff", f.retry_backoff);
   f.retry_budget = c.get("faults.retry_budget", f.retry_budget);
   const int events = c.count("faults.events", 0, "scenario");
   for (int k = 0; k < events; ++k) {
     const std::string ep = "faults.event" + std::to_string(k) + ".";
     noc::FaultEvent e;
-    const long long at = c.get(ep + "at_cycle", 0LL);
-    if (at < 0) {
-      throw std::invalid_argument("scenario: " + ep +
-                                  "at_cycle must be >= 0");
-    }
-    e.at_cycle = static_cast<noc::Cycle>(at);
+    e.at_cycle = c.get(ep + "at_cycle", e.at_cycle);
     const std::string kind = c.str(ep + "kind", "link_down");
     if (kind == "link_down") {
       e.kind = noc::FaultEvent::Kind::kLinkDown;
@@ -129,8 +115,7 @@ noc::FaultParams parse_faults(const TrackedConfig& c) {
 
 ChurnParams parse_churn(const TrackedConfig& c) {
   ChurnParams ch;
-  ch.seed = static_cast<std::uint64_t>(
-      c.get("churn.seed", static_cast<long long>(ch.seed)));
+  ch.seed = c.get("churn.seed", ch.seed);
   ch.arrival_rate = c.get("churn.arrival_rate", ch.arrival_rate);
   ch.horizon = c.get("churn.horizon", ch.horizon);
   ch.capacity = c.get("churn.capacity", ch.capacity);
@@ -156,16 +141,7 @@ ControllerSchedule parse_controller(const TrackedConfig& c,
   ctl.type = c.str("controller.type", "");
   ctl.policy_file = c.str("controller.policy", "");
   ctl.policy_pin = c.str("controller.pin", "");
-  const long long cycles = c.get("controller.epoch_cycles",
-                                 static_cast<long long>(ctl.epoch_cycles));
-  if (cycles <= 0) {
-    // Checked before the uint64 cast: a negative value would wrap to ~2^64
-    // and pass the ==0 validation, hanging scheduled runs.
-    throw std::invalid_argument(
-        "scenario: controller.epoch_cycles must be > 0, got " +
-        std::to_string(cycles));
-  }
-  ctl.epoch_cycles = static_cast<std::uint64_t>(cycles);
+  ctl.epoch_cycles = c.get("controller.epoch_cycles", ctl.epoch_cycles);
   ctl.epochs = c.get("controller.epochs", ctl.epochs);
   if (ctl.type.empty() && !ctl.policy_file.empty()) {
     throw std::invalid_argument(
@@ -218,14 +194,11 @@ Scenario ScenarioReader::read_text(
   s.net.max_vcs = c.get("max_vcs", s.net.max_vcs);
   s.net.max_depth = c.get("max_depth", s.net.max_depth);
   s.net.flits_per_packet = c.get("flits_per_packet", s.net.flits_per_packet);
-  s.net.link_latency = static_cast<noc::Cycle>(
-      c.get("link_latency", static_cast<long long>(s.net.link_latency)));
+  s.net.link_latency = c.get("link_latency", s.net.link_latency);
   s.net.pipeline_stages = c.get("pipeline_stages", s.net.pipeline_stages);
-  s.net.seed =
-      static_cast<std::uint64_t>(c.get("seed", static_cast<long long>(1)));
+  s.net.seed = c.get("seed", s.net.seed);
   s.duration = c.get("duration", s.duration);
-  s.cycle_limit = static_cast<std::uint64_t>(
-      c.get("cycle_limit", static_cast<long long>(s.cycle_limit)));
+  s.cycle_limit = c.get("cycle_limit", s.cycle_limit);
 
   const int tenants = c.count("tenants", 1, "scenario");
   const int num_nodes = s.net.width * s.net.height;

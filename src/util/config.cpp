@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 namespace drlnoc::util {
 
@@ -70,33 +71,52 @@ std::string Config::get(const std::string& key,
   return v ? *v : fallback;
 }
 
-long long Config::get(const std::string& key, long long fallback) const {
-  auto v = raw(key);
-  if (!v) return fallback;
-  // Strict full-string parse: unlike std::stoll, trailing garbage
-  // ("8x", "1.5") and out-of-range magnitudes are hard errors, so a typo
-  // in a flag or config file can't silently truncate to a valid number.
-  const std::string& s = *v;
+namespace {
+
+// Strict full-string parse behind the numeric getters: unlike std::stoll or
+// std::stod, trailing garbage ("8x", "1.5" for an integer) and out-of-range
+// magnitudes are hard errors, so a typo in a flag or config file can't
+// silently truncate to a valid number. Signed types accept a leading '+'
+// (from_chars rejects it); unsigned ones take digits only, so "-1" is an
+// error rather than a wrap to ~2^64. NaN never names a meaningful knob
+// value; "inf" stays accepted (open-ended tenant stop times serialize so).
+template <typename T>
+T parse_strict(const Config& cfg, const std::string& key, const std::string& s,
+               const char* kind) {
   const char* first = s.data();
   const char* last = s.data() + s.size();
-  if (first != last && *first == '+') ++first;  // from_chars rejects '+'
-  long long value = 0;
+  if (std::is_signed_v<T> && first != last && *first == '+') ++first;
+  T value{};
   const auto [ptr, ec] = std::from_chars(first, last, value);
+  const char* reason = nullptr;
   if (ec == std::errc::result_out_of_range) {
-    throw std::invalid_argument("bad integer for " + key +
-                                location_suffix(key) + ": " + s +
-                                " (out of range)");
+    reason = " (out of range)";
+  } else if (ec != std::errc() || first == last) {
+    reason = std::is_signed_v<T> ? "" : " (expected a non-negative integer)";
+  } else if (ptr != last) {
+    reason = " (trailing characters)";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (std::isnan(value)) reason = " (NaN is never a valid knob value)";
   }
-  if (ec != std::errc() || first == last) {
-    throw std::invalid_argument("bad integer for " + key +
-                                location_suffix(key) + ": " + s);
-  }
-  if (ptr != last) {
-    throw std::invalid_argument("bad integer for " + key +
-                                location_suffix(key) + ": " + s +
-                                " (trailing characters)");
-  }
-  return value;
+  if (reason == nullptr) return value;
+  std::string msg = "bad ";
+  msg += kind;
+  msg += " for " + key + cfg.location_suffix(key) + ": " + s + reason;
+  throw std::invalid_argument(msg);
+}
+
+}  // namespace
+
+long long Config::get(const std::string& key, long long fallback) const {
+  auto v = raw(key);
+  return v ? parse_strict<long long>(*this, key, *v, "integer") : fallback;
+}
+
+std::uint64_t Config::get(const std::string& key,
+                          std::uint64_t fallback) const {
+  auto v = raw(key);
+  return v ? parse_strict<std::uint64_t>(*this, key, *v, "integer")
+           : fallback;
 }
 
 int Config::get(const std::string& key, int fallback) const {
@@ -112,35 +132,7 @@ int Config::get(const std::string& key, int fallback) const {
 
 double Config::get(const std::string& key, double fallback) const {
   auto v = raw(key);
-  if (!v) return fallback;
-  // Strict full-string parse; "inf" stays accepted (open-ended tenant stop
-  // times serialize as inf) but NaN never names a meaningful knob value.
-  const std::string& s = *v;
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  if (first != last && *first == '+') ++first;  // from_chars rejects '+'
-  double value = 0.0;
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec == std::errc::result_out_of_range) {
-    throw std::invalid_argument("bad number for " + key +
-                                location_suffix(key) + ": " + s +
-                                " (out of range)");
-  }
-  if (ec != std::errc() || first == last) {
-    throw std::invalid_argument("bad number for " + key +
-                                location_suffix(key) + ": " + s);
-  }
-  if (ptr != last) {
-    throw std::invalid_argument("bad number for " + key +
-                                location_suffix(key) + ": " + s +
-                                " (trailing characters)");
-  }
-  if (std::isnan(value)) {
-    throw std::invalid_argument("bad number for " + key +
-                                location_suffix(key) + ": " + s +
-                                " (NaN is never a valid knob value)");
-  }
-  return value;
+  return v ? parse_strict<double>(*this, key, *v, "number") : fallback;
 }
 
 bool Config::get(const std::string& key, bool fallback) const {

@@ -3,6 +3,7 @@
 // is reproducible from its printed parameter block.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -35,6 +36,10 @@ class Config {
 
   std::string get(const std::string& key, const std::string& fallback) const;
   long long get(const std::string& key, long long fallback) const;
+  /// Cycle counts, seeds and counters: digits only, so a sign ("-1",
+  /// "+5"), trailing characters and values above 2^64-1 are errors rather
+  /// than a wrap to ~2^64.
+  std::uint64_t get(const std::string& key, std::uint64_t fallback) const;
   int get(const std::string& key, int fallback) const;
   double get(const std::string& key, double fallback) const;
   bool get(const std::string& key, bool fallback) const;

@@ -479,7 +479,14 @@ TEST(ScenarioFaults, ParserRejectionMessages) {
               scenario::ScenarioReader::read_text(
                   base + "[faults]\nretry_timeout = 0\n");
             }),
-            "scenario: faults.retry_timeout must be >= 1, got 0");
+            "faults: retry_timeout must be >= 1");
+  // Cycle counts are unsigned: a sign is a parse error naming key and line.
+  EXPECT_EQ(rejection([&] {
+              scenario::ScenarioReader::read_text(
+                  base + "[faults]\nevents = 1\nevent0.at_cycle = -1\n");
+            }),
+            "bad integer for faults.event0.at_cycle (line 11): -1 (expected "
+            "a non-negative integer)");
 
   EXPECT_EQ(rejection([&] {
               scenario::ScenarioReader::read_text(

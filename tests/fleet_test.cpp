@@ -984,6 +984,15 @@ TEST(FleetHostileInput, ResultCorpus) {
   EXPECT_NE(rejection([&] { fleet::read_result_file(path); })
                 .find("tenants = 2000000000 is outside [0, 4096]"),
             std::string::npos);
+
+  // A negative counter is an error naming the key, not a wrap to ~2^64.
+  std::string negative = bytes;
+  const std::size_t retries = negative.find("\nretries = ") + 11;
+  negative.replace(retries, negative.find('\n', retries) - retries, "-1");
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << negative;
+  EXPECT_NE(rejection([&] { fleet::read_result_file(path); })
+                .find("bad integer for retries (line "),
+            std::string::npos);
 }
 
 }  // namespace

@@ -285,6 +285,47 @@ TEST(Network, RejectsBadInitialConfigNamingIt) {
   }
 }
 
+TEST(NetworkParams, ValidateNamesTheFieldAndTheConstructorRunsIt) {
+  small_mesh().validate();  // the defaults are legal
+  struct Case {
+    void (*breaks)(NetworkParams&);
+    const char* message;
+  };
+  const Case cases[] = {
+      {[](NetworkParams& p) { p.width = 0; },
+       "network: width must be >= 1, got 0"},
+      {[](NetworkParams& p) { p.height = -2; },
+       "network: height must be >= 1, got -2"},
+      {[](NetworkParams& p) { p.max_vcs = 0; },
+       "network: max_vcs must be in [1, 32], got 0"},
+      {[](NetworkParams& p) { p.max_vcs = 33; },
+       "network: max_vcs must be in [1, 32], got 33"},
+      {[](NetworkParams& p) { p.max_depth = 128; },
+       "network: max_depth must be in [1, 127], got 128"},
+      {[](NetworkParams& p) { p.link_latency = 0; },
+       "network: link_latency must be >= 1, got 0"},
+      {[](NetworkParams& p) { p.pipeline_stages = 0; },
+       "network: pipeline_stages must be >= 1, got 0"},
+      {[](NetworkParams& p) { p.flits_per_packet = 0; },
+       "network: flits_per_packet must be in [1, 65535], got 0"},
+      {[](NetworkParams& p) { p.flits_per_packet = 65536; },
+       "network: flits_per_packet must be in [1, 65535], got 65536"},
+  };
+  for (const Case& c : cases) {
+    NetworkParams p = small_mesh();
+    c.breaks(p);
+    try {
+      p.validate();
+      ADD_FAILURE() << "accepted: " << c.message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), c.message);
+    }
+    // A Release build has no asserts: the constructor must refuse the same
+    // parameters rather than build a zero-latency or packetless fabric.
+    EXPECT_THROW(Network{p}, std::invalid_argument) << c.message;
+  }
+}
+
 TEST(Network, PipelineStagesRaiseLatencyProportionally) {
   auto latency_with = [](int stages) {
     NetworkParams p = small_mesh(41);

@@ -62,16 +62,28 @@ TEST(PowerModel, DynamicEnergyLinearInActivity) {
 // Property: static energy is monotone in every resource axis (invariant 5).
 class StaticMonotone : public ::testing::TestWithParam<int> {};
 
+// Static energy of `routers` uniform 5-port routers with `vcs` x `depth`
+// active slots per port and `links` links.
+double uniform_static_energy(const PowerModel& pm, int routers, int links,
+                             int vcs, int depth, int level, double wall_ns) {
+  return pm.static_energy_slots(routers, links, routers * 5.0 * vcs * depth,
+                                level, wall_ns);
+}
+
 TEST_P(StaticMonotone, InResourcesAndTime) {
   PowerModel pm({}, default_dvfs_levels());
   const int level = GetParam();
-  const double base = pm.static_energy(16, 5, 48, 2, 4, level, 1000.0);
-  EXPECT_GT(pm.static_energy(16, 5, 48, 4, 4, level, 1000.0), base);
-  EXPECT_GT(pm.static_energy(16, 5, 48, 2, 8, level, 1000.0), base);
-  EXPECT_GT(pm.static_energy(32, 5, 48, 2, 4, level, 1000.0), base);
-  EXPECT_GT(pm.static_energy(16, 5, 96, 2, 4, level, 1000.0), base);
-  EXPECT_NEAR(pm.static_energy(16, 5, 48, 2, 4, level, 2000.0), 2.0 * base,
-              1e-9);
+  const auto energy = [&](int routers, int links, int vcs, int depth,
+                          double wall_ns) {
+    return uniform_static_energy(pm, routers, links, vcs, depth, level,
+                                 wall_ns);
+  };
+  const double base = energy(16, 48, 2, 4, 1000.0);
+  EXPECT_GT(energy(16, 48, 4, 4, 1000.0), base);
+  EXPECT_GT(energy(16, 48, 2, 8, 1000.0), base);
+  EXPECT_GT(energy(32, 48, 2, 4, 1000.0), base);
+  EXPECT_GT(energy(16, 96, 2, 4, 1000.0), base);
+  EXPECT_NEAR(energy(16, 48, 2, 4, 2000.0), 2.0 * base, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, StaticMonotone, ::testing::Values(0, 1, 2, 3));
@@ -80,7 +92,7 @@ TEST(PowerModel, StaticEnergyMonotoneInVoltage) {
   PowerModel pm({}, default_dvfs_levels());
   double prev = 0.0;
   for (int level = 0; level < pm.num_levels(); ++level) {
-    const double e = pm.static_energy(16, 5, 48, 4, 8, level, 1000.0);
+    const double e = uniform_static_energy(pm, 16, 48, 4, 8, level, 1000.0);
     EXPECT_GT(e, prev);
     prev = e;
   }

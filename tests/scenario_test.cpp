@@ -177,6 +177,44 @@ TEST(ScenarioIo, RejectsBadInput) {
                std::invalid_argument);  // no tenants
 }
 
+TEST(ScenarioIo, RejectsIllegalFabricAtLoadNamingTheKey) {
+  // Line 8 is the appended fabric line.
+  const std::string base =
+      "drlsc 1\nwidth = 4\nheight = 4\nduration = 100\ntenants = 1\n"
+      "tenant0.workload = steady\ntenant0.rate = 0.05\n";
+  const auto rejection = [&](const std::string& line) -> std::string {
+    try {
+      ScenarioReader::read_text(base + line + "\n");
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(rejection("link_latency = 0"),
+            "network: link_latency must be >= 1, got 0");
+  EXPECT_EQ(rejection("link_latency = -1"),
+            "bad integer for link_latency (line 8): -1 (expected a "
+            "non-negative integer)");
+  EXPECT_EQ(rejection("pipeline_stages = 0"),
+            "network: pipeline_stages must be >= 1, got 0");
+  EXPECT_EQ(rejection("pipeline_stages = -3"),
+            "network: pipeline_stages must be >= 1, got -3");
+  EXPECT_EQ(rejection("flits_per_packet = 0"),
+            "network: flits_per_packet must be in [1, 65535], got 0");
+  EXPECT_EQ(rejection("max_vcs = 33"),
+            "network: max_vcs must be in [1, 32], got 33");
+  EXPECT_EQ(rejection("seed = -1"),
+            "bad integer for seed (line 8): -1 (expected a non-negative "
+            "integer)");
+  EXPECT_EQ(rejection("cycle_limit = -1"),
+            "bad integer for cycle_limit (line 8): -1 (expected a "
+            "non-negative integer)");
+  // The largest seed round-trips instead of failing a signed parse.
+  EXPECT_EQ(ScenarioReader::read_text(base + "seed = 18446744073709551615\n")
+                .net.seed,
+            18446744073709551615u);
+}
+
 TEST(ScenarioIo, InfiniteStopRoundTrips) {
   Scenario s = mixed_scenario();
   s.duration = 2000.0;

@@ -1,7 +1,7 @@
 # CLI smoke for the exit codes the command-line tools share: 2 for a
 # missing or unknown command, 0 for `--help`/`-h` and for `<command>
-# --help` (also for an unknown command), 1 when a command fails (here, a
-# file that does not exist).
+# --help` (also for an unknown command), 1 when a command fails (a file
+# that does not exist, or a negative cycle count on a valid input).
 #
 #   cmake -DSCENARIOCTL=<scenarioctl> -DTRACECTL=<tracectl> \
 #         -DFLEETCTL=<fleetctl> -DWORK=<scratch dir> \
@@ -42,3 +42,21 @@ foreach(tool_case
   expect_exit(0 "${tool}" no_such_command --help)
   expect_exit(1 "${tool}" ${failing})
 endforeach()
+
+# Negative cycle counts are parse errors, not a wrap to ~2^64 cycles: each
+# run exits 1 before stepping, while the same inputs run cleanly without
+# the override. scenarioctl keeps exit 2 for an epoch_cycles of 0.
+set(scenario "drlsc 1\nwidth = 4\nheight = 4\nduration = 200\ntenants = 1\n"
+             "tenant0.workload = steady\ntenant0.rate = 0.05\n")
+file(WRITE "${WORK}/tiny.drlsc" ${scenario})
+file(WRITE "${WORK}/tiny_scheduled.drlsc" ${scenario}
+     "[controller]\ntype = heuristic\nepochs = 1\n")
+file(WRITE "${WORK}/tiny.drltrc"
+     "drltrc 1\nnodes 2\ndefault_length 4\n1 0 1 0 4\n")
+expect_exit(0 "${TRACECTL}" replay file=tiny.drltrc)
+expect_exit(1 "${TRACECTL}" replay file=tiny.drltrc cycle_limit=-1)
+expect_exit(0 "${SCENARIOCTL}" run file=tiny.drlsc)
+expect_exit(1 "${SCENARIOCTL}" run file=tiny.drlsc cycle_limit=-1)
+expect_exit(0 "${SCENARIOCTL}" run file=tiny_scheduled.drlsc)
+expect_exit(1 "${SCENARIOCTL}" run file=tiny_scheduled.drlsc epoch_cycles=-1)
+expect_exit(2 "${SCENARIOCTL}" run file=tiny_scheduled.drlsc epoch_cycles=0)

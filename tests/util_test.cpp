@@ -365,6 +365,33 @@ TEST(Config, RejectsEmptyAndSignOnlyValues) {
   EXPECT_EQ(plus.get("n", 0), 12);
 }
 
+TEST(Config, UnsignedGetterTakesDigitsOnly) {
+  // Cycle counts, seeds and counters: a sign, overflow past 2^64-1 or a
+  // trailing suffix is an error naming the key, never a wrapped value.
+  Config cfg = flags("neg=-1", "plus=+5", "wide=18446744073709551616",
+                     "typo=7x", "max=18446744073709551615", "zero=0");
+  const std::uint64_t fallback = 3;
+  EXPECT_EQ(rejection([&] { cfg.get("neg", fallback); }),
+            "bad integer for neg: -1 (expected a non-negative integer)");
+  EXPECT_EQ(rejection([&] { cfg.get("plus", fallback); }),
+            "bad integer for plus: +5 (expected a non-negative integer)");
+  EXPECT_EQ(rejection([&] { cfg.get("wide", fallback); }),
+            "bad integer for wide: 18446744073709551616 (out of range)");
+  EXPECT_EQ(rejection([&] { cfg.get("typo", fallback); }),
+            "bad integer for typo: 7x (trailing characters)");
+  EXPECT_EQ(cfg.get("max", fallback), 18446744073709551615u);
+  EXPECT_EQ(cfg.get("zero", fallback), 0u);
+  EXPECT_EQ(cfg.get("absent", fallback), 3u);
+
+  // Through a tracked view of a text file the error cites the line too.
+  const Config text = parse_versioned_text("drlx 1\nseed = -1\n",
+                                           {"drlx", 1, "x", {}});
+  const TrackedConfig tracked(text);
+  EXPECT_EQ(rejection([&] { tracked.get("seed", fallback); }),
+            "bad integer for seed (line 2): -1 (expected a non-negative "
+            "integer)");
+}
+
 TEST(Table, RowReturnsReferenceIntoTable) {
   // Regression: `util::Table& row = t.row()` must append to the table
   // itself; binding to `auto` (a copy) once silently produced empty tables.

@@ -27,8 +27,10 @@ TEST(SteadyWorkload, GeneratesAtConfiguredRate) {
     if (w.generate(0, 0.0, rng) != kInvalidNode) ++fired;
   }
   EXPECT_NEAR(fired / static_cast<double>(trials), 0.2, 0.01);
-  w.set_rate(0.0);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(w.generate(0, 0.0, rng), kInvalidNode);
+  SteadyWorkload idle = SteadyWorkload::make(mesh, "uniform", 0.0);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(idle.generate(0, 0.0, rng), kInvalidNode);
+  }
 }
 
 TEST(SteadyWorkload, NameReflectsPattern) {

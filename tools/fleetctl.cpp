@@ -125,12 +125,10 @@ fleet::FleetParams params_from(const util::Config& cfg) {
     p.policy_blob = std::move(*blob);
   }
   p.policy_pin = cfg.get("policy_pin", std::string());
-  const long long cycles =
-      cfg.get("epoch_cycles", static_cast<long long>(p.epoch_cycles));
-  if (cycles <= 0) {
+  p.epoch_cycles = cfg.get("epoch_cycles", p.epoch_cycles);
+  if (p.epoch_cycles == 0) {
     throw std::invalid_argument("fleetctl: epoch_cycles must be > 0");
   }
-  p.epoch_cycles = static_cast<std::uint64_t>(cycles);
   p.epochs = cfg.get("epochs", p.epochs);
   p.qos_features = cfg.get("qos_features", p.qos_features);
   p.results_dir = cfg.get("results", std::string());
@@ -180,24 +178,17 @@ int cmd_generate(const util::Config& cfg) {
                              ec.message());
   }
   const std::size_t count = std::min<std::size_t>(
-      space.size(), static_cast<std::size_t>(cfg.get("count", 8)));
+      space.size(), cfg.get("count", std::uint64_t{8}));
   for (std::size_t i = 0; i < count; ++i) {
     fleet::ExpandedScenario point = space.expand(i);
     // Generated files sit in out_dir while trace/policy paths in the base
     // stay relative to the base scenario's directory; rewrite them so the
     // generated file loads standalone.
     for (scenario::TenantSpec& t : point.scenario.tenants) {
-      if (!t.trace_file.empty() && t.trace_file.front() != '/' &&
-          !space.base_dir.empty()) {
-        t.trace_file = space.base_dir + "/" + t.trace_file;
-      }
+      t.trace_file = util::join_path(space.base_dir, t.trace_file);
     }
-    if (!point.scenario.controller.policy_file.empty() &&
-        point.scenario.controller.policy_file.front() != '/' &&
-        !space.base_dir.empty()) {
-      point.scenario.controller.policy_file =
-          space.base_dir + "/" + point.scenario.controller.policy_file;
-    }
+    std::string& policy = point.scenario.controller.policy_file;
+    policy = util::join_path(space.base_dir, policy);
     const std::string path =
         out_dir + "/point-" + std::to_string(i) + ".drlsc";
     scenario::ScenarioWriter::write_file(path, point.scenario);

@@ -296,11 +296,10 @@ int cmd_train(const util::Config& cfg) {
 
   // Decision schedule: the [controller] block when present, else the fleet
   // defaults; overridable either way.
-  const long long cycles = cfg.get(
+  const std::uint64_t cycles = cfg.get(
       "epoch_cycles",
-      static_cast<long long>(
-          s.controller.scheduled() ? s.controller.epoch_cycles : 512));
-  if (cycles <= 0) {
+      s.controller.scheduled() ? s.controller.epoch_cycles : 512);
+  if (cycles == 0) {
     LOG_ERROR << "scenarioctl: epoch_cycles must be > 0";
     return 2;
   }
@@ -314,7 +313,7 @@ int cmd_train(const util::Config& cfg) {
   core::NocEnvParams ep;
   ep.scenario = std::make_shared<scenario::Scenario>(s);
   ep.net.seed = s.net.seed;
-  ep.epoch_cycles = static_cast<std::uint64_t>(cycles);
+  ep.epoch_cycles = cycles;
   ep.epochs_per_episode = epochs;
   // Per-tenant QoS feature slices (the scheduled-run default) scale the
   // state with the tenant count; train with qos_features=0 for a policy a
@@ -332,7 +331,7 @@ int cmd_train(const util::Config& cfg) {
   const rl::DqnParams dp = core::standard_dqn(
       static_cast<std::uint64_t>(tp.episodes) *
           static_cast<std::uint64_t>(epochs),
-      static_cast<std::uint64_t>(cfg.get("seed", 7LL)));
+      cfg.get("seed", std::uint64_t{7}));
 
   // Calibrated once, so neither the probe (built only for the
   // observation/action dimensions) nor the trainer's lanes recalibrate.
@@ -412,24 +411,21 @@ int cmd_run(const util::Config& cfg) {
   if (path.empty()) return usage();
   obs::ObsSession session(obs::ObsOptions::from_config(cfg));
   scenario::Scenario s = scenario::ScenarioReader::read_file(path);
-  s.cycle_limit = static_cast<std::uint64_t>(
-      cfg.get("cycle_limit", static_cast<long long>(s.cycle_limit)));
+  s.cycle_limit = cfg.get("cycle_limit", s.cycle_limit);
   s.duration = cfg.get("duration", s.duration);
-  s.net.seed = static_cast<std::uint64_t>(
-      cfg.get("seed", static_cast<long long>(s.net.seed)));
+  s.net.seed = cfg.get("seed", s.net.seed);
   // Fault overrides tweak (or switch on) the [faults] section; the merged
   // parameters are validated with the rest of the scenario.
   s.faults = noc::FaultParams::from_config(cfg, s.faults);
   if (s.controller.scheduled()) {
     // Scheduled runs are fixed-length evaluations; their knobs are the
     // schedule's, not the drain-run horizon.
-    const long long cycles = cfg.get(
-        "epoch_cycles", static_cast<long long>(s.controller.epoch_cycles));
-    if (cycles <= 0) {
+    s.controller.epoch_cycles =
+        cfg.get("epoch_cycles", s.controller.epoch_cycles);
+    if (s.controller.epoch_cycles == 0) {
       LOG_ERROR << "scenarioctl: epoch_cycles must be > 0";
       return 2;
     }
-    s.controller.epoch_cycles = static_cast<std::uint64_t>(cycles);
     s.controller.epochs = cfg.get("epochs", s.controller.epochs);
     s.controller.policy_pin = cfg.get("pin", s.controller.policy_pin);
     s.validate();  // overrides may have broken the schedule

@@ -118,7 +118,8 @@ int cmd_info(const util::Config& cfg) {
       if (shown++ >= show) break;
       std::string deps;
       for (std::size_t i = 0; i < r.deps.size(); ++i) {
-        deps += (i ? "," : "") + std::to_string(r.deps[i]);
+        if (i > 0) deps += ',';
+        deps += std::to_string(r.deps[i]);
       }
       tab.row()
           .cell(static_cast<long long>(r.id))
@@ -285,7 +286,7 @@ int cmd_replay(const util::Config& cfg) {
   const int size = cfg.get("size", 4);
   p.width = cfg.get("width", size);
   p.height = cfg.get("height", size);
-  p.seed = cfg.get("seed", 1);
+  p.seed = cfg.get("seed", p.seed);
   if (p.width * p.height < t.nodes) {
     LOG_ERROR << "tracectl: trace needs " << t.nodes << " nodes, network has "
               << p.width * p.height << " (pass size=/width=/height=)";
@@ -296,8 +297,8 @@ int cmd_replay(const util::Config& cfg) {
   tw.rate_scale = cfg.get("scale", 1.0);
   noc::Network net(p);
   trace::TraceWorkload workload(std::move(t), tw);
-  const auto limit =
-      static_cast<std::uint64_t>(cfg.get("cycle_limit", 1000000LL));
+  const std::uint64_t limit =
+      cfg.get("cycle_limit", std::uint64_t{1000000});
   const noc::RunResult r =
       trace::run_trace_replay(net, workload, limit);
 
