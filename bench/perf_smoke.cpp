@@ -78,6 +78,32 @@ double bench_network(int size, int vcs, double rate, std::uint64_t cycles,
   });
 }
 
+/// Router cycles per second summed over eight 8x8 fabrics (seeds 1-8) at
+/// uniform rate 0.05, stepped in turns of `turn` cycles per fabric: T6
+/// training's working set, eight live lanes each advanced one epoch at a
+/// time. `turns` turns per timed window.
+double bench_lanes(std::uint64_t turns, std::uint64_t turn, int repeats) {
+  constexpr int kLanes = 8;
+  std::vector<drlnoc::noc::Network> nets;
+  std::vector<drlnoc::noc::SteadyWorkload> loads;
+  nets.reserve(kLanes);
+  for (int lane = 0; lane < kLanes; ++lane) {
+    drlnoc::noc::NetworkParams p;
+    p.width = p.height = 8;
+    p.seed = static_cast<std::uint64_t>(lane + 1);
+    nets.emplace_back(p);
+    loads.push_back(drlnoc::noc::SteadyWorkload::make(nets.back().topology(),
+                                                      "uniform", 0.05));
+  }
+  return measure_rate(turns * turn * kLanes, repeats, [&] {
+    for (std::uint64_t t = 0; t < turns; ++t) {
+      for (int lane = 0; lane < kLanes; ++lane) {
+        for (std::uint64_t i = 0; i < turn; ++i) nets[lane].step(&loads[lane]);
+      }
+    }
+  });
+}
+
 /// Inference rows per second on the workspace path act() runs.
 double bench_mlp_forward_ws(std::size_t batch, std::uint64_t iters,
                             int repeats) {
@@ -278,6 +304,8 @@ int main(int argc, char** argv) {
                        bench_network(32, 4, 0.005, n(3000), repeats));
   metrics.emplace_back("net_step_32x32_vc4_med",
                        bench_network(32, 4, 0.01, n(2000), repeats));
+  metrics.emplace_back("net_step_8x8_x8_lanes",
+                       bench_lanes(n(4), 512, repeats));
   metrics.emplace_back("mlp_forward_ws_rows_b1",
                        bench_mlp_forward_ws(1, n(20000), repeats));
   metrics.emplace_back("mlp_forward_ws_rows_b32",

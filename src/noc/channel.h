@@ -7,6 +7,7 @@
 #include <cassert>
 #include <cstdint>
 
+#include "noc/packet_table.h"
 #include "noc/types.h"
 #include "util/ring_buffer.h"
 
@@ -68,6 +69,12 @@ class Channel {
   bool empty() const { return entries_.empty(); }
   std::size_t in_flight() const { return entries_.size(); }
 
+  /// Calls `f` on every item in flight, oldest first (audits).
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t i = 0; i < entries_.size(); ++i) f(entries_[i].item);
+  }
+
  private:
   struct Entry {
     Cycle due = 0;
@@ -84,10 +91,14 @@ using CreditChannel = Channel<Credit>;
 
 /// The fabric as one router or NIC step sees it. Network builds a view for
 /// each step (and each reconfiguration); components name their channels by
-/// index into `flits`/`credits` and hold no pointer into the fabric.
+/// index into `flits`/`credits`, their input-VC FIFOs by offset into `fifo`
+/// and their packets by handle into `packets`, and hold no pointer into the
+/// fabric.
 struct FabricView {
   FlitChannel* flits;
   CreditChannel* credits;
+  Flit* fifo;                     ///< every input-VC FIFO (Router::fifo_slot)
+  PacketTable* packets;           ///< per-packet fields of flits in flight
   std::uint8_t* node_active;      ///< per node: stepped next cycle
   std::uint32_t* flit_pending;    ///< per node: ports with inbound flits
   std::uint32_t* credit_pending;  ///< per node: ports with inbound credits

@@ -230,8 +230,9 @@ FaultModel::FaultModel(FaultParams params, const Topology& topo)
                    });
 }
 
-bool FaultModel::corrupt_on_link(NodeId node, PortId port, const Flit& flit,
-                                 Cycle cycle) const {
+bool FaultModel::corrupt_on_link(NodeId node, PortId port,
+                                 std::uint64_t packet_id,
+                                 std::uint16_t seq, Cycle cycle) const {
   const std::size_t li = link_index(node, port);
   if (dead_count_ > 0 && dead_[li] != 0) return true;
   if (params_.link_fault_rate <= 0.0) return false;
@@ -240,7 +241,7 @@ bool FaultModel::corrupt_on_link(NodeId node, PortId port, const Flit& flit,
   std::uint64_t state =
       params_.seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(li) + 1));
   state ^= util::splitmix64(state) + cycle;
-  state ^= 0x632be59bd9b4e019ULL * flit.packet_id + flit.seq;
+  state ^= 0x632be59bd9b4e019ULL * packet_id + seq;
   const std::uint64_t h = util::splitmix64(state);
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return u < params_.link_fault_rate;

@@ -124,11 +124,12 @@ class FaultModel {
 
   const FaultParams& params() const { return params_; }
 
-  /// Per-flit corruption test at the router's link-traversal (ST) stage.
-  /// True when the flit must be marked corrupted: always on a dead link,
-  /// else with probability link_fault_rate via a stateless hash.
-  bool corrupt_on_link(NodeId node, PortId port, const Flit& flit,
-                       Cycle cycle) const;
+  /// Per-flit corruption test at the router's link-traversal (ST) stage,
+  /// for flit `seq` of packet `packet_id`. True when the flit must be marked
+  /// corrupted: always on a dead link, else with probability link_fault_rate
+  /// via a stateless hash.
+  bool corrupt_on_link(NodeId node, PortId port, std::uint64_t packet_id,
+                       std::uint16_t seq, Cycle cycle) const;
 
   bool link_dead(NodeId node, PortId port) const {
     return dead_[link_index(node, port)] != 0;

@@ -55,6 +55,8 @@ void NetworkParams::validate() const {
   };
   require(width >= 1, "width", ">= 1", width);
   require(height >= 1, "height", ">= 1", height);
+  const long long nodes = static_cast<long long>(width) * height;
+  require(nodes <= 65535, "width*height", "<= 65535", nodes);
   require(max_vcs >= 1 && max_vcs <= 32, "max_vcs", "in [1, 32]", max_vcs);
   require(max_depth >= 1 && max_depth <= 127, "max_depth", "in [1, 127]",
           max_depth);
@@ -100,6 +102,9 @@ Network::Network(NetworkParams params, PowerParams power_params,
   np.active_vcs = config_.active_vcs;
   np.flits_per_packet = params_.flits_per_packet;
 
+  fifo_arena_.resize(static_cast<std::size_t>(n) * Router::fifo_slots(rp));
+  // One live packet per injection VC before the table first grows.
+  packets_ = PacketTable(static_cast<std::size_t>(n * params_.max_vcs));
   wire(rp, np);
   // Everything starts armed.
   node_active_.assign(static_cast<std::size_t>(n), 1);
@@ -169,6 +174,7 @@ FabricView Network::view() {
   const RoutingAlgorithm* routing = routing_.get();
   if (fault_routing_) routing = &*fault_routing_;
   return FabricView{flit_channels_.data(), credit_channels_.data(),
+                    fifo_arena_.data(),    &packets_,
                     node_active_.data(),   flit_pending_.data(),
                     credit_pending_.data(), routing,
                     fault_model(),          recorder_};
@@ -412,8 +418,22 @@ void Network::step(TrafficInjector* injector) {
     ++stepped;
     Nic& nic = nics_[idx];
     Router& router = routers_[idx];
+#ifndef NDEBUG
+    // Only this NIC allocates (transmission start) and releases (tail
+    // ejection) packet slots during its step.
+    const auto open_before = static_cast<long long>(nic.started_packets()) -
+                             static_cast<long long>(nic.received_packets());
+    const auto live_before = static_cast<long long>(packets_.live_count());
+#endif
     nic.step(cycle_, core_time_, v);
     router.step(cycle_, v);
+#ifndef NDEBUG
+    assert(static_cast<long long>(packets_.live_count()) - live_before ==
+               static_cast<long long>(nic.started_packets()) -
+                   static_cast<long long>(nic.received_packets()) -
+                   open_before &&
+           "packet slots out of step with started minus ejected packets");
+#endif
 
     const int buffered = router.buffered_flits();
     buffered_total_ += buffered - static_cast<long long>(node_buffered_[idx]);
@@ -611,6 +631,8 @@ bool Network::drained() const {
     if (!r.idle()) return false;
   for (const FlitChannel& fc : flit_channels_)
     if (!fc.empty()) return false;
+  // Every tail has ejected, so every packet slot is released.
+  assert(packets_.live_count() == 0);
   return true;
 }
 
@@ -657,6 +679,44 @@ std::string Network::audit_quiescence() const {
       return where + "is disarmed with a stale occupancy mirror";
     }
     if (!nics_[i].idle()) return where + "is disarmed with a busy NIC";
+  }
+  return audit_packet_table();
+}
+
+std::string Network::audit_packet_table() const {
+  std::vector<std::uint8_t> named(packets_.size(), 0);
+  std::string error;
+  const auto name = [&](PacketTable::Handle h) {
+    if (!error.empty()) return;
+    if (!packets_.live(h)) {
+      error = "a flit or transmission names free packet slot " +
+              std::to_string(h);
+      return;
+    }
+    named[h] = 1;
+  };
+  const auto name_flit = [&](const Flit& f) { name(f.packet); };
+  for (const FlitChannel& ch : flit_channels_) ch.for_each(name_flit);
+  for (const Router& r : routers_) {
+    r.for_each_buffered(fifo_arena_.data(), name_flit);
+  }
+  long long open = 0;
+  for (const Nic& nic : nics_) {
+    nic.for_each_transmitting(name);
+    open += static_cast<long long>(nic.started_packets()) -
+            static_cast<long long>(nic.received_packets());
+  }
+  if (!error.empty()) return error;
+  for (std::size_t h = 0; h < named.size(); ++h) {
+    if (packets_.live(static_cast<PacketTable::Handle>(h)) && !named[h]) {
+      return "packet slot " + std::to_string(h) +
+             " is live, but no flit or transmission names it";
+    }
+  }
+  if (static_cast<long long>(packets_.live_count()) != open) {
+    return std::to_string(packets_.live_count()) + " packet slots are live, " +
+           "but " + std::to_string(open) +
+           " packets started and have not ejected their tail";
   }
   return "";
 }

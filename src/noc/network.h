@@ -57,7 +57,8 @@ struct NetworkParams {
   std::uint64_t seed = 1;
   NocConfig initial_config{};
 
-  /// The one fabric range check: width and height >= 1, max_vcs in
+  /// The one fabric range check: width and height >= 1 with width*height
+  /// <= 65535 (flits carry 16-bit node ids and hop counts), max_vcs in
   /// [1, 32], max_depth in [1, 127] (the router's packed pipeline state),
   /// link_latency and pipeline_stages >= 1, flits_per_packet in [1, 65535].
   /// Throws std::invalid_argument("network: <field> must be ..., got N").
@@ -266,6 +267,8 @@ class Network {
     wake(id);
     return nics_[static_cast<std::size_t>(id)];
   }
+  /// Per-packet fields of the packets in flight, by flit handle.
+  const PacketTable& packets() const { return packets_; }
   /// Number of nodes currently armed (stepped next cycle). Observability for
   /// tests and benchmarks; a drained network decays to 0.
   int active_nodes() const;
@@ -280,7 +283,10 @@ class Network {
   /// returns a description of the first disarmed node with an inbound
   /// item, a non-empty router or a busy NIC, a stale occupancy mirror or a
   /// pending-mask bit that disagrees with its channel, or "" when every
-  /// disarmed node is provably quiescent.
+  /// disarmed node is provably quiescent. It also checks the packet table:
+  /// the live slots are exactly the handles that buffered flits, flits in
+  /// flight and unfinished transmissions name, and their count is the
+  /// packets started minus the packets whose tail ejected.
   std::string audit_quiescence() const;
 
  private:
@@ -295,6 +301,8 @@ class Network {
   /// The NIC-bound leg of the quiescence test: no ejected flit and no
   /// injection credit in flight toward `nic`.
   bool nic_inbound_empty(const Nic& nic) const;
+  /// The packet-table leg of audit_quiescence.
+  std::string audit_packet_table() const;
   void inject_due_traffic(TrafficInjector* injector);
   /// Fires due fault events and re-offers due retransmissions; called at the
   /// top of step() only while a fault model is attached.
@@ -351,6 +359,10 @@ class Network {
   std::vector<Nic> nics_;
   std::vector<FlitChannel> flit_channels_;
   std::vector<CreditChannel> credit_channels_;
+  // Every input-VC FIFO, one Router::fifo_slots block per router in node
+  // order, and the per-packet fields the flits name by handle.
+  std::vector<Flit> fifo_arena_;
+  PacketTable packets_;
   std::vector<Link> links_;
   int num_links_ = 0;
   // Fault machinery; empty (and all hot-path branches dead) until

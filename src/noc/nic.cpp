@@ -19,11 +19,14 @@ void Nic::init_credits(int per_vc) {
 void Nic::offer_packet(NodeId dst, double core_time, bool measured,
                        std::uint64_t packet_id, int length, int tenant) {
   if (length <= 0) length = params_.flits_per_packet;
+  assert(dst >= 0 && dst <= 0xffff);
   assert(length >= 1 && length <= 0xffff);
   assert(tenant >= 0 && tenant <= 0xffff);
-  source_queue_.push_back(PendingPacket{packet_id, dst, core_time, measured,
+  source_queue_.push_back(PendingPacket{packet_id, core_time,
+                                        static_cast<std::uint16_t>(dst),
                                         static_cast<std::uint16_t>(length),
-                                        static_cast<std::uint16_t>(tenant)});
+                                        static_cast<std::uint16_t>(tenant),
+                                        measured});
 }
 
 int Nic::pick_injection_vc() const {
@@ -65,18 +68,20 @@ void Nic::step(Cycle cycle, double core_time, const FabricView& view) {
     view.send(channels_.eject_credits, Credit{flit.vc}, cycle);
     if (is_tail(flit.type)) {
       rx.active = false;
+      const PacketInfo& info = (*view.packets)[flit.packet];
       PacketRecord rec;
-      rec.packet_id = flit.packet_id;
+      rec.packet_id = info.packet_id;
       rec.src = flit.src;
       rec.dst = flit.dst;
-      rec.length = flit.packet_len;
-      rec.inject_time = flit.inject_time;
+      rec.length = info.packet_len;
+      rec.inject_time = info.inject_time;
       rec.eject_time = core_time;
       rec.hops = flit.hops;
-      rec.measured = flit.measured;
-      rec.tenant = flit.tenant;
+      rec.measured = info.measured;
+      rec.tenant = info.tenant;
       rec.corrupted = rx.corrupted;
       records_.push_back(rec);
+      view.packets->release(flit.packet);
       ++received_packets_;
     }
   }
@@ -105,12 +110,16 @@ void Nic::step(Cycle cycle, double core_time, const FabricView& view) {
   if (send_vc < 0 && !source_queue_.empty()) {
     const int v = pick_injection_vc();
     if (v >= 0) {
+      const PendingPacket& p = source_queue_.front();
       TxState& tx = tx_[static_cast<std::size_t>(v)];
       tx.active = true;
-      tx.packet = source_queue_.front();
-      source_queue_.pop_front();
+      tx.dst = p.dst;
       tx.next_seq = 0;
-      tx.length = tx.packet.length;
+      tx.length = p.length;
+      tx.packet = view.packets->allocate(PacketInfo{
+          p.packet_id, p.inject_time, p.length, p.tenant, p.measured});
+      source_queue_.pop_front();
+      ++started_packets_;
       send_vc = v;
     }
   }
@@ -118,16 +127,12 @@ void Nic::step(Cycle cycle, double core_time, const FabricView& view) {
 
   TxState& tx = tx_[static_cast<std::size_t>(send_vc)];
   Flit flit;
-  flit.packet_id = tx.packet.packet_id;
-  flit.src = id_;
-  flit.dst = tx.packet.dst;
+  flit.packet = tx.packet;
+  flit.src = static_cast<std::uint16_t>(id_);
+  flit.dst = tx.dst;
   flit.seq = tx.next_seq;
-  flit.packet_len = tx.length;
-  flit.inject_time = tx.packet.inject_time;
-  flit.measured = tx.packet.measured;
-  flit.tenant = tx.packet.tenant;
   flit.vc_class = 0;
-  flit.vc = static_cast<VcId>(send_vc);
+  flit.vc = static_cast<std::uint8_t>(send_vc);
   const bool head = tx.next_seq == 0;
   const bool tail = tx.next_seq + 1 == tx.length;
   flit.type = head && tail ? FlitType::kHeadTail

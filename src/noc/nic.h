@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "noc/channel.h"
+#include "noc/packet_table.h"
 #include "noc/types.h"
 #include "util/ring_buffer.h"
 
@@ -78,6 +79,16 @@ class Nic {
   std::uint64_t injected_flits() const { return injected_flits_; }
   std::uint64_t ejected_flits() const { return ejected_flits_; }
   std::uint64_t received_packets() const { return received_packets_; }
+  /// Packets whose transmission has started (head about to be injected);
+  /// each holds a PacketTable slot until its tail ejects.
+  std::uint64_t started_packets() const { return started_packets_; }
+  /// Calls `f` on the PacketTable handle of every transmission still
+  /// sending flits (audits).
+  template <typename F>
+  void for_each_transmitting(F&& f) const {
+    for (const TxState& tx : tx_)
+      if (tx.active) f(tx.packet);
+  }
   /// True when nothing is pending at this NIC (source queue, partial
   /// transmissions, reassembly).
   bool idle() const;
@@ -85,21 +96,25 @@ class Nic {
   const NicChannels& channels() const { return channels_; }
 
  private:
+  /// A queued packet: 24 bytes, the bulk of a backlogged fabric's memory.
   struct PendingPacket {
     std::uint64_t packet_id;
-    NodeId dst;
     double inject_time;
-    bool measured;
+    std::uint16_t dst;
     std::uint16_t length;
     std::uint16_t tenant;
+    bool measured;
   };
+  static_assert(sizeof(PendingPacket) <= 24);
 
-  /// In-progress transmission on one injection VC.
+  /// In-progress transmission on one injection VC; the packet's shared
+  /// fields sit in the fabric's PacketTable under `packet`.
   struct TxState {
     bool active = false;
-    PendingPacket packet{};
+    std::uint16_t dst = 0;
     std::uint16_t next_seq = 0;
     std::uint16_t length = 1;
+    PacketTable::Handle packet = 0;
   };
 
   /// Reassembly progress for the packet currently arriving on one
@@ -126,6 +141,7 @@ class Nic {
   std::uint64_t injected_flits_ = 0;
   std::uint64_t ejected_flits_ = 0;
   std::uint64_t received_packets_ = 0;
+  std::uint64_t started_packets_ = 0;
 };
 
 }  // namespace drlnoc::noc

@@ -52,9 +52,13 @@ Router::Router(NodeId id, RouterParams params, std::vector<PortChannels> ports)
   assert(params.max_vcs % params.vc_classes == 0);
   assert(params.active_vcs >= 1 && params.active_vcs <= params.max_vcs);
   assert(params.active_depth >= 1 && params.active_depth <= params.max_depth);
+  const auto fifo_depth =
+      std::bit_ceil(static_cast<unsigned>(params_.max_depth));
+  fifo_shift_ = std::countr_zero(fifo_depth);
+  fifo_mask_ = static_cast<int>(fifo_depth) - 1;
+  fifo_base_ = static_cast<std::size_t>(id) * fifo_slots(params_);
   for (auto& in : inputs_) {
     in.advertised = params_.active_depth;
-    in.fifo.reserve(static_cast<std::size_t>(params_.max_depth));
     // Adaptive algorithms return at most 3 candidates; pre-sizing keeps
     // even a VC's first-ever route_compute allocation-free.
     in.candidates.reserve(4);
@@ -65,6 +69,11 @@ Router::Router(NodeId id, RouterParams params, std::vector<PortChannels> ports)
   adm_end_.resize(
       static_cast<std::size_t>(params_.num_ports * params_.vc_classes));
   refresh_admissible_cache();
+}
+
+std::size_t Router::fifo_slots(const RouterParams& params) {
+  return static_cast<std::size_t>(params.num_ports * params.max_vcs) *
+         std::bit_ceil(static_cast<std::size_t>(params.max_depth));
 }
 
 void Router::refresh_admissible_cache() {
@@ -108,8 +117,8 @@ std::pair<VcId, VcId> Router::admissible_range(std::uint8_t vc_class,
 
 void Router::step(Cycle cycle, const FabricView& view) {
   receive_phase(cycle, view);
-  route_compute(*view.routing);
-  vc_allocate(cycle, view.recorder);
+  route_compute(view);
+  vc_allocate(cycle, view);
   switch_allocate_and_traverse(cycle, view);
 }
 
@@ -124,14 +133,13 @@ void Router::receive_phase(Cycle cycle, const FabricView& view) {
     while (ch.ready(cycle)) {
       const Flit& flit = ch.receive(cycle);
       const VcId vc = flit.vc;
-      assert(vc >= 0 && vc < params_.max_vcs);
-      InputVc& in = ivc(p, vc);
-      assert(static_cast<int>(in.fifo.size()) < params_.max_depth &&
-             "credit protocol violated: input buffer overflow");
-      // Single copy: channel slot straight into the input FIFO slot.
-      in.fifo.push_back_slot() = flit;
+      assert(vc < params_.max_vcs);
       const int idx = p * params_.max_vcs + vc;
       VcMeta& meta = vc_meta_[static_cast<std::size_t>(idx)];
+      assert(meta.occ < params_.max_depth &&
+             "credit protocol violated: input buffer overflow");
+      // Single copy: channel slot straight into the input FIFO slot.
+      view.fifo[fifo_slot(idx, meta.occ)] = flit;
       if (++meta.occ == 1) {
         // A flit landing in an empty idle VC is a freshly routable head
         // (an idle VC with older flits was listed when its tail departed);
@@ -187,7 +195,7 @@ void Router::update_sa_ready(PortId port, VcId vc) {
   }
 }
 
-void Router::route_compute(const RoutingAlgorithm& routing) {
+void Router::route_compute(const FabricView& view) {
   // Event-driven: route_ready_ lists exactly the idle VCs whose head-of-line
   // flit is an unrouted packet head (filled by receive_phase and tail
   // departures). Routing-call order across VCs has no shared state, so the
@@ -198,11 +206,11 @@ void Router::route_compute(const RoutingAlgorithm& routing) {
     VcMeta& meta = vc_meta_[static_cast<std::size_t>(idx)];
     assert(meta.state == VcState::kIdle && meta.occ > 0);
     InputVc& in = inputs_[static_cast<std::size_t>(idx)];
-    const Flit& head = in.fifo.front();
+    const Flit& head = view.fifo[fifo_slot(idx, 0)];
     assert(is_head(head.type) &&
            "input VC idle but head-of-line flit is not a packet head");
     in.candidates.clear();
-    routing.route(head, id_, idx / params_.max_vcs, in.candidates);
+    view.routing->route(head, id_, idx / params_.max_vcs, in.candidates);
     assert(!in.candidates.empty());
     meta.state = VcState::kVcAlloc;
     va_list_.push_back(idx);
@@ -210,7 +218,7 @@ void Router::route_compute(const RoutingAlgorithm& routing) {
   route_ready_.clear();
 }
 
-void Router::vc_allocate(Cycle cycle, obs::FlightRecorder* recorder) {
+void Router::vc_allocate(Cycle cycle, const FabricView& view) {
   // Stage 1: each waiting input VC nominates its single preferred
   // (out_port, out_vc): among route candidates, the free admissible VC with
   // the most downstream credits (adaptive routing's congestion signal).
@@ -298,13 +306,13 @@ void Router::vc_allocate(Cycle cycle, obs::FlightRecorder* recorder) {
     update_sa_ready(winner / params_.max_vcs, winner % params_.max_vcs);
     rr = winner + 1 == num_inputs ? 0 : winner + 1;
     ++activity_.vc_allocs;
-    if (recorder != nullptr) {
-      const Flit& head =
-          inputs_[static_cast<std::size_t>(winner)].fifo.front();
-      if (recorder->sampled(head.packet_id)) {
-        recorder->record(obs::EventKind::kPacketVcAlloc,
-                          static_cast<double>(cycle), cycle, head.packet_id,
-                          id_, wmeta.out_port, wmeta.out_vc);
+    if (view.recorder != nullptr) {
+      const std::uint64_t packet_id =
+          (*view.packets)[view.fifo[fifo_slot(winner, 0)].packet].packet_id;
+      if (view.recorder->sampled(packet_id)) {
+        view.recorder->record(obs::EventKind::kPacketVcAlloc,
+                              static_cast<double>(cycle), cycle, packet_id,
+                              id_, wmeta.out_port, wmeta.out_vc);
       }
     }
     va_head_[slot] = -1;  // reset for the next cycle
@@ -376,8 +384,8 @@ void Router::switch_allocate_and_traverse(Cycle cycle,
     OutputVc& out = ovc(op, out_vc);
     // Update the flit in its FIFO slot and copy it once, straight into the
     // output channel slot.
-    Flit& flit = in.fifo.front();
-    flit.vc = out_vc;
+    Flit& flit = view.fifo[fifo_slot(static_cast<int>(grant_idx), 0)];
+    flit.vc = static_cast<std::uint8_t>(out_vc);
     // The VC class of the link actually taken; consumed by the next router's
     // routing function for dateline bookkeeping.
     flit.vc_class = static_cast<std::uint8_t>(out_vc / vcs_per_class_);
@@ -387,16 +395,20 @@ void Router::switch_allocate_and_traverse(Cycle cycle,
     // credits and quiescence counters stay exact; the destination NIC
     // discards the corrupted packet end to end.
     if (view.faults != nullptr && op != kLocalPort && !flit.corrupted &&
-        view.faults->corrupt_on_link(id_, op, flit, cycle)) {
+        view.faults->corrupt_on_link(
+            id_, op, (*view.packets)[flit.packet].packet_id, flit.seq,
+            cycle)) {
       flit.corrupted = true;
     }
     // Trace hook: one hop event per packet per link (head flits only),
     // ejections are traced at the NIC harvest instead of kLocalPort here.
-    if (view.recorder != nullptr && op != kLocalPort && is_head(flit.type) &&
-        view.recorder->sampled(flit.packet_id)) {
-      view.recorder->record(obs::EventKind::kPacketHop,
-                        static_cast<double>(cycle), cycle, flit.packet_id,
-                        id_, op, static_cast<std::int32_t>(flit.hops));
+    if (view.recorder != nullptr && op != kLocalPort && is_head(flit.type)) {
+      const std::uint64_t packet_id = (*view.packets)[flit.packet].packet_id;
+      if (view.recorder->sampled(packet_id)) {
+        view.recorder->record(obs::EventKind::kPacketHop,
+                              static_cast<double>(cycle), cycle, packet_id,
+                              id_, op, static_cast<std::int32_t>(flit.hops));
+      }
     }
     const bool tail = is_tail(flit.type);
     ++activity_.buffer_reads;
@@ -410,7 +422,7 @@ void Router::switch_allocate_and_traverse(Cycle cycle,
     // because every flit gets the same extra delay.
     view.send(out_ch, flit,
               cycle + static_cast<Cycle>(params_.pipeline_stages - 1));
-    in.fifo.pop_front();
+    in.head = static_cast<std::uint8_t>((in.head + 1) & fifo_mask_);
     --gmeta.occ;
     --buffered_total_;
     ++activity_.link_flits;
@@ -474,8 +486,7 @@ void Router::set_active_depth(int depth, Cycle now, const FabricView& view) {
 
 int Router::max_vc_occupancy() const {
   int best = 0;
-  for (const auto& in : inputs_)
-    best = std::max(best, static_cast<int>(in.fifo.size()));
+  for (const VcMeta& meta : vc_meta_) best = std::max(best, int{meta.occ});
   return best;
 }
 
@@ -489,7 +500,7 @@ int Router::output_credits(PortId port, VcId vc) const {
 }
 
 int Router::input_occupancy(PortId port, VcId vc) const {
-  return static_cast<int>(ivc(port, vc).fifo.size());
+  return vc_meta_[static_cast<std::size_t>(port * params_.max_vcs + vc)].occ;
 }
 
 std::string Router::audit_schedule_state() const {
@@ -512,9 +523,9 @@ std::string Router::audit_schedule_state() const {
     for (int v = 0; v < params_.max_vcs; ++v) {
       const int idx = p * params_.max_vcs + v;
       const VcMeta& meta = vc_meta_[static_cast<std::size_t>(idx)];
-      if (meta.occ != static_cast<int>(ivc(p, v).fifo.size())) {
-        return where + "occupancy mirror of input VC " + std::to_string(idx) +
-               " is stale";
+      if (meta.occ < 0 || meta.occ > params_.max_depth) {
+        return where + "occupancy of input VC " + std::to_string(idx) +
+               " is out of range";
       }
       if (meta.state != VcState::kActive) continue;
       const int slot = meta.out_port * params_.max_vcs + meta.out_vc;

@@ -25,7 +25,6 @@
 #include "noc/routing.h"
 #include "noc/topology.h"
 #include "noc/types.h"
-#include "util/ring_buffer.h"
 
 namespace drlnoc::noc {
 
@@ -70,6 +69,11 @@ class Router {
  public:
   /// `ports` holds one entry per port (params.num_ports).
   Router(NodeId id, RouterParams params, std::vector<PortChannels> ports);
+
+  /// FabricView::fifo slots one router's input VCs take: num_ports x
+  /// max_vcs FIFOs of bit_ceil(max_depth) flits each. Router `id` owns the
+  /// `id`-th such block of the fabric's arena.
+  static std::size_t fifo_slots(const RouterParams& params);
 
   /// Sets the initial credit count of every VC of an output port to the
   /// capacity advertised by the downstream input unit. Called once by
@@ -116,6 +120,16 @@ class Router {
   int output_credits(PortId port, VcId vc) const;
   /// Test hook: occupancy of one input VC buffer.
   int input_occupancy(PortId port, VcId vc) const;
+  /// Calls `f` on every buffered flit, read from the fabric's FIFO arena
+  /// `fifo` (audits).
+  template <typename F>
+  void for_each_buffered(const Flit* fifo, F&& f) const {
+    for (std::size_t idx = 0; idx < inputs_.size(); ++idx) {
+      for (int i = 0; i < vc_meta_[idx].occ; ++i) {
+        f(fifo[fifo_slot(static_cast<int>(idx), i)]);
+      }
+    }
+  }
   /// Test hook: recomputes the incrementally maintained scheduling state
   /// (SA-ready masks, output-VC owners, VA stall flag) by brute force from
   /// the primary state and returns a description of the first mismatch, or
@@ -133,15 +147,17 @@ class Router {
 
   struct VcMeta {
     VcState state = VcState::kIdle;
-    std::int8_t occ = 0;       ///< mirror of fifo.size() (max_depth <= 127)
+    std::int8_t occ = 0;       ///< flits in the FIFO (max_depth <= 127)
     std::int8_t out_port = -1; ///< allocated output port (radix <= 127)
     std::int8_t out_vc = -1;   ///< allocated output VC (max_vcs <= 32)
   };
 
+  /// The FIFO itself is a ring of fifo_mask_ + 1 slots in the fabric's
+  /// arena (fifo_slot); InputVc holds its head and VcMeta its count.
   struct InputVc {
-    util::RingBuffer<Flit> fifo;  ///< occupancy bounded by max_depth
     std::vector<RouteChoice> candidates;
     int advertised = 0;  ///< capacity advertised upstream (credit protocol)
+    std::uint8_t head = 0;  ///< ring index of the head-of-line flit
   };
 
   struct OutputVc {
@@ -160,6 +176,11 @@ class Router {
   OutputVc& ovc(PortId p, VcId v) {
     return outputs_[static_cast<std::size_t>(p * params_.max_vcs + v)];
   }
+  /// Arena offset of flit `i` (0 = head of line) of input VC `idx`.
+  std::size_t fifo_slot(int idx, int i) const {
+    return fifo_base_ + (static_cast<std::size_t>(idx) << fifo_shift_) +
+           ((inputs_[static_cast<std::size_t>(idx)].head + i) & fifo_mask_);
+  }
 
   /// Admissible out-VC index range [begin, end) for a VC class, gated by
   /// the downstream router's active-VC configuration for `out_port`.
@@ -174,8 +195,8 @@ class Router {
   }
 
   void receive_phase(Cycle cycle, const FabricView& view);
-  void route_compute(const RoutingAlgorithm& routing);
-  void vc_allocate(Cycle cycle, obs::FlightRecorder* recorder);
+  void route_compute(const FabricView& view);
+  void vc_allocate(Cycle cycle, const FabricView& view);
   void switch_allocate_and_traverse(Cycle cycle, const FabricView& view);
   /// Recomputes one input VC's bit of the SA-ready mask (and its port's bit
   /// of sa_ready_ports_) from the VC's state, occupancy and credits.
@@ -229,6 +250,11 @@ class Router {
   // buffer walks.
   int buffered_total_ = 0;   // flits across all input VC FIFOs
   int vcs_per_class_ = 1;    // max_vcs / vc_classes, precomputed
+  // This router's block of the FIFO arena: input VC idx's ring starts at
+  // fifo_base_ + (idx << fifo_shift_) and wraps with fifo_mask_.
+  std::size_t fifo_base_ = 0;
+  int fifo_shift_ = 0;
+  int fifo_mask_ = 0;
   std::vector<VcId> adm_begin_, adm_end_;  // per (port, class); see above
   // Compact per-input-VC pipeline state (see VcMeta above). Indexed like
   // inputs_: port * max_vcs + vc.

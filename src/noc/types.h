@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace drlnoc::noc {
 
@@ -31,32 +30,31 @@ inline bool is_tail(FlitType t) {
   return t == FlitType::kTail || t == FlitType::kHeadTail;
 }
 
-/// One flow-control unit. Copied by value through channels and buffers.
+/// One flow-control unit, 16 bytes. Copied by value through channels and
+/// the input-VC FIFO arena. Fields every hop reads or writes live here; the
+/// fields the flits of one packet share (id, length, inject time, tenant,
+/// measured) live once per packet in the fabric's PacketTable, named by
+/// `packet`. Node ids and hop counts fit 16 bits because
+/// NetworkParams::validate caps a fabric at 65535 nodes.
 struct Flit {
-  std::uint64_t packet_id = 0;
-  NodeId src = kInvalidNode;
-  NodeId dst = kInvalidNode;
+  std::uint32_t packet = 0;     ///< PacketTable handle
+  std::uint16_t src = 0;
+  std::uint16_t dst = 0;
+  std::uint16_t seq = 0;        ///< position within the packet
+  std::uint16_t hops = 0;       ///< router traversals so far
   FlitType type = FlitType::kHeadTail;
-  std::uint16_t seq = 0;          ///< position within the packet
-  std::uint16_t packet_len = 1;   ///< total flits in the packet
-  double inject_time = 0.0;       ///< core-clock time at generation
-  std::uint8_t vc_class = 0;      ///< dateline class (ring/torus deadlock)
-  VcId vc = 0;                    ///< VC on the link it currently occupies
-  bool measured = false;          ///< true if within the measurement window
-  std::uint32_t hops = 0;         ///< router traversals so far
-  std::uint16_t tenant = 0;       ///< originating tenant (multi-tenant runs)
+  std::uint8_t vc = 0;          ///< VC on the link it currently occupies
+  std::uint8_t vc_class = 0;    ///< dateline class (ring/torus deadlock)
   /// Set when the flit crossed a faulted link (see noc/faults.h). Corrupted
   /// flits keep flowing — credits and quiescence counters stay exact — and
   /// the packet is discarded end-to-end at the destination NIC.
   bool corrupted = false;
 };
+static_assert(sizeof(Flit) == 16, "a flit is four words");
 
 /// Credit returned upstream when a buffer slot frees.
 struct Credit {
   VcId vc = 0;
 };
-
-/// Human-readable flit description, used in error paths and tests.
-std::string to_string(const Flit& flit);
 
 }  // namespace drlnoc::noc

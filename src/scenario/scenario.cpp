@@ -100,12 +100,20 @@ void validate_tenant(const TenantSpec& t, int num_nodes, int index) {
         fail(who + "phase_scale must be finite and > 0 (got " +
              std::to_string(t.phase_scale) + ")");
       }
-      for (const noc::Phase& ph : t.phases) {
+      for (std::size_t k = 0; k < t.phases.size(); ++k) {
+        const noc::Phase& ph = t.phases[k];
+        const std::string phase = "phase " + std::to_string(k) + " ";
         if (!(ph.rate >= 0.0) || !std::isfinite(ph.rate)) {
-          fail(who + "phase rate must be finite and >= 0");
+          fail(who + phase + "rate must be finite and >= 0");
         }
         if (!(ph.duration_core_cycles > 0.0)) {
-          fail(who + "phase duration must be > 0");
+          fail(who + phase + "duration must be > 0");
+        }
+        // Packet lengths travel as 16-bit flit counts; 0 is the network
+        // default.
+        if (ph.flits_per_packet < 0 || ph.flits_per_packet > 65535) {
+          fail(who + phase + "flits must be in [0, 65535] (0 = the network "
+               "default), got " + std::to_string(ph.flits_per_packet));
         }
       }
       break;

@@ -13,11 +13,18 @@
 // take() of an id that is not live returns false and changes nothing, which
 // is the "not ours" answer for deliveries of packets injected by someone
 // else (ids below the window, or never inserted).
+//
+// Values are integers (record indices, tenant slots), and a slot is just the
+// value: the largest V marks an empty slot, so an `int` or `uint32_t` table
+// costs 4 bytes per id in its window, and that value cannot be stored.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "util/ring_buffer.h"
@@ -26,11 +33,21 @@ namespace drlnoc::util {
 
 template <typename V>
 class LiveIdTable {
+  static_assert(std::is_integral_v<V>, "slots are integers with a sentinel");
+
  public:
+  /// The empty-slot marker; insert() rejects it.
+  static constexpr V kEmpty = std::numeric_limits<V>::max();
+
   /// Marks `id` live with `value`. Returns false (and keeps the existing
   /// value) when `id` is already live. Ids are expected in increasing order;
-  /// an id below the window is still accepted, at O(span) cost.
+  /// an id below the window is still accepted, at O(span) cost. Throws
+  /// std::invalid_argument when `value` is kEmpty.
   bool insert(std::uint64_t id, V value) {
+    if (value == kEmpty) {
+      throw std::invalid_argument(
+          "LiveIdTable: the largest value marks an empty slot");
+    }
     if (live_ == 0) {
       slots_.clear();
       base_ = id;
@@ -38,26 +55,26 @@ class LiveIdTable {
       prepend_gap(base_ - id);
     }
     const std::uint64_t offset = id - base_;
-    while (slots_.size() <= offset) slots_.push_back_slot() = Slot{};
-    Slot& slot = slots_[static_cast<std::size_t>(offset)];
-    if (slot.live) return false;
-    slot = Slot{std::move(value), true};
+    while (slots_.size() <= offset) slots_.push_back(kEmpty);
+    V& slot = slots_[static_cast<std::size_t>(offset)];
+    if (slot != kEmpty) return false;
+    slot = value;
     ++live_;
     return true;
   }
 
-  /// Moves the value of live `id` into `out`, erases the id and returns
+  /// Copies the value of live `id` into `out`, erases the id and returns
   /// true; returns false when `id` is not live.
   bool take(std::uint64_t id, V& out) {
     if (id < base_ || id - base_ >= slots_.size()) return false;
-    Slot& slot = slots_[static_cast<std::size_t>(id - base_)];
-    if (!slot.live) return false;
-    out = std::move(slot.value);
-    slot.live = false;
+    V& slot = slots_[static_cast<std::size_t>(id - base_)];
+    if (slot == kEmpty) return false;
+    out = slot;
+    slot = kEmpty;
     --live_;
     // Front compaction: drop the empty prefix so the window starts at the
     // oldest live id again.
-    while (!slots_.empty() && !slots_.front().live) {
+    while (!slots_.empty() && slots_.front() == kEmpty) {
       slots_.pop_front();
       ++base_;
     }
@@ -79,23 +96,16 @@ class LiveIdTable {
   }
 
  private:
-  struct Slot {
-    V value{};
-    bool live = false;
-  };
-
   /// Moves the window start down by `gap` slots (an insert below base_).
   void prepend_gap(std::uint64_t gap) {
-    RingBuffer<Slot> grown(static_cast<std::size_t>(gap) + slots_.size());
-    for (std::uint64_t i = 0; i < gap; ++i) grown.push_back_slot() = Slot{};
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      grown.push_back(std::move(slots_[i]));
-    }
+    RingBuffer<V> grown(static_cast<std::size_t>(gap) + slots_.size());
+    for (std::uint64_t i = 0; i < gap; ++i) grown.push_back(kEmpty);
+    for (std::size_t i = 0; i < slots_.size(); ++i) grown.push_back(slots_[i]);
     slots_ = std::move(grown);
     base_ -= gap;
   }
 
-  RingBuffer<Slot> slots_;
+  RingBuffer<V> slots_;
   std::uint64_t base_ = 0;  ///< id of slots_[0]
   std::size_t live_ = 0;
 };

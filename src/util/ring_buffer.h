@@ -1,6 +1,6 @@
 // Flat FIFO ring buffer: the allocation-free replacement for std::deque in
-// the simulator's hot paths (channel delay lines, input-VC FIFOs, NIC source
-// queues, the DQN n-step window).
+// the simulator's hot paths (channel delay lines, NIC source queues,
+// live-id tables, the DQN n-step window).
 //
 // Capacity is a power of two and grows by doubling only when a push finds
 // the ring full, so a buffer whose occupancy is bounded (credit-protocol

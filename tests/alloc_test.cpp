@@ -18,6 +18,7 @@
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "rl/dqn.h"
+#include "util/live_id_table.h"
 #include "util/rng.h"
 
 namespace {
@@ -250,6 +251,39 @@ TEST(SteadyStateMemory, NocEnvDoesNotRetainDeliveredPackets) {
   ASSERT_GT(delivered, 20000u);
   EXPECT_LT(growth, 16 * 1024) << "bytes retained over " << delivered
                                << " delivered packets";
+}
+
+// Heap a freshly built default fabric holds: routers, NICs, channels, the
+// FIFO arena and the packet table. Eight 8x8 lanes are T6 training's
+// working set, and a 16x16 fabric is the serve and replay size.
+TEST(SteadyStateMemory, FabricFootprint) {
+  const auto footprint = [](int side) {
+    noc::NetworkParams p;
+    p.width = p.height = side;
+    const std::int64_t before = live_bytes();
+    const noc::Network net(p);
+    return static_cast<double>(live_bytes() - before) / (1024.0 * 1024.0);
+  };
+  const double mib16 = footprint(16);
+  const double mib8 = footprint(8);
+  RecordProperty("mib_16x16", std::to_string(mib16));
+  RecordProperty("mib_8x8", std::to_string(mib8));
+  EXPECT_LE(mib16, 2.0);
+  EXPECT_LE(mib8, 0.6);
+}
+
+// A live-id slot is the value alone: 4096 live ids in an int or uint32_t
+// table hold 16 KiB (a bool beside each value would double it).
+TEST(SteadyStateMemory, LiveIdTableSlotIsFourBytes) {
+  const auto footprint = [](auto value) {
+    const std::int64_t before = live_bytes();
+    util::LiveIdTable<decltype(value)> t;
+    for (std::uint64_t id = 0; id < 4096; ++id) t.insert(id, value);
+    EXPECT_EQ(t.capacity(), 4096u);
+    return live_bytes() - before;
+  };
+  EXPECT_LE(footprint(int{5}), 4096 * 4 + 64);
+  EXPECT_LE(footprint(std::uint32_t{5}), 4096 * 4 + 64);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Channel delay-line semantics and NIC packetization/reassembly behaviour.
+// Channel delay-line semantics, the packet table, and NIC packetization and
+// reassembly behaviour.
 #include <gtest/gtest.h>
 
 #include "noc/channel.h"
@@ -7,14 +8,43 @@
 namespace drlnoc::noc {
 namespace {
 
+// Per-hop state is four words; per-packet fields live once in the table.
+static_assert(sizeof(Flit) == 16);
+static_assert(sizeof(PacketInfo) == 24);
+
+TEST(PacketTable, ReusesTheMostRecentlyReleasedSlot) {
+  PacketTable t(2);
+  const PacketTable::Handle a = t.allocate(PacketInfo{.packet_id = 1});
+  const PacketTable::Handle b = t.allocate(PacketInfo{.packet_id = 2});
+  const PacketTable::Handle c = t.allocate(PacketInfo{.packet_id = 3});
+  EXPECT_EQ(a, 0u);
+  EXPECT_EQ(b, 1u);
+  EXPECT_EQ(c, 2u);
+  t.release(a);
+  t.release(c);
+  EXPECT_FALSE(t.live(a));
+  EXPECT_EQ(t.live_count(), 1u);
+  // LIFO: the last slot released is the first reused.
+  EXPECT_EQ(t.allocate(PacketInfo{.packet_id = 4}), c);
+  EXPECT_EQ(t.allocate(PacketInfo{.packet_id = 5}), a);
+  EXPECT_EQ(t.allocate(PacketInfo{.packet_id = 6}), 3u);
+  EXPECT_EQ(t[c].packet_id, 4u);
+  EXPECT_EQ(t[a].packet_id, 5u);
+  EXPECT_EQ(t[b].packet_id, 2u);
+  EXPECT_EQ(t.live_count(), 4u);
+  EXPECT_EQ(t.size(), 4u);
+  EXPECT_FALSE(t.live(4));
+}
+
 TEST(Channel, DeliversAfterExactLatency) {
   FlitChannel ch(3);
+  PacketTable packets;
   Flit f;
-  f.packet_id = 7;
+  f.packet = packets.allocate(PacketInfo{.packet_id = 7});
   ch.send(f, /*now=*/10);
   for (Cycle t = 10; t < 13; ++t) EXPECT_FALSE(ch.ready(t)) << t;
   ASSERT_TRUE(ch.ready(13));
-  EXPECT_EQ(ch.receive(13).packet_id, 7u);
+  EXPECT_EQ(packets[ch.receive(13).packet].packet_id, 7u);
   EXPECT_TRUE(ch.empty());
 }
 
@@ -48,8 +78,9 @@ TEST(Channel, LateItemsStayReady) {
 
 // NIC harness: a NIC at node 0 whose channels are index 0 (injection) and
 // index 1 (ejection) of hand-held channel arrays, stepped manually through a
-// FabricView over them. The router-bound channels carry port 0's pending
-// bit, the NIC-bound ones none.
+// FabricView over them and a packet table. The router-bound channels carry
+// port 0's pending bit, the NIC-bound ones none. Flits sent toward the NIC
+// by hand name packets registered in packets_.
 class NicHarness : public ::testing::Test {
  protected:
   NicHarness()
@@ -60,9 +91,10 @@ class NicHarness : public ::testing::Test {
   }
 
   void step(Cycle cycle, double core_time) {
-    const FabricView view{flits_.data(),  credits_.data(), &active_,
-                          &flit_pending_, &credit_pending_, nullptr,
-                          nullptr,        nullptr};
+    const FabricView view{flits_.data(),   credits_.data(), nullptr,
+                          &packets_,       &active_,        &flit_pending_,
+                          &credit_pending_, nullptr,        nullptr,
+                          nullptr};
     nic_.step(cycle, core_time, view);
   }
 
@@ -71,6 +103,7 @@ class NicHarness : public ::testing::Test {
   std::uint8_t active_ = 0;
   std::uint32_t flit_pending_ = 0;
   std::uint32_t credit_pending_ = 0;
+  PacketTable packets_;
   Nic nic_;
   FlitChannel& inj_f_ = flits_[0];
   CreditChannel& inj_c_ = credits_[0];
@@ -95,7 +128,7 @@ TEST_F(NicHarness, PacketizesWithCorrectFlitTypes) {
     EXPECT_EQ(flits[i].vc, flits[0].vc);
     EXPECT_EQ(flits[i].seq, i);
   }
-  EXPECT_EQ(flits[0].packet_len, 4);
+  EXPECT_EQ(packets_[flits[0].packet].packet_len, 4);
   EXPECT_EQ(nic_.injected_flits(), 4u);
 }
 
@@ -108,6 +141,7 @@ TEST_F(NicHarness, SendsReArmTheReceiver) {
   EXPECT_EQ(flit_pending_, 1u);
   EXPECT_EQ(credit_pending_, 0u);
   Flit f;
+  f.packet = packets_.allocate(PacketInfo{.packet_id = 2});
   f.dst = 0;
   ej_f_.send(f, 0);
   active_ = 0;
@@ -153,16 +187,15 @@ TEST_F(NicHarness, StopsWhenOutOfCredits) {
 
 TEST_F(NicHarness, ReassemblesAndRecordsLatency) {
   // Deliver a 3-flit packet addressed to this NIC.
-  auto make = [](std::uint16_t seq, FlitType type) {
+  const PacketTable::Handle packet = packets_.allocate(PacketInfo{
+      .packet_id = 9, .inject_time = 2.0, .packet_len = 3, .measured = true});
+  auto make = [&](std::uint16_t seq, FlitType type) {
     Flit f;
-    f.packet_id = 9;
+    f.packet = packet;
     f.src = 5;
     f.dst = 0;
     f.seq = seq;
-    f.packet_len = 3;
     f.type = type;
-    f.inject_time = 2.0;
-    f.measured = true;
     f.vc = 1;
     f.hops = 4;
     return f;
@@ -189,6 +222,7 @@ TEST_F(NicHarness, ReassemblesAndRecordsLatency) {
   EXPECT_EQ(credits, 3);
   EXPECT_EQ(nic_.ejected_flits(), 3u);
   EXPECT_EQ(nic_.received_packets(), 1u);
+  EXPECT_EQ(packets_.live_count(), 0u);  // the tail released the slot
 }
 
 TEST_F(NicHarness, InterleavesPacketsAcrossVcs) {
@@ -202,9 +236,10 @@ TEST_F(NicHarness, InterleavesPacketsAcrossVcs) {
     step(t, static_cast<double>(t));
     while (inj_f_.ready(t + 1)) {
       const Flit f = inj_f_.receive(t + 1);
-      auto [it, inserted] = vc_of.emplace(f.packet_id, f.vc);
+      const std::uint64_t id = packets_[f.packet].packet_id;
+      auto [it, inserted] = vc_of.emplace(id, f.vc);
       if (!inserted) {
-        EXPECT_EQ(it->second, f.vc) << "packet " << f.packet_id;
+        EXPECT_EQ(it->second, f.vc) << "packet " << id;
       }
       ++got;
     }

@@ -208,14 +208,12 @@ TEST(FaultModel, CorruptionHashIsDeterministic) {
   fp.seed = 124;
   noc::FaultModel c(fp, *topo);
 
-  noc::Flit f;
   int differ = 0;
   for (std::uint64_t pkt = 1; pkt <= 200; ++pkt) {
-    f.packet_id = pkt;
-    f.seq = static_cast<int>(pkt % 5);
-    const bool va = a.corrupt_on_link(5, 1, f, 1000 + pkt);
-    EXPECT_EQ(va, b.corrupt_on_link(5, 1, f, 1000 + pkt));
-    if (va != c.corrupt_on_link(5, 1, f, 1000 + pkt)) ++differ;
+    const auto seq = static_cast<std::uint16_t>(pkt % 5);
+    const bool va = a.corrupt_on_link(5, 1, pkt, seq, 1000 + pkt);
+    EXPECT_EQ(va, b.corrupt_on_link(5, 1, pkt, seq, 1000 + pkt));
+    if (va != c.corrupt_on_link(5, 1, pkt, seq, 1000 + pkt)) ++differ;
   }
   EXPECT_GT(differ, 0);  // a different seed must change the fault pattern
 }

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <stdexcept>
 
 #include "util/live_id_table.h"
 
@@ -104,6 +105,26 @@ TEST(LiveIdTable, ClearForgetsEverything) {
   EXPECT_TRUE(t.insert(3, 30));  // ids may be reused after a clear
   ASSERT_TRUE(t.take(3, v));
   EXPECT_EQ(v, 30);
+}
+
+TEST(LiveIdTable, RejectsTheEmptyMarker) {
+  // The largest value marks an empty slot, so it cannot be stored; every
+  // other value can, negative ones included.
+  LiveIdTable<int> t;
+  EXPECT_THROW(t.insert(1, LiveIdTable<int>::kEmpty), std::invalid_argument);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.span(), 0u);
+  ASSERT_TRUE(t.insert(2, -1));
+  ASSERT_TRUE(t.insert(3, LiveIdTable<int>::kEmpty - 1));
+  int v = 0;
+  ASSERT_TRUE(t.take(2, v));
+  EXPECT_EQ(v, -1);
+  ASSERT_TRUE(t.take(3, v));
+  EXPECT_EQ(v, LiveIdTable<int>::kEmpty - 1);
+
+  LiveIdTable<std::uint32_t> u;
+  EXPECT_THROW(u.insert(7, 0xffffffffu), std::invalid_argument);
+  EXPECT_TRUE(u.insert(7, 0xfffffffeu));
 }
 
 TEST(LiveIdTable, MemoryIsBoundedByTheLiveSpan) {

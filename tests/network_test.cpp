@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -285,8 +286,38 @@ TEST(Network, RejectsBadInitialConfigNamingIt) {
   }
 }
 
+// A packet holds one table slot from the start of its transmission until
+// its tail ejects: the audit matches live slots to the flits and
+// transmissions that name them, a drained fabric holds none, and the table
+// stays at the in-flight high-water mark, not the delivered count.
+TEST(Network, PacketSlotsFollowOpenPackets) {
+  NetworkParams p;
+  p.width = p.height = 8;
+  p.seed = 4;
+  Network net(p);
+  SteadyWorkload w = SteadyWorkload::make(net.topology(), "uniform", 0.05);
+  std::size_t max_live = 0;
+  for (int i = 0; i < 3000; ++i) {
+    net.step(&w);
+    max_live = std::max(max_live, net.packets().live_count());
+    if (i % 100 == 0) {
+      ASSERT_EQ(net.audit_quiescence(), "") << "cycle " << i;
+    }
+  }
+  EXPECT_GT(max_live, 0u);
+  while (!net.drained()) net.step(nullptr);
+  EXPECT_EQ(net.audit_quiescence(), "");
+  EXPECT_EQ(net.packets().live_count(), 0u);
+  EXPECT_GE(net.packets().size(), max_live);
+  EXPECT_GT(net.total_packets_received(), 10 * net.packets().size());
+}
+
 TEST(NetworkParams, ValidateNamesTheFieldAndTheConstructorRunsIt) {
   small_mesh().validate();  // the defaults are legal
+  NetworkParams largest = small_mesh();  // 16-bit node ids, all used
+  largest.width = 65535;
+  largest.height = 1;
+  largest.validate();
   struct Case {
     void (*breaks)(NetworkParams&);
     const char* message;
@@ -310,6 +341,10 @@ TEST(NetworkParams, ValidateNamesTheFieldAndTheConstructorRunsIt) {
        "network: flits_per_packet must be in [1, 65535], got 0"},
       {[](NetworkParams& p) { p.flits_per_packet = 65536; },
        "network: flits_per_packet must be in [1, 65535], got 65536"},
+      {[](NetworkParams& p) { p.width = p.height = 256; },
+       "network: width*height must be <= 65535, got 65536"},
+      {[](NetworkParams& p) { p.width = p.height = 100000; },
+       "network: width*height must be <= 65535, got 10000000000"},
   };
   for (const Case& c : cases) {
     NetworkParams p = small_mesh();

@@ -138,13 +138,16 @@ TEST(ChannelRing, ManyInFlightBeyondInitialCapacity) {
 
 TEST(ChannelRing, SteadyStateReusesCapacity) {
   noc::FlitChannel ch(2);
+  noc::PacketTable packets;
   noc::Flit f;
   // Long steady-state streaming: one send + receives per cycle.
   for (noc::Cycle t = 0; t < 1000; ++t) {
-    f.packet_id = t;
+    f.packet = packets.allocate(noc::PacketInfo{.packet_id = t});
     ch.send(f, t);
     while (ch.ready(t)) {
-      EXPECT_EQ(ch.receive(t).packet_id, t - 2);
+      const noc::PacketTable::Handle h = ch.receive(t).packet;
+      EXPECT_EQ(packets[h].packet_id, t - 2);
+      packets.release(h);
     }
   }
   EXPECT_LE(ch.in_flight(), 3u);
@@ -154,15 +157,16 @@ TEST(ChannelRing, ReceiveReadsThePoppedSlot) {
   // receive() pops and returns the popped slot itself: readable, without a
   // copy, until the next send.
   noc::FlitChannel ch(1);
+  noc::PacketTable packets;
   noc::Flit f;
-  f.packet_id = 99;
+  f.packet = packets.allocate(noc::PacketInfo{.packet_id = 99});
   f.vc = 3;
   ch.send(f, 0);
   ASSERT_TRUE(ch.ready(1));
   const noc::Flit& out = ch.receive(1);
   EXPECT_TRUE(ch.empty());
   EXPECT_EQ(out.vc, 3);
-  EXPECT_EQ(out.packet_id, 99u);
+  EXPECT_EQ(packets[out.packet].packet_id, 99u);
 }
 
 }  // namespace

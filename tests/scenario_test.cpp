@@ -215,6 +215,31 @@ TEST(ScenarioIo, RejectsIllegalFabricAtLoadNamingTheKey) {
             18446744073709551615u);
 }
 
+TEST(ScenarioIo, RejectsPhaseFlitsOutsideSixteenBits) {
+  const std::string base =
+      "drlsc 1\nwidth = 4\nheight = 4\nduration = 100\ntenants = 1\n"
+      "tenant0.name = burst\ntenant0.workload = phased\n"
+      "tenant0.phases = 2\ntenant0.phase0.duration = 50\n"
+      "tenant0.phase1.duration = 50\ntenant0.phase0.flits = 8\n";
+  const auto rejection = [&](const std::string& flits) -> std::string {
+    try {
+      ScenarioReader::read_text(base + "tenant0.phase1.flits = " + flits +
+                                "\n");
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(rejection("65540"),
+            "scenario: tenant 0 ('burst'): phase 1 flits must be in "
+            "[0, 65535] (0 = the network default), got 65540");
+  EXPECT_EQ(rejection("-1"),
+            "scenario: tenant 0 ('burst'): phase 1 flits must be in "
+            "[0, 65535] (0 = the network default), got -1");
+  EXPECT_EQ(rejection("0"), "accepted");
+  EXPECT_EQ(rejection("65535"), "accepted");
+}
+
 TEST(ScenarioIo, InfiniteStopRoundTrips) {
   Scenario s = mixed_scenario();
   s.duration = 2000.0;
