@@ -1,36 +1,47 @@
 #include "noc/traffic.h"
 
+#include <algorithm>
 #include <bit>
-#include <cassert>
 #include <stdexcept>
 
 namespace drlnoc::noc {
 
 namespace {
-int log2_exact(int n, const char* what) {
+
+// Name of each kind, in enum order.
+constexpr const char* kPatternNames[] = {"uniform", "transpose", "bitcomp",
+                                         "bitrev",  "shuffle",   "tornado",
+                                         "neighbor", "hotspot"};
+constexpr const char* kProcessNames[] = {"bernoulli", "burst"};
+
+// Burst transition probabilities: alpha = P(off->on), beta = P(on->off).
+constexpr double kBurstAlpha = 0.02;
+constexpr double kBurstBeta = 0.08;
+constexpr double kBurstDuty = kBurstAlpha / (kBurstAlpha + kBurstBeta);
+// The largest burst rate: the duty cycle as written, since in doubles it
+// computes one ulp below 0.2.
+constexpr double kBurstMaxRate = 0.2;
+// Share of a hotspot pattern's packets aimed at a hotspot node.
+constexpr double kHotFraction = 0.5;
+
+template <std::size_t N>
+int kind_index(const char* const (&names)[N], const std::string& kind) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (kind == names[i]) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+int log2_exact(int n, const std::string& what) {
   if (n <= 0 || (n & (n - 1)) != 0) {
-    throw std::invalid_argument(std::string(what) +
-                                " requires a power-of-two node count");
+    throw std::invalid_argument(what + " requires a power-of-two node count");
   }
   return std::countr_zero(static_cast<unsigned>(n));
 }
 
-// Geometry of a topology for grid-based patterns; ring is treated as Nx1.
-struct Grid {
-  int width;
-  int height;
-};
-
-Grid grid_of(const Topology& topo) {
-  if (const auto* m = dynamic_cast<const Mesh2D*>(&topo))
-    return {m->width(), m->height()};
-  if (const auto* t = dynamic_cast<const Torus2D*>(&topo))
-    return {t->width(), t->height()};
-  return {topo.num_nodes(), 1};
-}
 }  // namespace
 
-NodeId UniformTraffic::dest(NodeId src, util::Rng& rng) const {
+NodeId TrafficPattern::uniform_other(NodeId src, util::Rng& rng) const {
   if (nodes_ < 2) return kInvalidNode;
   // Uniform over the other nodes_ - 1 nodes.
   auto d = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(nodes_ - 1)));
@@ -38,153 +49,127 @@ NodeId UniformTraffic::dest(NodeId src, util::Rng& rng) const {
   return d;
 }
 
-TransposeTraffic::TransposeTraffic(int width, int height) : width_(width) {
-  if (width != height) {
-    throw std::invalid_argument("transpose requires a square grid");
+NodeId TrafficPattern::dest(NodeId src, util::Rng& rng) const {
+  const auto x = [&] { return src % width_; };
+  const auto y = [&] { return src / width_; };
+  NodeId d = kInvalidNode;
+  switch (kind_) {
+    case Kind::kUniform:
+      return uniform_other(src, rng);
+    case Kind::kTranspose:
+      d = x() * width_ + y();
+      break;
+    case Kind::kBitComplement:
+      return (~src) & ((1 << bits_) - 1);
+    case Kind::kBitReverse:
+      d = 0;
+      for (int b = 0; b < bits_; ++b) {
+        if (src & (1 << b)) d |= 1 << (bits_ - 1 - b);
+      }
+      break;
+    case Kind::kShuffle:
+      d = ((src << 1) | (src >> (bits_ - 1))) & ((1 << bits_) - 1);
+      break;
+    case Kind::kTornado:
+      d = ((y() + (height_ + 1) / 2 - 1) % height_) * width_ +
+          (x() + (width_ + 1) / 2 - 1) % width_;
+      break;
+    case Kind::kNeighbor:
+      d = y() * width_ + (x() + 1) % width_;
+      break;
+    case Kind::kHotspot:
+      if (rng.chance(kHotFraction)) {
+        d = hotspots_[rng.below(hotspots_.size())];
+        if (d != src) return d;
+        // Source is itself a hotspot: fall through to uniform.
+      }
+      return uniform_other(src, rng);
   }
-}
-
-NodeId TransposeTraffic::dest(NodeId src, util::Rng& /*rng*/) const {
-  const int x = src % width_, y = src / width_;
-  const NodeId d = x * width_ + y;
   return d == src ? kInvalidNode : d;
 }
 
-BitComplementTraffic::BitComplementTraffic(int nodes)
-    : bits_(log2_exact(nodes, "bitcomp")) {}
-
-NodeId BitComplementTraffic::dest(NodeId src, util::Rng& /*rng*/) const {
-  return (~src) & ((1 << bits_) - 1);
+std::string TrafficPattern::name() const {
+  return kPatternNames[static_cast<int>(kind_)];
 }
 
-BitReverseTraffic::BitReverseTraffic(int nodes)
-    : bits_(log2_exact(nodes, "bitrev")) {}
-
-NodeId BitReverseTraffic::dest(NodeId src, util::Rng& /*rng*/) const {
-  int d = 0;
-  for (int b = 0; b < bits_; ++b) {
-    if (src & (1 << b)) d |= 1 << (bits_ - 1 - b);
+TrafficPattern make_pattern(const std::string& kind, const Topology& topo) {
+  const int index = kind_index(kPatternNames, kind);
+  if (index < 0) throw std::invalid_argument("unknown traffic pattern: " + kind);
+  TrafficPattern p;
+  p.kind_ = static_cast<TrafficPattern::Kind>(index);
+  p.nodes_ = topo.num_nodes();
+  p.width_ = p.nodes_;
+  if (const auto* m = dynamic_cast<const Mesh2D*>(&topo)) {
+    p.width_ = m->width();
+    p.height_ = m->height();
+  } else if (const auto* t = dynamic_cast<const Torus2D*>(&topo)) {
+    p.width_ = t->width();
+    p.height_ = t->height();
   }
-  return d == src ? kInvalidNode : d;
-}
-
-ShuffleTraffic::ShuffleTraffic(int nodes)
-    : bits_(log2_exact(nodes, "shuffle")) {}
-
-NodeId ShuffleTraffic::dest(NodeId src, util::Rng& /*rng*/) const {
-  const int mask = (1 << bits_) - 1;
-  const int d = ((src << 1) | (src >> (bits_ - 1))) & mask;
-  return d == src ? kInvalidNode : d;
-}
-
-TornadoTraffic::TornadoTraffic(int width, int height)
-    : width_(width), height_(height) {}
-
-NodeId TornadoTraffic::dest(NodeId src, util::Rng& /*rng*/) const {
-  const int x = src % width_, y = src / width_;
-  const int dx = (x + (width_ + 1) / 2 - 1) % width_;
-  const int dy = (y + (height_ + 1) / 2 - 1) % height_;
-  const NodeId d = dy * width_ + dx;
-  return d == src ? kInvalidNode : d;
-}
-
-NeighborTraffic::NeighborTraffic(int width, int height)
-    : width_(width), height_(height) {}
-
-NodeId NeighborTraffic::dest(NodeId src, util::Rng& /*rng*/) const {
-  const int x = src % width_, y = src / width_;
-  (void)height_;
-  const NodeId d = y * width_ + (x + 1) % width_;
-  return d == src ? kInvalidNode : d;
-}
-
-HotspotTraffic::HotspotTraffic(int nodes, std::vector<NodeId> hotspots,
-                               double hot_fraction)
-    : nodes_(nodes), hotspots_(std::move(hotspots)),
-      hot_fraction_(hot_fraction) {
-  if (hotspots_.empty())
-    throw std::invalid_argument("hotspot pattern needs >= 1 hotspot");
-  for (NodeId h : hotspots_) {
-    if (h < 0 || h >= nodes_)
-      throw std::invalid_argument("hotspot node out of range");
-  }
-}
-
-NodeId HotspotTraffic::dest(NodeId src, util::Rng& rng) const {
-  if (rng.chance(hot_fraction_)) {
-    const NodeId d = hotspots_[rng.below(hotspots_.size())];
-    if (d != src) return d;
-    // Source is itself a hotspot: fall through to uniform.
-  }
-  if (nodes_ < 2) return kInvalidNode;
-  auto d = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(nodes_ - 1)));
-  if (d >= src) ++d;
-  return d;
-}
-
-std::unique_ptr<TrafficPattern> make_pattern(const std::string& kind,
-                                             const Topology& topo) {
-  const int n = topo.num_nodes();
-  const Grid g = grid_of(topo);
-  if (kind == "uniform") return std::make_unique<UniformTraffic>(n);
-  if (kind == "transpose")
-    return std::make_unique<TransposeTraffic>(g.width, g.height);
-  if (kind == "bitcomp") return std::make_unique<BitComplementTraffic>(n);
-  if (kind == "bitrev") return std::make_unique<BitReverseTraffic>(n);
-  if (kind == "shuffle") return std::make_unique<ShuffleTraffic>(n);
-  if (kind == "tornado")
-    return std::make_unique<TornadoTraffic>(g.width, g.height);
-  if (kind == "neighbor")
-    return std::make_unique<NeighborTraffic>(g.width, g.height);
-  if (kind == "hotspot") {
-    // Default hotspots: a 2x2 block near the grid centre (or first nodes).
-    std::vector<NodeId> hs;
-    if (g.height > 1) {
-      const int cx = g.width / 2, cy = g.height / 2;
-      hs = {cy * g.width + cx, cy * g.width + cx - 1,
-            (cy - 1) * g.width + cx, (cy - 1) * g.width + cx - 1};
-    } else {
-      hs = {0, n / 2};
+  using Kind = TrafficPattern::Kind;
+  switch (p.kind_) {
+    case Kind::kTranspose:
+      if (p.width_ != p.height_) {
+        throw std::invalid_argument("transpose requires a square grid");
+      }
+      break;
+    case Kind::kBitComplement:
+    case Kind::kBitReverse:
+    case Kind::kShuffle:
+      p.bits_ = log2_exact(p.nodes_, kind);
+      break;
+    case Kind::kHotspot: {
+      const int w = p.width_, cx = w / 2, cy = p.height_ / 2;
+      if (p.height_ > 1) {
+        p.hotspots_ = {cy * w + cx, cy * w + cx - 1, (cy - 1) * w + cx,
+                       (cy - 1) * w + cx - 1};
+      } else {
+        p.hotspots_ = {0, p.nodes_ / 2};
+      }
+      break;
     }
-    return std::make_unique<HotspotTraffic>(n, hs, 0.5);
+    default:
+      break;
   }
-  throw std::invalid_argument("unknown traffic pattern: " + kind);
+  return p;
 }
 
-BernoulliInjection::BernoulliInjection(int /*nodes*/) {}
-
-bool BernoulliInjection::fire(NodeId /*src*/, double rate, util::Rng& rng) {
-  return rng.chance(rate);
-}
-
-BurstInjection::BurstInjection(int nodes, double alpha, double beta)
-    : alpha_(alpha), beta_(beta), duty_(alpha / (alpha + beta)),
-      on_(static_cast<std::size_t>(nodes), false) {
-  if (alpha <= 0.0 || beta <= 0.0 || alpha > 1.0 || beta > 1.0) {
-    throw std::invalid_argument("burst injection needs alpha, beta in (0,1]");
+bool InjectionProcess::fire(NodeId src, util::Rng& rng) {
+  switch (kind_) {
+    case Kind::kBernoulli:
+      return rng.chance(rate_);
+    case Kind::kBurst: {
+      std::uint8_t& on = on_[static_cast<std::size_t>(src)];
+      on = on ? !rng.chance(kBurstBeta) : rng.chance(kBurstAlpha);
+      return on && rng.chance(on_rate_);
+    }
   }
+  return false;
 }
 
-bool BurstInjection::fire(NodeId src, double rate, util::Rng& rng) {
-  auto idx = static_cast<std::size_t>(src);
-  if (on_[idx]) {
-    if (rng.chance(beta_)) on_[idx] = false;
-  } else {
-    if (rng.chance(alpha_)) on_[idx] = true;
+InjectionProcess make_injection(const std::string& kind, int nodes,
+                                double rate) {
+  const int index = kind_index(kProcessNames, kind);
+  if (index < 0) {
+    throw std::invalid_argument("unknown injection process: " + kind);
   }
-  if (!on_[idx]) return false;
-  const double on_rate = std::min(1.0, rate / duty_);
-  return rng.chance(on_rate);
-}
-
-void BurstInjection::reset() { on_.assign(on_.size(), false); }
-
-std::unique_ptr<InjectionProcess> make_injection(const std::string& kind,
-                                                 int nodes) {
-  if (kind == "bernoulli") return std::make_unique<BernoulliInjection>(nodes);
-  if (kind == "burst")
-    return std::make_unique<BurstInjection>(nodes, 0.02, 0.08);
-  throw std::invalid_argument("unknown injection process: " + kind);
+  if (!(rate >= 0.0 && rate <= 1.0)) {
+    throw std::invalid_argument("rate must be within [0, 1] packets/cycle, "
+                                "got " + std::to_string(rate));
+  }
+  InjectionProcess p;
+  p.kind_ = static_cast<InjectionProcess::Kind>(index);
+  p.rate_ = rate;
+  if (p.kind_ == InjectionProcess::Kind::kBurst) {
+    if (rate > kBurstMaxRate) {
+      throw std::invalid_argument(
+          "burst rate must be <= its duty cycle 0.2 (the ON-state rate is "
+          "rate / 0.2 and cannot exceed 1), got " + std::to_string(rate));
+    }
+    p.on_rate_ = std::min(1.0, rate / kBurstDuty);
+    p.on_.assign(static_cast<std::size_t>(nodes), 0);
+  }
+  return p;
 }
 
 }  // namespace drlnoc::noc

@@ -1,8 +1,12 @@
 // Synthetic spatial traffic patterns and temporal injection processes —
-// the standard BookSim-style workload vocabulary.
+// the standard BookSim-style workload vocabulary. Both are closed sets held
+// by value: make_pattern and make_injection build one from its name and
+// refuse what the fabric or the rate cannot honour, and one switch in
+// dest() / fire() does the work. Values copy, so a workload built from them
+// copies like the network it drives.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -13,153 +17,75 @@
 namespace drlnoc::noc {
 
 /// Spatial pattern: which destination a given source sends to.
-/// Returns kInvalidNode when the pattern maps a source to itself
-/// (e.g. transpose diagonal); such sources generate no traffic.
 class TrafficPattern {
  public:
-  virtual ~TrafficPattern() = default;
-  virtual std::string name() const = 0;
-  virtual NodeId dest(NodeId src, util::Rng& rng) const = 0;
-};
-
-/// Uniform random over all nodes except the source.
-class UniformTraffic : public TrafficPattern {
- public:
-  explicit UniformTraffic(int nodes) : nodes_(nodes) {}
-  std::string name() const override { return "uniform"; }
-  NodeId dest(NodeId src, util::Rng& rng) const override;
+  /// Returns kInvalidNode when the pattern maps a source to itself
+  /// (e.g. transpose diagonal); such sources generate no traffic.
+  NodeId dest(NodeId src, util::Rng& rng) const;
+  std::string name() const;
 
  private:
-  int nodes_;
-};
+  friend TrafficPattern make_pattern(const std::string& kind,
+                                     const Topology& topo);
+  /// In the order of make_pattern's names.
+  enum class Kind : std::uint8_t {
+    kUniform,        ///< uniform random over all nodes except the source
+    kTranspose,      ///< (x, y) -> (y, x) on a square grid
+    kBitComplement,  ///< dest = ~src over log2(N) bits
+    kBitReverse,     ///< dest = bit-reversal of src
+    kShuffle,        ///< perfect shuffle: rotate the address bits left by one
+    kTornado,        ///< half-way around each dimension
+    kNeighbor,       ///< nearest neighbour: (x+1 mod W, y)
+    kHotspot,        ///< a hotspot node half the time, else uniform
+  };
+  NodeId uniform_other(NodeId src, util::Rng& rng) const;
 
-/// Matrix transpose on a W×H grid: (x, y) -> (y, x); requires W == H.
-class TransposeTraffic : public TrafficPattern {
- public:
-  TransposeTraffic(int width, int height);
-  std::string name() const override { return "transpose"; }
-  NodeId dest(NodeId src, util::Rng& rng) const override;
-
- private:
-  int width_;
-};
-
-/// dest = ~src over log2(N) bits; requires power-of-two node count.
-class BitComplementTraffic : public TrafficPattern {
- public:
-  explicit BitComplementTraffic(int nodes);
-  std::string name() const override { return "bitcomp"; }
-  NodeId dest(NodeId src, util::Rng& rng) const override;
-
- private:
-  int bits_;
-};
-
-/// dest = bit-reversal of src; requires power-of-two node count.
-class BitReverseTraffic : public TrafficPattern {
- public:
-  explicit BitReverseTraffic(int nodes);
-  std::string name() const override { return "bitrev"; }
-  NodeId dest(NodeId src, util::Rng& rng) const override;
-
- private:
-  int bits_;
-};
-
-/// Perfect shuffle: rotate the address bits left by one.
-class ShuffleTraffic : public TrafficPattern {
- public:
-  explicit ShuffleTraffic(int nodes);
-  std::string name() const override { return "shuffle"; }
-  NodeId dest(NodeId src, util::Rng& rng) const override;
-
- private:
-  int bits_;
-};
-
-/// Tornado on a W×H grid: half-way around each dimension.
-class TornadoTraffic : public TrafficPattern {
- public:
-  TornadoTraffic(int width, int height);
-  std::string name() const override { return "tornado"; }
-  NodeId dest(NodeId src, util::Rng& rng) const override;
-
- private:
-  int width_;
-  int height_;
-};
-
-/// Nearest neighbour: (x+1 mod W, y).
-class NeighborTraffic : public TrafficPattern {
- public:
-  NeighborTraffic(int width, int height);
-  std::string name() const override { return "neighbor"; }
-  NodeId dest(NodeId src, util::Rng& rng) const override;
-
- private:
-  int width_;
-  int height_;
-};
-
-/// With probability `hot_fraction` the destination is a uniformly chosen
-/// hotspot node; otherwise uniform random.
-class HotspotTraffic : public TrafficPattern {
- public:
-  HotspotTraffic(int nodes, std::vector<NodeId> hotspots, double hot_fraction);
-  std::string name() const override { return "hotspot"; }
-  NodeId dest(NodeId src, util::Rng& rng) const override;
-  const std::vector<NodeId>& hotspots() const { return hotspots_; }
-
- private:
-  int nodes_;
+  Kind kind_ = Kind::kUniform;
+  int nodes_ = 0;
+  int width_ = 0;   ///< grid geometry; a ring is N x 1
+  int height_ = 1;
+  int bits_ = 0;    ///< log2(nodes) for the bit patterns
   std::vector<NodeId> hotspots_;
-  double hot_fraction_;
 };
 
-/// Factory by name: uniform, transpose, bitcomp, bitrev, shuffle, tornado,
-/// neighbor, hotspot. Grid patterns need the topology geometry; hotspot
-/// defaults to 4 corner-adjacent nodes with hot_fraction 0.5.
-std::unique_ptr<TrafficPattern> make_pattern(const std::string& kind,
-                                             const Topology& topo);
+/// Pattern by name: uniform, transpose, bitcomp, bitrev, shuffle, tornado,
+/// neighbor, hotspot. Throws std::invalid_argument on an unknown name or a
+/// geometry the pattern cannot map: bitcomp, bitrev and shuffle need a
+/// power-of-two node count, transpose a square grid. Hotspot sends half its
+/// packets to a 2x2 block at the grid centre (on a ring, nodes 0 and N/2).
+TrafficPattern make_pattern(const std::string& kind, const Topology& topo);
 
 /// Temporal injection process: decides, per node and per core cycle, whether
-/// a packet is generated. Stateful (per-node burst state lives inside).
+/// a packet is generated, at a mean `rate` packets/node/core-cycle.
 class InjectionProcess {
  public:
-  virtual ~InjectionProcess() = default;
-  virtual std::string name() const = 0;
-  /// `rate` is the target mean injection (packets/node/core-cycle).
-  virtual bool fire(NodeId src, double rate, util::Rng& rng) = 0;
-  virtual void reset() {}
-};
-
-/// Independent Bernoulli trials at the given rate.
-class BernoulliInjection : public InjectionProcess {
- public:
-  explicit BernoulliInjection(int nodes);
-  std::string name() const override { return "bernoulli"; }
-  bool fire(NodeId src, double rate, util::Rng& rng) override;
-};
-
-/// Two-state Markov-modulated on/off process. In the ON state packets are
-/// generated at `rate / duty`, in OFF none; transitions keep the long-run
-/// mean at `rate`. Produces the bursty arrivals self-configuration must ride.
-class BurstInjection : public InjectionProcess {
- public:
-  /// alpha = P(off->on), beta = P(on->off); duty = alpha / (alpha + beta).
-  BurstInjection(int nodes, double alpha, double beta);
-  std::string name() const override { return "burst"; }
-  bool fire(NodeId src, double rate, util::Rng& rng) override;
-  void reset() override;
+  bool fire(NodeId src, util::Rng& rng);
+  double rate() const { return rate_; }
 
  private:
-  double alpha_;
-  double beta_;
-  double duty_;
-  std::vector<bool> on_;
+  friend InjectionProcess make_injection(const std::string& kind, int nodes,
+                                         double rate);
+  /// In the order of make_injection's names.
+  enum class Kind : std::uint8_t {
+    /// Independent Bernoulli trials at the rate.
+    kBernoulli,
+    /// Two-state Markov-modulated on/off process, per node. OFF->ON with
+    /// probability alpha, ON->OFF with beta; packets are generated at
+    /// rate / duty while ON and none while OFF, so the long-run mean is the
+    /// rate. Produces the bursty arrivals self-configuration must ride.
+    kBurst,
+  };
+
+  Kind kind_ = Kind::kBernoulli;
+  double rate_ = 0.0;
+  double on_rate_ = 0.0;          ///< burst: rate / duty
+  std::vector<std::uint8_t> on_;  ///< burst: per-node ON state
 };
 
-std::unique_ptr<InjectionProcess> make_injection(const std::string& kind,
-                                                 int nodes);
+/// Process by name: bernoulli, burst. Throws std::invalid_argument on an
+/// unknown name or a rate outside [0, 1], and for burst on a rate above its
+/// duty cycle alpha / (alpha + beta) = 0.2, which no ON-state rate can reach.
+InjectionProcess make_injection(const std::string& kind, int nodes,
+                                double rate);
 
 }  // namespace drlnoc::noc

@@ -1,37 +1,30 @@
 #include "noc/workload.h"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace drlnoc::noc {
 
-SteadyWorkload::SteadyWorkload(std::unique_ptr<TrafficPattern> pattern,
-                               std::unique_ptr<InjectionProcess> process,
-                               double rate)
-    : pattern_(std::move(pattern)), process_(std::move(process)),
-      rate_(rate) {
-  if (!pattern_ || !process_)
-    throw std::invalid_argument("SteadyWorkload needs pattern and process");
-  if (rate < 0.0 || rate > 1.0)
-    throw std::invalid_argument("rate must be within [0, 1] packets/cycle");
-}
+SteadyWorkload::SteadyWorkload(TrafficPattern pattern,
+                               InjectionProcess process)
+    : pattern_(std::move(pattern)), process_(std::move(process)) {}
 
 SteadyWorkload SteadyWorkload::make(const Topology& topo,
                                     const std::string& pattern, double rate,
                                     const std::string& process) {
   return SteadyWorkload(make_pattern(pattern, topo),
-                        make_injection(process, topo.num_nodes()), rate);
+                        make_injection(process, topo.num_nodes(), rate));
 }
 
 NodeId SteadyWorkload::generate(NodeId src, double /*core_time*/,
                                 util::Rng& rng) {
-  if (!process_->fire(src, rate_, rng)) return kInvalidNode;
-  return pattern_->dest(src, rng);
+  if (!process_.fire(src, rng)) return kInvalidNode;
+  return pattern_.dest(src, rng);
 }
 
 std::string SteadyWorkload::name() const {
-  return pattern_->name() + "@" + std::to_string(rate_);
+  return pattern_.name() + "@" + std::to_string(process_.rate());
 }
 
 PhasedWorkload::PhasedWorkload(const Topology& topo, std::vector<Phase> phases)
@@ -41,10 +34,9 @@ PhasedWorkload::PhasedWorkload(const Topology& topo, std::vector<Phase> phases)
   for (const Phase& ph : phases_) {
     if (ph.duration_core_cycles <= 0.0)
       throw std::invalid_argument("phase duration must be positive");
-    Compiled c;
-    c.pattern = make_pattern(ph.pattern, topo);
-    c.process = make_injection(ph.process, topo.num_nodes());
-    compiled_.push_back(std::move(c));
+    patterns_.push_back(make_pattern(ph.pattern, topo));
+    processes_.push_back(
+        make_injection(ph.process, topo.num_nodes(), ph.rate));
     total_duration_ += ph.duration_core_cycles;
   }
 }
@@ -65,10 +57,8 @@ int PhasedWorkload::packet_length(double core_time) const {
 NodeId PhasedWorkload::generate(NodeId src, double core_time,
                                 util::Rng& rng) {
   const std::size_t idx = phase_index(core_time);
-  const Phase& ph = phases_[idx];
-  Compiled& c = compiled_[idx];
-  if (!c.process->fire(src, ph.rate, rng)) return kInvalidNode;
-  return c.pattern->dest(src, rng);
+  if (!processes_[idx].fire(src, rng)) return kInvalidNode;
+  return patterns_[idx].dest(src, rng);
 }
 
 std::vector<Phase> PhasedWorkload::standard_phases(const Topology& topo,

@@ -7,7 +7,6 @@
 // (trace/trace_workload.h, trace/recorder.h, trace/generators.h).
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,12 +16,10 @@
 namespace drlnoc::noc {
 
 /// Fixed pattern + rate for the whole run.
-class SteadyWorkload : public TrafficInjector {
+class SteadyWorkload final : public TrafficInjector {
  public:
-  SteadyWorkload(std::unique_ptr<TrafficPattern> pattern,
-                 std::unique_ptr<InjectionProcess> process, double rate);
-
-  /// Convenience: pattern/process by name for a topology.
+  /// Pattern/process by name for a topology; throws what make_pattern /
+  /// make_injection throw.
   static SteadyWorkload make(const Topology& topo, const std::string& pattern,
                              double rate,
                              const std::string& process = "bernoulli");
@@ -30,12 +27,11 @@ class SteadyWorkload : public TrafficInjector {
   NodeId generate(NodeId src, double core_time, util::Rng& rng) override;
   std::string name() const override;
 
-  double rate() const { return rate_; }
-
  private:
-  std::unique_ptr<TrafficPattern> pattern_;
-  std::unique_ptr<InjectionProcess> process_;
-  double rate_;
+  SteadyWorkload(TrafficPattern pattern, InjectionProcess process);
+
+  TrafficPattern pattern_;
+  InjectionProcess process_;
 };
 
 /// One segment of a phased workload.
@@ -51,8 +47,10 @@ struct Phase {
 
 /// A sequence of phases played back over core time; loops when it reaches
 /// the end (so RL episodes of any length are well-defined).
-class PhasedWorkload : public TrafficInjector {
+class PhasedWorkload final : public TrafficInjector {
  public:
+  /// Throws std::invalid_argument on no phases, a non-positive duration,
+  /// or a phase make_pattern / make_injection refuses.
   PhasedWorkload(const Topology& topo, std::vector<Phase> phases);
 
   NodeId generate(NodeId src, double core_time, util::Rng& rng) override;
@@ -75,12 +73,10 @@ class PhasedWorkload : public TrafficInjector {
                                             double scale = 1.0);
 
  private:
-  struct Compiled {
-    std::unique_ptr<TrafficPattern> pattern;
-    std::unique_ptr<InjectionProcess> process;
-  };
   std::vector<Phase> phases_;
-  std::vector<Compiled> compiled_;
+  /// Per phase, built from its names; each phase keeps its own burst state.
+  std::vector<TrafficPattern> patterns_;
+  std::vector<InjectionProcess> processes_;
   double total_duration_ = 0.0;
   double offset_ = 0.0;
 };

@@ -22,10 +22,6 @@ CompositeWorkload::CompositeWorkload(int num_nodes,
   local_of_.resize(tenants_.size());
   for (std::size_t ti = 0; ti < tenants_.size(); ++ti) {
     TenantBinding& b = tenants_[ti];
-    if (!b.injector) {
-      throw std::invalid_argument("CompositeWorkload: tenant " +
-                                  std::to_string(ti) + " has no injector");
-    }
     if (b.remap && b.nodes.empty()) {
       throw std::invalid_argument("CompositeWorkload: tenant " +
                                   std::to_string(ti) +
@@ -74,8 +70,9 @@ noc::NodeId CompositeWorkload::generate(noc::NodeId src, double core_time,
         b.remap ? local_of_[static_cast<std::size_t>(ti)]
                           [static_cast<std::size_t>(src)]
                 : src;
-    const noc::NodeId dst =
-        b.injector->generate(local_src, core_time - b.start, rng);
+    const noc::NodeId dst = std::visit(
+        [&](auto& w) { return w.generate(local_src, core_time - b.start, rng); },
+        b.workload);
     if (dst == noc::kInvalidNode) continue;
     pending_tenant_ = ti;
     ++emitted_[static_cast<std::size_t>(ti)];
@@ -94,7 +91,11 @@ int CompositeWorkload::packet_length_for(noc::NodeId src,
       b.remap ? local_of_[static_cast<std::size_t>(pending_tenant_)]
                         [static_cast<std::size_t>(src)]
               : src;
-  return b.injector->packet_length_for(local_src, core_time - b.start);
+  return std::visit(
+      [&](const auto& w) {
+        return w.packet_length_for(local_src, core_time - b.start);
+      },
+      b.workload);
 }
 
 int CompositeWorkload::tenant_for(noc::NodeId /*src*/,
@@ -115,7 +116,11 @@ void CompositeWorkload::on_packet_injected(noc::NodeId src,
       b.remap ? local_of_[static_cast<std::size_t>(ti)]
                         [static_cast<std::size_t>(src)]
               : src;
-  b.injector->on_packet_injected(local_src, packet_id, core_time - b.start);
+  std::visit(
+      [&](auto& w) {
+        w.on_packet_injected(local_src, packet_id, core_time - b.start);
+      },
+      b.workload);
 }
 
 noc::PacketRecord CompositeWorkload::to_local(
@@ -137,18 +142,17 @@ void CompositeWorkload::on_packet_delivered(const noc::PacketRecord& rec) {
   if (!live_.take(rec.packet_id, ti)) return;  // not ours (pre-attach)
   ++delivered_[static_cast<std::size_t>(ti)];
   TenantBinding& b = tenants_[static_cast<std::size_t>(ti)];
-  if (!b.remap && b.start == 0.0) {
-    b.injector->on_packet_delivered(rec);
-    return;
-  }
-  b.injector->on_packet_delivered(to_local(ti, rec));
+  const noc::PacketRecord local =
+      !b.remap && b.start == 0.0 ? rec : to_local(ti, rec);
+  std::visit([&](auto& w) { w.on_packet_delivered(local); }, b.workload);
 }
 
 void CompositeWorkload::on_packet_lost(const noc::PacketRecord& rec) {
   int ti = -1;
   if (!live_.take(rec.packet_id, ti)) return;
-  tenants_[static_cast<std::size_t>(ti)].injector->on_packet_lost(
-      to_local(ti, rec));
+  const noc::PacketRecord local = to_local(ti, rec);
+  std::visit([&](auto& w) { w.on_packet_lost(local); },
+             tenants_[static_cast<std::size_t>(ti)].workload);
 }
 
 bool CompositeWorkload::quiescent(double core_time) const {
@@ -156,9 +160,8 @@ bool CompositeWorkload::quiescent(double core_time) const {
     // A finished non-looping trace is quiet; otherwise a tenant is quiet
     // only once its window (capped by the horizon) has passed — after that
     // generate() can never fire for it again.
-    if (b.trace != nullptr && !b.trace->params().loop && b.trace->done()) {
-      continue;
-    }
+    const auto* tw = std::get_if<trace::TraceWorkload>(&b.workload);
+    if (tw != nullptr && tw->done()) continue;
     const double end = b.stop < horizon_ ? b.stop : horizon_;
     if (core_time < end) return false;
   }

@@ -1,35 +1,41 @@
 // CompositeWorkload: a TrafficInjector that deterministically merges N
-// per-tenant child injectors onto one fabric. Each tenant owns a child
-// injector, a node binding, and an activity window; the composite translates
-// the network's global (node, time) view into each child's local view and
-// back, tags every generated packet with its tenant id (tenant_for), and
-// routes delivery notifications to the owning child so dependency-gated
-// trace tenants keep their congestion feedback.
+// per-tenant child workloads onto one fabric. Each tenant holds its child
+// by value (steady, phased or trace), a node binding, and an activity
+// window; the composite translates the network's global (node, time) view
+// into each child's local view and back, tags every generated packet with
+// its tenant id (tenant_for), and routes delivery notifications to the
+// owning child so dependency-gated trace tenants keep their congestion
+// feedback.
 //
 // Determinism contract: per node and per core tick tenants are polled in
 // ascending tenant-id order and the first accepting tenant wins the slot;
 // losing tenants are simply not polled that tick, so their state (including
 // any RNG draws) is untouched. A single-tenant composite with the identity
 // binding forwards every call unchanged and is bit-identical to driving the
-// child injector directly.
+// child directly. The composite copies by default, children included.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "noc/network.h"
+#include "noc/workload.h"
 #include "trace/trace_workload.h"
 #include "util/live_id_table.h"
 
 namespace drlnoc::scenario {
 
+/// A tenant's traffic source: the closed set of scenario workload kinds.
+using TenantWorkload =
+    std::variant<noc::SteadyWorkload, noc::PhasedWorkload, trace::TraceWorkload>;
+
 /// One tenant mounted into a CompositeWorkload.
 struct TenantBinding {
   std::string name = "tenant";
-  std::unique_ptr<noc::TrafficInjector> injector;
+  TenantWorkload workload;
   /// Node binding. Empty = the whole fabric, no remapping. Non-empty with
   /// `remap` set = the child addresses local ids 0..nodes.size()-1 placed on
   /// these global ids (trace placement). Non-empty without `remap` = the
@@ -41,9 +47,6 @@ struct TenantBinding {
   /// that starts at 0 at `start`.
   double start = 0.0;
   double stop = std::numeric_limits<double>::infinity();
-  /// Set when `injector` is a TraceWorkload: enables completion tracking
-  /// (quiescent()) without the composite probing types.
-  const trace::TraceWorkload* trace = nullptr;
 };
 
 class CompositeWorkload : public noc::TrafficInjector {

@@ -33,43 +33,36 @@ std::unique_ptr<CompositeWorkload> build_workload(const Scenario& scenario,
     throw std::invalid_argument(
         "scenario: topology smaller than the scenario's fabric");
   }
+  const auto child = [&](const TenantSpec& t) -> TenantWorkload {
+    switch (t.kind) {
+      case WorkloadKind::kTrace:
+        return trace::TraceWorkload(t.trace, {t.rate_scale, t.loop});
+      case WorkloadKind::kSteady:
+        return noc::SteadyWorkload::make(topo, t.pattern, t.rate, t.process);
+      case WorkloadKind::kPhased: {
+        noc::PhasedWorkload w(
+            topo, t.phases.empty() ? noc::PhasedWorkload::standard_phases(
+                                         topo, t.phase_scale)
+                                   : t.phases);
+        w.set_start_offset(phase_start * w.total_duration());
+        return w;
+      }
+    }
+    throw std::logic_error("scenario: unknown workload kind");
+  };
   std::vector<TenantBinding> bindings;
   bindings.reserve(scenario.tenants.size());
   for (const TenantSpec& t : scenario.tenants) {
-    TenantBinding b;
-    b.name = t.name;
-    b.nodes = t.nodes;
-    b.start = t.start;
-    b.stop = t.stop;
-    switch (t.kind) {
-      case WorkloadKind::kTrace: {
-        trace::TraceWorkloadParams tw;
-        tw.rate_scale = t.rate_scale;
-        tw.loop = t.loop;
-        auto child = std::make_unique<trace::TraceWorkload>(t.trace, tw);
-        b.trace = child.get();
-        // A placement list puts trace endpoint i on nodes[i]; without one
-        // the trace addresses fabric ids directly.
-        b.remap = !t.nodes.empty();
-        b.injector = std::move(child);
-        break;
-      }
-      case WorkloadKind::kSteady:
-        b.injector = std::make_unique<noc::SteadyWorkload>(
-            noc::SteadyWorkload::make(topo, t.pattern, t.rate, t.process));
-        break;
-      case WorkloadKind::kPhased: {
-        auto child = std::make_unique<noc::PhasedWorkload>(
-            topo, t.phases.empty()
-                      ? noc::PhasedWorkload::standard_phases(topo,
-                                                             t.phase_scale)
-                      : t.phases);
-        child->set_start_offset(phase_start * child->total_duration());
-        b.injector = std::move(child);
-        break;
-      }
-    }
-    bindings.push_back(std::move(b));
+    // A trace placement list puts endpoint i on nodes[i]; without one the
+    // trace addresses fabric ids directly. Synthetic tenants keep global
+    // ids and only source from their nodes.
+    bindings.push_back({.name = t.name,
+                        .workload = child(t),
+                        .nodes = t.nodes,
+                        .remap = t.kind == WorkloadKind::kTrace &&
+                                 !t.nodes.empty(),
+                        .start = t.start,
+                        .stop = t.stop});
   }
   return std::make_unique<CompositeWorkload>(topo.num_nodes(),
                                              std::move(bindings));

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "noc/traffic.h"
 #include "util/fnv.h"
 
 namespace drlnoc::scenario {
@@ -43,7 +44,23 @@ namespace {
   throw std::invalid_argument("scenario: " + what);
 }
 
-void validate_tenant(const TenantSpec& t, int num_nodes, int index) {
+/// Builds a pattern and a process through make_pattern / make_injection, the
+/// one home of their name, geometry and rate rules, and refuses what they
+/// refuse under `who`.
+void validate_traffic(const std::string& who, const std::string& pattern,
+                      const std::string& process, double rate,
+                      const noc::Topology& topo) {
+  try {
+    noc::make_pattern(pattern, topo);
+    noc::make_injection(process, topo.num_nodes(), rate);
+  } catch (const std::invalid_argument& e) {
+    fail(who + e.what());
+  }
+}
+
+void validate_tenant(const TenantSpec& t, const noc::Topology& topo,
+                     int index) {
+  const int num_nodes = topo.num_nodes();
   const std::string who = "tenant " + std::to_string(index) + " ('" + t.name +
                           "'): ";
   if (t.name.empty()) fail("tenant " + std::to_string(index) + " has no name");
@@ -89,23 +106,25 @@ void validate_tenant(const TenantSpec& t, int num_nodes, int index) {
       break;
     }
     case WorkloadKind::kSteady:
-      if (!(t.rate > 0.0) || !std::isfinite(t.rate)) {
-        fail(who + "rate must be finite and > 0 (got " +
-             std::to_string(t.rate) + ")");
+      if (!(t.rate > 0.0)) {
+        fail(who + "rate must be > 0 (got " + std::to_string(t.rate) + ")");
       }
+      validate_traffic(who, t.pattern, t.process, t.rate, topo);
       break;
-    case WorkloadKind::kPhased:
+    case WorkloadKind::kPhased: {
       if (t.phases.empty() &&
           (!(t.phase_scale > 0.0) || !std::isfinite(t.phase_scale))) {
         fail(who + "phase_scale must be finite and > 0 (got " +
              std::to_string(t.phase_scale) + ")");
       }
-      for (std::size_t k = 0; k < t.phases.size(); ++k) {
-        const noc::Phase& ph = t.phases[k];
+      const std::vector<noc::Phase> phases =
+          t.phases.empty()
+              ? noc::PhasedWorkload::standard_phases(topo, t.phase_scale)
+              : t.phases;
+      for (std::size_t k = 0; k < phases.size(); ++k) {
+        const noc::Phase& ph = phases[k];
         const std::string phase = "phase " + std::to_string(k) + " ";
-        if (!(ph.rate >= 0.0) || !std::isfinite(ph.rate)) {
-          fail(who + phase + "rate must be finite and >= 0");
-        }
+        validate_traffic(who + phase, ph.pattern, ph.process, ph.rate, topo);
         if (!(ph.duration_core_cycles > 0.0)) {
           fail(who + phase + "duration must be > 0");
         }
@@ -117,6 +136,7 @@ void validate_tenant(const TenantSpec& t, int num_nodes, int index) {
         }
       }
       break;
+    }
   }
 }
 
@@ -173,24 +193,21 @@ bool Scenario::has_qos() const {
 void Scenario::validate() const {
   if (tenants.empty()) fail("no tenants");
   net.validate();
-  const int num_nodes = net.width * net.height;
+  // Traffic and fault checks need the geometry. Building the topology is
+  // cheap (a static graph; no routers or channels).
+  const auto topo = noc::make_topology(net.topology, net.width, net.height);
   if (!(duration >= 0.0) || !std::isfinite(duration)) {
     fail("duration must be finite and >= 0");
   }
   for (std::size_t i = 0; i < tenants.size(); ++i) {
-    validate_tenant(tenants[i], num_nodes, static_cast<int>(i));
+    validate_tenant(tenants[i], *topo, static_cast<int>(i));
   }
   validate_controller(controller);
   churn.validate(static_cast<std::size_t>(num_declared_tenants()), duration);
   faults.validate();
-  if (faults.enabled()) {
-    // Topology-dependent checks, including the fail-fast rejection of
-    // cycle-0 link deaths that disconnect the fabric. Building the topology
-    // is cheap (a static graph; no routers or channels).
-    const auto topo =
-        noc::make_topology(net.topology, net.width, net.height);
-    faults.validate(*topo);
-  }
+  // Includes the fail-fast rejection of cycle-0 link deaths that disconnect
+  // the fabric.
+  if (faults.enabled()) faults.validate(*topo);
   if (duration == 0.0) {
     // Without a horizon the run ends when every tenant finishes; an
     // open-ended synthetic tenant would spin to the cycle limit. Looping

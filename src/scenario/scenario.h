@@ -142,8 +142,11 @@ struct Scenario {
   bool has_qos() const;
 
   /// Throws std::invalid_argument on malformed scenarios: no tenants, a
-  /// fabric NetworkParams::validate rejects, nonpositive/nonfinite rates
-  /// or rate scales, inverted windows, node ids out of range or duplicated
+  /// fabric NetworkParams::validate rejects, a steady tenant's or a phase's
+  /// pattern, process or rate that noc::make_pattern / noc::make_injection
+  /// refuse (unknown names, geometry, rates outside [0, 1] or above burst's
+  /// duty cycle; named by tenant and phase), a zero steady rate,
+  /// nonpositive/nonfinite rate scales, inverted windows, node ids out of range or duplicated
   /// within a tenant, trace placements that do not cover the trace,
   /// traces addressing more nodes than the fabric has,
   /// a scenario with no finite horizon (every tenant open-ended synthetic

@@ -559,29 +559,37 @@ TEST(ScenarioFaults, ScriptedFaultsFlowIntoRunMetrics) {
             r.stats.tenants[0].packets_offered);
 }
 
-/// Uniform traffic that records which of its packets the network reports
-/// delivered and which lost.
+/// Wraps an injector, forwards every hook to it, and records which of its
+/// packets the network reports delivered and which lost.
 class OutcomeInjector : public noc::TrafficInjector {
  public:
-  explicit OutcomeInjector(const noc::Topology& topo)
-      : inner_(noc::SteadyWorkload::make(topo, "uniform", 0.09)) {}
+  explicit OutcomeInjector(noc::TrafficInjector& inner) : inner_(inner) {}
 
   noc::NodeId generate(noc::NodeId src, double core_time,
                        util::Rng& rng) override {
     return generating_ ? inner_.generate(src, core_time, rng)
                        : noc::kInvalidNode;
   }
-  void on_packet_injected(noc::NodeId /*src*/, std::uint64_t packet_id,
-                          double /*core_time*/) override {
+  int packet_length_for(noc::NodeId src, double core_time) const override {
+    return inner_.packet_length_for(src, core_time);
+  }
+  int tenant_for(noc::NodeId src, double core_time) const override {
+    return inner_.tenant_for(src, core_time);
+  }
+  void on_packet_injected(noc::NodeId src, std::uint64_t packet_id,
+                          double core_time) override {
     injected_.insert(packet_id);
+    inner_.on_packet_injected(src, packet_id, core_time);
   }
   void on_packet_delivered(const noc::PacketRecord& rec) override {
     EXPECT_TRUE(delivered_.insert(rec.packet_id).second);
+    inner_.on_packet_delivered(rec);
   }
   void on_packet_lost(const noc::PacketRecord& rec) override {
     EXPECT_TRUE(lost_.insert(rec.packet_id).second)
         << "packet " << rec.packet_id << " reported lost twice";
     EXPECT_TRUE(rec.corrupted);
+    inner_.on_packet_lost(rec);
   }
   std::string name() const override { return "outcome"; }
 
@@ -591,7 +599,7 @@ class OutcomeInjector : public noc::TrafficInjector {
   const std::set<std::uint64_t>& lost() const { return lost_; }
 
  private:
-  noc::SteadyWorkload inner_;
+  noc::TrafficInjector& inner_;
   bool generating_ = true;
   std::set<std::uint64_t> injected_, delivered_, lost_;
 };
@@ -652,9 +660,9 @@ TEST(TenantPartition, FaultedSlicesSumToAggregate) {
   }
 }
 
-// Every packet ends exactly one way — delivered or reported lost — and the
-// loss hook reaches a composite's child, so workloads that track live
-// packets can forget the ones that will never arrive.
+// Every packet ends exactly one way — delivered or reported lost — and a
+// composite's per-tenant counts agree: what it emitted was either delivered
+// or lost.
 TEST(FaultHooks, EveryPacketIsDeliveredOrReportedLostOnce) {
   noc::NetworkParams p;
   p.width = p.height = 4;
@@ -666,17 +674,19 @@ TEST(FaultHooks, EveryPacketIsDeliveredOrReportedLostOnce) {
   fp.retry_timeout = 16;
   fp.retry_budget = 1;
   net.set_fault_model(fp);
-  std::vector<scenario::TenantBinding> bindings(1);
-  auto child = std::make_unique<OutcomeInjector>(net.topology());
-  OutcomeInjector& outcome = *child;
-  bindings[0].injector = std::move(child);
-  scenario::CompositeWorkload composite(net.num_nodes(), std::move(bindings));
+  scenario::Scenario s;
+  s.net = p;
+  s.tenants.emplace_back().rate = 0.09;  // steady uniform, whole fabric
+  const std::unique_ptr<scenario::CompositeWorkload> w =
+      scenario::build_workload(s, net.topology());
+  scenario::CompositeWorkload& composite = *w;
+  OutcomeInjector outcome(composite);
 
   std::uint64_t lost = 0;
-  for (int i = 0; i < 3000; ++i) net.step(&composite);
+  for (int i = 0; i < 3000; ++i) net.step(&outcome);
   lost += net.drain_epoch_stats().packets_lost;
   outcome.stop();
-  for (int i = 0; i < 100000 && !net.drained(); ++i) net.step(&composite);
+  for (int i = 0; i < 100000 && !net.drained(); ++i) net.step(&outcome);
   ASSERT_TRUE(net.drained());
   lost += net.drain_epoch_stats().packets_lost;
 
@@ -688,6 +698,7 @@ TEST(FaultHooks, EveryPacketIsDeliveredOrReportedLostOnce) {
     EXPECT_EQ(outcome.delivered().count(id), 0u) << "packet " << id;
   }
   EXPECT_EQ(composite.delivered(0), outcome.delivered().size());
+  EXPECT_EQ(composite.emitted(0), outcome.injected().size());
 }
 
 }  // namespace

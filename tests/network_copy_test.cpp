@@ -1,10 +1,11 @@
-// Network is a value type: a copy taken at any cycle, stepped on with its
-// own injector, must continue exactly as the original does. Each case builds
-// three identical (network, injector) pairs: a reference that is never
-// copied, a source, and a target whose network is replaced at cycle t by a
-// copy of the source's — once by copy-construction, once by copy-assignment.
-// All three must end with bit-identical epoch statistics and delivered
-// records, and the copy must pass the quiescence audit.
+// Network and the workloads that drive it are value types: a copy of both
+// taken at any cycle must continue exactly as the original does. Each case
+// builds three identical (network, workload) pairs: a reference that is
+// never copied, a source, and a target whose network and workload are
+// replaced at cycle t by copies of the source's — once by copy-construction,
+// once by copy-assignment. All three must end with bit-identical epoch
+// statistics and delivered records, and the copy must pass the quiescence
+// audit.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -16,6 +17,7 @@
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "obs/flight_recorder.h"
+#include "scenario/composite_workload.h"
 #include "scenario/runtime.h"
 #include "trace/generators.h"
 #include "trace/recorder.h"
@@ -30,23 +32,38 @@ static_assert(std::is_copy_constructible_v<noc::Router> &&
               std::is_copy_assignable_v<noc::Router>);
 static_assert(std::is_copy_constructible_v<noc::Nic> &&
               std::is_copy_assignable_v<noc::Nic>);
+static_assert(std::is_copy_constructible_v<noc::SteadyWorkload> &&
+              std::is_copy_assignable_v<noc::SteadyWorkload>);
+static_assert(std::is_copy_constructible_v<noc::PhasedWorkload> &&
+              std::is_copy_assignable_v<noc::PhasedWorkload>);
+static_assert(std::is_copy_constructible_v<trace::TraceWorkload> &&
+              std::is_copy_assignable_v<trace::TraceWorkload>);
+static_assert(std::is_copy_constructible_v<scenario::CompositeWorkload> &&
+              std::is_copy_assignable_v<scenario::CompositeWorkload>);
 
 constexpr noc::Cycle kEpoch = 128;
 constexpr std::uint64_t kCycleLimit = 200000;
 
-/// One (network, injector) pair; the recorder wraps the injector to capture
-/// the delivered-packet stream.
+/// One (network, workload) pair; the recorder wraps the workload to
+/// capture the delivered-packet stream.
+template <typename W>
 struct Pair {
   std::unique_ptr<noc::Network> net;
-  std::unique_ptr<noc::TrafficInjector> source;
+  std::unique_ptr<W> source;
   std::unique_ptr<trace::TraceRecorder> rec;
   GoldenHash stats;
+
+  Pair(std::unique_ptr<noc::Network> n, W w)
+      : net(std::move(n)), source(std::make_unique<W>(std::move(w))),
+        rec(std::make_unique<trace::TraceRecorder>(net->num_nodes(),
+                                                   source.get())) {}
 };
 
 /// How a case builds a pair and decides that its run is over.
+template <typename W>
 struct Case {
-  std::function<Pair()> make;
-  std::function<bool(const Pair&)> done;
+  std::function<Pair<W>()> make;
+  std::function<bool(const Pair<W>&)> done;
 };
 
 void mix_epoch(GoldenHash& h, const noc::EpochStats& s) {
@@ -70,7 +87,8 @@ void mix_epoch(GoldenHash& h, const noc::EpochStats& s) {
 
 /// Steps `p` until `stop` holds or the cycle limit, folding every epoch's
 /// statistics into its hash.
-void advance(Pair& p, const std::function<bool(const Pair&)>& stop) {
+template <typename W>
+void advance(Pair<W>& p, const std::function<bool(const Pair<W>&)>& stop) {
   while (!stop(p) && p.net->cycle() < kCycleLimit) {
     p.net->step(p.rec.get());
     if (p.net->cycle() % kEpoch == 0) {
@@ -86,7 +104,8 @@ struct Outcome {
   bool operator==(const Outcome&) const = default;
 };
 
-Outcome finish(Pair& p, const Case& c) {
+template <typename W>
+Outcome finish(Pair<W>& p, const Case<W>& c) {
   advance(p, c.done);
   EXPECT_LT(p.net->cycle(), kCycleLimit) << "run did not finish";
   mix_epoch(p.stats, p.net->drain_epoch_stats());
@@ -103,16 +122,19 @@ int buffered_flits(const noc::Network& net) {
 }
 
 /// Runs the reference, then for t in {0, mid} and both copy forms, a
-/// source/target pair whose target continues on a copy of the source.
-void expect_copies_continue_identically(const Case& c, noc::Cycle mid) {
-  Pair reference = c.make();
+/// source/target pair whose target continues on a copy of the source's
+/// network and workload.
+template <typename W>
+void expect_copies_continue_identically(const Case<W>& c, noc::Cycle mid) {
+  Pair<W> reference = c.make();
   const Outcome expected = finish(reference, c);
   for (const noc::Cycle t : {noc::Cycle{0}, mid}) {
     for (const bool assign : {false, true}) {
       SCOPED_TRACE(::testing::Message() << "t=" << t << " assign=" << assign);
-      Pair source = c.make();
-      Pair target = c.make();
-      const auto until_t = [t](const Pair& p) { return p.net->cycle() >= t; };
+      Pair<W> source = c.make();
+      Pair<W> target = c.make();
+      const std::function<bool(const Pair<W>&)> until_t =
+          [t](const Pair<W>& p) { return p.net->cycle() >= t; };
       advance(source, until_t);
       advance(target, until_t);
       ASSERT_EQ(source.net->cycle(), t);
@@ -121,8 +143,11 @@ void expect_copies_continue_identically(const Case& c, noc::Cycle mid) {
       }
       if (assign) {
         *target.net = *source.net;
+        *target.source = *source.source;
       } else {
         target.net = std::make_unique<noc::Network>(*source.net);
+        target.source = std::make_unique<W>(*source.source);
+        target.rec->set_source(target.source.get());
       }
       EXPECT_EQ(target.net->audit_quiescence(), "");
       EXPECT_EQ(finish(source, c), expected);
@@ -147,13 +172,12 @@ TEST(NetworkCopy, FaultedRunWithALaterLinkDeathAndSlowdown) {
   // Transient corruption with retries from the start; a slowdown and a link
   // death (with its routing-table recompute) both fire after the copy.
   constexpr noc::Cycle kMid = 500;
-  Case c;
+  Case<noc::SteadyWorkload> c;
   c.make = [] {
     noc::NetworkParams p;
     p.width = p.height = 4;
     p.seed = 11;
-    Pair pair;
-    pair.net = std::make_unique<noc::Network>(p);
+    auto net = std::make_unique<noc::Network>(p);
     noc::FaultParams fp;
     fp.seed = 3;
     fp.link_fault_rate = 0.01;
@@ -162,18 +186,15 @@ TEST(NetworkCopy, FaultedRunWithALaterLinkDeathAndSlowdown) {
     fp.events = {fault_event(kMid + 100, Kind::kSlowdown, 5, 1, 3),
                  fault_event(kMid + 200, Kind::kLinkDown, 6, 1, 2),
                  fault_event(kMid + 900, Kind::kSlowdown, 5, 1, 1)};
-    pair.net->set_fault_model(fp);
-    pair.source = std::make_unique<noc::SteadyWorkload>(
-        noc::SteadyWorkload::make(pair.net->topology(), "uniform", 0.15));
-    pair.rec = std::make_unique<trace::TraceRecorder>(pair.net->num_nodes(),
-                                                      pair.source.get());
-    return pair;
+    net->set_fault_model(fp);
+    auto w = noc::SteadyWorkload::make(net->topology(), "uniform", 0.15);
+    return Pair<noc::SteadyWorkload>(std::move(net), std::move(w));
   };
-  c.done = [](const Pair& p) { return p.net->cycle() >= 2500; };
+  c.done = [](const auto& p) { return p.net->cycle() >= 2500; };
   expect_copies_continue_identically(c, kMid);
 
   // The run reaches the fault paths it claims to cover.
-  Pair probe = c.make();
+  Pair<noc::SteadyWorkload> probe = c.make();
   advance(probe, c.done);
   const noc::EpochStats s = probe.net->drain_epoch_stats();
   EXPECT_GT(s.retries + s.rerouted_hops, 0u);
@@ -183,7 +204,7 @@ TEST(NetworkCopy, FaultedRunWithALaterLinkDeathAndSlowdown) {
 TEST(NetworkCopy, MultiTenantScenario) {
   // A DNN pipeline trace sharing a 4x4 mesh with windowed uniform
   // background, with per-tenant accounting on.
-  Case c;
+  Case<scenario::CompositeWorkload> c;
   c.make = [] {
     scenario::Scenario s;
     s.net.width = s.net.height = 4;
@@ -201,18 +222,13 @@ TEST(NetworkCopy, MultiTenantScenario) {
     bg.start = 100.0;
     bg.stop = 3000.0;
     s.tenants.push_back(std::move(bg));
-    Pair pair;
-    pair.net = scenario::build_network(s);
-    auto w = scenario::build_workload(s, pair.net->topology());
-    pair.net->set_tenant_tracking(w->num_tenants());
-    pair.source = std::move(w);
-    pair.rec = std::make_unique<trace::TraceRecorder>(pair.net->num_nodes(),
-                                                      pair.source.get());
-    return pair;
+    auto net = scenario::build_network(s);
+    auto w = scenario::build_workload(s, net->topology());
+    net->set_tenant_tracking(w->num_tenants());
+    return Pair<scenario::CompositeWorkload>(std::move(net), std::move(*w));
   };
-  c.done = [](const Pair& p) {
-    const auto& w = static_cast<const scenario::CompositeWorkload&>(*p.source);
-    return w.quiescent(p.net->core_time()) && p.net->drained();
+  c.done = [](const auto& p) {
+    return p.source->quiescent(p.net->core_time()) && p.net->drained();
   };
   expect_copies_continue_identically(c, 700);
 }
@@ -220,22 +236,16 @@ TEST(NetworkCopy, MultiTenantScenario) {
 TEST(NetworkCopy, DependencyGatedTraceReplay) {
   // Records wait on their dependencies' deliveries, so the injector's live
   // packet map must line up with the copy's packet ids.
-  Case c;
+  Case<trace::TraceWorkload> c;
   c.make = [] {
     noc::NetworkParams p;
     p.width = p.height = 4;
-    Pair pair;
-    pair.net = std::make_unique<noc::Network>(p);
-    pair.source = std::make_unique<trace::TraceWorkload>(
-        trace::generate_dnn_pipeline({16, 4, 4, 3, 64.0, 32.0, 8}));
-    pair.rec = std::make_unique<trace::TraceRecorder>(pair.net->num_nodes(),
-                                                      pair.source.get());
-    return pair;
+    return Pair<trace::TraceWorkload>(
+        std::make_unique<noc::Network>(p),
+        trace::TraceWorkload(
+            trace::generate_dnn_pipeline({16, 4, 4, 3, 64.0, 32.0, 8})));
   };
-  c.done = [](const Pair& p) {
-    return static_cast<const trace::TraceWorkload&>(*p.source).done() &&
-           p.net->drained();
-  };
+  c.done = [](const auto& p) { return p.source->done() && p.net->drained(); };
   expect_copies_continue_identically(c, 300);
 }
 

@@ -1,7 +1,8 @@
 # CLI smoke for the exit codes the command-line tools share: 2 for a
 # missing or unknown command, 0 for `--help`/`-h` and for `<command>
 # --help` (also for an unknown command), 1 when a command fails (a file
-# that does not exist, or a negative cycle count on a valid input).
+# that does not exist, a negative cycle count on a valid input, or traffic
+# the workloads refuse).
 #
 #   cmake -DSCENARIOCTL=<scenarioctl> -DTRACECTL=<tracectl> \
 #         -DFLEETCTL=<fleetctl> -DWORK=<scratch dir> \
@@ -60,3 +61,11 @@ expect_exit(1 "${SCENARIOCTL}" run file=tiny.drlsc cycle_limit=-1)
 expect_exit(0 "${SCENARIOCTL}" run file=tiny_scheduled.drlsc)
 expect_exit(1 "${SCENARIOCTL}" run file=tiny_scheduled.drlsc epoch_cycles=-1)
 expect_exit(2 "${SCENARIOCTL}" run file=tiny_scheduled.drlsc epoch_cycles=0)
+
+# Traffic the workloads would refuse fails validation, so `validate` and
+# `describe` exit 1 on it just as `run` does.
+file(WRITE "${WORK}/bad_pattern.drlsc" ${scenario} "tenant0.pattern = nope\n")
+expect_exit(1 "${SCENARIOCTL}" validate file=bad_pattern.drlsc)
+expect_exit(1 "${SCENARIOCTL}" describe file=bad_pattern.drlsc)
+expect_exit(1 "${SCENARIOCTL}" run file=bad_pattern.drlsc)
+expect_exit(0 "${SCENARIOCTL}" validate file=tiny.drlsc)

@@ -940,7 +940,8 @@ TEST(TraceEnv, EpisodesRunOnTraceWorkloads) {
   const rl::State s0 = env.reset();
   EXPECT_EQ(s0.size(), env.state_size());
   ASSERT_NE(env.workload(), nullptr);
-  EXPECT_NE(env.workload()->tenant(0).trace, nullptr);
+  EXPECT_TRUE(std::holds_alternative<TraceWorkload>(
+      env.workload()->tenant(0).workload));
   double traffic = 0.0;
   for (int a = 0; a < 3; ++a) {
     const rl::StepResult r = env.step(a % env.num_actions());

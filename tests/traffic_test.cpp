@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "noc/traffic.h"
@@ -10,7 +11,7 @@ namespace drlnoc::noc {
 namespace {
 
 TEST(UniformTraffic, NeverSelfAndCoversAll) {
-  UniformTraffic u(16);
+  const TrafficPattern u = make_pattern("uniform", Mesh2D(4, 4));
   util::Rng rng(1);
   std::map<NodeId, int> counts;
   for (int i = 0; i < 32000; ++i) {
@@ -25,26 +26,26 @@ TEST(UniformTraffic, NeverSelfAndCoversAll) {
 }
 
 TEST(TransposeTraffic, MapsCoordinates) {
-  TransposeTraffic t(4, 4);
+  const TrafficPattern t = make_pattern("transpose", Mesh2D(4, 4));
   util::Rng rng(1);
   // (1,2)=9 -> (2,1)=6.
   EXPECT_EQ(t.dest(9, rng), 6);
   // Diagonal maps to itself -> no packet.
   EXPECT_EQ(t.dest(0, rng), kInvalidNode);
   EXPECT_EQ(t.dest(5, rng), kInvalidNode);
-  EXPECT_THROW(TransposeTraffic(4, 3), std::invalid_argument);
+  EXPECT_THROW(make_pattern("transpose", Mesh2D(4, 3)), std::invalid_argument);
 }
 
 TEST(BitCompTraffic, Complements) {
-  BitComplementTraffic b(16);
+  const TrafficPattern b = make_pattern("bitcomp", Mesh2D(4, 4));
   util::Rng rng(1);
   EXPECT_EQ(b.dest(0, rng), 15);
   EXPECT_EQ(b.dest(5, rng), 10);
-  EXPECT_THROW(BitComplementTraffic(12), std::invalid_argument);
+  EXPECT_THROW(make_pattern("bitcomp", Mesh2D(4, 3)), std::invalid_argument);
 }
 
 TEST(BitRevTraffic, ReversesBits) {
-  BitReverseTraffic b(8);
+  const TrafficPattern b = make_pattern("bitrev", Ring(8));
   util::Rng rng(1);
   EXPECT_EQ(b.dest(1, rng), 4);   // 001 -> 100
   EXPECT_EQ(b.dest(3, rng), 6);   // 011 -> 110
@@ -52,7 +53,7 @@ TEST(BitRevTraffic, ReversesBits) {
 }
 
 TEST(ShuffleTraffic, RotatesLeft) {
-  ShuffleTraffic s(8);
+  const TrafficPattern s = make_pattern("shuffle", Mesh2D(4, 2));
   util::Rng rng(1);
   EXPECT_EQ(s.dest(1, rng), 2);   // 001 -> 010
   EXPECT_EQ(s.dest(4, rng), 1);   // 100 -> 001
@@ -61,14 +62,14 @@ TEST(ShuffleTraffic, RotatesLeft) {
 }
 
 TEST(TornadoTraffic, HalfwayAround) {
-  TornadoTraffic t(8, 8);
+  const TrafficPattern t = make_pattern("tornado", Mesh2D(8, 8));
   util::Rng rng(1);
   // (0,0) -> (3,3) for 8x8: offset ceil(8/2)-1 = 3.
   EXPECT_EQ(t.dest(0, rng), 3 * 8 + 3);
 }
 
 TEST(NeighborTraffic, NextInRow) {
-  NeighborTraffic n(4, 4);
+  const TrafficPattern n = make_pattern("neighbor", Mesh2D(4, 4));
   util::Rng rng(1);
   EXPECT_EQ(n.dest(0, rng), 1);
   EXPECT_EQ(n.dest(3, rng), 0);   // wraps within the row
@@ -76,22 +77,41 @@ TEST(NeighborTraffic, NextInRow) {
 }
 
 TEST(HotspotTraffic, ConcentratesOnHotspots) {
-  HotspotTraffic h(64, {10, 20}, 0.5);
+  // On 8x8 the hotspots are the centre block 27, 28, 35, 36.
+  const TrafficPattern h = make_pattern("hotspot", Mesh2D(8, 8));
   util::Rng rng(2);
   int hot = 0;
   const int trials = 40000;
   for (int i = 0; i < trials; ++i) {
     const NodeId d = h.dest(0, rng);
     ASSERT_NE(d, 0);
-    if (d == 10 || d == 20) ++hot;
+    if (d == 27 || d == 28 || d == 35 || d == 36) ++hot;
   }
-  // 50% targeted + ~2/63 of the uniform half.
-  EXPECT_NEAR(static_cast<double>(hot) / trials, 0.5 + 0.5 * 2.0 / 63.0, 0.02);
+  // 50% targeted + ~4/63 of the uniform half.
+  EXPECT_NEAR(static_cast<double>(hot) / trials, 0.5 + 0.5 * 4.0 / 63.0, 0.02);
 }
 
 TEST(HotspotTraffic, Validation) {
-  EXPECT_THROW(HotspotTraffic(16, {}, 0.5), std::invalid_argument);
-  EXPECT_THROW(HotspotTraffic(16, {99}, 0.5), std::invalid_argument);
+  // The hotspot block is placed from the geometry alone, so on the
+  // smallest grids, tori and rings it must still name real nodes other
+  // than the source.
+  const Mesh2D mesh21(2, 1), mesh22(2, 2), mesh23(2, 3), mesh33(3, 3);
+  const Torus2D torus(4, 4);
+  const Ring ring3(3), ring5(5);
+  const Topology* topos[] = {&mesh21, &mesh22, &mesh23, &mesh33,
+                             &torus,  &ring3,  &ring5};
+  for (const Topology* topo : topos) {
+    const TrafficPattern h = make_pattern("hotspot", *topo);
+    util::Rng rng(4);
+    for (NodeId src = 0; src < topo->num_nodes(); ++src) {
+      for (int i = 0; i < 200; ++i) {
+        const NodeId d = h.dest(src, rng);
+        ASSERT_GE(d, 0) << topo->name();
+        ASSERT_LT(d, topo->num_nodes()) << topo->name();
+        ASSERT_NE(d, src) << topo->name();
+      }
+    }
+  }
 }
 
 TEST(PatternFactory, AllKinds) {
@@ -101,22 +121,30 @@ TEST(PatternFactory, AllKinds) {
     EXPECT_NO_THROW(make_pattern(kind, mesh)) << kind;
   }
   EXPECT_THROW(make_pattern("nope", mesh), std::invalid_argument);
+  // The power-of-two patterns refuse 12 nodes; transpose a 4x3 grid.
+  const Mesh2D mesh43(4, 3);
+  for (const char* kind : {"transpose", "bitcomp", "bitrev", "shuffle"}) {
+    EXPECT_THROW(make_pattern(kind, mesh43), std::invalid_argument) << kind;
+  }
+  for (const char* kind : {"uniform", "tornado", "neighbor", "hotspot"}) {
+    EXPECT_EQ(make_pattern(kind, mesh43).name(), kind);
+  }
 }
 
 TEST(BernoulliInjection, MatchesRate) {
-  BernoulliInjection inj(1);
+  InjectionProcess inj = make_injection("bernoulli", 1, 0.1);
   util::Rng rng(3);
   int fires = 0;
-  for (int i = 0; i < 100000; ++i) fires += inj.fire(0, 0.1, rng);
+  for (int i = 0; i < 100000; ++i) fires += inj.fire(0, rng);
   EXPECT_NEAR(fires / 100000.0, 0.1, 0.005);
 }
 
 TEST(BurstInjection, LongRunMeanMatchesRate) {
-  BurstInjection inj(1, 0.02, 0.08);
+  InjectionProcess inj = make_injection("burst", 1, 0.05);
   util::Rng rng(5);
   int fires = 0;
   const int trials = 400000;
-  for (int i = 0; i < trials; ++i) fires += inj.fire(0, 0.05, rng);
+  for (int i = 0; i < trials; ++i) fires += inj.fire(0, rng);
   EXPECT_NEAR(fires / static_cast<double>(trials), 0.05, 0.01);
 }
 
@@ -124,13 +152,13 @@ TEST(BurstInjection, IsActuallyBursty) {
   // Variance of per-window counts must exceed Bernoulli's.
   const double rate = 0.05;
   util::Rng rng(7);
-  BurstInjection burst(1, 0.02, 0.08);
-  BernoulliInjection bern(1);
+  InjectionProcess burst = make_injection("burst", 1, rate);
+  InjectionProcess bern = make_injection("bernoulli", 1, rate);
   auto window_variance = [&](InjectionProcess& p) {
     util::Accumulator acc;
     for (int w = 0; w < 400; ++w) {
       int count = 0;
-      for (int i = 0; i < 200; ++i) count += p.fire(0, rate, rng);
+      for (int i = 0; i < 200; ++i) count += p.fire(0, rng);
       acc.add(count);
     }
     return acc.variance();
@@ -139,9 +167,33 @@ TEST(BurstInjection, IsActuallyBursty) {
 }
 
 TEST(InjectionFactory, Kinds) {
-  EXPECT_NO_THROW(make_injection("bernoulli", 4));
-  EXPECT_NO_THROW(make_injection("burst", 4));
-  EXPECT_THROW(make_injection("pareto", 4), std::invalid_argument);
+  EXPECT_NO_THROW(make_injection("bernoulli", 4, 0.1));
+  EXPECT_NO_THROW(make_injection("burst", 4, 0.1));
+  EXPECT_THROW(make_injection("pareto", 4, 0.1), std::invalid_argument);
+  // Rates are packets/node/core-cycle, so [0, 1].
+  for (const char* kind : {"bernoulli", "burst"}) {
+    EXPECT_NO_THROW(make_injection(kind, 4, 0.0)) << kind;
+    EXPECT_THROW(make_injection(kind, 4, -0.1), std::invalid_argument) << kind;
+    EXPECT_THROW(make_injection(kind, 4, 1.5), std::invalid_argument) << kind;
+    EXPECT_THROW(make_injection(kind, 4, std::nan("")),
+                 std::invalid_argument) << kind;
+  }
+}
+
+TEST(BurstInjection, RefusesRatesAboveItsDutyCycle) {
+  // ON 20% of the time, a burst node would need an ON-state rate above 1
+  // to average more than 0.2; the process refuses instead of clamping.
+  EXPECT_NO_THROW(make_injection("burst", 4, 0.2));
+  EXPECT_THROW(make_injection("burst", 4, 0.21), std::invalid_argument);
+  EXPECT_THROW(make_injection("burst", 4, 0.9), std::invalid_argument);
+  EXPECT_NO_THROW(make_injection("bernoulli", 4, 0.9));
+  // At the cap every ON cycle fires, so the long-run mean is the cap.
+  InjectionProcess inj = make_injection("burst", 1, 0.2);
+  util::Rng rng(9);
+  int fires = 0;
+  const int trials = 400000;
+  for (int i = 0; i < trials; ++i) fires += inj.fire(0, rng);
+  EXPECT_NEAR(fires / static_cast<double>(trials), 0.2, 0.02);
 }
 
 }  // namespace

@@ -46,6 +46,13 @@ TEST(PhasedWorkload, ValidatesPhases) {
                std::invalid_argument);
   EXPECT_THROW(PhasedWorkload(mesh, {{"warp", 0.1, 10.0, "bernoulli"}}),
                std::invalid_argument);
+  // The same rate range as a steady workload, and burst's duty-cycle cap.
+  EXPECT_THROW(PhasedWorkload(mesh, {{"uniform", 3.0, 10.0, "bernoulli"}}),
+               std::invalid_argument);
+  EXPECT_THROW(PhasedWorkload(mesh, {{"uniform", -0.1, 10.0, "bernoulli"}}),
+               std::invalid_argument);
+  EXPECT_THROW(PhasedWorkload(mesh, {{"hotspot", 0.9, 10.0, "burst"}}),
+               std::invalid_argument);
 }
 
 TEST(PhasedWorkload, OffsetShiftsPhaseLookup) {

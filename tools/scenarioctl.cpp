@@ -69,10 +69,10 @@ void help(const std::string& command) {
     std::cout
         << "scenarioctl validate file=X\n"
            "Parse and fully validate a .drlsc scenario — key/section typos,\n"
-           "tenant specs, QoS constraints, and eager loading of referenced\n"
-           "traces and policy files (relative to the scenario file). Prints\n"
-           "a one-line summary on success; exit 1 with a diagnostic on any\n"
-           "error.\n";
+           "tenant specs (traffic names, pattern geometry, rates), QoS\n"
+           "constraints, and eager loading of referenced traces and policy\n"
+           "files (relative to the scenario file). Prints a one-line summary\n"
+           "on success; exit 1 with a diagnostic on any error.\n";
   } else if (command == "describe") {
     std::cout
         << "scenarioctl describe file=X\n"
