@@ -1,8 +1,9 @@
 // trace_replay: the trace subsystem's rate-scale sweep. Replays generated
 // task-graph traces at several replay speeds (fig1-style: one independent
 // simulation per point, fanned out over the experiment engine) and prints
-// how dependency-gated completion time and latency respond. The trace hot
-// paths (generation, I/O, replay rates) are perf_smoke's trace_* keys.
+// how dependency-gated completion time and latency respond. Exits 1 when
+// a replay hits its cycle limit. The trace hot paths (generation, I/O,
+// replay rates) are perf_smoke's trace_* keys.
 //
 //   ./bench/trace_replay
 //   ./bench/trace_replay size=8 --jobs 4
@@ -83,8 +84,10 @@ int main(int argc, char** argv) {
 
   util::Table t({"trace", "rate_scale", "core_cycles", "packets", "avg_lat",
                  "p95_lat", "energy_uJ", "complete"});
+  bool all_completed = true;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const auto& r = results[i];
+    all_completed = all_completed && r.completed;
     t.row()
         .cell(tasks[i].name)
         .cell(tasks[i].rate_scale, 2)
@@ -99,5 +102,5 @@ int main(int argc, char** argv) {
   std::cout << "\ndependency gating makes completion sub-linear in "
                "rate_scale: past the fabric's capacity, extra replay speed "
                "just moves waiting from release times into the network.\n";
-  return 0;
+  return all_completed ? 0 : 1;
 }

@@ -1,5 +1,7 @@
 #include "trace/generators.h"
 
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -31,15 +33,18 @@ Trace generate_dnn_pipeline(const DnnPipelineParams& p) {
   };
 
   std::uint64_t next_id = 1;
-  // Packets delivered into each tile of the *receiving* layer for the batch
-  // currently being generated; boundary l feeds the inputs of boundary l+1.
+  // Positions of the packets delivered into each tile of the *receiving*
+  // layer for the batch currently being generated; boundary l feeds the
+  // inputs of boundary l+1.
   const auto tiles = static_cast<std::size_t>(p.tiles_per_layer);
   for (int b = 0; b < p.batches; ++b) {
-    std::vector<std::vector<std::uint64_t>> inputs(tiles);
+    std::vector<std::vector<std::uint32_t>> inputs(tiles);
     for (int l = 0; l + 1 < p.layers; ++l) {
-      std::vector<std::vector<std::uint64_t>> next_inputs(tiles);
+      std::vector<std::vector<std::uint32_t>> next_inputs(tiles);
       for (int u = 0; u < p.tiles_per_layer; ++u) {
         const noc::NodeId src = node_of(l, u);
+        const std::vector<std::uint32_t>& in =
+            inputs[static_cast<std::size_t>(u)];
         for (int v = 0; v < p.tiles_per_layer; ++v) {
           const noc::NodeId dst = node_of(l + 1, v);
           if (src == dst) continue;  // wrapped placement: self-sends elided
@@ -47,21 +52,24 @@ Trace generate_dnn_pipeline(const DnnPipelineParams& p) {
           rec.id = next_id++;
           rec.src = src;
           rec.dst = dst;
-          rec.length = p.activation_flits;
-          if (l == 0 || inputs[static_cast<std::size_t>(u)].empty()) {
-            // Entry layer (or a tile starved by self-send elision): release
-            // on the batch clock.
-            rec.time = static_cast<double>(b) * p.batch_interval +
-                       static_cast<double>(l) * p.compute_delay;
-          } else {
-            rec.deps = inputs[static_cast<std::size_t>(u)];
-            rec.time = p.compute_delay;
-          }
-          next_inputs[static_cast<std::size_t>(v)].push_back(rec.id);
-          trace.records.push_back(std::move(rec));
+          rec.length = static_cast<std::uint16_t>(p.activation_flits);
+          // The entry layer (or a tile starved by self-send elision)
+          // releases on the batch clock.
+          const bool root = l == 0 || in.empty();
+          rec.time = root ? static_cast<double>(b) * p.batch_interval +
+                                static_cast<double>(l) * p.compute_delay
+                          : p.compute_delay;
+          next_inputs[static_cast<std::size_t>(v)].push_back(trace.add(
+              rec, root ? std::span<const std::uint32_t>() : in));
         }
       }
       inputs = std::move(next_inputs);
+    }
+    if (b == 0) {
+      // Every batch has the first one's shape.
+      const auto batches = static_cast<std::size_t>(p.batches);
+      trace.records.reserve(trace.records.size() * batches);
+      trace.deps.reserve(trace.deps.size() * batches);
     }
   }
   trace.validate();
@@ -81,32 +89,40 @@ Trace generate_allreduce_ring(const AllReduceRingParams& p) {
 
   const int n = p.nodes;
   const int steps = 2 * (n - 1);  // reduce-scatter + all-gather
+  const auto sends = static_cast<std::size_t>(p.rounds) *
+                     static_cast<std::size_t>(steps) *
+                     static_cast<std::size_t>(n);
+  trace.records.reserve(sends);
+  trace.deps.reserve(sends - static_cast<std::size_t>(n));  // all but step 0
   std::uint64_t next_id = 1;
-  std::vector<std::uint64_t> prev_step(static_cast<std::size_t>(n), 0);
-  std::vector<std::uint64_t> prev_round_last(static_cast<std::size_t>(n), 0);
+  // Positions of each node's send in the previous step and in the
+  // previous round's last step.
+  std::vector<std::uint32_t> prev_step(static_cast<std::size_t>(n), 0);
+  std::vector<std::uint32_t> prev_round_last(static_cast<std::size_t>(n), 0);
   for (int r = 0; r < p.rounds; ++r) {
     for (int s = 0; s < steps; ++s) {
-      std::vector<std::uint64_t> this_step(static_cast<std::size_t>(n));
+      std::vector<std::uint32_t> this_step(static_cast<std::size_t>(n));
       for (int i = 0; i < n; ++i) {
         const auto left = static_cast<std::size_t>((i + n - 1) % n);
         TraceRecord rec;
         rec.id = next_id++;
         rec.src = i;
         rec.dst = (i + 1) % n;
-        rec.length = p.chunk_flits;
+        rec.length = static_cast<std::uint16_t>(p.chunk_flits);
+        std::uint32_t pos = 0;
         if (s > 0) {
           // Forward once the chunk from the left neighbour has been reduced.
-          rec.deps = {prev_step[left]};
           rec.time = p.compute_delay;
+          pos = trace.add(rec, {prev_step[left]});
         } else if (r > 0) {
           // A new all-reduce starts at node i when its previous round ends.
-          rec.deps = {prev_round_last[left]};
           rec.time = p.compute_delay;
+          pos = trace.add(rec, {prev_round_last[left]});
         } else {
           rec.time = p.start_time;
+          pos = trace.add(rec);
         }
-        this_step[static_cast<std::size_t>(i)] = rec.id;
-        trace.records.push_back(std::move(rec));
+        this_step[static_cast<std::size_t>(i)] = pos;
       }
       prev_step = std::move(this_step);
     }
@@ -128,12 +144,18 @@ Trace generate_alltoall(const AllToAllParams& p) {
   trace.default_length = p.flits;
 
   const int n = p.nodes;
+  const auto per_round =
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(n - 1);
+  trace.records.reserve(per_round * static_cast<std::size_t>(p.rounds));
+  trace.deps.reserve(per_round * static_cast<std::size_t>(n - 1) *
+                     static_cast<std::size_t>(p.rounds - 1));
   std::uint64_t next_id = 1;
-  // received[i] = the previous round's packets addressed to node i.
-  std::vector<std::vector<std::uint64_t>> received(
+  // received[i] = positions of the previous round's packets addressed to
+  // node i.
+  std::vector<std::vector<std::uint32_t>> received(
       static_cast<std::size_t>(n));
   for (int r = 0; r < p.rounds; ++r) {
-    std::vector<std::vector<std::uint64_t>> next_received(
+    std::vector<std::vector<std::uint32_t>> next_received(
         static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
@@ -142,15 +164,11 @@ Trace generate_alltoall(const AllToAllParams& p) {
         rec.id = next_id++;
         rec.src = i;
         rec.dst = j;
-        rec.length = p.flits;
-        if (r == 0) {
-          rec.time = p.start_time;
-        } else {
-          rec.deps = received[static_cast<std::size_t>(i)];
-          rec.time = p.compute_delay;
-        }
-        next_received[static_cast<std::size_t>(j)].push_back(rec.id);
-        trace.records.push_back(std::move(rec));
+        rec.length = static_cast<std::uint16_t>(p.flits);
+        rec.time = r == 0 ? p.start_time : p.compute_delay;
+        next_received[static_cast<std::size_t>(j)].push_back(trace.add(
+            rec, r == 0 ? std::span<const std::uint32_t>()
+                        : received[static_cast<std::size_t>(i)]));
       }
     }
     received = std::move(next_received);

@@ -5,94 +5,55 @@
 #include <stdexcept>
 #include <string>
 
+#include "trace/trace_check.h"
+
 namespace drlnoc::trace {
 
 namespace {
 
-/// Id -> position index, filled in declaration order so a lookup sees
-/// exactly the records declared so far. Ids spanning at most four slots per
-/// record (the generators' and the recorder's 1..n among them) index a flat
-/// table by offset from the smallest id; any other spread goes through an
-/// open-addressed hash table whose empty slots hold the reserved id 0.
-class IdIndex {
- public:
-  static constexpr std::uint32_t kAbsent = UINT32_MAX;
-
-  explicit IdIndex(const std::vector<TraceRecord>& records) {
-    std::uint64_t lo = UINT64_MAX;
-    std::uint64_t hi = 0;
-    for (const TraceRecord& r : records) {
-      lo = std::min(lo, r.id);
-      hi = std::max(hi, r.id);
-    }
-    if (!records.empty() && hi - lo < 4 * records.size()) {
-      base_ = lo;
-      dense_.assign(static_cast<std::size_t>(hi - lo) + 1, kAbsent);
-      return;
-    }
-    std::size_t capacity = 16;
-    while (capacity < 2 * records.size()) capacity <<= 1;  // load <= 1/2
-    slots_.resize(capacity);
-    mask_ = capacity - 1;
-  }
-
-  std::uint32_t find(std::uint64_t id) const {
-    if (!dense_.empty()) {
-      const std::uint64_t offset = id - base_;
-      return offset < dense_.size() ? dense_[offset] : kAbsent;
-    }
-    for (std::size_t s = home(id);; s = (s + 1) & mask_) {
-      if (slots_[s].id == 0) return kAbsent;
-      if (slots_[s].id == id) return slots_[s].pos;
-    }
-  }
-
-  /// False (and no change) when `id` is already present. `id` is nonzero
-  /// and one of the records the index was built for.
-  bool insert(std::uint64_t id, std::uint32_t pos) {
-    if (!dense_.empty()) {
-      std::uint32_t& slot = dense_[id - base_];
-      if (slot != kAbsent) return false;
-      slot = pos;
-      return true;
-    }
-    for (std::size_t s = home(id);; s = (s + 1) & mask_) {
-      if (slots_[s].id == id) return false;
-      if (slots_[s].id == 0) {
-        slots_[s] = Slot{id, pos};
-        return true;
-      }
-    }
-  }
-
- private:
-  struct Slot {
-    std::uint64_t id = 0;
-    std::uint32_t pos = 0;
-  };
-
-  std::size_t home(std::uint64_t id) const {
-    // splitmix64 finalizer: strided ids (e.g. multiples of 2^40) still
-    // spread over every slot.
-    id = (id ^ (id >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    id = (id ^ (id >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>(id ^ (id >> 31)) & mask_;
-  }
-
-  std::uint64_t base_ = 0;
-  std::vector<std::uint32_t> dense_;  ///< position by id - base_
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-};
+[[noreturn]] void too_many_edges(std::uint64_t edges) {
+  throw std::invalid_argument("trace: " + std::to_string(edges) +
+                              " dependency edges, more than 2^32 - 1");
+}
 
 [[noreturn]] void reject(const TraceRecord& r, const std::string& what) {
   throw std::invalid_argument("trace record " + std::to_string(r.id) + ": " +
                               what);
 }
 
-/// The one validation pass. Returns the id index it filled, which then
-/// holds every record.
-IdIndex check(const Trace& t) {
+}  // namespace
+
+namespace detail {
+
+IdIndex::IdIndex(const std::vector<TraceRecord>& records) {
+  std::uint64_t lo = UINT64_MAX;
+  std::uint64_t hi = 0;
+  for (const TraceRecord& r : records) {
+    lo = std::min(lo, r.id);
+    hi = std::max(hi, r.id);
+  }
+  if (!records.empty() && hi - lo < 4 * records.size()) {
+    base_ = lo;
+    dense_.assign(static_cast<std::size_t>(hi - lo) + 1, kAbsent);
+    for (std::size_t i = records.size(); i-- > 0;) {
+      dense_[records[i].id - lo] = static_cast<std::uint32_t>(i);
+    }
+    return;
+  }
+  std::size_t capacity = 16;
+  while (capacity < 2 * records.size()) capacity <<= 1;  // load <= 1/2
+  slots_.resize(capacity);
+  mask_ = capacity - 1;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::uint64_t id = records[i].id;
+    if (id == 0) continue;
+    std::size_t s = home(id);
+    while (slots_[s].id != 0 && slots_[s].id != id) s = (s + 1) & mask_;
+    if (slots_[s].id == 0) slots_[s] = Slot{id, static_cast<std::uint32_t>(i)};
+  }
+}
+
+void check(const Trace& t, const IdIndex& index, const Undecoded& undecoded) {
   if (t.nodes < 2) {
     throw std::invalid_argument("trace: needs >= 2 nodes, got " +
                                 std::to_string(t.nodes));
@@ -101,7 +62,13 @@ IdIndex check(const Trace& t) {
     throw std::invalid_argument("trace: default_length out of range");
   }
   const std::size_t n = t.records.size();
-  IdIndex index(t.records);
+  if (n >= IdIndex::kAbsent) {
+    throw std::invalid_argument("trace: more than 2^32 - 2 records");
+  }
+  std::uint64_t edges = 0;
+  for (const TraceRecord& r : t.records) edges += r.dep_count;
+  if (edges > detail::kMaxEdges) too_many_edges(edges);
+
   // stamp[p] == i + 1 once record i has named record p: duplicate
   // dependencies are caught without a per-record set.
   std::vector<std::uint32_t> stamp(n, 0);
@@ -115,54 +82,85 @@ IdIndex check(const Trace& t) {
     if (!std::isfinite(r.time) || r.time < 0.0) {
       reject(r, "time must be finite and >= 0");
     }
-    if (r.length < 0 || r.length > 0xffff) {
+    if (i == undecoded.long_record) {
       reject(r, "length outside [0, 65535] flits");
     }
+    const std::size_t end = std::size_t{r.dep_begin} + r.dep_count;
+    if (end > t.deps.size()) {
+      reject(r, "dependency slice past the end of the " +
+                    std::to_string(t.deps.size()) + "-entry table");
+    }
     const auto mark = static_cast<std::uint32_t>(i + 1);
-    for (std::uint64_t dep : r.deps) {
+    for (std::size_t e = r.dep_begin; e < end; ++e) {
+      const std::uint32_t p = t.deps[e];
+      if (p >= n) {
+        if (e == undecoded.unknown_entry) {
+          reject(r, "dependency " + std::to_string(undecoded.unknown_id) +
+                        " not declared earlier in the trace");
+        }
+        reject(r, "dependency position " + std::to_string(p) +
+                      " outside the trace");
+      }
+      const std::uint64_t dep = t.records[p].id;
       if (dep == r.id) reject(r, "depends on itself");
-      // The index holds only earlier records, so "declared earlier" makes
-      // the graph acyclic by construction.
-      const std::uint32_t pos = index.find(dep);
-      if (pos == IdIndex::kAbsent) {
+      // Only earlier records may be named, so the graph is acyclic by
+      // construction.
+      if (p >= i) {
         reject(r, "dependency " + std::to_string(dep) +
                       " not declared earlier in the trace");
       }
-      if (stamp[pos] == mark) {
+      if (stamp[p] == mark) {
         reject(r, "duplicate dependency " + std::to_string(dep));
       }
-      stamp[pos] = mark;
+      stamp[p] = mark;
     }
-    if (!index.insert(r.id, static_cast<std::uint32_t>(i))) {
+    if (index.find(r.id) != i) {
       throw std::invalid_argument("trace: duplicate record id " +
                                   std::to_string(r.id));
     }
   }
-  return index;
 }
 
-}  // namespace
+}  // namespace detail
 
-void Trace::validate() const { check(*this); }
+std::uint32_t Trace::add(TraceRecord r,
+                         std::span<const std::uint32_t> predecessors) {
+  if (predecessors.size() > 0xffff) {
+    throw std::invalid_argument("trace record " + std::to_string(r.id) +
+                                ": more than 65535 dependencies");
+  }
+  if (deps.size() + predecessors.size() > detail::kMaxEdges) {
+    too_many_edges(deps.size() + predecessors.size());
+  }
+  r.dep_begin = static_cast<std::uint32_t>(deps.size());
+  r.dep_count = static_cast<std::uint16_t>(predecessors.size());
+  deps.insert(deps.end(), predecessors.begin(), predecessors.end());
+  records.push_back(r);
+  return static_cast<std::uint32_t>(records.size() - 1);
+}
+
+void Trace::validate() const {
+  detail::check(*this, detail::IdIndex(records), {});
+}
 
 Dependents build_dependents(const Trace& trace) {
-  const IdIndex index = check(trace);
+  trace.validate();
   // Counting sort of the edges by predecessor. Filling from the last record
   // back leaves each record's dependents in ascending order and every
   // begin[p] at the start of p's run.
   const std::size_t n = trace.records.size();
   Dependents d;
   d.begin.assign(n + 1, 0);
-  std::size_t edges = 0;
+  std::uint32_t edges = 0;
   for (const TraceRecord& r : trace.records) {
-    for (std::uint64_t dep : r.deps) ++d.begin[index.find(dep)];
-    edges += r.deps.size();
+    for (const std::uint32_t p : trace.deps_of(r)) ++d.begin[p];
+    edges += r.dep_count;
   }
   for (std::size_t p = 1; p <= n; ++p) d.begin[p] += d.begin[p - 1];
   d.targets.resize(edges);
   for (std::size_t i = n; i-- > 0;) {
-    for (std::uint64_t dep : trace.records[i].deps) {
-      d.targets[--d.begin[index.find(dep)]] = static_cast<std::uint32_t>(i);
+    for (const std::uint32_t p : trace.deps_of(trace.records[i])) {
+      d.targets[--d.begin[p]] = static_cast<std::uint32_t>(i);
     }
   }
   return d;
@@ -170,18 +168,18 @@ Dependents build_dependents(const Trace& trace) {
 
 bool Trace::has_dependencies() const {
   return std::any_of(records.begin(), records.end(),
-                     [](const TraceRecord& r) { return !r.deps.empty(); });
+                     [](const TraceRecord& r) { return r.dep_count != 0; });
 }
 
 TraceSummary Trace::summary() const {
   TraceSummary s;
   s.records = records.size();
   for (const TraceRecord& r : records) {
-    if (r.deps.empty()) {
+    if (r.dep_count == 0) {
       ++s.roots;
       s.span = std::max(s.span, r.time);
     }
-    s.dep_edges += r.deps.size();
+    s.dep_edges += r.dep_count;
     s.total_flits +=
         static_cast<std::uint64_t>(r.length > 0 ? r.length : default_length);
   }

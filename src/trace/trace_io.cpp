@@ -4,6 +4,7 @@
 #include <bit>
 #include <charconv>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -12,6 +13,8 @@
 #include <stdexcept>
 #include <string_view>
 #include <vector>
+
+#include "trace/trace_check.h"
 
 namespace drlnoc::trace {
 
@@ -135,10 +138,7 @@ constexpr std::size_t kWindowBytes = std::size_t{1} << 16;
 
 /// Reads a seekable stream through one fixed buffer, so a `.drltrb` read
 /// holds at most kWindowBytes of the file at a time, however large it is.
-/// (A whole-file buffer is freed while the per-record dependency lists
-/// built after it live on, leaving a file-sized hole in the heap whose
-/// reuse, and so the peak resident size, depends on what else was
-/// allocated.) Positions count from where the stream stood at construction.
+/// Positions count from where the stream stood at construction.
 class Window {
  public:
   explicit Window(std::streambuf& sb) : sb_(sb), buf_(kWindowBytes) {
@@ -197,6 +197,40 @@ class Window {
   std::size_t end_ = 0;     ///< end of the bytes read into buf_
 };
 
+/// Fills a decoded trace's dependency table: each entry's id becomes the
+/// position of the record carrying it, through the one id index a read
+/// builds. An id that names no record is stored as IdIndex::kAbsent and
+/// the first such entry noted, so that finish() reports it (or an earlier
+/// rule's failure) in Trace::validate's order.
+class Resolver {
+ public:
+  Resolver(Trace& trace, std::size_t entries)
+      : trace_(trace), index_(trace.records) {
+    trace_.deps.resize(entries);
+  }
+
+  void set(std::size_t entry, std::uint64_t id) {
+    const std::uint32_t pos = index_.find(id);
+    trace_.deps[entry] = pos;
+    if (pos == detail::IdIndex::kAbsent && entry < undecoded_.unknown_entry) {
+      undecoded_.unknown_entry = entry;
+      undecoded_.unknown_id = id;
+    }
+  }
+
+  /// Validates the trace, reporting `long_record` (the first record whose
+  /// length did not fit 16 bits, if any) as a length error.
+  void finish(std::size_t long_record = SIZE_MAX) {
+    undecoded_.long_record = long_record;
+    detail::check(trace_, index_, undecoded_);
+  }
+
+ private:
+  Trace& trace_;
+  detail::IdIndex index_;
+  detail::Undecoded undecoded_;
+};
+
 /// The file size a `.drltrb` header declares, in decimal, or "more than
 /// 2^64" when it does not fit in 64 bits.
 std::string declared_bytes(std::uint64_t records, std::uint64_t deps) {
@@ -207,9 +241,7 @@ std::string declared_bytes(std::uint64_t records, std::uint64_t deps) {
   return std::to_string(base + 8 * deps);
 }
 
-}  // namespace
-
-void TraceWriter::write_text(std::ostream& os, const Trace& trace) {
+void write_text_unchecked(std::ostream& os, const Trace& trace) {
   os << "drltrc " << kTraceFormatVersion << "\n";
   os << "nodes " << trace.nodes << "\n";
   os << "default_length " << trace.default_length << "\n";
@@ -218,11 +250,69 @@ void TraceWriter::write_text(std::ostream& os, const Trace& trace) {
   for (const TraceRecord& r : trace.records) {
     os << r.id << ' ' << r.src << ' ' << r.dst << ' ' << format_double(r.time)
        << ' ' << r.length;
-    for (std::size_t i = 0; i < r.deps.size(); ++i) {
-      os << (i == 0 ? ' ' : ',') << r.deps[i];
+    char sep = ' ';
+    for (const std::uint32_t p : trace.deps_of(r)) {
+      os << sep << trace.records[p].id;
+      sep = ',';
     }
     os << '\n';
   }
+}
+
+void write_binary_unchecked(std::ostream& os, const Trace& trace) {
+  // Packed into one buffer that is written out whenever it could not take
+  // another record, so a write holds at most kWindowBytes of the file.
+  std::string buf;
+  buf.reserve(kWindowBytes);
+  const auto spill = [&os, &buf](std::size_t room) {
+    if (buf.size() + room > kWindowBytes) {
+      os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+      buf.clear();
+    }
+  };
+  std::uint64_t edges = 0;
+  for (const TraceRecord& r : trace.records) edges += r.dep_count;
+  buf.append(kMagic, sizeof(kMagic));
+  put_u16(buf, static_cast<std::uint16_t>(kTraceFormatVersion));
+  put_u16(buf, 0);  // flags, reserved
+  put_u32(buf, static_cast<std::uint32_t>(trace.nodes));
+  put_u32(buf, static_cast<std::uint32_t>(trace.default_length));
+  put_u64(buf, trace.records.size());
+  put_u64(buf, edges);
+
+  // Slices back to back in record order; validation caps the edges at
+  // 2^32 - 1, so the 32-bit offsets cannot wrap.
+  std::uint32_t dep_offset = 0;
+  for (const TraceRecord& r : trace.records) {
+    spill(kRecordBytes);
+    put_u64(buf, r.id);
+    put_u32(buf, static_cast<std::uint32_t>(r.src));
+    put_u32(buf, static_cast<std::uint32_t>(r.dst));
+    put_u64(buf, std::bit_cast<std::uint64_t>(r.time));
+    put_u16(buf, r.length);
+    put_u16(buf, r.dep_count);
+    put_u32(buf, dep_offset);
+    dep_offset += r.dep_count;
+  }
+  for (const TraceRecord& r : trace.records) {
+    for (const std::uint32_t p : trace.deps_of(r)) {
+      spill(8);
+      put_u64(buf, trace.records[p].id);
+    }
+  }
+  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+}
+
+}  // namespace
+
+void TraceWriter::write_text(std::ostream& os, const Trace& trace) {
+  trace.validate();
+  write_text_unchecked(os, trace);
+}
+
+void TraceWriter::write_binary(std::ostream& os, const Trace& trace) {
+  trace.validate();
+  write_binary_unchecked(os, trace);
 }
 
 Trace TraceReader::read_text(std::istream& is) {
@@ -230,6 +320,11 @@ Trace TraceReader::read_text(std::istream& is) {
   trace.default_length = 4;
   bool saw_version = false;
   bool saw_nodes = false;
+  std::size_t long_record = SIZE_MAX;  // first length outside 16 bits
+  // The dependency table as ids, until every record is known. A deque
+  // grows in small blocks: a doubling vector would copy and fault in about
+  // three times the table's size on the way.
+  std::deque<std::uint64_t> dep_ids;
   std::string buffer;  // one line at a time, reused
   while (std::getline(is, buffer)) {
     const std::string_view line =
@@ -281,23 +376,38 @@ Trace TraceReader::read_text(std::istream& is) {
     const std::string_view dst = tokens.next();
     const std::string_view time = tokens.next();
     const std::string_view length = tokens.next();
+    int flits = 0;
     if (!parse_whole(src, rec.src) || !parse_whole(dst, rec.dst) ||
-        time.empty() || !parse_whole(length, rec.length)) {
+        time.empty() || !parse_whole(length, flits)) {
       throw std::runtime_error("trace text: malformed record line: " +
                                std::string(line));
     }
     rec.time = parse_double(time, "record time");
+    if (flits >= 0 && flits <= 0xffff) {
+      rec.length = static_cast<std::uint16_t>(flits);
+    } else if (long_record == SIZE_MAX) {
+      long_record = trace.records.size();  // validation reports it in order
+    }
     std::string_view deps = tokens.next();
+    const std::size_t dep_begin = dep_ids.size();
     if (!deps.empty()) {
-      const auto commas = std::count(deps.begin(), deps.end(), ',');
-      rec.deps.reserve(static_cast<std::size_t>(commas) + 1);
       for (;;) {
         const std::size_t comma = deps.find(',');
-        rec.deps.push_back(parse_u64(deps.substr(0, comma), "dependency id"));
+        dep_ids.push_back(parse_u64(deps.substr(0, comma), "dependency id"));
         if (comma == std::string_view::npos) break;
         deps.remove_prefix(comma + 1);
       }
     }
+    if (dep_ids.size() - dep_begin > 0xffff) {
+      throw std::runtime_error("trace text: > 65535 dependencies on record " +
+                               std::to_string(rec.id));
+    }
+    if (dep_ids.size() > detail::kMaxEdges) {
+      throw std::runtime_error(
+          "trace text: more than 2^32 - 1 dependency edges");
+    }
+    rec.dep_begin = static_cast<std::uint32_t>(dep_begin);
+    rec.dep_count = static_cast<std::uint16_t>(dep_ids.size() - dep_begin);
     const std::string_view extra = tokens.next();
     if (!extra.empty()) {
       // Deps are comma-separated in one token; trailing tokens would
@@ -310,44 +420,12 @@ Trace TraceReader::read_text(std::istream& is) {
   }
   if (!saw_version) throw std::runtime_error("trace text: empty input");
   if (!saw_nodes) throw std::runtime_error("trace text: missing 'nodes' line");
+
+  Resolver deps(trace, dep_ids.size());
+  std::size_t entry = 0;
+  for (const std::uint64_t id : dep_ids) deps.set(entry++, id);
+  deps.finish(long_record);
   return trace;
-}
-
-void TraceWriter::write_binary(std::ostream& os, const Trace& trace) {
-  std::uint64_t dep_total = 0;
-  for (const TraceRecord& r : trace.records) {
-    if (r.deps.size() > 0xffff) {
-      throw std::runtime_error("trace binary: > 65535 dependencies on record " +
-                               std::to_string(r.id));
-    }
-    dep_total += r.deps.size();
-  }
-  std::string buf;
-  buf.reserve(kHeaderBytes + kRecordBytes * trace.records.size() +
-              8 * static_cast<std::size_t>(dep_total));
-  buf.append(kMagic, sizeof(kMagic));
-  put_u16(buf, static_cast<std::uint16_t>(kTraceFormatVersion));
-  put_u16(buf, 0);  // flags, reserved
-  put_u32(buf, static_cast<std::uint32_t>(trace.nodes));
-  put_u32(buf, static_cast<std::uint32_t>(trace.default_length));
-  put_u64(buf, trace.records.size());
-  put_u64(buf, dep_total);
-
-  std::uint32_t dep_offset = 0;
-  for (const TraceRecord& r : trace.records) {
-    put_u64(buf, r.id);
-    put_u32(buf, static_cast<std::uint32_t>(r.src));
-    put_u32(buf, static_cast<std::uint32_t>(r.dst));
-    put_u64(buf, std::bit_cast<std::uint64_t>(r.time));
-    put_u16(buf, static_cast<std::uint16_t>(r.length));
-    put_u16(buf, static_cast<std::uint16_t>(r.deps.size()));
-    put_u32(buf, dep_offset);
-    dep_offset += static_cast<std::uint32_t>(r.deps.size());
-  }
-  for (const TraceRecord& r : trace.records) {
-    for (std::uint64_t dep : r.deps) put_u64(buf, dep);
-  }
-  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 Trace TraceReader::read_binary(std::istream& is) {
@@ -404,12 +482,16 @@ Trace TraceReader::read_binary(std::istream& is) {
         std::to_string(dep_total) + " dependency entries but only " +
         std::to_string(have) + " fit in the data");
   }
+  if (record_count >= detail::IdIndex::kAbsent) {
+    throw std::runtime_error("trace binary: more than 2^32 - 2 records");
+  }
 
-  // Each record's slice as (offset << 32 | record), so that sorting puts
-  // the slices in file order.
+  // The records decode in place, dep_begin holding the file's slice offset
+  // for now.
   const auto n = static_cast<std::size_t>(record_count);
-  std::vector<std::uint64_t> slices(n);
   trace.records.resize(n);
+  bool writer_layout = true;  // slices back to back in record order
+  std::uint64_t edges = 0;
   for (std::size_t i = 0; i < n; ++i) {
     TraceRecord& r = trace.records[i];
     ByteCursor cur(in.take(kRecordBytes));
@@ -417,34 +499,59 @@ Trace TraceReader::read_binary(std::istream& is) {
     r.src = cur.i32();
     r.dst = cur.i32();
     r.time = cur.f64();
-    r.length = static_cast<int>(cur.u16());
-    const std::uint16_t dep_count = cur.u16();
-    const std::uint32_t dep_offset = cur.u32();
-    if (std::uint64_t{dep_offset} + dep_count > dep_total) {
+    r.length = cur.u16();
+    r.dep_count = cur.u16();
+    r.dep_begin = cur.u32();
+    if (std::uint64_t{r.dep_begin} + r.dep_count > dep_total) {
       throw std::runtime_error(
           "trace binary: dependency slice out of range on record " +
           std::to_string(i));
     }
-    r.deps.resize(dep_count);
-    slices[i] = std::uint64_t{dep_offset} << 32 | i;
+    writer_layout = writer_layout && r.dep_begin == edges;
+    edges += r.dep_count;
   }
-  // The dependency table streams through the window once, whatever the
-  // layout; the writer's back-to-back slices are already in order. Only
-  // overlapping slices seek backwards.
-  if (!std::is_sorted(slices.begin(), slices.end())) {
+  if (edges > detail::kMaxEdges) {
+    // Overlapping slices can name many more entries than the table holds.
+    throw std::runtime_error("trace binary: " + std::to_string(edges) +
+                             " dependency edges, more than 2^32 - 1");
+  }
+
+  // The dependency table streams through the window once, in file order.
+  // The writer's layout already is in file order and already where the
+  // in-memory table wants it; any other layout (slices reordered, spaced
+  // out or overlapping) is sorted by file offset, and each slice moves to
+  // the back-to-back place its record takes in memory.
+  std::vector<std::uint64_t> slices;  // (file offset << 32 | record)
+  if (!writer_layout) {
+    slices.resize(n);
+    std::uint32_t begin = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      TraceRecord& r = trace.records[i];
+      slices[i] = std::uint64_t{r.dep_begin} << 32 | i;
+      r.dep_begin = begin;
+      begin += r.dep_count;
+    }
     std::sort(slices.begin(), slices.end());
   }
-  for (const std::uint64_t slice : slices) {
-    std::vector<std::uint64_t>& deps =
-        trace.records[static_cast<std::uint32_t>(slice)].deps;
-    if (deps.empty()) continue;
-    in.seek(deps_base + 8 * (slice >> 32));
-    for (std::size_t k = 0; k < deps.size();) {
-      const std::size_t run = std::min(deps.size() - k, kWindowBytes / 8);
+  Resolver deps(trace, static_cast<std::size_t>(edges));
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::size_t i =
+        writer_layout ? s : static_cast<std::uint32_t>(slices[s]);
+    const TraceRecord& r = trace.records[i];
+    if (r.dep_count == 0) continue;
+    in.seek(deps_base +
+            8 * (writer_layout ? std::uint64_t{r.dep_begin} : slices[s] >> 32));
+    for (std::size_t k = 0; k < r.dep_count;) {
+      const std::size_t run = std::min<std::size_t>(r.dep_count - k,
+                                                    kWindowBytes / 8);
       ByteCursor cur(in.take(8 * run));
-      for (const std::size_t stop = k + run; k < stop; ++k) deps[k] = cur.u64();
+      for (const std::size_t stop = k + run; k < stop; ++k) {
+        deps.set(r.dep_begin + k, cur.u64());
+      }
     }
   }
+  slices = {};
+  deps.finish();
   return trace;
 }
 
@@ -460,9 +567,9 @@ void TraceWriter::write_file(const std::string& path, const Trace& trace) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("trace: cannot open for write: " + path);
   if (has_suffix(path, kBinaryExtension)) {
-    write_binary(out, trace);
+    write_binary_unchecked(out, trace);
   } else {
-    write_text(out, trace);
+    write_text_unchecked(out, trace);
   }
   if (!out) throw std::runtime_error("trace: write failed: " + path);
 }
@@ -475,12 +582,10 @@ Trace TraceReader::read_file(const std::string& path) {
   in.clear();
   in.seekg(0);
   try {
-    Trace trace = (in.gcount() == sizeof(magic) &&
-                   std::memcmp(magic, kMagic, sizeof(kMagic)) == 0)
-                      ? read_binary(in)
-                      : read_text(in);
-    trace.validate();
-    return trace;
+    return (in.gcount() == sizeof(magic) &&
+            std::memcmp(magic, kMagic, sizeof(kMagic)) == 0)
+               ? read_binary(in)
+               : read_text(in);
   } catch (const std::exception& e) {
     // Name the file: stream overloads can't know it, but every CLI-facing
     // failure should say which artifact is broken.

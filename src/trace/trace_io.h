@@ -20,6 +20,10 @@
 //   records : record_count x { id u64 | src i32 | dst i32 | time f64-bits |
 //             length u16 | dep_count u16 | dep_offset u32 }
 //   deps    : dep_count x u64 (record i's slice starts at its dep_offset)
+// The in-memory Trace has the same record layout (static_assert'ed 32
+// bytes) and CSR slices, but its table holds 32-bit record positions: the
+// reader maps ids to positions through one id index held only while it
+// decodes, and the writer maps them back, writing through a bounded buffer.
 #pragma once
 
 #include <iosfwd>
@@ -33,21 +37,28 @@ inline constexpr int kTraceFormatVersion = 1;
 inline constexpr char kTextExtension[] = ".drltrc";
 inline constexpr char kBinaryExtension[] = ".drltrb";
 
+/// Every writer validates the trace first (std::invalid_argument), so
+/// nothing is written for a trace validate() refuses.
 class TraceWriter {
  public:
   static void write_text(std::ostream& os, const Trace& trace);
+  /// Streams through one 64 KiB buffer, never the whole file.
   static void write_binary(std::ostream& os, const Trace& trace);
   /// Writes by extension: `.drltrb` selects binary, anything else text.
-  /// Validates the trace first; throws std::runtime_error on I/O failure.
+  /// Throws std::runtime_error on I/O failure.
   static void write_file(const std::string& path, const Trace& trace);
 };
 
+/// Every reader returns a validated trace: a malformed stream throws
+/// std::runtime_error, a well-formed one that breaks a Trace::validate rule
+/// std::invalid_argument with validate's message (an unknown dependency id
+/// reads "dependency <id> not declared earlier in the trace").
 class TraceReader {
  public:
   static Trace read_text(std::istream& is);
   static Trace read_binary(std::istream& is);
-  /// Sniffs the magic bytes to pick the decoder, then validates. Throws
-  /// std::runtime_error on unreadable/corrupt files.
+  /// Sniffs the magic bytes to pick the decoder. Throws std::runtime_error,
+  /// naming the file, on unreadable, corrupt or invalid files.
   static Trace read_file(const std::string& path);
 };
 

@@ -18,13 +18,9 @@ TraceWorkload::TraceWorkload(std::shared_ptr<const Trace> trace,
     throw std::invalid_argument("TraceWorkload: rate_scale must be > 0");
   }
 
-  const std::size_t n = trace_->records.size();
-  initial_pending_.resize(n);
   std::size_t senders = 0;  // highest source + 1
-  for (std::size_t i = 0; i < n; ++i) {
-    const TraceRecord& r = trace_->records[i];
+  for (const TraceRecord& r : trace_->records) {
     senders = std::max(senders, static_cast<std::size_t>(r.src) + 1);
-    initial_pending_[i] = static_cast<std::uint32_t>(r.deps.size());
   }
 
   // One queue per node that sends, not per node the header declares, so
@@ -38,7 +34,7 @@ TraceWorkload::TraceWorkload(Trace trace, TraceWorkloadParams params)
 
 void TraceWorkload::rearm(double base_time) {
   const std::size_t n = trace_->records.size();
-  pending_ = initial_pending_;
+  pending_.resize(n);
   dep_ready_.assign(n, 0.0);
   live_.clear();
   iter_emitted_ = 0;
@@ -47,7 +43,8 @@ void TraceWorkload::rearm(double base_time) {
   for (auto& q : ready_) q = ReadyQueue();
   for (std::size_t i = 0; i < n; ++i) {
     const TraceRecord& r = trace_->records[i];
-    if (r.deps.empty()) {
+    pending_[i] = r.dep_count;
+    if (r.dep_count == 0) {
       release(i, base_time + r.time / params_.rate_scale);
     }
   }

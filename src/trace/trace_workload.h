@@ -78,12 +78,11 @@ class TraceWorkload : public noc::TrafficInjector {
   TraceWorkloadParams params_;
 
   // Static shape, built once from the trace.
-  Dependents dependents_;                       ///< one CSR array
-  std::vector<std::uint32_t> initial_pending_;  ///< dep counts
+  Dependents dependents_;  ///< one CSR array
 
   // Per-iteration replay state.
   std::vector<ReadyQueue> ready_;              ///< per sender, by node id
-  std::vector<std::uint32_t> pending_;         ///< unmet deps per record
+  std::vector<std::uint16_t> pending_;         ///< unmet deps per record
   std::vector<double> dep_ready_;              ///< latest dep delivery + delay
   util::LiveIdTable<std::uint32_t> live_;     ///< pkt id -> record idx
   std::uint64_t iter_emitted_ = 0;

@@ -8,8 +8,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 
 #include "core/env_noc.h"
 #include "nn/layers.h"
@@ -18,6 +21,9 @@
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "rl/dqn.h"
+#include "trace/generators.h"
+#include "trace/trace_io.h"
+#include "trace/trace_workload.h"
 #include "util/live_id_table.h"
 #include "util/rng.h"
 
@@ -270,6 +276,48 @@ TEST(SteadyStateMemory, FabricFootprint) {
   RecordProperty("mib_8x8", std::to_string(mib8));
   EXPECT_LE(mib16, 2.0);
   EXPECT_LE(mib8, 0.6);
+}
+
+// Heap a trace holds, on the graph the end-to-end replay benchmark reads
+// (256 nodes, 8 layers x 16 tiles, 24 batches: 43,008 records and 589,824
+// dependency edges). Flat, it is 32 bytes a record plus 4 bytes an edge:
+// 1.31 + 2.25 = 3.56 MiB, whether generated or read from a .drltrb file.
+// Replaying it adds the dependents index (4 bytes an edge and a record)
+// and the per-record replay state.
+TEST(SteadyStateMemory, TraceFootprint) {
+  const auto mib_since = [](std::int64_t before) {
+    return static_cast<double>(live_bytes() - before) / (1024.0 * 1024.0);
+  };
+  trace::DnnPipelineParams dp;
+  dp.nodes = 256;
+  dp.layers = 8;
+  dp.tiles_per_layer = 16;
+  dp.batches = 24;
+  std::int64_t before = live_bytes();
+  const trace::Trace generated = trace::generate_dnn_pipeline(dp);
+  const double generated_mib = mib_since(before);
+  ASSERT_EQ(generated.records.size(), 43008u);
+  ASSERT_EQ(generated.summary().dep_edges, 589824u);
+
+  const std::string path = ::testing::TempDir() + "alloc_footprint.drltrb";
+  trace::TraceWriter::write_file(path, generated);
+  before = live_bytes();
+  const auto read = std::make_shared<const trace::Trace>(
+      trace::TraceReader::read_file(path));
+  const double read_mib = mib_since(before);
+  std::remove(path.c_str());
+  ASSERT_EQ(*read, generated);
+
+  before = live_bytes();
+  const trace::TraceWorkload workload(read);
+  const double workload_mib = mib_since(before);
+
+  RecordProperty("mib_generated", std::to_string(generated_mib));
+  RecordProperty("mib_read", std::to_string(read_mib));
+  RecordProperty("mib_workload", std::to_string(workload_mib));
+  EXPECT_LE(generated_mib, 3.75);
+  EXPECT_LE(read_mib, 3.75);
+  EXPECT_LE(workload_mib, 3.2);
 }
 
 // A live-id slot is the value alone: 4096 live ids in an int or uint32_t

@@ -146,12 +146,10 @@ TEST(Quiescence, DependencyReleaseIntoQuiescentRegion) {
   trace::Trace t;
   t.nodes = 64;
   t.default_length = 4;
-  t.records = {
-      {1, 0, 63, 0.0, 4, {}},
-      {2, 63, 0, 3000.0, 4, {1}},    // fabric idle for ~3000 cycles first
-      {3, 7, 56, 2500.0, 6, {2}},    // far corner pair, also after a gap
-      {4, 56, 7, 10.0, 2, {3}},      // quick chained reply
-  };
+  t.add({1, 0, 63, 0.0, 4});
+  t.add({2, 63, 0, 3000.0, 4}, {0});  // fabric idle for ~3000 cycles first
+  t.add({3, 7, 56, 2500.0, 6}, {1});  // far corner pair, also after a gap
+  t.add({4, 56, 7, 10.0, 2}, {2});    // quick chained reply
 
   noc::NetworkParams p;
   p.width = p.height = 8;

@@ -418,9 +418,9 @@ TEST(CompositeWorkloadTest, PlacementRemapsTraceEndpoints) {
   // tenant's packets must travel between exactly those fabric nodes.
   trace::Trace t;
   t.nodes = 4;
-  t.records = {{1, 0, 3, 0.0, 4, {}},
-               {2, 3, 1, 2.0, 4, {1}},
-               {3, 1, 2, 2.0, 4, {2}}};
+  t.add({1, 0, 3, 0.0, 4});
+  t.add({2, 3, 1, 2.0, 4}, {0});
+  t.add({3, 1, 2, 2.0, 4}, {1});
   Scenario s;
   s.net.width = s.net.height = 4;
   s.net.seed = 5;

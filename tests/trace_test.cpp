@@ -24,6 +24,7 @@
 #include "trace/recorder.h"
 #include "trace/trace_io.h"
 #include "trace/trace_workload.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace drlnoc::trace {
@@ -53,12 +54,10 @@ Trace small_trace() {
   Trace t;
   t.nodes = 16;
   t.default_length = 4;
-  t.records = {
-      {1, 0, 5, 0.0, 4, {}},
-      {2, 1, 5, 2.5, 8, {}},
-      {3, 5, 0, 10.0, 0, {1, 2}},
-      {4, 5, 1, 3.0, 2, {3}},
-  };
+  t.add({1, 0, 5, 0.0, 4});
+  t.add({2, 1, 5, 2.5, 8});
+  t.add({3, 5, 0, 10.0, 0}, {0, 1});  // on records 1 and 2
+  t.add({4, 5, 1, 3.0, 2}, {2});      // on record 3
   return t;
 }
 
@@ -89,6 +88,38 @@ TEST(TraceIo, BinaryRoundTripIsExact) {
   std::stringstream ss;
   TraceWriter::write_binary(ss, t);
   EXPECT_EQ(TraceReader::read_binary(ss), t);
+}
+
+TEST(TraceIo, GeneratedTracesKeepTheirBytes) {
+  // FNV-1a of the bytes each writer produced for the three generators at
+  // their default parameters, captured when traces still held per-record
+  // id lists: the flat in-memory layout must not change a file byte. Each
+  // file must also read back to the trace that wrote it.
+  struct Pin {
+    const char* name;
+    Trace trace;
+    std::uint64_t binary;
+    std::uint64_t text;
+  };
+  const Pin pins[] = {
+      {"dnn_pipeline", generate_dnn_pipeline({}), 4978135708275584122ULL,
+       17317037974930644201ULL},
+      {"allreduce_ring", generate_allreduce_ring({}), 3026434130493480636ULL,
+       196328118159371962ULL},
+      {"alltoall", generate_alltoall({}), 18183523546494859398ULL,
+       6158345270235506741ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    std::stringstream binary;
+    std::stringstream text;
+    TraceWriter::write_binary(binary, pin.trace);
+    TraceWriter::write_text(text, pin.trace);
+    EXPECT_EQ(util::Fnv1a64().bytes(binary.str()).value(), pin.binary);
+    EXPECT_EQ(util::Fnv1a64().bytes(text.str()).value(), pin.text);
+    EXPECT_EQ(TraceReader::read_binary(binary), pin.trace);
+    EXPECT_EQ(TraceReader::read_text(text), pin.trace);
+  }
 }
 
 TEST(TraceIo, BinaryRejectsCorruptInput) {
@@ -278,8 +309,10 @@ TEST(TraceIo, ReadsSlicesInAnyLayout) {
       reordered[32 + 32 * i + 28 + static_cast<std::size_t>(b)] =
           static_cast<char>((next >> (8 * b)) & 0xff);
     }
-    for (std::uint64_t dep : t.records[i].deps) append_u64(dep);
-    next += t.records[i].deps.size();
+    for (std::uint32_t p : t.deps_of(t.records[i])) {
+      append_u64(t.records[p].id);
+    }
+    next += t.records[i].dep_count;
   }
   poke_u64(reordered, 24, next);  // the header's dependency entry count
   std::stringstream in(reordered);
@@ -293,7 +326,7 @@ TEST(TraceIo, ReadsSlicesInAnyLayout) {
   overlap[32 + 32 * 3 + 28] = 1;
   std::stringstream overlap_in(overlap);
   Trace expected = small_trace();
-  expected.records[3].deps = {2};
+  expected.deps[2] = 1;  // record 4 now depends on record 2
   EXPECT_EQ(TraceReader::read_binary(overlap_in), expected);
 }
 
@@ -386,13 +419,72 @@ TEST(TraceHostileInput, TextCorpus) {
 
 // --- validation ------------------------------------------------------------
 
-/// `t` with every id and dependency multiplied by `stride`.
+/// `t` with every id multiplied by `stride` (dependencies are positions).
 Trace strided(Trace t, std::uint64_t stride) {
-  for (TraceRecord& r : t.records) {
+  for (TraceRecord& r : t.records) r.id *= stride;
+  return t;
+}
+
+/// A trace as the text format spells it, dependencies named by record id,
+/// so that validation also sees what a Trace cannot hold: unknown ids and
+/// lengths past 16 bits, which the readers report in validate()'s order.
+struct TextRecord {
+  std::uint64_t id = 0;
+  int src = 0;
+  int dst = 0;
+  double time = 0.0;
+  int length = 0;
+  std::vector<std::uint64_t> deps;
+};
+
+struct TextTrace {
+  int nodes = 16;
+  int default_length = 4;
+  std::vector<TextRecord> records;
+};
+
+/// small_trace() in text form.
+TextTrace small_text_trace() {
+  TextTrace t;
+  t.records = {
+      {1, 0, 5, 0.0, 4, {}},
+      {2, 1, 5, 2.5, 8, {}},
+      {3, 5, 0, 10.0, 0, {1, 2}},
+      {4, 5, 1, 3.0, 2, {3}},
+  };
+  return t;
+}
+
+/// `t` with every id and dependency multiplied by `stride`.
+TextTrace strided(TextTrace t, std::uint64_t stride) {
+  for (TextRecord& r : t.records) {
     r.id *= stride;
     for (std::uint64_t& dep : r.deps) dep *= stride;
   }
   return t;
+}
+
+/// The message reading `t` as a `.drltrc` stream rejects it with, or
+/// "accepted".
+std::string rejection(const TextTrace& t) {
+  std::ostringstream os;
+  os << "drltrc 1\nnodes " << t.nodes << "\ndefault_length "
+     << t.default_length << "\n";
+  for (const TextRecord& r : t.records) {
+    os << r.id << ' ' << r.src << ' ' << r.dst << ' ' << r.time << ' '
+       << r.length;
+    for (std::size_t k = 0; k < r.deps.size(); ++k) {
+      os << (k == 0 ? ' ' : ',') << r.deps[k];
+    }
+    os << '\n';
+  }
+  std::istringstream is(os.str());
+  try {
+    (void)TraceReader::read_text(is);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
 }
 
 /// The message validate() rejects `t` with, or "accepted".
@@ -408,78 +500,160 @@ std::string rejection(const Trace& t) {
 TEST(TraceValidate, CatchesStructuralErrors) {
   // Every rule's exact message, for dense ids and for ids 2^40 apart, so
   // both layouts of the validator's id index are held to the same wording.
+  // The traces go through the text reader, which resolves dependency ids
+  // to positions and validates, so ids and lengths a Trace cannot hold
+  // are still reported under the same rule order.
   for (const std::uint64_t k : {std::uint64_t{1}, std::uint64_t{1} << 40}) {
     SCOPED_TRACE("id stride " + std::to_string(k));
     const auto id = [k](std::uint64_t i) { return std::to_string(i * k); };
     const auto with = [k](auto&& edit) {
-      Trace t = strided(small_trace(), k);
+      TextTrace t = strided(small_text_trace(), k);
       edit(t);
       return rejection(t);
     };
-    EXPECT_EQ(rejection(strided(small_trace(), k)), "accepted");
+    EXPECT_EQ(rejection(strided(small_text_trace(), k)), "accepted");
 
-    EXPECT_EQ(with([](Trace& t) { t.nodes = 1; }),
+    EXPECT_EQ(with([](TextTrace& t) { t.nodes = 1; }),
               "trace: needs >= 2 nodes, got 1");
-    EXPECT_EQ(with([](Trace& t) { t.default_length = 0; }),
+    EXPECT_EQ(with([](TextTrace& t) { t.default_length = 0; }),
               "trace: default_length out of range");
-    EXPECT_EQ(with([](Trace& t) { t.default_length = 0x10000; }),
+    EXPECT_EQ(with([](TextTrace& t) { t.default_length = 0x10000; }),
               "trace: default_length out of range");
-    EXPECT_EQ(with([](Trace& t) { t.records[1].id = 0; }),
+    EXPECT_EQ(with([](TextTrace& t) { t.records[1].id = 0; }),
               "trace: record id 0 reserved");
-    EXPECT_EQ(with([](Trace& t) { t.records[0].dst = 16; }),
+    EXPECT_EQ(with([](TextTrace& t) { t.records[0].dst = 16; }),
               "trace record " + id(1) + ": endpoint outside [0, nodes)");
-    EXPECT_EQ(with([](Trace& t) { t.records[0].src = -1; }),
+    EXPECT_EQ(with([](TextTrace& t) { t.records[0].src = -1; }),
               "trace record " + id(1) + ": endpoint outside [0, nodes)");
-    EXPECT_EQ(with([](Trace& t) { t.records[0].dst = t.records[0].src; }),
+    EXPECT_EQ(with([](TextTrace& t) { t.records[0].dst = t.records[0].src; }),
               "trace record " + id(1) + ": self-send (src == dst)");
     for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity()}) {
-      EXPECT_EQ(with([bad](Trace& t) { t.records[0].time = bad; }),
+      EXPECT_EQ(with([bad](TextTrace& t) { t.records[0].time = bad; }),
                 "trace record " + id(1) + ": time must be finite and >= 0");
     }
     for (const int bad : {-1, 0x10000}) {
-      EXPECT_EQ(with([bad](Trace& t) { t.records[1].length = bad; }),
+      EXPECT_EQ(with([bad](TextTrace& t) { t.records[1].length = bad; }),
                 "trace record " + id(2) + ": length outside [0, 65535] flits");
     }
-    EXPECT_EQ(with([k](Trace& t) { t.records[3].deps = {3 * k, 4 * k}; }),
+    EXPECT_EQ(with([k](TextTrace& t) { t.records[3].deps = {3 * k, 4 * k}; }),
               "trace record " + id(4) + ": depends on itself");
-    EXPECT_EQ(with([k](Trace& t) { t.records[3].deps = {99 * k}; }),
+    EXPECT_EQ(with([k](TextTrace& t) { t.records[3].deps = {99 * k}; }),
               "trace record " + id(4) + ": dependency " + id(99) +
                   " not declared earlier in the trace");
-    EXPECT_EQ(with([](Trace& t) { t.records[3].deps = {0}; }),
+    EXPECT_EQ(with([](TextTrace& t) { t.records[3].deps = {0}; }),
               "trace record " + id(4) +
                   ": dependency 0 not declared earlier in the trace");
     // Forward reference: the DAG order is violated.
-    EXPECT_EQ(with([k](Trace& t) { t.records[0].deps = {4 * k}; }),
+    EXPECT_EQ(with([k](TextTrace& t) { t.records[0].deps = {4 * k}; }),
               "trace record " + id(1) + ": dependency " + id(4) +
                   " not declared earlier in the trace");
-    EXPECT_EQ(with([k](Trace& t) { t.records[2].deps = {1 * k, 2 * k, k}; }),
+    EXPECT_EQ(with([k](TextTrace& t) {
+                t.records[2].deps = {1 * k, 2 * k, k};
+              }),
               "trace record " + id(3) + ": duplicate dependency " + id(1));
-    EXPECT_EQ(with([k](Trace& t) { t.records[1].id = k; }),
+    EXPECT_EQ(with([k](TextTrace& t) { t.records[1].id = k; }),
               "trace: duplicate record id " + id(1));
 
     // Order: the first bad record wins, and within a record the checks run
     // endpoint, self-send, time, length, then each dependency in turn.
-    EXPECT_EQ(with([k](Trace& t) {
+    EXPECT_EQ(with([k](TextTrace& t) {
                 t.records[3].id = k;  // duplicate id, but later
                 t.records[2].time = -1.0;
               }),
               "trace record " + id(3) + ": time must be finite and >= 0");
-    EXPECT_EQ(with([](Trace& t) {
+    EXPECT_EQ(with([](TextTrace& t) {
                 t.records[0].length = -1;
                 t.records[0].dst = t.records[0].src;
               }),
               "trace record " + id(1) + ": self-send (src == dst)");
-    EXPECT_EQ(with([k](Trace& t) { t.records[3].deps = {99 * k, 4 * k}; }),
+    EXPECT_EQ(with([k](TextTrace& t) { t.records[3].deps = {99 * k, 4 * k}; }),
               "trace record " + id(4) + ": dependency " + id(99) +
                   " not declared earlier in the trace");
     // A duplicate id is only reported once the record's dependencies pass.
-    EXPECT_EQ(with([k](Trace& t) {
+    EXPECT_EQ(with([k](TextTrace& t) {
                 t.records[3].id = k;
                 t.records[3].deps = {3 * k, 3 * k};
               }),
               "trace record " + id(1) + ": duplicate dependency " + id(3));
   }
+}
+
+TEST(TraceValidate, CatchesPositionErrors) {
+  // Rules only the in-memory position table can break, and the rules on
+  // positions that stand in for ids, each with its exact message.
+  const auto with = [](auto&& edit) {
+    Trace t = small_trace();
+    edit(t);
+    return rejection(t);
+  };
+  EXPECT_EQ(rejection(small_trace()), "accepted");
+  // Record 4's slice {3} (one entry at 2) names itself, a later record,
+  // and a position past the last record.
+  EXPECT_EQ(with([](Trace& t) { t.deps[2] = 3; }),
+            "trace record 4: depends on itself");
+  EXPECT_EQ(with([](Trace& t) { t.deps[0] = 3; }),
+            "trace record 3: dependency 4 not declared earlier in the trace");
+  EXPECT_EQ(with([](Trace& t) { t.deps[2] = 4; }),
+            "trace record 4: dependency position 4 outside the trace");
+  EXPECT_EQ(with([](Trace& t) { t.deps[1] = 0; }),
+            "trace record 3: duplicate dependency 1");
+  // Slices may share entries, but none may end past the table.
+  EXPECT_EQ(with([](Trace& t) { t.records[3].dep_begin = 1; }), "accepted");
+  EXPECT_EQ(with([](Trace& t) { t.records[3].dep_begin = 3; }),
+            "trace record 4: dependency slice past the end of the 3-entry "
+            "table");
+  EXPECT_EQ(with([](Trace& t) { t.records[3].dep_count = 2; }),
+            "trace record 4: dependency slice past the end of the 3-entry "
+            "table");
+}
+
+TEST(TraceValidate, RefusesOffsetsPastThirtyTwoBits) {
+  // The binary format stores each slice offset in 32 bits. 65,538 records
+  // of 65,535 dependencies each (all sharing one slice) total 2^32 + 65,534
+  // edges: written back to back, the last offsets would wrap and a reader
+  // would mis-slice them. Validation and both writers must refuse it.
+  Trace t;
+  t.nodes = 2;
+  t.records.assign(65538, TraceRecord{0, 0, 1, 0.0, 1, 65535, 0});
+  for (std::size_t i = 0; i < t.records.size(); ++i) t.records[i].id = i + 1;
+  t.deps.assign(65535, 0);
+  const std::string expected =
+      "trace: 4295032830 dependency edges, more than 2^32 - 1";
+  EXPECT_EQ(rejection(t), expected);
+  for (const auto write : {&TraceWriter::write_binary,
+                           &TraceWriter::write_text}) {
+    std::ostringstream os;
+    try {
+      write(os, t);
+      ADD_FAILURE() << "wrote " << os.str().size() << " bytes";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), expected);
+    }
+    EXPECT_TRUE(os.str().empty());
+  }
+  // The writers refuse a slice past the end of the table the same way.
+  Trace overrun = small_trace();
+  overrun.records.back().dep_count = 2;
+  std::ostringstream os;
+  EXPECT_THROW(TraceWriter::write_binary(os, overrun), std::invalid_argument);
+  EXPECT_THROW(TraceWriter::write_text(os, overrun), std::invalid_argument);
+  EXPECT_TRUE(os.str().empty());
+}
+
+TEST(TraceValidate, AddRefusesWhatARecordCannotHold) {
+  Trace t;
+  t.nodes = 2;
+  t.add({1, 0, 1, 0.0, 1});
+  const std::vector<std::uint32_t> many(65536, 0);
+  try {
+    t.add({2, 1, 0, 0.0, 1}, many);
+    FAIL() << "65536 dependencies accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "trace record 2: more than 65535 dependencies");
+  }
+  EXPECT_EQ(t.records.size(), 1u);
+  EXPECT_TRUE(t.deps.empty());
 }
 
 TEST(TraceSummaryTest, CountsShape) {
@@ -601,9 +775,9 @@ TEST(TraceWorkloadTest, PerSourceQueueDrainsOnePerTick) {
 TEST(TraceWorkloadTest, DependentNeverInjectsBeforeDelivery) {
   Trace t;
   t.nodes = 16;
-  t.records = {{1, 0, 15, 0.0, 8, {}},        // long diagonal packet
-               {2, 15, 0, 5.0, 4, {1}},       // reply, 5 cycles of compute
-               {3, 7, 8, 2.0, 4, {1, 2}}};    // fan-in on both
+  t.add({1, 0, 15, 0.0, 8});         // long diagonal packet
+  t.add({2, 15, 0, 5.0, 4}, {0});    // reply, 5 cycles of compute
+  t.add({3, 7, 8, 2.0, 4}, {0, 1});  // fan-in on both
   noc::NetworkParams p;
   p.width = p.height = 4;
   TraceWorkload w(t);
@@ -627,7 +801,8 @@ TEST(TraceWorkloadTest, CongestionShiftsDependentInjection) {
   // time — congestion feeds back into the injection process.
   Trace t;
   t.nodes = 16;
-  t.records = {{1, 0, 15, 0.0, 16, {}}, {2, 15, 3, 0.0, 4, {1}}};
+  t.add({1, 0, 15, 0.0, 16});
+  t.add({2, 15, 3, 0.0, 4}, {0});
 
   const auto inject_time_of_dependent =
       [&](const noc::NocConfig& config) -> double {
@@ -654,7 +829,8 @@ TEST(TraceWorkloadTest, CongestionShiftsDependentInjection) {
 TEST(TraceWorkloadTest, LoopRestartsAfterFullDelivery) {
   Trace t;
   t.nodes = 16;
-  t.records = {{1, 0, 5, 0.0, 4, {}}, {2, 5, 0, 1.0, 4, {1}}};
+  t.add({1, 0, 5, 0.0, 4});
+  t.add({2, 5, 0, 1.0, 4}, {0});
   TraceWorkloadParams tw;
   tw.loop = true;
   TraceWorkload w(t, tw);

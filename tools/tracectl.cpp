@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <iostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cli_main.h"
@@ -117,9 +116,9 @@ int cmd_info(const util::Config& cfg) {
     for (const trace::TraceRecord& r : t.records) {
       if (shown++ >= show) break;
       std::string deps;
-      for (std::size_t i = 0; i < r.deps.size(); ++i) {
-        if (i > 0) deps += ',';
-        deps += std::to_string(r.deps[i]);
+      for (const std::uint32_t p : t.deps_of(r)) {
+        if (!deps.empty()) deps += ',';
+        deps += std::to_string(t.records[p].id);
       }
       tab.row()
           .cell(static_cast<long long>(r.id))
@@ -147,8 +146,6 @@ int cmd_stats(const util::Config& cfg) {
     std::uint64_t pkts_in = 0, flits_in = 0;
   };
   std::vector<NodeCounts> nodes(static_cast<std::size_t>(t.nodes));
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  index.reserve(t.records.size());
   std::vector<std::uint32_t> depth(t.records.size(), 0);
   std::uint32_t max_depth = 0;
   double depth_sum = 0.0;
@@ -160,11 +157,10 @@ int cmd_stats(const util::Config& cfg) {
     nodes[static_cast<std::size_t>(r.src)].flits_out += flits;
     nodes[static_cast<std::size_t>(r.dst)].pkts_in += 1;
     nodes[static_cast<std::size_t>(r.dst)].flits_in += flits;
-    for (std::uint64_t dep : r.deps) {
+    for (const std::uint32_t p : t.deps_of(r)) {
       // validate() guarantees deps were declared earlier.
-      depth[i] = std::max(depth[i], depth[index.at(dep)] + 1);
+      depth[i] = std::max(depth[i], depth[p] + 1);
     }
-    index.emplace(r.id, i);
     max_depth = std::max(max_depth, depth[i]);
     depth_sum += static_cast<double>(depth[i]);
   }
