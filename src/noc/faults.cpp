@@ -6,67 +6,11 @@
 #include <string>
 #include <utility>
 
+#include "noc/routing.h"
 #include "util/config.h"
 #include "util/rng.h"
 
 namespace drlnoc::noc {
-
-namespace {
-
-/// BFS live-hop distances toward every destination over the surviving
-/// directed links. dist[dst * n + node] is the hop count from `node` to
-/// `dst`; throws when any pair is disconnected. Shared by
-/// FaultAwareRouting::recompute and the fail-fast scenario validation.
-void build_fault_distances(const Topology& topo,
-                           const std::vector<std::uint8_t>& dead,
-                           std::vector<std::int16_t>& dist) {
-  const int n = topo.num_nodes();
-  const int radix = topo.radix();
-  constexpr std::int16_t kUnreachable = -1;
-  dist.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-              kUnreachable);
-
-  // Reverse adjacency of the surviving links: rev[v] lists the nodes u with
-  // a live directed link u -> v. Built once; reused by every BFS.
-  std::vector<std::vector<NodeId>> rev(static_cast<std::size_t>(n));
-  for (NodeId u = 0; u < n; ++u) {
-    for (PortId p = 1; p < radix; ++p) {
-      if (dead[static_cast<std::size_t>(u * radix + p)] != 0) continue;
-      const auto nb = topo.neighbor(u, p);
-      if (!nb) continue;
-      rev[static_cast<std::size_t>(nb->node)].push_back(u);
-    }
-  }
-
-  std::vector<NodeId> queue;
-  queue.reserve(static_cast<std::size_t>(n));
-  for (NodeId dst = 0; dst < n; ++dst) {
-    std::int16_t* d = &dist[static_cast<std::size_t>(dst) *
-                            static_cast<std::size_t>(n)];
-    queue.clear();
-    d[dst] = 0;
-    queue.push_back(dst);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const NodeId v = queue[head];
-      for (const NodeId u : rev[static_cast<std::size_t>(v)]) {
-        if (d[u] != kUnreachable) continue;
-        d[u] = static_cast<std::int16_t>(d[v] + 1);
-        queue.push_back(u);
-      }
-    }
-    if (queue.size() != static_cast<std::size_t>(n)) {
-      for (NodeId u = 0; u < n; ++u) {
-        if (d[u] == kUnreachable) {
-          throw std::runtime_error(
-              "fault model: link failures disconnect the topology: node " +
-              std::to_string(u) + " cannot reach node " + std::to_string(dst));
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
 
 std::string to_string(FaultEvent::Kind kind) {
   switch (kind) {
@@ -144,75 +88,13 @@ void FaultParams::validate(const Topology& topo) const {
     }
   }
   if (any_at_zero) {
-    std::vector<std::int16_t> dist;
     try {
-      build_fault_distances(topo, dead_at_zero, dist);
+      make_routing("auto", topo).recompute(dead_at_zero);
     } catch (const std::runtime_error& err) {
       throw std::invalid_argument(
           std::string("faults: cycle-0 events reject: ") + err.what());
     }
   }
-}
-
-// --- FaultAwareRouting ------------------------------------------------------
-
-FaultAwareRouting::FaultAwareRouting(
-    std::shared_ptr<const RoutingAlgorithm> base,
-    std::shared_ptr<const Topology> topo)
-    : base_(std::move(base)), topo_(std::move(topo)) {}
-
-void FaultAwareRouting::recompute(const std::vector<std::uint8_t>& dead) {
-  build_fault_distances(*topo_, dead, dist_);
-  dead_ = dead;
-  degraded_ = true;
-}
-
-void FaultAwareRouting::route(const Flit& flit, NodeId node, PortId in_port,
-                              std::vector<RouteChoice>& out) const {
-  if (!degraded_) {
-    base_->route(flit, node, in_port, out);
-    return;
-  }
-  if (node == flit.dst) {
-    out.push_back(RouteChoice{kLocalPort, flit.vc_class});
-    return;
-  }
-  const auto n = static_cast<std::size_t>(topo_->num_nodes());
-  const std::int16_t* d = &dist_[static_cast<std::size_t>(flit.dst) * n];
-  const int radix = topo_->radix();
-  // Lowest-numbered live port on a minimal surviving path. Ascending port
-  // order is east/west before north/south on meshes, biasing the detour
-  // toward dimension order. A U-turn is only admissible as a last resort:
-  // it can appear transiently when a recompute flips distances under a
-  // packet already past `node`.
-  PortId u_turn = -1;
-  for (PortId p = 1; p < radix; ++p) {
-    if (dead_[static_cast<std::size_t>(node * radix + p)] != 0) continue;
-    const auto nb = topo_->neighbor(node, p);
-    if (!nb) continue;
-    if (d[nb->node] + 1 != d[node]) continue;
-    // Dateline classes never reset under degraded routing: detours may mix
-    // dimensions mid-path, so the conservative rule (escalate on every
-    // dateline crossing, never de-escalate) keeps ring/torus wrap cycles
-    // broken at the cost of restricting detoured packets to class 1.
-    std::uint8_t cls = flit.vc_class;
-    if (topo_->crosses_dateline(node, p)) cls = 1;
-    if (p == in_port) {
-      u_turn = p;
-      continue;
-    }
-    out.push_back(RouteChoice{p, cls});
-    return;
-  }
-  if (u_turn >= 0) {
-    std::uint8_t cls = flit.vc_class;
-    if (topo_->crosses_dateline(node, u_turn)) cls = 1;
-    out.push_back(RouteChoice{u_turn, cls});
-    return;
-  }
-  throw std::runtime_error(
-      "fault routing: no live minimal port at node " + std::to_string(node) +
-      " toward " + std::to_string(flit.dst));
 }
 
 // --- FaultModel -------------------------------------------------------------

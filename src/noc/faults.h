@@ -19,12 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "noc/nic.h"
-#include "noc/routing.h"
 #include "noc/topology.h"
 #include "noc/types.h"
 
@@ -79,37 +77,6 @@ struct FaultParams {
 };
 
 std::string to_string(FaultEvent::Kind kind);
-
-/// Minimal-path rerouting around dead links. Healthy (no dead links) it
-/// delegates verbatim to the wrapped base algorithm, so installing it does
-/// not perturb routing decisions; after the first link death it switches to
-/// a BFS shortest-path table over the surviving directed links. The base
-/// algorithm and topology are immutable and shared; the tables are copied
-/// with the routing.
-class FaultAwareRouting : public RoutingAlgorithm {
- public:
-  FaultAwareRouting(std::shared_ptr<const RoutingAlgorithm> base,
-                    std::shared_ptr<const Topology> topo);
-
-  std::string name() const override { return base_->name() + "+fault"; }
-  bool adaptive() const override { return base_->adaptive(); }
-  void route(const Flit& flit, NodeId node, PortId in_port,
-             std::vector<RouteChoice>& out) const override;
-
-  /// Rebuilds the distance tables around `dead` (indexed node*radix+port,
-  /// nonzero = dead). Throws std::runtime_error naming an unreachable
-  /// (src, dst) pair when the surviving links disconnect the topology.
-  void recompute(const std::vector<std::uint8_t>& dead);
-  bool degraded() const { return degraded_; }
-
- private:
-  std::shared_ptr<const RoutingAlgorithm> base_;
-  std::shared_ptr<const Topology> topo_;
-  bool degraded_ = false;
-  std::vector<std::uint8_t> dead_;  ///< copy of the live dead-link flags
-  /// dist_[dst * n + node]: live hop count from `node` to `dst`.
-  std::vector<std::int16_t> dist_;
-};
 
 /// Seeded deterministic fault state for one Network instance.
 class FaultModel {

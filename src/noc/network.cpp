@@ -64,6 +64,12 @@ void NetworkParams::validate() const {
   require(pipeline_stages >= 1, "pipeline_stages", ">= 1", pipeline_stages);
   require(flits_per_packet >= 1 && flits_per_packet <= 65535,
           "flits_per_packet", "in [1, 65535]", flits_per_packet);
+  // Both throw std::invalid_argument for a shape or routing the fabric
+  // cannot take; they are cheap values, so the check builds them.
+  const Topology topo = make_topology(topology, width, height);
+  make_routing(routing, topo);
+  require(max_vcs >= topo.required_vc_classes(), "max_vcs",
+          ">= the topology's VC classes", max_vcs);
 }
 
 Network::Network(NetworkParams params, PowerParams power_params,
@@ -73,24 +79,20 @@ Network::Network(NetworkParams params, PowerParams power_params,
       config_(params_.initial_config),
       topology_(make_topology(params_.topology, params_.width,
                               params_.height)),
-      routing_(make_routing(params_.routing, *topology_)),
-      epoch_node_recv_(static_cast<std::size_t>(topology_->num_nodes()), 0) {
+      routing_(make_routing(params_.routing, topology_)),
+      epoch_node_recv_(static_cast<std::size_t>(topology_.num_nodes()), 0) {
   validate_config(config_, params_, power_.num_levels());
-  if (topology_->required_vc_classes() > params_.max_vcs) {
-    throw std::invalid_argument(
-        "topology needs more VC classes than physical VCs");
-  }
 
   util::Rng master(params_.seed);
-  const int n = topology_->num_nodes();
+  const int n = topology_.num_nodes();
   node_rngs_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) node_rngs_.push_back(master.fork());
 
   RouterParams rp;
-  rp.num_ports = topology_->radix();
+  rp.num_ports = topology_.radix();
   rp.max_vcs = params_.max_vcs;
   rp.max_depth = params_.max_depth;
-  rp.vc_classes = topology_->required_vc_classes();
+  rp.vc_classes = topology_.required_vc_classes();
   rp.active_vcs = config_.active_vcs;
   rp.active_depth = config_.active_depth;
   rp.pipeline_stages = params_.pipeline_stages;
@@ -116,13 +118,13 @@ Network::Network(NetworkParams params, PowerParams power_params,
 }
 
 void Network::wire(const RouterParams& rp, const NicParams& np) {
-  const int radix = topology_->radix();
-  const int n = topology_->num_nodes();
+  const int radix = topology_.radix();
+  const int n = topology_.num_nodes();
   std::vector<PortChannels> ports(static_cast<std::size_t>(n * radix));
   auto at = [&](NodeId node, PortId port) -> PortChannels& {
     return ports[static_cast<std::size_t>(node * radix + port)];
   };
-  links_ = topology_->links();
+  links_ = topology_.links();
   num_links_ = static_cast<int>(links_.size());
   flit_channels_.reserve(links_.size() + 2 * static_cast<std::size_t>(n));
   credit_channels_.reserve(links_.size() + 2 * static_cast<std::size_t>(n));
@@ -171,12 +173,10 @@ void Network::wire(const RouterParams& rp, const NicParams& np) {
 }
 
 FabricView Network::view() {
-  const RoutingAlgorithm* routing = routing_.get();
-  if (fault_routing_) routing = &*fault_routing_;
   return FabricView{flit_channels_.data(), credit_channels_.data(),
                     fifo_arena_.data(),    &packets_,
                     node_active_.data(),   flit_pending_.data(),
-                    credit_pending_.data(), routing,
+                    credit_pending_.data(), &routing_,
                     fault_model(),          recorder_};
 }
 
@@ -301,8 +301,9 @@ void Network::inject_due_traffic(TrafficInjector* injector) {
 void Network::set_fault_model(const FaultParams& params) {
   // Construction validates the params against the topology, including the
   // fail-fast connectivity check for cycle-0 link deaths.
-  fault_model_.emplace(params, *topology_);
-  fault_routing_.emplace(routing_, topology_);
+  fault_model_.emplace(params, topology_);
+  // A replaced model starts with every link alive again.
+  routing_ = make_routing(params_.routing, topology_);
   node_step_divisor_.assign(static_cast<std::size_t>(num_nodes()), 1);
   // The model may fire events on the very next cycle; everyone re-arms.
   wake_all();
@@ -317,7 +318,7 @@ void Network::service_faults() {
                             cycle_, 0, e->node, e->port);
         }
         // Throws when the surviving links disconnect the topology.
-        fault_routing_->recompute(fault_model_->dead_links());
+        routing_.recompute(fault_model_->dead_links());
         // Minimal paths changed fabric-wide: every router — including
         // quiescent ones holding stale route candidates — must re-run under
         // the new table, mirroring apply_config's wake discipline.
@@ -377,9 +378,9 @@ bool Network::account_faulted_record(const PacketRecord& rec,
     epoch_retry_latency_.add(rec.eject_time - rec.inject_time);
     fault_model_->forget(rec.packet_id);
   }
-  if (fault_routing_->degraded()) {
+  if (routing_.degraded()) {
     const auto minimal = static_cast<std::uint32_t>(
-        topology_->min_hops(rec.src, rec.dst) + 1);
+        topology_.min_hops(rec.src, rec.dst) + 1);
     if (rec.hops > minimal) {
       const std::uint64_t extra = rec.hops - minimal;
       tally(rec.tenant, [&](WindowTally& w) { w.rerouted_hops += extra; });
@@ -494,7 +495,7 @@ EpochStats Network::run_epoch(TrafficInjector* injector,
 int Network::active_capacity() const {
   int slots = 0;
   for (const NocConfig& c : per_router_configs_) {
-    slots += topology_->radix() * c.active_vcs * c.active_depth;
+    slots += topology_.radix() * c.active_vcs * c.active_depth;
   }
   return std::max(1, slots);
 }

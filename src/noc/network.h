@@ -10,7 +10,6 @@
 // latency/power trade-off the RL agent must learn.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,9 +59,12 @@ struct NetworkParams {
   /// The one fabric range check: width and height >= 1 with width*height
   /// <= 65535 (flits carry 16-bit node ids and hop counts), max_vcs in
   /// [1, 32], max_depth in [1, 127] (the router's packed pipeline state),
-  /// link_latency and pipeline_stages >= 1, flits_per_packet in [1, 65535].
-  /// Throws std::invalid_argument("network: <field> must be ..., got N").
-  /// The Network constructor and Scenario::validate call it.
+  /// link_latency and pipeline_stages >= 1, flits_per_packet in [1, 65535];
+  /// then a topology make_topology accepts, a routing make_routing accepts
+  /// on it, and max_vcs covering the topology's VC classes. Throws
+  /// std::invalid_argument("network: <field> must be ..., got N", or the
+  /// builders' messages). The Network constructor and Scenario::validate
+  /// call it.
   void validate() const;
 
   bool operator==(const NetworkParams&) const = default;
@@ -213,10 +215,11 @@ class Network {
   int num_tenants() const { return static_cast<int>(tenant_windows_.size()); }
 
   /// Attaches a deterministic fault model built from `params` (replacing any
-  /// previous one). Switches the fabric to fault-aware routing and arms the
-  /// per-node slowdown bookkeeping. With no model attached (the
-  /// default), every fault branch in the stepping hot path is behind a null
-  /// check and the simulation is bit-identical to a fault-free build.
+  /// previous one), with every link alive: the routing turns degraded at
+  /// the first link death. Arms the per-node slowdown bookkeeping. With no
+  /// model attached (the default), every fault branch in the stepping hot
+  /// path is behind a null check and the simulation is bit-identical to a
+  /// fault-free build.
   void set_fault_model(const FaultParams& params);
   const FaultModel* fault_model() const {
     return fault_model_ ? &*fault_model_ : nullptr;
@@ -245,10 +248,10 @@ class Network {
   // --- accessors ------------------------------------------------------------
   double core_time() const { return core_time_; }
   Cycle cycle() const { return cycle_; }
-  const Topology& topology() const { return *topology_; }
+  const Topology& topology() const { return topology_; }
   const NetworkParams& params() const { return params_; }
   const PowerModel& power() const { return power_; }
-  int num_nodes() const { return topology_->num_nodes(); }
+  int num_nodes() const { return topology_.num_nodes(); }
   std::uint64_t total_packets_offered() const { return total_offered_; }
   std::uint64_t total_packets_received() const { return total_received_; }
   std::uint64_t total_flits_injected() const;
@@ -350,9 +353,9 @@ class Network {
   NetworkParams params_;
   PowerModel power_;
   NocConfig config_;
-  // Immutable after construction, so copies share them.
-  std::shared_ptr<const Topology> topology_;
-  std::shared_ptr<const RoutingAlgorithm> routing_;
+  Topology topology_;
+  // Degraded (rerouting around dead links) once a fault event kills one.
+  RoutingAlgorithm routing_;
   // The components, in node order; they name channels by index into
   // flit_channels_/credit_channels_ (links first, then four per NIC).
   std::vector<Router> routers_;
@@ -368,7 +371,6 @@ class Network {
   // Fault machinery; empty (and all hot-path branches dead) until
   // set_fault_model() installs it.
   std::optional<FaultModel> fault_model_;
-  std::optional<FaultAwareRouting> fault_routing_;
   // Observability taps; null (and every hook branch dead) until attached.
   // Not owned: a copy of the Network writes to the same taps.
   obs::FlightRecorder* recorder_ = nullptr;

@@ -5,7 +5,7 @@
 // return several and the router picks by downstream credit availability.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,103 +19,71 @@ struct RouteChoice {
   std::uint8_t vc_class = 0;  ///< admissible VC class on the chosen link
 };
 
-class RoutingAlgorithm {
+/// One routing function over its own copy of the topology. A value type,
+/// built by make_routing:
+///   - kXY, kYX: deterministic dimension order on a mesh.
+///   - kWestFirst: turn-model adaptive on a mesh (Glass & Ni); westward
+///     hops are taken first and deterministically, east/north/south
+///     segments are fully adaptive.
+///   - kOddEven: turn-model adaptive on a mesh (Chiu 2000).
+///   - kTorusDimOrder: dimension order on a torus with minimal wrap
+///     direction and dateline VC classes: a packet moves to class 1 after
+///     crossing the wrap link of the dimension it is travelling in, and
+///     resets to class 0 when it enters a new dimension.
+///   - kRingMinimal: shortest direction on a ring with dateline classes.
+///
+/// Degraded mode: after recompute() the value routes every packet on a
+/// minimal path over the surviving links (a BFS table) instead.
+class RoutingAlgorithm final {
  public:
-  virtual ~RoutingAlgorithm() = default;
-  virtual std::string name() const = 0;
+  enum class Kind : std::uint8_t {
+    kXY,
+    kYX,
+    kWestFirst,
+    kOddEven,
+    kTorusDimOrder,
+    kRingMinimal,
+  };
+
+  Kind kind() const { return kind_; }
+
   /// Appends candidates (preference order) for `flit` at router `node`
   /// arriving via `in_port` (kLocalPort for freshly injected packets).
-  /// Must always produce at least one candidate; candidates must never
-  /// include the inbound port (no U-turns).
-  virtual void route(const Flit& flit, NodeId node, PortId in_port,
-                     std::vector<RouteChoice>& out) const = 0;
-  /// True when the algorithm may return more than one candidate.
-  virtual bool adaptive() const { return false; }
-};
-
-/// Deterministic dimension-order X-then-Y routing on a 2-D mesh.
-class MeshXY : public RoutingAlgorithm {
- public:
-  explicit MeshXY(const Mesh2D& mesh) : mesh_(mesh) {}
-  std::string name() const override { return "xy"; }
+  /// Always produces at least one candidate; candidates never include the
+  /// inbound port (no U-turns) except as a degraded last resort.
   void route(const Flit& flit, NodeId node, PortId in_port,
-             std::vector<RouteChoice>& out) const override;
+             std::vector<RouteChoice>& out) const;
+
+  /// Switches to degraded mode around `dead` (indexed node*radix+port,
+  /// nonzero = dead), rebuilding the live-hop distance table. Throws
+  /// std::runtime_error naming an unreachable (src, dst) pair when the
+  /// surviving links disconnect the topology.
+  void recompute(const std::vector<std::uint8_t>& dead);
+  bool degraded() const { return !dist_.empty(); }
 
  private:
-  const Mesh2D& mesh_;
+  friend RoutingAlgorithm make_routing(const std::string& kind,
+                                       const Topology& topo);
+  RoutingAlgorithm(Kind kind, const Topology& topo)
+      : kind_(kind), topo_(topo) {}
+
+  /// route() in degraded mode: the lowest-numbered live port on a minimal
+  /// surviving path.
+  void route_degraded(const Flit& flit, NodeId node, PortId in_port,
+                      std::vector<RouteChoice>& out) const;
+
+  Kind kind_;
+  Topology topo_;
+  std::vector<std::uint8_t> dead_;  ///< copy of the live dead-link flags
+  /// dist_[dst * n + node]: live hop count from `node` to `dst`; empty
+  /// while healthy.
+  std::vector<std::int16_t> dist_;
 };
 
-/// Deterministic Y-then-X routing on a 2-D mesh.
-class MeshYX : public RoutingAlgorithm {
- public:
-  explicit MeshYX(const Mesh2D& mesh) : mesh_(mesh) {}
-  std::string name() const override { return "yx"; }
-  void route(const Flit& flit, NodeId node, PortId in_port,
-             std::vector<RouteChoice>& out) const override;
-
- private:
-  const Mesh2D& mesh_;
-};
-
-/// West-first turn-model adaptive routing on a 2-D mesh (Glass & Ni).
-/// Westward hops are taken first and deterministically; east/north/south
-/// segments are fully adaptive.
-class MeshWestFirst : public RoutingAlgorithm {
- public:
-  explicit MeshWestFirst(const Mesh2D& mesh) : mesh_(mesh) {}
-  std::string name() const override { return "westfirst"; }
-  bool adaptive() const override { return true; }
-  void route(const Flit& flit, NodeId node, PortId in_port,
-             std::vector<RouteChoice>& out) const override;
-
- private:
-  const Mesh2D& mesh_;
-};
-
-/// Odd-even turn-model adaptive routing on a 2-D mesh (Chiu 2000).
-class MeshOddEven : public RoutingAlgorithm {
- public:
-  explicit MeshOddEven(const Mesh2D& mesh) : mesh_(mesh) {}
-  std::string name() const override { return "oddeven"; }
-  bool adaptive() const override { return true; }
-  void route(const Flit& flit, NodeId node, PortId in_port,
-             std::vector<RouteChoice>& out) const override;
-
- private:
-  const Mesh2D& mesh_;
-};
-
-/// Dimension-order routing on a 2-D torus with minimal wrap direction and
-/// dateline VC classes: a packet moves to class 1 after crossing the wrap
-/// link of the dimension it is travelling in, and resets to class 0 when it
-/// enters a new dimension.
-class TorusDor : public RoutingAlgorithm {
- public:
-  explicit TorusDor(const Torus2D& torus) : torus_(torus) {}
-  std::string name() const override { return "torus_dor"; }
-  void route(const Flit& flit, NodeId node, PortId in_port,
-             std::vector<RouteChoice>& out) const override;
-
- private:
-  const Torus2D& torus_;
-};
-
-/// Shortest-direction routing on a bidirectional ring with dateline classes.
-class RingShortest : public RoutingAlgorithm {
- public:
-  explicit RingShortest(const Ring& ring) : ring_(ring) {}
-  std::string name() const override { return "ring_shortest"; }
-  void route(const Flit& flit, NodeId node, PortId in_port,
-             std::vector<RouteChoice>& out) const override;
-
- private:
-  const Ring& ring_;
-};
-
-/// Factory. `kind`: "xy", "yx", "westfirst", "oddeven" (mesh);
+/// Builder. `kind`: "xy", "yx", "westfirst", "oddeven" (mesh);
 /// "torus_dor" (torus); "ring_shortest" (ring). "auto" picks the natural
-/// deterministic algorithm for the topology.
-std::unique_ptr<RoutingAlgorithm> make_routing(const std::string& kind,
-                                               const Topology& topo);
+/// deterministic algorithm for the topology. Throws std::invalid_argument
+/// for an unknown kind or one the topology cannot use.
+RoutingAlgorithm make_routing(const std::string& kind, const Topology& topo);
 
 }  // namespace drlnoc::noc

@@ -3,7 +3,7 @@
 // by Network. Port 0 of every router is the local (NIC) port.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,23 +27,36 @@ struct Link {
   bool dateline = false;
 };
 
-/// Abstract interconnect topology.
-class Topology {
+/// Interconnect topology: a kind over a width x height grid of nodes, node
+/// id = y * width + x. A ring of N nodes is an N x 1 grid.
+///
+/// Mesh and torus ports: 0=local, 1=east(+x), 2=west(-x), 3=north(+y),
+/// 4=south(-y); the torus marks each wrap link as a dateline. Ring ports:
+/// 0=local, 1=clockwise(+), 2=counter-clockwise(-); the (N-1 <-> 0) link is
+/// the dateline. A value type: trivially copyable, built by make_topology.
+class Topology final {
  public:
-  virtual ~Topology() = default;
+  enum class Kind : std::uint8_t { kMesh, kTorus, kRing };
 
-  virtual std::string name() const = 0;
-  virtual int num_nodes() const = 0;
+  Kind kind() const { return kind_; }
+  std::string name() const;
+  int width() const { return width_; }
+  int height() const { return height_; }
+  int num_nodes() const { return width_ * height_; }
+  int x_of(NodeId n) const { return n % width_; }
+  int y_of(NodeId n) const { return n / width_; }
+  NodeId node_at(int x, int y) const { return y * width_ + x; }
+
   /// Number of ports per router, including the local port (uniform radix).
-  virtual int radix() const = 0;
+  int radix() const { return kind_ == Kind::kRing ? 3 : 5; }
   /// All directed inter-router links.
-  virtual std::vector<Link> links() const = 0;
+  std::vector<Link> links() const;
   /// Minimal router-to-router hop count (for latency lower bounds and
   /// oracle checks). Returns 0 when src == dst.
-  virtual int min_hops(NodeId src, NodeId dst) const = 0;
+  int min_hops(NodeId src, NodeId dst) const;
   /// Number of VC classes required for deadlock freedom (1 for mesh,
   /// 2 for ring/torus dateline scheme).
-  virtual int required_vc_classes() const = 0;
+  int required_vc_classes() const { return kind_ == Kind::kMesh ? 1 : 2; }
 
   /// Downstream endpoint of (node, out_port); nullopt for the local port or
   /// an unconnected port.
@@ -51,82 +64,20 @@ class Topology {
   /// Whether (node, out_port) crosses a dateline.
   bool crosses_dateline(NodeId node, PortId out_port) const;
 
- protected:
-  /// Builds the adjacency cache keyed by node*radix+port from links().
-  /// Every concrete topology calls it at the end of its constructor, so a
-  /// constructed topology is immutable and safe to share across threads.
-  void build_cache();
-
  private:
-  std::vector<std::optional<LinkEnd>> neighbor_cache_;
-  std::vector<bool> dateline_cache_;
-};
+  friend Topology make_topology(const std::string& kind, int width,
+                                int height);
+  Topology(Kind kind, int width, int height)
+      : kind_(kind), width_(width), height_(height) {}
 
-/// 2-D mesh; ports: 0=local, 1=east(+x), 2=west(-x), 3=north(+y), 4=south(-y).
-class Mesh2D : public Topology {
- public:
-  Mesh2D(int width, int height);
-
-  std::string name() const override;
-  int num_nodes() const override { return width_ * height_; }
-  int radix() const override { return 5; }
-  std::vector<Link> links() const override;
-  int min_hops(NodeId src, NodeId dst) const override;
-  int required_vc_classes() const override { return 1; }
-
-  int width() const { return width_; }
-  int height() const { return height_; }
-  int x_of(NodeId n) const { return n % width_; }
-  int y_of(NodeId n) const { return n / width_; }
-  NodeId node_at(int x, int y) const { return y * width_ + x; }
-
- private:
+  Kind kind_;
   int width_;
   int height_;
 };
 
-/// 2-D torus; same port convention as Mesh2D, wrap links marked as datelines
-/// on the (max -> 0) crossing in each dimension.
-class Torus2D : public Topology {
- public:
-  Torus2D(int width, int height);
-
-  std::string name() const override;
-  int num_nodes() const override { return width_ * height_; }
-  int radix() const override { return 5; }
-  std::vector<Link> links() const override;
-  int min_hops(NodeId src, NodeId dst) const override;
-  int required_vc_classes() const override { return 2; }
-
-  int width() const { return width_; }
-  int height() const { return height_; }
-  int x_of(NodeId n) const { return n % width_; }
-  int y_of(NodeId n) const { return n / width_; }
-  NodeId node_at(int x, int y) const { return y * width_ + x; }
-
- private:
-  int width_;
-  int height_;
-};
-
-/// Bidirectional ring; ports: 0=local, 1=clockwise(+), 2=counter-clockwise(-).
-class Ring : public Topology {
- public:
-  explicit Ring(int nodes);
-
-  std::string name() const override;
-  int num_nodes() const override { return nodes_; }
-  int radix() const override { return 3; }
-  std::vector<Link> links() const override;
-  int min_hops(NodeId src, NodeId dst) const override;
-  int required_vc_classes() const override { return 2; }
-
- private:
-  int nodes_;
-};
-
-/// Factory: "mesh" (width,height), "torus" (width,height), "ring" (nodes).
-std::unique_ptr<Topology> make_topology(const std::string& kind, int width,
-                                        int height);
+/// Builder: "mesh" (width >= 2, height >= 1), "torus" (width, height >= 3),
+/// "ring" (width * height >= 3 nodes). Throws std::invalid_argument
+/// otherwise.
+Topology make_topology(const std::string& kind, int width, int height);
 
 }  // namespace drlnoc::noc

@@ -98,14 +98,8 @@ TrafficPattern make_pattern(const std::string& kind, const Topology& topo) {
   TrafficPattern p;
   p.kind_ = static_cast<TrafficPattern::Kind>(index);
   p.nodes_ = topo.num_nodes();
-  p.width_ = p.nodes_;
-  if (const auto* m = dynamic_cast<const Mesh2D*>(&topo)) {
-    p.width_ = m->width();
-    p.height_ = m->height();
-  } else if (const auto* t = dynamic_cast<const Torus2D*>(&topo)) {
-    p.width_ = t->width();
-    p.height_ = t->height();
-  }
+  p.width_ = topo.width();  // a ring is N x 1
+  p.height_ = topo.height();
   using Kind = TrafficPattern::Kind;
   switch (p.kind_) {
     case Kind::kTranspose:

@@ -63,8 +63,8 @@ NodeId PhasedWorkload::generate(NodeId src, double core_time,
 
 std::vector<Phase> PhasedWorkload::standard_phases(const Topology& topo,
                                                    double scale) {
-  const auto* mesh = dynamic_cast<const Mesh2D*>(&topo);
-  const bool square = mesh && mesh->width() == mesh->height();
+  const bool square = topo.kind() == Topology::Kind::kMesh &&
+                      topo.width() == topo.height();
   const std::string third = square ? "transpose" : "uniform";
   // Rates are chosen so the burst phase transiently oversubscribes the
   // hotspots (on-state rate is 5x the mean) but stays drainable on average:

@@ -70,7 +70,6 @@ std::unique_ptr<CompositeWorkload> build_workload(const Scenario& scenario,
 
 double peak_offered_rate(const Scenario& scenario) {
   double peak = 0.0;
-  std::unique_ptr<noc::Topology> topo;  // built lazily for standard phases
   for (const TenantSpec& t : scenario.tenants) {
     switch (t.kind) {
       case WorkloadKind::kTrace:
@@ -85,12 +84,10 @@ double peak_offered_rate(const Scenario& scenario) {
       case WorkloadKind::kPhased: {
         std::vector<noc::Phase> phases = t.phases;
         if (phases.empty()) {
-          if (!topo) {
-            topo = noc::make_topology(scenario.net.topology,
-                                      scenario.net.width,
-                                      scenario.net.height);
-          }
-          phases = noc::PhasedWorkload::standard_phases(*topo, t.phase_scale);
+          phases = noc::PhasedWorkload::standard_phases(
+              noc::make_topology(scenario.net.topology, scenario.net.width,
+                                 scenario.net.height),
+              t.phase_scale);
         }
         for (const noc::Phase& ph : phases) peak = std::max(peak, ph.rate);
         break;

@@ -193,21 +193,21 @@ bool Scenario::has_qos() const {
 void Scenario::validate() const {
   if (tenants.empty()) fail("no tenants");
   net.validate();
-  // Traffic and fault checks need the geometry. Building the topology is
-  // cheap (a static graph; no routers or channels).
-  const auto topo = noc::make_topology(net.topology, net.width, net.height);
+  // Traffic and fault checks need the geometry.
+  const noc::Topology topo =
+      noc::make_topology(net.topology, net.width, net.height);
   if (!(duration >= 0.0) || !std::isfinite(duration)) {
     fail("duration must be finite and >= 0");
   }
   for (std::size_t i = 0; i < tenants.size(); ++i) {
-    validate_tenant(tenants[i], *topo, static_cast<int>(i));
+    validate_tenant(tenants[i], topo, static_cast<int>(i));
   }
   validate_controller(controller);
   churn.validate(static_cast<std::size_t>(num_declared_tenants()), duration);
   faults.validate();
   // Includes the fail-fast rejection of cycle-0 link deaths that disconnect
   // the fabric.
-  if (faults.enabled()) faults.validate(*topo);
+  if (faults.enabled()) faults.validate(topo);
   if (duration == 0.0) {
     // Without a horizon the run ends when every tenant finishes; an
     // open-ended synthetic tenant would spin to the cycle limit. Looping
@@ -404,7 +404,7 @@ Scenario phased_scenario(const noc::NetworkParams& net,
                          std::vector<noc::Phase> phases) {
   if (phases.empty()) {
     phases = noc::PhasedWorkload::standard_phases(
-        *noc::make_topology(net.topology, net.width, net.height));
+        noc::make_topology(net.topology, net.width, net.height));
   }
   Scenario s;
   s.name = "phased";

@@ -510,8 +510,16 @@ Trace TraceReader::read_binary(std::istream& is) {
     writer_layout = writer_layout && r.dep_begin == edges;
     edges += r.dep_count;
   }
-  if (edges > detail::kMaxEdges) {
-    // Overlapping slices can name many more entries than the table holds.
+  if (edges > dep_total) {
+    // Overlapping slices may share entries but not name more than the
+    // table holds, so the edges allocated below are bounded by bytes the
+    // file was checked to contain.
+    throw std::runtime_error(
+        "trace binary: slices name " + std::to_string(edges) +
+        " dependency entries but the table holds " +
+        std::to_string(dep_total));
+  }
+  if (edges > detail::kMaxEdges) {  // only a table above 32 GiB gets here
     throw std::runtime_error("trace binary: " + std::to_string(edges) +
                              " dependency edges, more than 2^32 - 1");
   }

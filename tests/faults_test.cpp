@@ -93,7 +93,7 @@ TEST(FaultParams, TopologyValidation) {
   ev.port = 1;
   bad_node.events = {ev};
   EXPECT_NO_THROW(bad_node.validate());  // needs the topology to know
-  EXPECT_NE(rejection([&] { bad_node.validate(*topo); }).find("node outside"),
+  EXPECT_NE(rejection([&] { bad_node.validate(topo); }).find("node outside"),
             std::string::npos);
 
   noc::FaultParams bad_port;
@@ -101,7 +101,7 @@ TEST(FaultParams, TopologyValidation) {
   ev.port = 1;   // east
   bad_port.events = {ev};
   EXPECT_NE(rejection([&] {
-              bad_port.validate(*topo);
+              bad_port.validate(topo);
             }).find("port is not a connected link"),
             std::string::npos);
 
@@ -119,7 +119,7 @@ TEST(FaultParams, TopologyValidation) {
   north.node = 0;
   north.port = 3;  // 0 -> 4 (north)
   disconnect.events = {east, north};
-  const std::string msg = rejection([&] { disconnect.validate(*topo); });
+  const std::string msg = rejection([&] { disconnect.validate(topo); });
   EXPECT_NE(msg.find("cycle-0 events reject"), std::string::npos) << msg;
   EXPECT_NE(msg.find("disconnect"), std::string::npos) << msg;
 }
@@ -133,7 +133,7 @@ TEST(FaultModel, RetryBackoffAndBudget) {
   fp.retry_timeout = 10;
   fp.retry_backoff = 2.0;
   fp.retry_budget = 3;
-  noc::FaultModel model(fp, *topo);
+  noc::FaultModel model(fp, topo);
 
   noc::PacketRecord rec;
   rec.packet_id = 77;
@@ -179,7 +179,7 @@ TEST(FaultModel, CleanDeliveryForgetsAttempts) {
   noc::FaultParams fp;
   fp.link_fault_rate = 0.01;
   fp.retry_budget = 1;
-  noc::FaultModel model(fp, *topo);
+  noc::FaultModel model(fp, topo);
 
   noc::PacketRecord rec;
   rec.packet_id = 9;
@@ -203,10 +203,10 @@ TEST(FaultModel, CorruptionHashIsDeterministic) {
   noc::FaultParams fp;
   fp.seed = 123;
   fp.link_fault_rate = 0.3;
-  noc::FaultModel a(fp, *topo);
-  noc::FaultModel b(fp, *topo);
+  noc::FaultModel a(fp, topo);
+  noc::FaultModel b(fp, topo);
   fp.seed = 124;
-  noc::FaultModel c(fp, *topo);
+  noc::FaultModel c(fp, topo);
 
   int differ = 0;
   for (std::uint64_t pkt = 1; pkt <= 200; ++pkt) {

@@ -26,6 +26,9 @@
 namespace drlnoc {
 namespace {
 
+static_assert(std::is_trivially_copyable_v<noc::Topology>);
+static_assert(std::is_copy_constructible_v<noc::RoutingAlgorithm> &&
+              std::is_copy_assignable_v<noc::RoutingAlgorithm>);
 static_assert(std::is_copy_constructible_v<noc::Network> &&
               std::is_copy_assignable_v<noc::Network>);
 static_assert(std::is_copy_constructible_v<noc::Router> &&
@@ -192,6 +195,8 @@ TEST(NetworkCopy, FaultedRunWithALaterLinkDeathAndSlowdown) {
   };
   c.done = [](const auto& p) { return p.net->cycle() >= 2500; };
   expect_copies_continue_identically(c, kMid);
+  // A copy taken after the link death carries the degraded routing table.
+  expect_copies_continue_identically(c, kMid + 300);
 
   // The run reaches the fault paths it claims to cover.
   Pair<noc::SteadyWorkload> probe = c.make();

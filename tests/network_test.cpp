@@ -345,6 +345,25 @@ TEST(NetworkParams, ValidateNamesTheFieldAndTheConstructorRunsIt) {
        "network: width*height must be <= 65535, got 65536"},
       {[](NetworkParams& p) { p.width = p.height = 100000; },
        "network: width*height must be <= 65535, got 10000000000"},
+      // The shape and the routing are checked by building them.
+      {[](NetworkParams& p) { p.width = 1; },
+       "network: mesh width must be >= 2, got 1"},
+      {[](NetworkParams& p) { p.topology = "torus"; p.height = 2; },
+       "network: torus height must be >= 3, got 2"},
+      {[](NetworkParams& p) {
+         p.topology = "ring";
+         p.width = 2;
+         p.height = 1;
+       },
+       "network: ring width*height must be >= 3, got 2"},
+      {[](NetworkParams& p) { p.topology = "hypercube"; },
+       "network: unknown topology: hypercube"},
+      {[](NetworkParams& p) { p.routing = "torus_dor"; },
+       "routing 'torus_dor' incompatible with topology mesh4x4"},
+      {[](NetworkParams& p) { p.routing = "nope"; },
+       "routing 'nope' incompatible with topology mesh4x4"},
+      {[](NetworkParams& p) { p.topology = "torus"; p.max_vcs = 1; },
+       "network: max_vcs must be >= the topology's VC classes, got 1"},
   };
   for (const Case& c : cases) {
     NetworkParams p = small_mesh();
@@ -566,7 +585,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(PhasedWorkload, PhaseLookupAndLooping) {
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   std::vector<Phase> phases = {{"uniform", 0.05, 100.0, "bernoulli"},
                                {"hotspot", 0.1, 50.0, "bernoulli"}};
   PhasedWorkload w(mesh, phases);

@@ -45,8 +45,8 @@ int walk(const Topology& topo, const RoutingAlgorithm& algo, NodeId src,
 }
 
 TEST(MeshXY, RoutesXThenY) {
-  Mesh2D mesh(4, 4);
-  MeshXY xy(mesh);
+  const Topology mesh = make_topology("mesh", 4, 4);
+  const RoutingAlgorithm xy = make_routing("xy", mesh);
   std::vector<RouteChoice> cands;
   // From (0,0) to (2,3): must go east first.
   xy.route(head_flit(0, mesh.node_at(2, 3)), 0, kLocalPort, cands);
@@ -63,8 +63,8 @@ TEST(MeshXY, RoutesXThenY) {
 }
 
 TEST(MeshYX, RoutesYThenX) {
-  Mesh2D mesh(4, 4);
-  MeshYX yx(mesh);
+  const Topology mesh = make_topology("mesh", 4, 4);
+  const RoutingAlgorithm yx = make_routing("yx", mesh);
   std::vector<RouteChoice> cands;
   yx.route(head_flit(0, mesh.node_at(2, 3)), 0, kLocalPort, cands);
   ASSERT_EQ(cands.size(), 1u);
@@ -77,12 +77,12 @@ class MinimalRoutingWalk
 // Property: every (src, dst) pair is delivered in exactly min_hops hops for
 // the deterministic and the adaptive (first-candidate) mesh algorithms.
 TEST_P(MinimalRoutingWalk, DeliversInMinimalHops) {
-  Mesh2D mesh(5, 4);
-  auto algo = make_routing(GetParam(), mesh);
+  const Topology mesh = make_topology("mesh", 5, 4);
+  const RoutingAlgorithm algo = make_routing(GetParam(), mesh);
   for (NodeId s = 0; s < mesh.num_nodes(); ++s) {
     for (NodeId d = 0; d < mesh.num_nodes(); ++d) {
       if (s == d) continue;
-      EXPECT_EQ(walk(mesh, *algo, s, d), mesh.min_hops(s, d))
+      EXPECT_EQ(walk(mesh, algo, s, d), mesh.min_hops(s, d))
           << "src=" << s << " dst=" << d;
     }
   }
@@ -93,8 +93,8 @@ INSTANTIATE_TEST_SUITE_P(MeshAlgos, MinimalRoutingWalk,
                                            "oddeven"));
 
 TEST(MeshWestFirst, WestIsExclusive) {
-  Mesh2D mesh(5, 5);
-  MeshWestFirst wf(mesh);
+  const Topology mesh = make_topology("mesh", 5, 5);
+  const RoutingAlgorithm wf = make_routing("westfirst", mesh);
   std::vector<RouteChoice> cands;
   // Destination strictly west and north: only west allowed first.
   wf.route(head_flit(mesh.node_at(3, 1), mesh.node_at(1, 3)),
@@ -109,8 +109,8 @@ TEST(MeshWestFirst, WestIsExclusive) {
 }
 
 TEST(MeshOddEven, ForbidsEastTurnsAtEvenColumns) {
-  Mesh2D mesh(6, 6);
-  MeshOddEven oe(mesh);
+  const Topology mesh = make_topology("mesh", 6, 6);
+  const RoutingAlgorithm oe = make_routing("oddeven", mesh);
   // Chiu rule 1: at an even column (not the source column), an eastbound
   // packet may not turn north/south -> candidates restricted.
   std::vector<RouteChoice> cands;
@@ -128,8 +128,8 @@ TEST(MeshOddEven, ForbidsEastTurnsAtEvenColumns) {
 }
 
 TEST(TorusDor, UsesShortestWrapDirection) {
-  Torus2D torus(6, 6);
-  TorusDor dor(torus);
+  const Topology torus = make_topology("torus", 6, 6);
+  const RoutingAlgorithm dor = make_routing("torus_dor", torus);
   std::vector<RouteChoice> cands;
   // From x=0 to x=5: west (wrap) is 1 hop, east is 5 hops.
   dor.route(head_flit(torus.node_at(0, 0), torus.node_at(5, 0)),
@@ -141,8 +141,8 @@ TEST(TorusDor, UsesShortestWrapDirection) {
 }
 
 TEST(TorusDor, DatelineClassResetsOnDimensionChange) {
-  Torus2D torus(6, 6);
-  TorusDor dor(torus);
+  const Topology torus = make_topology("torus", 6, 6);
+  const RoutingAlgorithm dor = make_routing("torus_dor", torus);
   std::vector<RouteChoice> cands;
   // Packet that crossed the x dateline (class 1) now turns into y at an
   // x-port entry: class must reset to 0 unless the y hop wraps.
@@ -155,8 +155,8 @@ TEST(TorusDor, DatelineClassResetsOnDimensionChange) {
 }
 
 TEST(TorusDor, DeliversAllPairsMinimally) {
-  Torus2D torus(5, 5);
-  TorusDor dor(torus);
+  const Topology torus = make_topology("torus", 5, 5);
+  const RoutingAlgorithm dor = make_routing("torus_dor", torus);
   for (NodeId s = 0; s < torus.num_nodes(); ++s) {
     for (NodeId d = 0; d < torus.num_nodes(); ++d) {
       if (s == d) continue;
@@ -166,8 +166,8 @@ TEST(TorusDor, DeliversAllPairsMinimally) {
 }
 
 TEST(RingShortest, PicksShortSideAndDatelines) {
-  Ring ring(8);
-  RingShortest rs(ring);
+  const Topology ring = make_topology("ring", 8, 1);
+  const RoutingAlgorithm rs = make_routing("ring_shortest", ring);
   for (NodeId s = 0; s < 8; ++s) {
     for (NodeId d = 0; d < 8; ++d) {
       if (s == d) continue;
@@ -177,12 +177,13 @@ TEST(RingShortest, PicksShortSideAndDatelines) {
 }
 
 TEST(RoutingFactory, AutoPicksNaturalAlgorithm) {
-  Mesh2D mesh(4, 4);
-  Torus2D torus(4, 4);
-  Ring ring(6);
-  EXPECT_EQ(make_routing("auto", mesh)->name(), "xy");
-  EXPECT_EQ(make_routing("auto", torus)->name(), "torus_dor");
-  EXPECT_EQ(make_routing("auto", ring)->name(), "ring_shortest");
+  const Topology mesh = make_topology("mesh", 4, 4);
+  const Topology torus = make_topology("torus", 4, 4);
+  const Topology ring = make_topology("ring", 6, 1);
+  using Kind = RoutingAlgorithm::Kind;
+  EXPECT_EQ(make_routing("auto", mesh).kind(), Kind::kXY);
+  EXPECT_EQ(make_routing("auto", torus).kind(), Kind::kTorusDimOrder);
+  EXPECT_EQ(make_routing("auto", ring).kind(), Kind::kRingMinimal);
   EXPECT_THROW(make_routing("xy", torus), std::invalid_argument);
 }
 

@@ -777,7 +777,7 @@ TEST(PhasedEnv, PhasedTenantsStartAtRandomInTrainingAndAtPhaseZeroInEval) {
     return w == nullptr ? std::size_t{0} : w->phase_index(0.0);
   };
 
-  noc::PhasedWorkload reference(*noc::make_topology("mesh", 4, 4),
+  noc::PhasedWorkload reference(noc::make_topology("mesh", 4, 4),
                                 phased.phases);
   bool moved = false;
   for (int g = 1; g <= 6; ++g) {

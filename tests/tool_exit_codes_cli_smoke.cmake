@@ -1,8 +1,8 @@
 # CLI smoke for the exit codes the command-line tools share: 2 for a
 # missing or unknown command, 0 for `--help`/`-h` and for `<command>
 # --help` (also for an unknown command), 1 when a command fails (a file
-# that does not exist, a negative cycle count on a valid input, or traffic
-# the workloads refuse).
+# that does not exist, a negative cycle count on a valid input, traffic
+# the workloads refuse, or a routing the topology cannot take).
 #
 #   cmake -DSCENARIOCTL=<scenarioctl> -DTRACECTL=<tracectl> \
 #         -DFLEETCTL=<fleetctl> -DWORK=<scratch dir> \
@@ -68,4 +68,9 @@ file(WRITE "${WORK}/bad_pattern.drlsc" ${scenario} "tenant0.pattern = nope\n")
 expect_exit(1 "${SCENARIOCTL}" validate file=bad_pattern.drlsc)
 expect_exit(1 "${SCENARIOCTL}" describe file=bad_pattern.drlsc)
 expect_exit(1 "${SCENARIOCTL}" run file=bad_pattern.drlsc)
+# So does a routing the topology cannot take.
+file(WRITE "${WORK}/bad_routing.drlsc" ${scenario} "routing = torus_dor\n")
+expect_exit(1 "${SCENARIOCTL}" validate file=bad_routing.drlsc)
+expect_exit(1 "${SCENARIOCTL}" describe file=bad_routing.drlsc)
+expect_exit(1 "${SCENARIOCTL}" run file=bad_routing.drlsc)
 expect_exit(0 "${SCENARIOCTL}" validate file=tiny.drlsc)

@@ -9,7 +9,7 @@ namespace drlnoc::noc {
 namespace {
 
 TEST(Mesh2D, BasicGeometry) {
-  Mesh2D mesh(4, 3);
+  const Topology mesh = make_topology("mesh", 4, 3);
   EXPECT_EQ(mesh.num_nodes(), 12);
   EXPECT_EQ(mesh.radix(), 5);
   EXPECT_EQ(mesh.node_at(2, 1), 6);
@@ -19,14 +19,14 @@ TEST(Mesh2D, BasicGeometry) {
 }
 
 TEST(Mesh2D, LinkCountIsBidirectionalGrid) {
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   // 2 * (W-1)*H + 2 * W*(H-1) directed links.
   EXPECT_EQ(mesh.links().size(), 2u * 3 * 4 + 2u * 4 * 3);
   for (const Link& l : mesh.links()) EXPECT_FALSE(l.dateline);
 }
 
 TEST(Mesh2D, NeighborsConsistentWithLinks) {
-  Mesh2D mesh(3, 3);
+  const Topology mesh = make_topology("mesh", 3, 3);
   // Node 4 is the centre at (1,1): east=5, west=3, north=7, south=1.
   EXPECT_EQ(mesh.neighbor(4, 1)->node, 5);
   EXPECT_EQ(mesh.neighbor(4, 2)->node, 3);
@@ -36,11 +36,42 @@ TEST(Mesh2D, NeighborsConsistentWithLinks) {
   // Corner (0,0): no west, no south.
   EXPECT_FALSE(mesh.neighbor(0, 2).has_value());
   EXPECT_FALSE(mesh.neighbor(0, 4).has_value());
+
+  // neighbor() and crosses_dateline() are computed from the geometry; on
+  // every kind at two sizes they agree with links() on every (node, port),
+  // and an unlinked port has no neighbour and no dateline.
+  for (const Topology& topo :
+       {make_topology("mesh", 3, 3), make_topology("mesh", 5, 2),
+        make_topology("torus", 3, 3), make_topology("torus", 4, 5),
+        make_topology("ring", 3, 1), make_topology("ring", 8, 1)}) {
+    SCOPED_TRACE(topo.name());
+    std::map<std::pair<NodeId, PortId>, Link> by_out;
+    for (const Link& l : topo.links()) {
+      EXPECT_TRUE(by_out.emplace(std::pair{l.from.node, l.from.port}, l)
+                      .second);
+    }
+    for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+      for (PortId p = 0; p < topo.radix(); ++p) {
+        const auto nb = topo.neighbor(n, p);
+        const auto it = by_out.find({n, p});
+        if (it == by_out.end()) {
+          EXPECT_FALSE(nb.has_value()) << n << ":" << p;
+          EXPECT_FALSE(topo.crosses_dateline(n, p)) << n << ":" << p;
+          continue;
+        }
+        ASSERT_TRUE(nb.has_value()) << n << ":" << p;
+        EXPECT_EQ(nb->node, it->second.to.node) << n << ":" << p;
+        EXPECT_EQ(nb->port, it->second.to.port) << n << ":" << p;
+        EXPECT_EQ(topo.crosses_dateline(n, p), it->second.dateline)
+            << n << ":" << p;
+      }
+    }
+  }
 }
 
 TEST(Mesh2D, LinksArePaired) {
   // Every directed link has a reverse twin on mirrored ports.
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   std::set<std::tuple<int, int, int, int>> links;
   for (const Link& l : mesh.links()) {
     links.insert({l.from.node, l.from.port, l.to.node, l.to.port});
@@ -60,18 +91,18 @@ TEST(Mesh2D, LinksArePaired) {
 }
 
 TEST(Mesh2D, MinHopsIsManhattan) {
-  Mesh2D mesh(8, 8);
+  const Topology mesh = make_topology("mesh", 8, 8);
   EXPECT_EQ(mesh.min_hops(0, 63), 14);
   EXPECT_EQ(mesh.min_hops(0, 0), 0);
   EXPECT_EQ(mesh.min_hops(mesh.node_at(2, 3), mesh.node_at(5, 1)), 5);
 }
 
 TEST(Mesh2D, RejectsDegenerate) {
-  EXPECT_THROW(Mesh2D(1, 1), std::invalid_argument);
+  EXPECT_THROW(make_topology("mesh", 1, 1), std::invalid_argument);
 }
 
 TEST(Torus2D, WrapLinksAndDatelines) {
-  Torus2D torus(4, 4);
+  const Topology torus = make_topology("torus", 4, 4);
   EXPECT_EQ(torus.num_nodes(), 16);
   EXPECT_EQ(torus.required_vc_classes(), 2);
   // Every node has all four neighbours.
@@ -91,18 +122,18 @@ TEST(Torus2D, WrapLinksAndDatelines) {
 }
 
 TEST(Torus2D, MinHopsUsesWrap) {
-  Torus2D torus(8, 8);
+  const Topology torus = make_topology("torus", 8, 8);
   EXPECT_EQ(torus.min_hops(torus.node_at(0, 0), torus.node_at(7, 0)), 1);
   EXPECT_EQ(torus.min_hops(torus.node_at(0, 0), torus.node_at(4, 4)), 8);
   EXPECT_EQ(torus.min_hops(torus.node_at(1, 1), torus.node_at(6, 7)), 3 + 2);
 }
 
 TEST(Torus2D, RejectsNarrowDimensions) {
-  EXPECT_THROW(Torus2D(2, 4), std::invalid_argument);
+  EXPECT_THROW(make_topology("torus", 2, 4), std::invalid_argument);
 }
 
 TEST(Ring, GeometryAndDatelines) {
-  Ring ring(8);
+  const Topology ring = make_topology("ring", 8, 1);
   EXPECT_EQ(ring.num_nodes(), 8);
   EXPECT_EQ(ring.radix(), 3);
   EXPECT_EQ(ring.links().size(), 16u);
@@ -116,9 +147,9 @@ TEST(Ring, GeometryAndDatelines) {
 }
 
 TEST(TopologyFactory, MakesAllKinds) {
-  EXPECT_EQ(make_topology("mesh", 4, 4)->name(), "mesh4x4");
-  EXPECT_EQ(make_topology("torus", 4, 4)->name(), "torus4x4");
-  EXPECT_EQ(make_topology("ring", 4, 2)->name(), "ring8");
+  EXPECT_EQ(make_topology("mesh", 4, 4).name(), "mesh4x4");
+  EXPECT_EQ(make_topology("torus", 4, 4).name(), "torus4x4");
+  EXPECT_EQ(make_topology("ring", 4, 2).name(), "ring8");
   EXPECT_THROW(make_topology("hypercube", 4, 4), std::invalid_argument);
 }
 
@@ -128,8 +159,9 @@ class MinHopsTriangle
 // Property: min_hops satisfies the triangle inequality and symmetry.
 TEST_P(MinHopsTriangle, MetricProperties) {
   const auto [w, h] = GetParam();
-  Mesh2D mesh(w, h);
-  Torus2D torus(std::max(3, w), std::max(3, h));
+  const Topology mesh = make_topology("mesh", w, h);
+  const Topology torus =
+      make_topology("torus", std::max(3, w), std::max(3, h));
   for (const Topology* topo :
        std::initializer_list<const Topology*>{&mesh, &torus}) {
     const int n = topo->num_nodes();

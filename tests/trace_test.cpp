@@ -402,6 +402,41 @@ TEST(TraceHostileInput, BinaryCorpus) {
   EXPECT_GT(rejected, 0);
 }
 
+TEST(TraceHostileInput, SharedSlicesCannotOutnumberTheTable) {
+  // 100 records all pointing at one 65,535-entry slice: a 527,512-byte file
+  // whose slices name 6,553,500 entries. The reader refuses it before it
+  // allocates for them.
+  Trace t;
+  t.nodes = 2;
+  t.default_length = 4;
+  for (std::uint64_t id = 1; id <= 100; ++id) t.add({id, 0, 1, 0.0, 4});
+  std::ostringstream os;
+  TraceWriter::write_binary(os, t);
+  std::string bytes = os.str();
+  poke_u64(bytes, 24, 65535);  // the header's dependency entry count
+  for (std::size_t i = 0; i < 100; ++i) {
+    // dep_count u16 at byte 26 of the record; dep_offset stays 0.
+    bytes[32 + 32 * i + 26] = static_cast<char>(0xff);
+    bytes[32 + 32 * i + 27] = static_cast<char>(0xff);
+  }
+  for (std::uint64_t k = 0; k < 65535; ++k) {
+    bytes.append(8, '\0');
+    poke_u64(bytes, bytes.size() - 8, k % 100 + 1);
+  }
+  ASSERT_EQ(bytes.size(), 527512u);
+  std::stringstream in(bytes);
+  try {
+    TraceReader::read_binary(in);
+    FAIL() << "100 records sharing one 65,535-entry slice accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "slices name 6553500 dependency entries but the table "
+                  "holds 65535"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(TraceHostileInput, TextCorpus) {
   const Trace t = hostile_seed_trace();
   std::stringstream ss;

@@ -11,7 +11,7 @@ namespace drlnoc::noc {
 namespace {
 
 TEST(UniformTraffic, NeverSelfAndCoversAll) {
-  const TrafficPattern u = make_pattern("uniform", Mesh2D(4, 4));
+  const TrafficPattern u = make_pattern("uniform", make_topology("mesh", 4, 4));
   util::Rng rng(1);
   std::map<NodeId, int> counts;
   for (int i = 0; i < 32000; ++i) {
@@ -26,26 +26,29 @@ TEST(UniformTraffic, NeverSelfAndCoversAll) {
 }
 
 TEST(TransposeTraffic, MapsCoordinates) {
-  const TrafficPattern t = make_pattern("transpose", Mesh2D(4, 4));
+  const TrafficPattern t =
+      make_pattern("transpose", make_topology("mesh", 4, 4));
   util::Rng rng(1);
   // (1,2)=9 -> (2,1)=6.
   EXPECT_EQ(t.dest(9, rng), 6);
   // Diagonal maps to itself -> no packet.
   EXPECT_EQ(t.dest(0, rng), kInvalidNode);
   EXPECT_EQ(t.dest(5, rng), kInvalidNode);
-  EXPECT_THROW(make_pattern("transpose", Mesh2D(4, 3)), std::invalid_argument);
+  EXPECT_THROW(make_pattern("transpose", make_topology("mesh", 4, 3)),
+               std::invalid_argument);
 }
 
 TEST(BitCompTraffic, Complements) {
-  const TrafficPattern b = make_pattern("bitcomp", Mesh2D(4, 4));
+  const TrafficPattern b = make_pattern("bitcomp", make_topology("mesh", 4, 4));
   util::Rng rng(1);
   EXPECT_EQ(b.dest(0, rng), 15);
   EXPECT_EQ(b.dest(5, rng), 10);
-  EXPECT_THROW(make_pattern("bitcomp", Mesh2D(4, 3)), std::invalid_argument);
+  EXPECT_THROW(make_pattern("bitcomp", make_topology("mesh", 4, 3)),
+               std::invalid_argument);
 }
 
 TEST(BitRevTraffic, ReversesBits) {
-  const TrafficPattern b = make_pattern("bitrev", Ring(8));
+  const TrafficPattern b = make_pattern("bitrev", make_topology("ring", 8, 1));
   util::Rng rng(1);
   EXPECT_EQ(b.dest(1, rng), 4);   // 001 -> 100
   EXPECT_EQ(b.dest(3, rng), 6);   // 011 -> 110
@@ -53,7 +56,7 @@ TEST(BitRevTraffic, ReversesBits) {
 }
 
 TEST(ShuffleTraffic, RotatesLeft) {
-  const TrafficPattern s = make_pattern("shuffle", Mesh2D(4, 2));
+  const TrafficPattern s = make_pattern("shuffle", make_topology("mesh", 4, 2));
   util::Rng rng(1);
   EXPECT_EQ(s.dest(1, rng), 2);   // 001 -> 010
   EXPECT_EQ(s.dest(4, rng), 1);   // 100 -> 001
@@ -62,14 +65,15 @@ TEST(ShuffleTraffic, RotatesLeft) {
 }
 
 TEST(TornadoTraffic, HalfwayAround) {
-  const TrafficPattern t = make_pattern("tornado", Mesh2D(8, 8));
+  const TrafficPattern t = make_pattern("tornado", make_topology("mesh", 8, 8));
   util::Rng rng(1);
   // (0,0) -> (3,3) for 8x8: offset ceil(8/2)-1 = 3.
   EXPECT_EQ(t.dest(0, rng), 3 * 8 + 3);
 }
 
 TEST(NeighborTraffic, NextInRow) {
-  const TrafficPattern n = make_pattern("neighbor", Mesh2D(4, 4));
+  const TrafficPattern n =
+      make_pattern("neighbor", make_topology("mesh", 4, 4));
   util::Rng rng(1);
   EXPECT_EQ(n.dest(0, rng), 1);
   EXPECT_EQ(n.dest(3, rng), 0);   // wraps within the row
@@ -78,7 +82,7 @@ TEST(NeighborTraffic, NextInRow) {
 
 TEST(HotspotTraffic, ConcentratesOnHotspots) {
   // On 8x8 the hotspots are the centre block 27, 28, 35, 36.
-  const TrafficPattern h = make_pattern("hotspot", Mesh2D(8, 8));
+  const TrafficPattern h = make_pattern("hotspot", make_topology("mesh", 8, 8));
   util::Rng rng(2);
   int hot = 0;
   const int trials = 40000;
@@ -95,9 +99,13 @@ TEST(HotspotTraffic, Validation) {
   // The hotspot block is placed from the geometry alone, so on the
   // smallest grids, tori and rings it must still name real nodes other
   // than the source.
-  const Mesh2D mesh21(2, 1), mesh22(2, 2), mesh23(2, 3), mesh33(3, 3);
-  const Torus2D torus(4, 4);
-  const Ring ring3(3), ring5(5);
+  const Topology mesh21 = make_topology("mesh", 2, 1);
+  const Topology mesh22 = make_topology("mesh", 2, 2);
+  const Topology mesh23 = make_topology("mesh", 2, 3);
+  const Topology mesh33 = make_topology("mesh", 3, 3);
+  const Topology torus = make_topology("torus", 4, 4);
+  const Topology ring3 = make_topology("ring", 3, 1);
+  const Topology ring5 = make_topology("ring", 5, 1);
   const Topology* topos[] = {&mesh21, &mesh22, &mesh23, &mesh33,
                              &torus,  &ring3,  &ring5};
   for (const Topology* topo : topos) {
@@ -115,14 +123,14 @@ TEST(HotspotTraffic, Validation) {
 }
 
 TEST(PatternFactory, AllKinds) {
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   for (const char* kind : {"uniform", "transpose", "bitcomp", "bitrev",
                            "shuffle", "tornado", "neighbor", "hotspot"}) {
     EXPECT_NO_THROW(make_pattern(kind, mesh)) << kind;
   }
   EXPECT_THROW(make_pattern("nope", mesh), std::invalid_argument);
   // The power-of-two patterns refuse 12 nodes; transpose a 4x3 grid.
-  const Mesh2D mesh43(4, 3);
+  const Topology mesh43 = make_topology("mesh", 4, 3);
   for (const char* kind : {"transpose", "bitcomp", "bitrev", "shuffle"}) {
     EXPECT_THROW(make_pattern(kind, mesh43), std::invalid_argument) << kind;
   }

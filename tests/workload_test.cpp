@@ -9,7 +9,7 @@ namespace drlnoc::noc {
 namespace {
 
 TEST(SteadyWorkload, ValidatesInputs) {
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   EXPECT_THROW(SteadyWorkload::make(mesh, "uniform", 1.5),
                std::invalid_argument);
   EXPECT_THROW(SteadyWorkload::make(mesh, "uniform", -0.1),
@@ -18,7 +18,7 @@ TEST(SteadyWorkload, ValidatesInputs) {
 }
 
 TEST(SteadyWorkload, GeneratesAtConfiguredRate) {
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   SteadyWorkload w = SteadyWorkload::make(mesh, "uniform", 0.2);
   util::Rng rng(1);
   int fired = 0;
@@ -34,13 +34,13 @@ TEST(SteadyWorkload, GeneratesAtConfiguredRate) {
 }
 
 TEST(SteadyWorkload, NameReflectsPattern) {
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   SteadyWorkload w = SteadyWorkload::make(mesh, "tornado", 0.1);
   EXPECT_NE(w.name().find("tornado"), std::string::npos);
 }
 
 TEST(PhasedWorkload, ValidatesPhases) {
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   EXPECT_THROW(PhasedWorkload(mesh, {}), std::invalid_argument);
   EXPECT_THROW(PhasedWorkload(mesh, {{"uniform", 0.1, 0.0, "bernoulli"}}),
                std::invalid_argument);
@@ -56,7 +56,7 @@ TEST(PhasedWorkload, ValidatesPhases) {
 }
 
 TEST(PhasedWorkload, OffsetShiftsPhaseLookup) {
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   PhasedWorkload w(mesh, {{"uniform", 0.05, 100.0, "bernoulli"},
                           {"hotspot", 0.1, 100.0, "bernoulli"}});
   EXPECT_EQ(w.phase_index(0.0), 0u);
@@ -70,7 +70,7 @@ TEST(PhasedWorkload, OffsetShiftsPhaseLookup) {
 }
 
 TEST(PhasedWorkload, RateFollowsActivePhase) {
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   PhasedWorkload w(mesh, {{"uniform", 0.0, 1000.0, "bernoulli"},
                           {"uniform", 0.5, 1000.0, "bernoulli"}});
   util::Rng rng(3);
@@ -84,7 +84,7 @@ TEST(PhasedWorkload, RateFollowsActivePhase) {
 }
 
 TEST(PhasedWorkload, StandardPhasesSaneOnMeshAndRing) {
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   const auto mesh_phases = PhasedWorkload::standard_phases(mesh);
   ASSERT_EQ(mesh_phases.size(), 4u);
   EXPECT_EQ(mesh_phases[3].pattern, "transpose");  // square mesh
@@ -93,14 +93,14 @@ TEST(PhasedWorkload, StandardPhasesSaneOnMeshAndRing) {
     EXPECT_GE(ph.rate, 0.0);
     EXPECT_LE(ph.rate, 0.2);
   }
-  Ring ring(8);
+  const Topology ring = make_topology("ring", 8, 1);
   const auto ring_phases = PhasedWorkload::standard_phases(ring);
   EXPECT_EQ(ring_phases[3].pattern, "uniform");  // no transpose on a ring
   EXPECT_NO_THROW(PhasedWorkload(ring, ring_phases));
 }
 
 TEST(PhasedWorkload, MultiLoopWraparound) {
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   PhasedWorkload w(mesh, {{"uniform", 0.0, 100.0, "bernoulli"},
                           {"uniform", 0.5, 60.0, "bernoulli"}});
   ASSERT_DOUBLE_EQ(w.total_duration(), 160.0);
@@ -132,7 +132,7 @@ TEST(PhasedWorkload, MultiLoopWraparound) {
 }
 
 TEST(PhasedWorkload, PerPhaseFlitsPerPacketOverride) {
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   Phase control{"uniform", 0.1, 100.0, "bernoulli"};
   control.flits_per_packet = 1;  // short control packets
   Phase data{"uniform", 0.1, 100.0, "bernoulli"};
@@ -174,7 +174,7 @@ TEST(PhasedWorkload, PerPhaseFlitsPerPacketOverride) {
 }
 
 TEST(PhasedWorkload, ScaleMultipliesRates) {
-  Mesh2D mesh(4, 4);
+  const Topology mesh = make_topology("mesh", 4, 4);
   const auto base = PhasedWorkload::standard_phases(mesh, 1.0);
   const auto scaled = PhasedWorkload::standard_phases(mesh, 0.5);
   for (std::size_t i = 0; i < base.size(); ++i) {
