@@ -1,9 +1,9 @@
 // perf_smoke: the substrate micro-benchmarks (F6): simulator cycle
 // throughput vs mesh size / VC count / load, MLP inference and training,
-// replay push+sample, the DQN learn step, and the trace subsystem (ingest
+// replay push+sample, the DQN learn step, the trace subsystem (ingest
 // of `.drltrb` and `.drltrc` files, task-graph generation, the binary
-// round trip and dependency-gated replay). Emits a flat JSON metrics
-// block (see README "Performance").
+// round trip and dependency-gated replay) and multi-tenant traffic
+// injection. Emits a flat JSON metrics block (see README "Performance").
 //
 //   ./bench/perf_smoke                           # print JSON to stdout
 //   ./bench/perf_smoke out=BENCH.json            # also write to a file
@@ -14,10 +14,12 @@
 // Compare two builds by running both on the same machine.
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -31,6 +33,7 @@
 #include "noc/workload.h"
 #include "rl/dqn.h"
 #include "rl/replay.h"
+#include "scenario/composite_workload.h"
 #include "trace/generators.h"
 #include "trace/trace_io.h"
 #include "trace/trace_workload.h"
@@ -274,6 +277,67 @@ double bench_trace_replay(const drlnoc::trace::Trace& t, int repeats) {
   return measure_rate(replay(), repeats, replay);
 }
 
+/// Core ticks per second through CompositeWorkload::inject_tick with no
+/// fabric, on serve_16x16's traffic shape: a looping 64-node DNN pipeline
+/// remapped onto a seeded placement in a 16x16 mesh, plus uniform
+/// background at 0.01 packets per node per core cycle. Every packet is
+/// handed back as delivered a fixed 40 core cycles after injection, so the
+/// dependency-gated trace keeps releasing records.
+double bench_inject_ticks(std::uint64_t ticks, int repeats) {
+  namespace noc = drlnoc::noc;
+  constexpr int kNodes = 256;
+  constexpr double kLatency = 40.0;
+  const noc::Topology topo = noc::make_topology("mesh", 16, 16);
+  drlnoc::trace::DnnPipelineParams dp;
+  dp.nodes = 64;
+  dp.batches = 4;
+  std::vector<noc::NodeId> placement(kNodes);
+  std::iota(placement.begin(), placement.end(), 0);
+  Rng(2).shuffle(placement);
+  placement.resize(static_cast<std::size_t>(dp.nodes));
+  std::vector<drlnoc::scenario::TenantBinding> tenants;
+  tenants.push_back({.name = "dnn",
+                     .workload = drlnoc::trace::TraceWorkload(
+                         drlnoc::trace::generate_dnn_pipeline(dp),
+                         {.rate_scale = 1.0, .loop = true}),
+                     .nodes = placement,
+                     .remap = true});
+  tenants.push_back(
+      {.name = "background",
+       .workload = noc::SteadyWorkload::make(topo, "uniform", 0.01),
+       .nodes = {},
+       .remap = false});
+  drlnoc::scenario::CompositeWorkload w(kNodes, std::move(tenants));
+  Rng master(1);
+  std::vector<Rng> rngs;
+  for (int i = 0; i < kNodes; ++i) rngs.push_back(master.fork());
+  std::vector<noc::Emission> out;
+  out.reserve(kNodes);
+  std::deque<noc::PacketRecord> in_flight;
+  double t = 0.0;
+  std::uint64_t next_id = 1;
+  return measure_rate(ticks, repeats, [&] {
+    for (std::uint64_t i = 0; i < ticks; ++i, t += 1.0) {
+      while (!in_flight.empty() && in_flight.front().eject_time <= t) {
+        w.on_packet_delivered(in_flight.front());
+        in_flight.pop_front();
+      }
+      out.clear();
+      w.inject_tick(t, rngs.data(), kNodes, next_id, out);
+      for (const noc::Emission& e : out) {
+        noc::PacketRecord rec;
+        rec.packet_id = next_id++;
+        rec.src = e.src;
+        rec.dst = e.dst;
+        rec.inject_time = t;
+        rec.eject_time = t + kLatency;
+        rec.tenant = static_cast<std::uint16_t>(e.tenant);
+        in_flight.push_back(rec);
+      }
+    }
+  });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -334,6 +398,9 @@ int main(int argc, char** argv) {
   metrics.emplace_back(
       "trace_replay_a2a_cps",
       bench_trace_replay(drlnoc::trace::generate_alltoall(a2a), repeats));
+
+  metrics.emplace_back("inject_ticks_16x16_serve",
+                       bench_inject_ticks(n(200000), repeats));
 
   drlnoc::bench::write_metrics_json(std::cout, "perf_smoke", metrics);
   if (cfg.has("out") &&

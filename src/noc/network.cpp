@@ -87,6 +87,7 @@ Network::Network(NetworkParams params, PowerParams power_params,
   const int n = topology_.num_nodes();
   node_rngs_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) node_rngs_.push_back(master.fork());
+  emissions_.reserve(static_cast<std::size_t>(n));
 
   RouterParams rp;
   rp.num_ports = topology_.radix();
@@ -262,6 +263,19 @@ int Network::active_nodes() const {
   return count;
 }
 
+void TrafficInjector::inject_tick(double core_time, util::Rng* rngs, int n,
+                                  std::uint64_t first_id,
+                                  std::vector<Emission>& out) {
+  for (NodeId node = 0; node < n; ++node) {
+    const NodeId dst = generate(node, core_time, rngs[node]);
+    if (dst == kInvalidNode) continue;
+    const int length = packet_length_for(node, core_time);
+    const int tenant = tenant_for(node, core_time);
+    on_packet_injected(node, first_id + out.size(), core_time);
+    out.push_back({node, dst, length, tenant});
+  }
+}
+
 void Network::inject_due_traffic(TrafficInjector* injector) {
   // Core ticks scheduled strictly before the *end* of this router cycle.
   const double divisor = power_.clock_divisor(config_.dvfs_level);
@@ -270,25 +284,27 @@ void Network::inject_due_traffic(TrafficInjector* injector) {
   while (static_cast<double>(next_core_tick_) < end_time) {
     const auto t = static_cast<double>(next_core_tick_);
     if (injector != nullptr) {
-      for (int node = 0; node < n; ++node) {
-        const NodeId dst =
-            injector->generate(node, t, node_rngs_[static_cast<std::size_t>(node)]);
-        if (dst == kInvalidNode) continue;
-        assert(dst >= 0 && dst < n);
-        const int length = injector->packet_length_for(node, t);
+      emissions_.clear();
+      injector->inject_tick(t, node_rngs_.data(), n, next_packet_id_,
+                            emissions_);
+      [[maybe_unused]] NodeId prev = kInvalidNode;
+      for (const Emission& e : emissions_) {
+        assert(e.src > prev && e.src < n && "one emission per node, ascending");
+        assert(e.dst >= 0 && e.dst < n);
+        prev = e.src;
+        // Packet ids follow emission order, as inject_tick numbered them.
+        const std::uint64_t packet_id = next_packet_id_++;
         // Clamp so a misbehaving injector cannot split its accounting
         // between slot 0 (offered) and the uint16_t-wrapped last slot
         // (received).
-        const int tenant = std::max(0, injector->tenant_for(node, t));
-        const std::uint64_t packet_id = next_packet_id_++;
-        nics_[static_cast<std::size_t>(node)].offer_packet(
-            dst, t, measuring_, packet_id, length, tenant);
-        wake(node);  // source NIC has work now
-        injector->on_packet_injected(node, packet_id, t);
+        const int tenant = std::max(0, e.tenant);
+        nics_[static_cast<std::size_t>(e.src)].offer_packet(
+            e.dst, t, measuring_, packet_id, e.length, tenant);
+        wake(e.src);  // source NIC has work now
         if (recorder_ != nullptr && recorder_->sampled(packet_id)) {
           recorder_->record(
-              obs::EventKind::kPacketInject, t, cycle_, packet_id, node, dst,
-              length > 0 ? length : params_.flits_per_packet);
+              obs::EventKind::kPacketInject, t, cycle_, packet_id, e.src,
+              e.dst, e.length > 0 ? e.length : params_.flits_per_packet);
         }
         tally(tenant, [](WindowTally& w) { ++w.offered; });
         ++total_offered_;

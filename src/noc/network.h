@@ -70,11 +70,32 @@ struct NetworkParams {
   bool operator==(const NetworkParams&) const = default;
 };
 
-/// Pulls traffic out of a workload: one call per node per core cycle.
-/// Returns the destination node or kInvalidNode for "no packet".
+/// One packet a TrafficInjector emits at a core tick.
+struct Emission {
+  NodeId src = kInvalidNode;
+  NodeId dst = kInvalidNode;
+  int length = 0;  ///< flits; 0 means the network's flits_per_packet
+  int tenant = 0;  ///< see tenant_for
+};
+
+/// Pulls traffic out of a workload. The network makes one inject_tick()
+/// call per core tick; the per-node hooks below are the protocol its
+/// default implementation runs.
 class TrafficInjector {
  public:
   virtual ~TrafficInjector() = default;
+  /// Appends this core tick's packets to `out` (empty on entry), at most
+  /// one per node and in ascending source order; the k-th appended packet
+  /// gets packet id `first_id + k`, and any per-packet bookkeeping keyed
+  /// by that id is done before returning. `rngs` holds the `n` per-node
+  /// streams. The default runs the per-node protocol: for each node in
+  /// ascending order, generate() and, when it accepts, packet_length_for(),
+  /// tenant_for() and on_packet_injected(). An override must emit exactly
+  /// what that protocol would, with the same draws from each node's stream.
+  virtual void inject_tick(double core_time, util::Rng* rngs, int n,
+                           std::uint64_t first_id, std::vector<Emission>& out);
+  /// Destination of `src`'s packet at `core_time`, or kInvalidNode for
+  /// "no packet"; draws only from `rng`, the node's own stream.
   virtual NodeId generate(NodeId src, double core_time, util::Rng& rng) = 0;
   /// Length in flits of the packet being generated at `core_time`;
   /// 0 means "use the network's default flits_per_packet".
@@ -92,9 +113,9 @@ class TrafficInjector {
   virtual int tenant_for(NodeId /*src*/, double /*core_time*/) const {
     return 0;
   }
-  /// Called right after the generated packet is queued at the source NIC,
-  /// with the network-assigned packet id. Lets dependency-aware workloads
-  /// map their records onto live packets (see trace/trace_workload.h).
+  /// Called right after tenant_for() for an accepted packet, with the
+  /// packet id it gets. Lets dependency-aware workloads map their records
+  /// onto live packets (see trace/trace_workload.h).
   virtual void on_packet_injected(NodeId /*src*/, std::uint64_t /*packet_id*/,
                                   double /*core_time*/) {}
   /// Called once per packet when its tail flit ejects at the destination,
@@ -306,6 +327,8 @@ class Network {
   bool nic_inbound_empty(const Nic& nic) const;
   /// The packet-table leg of audit_quiescence.
   std::string audit_packet_table() const;
+  /// Runs every core tick due before the end of this router cycle: one
+  /// inject_tick() call each, whose emissions are offered in order.
   void inject_due_traffic(TrafficInjector* injector);
   /// Fires due fault events and re-offers due retransmissions; called at the
   /// top of step() only while a fault model is attached.
@@ -396,6 +419,8 @@ class Network {
 
   std::vector<util::Rng> node_rngs_;
   std::uint64_t next_packet_id_ = 1;
+  // One core tick's emissions; scratch, reserved for one per node.
+  std::vector<Emission> emissions_;
   bool measuring_ = true;
 
   Cycle cycle_ = 0;

@@ -14,10 +14,9 @@ constexpr const char* kPatternNames[] = {"uniform", "transpose", "bitcomp",
                                          "neighbor", "hotspot"};
 constexpr const char* kProcessNames[] = {"bernoulli", "burst"};
 
-// Burst transition probabilities: alpha = P(off->on), beta = P(on->off).
-constexpr double kBurstAlpha = 0.02;
-constexpr double kBurstBeta = 0.08;
-constexpr double kBurstDuty = kBurstAlpha / (kBurstAlpha + kBurstBeta);
+constexpr double kBurstDuty =
+    InjectionProcess::kBurstAlpha /
+    (InjectionProcess::kBurstAlpha + InjectionProcess::kBurstBeta);
 // The largest burst rate: the duty cycle as written, since in doubles it
 // computes one ulp below 0.2.
 constexpr double kBurstMaxRate = 0.2;
@@ -126,19 +125,6 @@ TrafficPattern make_pattern(const std::string& kind, const Topology& topo) {
       break;
   }
   return p;
-}
-
-bool InjectionProcess::fire(NodeId src, util::Rng& rng) {
-  switch (kind_) {
-    case Kind::kBernoulli:
-      return rng.chance(rate_);
-    case Kind::kBurst: {
-      std::uint8_t& on = on_[static_cast<std::size_t>(src)];
-      on = on ? !rng.chance(kBurstBeta) : rng.chance(kBurstAlpha);
-      return on && rng.chance(on_rate_);
-    }
-  }
-  return false;
 }
 
 InjectionProcess make_injection(const std::string& kind, int nodes,

@@ -59,7 +59,17 @@ TrafficPattern make_pattern(const std::string& kind, const Topology& topo);
 /// a packet is generated, at a mean `rate` packets/node/core-cycle.
 class InjectionProcess {
  public:
-  bool fire(NodeId src, util::Rng& rng);
+  /// Burst transition probabilities: alpha = P(off->on), beta = P(on->off).
+  static constexpr double kBurstAlpha = 0.02;
+  static constexpr double kBurstBeta = 0.08;
+
+  /// Inline: injectors call it once per node per core tick.
+  bool fire(NodeId src, util::Rng& rng) {
+    if (kind_ == Kind::kBernoulli) return rng.chance(rate_);
+    std::uint8_t& on = on_[static_cast<std::size_t>(src)];
+    on = on ? !rng.chance(kBurstBeta) : rng.chance(kBurstAlpha);
+    return on && rng.chance(on_rate_);
+  }
   double rate() const { return rate_; }
 
  private:

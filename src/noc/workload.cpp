@@ -17,10 +17,18 @@ SteadyWorkload SteadyWorkload::make(const Topology& topo,
                         make_injection(process, topo.num_nodes(), rate));
 }
 
+void SteadyWorkload::inject_tick(double /*core_time*/, util::Rng* rngs,
+                                 int n, std::uint64_t /*first_id*/,
+                                 std::vector<Emission>& out) {
+  for (NodeId src = 0; src < n; ++src) {
+    const NodeId dst = poll(src, rngs[src]);
+    if (dst != kInvalidNode) out.push_back({src, dst, 0, 0});
+  }
+}
+
 NodeId SteadyWorkload::generate(NodeId src, double /*core_time*/,
                                 util::Rng& rng) {
-  if (!process_.fire(src, rng)) return kInvalidNode;
-  return pattern_.dest(src, rng);
+  return poll(src, rng);
 }
 
 std::string SteadyWorkload::name() const {
@@ -51,14 +59,23 @@ std::size_t PhasedWorkload::phase_index(double core_time) const {
 }
 
 int PhasedWorkload::packet_length(double core_time) const {
-  return phases_[phase_index(core_time)].flits_per_packet;
+  return phase_length(phase_index(core_time));
+}
+
+void PhasedWorkload::inject_tick(double core_time, util::Rng* rngs, int n,
+                                 std::uint64_t /*first_id*/,
+                                 std::vector<Emission>& out) {
+  const std::size_t phase = phase_index(core_time);
+  const int length = phase_length(phase);
+  for (NodeId src = 0; src < n; ++src) {
+    const NodeId dst = poll(phase, src, rngs[src]);
+    if (dst != kInvalidNode) out.push_back({src, dst, length, 0});
+  }
 }
 
 NodeId PhasedWorkload::generate(NodeId src, double core_time,
                                 util::Rng& rng) {
-  const std::size_t idx = phase_index(core_time);
-  if (!processes_[idx].fire(src, rng)) return kInvalidNode;
-  return patterns_[idx].dest(src, rng);
+  return poll(phase_index(core_time), src, rng);
 }
 
 std::vector<Phase> PhasedWorkload::standard_phases(const Topology& topo,

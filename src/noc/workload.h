@@ -24,8 +24,16 @@ class SteadyWorkload final : public TrafficInjector {
                              double rate,
                              const std::string& process = "bernoulli");
 
+  /// One tight pass over the nodes; the draws of generate() at each.
+  void inject_tick(double core_time, util::Rng* rngs, int n,
+                   std::uint64_t first_id, std::vector<Emission>& out) override;
   NodeId generate(NodeId src, double core_time, util::Rng& rng) override;
   std::string name() const override;
+
+  /// generate() without the virtual call, for composites.
+  NodeId poll(NodeId src, util::Rng& rng) {
+    return process_.fire(src, rng) ? pattern_.dest(src, rng) : kInvalidNode;
+  }
 
  private:
   SteadyWorkload(TrafficPattern pattern, InjectionProcess process);
@@ -53,9 +61,23 @@ class PhasedWorkload final : public TrafficInjector {
   /// or a phase make_pattern / make_injection refuses.
   PhasedWorkload(const Topology& topo, std::vector<Phase> phases);
 
+  /// Looks the phase up once, then one tight pass over the nodes.
+  void inject_tick(double core_time, util::Rng* rngs, int n,
+                   std::uint64_t first_id, std::vector<Emission>& out) override;
   NodeId generate(NodeId src, double core_time, util::Rng& rng) override;
   int packet_length(double core_time) const override;
   std::string name() const override { return "phased"; }
+
+  /// generate() at a phase already looked up with phase_index(), without
+  /// the virtual call, for composites.
+  NodeId poll(std::size_t phase, NodeId src, util::Rng& rng) {
+    return processes_[phase].fire(src, rng) ? patterns_[phase].dest(src, rng)
+                                            : kInvalidNode;
+  }
+  /// packet_length() of a phase: its flits, 0 for the network default.
+  int phase_length(std::size_t phase) const {
+    return phases_[phase].flits_per_packet;
+  }
 
   /// Shifts the playback position: phase lookups use core_time + offset.
   /// Used to start training episodes at random points of the workload so

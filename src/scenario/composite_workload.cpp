@@ -1,8 +1,10 @@
 #include "scenario/composite_workload.h"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 namespace drlnoc::scenario {
@@ -10,7 +12,7 @@ namespace drlnoc::scenario {
 CompositeWorkload::CompositeWorkload(int num_nodes,
                                      std::vector<TenantBinding> bindings)
     : tenants_(std::move(bindings)),
-      sources_(static_cast<std::size_t>(num_nodes)),
+      claimed_(static_cast<std::size_t>(std::max(num_nodes, 0)), 0),
       emitted_(tenants_.size(), 0),
       delivered_(tenants_.size(), 0) {
   if (num_nodes <= 0) {
@@ -19,6 +21,8 @@ CompositeWorkload::CompositeWorkload(int num_nodes,
   if (tenants_.empty()) {
     throw std::invalid_argument("CompositeWorkload: no tenants");
   }
+  const auto nodes = static_cast<std::size_t>(num_nodes);
+  std::vector<std::vector<int>> sources(nodes);
   local_of_.resize(tenants_.size());
   for (std::size_t ti = 0; ti < tenants_.size(); ++ti) {
     TenantBinding& b = tenants_[ti];
@@ -28,15 +32,10 @@ CompositeWorkload::CompositeWorkload(int num_nodes,
                                   " remaps but lists no nodes");
     }
     if (b.nodes.empty()) {
-      for (int n = 0; n < num_nodes; ++n) {
-        sources_[static_cast<std::size_t>(n)].push_back(static_cast<int>(ti));
-      }
+      for (auto& list : sources) list.push_back(static_cast<int>(ti));
       continue;
     }
-    if (b.remap) {
-      local_of_[ti].assign(static_cast<std::size_t>(num_nodes),
-                           noc::kInvalidNode);
-    }
+    if (b.remap) local_of_[ti].assign(nodes, noc::kInvalidNode);
     for (std::size_t li = 0; li < b.nodes.size(); ++li) {
       const noc::NodeId g = b.nodes[li];
       if (g < 0 || g >= num_nodes) {
@@ -53,25 +52,92 @@ CompositeWorkload::CompositeWorkload(int num_nodes,
         local_of_[ti][static_cast<std::size_t>(g)] =
             static_cast<noc::NodeId>(li);
       }
-      sources_[static_cast<std::size_t>(g)].push_back(static_cast<int>(ti));
+      sources[static_cast<std::size_t>(g)].push_back(static_cast<int>(ti));
     }
   }
   // Tenants were appended in id order per node, so every polling list is
   // already ascending — the order-stable merge tiebreak.
+  source_begin_.reserve(nodes + 1);
+  source_begin_.push_back(0);
+  for (const auto& list : sources) {
+    source_tenants_.insert(source_tenants_.end(), list.begin(), list.end());
+    source_begin_.push_back(
+        static_cast<std::uint32_t>(source_tenants_.size()));
+  }
+}
+
+void CompositeWorkload::inject_tick(double core_time, util::Rng* rngs, int n,
+                                    std::uint64_t first_id,
+                                    std::vector<noc::Emission>& out) {
+  // Tenant by tenant in id order; see the header for why this polls every
+  // node as generate() does.
+  for (std::size_t ti = 0; ti < tenants_.size(); ++ti) {
+    TenantBinding& b = tenants_[ti];
+    if (!window_active(b, core_time)) continue;
+    const double local_time = core_time - b.start;
+    std::visit(
+        [&](auto& w) {
+          using W = std::decay_t<decltype(w)>;
+          if constexpr (std::is_same_v<W, noc::SteadyWorkload>) {
+            poll_tenant(ti, n, [&](noc::NodeId g, noc::NodeId local) {
+              return Pending{{g, w.poll(local, rngs[g]), 0, 0}, kNoRecord};
+            });
+          } else if constexpr (std::is_same_v<W, noc::PhasedWorkload>) {
+            const std::size_t phase = w.phase_index(local_time);
+            const int length = w.phase_length(phase);
+            poll_tenant(ti, n, [&](noc::NodeId g, noc::NodeId local) {
+              return Pending{{g, w.poll(phase, local, rngs[g]), length, 0},
+                             kNoRecord};
+            });
+          } else {
+            // A trace draws nothing, so a tick with no record due is
+            // skipped whole.
+            if (w.ready_bound() > local_time) return;
+            poll_tenant(ti, n, [&](noc::NodeId g, noc::NodeId local) {
+              const std::size_t idx = w.take_due(local, local_time);
+              if (idx == trace::TraceWorkload::kNone) {
+                return Pending{{g, noc::kInvalidNode, 0, 0}, kNoRecord};
+              }
+              return Pending{{g, w.dst_of(idx), w.length_of(idx), 0}, idx};
+            });
+            w.refresh_ready_bound();
+          }
+        },
+        b.workload);
+  }
+  if (pending_.empty()) return;
+  // Number the packets in ascending source order, as the per-node
+  // protocol does, and do the per-packet bookkeeping in id order.
+  std::sort(pending_.begin(), pending_.end(),
+            [](const Pending& a, const Pending& c) {
+              return a.e.src < c.e.src;
+            });
+  for (const Pending& p : pending_) {
+    const std::uint64_t packet_id = first_id + out.size();
+    const auto ti = static_cast<std::size_t>(p.e.tenant);
+    ++emitted_[ti];
+    live_.insert(packet_id, p.e.tenant);
+    if (p.record != kNoRecord) {
+      std::get<trace::TraceWorkload>(tenants_[ti].workload)
+          .bind(p.record, packet_id);
+    }
+    claimed_[static_cast<std::size_t>(p.e.src)] = 0;
+    out.push_back(p.e);
+  }
+  pending_.clear();
 }
 
 noc::NodeId CompositeWorkload::generate(noc::NodeId src, double core_time,
                                         util::Rng& rng) {
   assert(pending_tenant_ < 0 && "injection handshake out of order");
-  for (int ti : sources_[static_cast<std::size_t>(src)]) {
+  const auto g = static_cast<std::size_t>(src);
+  for (std::uint32_t k = source_begin_[g]; k < source_begin_[g + 1]; ++k) {
+    const int ti = source_tenants_[k];
     TenantBinding& b = tenants_[static_cast<std::size_t>(ti)];
     if (!window_active(b, core_time)) continue;
-    const noc::NodeId local_src =
-        b.remap ? local_of_[static_cast<std::size_t>(ti)]
-                          [static_cast<std::size_t>(src)]
-                : src;
+    const noc::NodeId local = local_src(ti, src);
     const noc::NodeId dst = std::visit(
-        [&](auto& w) { return w.generate(local_src, core_time - b.start, rng); },
+        [&](auto& w) { return w.generate(local, core_time - b.start, rng); },
         b.workload);
     if (dst == noc::kInvalidNode) continue;
     pending_tenant_ = ti;
@@ -87,13 +153,10 @@ int CompositeWorkload::packet_length_for(noc::NodeId src,
                                          double core_time) const {
   assert(pending_tenant_ >= 0 && "packet_length_for without generate");
   const TenantBinding& b = tenants_[static_cast<std::size_t>(pending_tenant_)];
-  const noc::NodeId local_src =
-      b.remap ? local_of_[static_cast<std::size_t>(pending_tenant_)]
-                        [static_cast<std::size_t>(src)]
-              : src;
+  const noc::NodeId local = local_src(pending_tenant_, src);
   return std::visit(
       [&](const auto& w) {
-        return w.packet_length_for(local_src, core_time - b.start);
+        return w.packet_length_for(local, core_time - b.start);
       },
       b.workload);
 }
@@ -112,13 +175,10 @@ void CompositeWorkload::on_packet_injected(noc::NodeId src,
   pending_tenant_ = -1;
   live_.insert(packet_id, ti);
   TenantBinding& b = tenants_[static_cast<std::size_t>(ti)];
-  const noc::NodeId local_src =
-      b.remap ? local_of_[static_cast<std::size_t>(ti)]
-                        [static_cast<std::size_t>(src)]
-              : src;
+  const noc::NodeId local = local_src(ti, src);
   std::visit(
       [&](auto& w) {
-        w.on_packet_injected(local_src, packet_id, core_time - b.start);
+        w.on_packet_injected(local, packet_id, core_time - b.start);
       },
       b.workload);
 }

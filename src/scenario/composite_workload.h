@@ -13,6 +13,17 @@
 // any RNG draws) is untouched. A single-tenant composite with the identity
 // binding forwards every call unchanged and is bit-identical to driving the
 // child directly. The composite copies by default, children included.
+//
+// inject_tick() keeps that contract while working tenant by tenant: it
+// checks each tenant's window (and the horizon) once per tick, runs the
+// child's own loop over the tenant's source nodes without virtual calls,
+// and skips a node a lower tenant has already claimed this tick. Nodes
+// share no injection state (each has its own RNG stream and ON state), so
+// every node sees the same polls and draws, in the same order, as under
+// generate(); the tick's packets are then numbered in ascending source
+// order. A trace tenant whose ready_bound() says no queued record is due
+// is skipped for the whole tick: it draws no random numbers, so nothing
+// is lost.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +65,9 @@ class CompositeWorkload : public noc::TrafficInjector {
   /// `num_nodes` is the fabric size; bindings keep their index as tenant id.
   CompositeWorkload(int num_nodes, std::vector<TenantBinding> bindings);
 
+  void inject_tick(double core_time, util::Rng* rngs, int n,
+                   std::uint64_t first_id,
+                   std::vector<noc::Emission>& out) override;
   noc::NodeId generate(noc::NodeId src, double core_time,
                        util::Rng& rng) override;
   int packet_length_for(noc::NodeId src, double core_time) const override;
@@ -91,12 +105,56 @@ class CompositeWorkload : public noc::TrafficInjector {
   bool window_active(const TenantBinding& b, double t) const {
     return t >= b.start && t < b.stop && t < horizon_;
   }
+  noc::NodeId local_src(int ti, noc::NodeId src) const {
+    return tenants_[static_cast<std::size_t>(ti)].remap
+               ? local_of_[static_cast<std::size_t>(ti)]
+                          [static_cast<std::size_t>(src)]
+               : src;
+  }
+  /// A packet inject_tick() has polled but not yet numbered: the emission
+  /// in global ids and, for a trace tenant, the record it carries.
+  struct Pending {
+    noc::Emission e;
+    std::size_t record;
+  };
+  static constexpr std::size_t kNoRecord = trace::TraceWorkload::kNone;
+  /// inject_tick()'s pass over tenant `ti`'s source nodes below `n`:
+  /// `poll(global, local)` returns the child's answer in its local ids at
+  /// each node no lower tenant has claimed this tick; an accepted packet
+  /// claims its node and is queued in `pending_`, with its destination
+  /// mapped to global ids.
+  template <typename Poll>
+  void poll_tenant(std::size_t ti, int n, Poll&& poll) {
+    const TenantBinding& b = tenants_[ti];
+    // The i-th source is node i of the fabric, or the i-th listed node.
+    const bool all = b.nodes.empty();
+    const std::size_t sources = all ? claimed_.size() : b.nodes.size();
+    for (std::size_t i = 0; i < sources; ++i) {
+      const noc::NodeId g = all ? static_cast<noc::NodeId>(i) : b.nodes[i];
+      if (g >= n) continue;
+      std::uint8_t& claimed = claimed_[static_cast<std::size_t>(g)];
+      if (claimed) continue;
+      Pending p = poll(g, b.remap ? static_cast<noc::NodeId>(i) : g);
+      if (p.e.dst == noc::kInvalidNode) continue;
+      claimed = 1;
+      if (b.remap) p.e.dst = b.nodes[static_cast<std::size_t>(p.e.dst)];
+      p.e.tenant = static_cast<int>(ti);
+      pending_.push_back(p);
+    }
+  }
   /// `rec` in tenant `ti`'s local node ids and local clock.
   noc::PacketRecord to_local(int ti, const noc::PacketRecord& rec) const;
 
   std::vector<TenantBinding> tenants_;
-  /// Per global node: tenant ids that may source there, ascending.
-  std::vector<std::vector<int>> sources_;
+  /// generate()'s polling lists: per global node g, the tenant ids that may
+  /// source there, ascending, are
+  /// source_tenants_[source_begin_[g] .. source_begin_[g + 1]).
+  std::vector<std::uint32_t> source_begin_;
+  std::vector<int> source_tenants_;
+  /// inject_tick() scratch: per global node, whether a tenant has claimed
+  /// it this tick (all clear between ticks), and the tick's packets.
+  std::vector<std::uint8_t> claimed_;
+  std::vector<Pending> pending_;
   /// Per tenant: global node id -> local id (kInvalidNode when not bound);
   /// empty for tenants that do not remap.
   std::vector<std::vector<noc::NodeId>> local_of_;

@@ -9,6 +9,14 @@ TraceRecorder::TraceRecorder(int nodes, noc::TrafficInjector* source,
                              int default_length)
     : nodes_(nodes), source_(source), default_length_(default_length) {}
 
+void TraceRecorder::inject_tick(double core_time, util::Rng* rngs, int n,
+                                std::uint64_t first_id,
+                                std::vector<noc::Emission>& out) {
+  if (source_ != nullptr) {
+    source_->inject_tick(core_time, rngs, n, first_id, out);
+  }
+}
+
 noc::NodeId TraceRecorder::generate(noc::NodeId src, double core_time,
                                     util::Rng& rng) {
   return source_ != nullptr ? source_->generate(src, core_time, rng)

@@ -1,10 +1,11 @@
 // TraceRecorder: captures a live simulation — synthetic, phased, or
 // DRL-controlled — into a Trace for later bit-exact replay. It is a
 // TrafficInjector that wraps the run's real injector (the source): every
-// call is forwarded to the source, and every delivered-packet record the
-// network reports through on_packet_delivered is kept. A null source
-// generates nothing, so the same recorder keeps observing while the fabric
-// drains; the run must be drained for the capture to be complete.
+// call is forwarded to the source — inject_tick() included, so the source
+// runs its own tick path — and every delivered-packet record the network
+// reports through on_packet_delivered is kept. A null source emits
+// nothing, so the same recorder keeps observing while the fabric drains;
+// the run must be drained for the capture to be complete.
 //
 // The network keeps no record log of its own: driving the run through a
 // recorder is the way to see every delivered packet, in ejection order.
@@ -34,6 +35,9 @@ class TraceRecorder : public noc::TrafficInjector {
   /// drain-only driver that still captures deliveries.
   void set_source(noc::TrafficInjector* source) { source_ = source; }
 
+  void inject_tick(double core_time, util::Rng* rngs, int n,
+                   std::uint64_t first_id,
+                   std::vector<noc::Emission>& out) override;
   noc::NodeId generate(noc::NodeId src, double core_time,
                        util::Rng& rng) override;
   int packet_length_for(noc::NodeId src, double core_time) const override;

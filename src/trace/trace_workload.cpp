@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -41,6 +42,7 @@ void TraceWorkload::rearm(double base_time) {
   iter_delivered_ = 0;
   ++iterations_;
   for (auto& q : ready_) q = ReadyQueue();
+  ready_bound_ = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
     const TraceRecord& r = trace_->records[i];
     pending_[i] = r.dep_count;
@@ -53,36 +55,59 @@ void TraceWorkload::rearm(double base_time) {
 void TraceWorkload::release(std::size_t idx, double ready_time) {
   const TraceRecord& r = trace_->records[idx];
   ready_[static_cast<std::size_t>(r.src)].push(Ready{ready_time, idx});
+  ready_bound_ = std::min(ready_bound_, ready_time);
+}
+
+void TraceWorkload::refresh_ready_bound() {
+  double bound = std::numeric_limits<double>::infinity();
+  for (const ReadyQueue& q : ready_) {
+    if (!q.empty()) bound = std::min(bound, q.top().ready_time);
+  }
+  ready_bound_ = bound;
+}
+
+std::size_t TraceWorkload::pop(std::size_t s) {
+  ReadyQueue& q = ready_[s];
+  const std::size_t idx = q.top().idx;
+  q.pop();
+  ++iter_emitted_;
+  ++total_emitted_;
+  return idx;
+}
+
+void TraceWorkload::inject_tick(double core_time, util::Rng* /*rngs*/, int n,
+                                std::uint64_t first_id,
+                                std::vector<noc::Emission>& out) {
+  if (ready_bound_ > core_time) return;
+  const int senders = std::min(n, static_cast<int>(ready_.size()));
+  for (noc::NodeId src = 0; src < senders; ++src) {
+    const std::size_t idx = take_due(src, core_time);
+    if (idx == kNone) continue;
+    bind(idx, first_id + out.size());
+    out.push_back({src, dst_of(idx), length_of(idx), 0});
+  }
+  refresh_ready_bound();
 }
 
 noc::NodeId TraceWorkload::generate(noc::NodeId src, double core_time,
                                     util::Rng& /*rng*/) {
-  if (src < 0 || static_cast<std::size_t>(src) >= ready_.size()) {
-    return noc::kInvalidNode;
-  }
-  ReadyQueue& q = ready_[static_cast<std::size_t>(src)];
-  if (q.empty() || q.top().ready_time > core_time) return noc::kInvalidNode;
-  assert(pending_emit_ == SIZE_MAX && "injection handshake out of order");
-  pending_emit_ = q.top().idx;
-  q.pop();
-  ++iter_emitted_;
-  ++total_emitted_;
-  return trace_->records[pending_emit_].dst;
+  assert(pending_emit_ == kNone && "injection handshake out of order");
+  pending_emit_ = take_due(src, core_time);
+  return pending_emit_ == kNone ? noc::kInvalidNode : dst_of(pending_emit_);
 }
 
 int TraceWorkload::packet_length_for(noc::NodeId /*src*/,
                                      double /*core_time*/) const {
-  assert(pending_emit_ != SIZE_MAX);
-  const int length = trace_->records[pending_emit_].length;
-  return length > 0 ? length : trace_->default_length;
+  assert(pending_emit_ != kNone);
+  return length_of(pending_emit_);
 }
 
 void TraceWorkload::on_packet_injected(noc::NodeId /*src*/,
                                        std::uint64_t packet_id,
                                        double /*core_time*/) {
-  assert(pending_emit_ != SIZE_MAX && "on_packet_injected without generate");
-  live_.insert(packet_id, static_cast<std::uint32_t>(pending_emit_));
-  pending_emit_ = SIZE_MAX;
+  assert(pending_emit_ != kNone && "on_packet_injected without generate");
+  bind(pending_emit_, packet_id);
+  pending_emit_ = kNone;
 }
 
 void TraceWorkload::on_packet_delivered(const noc::PacketRecord& rec) {

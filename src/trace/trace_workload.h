@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <string>
@@ -39,6 +40,11 @@ class TraceWorkload : public noc::TrafficInjector {
   /// Convenience: owns a copy of the trace.
   explicit TraceWorkload(Trace trace, TraceWorkloadParams params = {});
 
+  /// Returns at once when no queued record is due; otherwise one pass over
+  /// the senders. Draws no random numbers.
+  void inject_tick(double core_time, util::Rng* rngs, int n,
+                   std::uint64_t first_id,
+                   std::vector<noc::Emission>& out) override;
   noc::NodeId generate(noc::NodeId src, double core_time,
                        util::Rng& rng) override;
   int packet_length_for(noc::NodeId src, double core_time) const override;
@@ -58,6 +64,38 @@ class TraceWorkload : public noc::TrafficInjector {
   std::uint64_t delivered() const { return total_delivered_; }
   std::uint64_t iterations() const { return iterations_; }
 
+  /// A lower bound on the earliest ready time of any queued record
+  /// (infinity when none is queued): no record is due before it. Releases
+  /// lower it; inject_tick() and refresh_ready_bound() make it exact again.
+  /// The per-node generate() leaves it as it is, so it may read low.
+  double ready_bound() const { return ready_bound_; }
+  void refresh_ready_bound();
+
+  /// The tick path's steps, without virtual calls. `take_due` pops
+  /// `src`'s earliest record when it is due at `core_time`, counts it
+  /// emitted and returns its index (kNone when nothing is due; it leaves
+  /// ready_bound() as it is); `bind` maps the packet id it gets to it.
+  static constexpr std::size_t kNone = SIZE_MAX;
+  std::size_t take_due(noc::NodeId src, double core_time) {
+    const auto s = static_cast<std::size_t>(src);
+    if (s >= ready_.size() || ready_[s].empty() ||
+        ready_[s].top().ready_time > core_time) {
+      return kNone;
+    }
+    return pop(s);
+  }
+  void bind(std::size_t idx, std::uint64_t packet_id) {
+    live_.insert(packet_id, static_cast<std::uint32_t>(idx));
+  }
+  noc::NodeId dst_of(std::size_t idx) const {
+    return trace_->records[idx].dst;
+  }
+  /// Record `idx`'s length in flits, the trace default filled in.
+  int length_of(std::size_t idx) const {
+    const int length = trace_->records[idx].length;
+    return length > 0 ? length : trace_->default_length;
+  }
+
  private:
   struct Ready {
     double ready_time;
@@ -73,6 +111,9 @@ class TraceWorkload : public noc::TrafficInjector {
 
   void rearm(double base_time);
   void release(std::size_t idx, double ready_time);
+  /// Pops sender `s`'s earliest record and counts it emitted; returns its
+  /// index.
+  std::size_t pop(std::size_t s);
 
   std::shared_ptr<const Trace> trace_;
   TraceWorkloadParams params_;
@@ -82,6 +123,7 @@ class TraceWorkload : public noc::TrafficInjector {
 
   // Per-iteration replay state.
   std::vector<ReadyQueue> ready_;              ///< per sender, by node id
+  double ready_bound_ = std::numeric_limits<double>::infinity();
   std::vector<std::uint16_t> pending_;         ///< unmet deps per record
   std::vector<double> dep_ready_;              ///< latest dep delivery + delay
   util::LiveIdTable<std::uint32_t> live_;     ///< pkt id -> record idx
@@ -90,7 +132,7 @@ class TraceWorkload : public noc::TrafficInjector {
 
   // Scratch for the generate -> packet_length_for -> on_packet_injected
   // handshake the Network performs for each accepted packet.
-  std::size_t pending_emit_ = SIZE_MAX;
+  std::size_t pending_emit_ = kNone;
 
   std::uint64_t total_emitted_ = 0;
   std::uint64_t total_delivered_ = 0;

@@ -30,10 +30,20 @@ class Rng {
   static constexpr result_type max() { return ~0ULL; }
 
   /// Raw 64 random bits.
-  result_type operator()();
+  result_type operator()() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): the 53 top bits, scaled exactly.
+  double uniform() { return static_cast<double>((*this)() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -44,8 +54,13 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t range(std::int64_t lo, std::int64_t hi);
 
-  /// Bernoulli trial with success probability p.
-  bool chance(double p);
+  /// Bernoulli trial with success probability p. Draws nothing when p is
+  /// outside (0, 1).
+  bool chance(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
 
   /// Standard normal via Box-Muller (cached second sample).
   double normal();
@@ -71,6 +86,10 @@ class Rng {
   Rng fork();
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_;
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

@@ -17,6 +17,7 @@
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "obs/flight_recorder.h"
+#include "per_node_injector.h"
 #include "scenario/composite_workload.h"
 #include "scenario/runtime.h"
 #include "trace/generators.h"
@@ -206,9 +207,9 @@ TEST(NetworkCopy, FaultedRunWithALaterLinkDeathAndSlowdown) {
   EXPECT_TRUE(probe.net->fault_model()->any_link_dead());
 }
 
-TEST(NetworkCopy, MultiTenantScenario) {
-  // A DNN pipeline trace sharing a 4x4 mesh with windowed uniform
-  // background, with per-tenant accounting on.
+/// A DNN pipeline trace sharing a 4x4 mesh with windowed uniform
+/// background, with per-tenant accounting on.
+Case<scenario::CompositeWorkload> multi_tenant_case() {
   Case<scenario::CompositeWorkload> c;
   c.make = [] {
     scenario::Scenario s;
@@ -235,7 +236,51 @@ TEST(NetworkCopy, MultiTenantScenario) {
   c.done = [](const auto& p) {
     return p.source->quiescent(p.net->core_time()) && p.net->drained();
   };
-  expect_copies_continue_identically(c, 700);
+  return c;
+}
+
+TEST(NetworkCopy, MultiTenantScenario) {
+  expect_copies_continue_identically(multi_tenant_case(), 700);
+}
+
+TEST(NetworkCopy, TraceTenantWithAStaleReadyBound) {
+  // The per-node protocol pops trace records without refreshing the
+  // tenant's ready bound, so after a per-node prefix the bound reads lower
+  // than the exact one a tick-path run holds at the same cycle. A copy
+  // taken then must carry the bound and, like the original, continue on
+  // the tick path exactly as a run that used it throughout.
+  constexpr noc::Cycle kMid = 700;
+  using P = Pair<scenario::CompositeWorkload>;
+  const Case<scenario::CompositeWorkload> c = multi_tenant_case();
+  const std::function<bool(const P&)> until_mid = [](const P& p) {
+    return p.net->cycle() >= kMid;
+  };
+  const auto bound = [](const P& p) {
+    return std::get<trace::TraceWorkload>(p.source->tenant(0).workload)
+        .ready_bound();
+  };
+  P reference = c.make();
+  const Outcome expected = finish(reference, c);
+
+  P source = c.make();
+  PerNode per_node(*source.source);
+  source.rec->set_source(&per_node);
+  advance(source, until_mid);
+  source.rec->set_source(source.source.get());
+  P exact = c.make();
+  advance(exact, until_mid);
+  ASSERT_EQ(source.net->cycle(), kMid);
+  EXPECT_LT(bound(source), bound(exact));
+
+  P target = c.make();
+  advance(target, until_mid);
+  *target.net = *source.net;
+  *target.source = *source.source;
+  EXPECT_EQ(bound(target), bound(source));
+  EXPECT_EQ(target.net->audit_quiescence(), "");
+  EXPECT_EQ(finish(source, c), expected);
+  EXPECT_EQ(finish(target, c), expected);
+  EXPECT_EQ(target.net->audit_quiescence(), "");
 }
 
 TEST(NetworkCopy, DependencyGatedTraceReplay) {
