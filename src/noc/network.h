@@ -291,6 +291,9 @@ class Network {
     wake(id);
     return nics_[static_cast<std::size_t>(id)];
   }
+  const Nic& nic(NodeId id) const {
+    return nics_[static_cast<std::size_t>(id)];
+  }
   /// Per-packet fields of the packets in flight, by flit handle.
   const PacketTable& packets() const { return packets_; }
   /// Number of nodes currently armed (stepped next cycle). Observability for

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace drlnoc::noc {
 
@@ -19,14 +22,24 @@ void Nic::init_credits(int per_vc) {
 void Nic::offer_packet(NodeId dst, double core_time, bool measured,
                        std::uint64_t packet_id, int length, int tenant) {
   if (length <= 0) length = params_.flits_per_packet;
-  assert(dst >= 0 && dst <= 0xffff);
-  assert(length >= 1 && length <= 0xffff);
-  assert(tenant >= 0 && tenant <= 0xffff);
-  source_queue_.push_back(PendingPacket{packet_id, core_time,
-                                        static_cast<std::uint16_t>(dst),
-                                        static_cast<std::uint16_t>(length),
-                                        static_cast<std::uint16_t>(tenant),
-                                        measured});
+  // A NaN time fails every compare, so it is refused too.
+  const bool whole_tick = core_time >= 0.0 &&
+                          core_time <= static_cast<double>(kMaxInjectTick) &&
+                          core_time == std::floor(core_time);
+  if (packet_id > kMaxPacketId || !whole_tick || dst < 0 || dst > 0xffff ||
+      length > 0xffff || tenant < 0 || tenant > 0xffff) {
+    throw std::out_of_range(
+        "Nic::offer_packet: packet id " + std::to_string(packet_id) +
+        ", time " + std::to_string(core_time) + ", dst " +
+        std::to_string(dst) + ", length " + std::to_string(length) +
+        " or tenant " + std::to_string(tenant) +
+        " outside a queued packet's range");
+  }
+  source_queue_.push_back(PendingPacket{
+      packet_id << 17 | static_cast<std::uint64_t>(tenant) << 1 |
+          static_cast<std::uint64_t>(measured),
+      static_cast<std::uint32_t>(core_time), static_cast<std::uint16_t>(dst),
+      static_cast<std::uint16_t>(length)});
 }
 
 int Nic::pick_injection_vc() const {
@@ -117,7 +130,8 @@ void Nic::step(Cycle cycle, double core_time, const FabricView& view) {
       tx.next_seq = 0;
       tx.length = p.length;
       tx.packet = view.packets->allocate(PacketInfo{
-          p.packet_id, p.inject_time, p.length, p.tenant, p.measured});
+          p.packet_id(), static_cast<double>(p.inject_tick), p.length,
+          p.tenant(), p.measured()});
       source_queue_.pop_front();
       ++started_packets_;
       send_vc = v;

@@ -61,8 +61,17 @@ class Nic {
   /// Latency therefore includes source-queue waiting time. `length` in
   /// flits; 0 uses the configured default flits_per_packet. `tenant` tags
   /// the packet for per-tenant attribution in multi-tenant scenarios.
+  /// The queue keeps each field packed (see PendingPacket), so values it
+  /// cannot hold throw std::out_of_range in every build: `packet_id` above
+  /// kMaxPacketId, `core_time` that is not a whole core tick in
+  /// [0, kMaxInjectTick], `dst` or `tenant` outside [0, 65535], or a
+  /// `length` above 65535.
   void offer_packet(NodeId dst, double core_time, bool measured,
                     std::uint64_t packet_id, int length = 0, int tenant = 0);
+
+  /// Largest packet id and inject tick a queued packet can hold.
+  static constexpr std::uint64_t kMaxPacketId = (std::uint64_t{1} << 47) - 1;
+  static constexpr std::uint64_t kMaxInjectTick = 0xffffffffu;
 
   /// One router-clock cycle over the fabric `view`: drain the ejection
   /// link, then inject up to one flit.
@@ -76,6 +85,10 @@ class Nic {
   /// Packets completed this cycle; Network::step harvests and clears them.
   std::vector<PacketRecord>& records() { return records_; }
   std::size_t source_queue_len() const { return source_queue_.size(); }
+  /// Slots the source queue holds: its heap is this many PendingPackets.
+  std::size_t source_queue_capacity() const {
+    return source_queue_.capacity();
+  }
   std::uint64_t injected_flits() const { return injected_flits_; }
   std::uint64_t ejected_flits() const { return ejected_flits_; }
   std::uint64_t received_packets() const { return received_packets_; }
@@ -96,16 +109,23 @@ class Nic {
   const NicChannels& channels() const { return channels_; }
 
  private:
-  /// A queued packet: 24 bytes, the bulk of a backlogged fabric's memory.
+  /// A queued packet: 16 bytes, the bulk of a backlogged fabric's memory.
+  /// `key` packs the packet id (bits 17-63), the tenant (bits 1-16) and the
+  /// measured flag (bit 0); traffic is injected on whole core ticks, so the
+  /// inject time is kept as its tick.
   struct PendingPacket {
-    std::uint64_t packet_id;
-    double inject_time;
+    std::uint64_t key;
+    std::uint32_t inject_tick;
     std::uint16_t dst;
     std::uint16_t length;
-    std::uint16_t tenant;
-    bool measured;
+
+    std::uint64_t packet_id() const { return key >> 17; }
+    std::uint16_t tenant() const {
+      return static_cast<std::uint16_t>(key >> 1);
+    }
+    bool measured() const { return (key & 1u) != 0; }
   };
-  static_assert(sizeof(PendingPacket) <= 24);
+  static_assert(sizeof(PendingPacket) == 16);
 
   /// In-progress transmission on one injection VC; the packet's shared
   /// fields sit in the fabric's PacketTable under `packet`.

@@ -106,6 +106,7 @@ void CompositeWorkload::inject_tick(double core_time, util::Rng* rngs, int n,
         b.workload);
   }
   if (pending_.empty()) return;
+  first_id_ = std::min(first_id_, first_id);
   // Number the packets in ascending source order, as the per-node
   // protocol does, and do the per-packet bookkeeping in id order.
   std::sort(pending_.begin(), pending_.end(),
@@ -116,7 +117,6 @@ void CompositeWorkload::inject_tick(double core_time, util::Rng* rngs, int n,
     const std::uint64_t packet_id = first_id + out.size();
     const auto ti = static_cast<std::size_t>(p.e.tenant);
     ++emitted_[ti];
-    live_.insert(packet_id, p.e.tenant);
     if (p.record != kNoRecord) {
       std::get<trace::TraceWorkload>(tenants_[ti].workload)
           .bind(p.record, packet_id);
@@ -173,7 +173,7 @@ void CompositeWorkload::on_packet_injected(noc::NodeId src,
   assert(pending_tenant_ >= 0 && "on_packet_injected without generate");
   const int ti = pending_tenant_;
   pending_tenant_ = -1;
-  live_.insert(packet_id, ti);
+  first_id_ = std::min(first_id_, packet_id);
   TenantBinding& b = tenants_[static_cast<std::size_t>(ti)];
   const noc::NodeId local = local_src(ti, src);
   std::visit(
@@ -197,9 +197,21 @@ noc::PacketRecord CompositeWorkload::to_local(
   return local;
 }
 
+int CompositeWorkload::owner(const noc::PacketRecord& rec) const {
+  if (rec.packet_id < first_id_) return -1;  // injected before our first
+  if (rec.tenant >= tenants_.size()) {
+    throw std::logic_error(
+        "CompositeWorkload: delivery for tenant " +
+        std::to_string(rec.tenant) + " of " +
+        std::to_string(tenants_.size()) +
+        " (another injector drove the network after the composite)");
+  }
+  return rec.tenant;
+}
+
 void CompositeWorkload::on_packet_delivered(const noc::PacketRecord& rec) {
-  int ti = -1;
-  if (!live_.take(rec.packet_id, ti)) return;  // not ours (pre-attach)
+  const int ti = owner(rec);
+  if (ti < 0) return;
   ++delivered_[static_cast<std::size_t>(ti)];
   TenantBinding& b = tenants_[static_cast<std::size_t>(ti)];
   const noc::PacketRecord local =
@@ -208,8 +220,8 @@ void CompositeWorkload::on_packet_delivered(const noc::PacketRecord& rec) {
 }
 
 void CompositeWorkload::on_packet_lost(const noc::PacketRecord& rec) {
-  int ti = -1;
-  if (!live_.take(rec.packet_id, ti)) return;
+  const int ti = owner(rec);
+  if (ti < 0) return;
   const noc::PacketRecord local = to_local(ti, rec);
   std::visit([&](auto& w) { w.on_packet_lost(local); },
              tenants_[static_cast<std::size_t>(ti)].workload);

@@ -24,6 +24,14 @@
 // order. A trace tenant whose ready_bound() says no queued record is due
 // is skipped for the whole tick: it draws no random numbers, so nothing
 // is lost.
+//
+// Delivery routing: the network carries each emission's tenant into the
+// PacketRecord, so on_packet_delivered() and on_packet_lost() read the
+// owning tenant from the record and the composite keeps nothing per live
+// packet. This relies on one contract: from its first emission on, the
+// composite is the only injector driving its network. Packets another
+// injector offered before that (a warm-up) have smaller ids and are not
+// ours; their deliveries are ignored.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +43,6 @@
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "trace/trace_workload.h"
-#include "util/live_id_table.h"
 
 namespace drlnoc::scenario {
 
@@ -142,6 +149,8 @@ class CompositeWorkload : public noc::TrafficInjector {
       pending_.push_back(p);
     }
   }
+  /// The tenant that emitted `rec`'s packet, or -1 when it is not ours.
+  int owner(const noc::PacketRecord& rec) const;
   /// `rec` in tenant `ti`'s local node ids and local clock.
   noc::PacketRecord to_local(int ti, const noc::PacketRecord& rec) const;
 
@@ -160,8 +169,9 @@ class CompositeWorkload : public noc::TrafficInjector {
   std::vector<std::vector<noc::NodeId>> local_of_;
   std::vector<std::uint64_t> emitted_;
   std::vector<std::uint64_t> delivered_;
-  /// Live packet -> owning tenant, for delivery routing.
-  util::LiveIdTable<int> live_;
+  /// Id of the first packet this composite emitted (the largest id until
+  /// then): deliveries of smaller ids are another injector's.
+  std::uint64_t first_id_ = std::numeric_limits<std::uint64_t>::max();
   /// generate() -> packet_length_for()/tenant_for() -> on_packet_injected()
   /// handshake scratch.
   int pending_tenant_ = -1;

@@ -14,7 +14,7 @@
 // is the "not ours" answer for deliveries of packets injected by someone
 // else (ids below the window, or never inserted).
 //
-// Values are integers (record indices, tenant slots), and a slot is just the
+// Values are integers (trace record indices), and a slot is just the
 // value: the largest V marks an empty slot, so an `int` or `uint32_t` table
 // costs 4 bytes per id in its window, and that value cannot be stored.
 #pragma once

@@ -21,6 +21,7 @@
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "rl/dqn.h"
+#include "scenario/runtime.h"
 #include "trace/generators.h"
 #include "trace/trace_io.h"
 #include "trace/trace_workload.h"
@@ -332,6 +333,76 @@ TEST(SteadyStateMemory, LiveIdTableSlotIsFourBytes) {
   };
   EXPECT_LE(footprint(int{5}), 4096 * 4 + 64);
   EXPECT_LE(footprint(std::uint32_t{5}), 4096 * 4 + 64);
+}
+
+// A saturated fabric's backlog queues behind its NICs. Stepping `net` under
+// `injector` until `packets` are queued, the heap must grow by the
+// source-queue rings' power-of-two capacity at 16 bytes a queued packet:
+// nothing else holds memory per backlogged packet. glibc may hand a ring a
+// chunk up to 24 bytes larger than asked (and may have done so for the
+// ring it frees), so each node's ring is allowed 32 bytes either way.
+void expect_backlog_costs_only_its_queue(noc::Network& net,
+                                         noc::TrafficInjector& injector,
+                                         std::size_t packets) {
+  const noc::Network& fabric = net;
+  const auto sum = [&fabric](auto field) {
+    std::size_t total = 0;
+    for (noc::NodeId i = 0; i < fabric.num_nodes(); ++i)
+      total += field(fabric.nic(i));
+    return total;
+  };
+  const auto capacity = [&] {
+    return sum([](const noc::Nic& n) { return n.source_queue_capacity(); });
+  };
+  const auto queued = [&] {
+    return sum([](const noc::Nic& n) { return n.source_queue_len(); });
+  };
+  // The fabric's buffers fill and every source queue has been pushed to.
+  for (int i = 0; i < 500; ++i) net.step(&injector);
+  const std::size_t capacity_before = capacity();
+  const std::int64_t before = live_bytes();
+  while (queued() < packets) net.step(&injector);
+  const std::int64_t growth = live_bytes() - before;
+  const std::size_t slots = capacity() - capacity_before;
+  EXPECT_GT(slots, packets / 2);
+  EXPECT_NEAR(static_cast<double>(growth), 16.0 * static_cast<double>(slots),
+              32.0 * fabric.num_nodes())
+      << "bytes over " << queued() << " queued packets in " << slots
+      << " new ring slots";
+}
+
+noc::NetworkParams smallest_4x4() {
+  noc::NetworkParams p;
+  p.width = p.height = 4;
+  p.seed = 4;
+  p.initial_config = core::ActionSpace::standard().decode(0);
+  return p;
+}
+
+// The smallest configuration (1 VC, depth 2, slowest clock) under uniform
+// traffic far above saturation: tens of thousands of packets queue.
+TEST(SteadyStateMemory, BackloggedSourceQueue) {
+  noc::Network net(smallest_4x4());
+  noc::SteadyWorkload w =
+      noc::SteadyWorkload::make(net.topology(), "uniform", 0.5);
+  expect_backlog_costs_only_its_queue(net, w, 20000);
+}
+
+// The composite routes deliveries by the record's tenant, so it holds
+// nothing per live packet: its heap stays flat while two tenants' backlog
+// grows behind the NICs.
+TEST(SteadyStateMemory, CompositeHeapStaysFlatUnderBacklog) {
+  scenario::Scenario s;
+  s.net = smallest_4x4();
+  for (int t = 0; t < 2; ++t) s.tenants.emplace_back().rate = 0.25;
+  noc::Network net(s.net);
+  const std::unique_ptr<scenario::CompositeWorkload> w =
+      scenario::build_workload(s, net.topology());
+  net.set_tenant_tracking(w->num_tenants());
+  expect_backlog_costs_only_its_queue(net, *w, 20000);
+  // Tenant 0 wins a node both tenants poll in one tick, so it emits more.
+  EXPECT_GT(w->emitted(1), 5000u);
+  EXPECT_GT(w->emitted(0), w->emitted(1));
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 // reassembly behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <map>
+#include <stdexcept>
+
 #include "noc/channel.h"
 #include "noc/nic.h"
 
@@ -258,6 +264,72 @@ TEST_F(NicHarness, RespectsActiveVcGating) {
       EXPECT_EQ(inj_f_.receive(t + 1).vc, 0);
     }
   }
+}
+
+TEST_F(NicHarness, QueuedFieldsRoundTripAtTheirLimits) {
+  // A queued packet packs its id, tenant and measured flag into one word
+  // and keeps its inject time as a core tick. Each field's extremes must
+  // reach the PacketRecord unchanged: the injection link is looped back
+  // into the ejection link, so every packet is addressed to node 0.
+  struct Case {
+    std::uint64_t id;
+    double time;
+    int length;
+    int tenant;
+    bool measured;
+  };
+  const Case cases[] = {
+      {Nic::kMaxPacketId, static_cast<double>(Nic::kMaxInjectTick), 1, 65535,
+       true},
+      {0, 0.0, 65535, 0, false},
+      {Nic::kMaxPacketId - 1, 1.0, 2, 65534, false},
+      {1, static_cast<double>(Nic::kMaxInjectTick) - 1.0, 3, 1, true},
+  };
+  for (const Case& c : cases) {
+    nic_.offer_packet(0, c.time, c.measured, c.id, c.length, c.tenant);
+  }
+  for (Cycle t = 0; nic_.records().size() < std::size(cases) && t < 70000;
+       ++t) {
+    step(t, 0.0);
+    while (inj_f_.ready(t + 1)) {
+      const Flit f = inj_f_.receive(t + 1);
+      ej_f_.send(f, t + 1);
+      inj_c_.send(Credit{f.vc}, t + 1);
+    }
+    while (ej_c_.ready(t + 1)) (void)ej_c_.receive(t + 1);
+  }
+  ASSERT_EQ(nic_.records().size(), std::size(cases));
+  for (const Case& c : cases) {
+    const auto it =
+        std::find_if(nic_.records().begin(), nic_.records().end(),
+                     [&](const PacketRecord& r) { return r.packet_id == c.id; });
+    ASSERT_NE(it, nic_.records().end()) << "packet " << c.id;
+    EXPECT_EQ(it->inject_time, c.time) << "packet " << c.id;
+    EXPECT_EQ(it->length, c.length) << "packet " << c.id;
+    EXPECT_EQ(it->tenant, c.tenant) << "packet " << c.id;
+    EXPECT_EQ(it->measured, c.measured) << "packet " << c.id;
+    EXPECT_EQ(it->dst, 0);
+  }
+  EXPECT_TRUE(nic_.idle());
+}
+
+TEST_F(NicHarness, RefusesValuesAQueuedPacketCannotHold) {
+  // One past each packed range throws in every build rather than wrapping.
+  const double max_tick = static_cast<double>(Nic::kMaxInjectTick);
+  EXPECT_THROW(nic_.offer_packet(0, 0.0, true, Nic::kMaxPacketId + 1),
+               std::out_of_range);
+  EXPECT_THROW(nic_.offer_packet(0, max_tick + 1.0, true, 1),
+               std::out_of_range);
+  EXPECT_THROW(nic_.offer_packet(0, -1.0, true, 1), std::out_of_range);
+  EXPECT_THROW(nic_.offer_packet(0, 2.5, true, 1), std::out_of_range);
+  EXPECT_THROW(nic_.offer_packet(0, std::nan(""), true, 1),
+               std::out_of_range);
+  EXPECT_THROW(nic_.offer_packet(0, 0.0, true, 1, 65536), std::out_of_range);
+  EXPECT_THROW(nic_.offer_packet(0, 0.0, true, 1, 1, 65536),
+               std::out_of_range);
+  EXPECT_THROW(nic_.offer_packet(0, 0.0, true, 1, 1, -1), std::out_of_range);
+  EXPECT_THROW(nic_.offer_packet(65536, 0.0, true, 1), std::out_of_range);
+  EXPECT_EQ(nic_.source_queue_len(), 0u);  // nothing refused was queued
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 
@@ -613,6 +614,169 @@ TEST(CompositeWorkloadTest, IgnoresDeliveriesInjectedBeforeAttach) {
   // Every warm-up packet was delivered while the composite was attached.
   EXPECT_EQ(net.total_packets_received(),
             warm_offered + composite.emitted(0));
+}
+
+// --- delivery routing --------------------------------------------------------
+
+/// Wraps a composite and keeps its own packet -> tenant map, filled from
+/// the tenant tags of each tick's emissions: an account of which tenant
+/// owns each delivery and loss that does not rely on the records' tags.
+class TenantOracle : public noc::TrafficInjector {
+ public:
+  explicit TenantOracle(CompositeWorkload& inner)
+      : emitted(static_cast<std::size_t>(inner.num_tenants())),
+        delivered(emitted.size()),
+        lost(emitted.size()),
+        inner_(inner) {}
+
+  void inject_tick(double core_time, util::Rng* rngs, int n,
+                   std::uint64_t first_id,
+                   std::vector<noc::Emission>& out) override {
+    inner_.inject_tick(core_time, rngs, n, first_id, out);
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      owner_[first_id + k] = out[k].tenant;
+      ++emitted[static_cast<std::size_t>(out[k].tenant)];
+    }
+  }
+  noc::NodeId generate(noc::NodeId, double, util::Rng&) override {
+    ADD_FAILURE() << "the network injects through inject_tick";
+    return noc::kInvalidNode;
+  }
+  void on_packet_delivered(const noc::PacketRecord& rec) override {
+    inner_.on_packet_delivered(rec);
+    count(rec, delivered);
+  }
+  void on_packet_lost(const noc::PacketRecord& rec) override {
+    inner_.on_packet_lost(rec);
+    count(rec, lost);
+  }
+  std::string name() const override { return "oracle"; }
+
+  std::vector<std::uint64_t> emitted, delivered, lost;
+  std::uint64_t foreign = 0;  ///< deliveries of packets it never emitted
+
+ private:
+  void count(const noc::PacketRecord& rec, std::vector<std::uint64_t>& to) {
+    const auto it = owner_.find(rec.packet_id);
+    if (it == owner_.end()) {
+      ++foreign;
+      return;
+    }
+    ++to[static_cast<std::size_t>(it->second)];
+    owner_.erase(it);
+  }
+
+  CompositeWorkload& inner_;
+  std::map<std::uint64_t, int> owner_;
+};
+
+TEST(CompositeRouting, FaultedRunRoutesDeliveriesAndLossesByTenant) {
+  // Three tenants on a lossy fabric: a remapped, windowed trace (so its
+  // callbacks get local ids and clock), whole-fabric background and a
+  // restricted hotspot source. Corrupted packets are retried once and
+  // then lost. The composite's per-tenant counters and the trace child's
+  // must agree with the oracle's per-packet account, and with the figures
+  // the per-packet live table this routing replaced reported.
+  Scenario s = mixed_scenario(7);
+  s.tenants[0].start = 50.0;
+  for (int i = 15; i >= 0; --i) s.tenants[0].nodes.push_back(i);
+  s.tenants[1].stop = 5000.0;
+  TenantSpec& hot = s.tenants.emplace_back();
+  hot.name = "hot";
+  hot.rate = 0.1;
+  hot.stop = 5000.0;
+  hot.nodes = {0, 5, 10, 15};
+  s.faults.seed = 9;
+  s.faults.link_fault_rate = 0.02;
+  s.faults.retry_timeout = 32;
+  s.faults.retry_budget = 1;
+  s.validate();
+  auto net = build_network(s);
+  auto w = build_workload(s, net->topology());
+  net->set_tenant_tracking(w->num_tenants());
+  TenantOracle oracle(*w);
+  for (int i = 0; i < 6000; ++i) net->step(&oracle);
+  const noc::EpochStats st = net->drain_epoch_stats();
+
+  ASSERT_GT(st.retries, 0u);
+  ASSERT_GT(st.packets_lost, 0u);
+  EXPECT_EQ(oracle.foreign, 0u);
+  std::uint64_t lost = 0;
+  for (int t = 0; t < 3; ++t) {
+    const auto k = static_cast<std::size_t>(t);
+    EXPECT_EQ(w->emitted(t), oracle.emitted[k]) << "tenant " << t;
+    EXPECT_EQ(w->delivered(t), oracle.delivered[k]) << "tenant " << t;
+    EXPECT_EQ(st.tenants[k].packets_lost, oracle.lost[k]) << "tenant " << t;
+    lost += oracle.lost[k];
+  }
+  EXPECT_EQ(lost, st.packets_lost);
+  const auto& dnn = std::get<trace::TraceWorkload>(w->tenant(0).workload);
+  EXPECT_EQ(dnn.emitted(), oracle.emitted[0]);
+  EXPECT_EQ(dnn.delivered(), oracle.delivered[0]);
+  EXPECT_GT(oracle.lost[0], 0u);  // the trace child saw losses too
+
+  // Figures of the table-routed composite on this run.
+  EXPECT_EQ(oracle.emitted, (std::vector<std::uint64_t>{108, 3989, 1897}));
+  EXPECT_EQ(oracle.delivered, (std::vector<std::uint64_t>{100, 3870, 1837}));
+  EXPECT_EQ(oracle.lost, (std::vector<std::uint64_t>{8, 119, 60}));
+  EXPECT_EQ(dnn.iterations(), 1u);
+  EXPECT_FALSE(dnn.done());  // lost records never release their dependents
+}
+
+TEST(CompositeRouting, IgnoresPacketsInjectedBeforeItsFirstEmission) {
+  // A warm-up composite tags its packets with tenants 0 and 1, ids the
+  // second composite's tenants also use. The second one attaches while a
+  // backlog of them is queued, but its tenants' windows open only later:
+  // warm-up packets are delivered to it both before and after its first
+  // emission, and none may count for its tenants.
+  noc::NetworkParams p;
+  p.width = p.height = 4;
+  p.seed = 12;
+  p.initial_config = noc::NocConfig{1, 2, 0};
+  Scenario warm_spec;
+  warm_spec.net = p;
+  for (int t = 0; t < 2; ++t) warm_spec.tenants.emplace_back().rate = 0.2;
+  noc::Network net(p);
+  auto warm = build_workload(warm_spec, net.topology());
+  for (int i = 0; i < 300; ++i) net.step(warm.get());
+  const std::uint64_t warm_offered = net.total_packets_offered();
+  const std::uint64_t warm_left = warm_offered - net.total_packets_received();
+  ASSERT_GT(warm_left, 200u);
+
+  Scenario s = warm_spec;
+  for (TenantSpec& t : s.tenants) {
+    t.rate = 0.02;
+    t.start = net.core_time() + 100.0;
+    t.stop = net.core_time() + 600.0;
+  }
+  auto w = build_workload(s, net.topology());
+  TenantOracle oracle(*w);
+  const std::uint64_t received_at_attach = net.total_packets_received();
+  while (w->emitted(0) + w->emitted(1) == 0) net.step(&oracle);
+  const std::uint64_t before_first =
+      net.total_packets_received() - received_at_attach;
+  EXPECT_GT(before_first, 0u);
+  for (int i = 0; i < 200000 && !(w->quiescent(net.core_time()) &&
+                                  net.drained());
+       ++i) {
+    net.step(&oracle);
+  }
+  ASSERT_TRUE(net.drained());
+  EXPECT_LT(before_first, warm_left);  // some arrived after it emitted
+  EXPECT_EQ(oracle.foreign, warm_left);
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_GT(w->emitted(t), 0u);
+    EXPECT_EQ(w->delivered(t), w->emitted(t)) << "tenant " << t;
+  }
+  EXPECT_EQ(net.total_packets_received(),
+            warm_offered + w->emitted(0) + w->emitted(1));
+
+  // A delivery past its first emission naming a tenant it lacks breaks
+  // the one-injector contract and is refused.
+  noc::PacketRecord stray;
+  stray.packet_id = net.total_packets_offered();
+  stray.tenant = 2;
+  EXPECT_THROW(w->on_packet_delivered(stray), std::logic_error);
 }
 
 // --- determinism under the experiment engine -------------------------------
