@@ -9,7 +9,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/env_noc.h"
@@ -20,34 +19,9 @@
 #include "scenario/runtime.h"
 #include "scenario/scenario.h"
 #include "trace/generators.h"
-#include "util/config.h"
-#include "util/log.h"
 #include "util/table.h"
 
 namespace drlnoc::bench {
-
-/// Parses a bench command line (`key=value`, `--key value`, `--key=value`)
-/// and applies `log=`. The bare flag `--smoke` or `smoke` means `smoke=1`,
-/// so every spelling reads back as `cfg.get("smoke", false)`.
-inline util::Config bench_config(int argc, char** argv) {
-  std::vector<const char*> args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view tok = argv[i];
-    args.push_back(i > 0 && (tok == "--smoke" || tok == "smoke") ? "smoke=1"
-                                                                 : argv[i]);
-  }
-  util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
-  util::init_log(cfg.get("log", std::string()));
-  return cfg;
-}
-
-/// Resolves the shared `--jobs N` flag (also accepted as `jobs=N`). The
-/// default 0 means one worker per hardware thread. Every experiment is
-/// bit-identical at any jobs value — the flag only buys wall-clock.
-inline core::ExperimentRunner runner_from(const util::Config& cfg) {
-  return core::ExperimentRunner(cfg.get("jobs", 0));
-}
 
 /// DQN hyper-parameters used by every experiment (core/trainer.h).
 using core::standard_dqn;
@@ -185,15 +159,16 @@ inline core::NocEnvParams dnn_background_env(const DnnBackgroundParams& p) {
 }
 
 /// Honors `--trace-out=` / `--metrics-out=` / `--trace-sample=` on the table
-/// benches: when any flag is set, runs `scenario` once more with the
-/// observability taps attached and writes the artifacts. Runs AFTER the
+/// benches (`options`, read up front with obs::ObsOptions::from_config):
+/// when any flag is set, runs `scenario` once more with the observability
+/// taps attached and writes the artifacts. Runs AFTER the
 /// measured comparisons so every timed/aggregated cell stays observer-free;
 /// `duration_cap` bounds the extra run. Returns false when an artifact
 /// could not be written (benches fold this into their exit code).
-inline bool maybe_traced_run(const util::Config& cfg,
+inline bool maybe_traced_run(const obs::ObsOptions& options,
                              const scenario::Scenario& scenario,
                              double duration_cap = 20000.0) {
-  obs::ObsSession session(obs::ObsOptions::from_config(cfg));
+  obs::ObsSession session(options);
   if (!session.enabled()) return true;
   scenario::Scenario capped = scenario;
   capped.duration = scenario.duration > 0.0

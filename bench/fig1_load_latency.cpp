@@ -11,15 +11,16 @@
 
 #include "bench_common.h"
 #include "noc/simulator.h"
+#include "util/cli.h"
 #include "util/config.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
   const int size = cfg.get("size", 8);
   const int episodes = cfg.get("episodes", 60);
-  const core::ExperimentRunner runner = bench::runner_from(cfg);
+  const core::ExperimentRunner runner(cfg.get("jobs", 0));
+  util::reject_unknown_args(cfg);
 
   std::cout << "F1: load-latency, " << size << "x" << size
             << " mesh, uniform traffic (jobs=" << runner.jobs() << ")\n\n";
@@ -149,3 +150,5 @@ int main(int argc, char** argv) {
                "first.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

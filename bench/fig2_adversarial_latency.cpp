@@ -5,14 +5,15 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "util/cli.h"
 #include "util/config.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
   const int episodes = cfg.get("episodes", 120);
   const int size = cfg.get("size", 4);
+  util::reject_unknown_args(cfg);
 
   // Train once on a pattern-and-load ladder.
   core::NocEnvParams train_ep;
@@ -78,3 +79,5 @@ int main(int argc, char** argv) {
                "first.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

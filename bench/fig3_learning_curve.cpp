@@ -5,16 +5,18 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "util/cli.h"
 #include "util/config.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
   const int episodes = cfg.get("episodes", 150);
+  const core::ExperimentRunner runner(cfg.get("jobs", 0));
 
   core::NocEnvParams ep;
   ep.net.width = ep.net.height = cfg.get("size", 4);
+  util::reject_unknown_args(cfg);
   ep.net.seed = 42;
   ep.epoch_cycles = 512;
   ep.epochs_per_episode = 48;
@@ -63,8 +65,7 @@ int main(int argc, char** argv) {
   auto smin = core::StaticController::minimal(env.actions());
   const auto rx = core::evaluate(env, *smax);
   const auto rn = core::evaluate(env, *smin);
-  const auto sweep = core::sweep_static_parallel(
-      env.params(), core::ExperimentRunner(cfg.get("jobs", 0)));
+  const auto sweep = core::sweep_static_parallel(env.params(), runner);
   core::DrlController drl(env, agent.policy());
   const auto rd = core::evaluate(env, drl);
   std::cout << "\nreference returns:  static-max " << util::fmt(rx.total_reward, 2)
@@ -76,3 +77,5 @@ int main(int argc, char** argv) {
                "static-max and approaches/beats oracle-static.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

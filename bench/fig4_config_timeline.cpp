@@ -6,16 +6,17 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "util/cli.h"
 #include "util/config.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
   const int episodes = cfg.get("episodes", 150);
 
   core::NocEnvParams ep;
   ep.net.width = ep.net.height = cfg.get("size", 4);
+  util::reject_unknown_args(cfg);
   ep.net.seed = 42;
   ep.epoch_cycles = 512;
   ep.epochs_per_episode = 48;
@@ -68,3 +69,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

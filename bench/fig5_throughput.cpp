@@ -4,18 +4,19 @@
 #include <iostream>
 
 #include "noc/simulator.h"
+#include "util/cli.h"
 #include "util/config.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
   const int size = cfg.get("size", 8);
   const double step = cfg.get("step", 0.04);
   const double max_rate = cfg.get("max_rate", 0.44);
   const int jobs = util::ThreadPool::resolve_jobs(cfg.get("jobs", 0));
+  util::reject_unknown_args(cfg);
 
   std::cout << "F5: throughput vs offered load (uniform traffic, " << size
             << "x" << size << ", jobs=" << jobs << ")\n\n";
@@ -58,3 +59,5 @@ int main(int argc, char** argv) {
                "plateaus; torus knee is to the right of mesh.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

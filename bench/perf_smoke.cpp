@@ -37,6 +37,7 @@
 #include "trace/generators.h"
 #include "trace/trace_io.h"
 #include "trace/trace_workload.h"
+#include "util/cli.h"
 #include "util/config.h"
 
 namespace {
@@ -340,13 +341,11 @@ double bench_inject_ticks(std::uint64_t ticks, int repeats) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // from_args skips argv[0] itself (program-name slot); passing argv + 1
-  // here used to silently drop the *first* key=value argument.
-  const drlnoc::util::Config cfg = drlnoc::util::Config::from_args(argc, argv);
-  drlnoc::util::init_log(cfg.get("log", std::string()));
+int run(const drlnoc::util::Config& cfg) {
   const double scale = cfg.get("scale", 1.0);
   const int repeats = cfg.get("repeats", 3);
+  const std::string out_path = cfg.get("out", std::string());
+  drlnoc::util::reject_unknown_args(cfg);
   const auto n = [&](double base) {
     return static_cast<std::uint64_t>(std::max(1.0, base * scale));
   };
@@ -403,10 +402,13 @@ int main(int argc, char** argv) {
                        bench_inject_ticks(n(200000), repeats));
 
   drlnoc::bench::write_metrics_json(std::cout, "perf_smoke", metrics);
-  if (cfg.has("out") &&
-      !drlnoc::bench::write_metrics_file(cfg.get("out", std::string()),
-                                         "perf_smoke", metrics)) {
+  if (!out_path.empty() &&
+      !drlnoc::bench::write_metrics_file(out_path, "perf_smoke", metrics)) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return drlnoc::util::run_cli(argc, argv, run);
 }

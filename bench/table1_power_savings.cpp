@@ -7,15 +7,16 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "util/cli.h"
 #include "util/config.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
   const int episodes = cfg.get("episodes", 150);
   const int size = cfg.get("size", 4);
   const double rate = cfg.get("rate", 0.06);
+  util::reject_unknown_args(cfg);
 
   // Train on a mix so the agent generalizes across spatial patterns. Each
   // phase alternates with an idle window (the saving opportunity).
@@ -82,3 +83,5 @@ int main(int argc, char** argv) {
                "static-min latency penalty >> 1x.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

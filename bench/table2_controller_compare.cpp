@@ -8,16 +8,17 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "util/cli.h"
 #include "util/config.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
   const int episodes = cfg.get("episodes", 150);
   const int size = cfg.get("size", 4);
   const int replicas = cfg.get("replicas", 8);
-  const core::ExperimentRunner runner = bench::runner_from(cfg);
+  const core::ExperimentRunner runner(cfg.get("jobs", 0));
+  util::reject_unknown_args(cfg);
 
   core::NocEnvParams ep;
   ep.net.width = ep.net.height = size;
@@ -93,3 +94,5 @@ int main(int argc, char** argv) {
                "exceeds the CIs, so T2 is not a single-seed artifact.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

@@ -7,6 +7,7 @@
 
 #include "bench_common.h"
 #include "rl/qtable.h"
+#include "util/cli.h"
 #include "util/config.h"
 
 using namespace drlnoc;
@@ -52,10 +53,10 @@ void train_qtable(core::NocConfigEnv& env, rl::QTableAgent& agent,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
   const int episodes = cfg.get("episodes", 120);
   const int size = cfg.get("size", 4);
+  util::reject_unknown_args(cfg);
 
   std::cout << "T3: ablation (mesh " << size << "x" << size << ", " << episodes
             << " training episodes each)\n\n";
@@ -127,3 +128,5 @@ int main(int argc, char** argv) {
                "cost.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

@@ -20,6 +20,7 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
+#include "util/cli.h"
 #include "util/config.h"
 #include "util/log.h"
 
@@ -34,17 +35,18 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Config cfg = bench::bench_config(argc, argv);
+int run(const util::Config& cfg) {
   const bool smoke = cfg.get("smoke", false);
   const std::string rows_filter = cfg.get("rows", std::string());
-  const core::ExperimentRunner runner = bench::runner_from(cfg);
-
-  std::cout << "T4: scalability across sizes and topologies (standard "
-               "phased workload, jobs=" << runner.jobs()
-            << (smoke ? ", SMOKE budget" : "") << ")\n\n";
-  util::Table t({"network", "episodes", "drl_lat", "max_lat", "drl_mW",
-                 "max_mW", "power_save%", "drl_reward", "max_reward"});
+  const std::string out_path = cfg.get("out", std::string());
+  const core::ExperimentRunner runner(cfg.get("jobs", 0));
+  // The engine-scaling sweep runs only at full scale; its keys are read
+  // (and ignored) under smoke too.
+  core::NocEnvParams sweep_ep;
+  sweep_ep.net.width = sweep_ep.net.height = cfg.get("sweep_size", 8);
+  sweep_ep.net.seed = 42;
+  sweep_ep.epoch_cycles = 512;
+  sweep_ep.epochs_per_episode = cfg.get("sweep_epochs", 16);
 
   struct Case {
     std::string topology;
@@ -64,6 +66,13 @@ int main(int argc, char** argv) {
       {"torus", 4, 4, cfg.get("episodes_t", smoke ? 6 : 80), true},
       {"ring", 8, 1, cfg.get("episodes_r", smoke ? 6 : 80), true},
   };
+  util::reject_unknown_args(cfg);
+
+  std::cout << "T4: scalability across sizes and topologies (standard "
+               "phased workload, jobs=" << runner.jobs()
+            << (smoke ? ", SMOKE budget" : "") << ")\n\n";
+  util::Table t({"network", "episodes", "drl_lat", "max_lat", "drl_mW",
+                 "max_mW", "power_save%", "drl_reward", "max_reward"});
   auto case_name = [](const Case& c) {
     return c.topology +
            (c.topology == "ring" ? std::to_string(c.width * c.height)
@@ -135,9 +144,8 @@ int main(int argc, char** argv) {
                "topology; latency stays in the static-max band (the 16x16 "
                "and 32x32 rows train on reduced budgets).\n\n";
 
-  if (cfg.has("out") &&
-      !bench::write_metrics_file(cfg.get("out", std::string()),
-                                 smoke ? "table4_smoke" : "table4",
+  if (!out_path.empty() &&
+      !bench::write_metrics_file(out_path, smoke ? "table4_smoke" : "table4",
                                  json_metrics, "mixed")) {
     return 1;
   }
@@ -149,15 +157,9 @@ int main(int argc, char** argv) {
   // space); every config is an independent episode, so wall-clock should fall
   // roughly linearly with workers while the sorted results stay
   // bit-identical.
-  core::NocEnvParams ep;
-  ep.net.width = ep.net.height = cfg.get("sweep_size", 8);
-  ep.net.seed = 42;
-  ep.epoch_cycles = 512;
-  ep.epochs_per_episode = cfg.get("sweep_epochs", 16);
-
   std::cout << "engine scaling: sweep_static_parallel over "
-            << ep.actions.size() << " configs, mesh " << ep.net.width << "x"
-            << ep.net.height << "\n";
+            << sweep_ep.actions.size() << " configs, mesh "
+            << sweep_ep.net.width << "x" << sweep_ep.net.height << "\n";
   util::Table s({"jobs", "seconds", "speedup", "oracle_config",
                  "oracle_EDP(1e6)"});
   double serial_seconds = 0.0;
@@ -166,7 +168,7 @@ int main(int argc, char** argv) {
   for (int jobs : job_counts) {
     const core::ExperimentRunner r(jobs);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto sweep = core::sweep_static_parallel(ep, r);
+    const auto sweep = core::sweep_static_parallel(sweep_ep, r);
     const double secs = seconds_since(t0);
     if (jobs == 1) serial_seconds = secs;
     s.row()
@@ -182,3 +184,5 @@ int main(int argc, char** argv) {
                "machines.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

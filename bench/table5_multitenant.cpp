@@ -17,12 +17,12 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
+#include "util/cli.h"
 #include "util/config.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = bench::bench_config(argc, argv);
+int run(const util::Config& cfg) {
   const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
@@ -30,7 +30,10 @@ int main(int argc, char** argv) {
   const int replicas = cfg.get("replicas", smoke ? 2 : 8);
   const double bg_rate = cfg.get("bg_rate", 0.04);
   const double rate_scale = cfg.get("rate_scale", 1.0);
-  const core::ExperimentRunner runner = bench::runner_from(cfg);
+  const core::ExperimentRunner runner(cfg.get("jobs", 0));
+  const std::string out_path = cfg.get("out", std::string());
+  const obs::ObsOptions obs_options = obs::ObsOptions::from_config(cfg);
+  util::reject_unknown_args(cfg);
 
   // --- the scenario: a 16-endpoint DNN pipeline + fabric-wide background ---
   const core::NocEnvParams ep = bench::dnn_background_env(
@@ -99,7 +102,6 @@ int main(int argc, char** argv) {
                "victim-latency inflation than static-min and less power "
                "than static-max.\n";
 
-  const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
     if (!bench::write_metrics_file(out_path, "table5_multitenant", metrics,
                                    "mixed (core-cycle latency, pkt/node/cycle "
@@ -110,5 +112,7 @@ int main(int argc, char** argv) {
   }
   // Optional observability pass (after the measured comparisons, so every
   // table cell above is observer-free).
-  return bench::maybe_traced_run(cfg, s) ? 0 : 1;
+  return bench::maybe_traced_run(obs_options, s) ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

@@ -21,13 +21,13 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
+#include "util/cli.h"
 #include "util/config.h"
 #include "util/log.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = bench::bench_config(argc, argv);
+int run(const util::Config& cfg) {
   const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
@@ -41,7 +41,11 @@ int main(int argc, char** argv) {
   const double bg_rate = cfg.get("bg_rate", 0.05);
   const double rate_scale = cfg.get("rate_scale", 1.0);
   const double p95_target = cfg.get("p95_target", smoke ? 200.0 : 300.0);
-  const core::ExperimentRunner runner = bench::runner_from(cfg);
+  const core::ExperimentRunner runner(cfg.get("jobs", 0));
+  const std::string policy_path = cfg.get("save_policy", std::string());
+  const std::string out_path = cfg.get("out", std::string());
+  const obs::ObsOptions obs_options = obs::ObsOptions::from_config(cfg);
+  util::reject_unknown_args(cfg);
 
   // --- the scenario: latency-critical DNN pipeline + background sweep ------
   // Two training environments over one scenario: the QoS objective (SLO
@@ -72,7 +76,6 @@ int main(int argc, char** argv) {
   // [controller] block can replay this row via `scenarioctl run`. The
   // checkpoint carries the scenario content hash + building commit, so the
   // replay warns if it serves a different scenario.
-  const std::string policy_path = cfg.get("save_policy", std::string());
   if (!policy_path.empty()) {
     std::ofstream out(policy_path, std::ios::binary);
     if (!out) {
@@ -156,7 +159,6 @@ int main(int argc, char** argv) {
                "at lower power than static-max; DRL-aggregate sits between, "
                "trading victim p95 for fabric-wide energy.\n";
 
-  const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
     if (!bench::write_metrics_file(out_path, "table6_qos", metrics,
                                    "mixed (SLO hit fraction, core-cycle "
@@ -167,5 +169,7 @@ int main(int argc, char** argv) {
   }
   // Optional observability pass (after the measured comparisons, so every
   // table cell above is observer-free).
-  return bench::maybe_traced_run(cfg, s) ? 0 : 1;
+  return bench::maybe_traced_run(obs_options, s) ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

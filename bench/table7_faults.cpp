@@ -24,6 +24,7 @@
 #include "bench_json.h"
 #include "noc/faults.h"
 #include "scenario/scenario.h"
+#include "util/cli.h"
 #include "util/config.h"
 
 using namespace drlnoc;
@@ -95,8 +96,7 @@ FaultTotals fault_totals(const core::ReplicationResult& rep) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Config cfg = bench::bench_config(argc, argv);
+int run(const util::Config& cfg) {
   const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
@@ -107,7 +107,10 @@ int main(int argc, char** argv) {
   const double p95_target = cfg.get("p95_target", smoke ? 200.0 : 150.0);
   const double rate_low = cfg.get("fault_rate_low", 0.002);
   const double rate_high = cfg.get("fault_rate_high", 0.01);
-  const core::ExperimentRunner runner = bench::runner_from(cfg);
+  const core::ExperimentRunner runner(cfg.get("jobs", 0));
+  const std::string out_path = cfg.get("out", std::string());
+  const obs::ObsOptions obs_options = obs::ObsOptions::from_config(cfg);
+  util::reject_unknown_args(cfg);
 
   // --- the scenario: latency-critical service + background sweep ----------
   // Both tenants are steady injectors; faults are the experiment's only
@@ -263,7 +266,6 @@ int main(int argc, char** argv) {
                "level adds nonzero rerouted_hops with throughput largely "
                "retained.\n";
 
-  const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
     if (!bench::write_metrics_file(out_path, "table7_faults", metrics,
                                    "mixed (SLO hit fraction, core-cycle "
@@ -278,5 +280,7 @@ int main(int argc, char** argv) {
   // comparisons, so every table cell above is observer-free).
   scenario::Scenario traced = *s;
   traced.faults = levels.back().faults;
-  return bench::maybe_traced_run(cfg, traced) ? 0 : 1;
+  return bench::maybe_traced_run(obs_options, traced) ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

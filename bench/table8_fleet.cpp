@@ -29,6 +29,7 @@
 #include "fleet/fleet.h"
 #include "fleet/scenario_space.h"
 #include "fleet/scorecard.h"
+#include "util/cli.h"
 #include "util/config.h"
 #include "util/log.h"
 #include "util/versioned_text.h"
@@ -100,8 +101,7 @@ void write_file(const std::string& path, const std::string& text) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Config cfg = bench::bench_config(argc, argv);
+int run(const util::Config& cfg) {
   const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
@@ -110,7 +110,9 @@ int main(int argc, char** argv) {
   const std::uint64_t epoch_cycles =
       cfg.get("epoch_cycles", std::uint64_t{smoke ? 256u : 512u});
   const std::string workdir = cfg.get("workdir", std::string("table8_work"));
-  const core::ExperimentRunner runner = bench::runner_from(cfg);
+  const core::ExperimentRunner runner(cfg.get("jobs", 0));
+  const std::string out_path = cfg.get("out", std::string());
+  util::reject_unknown_args(cfg);
 
   std::filesystem::create_directories(workdir);
   write_file(workdir + "/base.drlsc", base_scenario_text(size, smoke));
@@ -205,7 +207,6 @@ int main(int argc, char** argv) {
                "SLO points for power, and the gap to static-max widens on "
                "the churned/faulted corners (the worst-scenario column).\n";
 
-  const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
     if (!bench::write_metrics_file(out_path, "table8_fleet", metrics,
                                    "mixed (SLO hit fraction, core-cycle "
@@ -216,3 +217,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

@@ -17,6 +17,7 @@
 #include "noc/network.h"
 #include "trace/generators.h"
 #include "trace/trace_workload.h"
+#include "util/cli.h"
 #include "util/config.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -38,10 +39,10 @@ noc::RunResult replay_once(const noc::NetworkParams& net_params,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
   const int size = cfg.get("size", 8);
   const int jobs = util::ThreadPool::resolve_jobs(cfg.get("jobs", 0));
+  util::reject_unknown_args(cfg);
 
   noc::NetworkParams net_params;
   net_params.width = net_params.height = size;
@@ -104,3 +105,5 @@ int main(int argc, char** argv) {
                "just moves waiting from release times into the network.\n";
   return all_completed ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

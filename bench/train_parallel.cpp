@@ -24,6 +24,7 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
+#include "util/cli.h"
 #include "util/config.h"
 
 using namespace drlnoc;
@@ -46,8 +47,7 @@ double best_seconds(int repeats, Fn&& fn) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Config cfg = bench::bench_config(argc, argv);
+int run(const util::Config& cfg) {
   const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
@@ -55,6 +55,8 @@ int main(int argc, char** argv) {
   const int round = cfg.get("round", 8);
   const int actors = cfg.get("actors", 8);
   const int repeats = cfg.get("repeats", smoke ? 1 : 3);
+  const std::string out_path = cfg.get("out", std::string());
+  util::reject_unknown_args(cfg);
 
   // The T6 scenario (table6_qos.cpp): latency-critical DNN pipeline over a
   // background sweep — the training workload whose wall clock this bench
@@ -97,7 +99,6 @@ int main(int argc, char** argv) {
   metrics.emplace_back("speedup_actors" + std::to_string(actors) + "_vs_serial",
                        serial_s / parN_s);
 
-  const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
     if (!bench::write_metrics_file(
             out_path, "train_parallel", metrics,
@@ -116,3 +117,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

@@ -7,6 +7,7 @@
 #include "core/controller.h"
 #include "core/env_noc.h"
 #include "core/trainer.h"
+#include "util/cli.h"
 #include "util/config.h"
 #include "util/table.h"
 
@@ -51,17 +52,18 @@ class SloController : public core::Controller {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
 
   core::NocEnvParams ep;
   ep.net.width = ep.net.height = cfg.get("size", 4);
+  const double p95_budget = cfg.get("p95_budget", 120.0);
+  util::reject_unknown_args(cfg);
   ep.net.seed = 11;
   ep.epoch_cycles = 512;
   ep.epochs_per_episode = 48;
   core::NocConfigEnv env(ep);
 
-  SloController slo(env.actions(), cfg.get("p95_budget", 120.0));
+  SloController slo(env.actions(), p95_budget);
   core::HeuristicParams hp;
   hp.num_nodes = env.params().net.width * env.params().net.height;
   core::HeuristicController heuristic(env.actions(), hp);
@@ -87,3 +89,5 @@ int main(int argc, char** argv) {
                "override decide(); evaluate() handles the rest.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

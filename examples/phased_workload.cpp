@@ -12,15 +12,16 @@
 #include "core/trainer.h"
 #include "rl/dqn.h"
 #include "scenario/scenario.h"
+#include "util/cli.h"
 #include "util/config.h"
 #include "util/table.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
   const int size = cfg.get("size", 4);
   const int episodes = cfg.get("episodes", 120);
+  util::reject_unknown_args(cfg);
 
   // A hand-written application profile: long idle stretches, a compute
   // phase with all-to-all (uniform) communication, a reduction phase that
@@ -101,3 +102,5 @@ int main(int argc, char** argv) {
                "regime than in the heavy one.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

@@ -9,12 +9,15 @@
 #include "core/env_noc.h"
 #include "core/trainer.h"
 #include "noc/simulator.h"
+#include "util/cli.h"
 #include "util/config.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
+  const int size = cfg.get("size", 4);
+  const int episodes = cfg.get("episodes", 40);
+  util::reject_unknown_args(cfg);
 
   // --- 1. plain simulation -------------------------------------------------
   noc::NetworkParams np;
@@ -33,12 +36,11 @@ int main(int argc, char** argv) {
   // --- 2. DRL self-configuration ------------------------------------------
   core::NocEnvParams ep;
   ep.net = np;
-  ep.net.width = ep.net.height = cfg.get("size", 4);  // small & quick
+  ep.net.width = ep.net.height = size;  // small & quick
   ep.epoch_cycles = 512;
   ep.epochs_per_episode = 24;
 
   core::NocConfigEnv env(ep);
-  const int episodes = cfg.get("episodes", 40);
   rl::DqnParams dp;
   dp.hidden = {32, 32};
   dp.min_replay = 128;
@@ -70,3 +72,5 @@ int main(int argc, char** argv) {
             << "mW reward=" << max_result.total_reward << '\n';
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

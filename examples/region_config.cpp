@@ -8,6 +8,7 @@
 
 #include "noc/network.h"
 #include "noc/workload.h"
+#include "util/cli.h"
 #include "util/config.h"
 #include "util/table.h"
 
@@ -22,8 +23,8 @@ struct Outcome {
   double accepted;
 };
 
-Outcome run(const std::vector<noc::NocConfig>& configs, double rate,
-            std::uint64_t seed) {
+Outcome simulate(const std::vector<noc::NocConfig>& configs, double rate,
+                 std::uint64_t seed) {
   noc::NetworkParams p;
   p.width = p.height = 8;
   p.seed = seed;
@@ -39,11 +40,11 @@ Outcome run(const std::vector<noc::NocConfig>& configs, double rate,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
   // Hotspot ejection bandwidth caps sustainable load near 0.03 on an 8x8
   // mesh (4 hotspots x 50% targeted traffic); stay below the knee.
   const double rate = cfg.get("rate", 0.02);
+  util::reject_unknown_args(cfg);
   const std::uint64_t seed = 9;
   const int n = 64;
 
@@ -60,9 +61,11 @@ int main(int argc, char** argv) {
   }
 
   util::Table t({"provisioning", "latency", "p95", "power_mW", "accepted"});
-  const Outcome all_full = run(std::vector<noc::NocConfig>(n, full), rate, seed);
-  const Outcome all_lean = run(std::vector<noc::NocConfig>(n, lean), rate, seed);
-  const Outcome hotspot_region = run(region, rate, seed);
+  const Outcome all_full =
+      simulate(std::vector<noc::NocConfig>(n, full), rate, seed);
+  const Outcome all_lean =
+      simulate(std::vector<noc::NocConfig>(n, lean), rate, seed);
+  const Outcome hotspot_region = simulate(region, rate, seed);
 
   auto add = [&](const char* label, const Outcome& o) {
     t.row()
@@ -86,3 +89,5 @@ int main(int argc, char** argv) {
                "gating follows each link's *downstream* router.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

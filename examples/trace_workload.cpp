@@ -16,6 +16,8 @@
 #include "trace/recorder.h"
 #include "trace/trace_io.h"
 #include "trace/trace_workload.h"
+#include "util/cli.h"
+#include "util/config.h"
 #include "util/table.h"
 
 using namespace drlnoc;
@@ -34,7 +36,9 @@ noc::RunResult replay(const noc::NetworkParams& p,
 
 }  // namespace
 
-int main() {
+int run(const util::Config& cfg) {
+  util::reject_unknown_args(cfg);  // no keys beyond log=
+
   // 1. Generate a task graph: a 4-stage DNN pipeline on a 4x4 mesh.
   trace::DnnPipelineParams dp;
   dp.nodes = 16;
@@ -108,3 +112,5 @@ int main() {
                "show=5\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

@@ -25,6 +25,7 @@
 #include "scenario/scenario_io.h"
 #include "trace/trace_io.h"
 #include "trace/trace_workload.h"
+#include "util/cli.h"
 #include "util/config.h"
 #include "util/log.h"
 #include "util/table.h"
@@ -67,8 +68,8 @@ noc::FaultParams fault_params_from(const util::Config& cfg) {
 /// `--workload trace=<file>`: replay an application trace on the chosen
 /// topology, with `scale=` mapped to the rate-scaling knob.
 int explore_trace(const noc::NetworkParams& p, const std::string& path,
-                  const util::Config& cfg, const noc::FaultParams& faults,
-                  obs::ObsSession& session) {
+                  double scale, std::uint64_t cycle_limit,
+                  const noc::FaultParams& faults, obs::ObsSession& session) {
   const auto t =
       std::make_shared<const trace::Trace>(trace::TraceReader::read_file(path));
   if (p.width * p.height < t->nodes) {
@@ -77,14 +78,12 @@ int explore_trace(const noc::NetworkParams& p, const std::string& path,
     return 1;
   }
   trace::TraceWorkloadParams tw;
-  tw.rate_scale = cfg.get("scale", 1.0);
+  tw.rate_scale = scale;
   noc::Network net(p);
   if (faults.enabled()) net.set_fault_model(faults);
   session.attach(net);
   trace::TraceWorkload w(t, tw);
-  const std::uint64_t limit =
-      cfg.get("cycle_limit", std::uint64_t{2000000});
-  const noc::RunResult r = trace::run_trace_replay(net, w, limit);
+  const noc::RunResult r = trace::run_trace_replay(net, w, cycle_limit);
   util::Table tab({"workload", "avg_lat", "p95_lat", "avg_hops", "packets",
                    "core_cycles", "power_mW", "complete"});
   tab.row()
@@ -141,10 +140,9 @@ int explore_scenario(const std::string& path, const noc::FaultParams& faults,
 /// `--workload phased[=scale]`: one steady-state run of the canonical
 /// 4-phase workload (parity with trace exploration).
 int explore_phased(const noc::NetworkParams& p, const std::string& arg,
-                   const util::Config& cfg, const noc::FaultParams& faults,
+                   double scale, const noc::FaultParams& faults,
                    obs::ObsSession& session) {
-  const double phase_scale = arg.empty() ? cfg.get("scale", 1.0)
-                                         : std::stod(arg);
+  const double phase_scale = arg.empty() ? scale : std::stod(arg);
   noc::Network net(p);
   if (faults.enabled()) net.set_fault_model(faults);
   session.attach(net);
@@ -171,9 +169,7 @@ int explore_phased(const noc::NetworkParams& p, const std::string& arg,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
-  util::init_log(cfg.get("log", std::string()));
+int run(const util::Config& cfg) {
   const std::string topology = cfg.get("topology", std::string("mesh"));
   const int size = cfg.get("size", 8);
   const double rate = cfg.get("rate", 0.05);
@@ -186,6 +182,13 @@ int main(int argc, char** argv) {
   p.routing = cfg.get("routing", std::string("auto"));
 
   const noc::FaultParams faults = fault_params_from(cfg);
+  const obs::ObsOptions obs_options = obs::ObsOptions::from_config(cfg);
+  const std::string workload = cfg.get("workload", std::string());
+  // The --workload modes' knobs, read (and ignored) by the sweep too.
+  const double scale = cfg.get("scale", 1.0);
+  const std::uint64_t cycle_limit =
+      cfg.get("cycle_limit", std::uint64_t{2000000});
+  util::reject_unknown_args(cfg);
 
   std::cout << "traffic explorer: " << topology << " " << size << "x" << size
             << ", rate " << rate << " pkt/node/cycle, routing " << p.routing
@@ -203,25 +206,21 @@ int main(int argc, char** argv) {
   // Observability: --trace-out= / --metrics-out= / --trace-sample= apply to
   // the single-run workload modes below; the parallel pattern sweep runs
   // untraced (one recorder cannot span concurrent fabrics).
-  obs::ObsSession session(obs::ObsOptions::from_config(cfg));
-  if (cfg.has("workload")) {
-    const std::string w = cfg.get("workload", std::string());
+  obs::ObsSession session(obs_options);
+  if (!workload.empty()) {
     int rc = -1;
-    try {
-      if (w.rfind("trace=", 0) == 0) {
-        rc = explore_trace(p, w.substr(6), cfg, faults, session);
-      } else if (w.rfind("scenario=", 0) == 0) {
-        rc = explore_scenario(w.substr(9), faults, session);
-      } else if (w == "phased" || w.rfind("phased=", 0) == 0) {
-        rc = explore_phased(p, w == "phased" ? "" : w.substr(7), cfg, faults,
-                            session);
-      }
-    } catch (const std::exception& e) {
-      LOG_ERROR << "workload error: " << e.what();
-      return 1;
+    if (workload.rfind("trace=", 0) == 0) {
+      rc = explore_trace(p, workload.substr(6), scale, cycle_limit, faults,
+                         session);
+    } else if (workload.rfind("scenario=", 0) == 0) {
+      rc = explore_scenario(workload.substr(9), faults, session);
+    } else if (workload == "phased") {
+      rc = explore_phased(p, "", scale, faults, session);
+    } else if (workload.rfind("phased=", 0) == 0) {
+      rc = explore_phased(p, workload.substr(7), scale, faults, session);
     }
     if (rc < 0) {
-      LOG_ERROR << "unknown workload '" << w
+      LOG_ERROR << "unknown workload '" << workload
                 << "' (expected trace=<file>, scenario=<file> or "
                    "phased[=scale])";
       return 1;
@@ -284,3 +283,5 @@ int main(int argc, char** argv) {
                "(transpose/tornado) pay in hops and saturate earlier.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_cli(argc, argv, run); }

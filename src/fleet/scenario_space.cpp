@@ -110,37 +110,36 @@ ScenarioSpace ScenarioSpaceReader::read_text(const std::string& text,
                                              const std::string& base_dir) {
   const util::Config cfg = util::parse_versioned_text(
       text, {"drlfs", kFleetSpecFormatVersion, "fleet spec", {}});
-  const util::TrackedConfig c(cfg);
 
   ScenarioSpace space;
   space.spec_text = text;
-  space.name = c.str("name", space.name);
-  space.base_file = c.str("base", "");
+  space.name = cfg.get("name", space.name);
+  space.base_file = cfg.get("base", "");
   if (space.base_file.empty()) {
     fail("base = <scenario.drlsc> is required");
   }
-  space.seeds = c.get("seeds", space.seeds);
-  const int axes = c.get("axes", 0);
+  space.seeds = cfg.get("seeds", space.seeds);
+  const int axes = cfg.get("axes", 0);
   if (axes < 0) fail("axes must be >= 0");
   for (int i = 0; i < axes; ++i) {
     const std::string p = "axis" + std::to_string(i) + ".";
     SpaceAxis axis;
-    axis.key = c.str(p + "key", "");
-    const bool has_csv = c.has(p + "values");
-    const bool has_count = c.has(p + "count");
+    axis.key = cfg.get(p + "key", "");
+    const bool has_csv = cfg.has(p + "values");
+    const bool has_count = cfg.has(p + "count");
     if (has_csv && has_count) {
       fail(p + "values and " + p + "count are mutually exclusive" +
            cfg.location_suffix(p + "count"));
     }
     if (has_csv) {
-      axis.values = split_csv(c.str(p + "values", ""));
+      axis.values = split_csv(cfg.get(p + "values", ""));
     } else if (has_count) {
-      const int count = c.get(p + "count", 0);
+      const int count = cfg.get(p + "count", 0);
       if (count < 1) fail(p + "count must be >= 1");
       for (int k = 0; k < count; ++k) {
         const std::string vk = p + "value" + std::to_string(k);
-        if (!c.has(vk)) fail(vk + " is missing");
-        axis.values.push_back(c.str(vk, ""));
+        if (!cfg.has(vk)) fail(vk + " is missing");
+        axis.values.push_back(cfg.get(vk, ""));
       }
     } else {
       fail(p + "values (comma list) or " + p + "count + " + p +
@@ -149,7 +148,7 @@ ScenarioSpace ScenarioSpaceReader::read_text(const std::string& text,
     space.axes.push_back(axis);
   }
 
-  c.reject_unknown("fleet spec");
+  cfg.reject_unknown("fleet spec");
 
   const std::string base_path = util::join_path(base_dir, space.base_file);
   std::optional<std::string> base_text = util::read_file_bytes(base_path);

@@ -98,9 +98,6 @@ class FaultModel {
   bool corrupt_on_link(NodeId node, PortId port, std::uint64_t packet_id,
                        std::uint16_t seq, Cycle cycle) const;
 
-  bool link_dead(NodeId node, PortId port) const {
-    return dead_[link_index(node, port)] != 0;
-  }
   bool any_link_dead() const { return dead_count_ > 0; }
   const std::vector<std::uint8_t>& dead_links() const { return dead_; }
 

@@ -16,14 +16,12 @@ namespace drlnoc::scenario {
 
 namespace {
 
-using util::TrackedConfig;
-
-TenantSpec parse_tenant(const TrackedConfig& c, int index, int num_nodes,
+TenantSpec parse_tenant(const util::Config& c, int index, int num_nodes,
                         const std::string& base_dir) {
   const std::string p = "tenant" + std::to_string(index) + ".";
   TenantSpec t;
-  t.name = c.str(p + "name", "tenant" + std::to_string(index));
-  const std::string kind = c.str(p + "workload", "steady");
+  t.name = c.get(p + "name", "tenant" + std::to_string(index));
+  const std::string kind = c.get(p + "workload", "steady");
   if (kind == "trace") {
     t.kind = WorkloadKind::kTrace;
   } else if (kind == "steady") {
@@ -37,7 +35,7 @@ TenantSpec parse_tenant(const TrackedConfig& c, int index, int num_nodes,
 
   switch (t.kind) {
     case WorkloadKind::kTrace: {
-      t.trace_file = c.str(p + "trace", "");
+      t.trace_file = c.get(p + "trace", "");
       if (t.trace_file.empty()) {
         throw std::invalid_argument("scenario: " + p +
                                     "trace is required for trace tenants");
@@ -50,21 +48,21 @@ TenantSpec parse_tenant(const TrackedConfig& c, int index, int num_nodes,
       break;
     }
     case WorkloadKind::kSteady:
-      t.pattern = c.str(p + "pattern", t.pattern);
-      t.process = c.str(p + "process", t.process);
+      t.pattern = c.get(p + "pattern", t.pattern);
+      t.process = c.get(p + "process", t.process);
       t.rate = c.get(p + "rate", t.rate);
       break;
     case WorkloadKind::kPhased: {
       t.phase_scale = c.get(p + "phase_scale", t.phase_scale);
-      const int phases = c.count(p + "phases", 0, "scenario");
+      const int phases = util::block_count(c, p + "phases", 0, "scenario");
       for (int k = 0; k < phases; ++k) {
         const std::string pp = p + "phase" + std::to_string(k) + ".";
         noc::Phase ph;
-        ph.pattern = c.str(pp + "pattern", ph.pattern);
+        ph.pattern = c.get(pp + "pattern", ph.pattern);
         ph.rate = c.get(pp + "rate", ph.rate);
         ph.duration_core_cycles =
             c.get(pp + "duration", ph.duration_core_cycles);
-        ph.process = c.str(pp + "process", ph.process);
+        ph.process = c.get(pp + "process", ph.process);
         ph.flits_per_packet = c.get(pp + "flits", ph.flits_per_packet);
         t.phases.push_back(ph);
       }
@@ -72,27 +70,27 @@ TenantSpec parse_tenant(const TrackedConfig& c, int index, int num_nodes,
     }
   }
 
-  t.nodes = parse_node_set(c.str(p + "nodes", "all"), num_nodes);
+  t.nodes = parse_node_set(c.get(p + "nodes", "all"), num_nodes);
   t.start = c.get(p + "start", t.start);
   t.stop = c.get(p + "stop", t.stop);
-  if (c.has(p + "qos")) t.qos = parse_qos_class(c.str(p + "qos", ""));
+  if (c.has(p + "qos")) t.qos = parse_qos_class(c.get(p + "qos", ""));
   t.p95_target = c.get(p + "p95_target", t.p95_target);
   return t;
 }
 
-noc::FaultParams parse_faults(const TrackedConfig& c) {
+noc::FaultParams parse_faults(const util::Config& c) {
   noc::FaultParams f;
   f.seed = c.get("faults.seed", f.seed);
   f.link_fault_rate = c.get("faults.link_fault_rate", f.link_fault_rate);
   f.retry_timeout = c.get("faults.retry_timeout", f.retry_timeout);
   f.retry_backoff = c.get("faults.retry_backoff", f.retry_backoff);
   f.retry_budget = c.get("faults.retry_budget", f.retry_budget);
-  const int events = c.count("faults.events", 0, "scenario");
+  const int events = util::block_count(c, "faults.events", 0, "scenario");
   for (int k = 0; k < events; ++k) {
     const std::string ep = "faults.event" + std::to_string(k) + ".";
     noc::FaultEvent e;
     e.at_cycle = c.get(ep + "at_cycle", e.at_cycle);
-    const std::string kind = c.str(ep + "kind", "link_down");
+    const std::string kind = c.get(ep + "kind", "link_down");
     if (kind == "link_down") {
       e.kind = noc::FaultEvent::Kind::kLinkDown;
     } else if (kind == "slowdown") {
@@ -113,20 +111,20 @@ noc::FaultParams parse_faults(const TrackedConfig& c) {
   return f;
 }
 
-ChurnParams parse_churn(const TrackedConfig& c) {
+ChurnParams parse_churn(const util::Config& c) {
   ChurnParams ch;
   ch.seed = c.get("churn.seed", ch.seed);
   ch.arrival_rate = c.get("churn.arrival_rate", ch.arrival_rate);
   ch.horizon = c.get("churn.horizon", ch.horizon);
   ch.capacity = c.get("churn.capacity", ch.capacity);
   ch.max_arrivals = c.get("churn.max_arrivals", ch.max_arrivals);
-  const int templates = c.count("churn.templates", 0, "scenario");
+  const int templates = util::block_count(c, "churn.templates", 0, "scenario");
   for (int k = 0; k < templates; ++k) {
     const std::string tp = "churn.template" + std::to_string(k) + ".";
     ChurnTemplate t;
     t.tenant = c.get(tp + "tenant", t.tenant);
     t.weight = c.get(tp + "weight", t.weight);
-    t.lifetime = c.str(tp + "lifetime", t.lifetime);
+    t.lifetime = c.get(tp + "lifetime", t.lifetime);
     t.lifetime_mean = c.get(tp + "lifetime_mean", t.lifetime_mean);
     t.lifetime_min = c.get(tp + "lifetime_min", t.lifetime_min);
     t.lifetime_max = c.get(tp + "lifetime_max", t.lifetime_max);
@@ -135,12 +133,12 @@ ChurnParams parse_churn(const TrackedConfig& c) {
   return ch;
 }
 
-ControllerSchedule parse_controller(const TrackedConfig& c,
+ControllerSchedule parse_controller(const util::Config& c,
                                     const std::string& base_dir) {
   ControllerSchedule ctl;
-  ctl.type = c.str("controller.type", "");
-  ctl.policy_file = c.str("controller.policy", "");
-  ctl.policy_pin = c.str("controller.pin", "");
+  ctl.type = c.get("controller.type", "");
+  ctl.policy_file = c.get("controller.policy", "");
+  ctl.policy_pin = c.get("controller.pin", "");
   ctl.epoch_cycles = c.get("controller.epoch_cycles", ctl.epoch_cycles);
   ctl.epochs = c.get("controller.epochs", ctl.epochs);
   if (ctl.type.empty() && !ctl.policy_file.empty()) {
@@ -176,40 +174,37 @@ Scenario ScenarioReader::read_text(
   // flattened names the sections produce ("tenant0.rate", "churn.capacity");
   // unknown override keys fail the unknown-key check below like typos do.
   for (const auto& [key, value] : overrides) {
-    cfg.set(key, value);
-    cfg.set_line(key, 0);  // value came from the override, not the file line
+    cfg.set(key, value);  // line 0: the value is not from a file line
   }
-
-  const TrackedConfig c(cfg);
 
   Scenario s;
-  s.name = c.str("name", s.name);
-  s.net.topology = c.str("topology", s.net.topology);
-  if (c.has("size")) {
-    s.net.width = s.net.height = c.get("size", s.net.width);
+  s.name = cfg.get("name", s.name);
+  s.net.topology = cfg.get("topology", s.net.topology);
+  if (cfg.has("size")) {
+    s.net.width = s.net.height = cfg.get("size", s.net.width);
   }
-  s.net.width = c.get("width", s.net.width);
-  s.net.height = c.get("height", s.net.height);
-  s.net.routing = c.str("routing", s.net.routing);
-  s.net.max_vcs = c.get("max_vcs", s.net.max_vcs);
-  s.net.max_depth = c.get("max_depth", s.net.max_depth);
-  s.net.flits_per_packet = c.get("flits_per_packet", s.net.flits_per_packet);
-  s.net.link_latency = c.get("link_latency", s.net.link_latency);
-  s.net.pipeline_stages = c.get("pipeline_stages", s.net.pipeline_stages);
-  s.net.seed = c.get("seed", s.net.seed);
-  s.duration = c.get("duration", s.duration);
-  s.cycle_limit = c.get("cycle_limit", s.cycle_limit);
+  s.net.width = cfg.get("width", s.net.width);
+  s.net.height = cfg.get("height", s.net.height);
+  s.net.routing = cfg.get("routing", s.net.routing);
+  s.net.max_vcs = cfg.get("max_vcs", s.net.max_vcs);
+  s.net.max_depth = cfg.get("max_depth", s.net.max_depth);
+  s.net.flits_per_packet = cfg.get("flits_per_packet", s.net.flits_per_packet);
+  s.net.link_latency = cfg.get("link_latency", s.net.link_latency);
+  s.net.pipeline_stages = cfg.get("pipeline_stages", s.net.pipeline_stages);
+  s.net.seed = cfg.get("seed", s.net.seed);
+  s.duration = cfg.get("duration", s.duration);
+  s.cycle_limit = cfg.get("cycle_limit", s.cycle_limit);
 
-  const int tenants = c.count("tenants", 1, "scenario");
+  const int tenants = util::block_count(cfg, "tenants", 1, "scenario");
   const int num_nodes = s.net.width * s.net.height;
   for (int i = 0; i < tenants; ++i) {
-    s.tenants.push_back(parse_tenant(c, i, num_nodes, base_dir));
+    s.tenants.push_back(parse_tenant(cfg, i, num_nodes, base_dir));
   }
-  s.controller = parse_controller(c, base_dir);
-  s.faults = parse_faults(c);
-  s.churn = parse_churn(c);
+  s.controller = parse_controller(cfg, base_dir);
+  s.faults = parse_faults(cfg);
+  s.churn = parse_churn(cfg);
 
-  c.reject_unknown("scenario");
+  cfg.reject_unknown("scenario");
   // Materialise churn arrivals as concrete tenants before validation, so the
   // returned scenario is fully expanded and validate() covers the instances.
   expand_churn(s);

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <type_traits>
 
@@ -37,41 +36,32 @@ Config Config::from_args(int argc, const char* const* argv) {
   return cfg;
 }
 
-void Config::set(const std::string& key, const std::string& value) {
-  values_[key] = value;
+void Config::set(const std::string& key, const std::string& value,
+                 int line) {
+  entries_[key] = Entry{value, line};
 }
 
-void Config::set_line(const std::string& key, int line) {
-  lines_[key] = line;
-}
-
-int Config::line_of(const std::string& key) const {
-  auto it = lines_.find(key);
-  return it == lines_.end() ? 0 : it->second;
+const Config::Entry* Config::find(const std::string& key) const {
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return nullptr;
+  it->second.read = true;
+  return &it->second;
 }
 
 std::string Config::location_suffix(const std::string& key) const {
-  const int line = line_of(key);
-  return line > 0 ? " (line " + std::to_string(line) + ")" : std::string();
+  const auto it = entries_.find(key);
+  return it != entries_.end() && it->second.line > 0
+             ? " (line " + std::to_string(it->second.line) + ")"
+             : std::string();
 }
 
-bool Config::has(const std::string& key) const {
-  return values_.count(key) != 0;
-}
-
-std::optional<std::string> Config::raw(const std::string& key) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  return it->second;
-}
+bool Config::has(const std::string& key) const { return find(key) != nullptr; }
 
 std::string Config::get(const std::string& key,
                         const std::string& fallback) const {
-  auto v = raw(key);
-  return v ? *v : fallback;
+  const Entry* e = find(key);
+  return e ? e->value : fallback;
 }
-
-namespace {
 
 // Strict full-string parse behind the numeric getters: unlike std::stoll or
 // std::stod, trailing garbage ("8x", "1.5" for an integer) and out-of-range
@@ -81,8 +71,10 @@ namespace {
 // error rather than a wrap to ~2^64. NaN never names a meaningful knob
 // value; "inf" stays accepted (open-ended tenant stop times serialize so).
 template <typename T>
-T parse_strict(const Config& cfg, const std::string& key, const std::string& s,
-               const char* kind) {
+T Config::number(const std::string& key, T fallback) const {
+  const Entry* e = find(key);
+  if (e == nullptr) return fallback;
+  const std::string& s = e->value;
   const char* first = s.data();
   const char* last = s.data() + s.size();
   if (std::is_signed_v<T> && first != last && *first == '+') ++first;
@@ -100,58 +92,52 @@ T parse_strict(const Config& cfg, const std::string& key, const std::string& s,
   }
   if (reason == nullptr) return value;
   std::string msg = "bad ";
-  msg += kind;
-  msg += " for " + key + cfg.location_suffix(key) + ": " + s + reason;
+  msg += std::is_floating_point_v<T> ? "number" : "integer";
+  msg += " for " + key + location_suffix(key) + ": " + s + reason;
   throw std::invalid_argument(msg);
 }
 
-}  // namespace
-
 long long Config::get(const std::string& key, long long fallback) const {
-  auto v = raw(key);
-  return v ? parse_strict<long long>(*this, key, *v, "integer") : fallback;
+  return number(key, fallback);
 }
 
 std::uint64_t Config::get(const std::string& key,
                           std::uint64_t fallback) const {
-  auto v = raw(key);
-  return v ? parse_strict<std::uint64_t>(*this, key, *v, "integer")
-           : fallback;
+  return number(key, fallback);
 }
 
 int Config::get(const std::string& key, int fallback) const {
-  const long long wide = get(key, static_cast<long long>(fallback));
-  if (wide < std::numeric_limits<int>::min() ||
-      wide > std::numeric_limits<int>::max()) {
-    throw std::invalid_argument("bad integer for " + key +
-                                location_suffix(key) + ": " + *raw(key) +
-                                " (out of range)");
-  }
-  return static_cast<int>(wide);
+  return number(key, fallback);
 }
 
 double Config::get(const std::string& key, double fallback) const {
-  auto v = raw(key);
-  return v ? parse_strict<double>(*this, key, *v, "number") : fallback;
+  return number(key, fallback);
 }
 
 bool Config::get(const std::string& key, bool fallback) const {
-  auto v = raw(key);
-  if (!v) return fallback;
-  std::string s = *v;
+  const Entry* e = find(key);
+  if (!e) return fallback;
+  std::string s = e->value;
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
   if (s == "0" || s == "false" || s == "no" || s == "off") return false;
   throw std::invalid_argument("bad boolean for " + key +
-                              location_suffix(key) + ": " + *v);
+                              location_suffix(key) + ": " + e->value);
 }
 
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, _] : values_) out.push_back(k);
-  return out;
+std::optional<std::string> Config::unread_key() const {
+  for (const auto& [key, entry] : entries_) {
+    if (!entry.read) return key;
+  }
+  return std::nullopt;
+}
+
+void Config::reject_unknown(const std::string& error_prefix) const {
+  if (const std::optional<std::string> key = unread_key()) {
+    throw std::invalid_argument(error_prefix + ": unknown key '" + *key +
+                                "'" + location_suffix(*key));
+  }
 }
 
 }  // namespace drlnoc::util

@@ -1,40 +1,35 @@
-// Minimal key=value configuration store. Examples and bench binaries parse
-// command-line overrides ("key=value" tokens) into this, so every experiment
-// is reproducible from its printed parameter block.
+// Minimal key=value configuration store behind every command line
+// (util/cli.h) and every versioned text file (util/versioned_text.h). Each
+// getter, and has() on a present key, marks the key read, so a strict reader
+// can refuse the keys nobody asked for (typically typos).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace drlnoc::util {
 
 class Config {
  public:
-  Config() = default;
-
-  /// Parses tokens of the form "key=value"; throws std::invalid_argument on
-  /// malformed tokens.
+  /// Parses tokens of the form "key=value", "--key=value" and "--key value"
+  /// from argv[1..argc); throws std::invalid_argument on malformed tokens.
   static Config from_args(int argc, const char* const* argv);
 
-  void set(const std::string& key, const std::string& value);
+  /// Sets `key`; `line` is its 1-based source line (0: none, as for argv),
+  /// which the typed getters cite alongside the key name.
+  void set(const std::string& key, const std::string& value, int line = 0);
 
-  /// Records the 1-based source line `key` came from. The versioned text
-  /// reader (util/versioned_text.h) calls this while scanning its input so
-  /// the typed getters below can cite the offending line alongside the key
-  /// name; configs built from argv carry no lines and report as before.
-  void set_line(const std::string& key, int line);
-  /// The recorded source line of `key`, or 0 when unknown.
-  int line_of(const std::string& key) const;
   /// " (line N)" when a source line is recorded for `key`, else "".
   std::string location_suffix(const std::string& key) const;
 
   bool has(const std::string& key) const;
-  std::optional<std::string> raw(const std::string& key) const;
 
   std::string get(const std::string& key, const std::string& fallback) const;
+  std::string get(const std::string& key, const char* fallback) const {
+    return get(key, std::string(fallback));
+  }
   long long get(const std::string& key, long long fallback) const;
   /// Cycle counts, seeds and counters: digits only, so a sign ("-1",
   /// "+5"), trailing characters and values above 2^64-1 are errors rather
@@ -44,12 +39,25 @@ class Config {
   double get(const std::string& key, double fallback) const;
   bool get(const std::string& key, bool fallback) const;
 
-  /// Keys in insertion-independent (sorted) order, for printing.
-  std::vector<std::string> keys() const;
+  /// The first key, in sorted order, that no getter or has() has read.
+  std::optional<std::string> unread_key() const;
+  /// Throws std::invalid_argument("<error_prefix>: unknown key 'k' (line N)")
+  /// for unread_key(), if any.
+  void reject_unknown(const std::string& error_prefix) const;
 
  private:
-  std::map<std::string, std::string> values_;
-  std::map<std::string, int> lines_;
+  struct Entry {
+    std::string value;
+    int line = 0;
+    mutable bool read = false;
+  };
+  /// The entry of `key`, marked read, or nullptr when absent.
+  const Entry* find(const std::string& key) const;
+  /// `key` parsed strictly as a T, or `fallback` when absent.
+  template <typename T>
+  T number(const std::string& key, T fallback) const;
+
+  std::map<std::string, Entry> entries_;
 };
 
 }  // namespace drlnoc::util

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 namespace drlnoc::util {
@@ -72,8 +73,7 @@ Config parse_versioned_text(const std::string& text,
     }
     const std::string key =
         section_prefix + trim(stripped.substr(0, eq), " \t");
-    cfg.set(key, trim(stripped.substr(eq + 1), " \t"));
-    cfg.set_line(key, lineno);
+    cfg.set(key, trim(stripped.substr(eq + 1), " \t"), lineno);
   }
   if (!magic_seen) throw std::runtime_error(missing_magic);
   return cfg;
@@ -89,15 +89,6 @@ int block_count(const Config& cfg, const std::string& key, int min,
         std::to_string(kMaxBlockCount) + "]" + cfg.location_suffix(key));
   }
   return n;
-}
-
-void TrackedConfig::reject_unknown(const std::string& error_prefix) const {
-  for (const std::string& key : cfg_.keys()) {
-    if (!consumed_.count(key)) {
-      throw std::invalid_argument(error_prefix + ": unknown key '" + key + "'" +
-                                  cfg_.location_suffix(key));
-    }
-  }
 }
 
 std::string join_path(const std::string& base_dir, const std::string& path) {

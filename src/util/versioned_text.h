@@ -1,12 +1,12 @@
 // The one reader behind the versioned `key = value` text formats (`.drlsc`
 // scenarios, `.drlfs` fleet specs, `.drlfr` fleet results): magic line,
-// comments, `[section]` prefixes and line-tracked values, plus the strict
-// unknown-key check and the file plumbing the format loaders share.
+// comments, `[section]` prefixes and line-tracked values, plus the file
+// plumbing the format loaders share. Strict loaders refuse unknown keys with
+// Config::reject_unknown.
 // docs/FORMATS.md "Common text rules" is the user-facing description.
 #pragma once
 
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -44,42 +44,6 @@ inline constexpr int kMaxBlockCount = 4096;
 /// 4096] (line L)") when it is out of range.
 int block_count(const Config& cfg, const std::string& key, int min,
                 const std::string& error_prefix);
-
-/// Read-only view of a Config that remembers every key it served, so a
-/// strict loader can reject the keys nobody asked for (typically typos).
-/// The Config must outlive the view.
-class TrackedConfig {
- public:
-  explicit TrackedConfig(const Config& cfg) : cfg_(cfg) {}
-
-  bool has(const std::string& key) const {
-    if (!cfg_.has(key)) return false;
-    consumed_.insert(key);
-    return true;
-  }
-  template <typename T>
-  T get(const std::string& key, T fallback) const {
-    if (cfg_.has(key)) consumed_.insert(key);
-    return cfg_.get(key, fallback);
-  }
-  std::string str(const std::string& key, const std::string& fallback) const {
-    return get<std::string>(key, fallback);
-  }
-  /// block_count over the viewed Config.
-  int count(const std::string& key, int min,
-            const std::string& error_prefix) const {
-    if (cfg_.has(key)) consumed_.insert(key);
-    return block_count(cfg_, key, min, error_prefix);
-  }
-
-  /// Throws std::invalid_argument("<error_prefix>: unknown key 'k' (line N)")
-  /// for the first (sorted) key that was never served.
-  void reject_unknown(const std::string& error_prefix) const;
-
- private:
-  const Config& cfg_;
-  mutable std::set<std::string> consumed_;
-};
 
 /// `path` relative to `base_dir`; absolute paths and an empty base pass
 /// through unchanged.

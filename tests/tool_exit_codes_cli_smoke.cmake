@@ -2,13 +2,19 @@
 # missing or unknown command, 0 for `--help`/`-h` and for `<command>
 # --help` (also for an unknown command), 1 when a command fails (a file
 # that does not exist, a negative cycle count on a valid input, traffic
-# the workloads refuse, or a routing the topology cannot take).
+# the workloads refuse, or a routing the topology cannot take). The
+# front end every tool and bench shares (src/util/cli.h) exits 2 on a
+# mistyped key, naming it, before any work, and 1 rather than abort when
+# a bench throws.
 #
 #   cmake -DSCENARIOCTL=<scenarioctl> -DTRACECTL=<tracectl> \
-#         -DFLEETCTL=<fleetctl> -DWORK=<scratch dir> \
+#         -DFLEETCTL=<fleetctl> -DTABLE1=<table1_power_savings> \
+#         -DTABLE8=<table8_fleet> -DWORK=<scratch dir> \
 #         -P tests/tool_exit_codes_cli_smoke.cmake
-if(NOT SCENARIOCTL OR NOT TRACECTL OR NOT FLEETCTL OR NOT WORK)
-  message(FATAL_ERROR "pass -DSCENARIOCTL, -DTRACECTL, -DFLEETCTL and -DWORK")
+if(NOT SCENARIOCTL OR NOT TRACECTL OR NOT FLEETCTL OR NOT TABLE1 OR
+   NOT TABLE8 OR NOT WORK)
+  message(FATAL_ERROR "pass -DSCENARIOCTL, -DTRACECTL, -DFLEETCTL, -DTABLE1, "
+                      "-DTABLE8 and -DWORK")
 endif()
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
@@ -74,3 +80,37 @@ expect_exit(1 "${SCENARIOCTL}" validate file=bad_routing.drlsc)
 expect_exit(1 "${SCENARIOCTL}" describe file=bad_routing.drlsc)
 expect_exit(1 "${SCENARIOCTL}" run file=bad_routing.drlsc)
 expect_exit(0 "${SCENARIOCTL}" validate file=tiny.drlsc)
+
+# A key the binary does not read exits 2 with one stderr line naming it,
+# before any work (nothing on stdout).
+function(expect_unknown_key key tool)
+  execute_process(COMMAND "${tool}" ${ARGN}
+                  WORKING_DIRECTORY "${WORK}"
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown key '${key}'" OR
+     NOT out STREQUAL "")
+    string(REPLACE ";" " " args "${ARGN}")
+    message(FATAL_ERROR "${tool} ${args}: exit ${rc}, expected 2 naming "
+                        "'${key}' with no output\n${out}${err}")
+  endif()
+endfunction()
+file(WRITE "${WORK}/tiny.drlfs"
+     "drlfs 1\nname = tiny\nbase = tiny.drlsc\nseeds = 1\n")
+expect_exit(0 "${FLEETCTL}" describe spec=tiny.drlfs)
+expect_unknown_key(shwo "${TRACECTL}" info file=tiny.drltrc shwo=8)
+expect_unknown_key(cyle_limit "${SCENARIOCTL}" run file=tiny.drlsc
+                   cyle_limit=5)
+expect_unknown_key(cuont "${FLEETCTL}" describe spec=tiny.drlfs cuont=3)
+expect_unknown_key(sise "${TABLE1}" sise=9)
+# T1 has no smoke scale, so the smoke flag is a key it does not read.
+expect_unknown_key(smoke "${TABLE1}" --smoke)
+
+# A bench whose key fails to parse exits 1 with the reason, not an abort.
+execute_process(COMMAND "${TABLE8}" --smoke epoch_cycles=-1
+                WORKING_DIRECTORY "${WORK}"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR err MATCHES "terminate called" OR
+   NOT err MATCHES "epoch_cycles")
+  message(FATAL_ERROR "table8_fleet --smoke epoch_cycles=-1: exit ${rc}, "
+                      "expected 1 naming epoch_cycles\n${out}${err}")
+endif()

@@ -3,7 +3,11 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "util/cli.h"
 #include "util/config.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -290,7 +294,7 @@ TEST(Config, ParsesTextWithComments) {
       {"drlx", 1, "x", {}});
   EXPECT_EQ(cfg.get("a", 0), 1);
   EXPECT_EQ(cfg.get("b", std::string{}), "hello");
-  EXPECT_EQ(cfg.keys().size(), 2u);
+  EXPECT_EQ(cfg.unread_key(), std::nullopt);  // a and b are the only keys
 }
 
 /// A Config built from "key=value" flag tokens, the way from_args builds
@@ -383,13 +387,63 @@ TEST(Config, UnsignedGetterTakesDigitsOnly) {
   EXPECT_EQ(cfg.get("zero", fallback), 0u);
   EXPECT_EQ(cfg.get("absent", fallback), 3u);
 
-  // Through a tracked view of a text file the error cites the line too.
+  // Read from a text file, the error cites the line too.
   const Config text = parse_versioned_text("drlx 1\nseed = -1\n",
                                            {"drlx", 1, "x", {}});
-  const TrackedConfig tracked(text);
-  EXPECT_EQ(rejection([&] { tracked.get("seed", fallback); }),
+  EXPECT_EQ(rejection([&] { text.get("seed", fallback); }),
             "bad integer for seed (line 2): -1 (expected a non-negative "
             "integer)");
+}
+
+TEST(Config, ReadsMarkKeysForTheUnknownKeyCheck) {
+  const Config text = parse_versioned_text("drlx 1\nb = 1\na = 2\nc = 3\n",
+                                           {"drlx", 1, "x", {}});
+  EXPECT_EQ(text.unread_key(), "a");  // sorted order
+  EXPECT_FALSE(text.has("missing"));
+  EXPECT_TRUE(text.has("a"));  // has() on a present key counts as a read
+  EXPECT_EQ(text.get("b", 0), 1);
+  EXPECT_EQ(rejection([&] { text.reject_unknown("x"); }),
+            "x: unknown key 'c' (line 4)");
+  EXPECT_EQ(text.get("c", ""), "3");
+  EXPECT_EQ(text.unread_key(), std::nullopt);
+  EXPECT_NO_THROW(text.reject_unknown("x"));
+}
+
+/// run_cli over `tokens` (after the program name), with a body that reads
+/// `size` and `smoke`, checks its keys and returns `rc`.
+int run_tokens(std::vector<std::string> tokens, int rc = 0,
+               bool* smoke = nullptr) {
+  tokens.insert(tokens.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& t : tokens) argv.push_back(t.data());
+  const auto body = [&](const Config& args) {
+    args.get("size", 4);
+    const bool s = args.get("smoke", false);
+    if (smoke != nullptr) *smoke = s;
+    reject_unknown_args(args);
+    if (rc < 0) throw std::runtime_error("body failed");
+    return rc;
+  };
+  return run_cli(static_cast<int>(argv.size()), argv.data(), body);
+}
+
+TEST(Cli, ExitCodes) {
+  // The body's own code, then an unknown key, a malformed token, a value
+  // that does not parse and a body that throws.
+  EXPECT_EQ(run_tokens({"size=8"}, 7), 7);
+  EXPECT_EQ(run_tokens({"--size", "8", "log=warn"}), 0);
+  EXPECT_EQ(run_tokens({"sise=8"}), 2);
+  EXPECT_EQ(run_tokens({"oops"}), 2);
+  EXPECT_EQ(run_tokens({"size=8x"}), 1);
+  EXPECT_EQ(run_tokens({}, -1), 1);
+}
+
+TEST(Cli, BareSmokeMeansSmokeOne) {
+  for (const char* flag : {"smoke", "--smoke", "smoke=1"}) {
+    bool smoke = false;
+    EXPECT_EQ(run_tokens({flag}, 0, &smoke), 0) << flag;
+    EXPECT_TRUE(smoke) << flag;
+  }
 }
 
 TEST(Table, RowReturnsReferenceIntoTable) {

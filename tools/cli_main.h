@@ -1,20 +1,16 @@
-// The main() skeleton shared by the command-line tools (scenarioctl,
-// tracectl, fleetctl): `<tool> <command> [key=value...]`.
-//
-// Exit codes: 2 for a missing or unknown command (the usage text goes to
-// stderr), 0 for `--help`/`-h` alone (usage on stdout) or after a command
-// (that command's help on stdout), 1 when the command throws; otherwise
-// whatever the command returns. `--log=LEVEL` starts logging before the
-// command runs.
+// The subcommand layer of the command-line tools (scenarioctl, tracectl,
+// fleetctl) over util/cli.h: `<tool> <command> [key=value...]`. Exit 2 for
+// a missing or unknown command (usage on stderr), 0 for `--help`/`-h`
+// alone (usage on stdout) or after a command (its help on stdout); a
+// command's own run exits as util/cli.h describes.
 #pragma once
 
-#include <exception>
 #include <initializer_list>
 #include <iostream>
 #include <string>
 
+#include "util/cli.h"
 #include "util/config.h"
-#include "util/log.h"
 
 namespace drlnoc::cli {
 
@@ -48,19 +44,11 @@ inline int run_main(int argc, char** argv, const char* tool,
       return 0;
     }
   }
-  try {
-    // Config::from_args skips its argv[0] slot; shift past the subcommand.
-    const util::Config cfg = util::Config::from_args(argc - 1, argv + 1);
-    util::init_log(cfg.get("log", std::string()));
-    for (const Command& c : commands) {
-      if (command == c.name) return c.run(cfg);
-    }
-    LOG_ERROR << tool << ": unknown command '" << command << "'";
-    return usage_error(usage);
-  } catch (const std::exception& e) {
-    LOG_ERROR << tool << ": " << e.what();
-    return 1;
+  for (const Command& c : commands) {
+    if (command == c.name) return util::run_cli(argc, argv, c.run, 2);
   }
+  std::cerr << tool << ": unknown command '" << command << "'\n";
+  return usage_error(usage);
 }
 
 }  // namespace drlnoc::cli

@@ -104,31 +104,22 @@ void help(const std::string& command) {
   }
 }
 
-fleet::ScenarioSpace load_space(const util::Config& cfg) {
-  const std::string path = cfg.get("spec", std::string());
+/// The fleet spec at `path` (the `spec=` key).
+fleet::ScenarioSpace load_space(const std::string& path) {
   if (path.empty()) {
     throw std::invalid_argument("fleetctl: spec=<file.drlfs> is required");
   }
   return fleet::ScenarioSpaceReader::read_file(path);
 }
 
+/// The fleet parameters the keys set; load_policy completes them once every
+/// key has been checked.
 fleet::FleetParams params_from(const util::Config& cfg) {
   fleet::FleetParams p;
   p.controller = cfg.get("controller", p.controller);
   p.policy_file = cfg.get("policy", std::string());
-  if (!p.policy_file.empty()) {
-    std::optional<std::string> blob = util::read_file_bytes(p.policy_file);
-    if (!blob) {
-      throw std::invalid_argument("fleetctl: cannot open policy file " +
-                                  p.policy_file);
-    }
-    p.policy_blob = std::move(*blob);
-  }
   p.policy_pin = cfg.get("policy_pin", std::string());
   p.epoch_cycles = cfg.get("epoch_cycles", p.epoch_cycles);
-  if (p.epoch_cycles == 0) {
-    throw std::invalid_argument("fleetctl: epoch_cycles must be > 0");
-  }
   p.epochs = cfg.get("epochs", p.epochs);
   p.qos_features = cfg.get("qos_features", p.qos_features);
   p.results_dir = cfg.get("results", std::string());
@@ -137,8 +128,25 @@ fleet::FleetParams params_from(const util::Config& cfg) {
   return p;
 }
 
+/// Checks the schedule and reads the policy file `p` names.
+void load_policy(fleet::FleetParams& p) {
+  if (p.epoch_cycles == 0) {
+    throw std::invalid_argument("fleetctl: epoch_cycles must be > 0");
+  }
+  if (!p.policy_file.empty()) {
+    std::optional<std::string> blob = util::read_file_bytes(p.policy_file);
+    if (!blob) {
+      throw std::invalid_argument("fleetctl: cannot open policy file " +
+                                  p.policy_file);
+    }
+    p.policy_blob = std::move(*blob);
+  }
+}
+
 int cmd_describe(const util::Config& cfg) {
-  const fleet::ScenarioSpace space = load_space(cfg);
+  const std::string spec = cfg.get("spec", std::string());
+  util::reject_unknown_args(cfg);
+  const fleet::ScenarioSpace space = load_space(spec);
   std::cout << "fleet spec: " << space.name << "\n"
             << "  base   " << space.base_file << "\n"
             << "  seeds  " << space.seeds << "\n"
@@ -166,8 +174,11 @@ int cmd_describe(const util::Config& cfg) {
 }
 
 int cmd_generate(const util::Config& cfg) {
-  const fleet::ScenarioSpace space = load_space(cfg);
+  const std::string spec = cfg.get("spec", std::string());
   const std::string out_dir = cfg.get("out", std::string());
+  const std::uint64_t count_cap = cfg.get("count", std::uint64_t{8});
+  util::reject_unknown_args(cfg);
+  const fleet::ScenarioSpace space = load_space(spec);
   if (out_dir.empty()) {
     throw std::invalid_argument("fleetctl: out=<dir> is required");
   }
@@ -177,8 +188,7 @@ int cmd_generate(const util::Config& cfg) {
     throw std::runtime_error("fleetctl: cannot create " + out_dir + ": " +
                              ec.message());
   }
-  const std::size_t count = std::min<std::size_t>(
-      space.size(), cfg.get("count", std::uint64_t{8}));
+  const std::size_t count = std::min<std::size_t>(space.size(), count_cap);
   for (std::size_t i = 0; i < count; ++i) {
     fleet::ExpandedScenario point = space.expand(i);
     // Generated files sit in out_dir while trace/policy paths in the base
@@ -203,8 +213,12 @@ int cmd_generate(const util::Config& cfg) {
 }
 
 int cmd_run(const util::Config& cfg) {
-  const fleet::ScenarioSpace space = load_space(cfg);
-  const fleet::FleetParams params = params_from(cfg);
+  const std::string spec = cfg.get("spec", std::string());
+  fleet::FleetParams params = params_from(cfg);
+  const core::ExperimentRunner runner(cfg.get("jobs", 0));
+  util::reject_unknown_args(cfg);
+  const fleet::ScenarioSpace space = load_space(spec);
+  load_policy(params);
   if (params.controller == "drl") {
     // Say which policy version this fleet serves before any work starts;
     // with policy_pin= a mismatch aborts inside run_fleet's first build.
@@ -215,7 +229,6 @@ int cmd_run(const util::Config& cfg) {
                                                   ")")
               << "\n";
   }
-  const core::ExperimentRunner runner(cfg.get("jobs", 0));
   const fleet::FleetRunOutcome outcome =
       fleet::run_fleet(space, params, runner);
   std::cout << "fleet '" << space.name << "': shard " << params.shard << "/"
@@ -229,16 +242,21 @@ int cmd_run(const util::Config& cfg) {
 }
 
 int cmd_score(const util::Config& cfg) {
-  const fleet::ScenarioSpace space = load_space(cfg);
-  const fleet::FleetParams params = params_from(cfg);
+  const std::string spec = cfg.get("spec", std::string());
+  fleet::FleetParams params = params_from(cfg);
   const std::string out_path = cfg.get("out", std::string());
+  const int worst = cfg.get("worst", 4);
+  const std::string metrics_dir = cfg.get("metrics-out", std::string());
+  util::reject_unknown_args(cfg);
+  const fleet::ScenarioSpace space = load_space(spec);
+  load_policy(params);
   if (out_path.empty()) {
     throw std::invalid_argument("fleetctl: out=<scorecard.json> is required");
   }
   const std::vector<fleet::FleetScenarioResult> results =
       fleet::load_results(space, params);
   const fleet::Scorecard card = fleet::score_fleet(
-      results, space.size(), space.name, cfg.get("worst", 4));
+      results, space.size(), space.name, worst);
   {
     std::ofstream os(out_path);
     if (!os) {
@@ -256,7 +274,6 @@ int cmd_score(const util::Config& cfg) {
 
   // Worst-k heatmap reruns: serial (the taps are single-threaded), one
   // metrics JSON + per-router heatmap CSV per worst scenario.
-  const std::string metrics_dir = cfg.get("metrics-out", std::string());
   if (!metrics_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(metrics_dir, ec);

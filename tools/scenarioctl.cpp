@@ -204,6 +204,7 @@ void describe_tenants(const scenario::Scenario& s) {
 
 int cmd_validate(const util::Config& cfg) {
   const std::string path = cfg.get("file", std::string());
+  util::reject_unknown_args(cfg);
   if (path.empty()) return usage();
   const scenario::Scenario s = scenario::ScenarioReader::read_file(path);
   std::cout << "OK: " << path << " (scenario '" << s.name << "', "
@@ -215,6 +216,7 @@ int cmd_validate(const util::Config& cfg) {
 
 int cmd_describe(const util::Config& cfg) {
   const std::string path = cfg.get("file", std::string());
+  util::reject_unknown_args(cfg);
   if (path.empty()) return usage();
   const scenario::Scenario s = scenario::ScenarioReader::read_file(path);
   std::cout << "scenario: " << s.name << "\n"
@@ -299,16 +301,8 @@ int cmd_train(const util::Config& cfg) {
   const std::uint64_t cycles = cfg.get(
       "epoch_cycles",
       s.controller.scheduled() ? s.controller.epoch_cycles : 512);
-  if (cycles == 0) {
-    LOG_ERROR << "scenarioctl: epoch_cycles must be > 0";
-    return 2;
-  }
   const int epochs =
       cfg.get("epochs", s.controller.scheduled() ? s.controller.epochs : 24);
-  if (epochs <= 0) {
-    LOG_ERROR << "scenarioctl: epochs must be > 0";
-    return 2;
-  }
 
   core::NocEnvParams ep;
   ep.scenario = std::make_shared<scenario::Scenario>(s);
@@ -326,12 +320,22 @@ int cmd_train(const util::Config& cfg) {
   tp.actors = cfg.get("actors", tp.actors);
   tp.eval_every = cfg.get("eval_every", tp.eval_every);
   tp.verbose = true;
+  const std::uint64_t seed = cfg.get("seed", std::uint64_t{7});
+  util::reject_unknown_args(cfg);
+  if (cycles == 0) {
+    LOG_ERROR << "scenarioctl: epoch_cycles must be > 0";
+    return 2;
+  }
+  if (epochs <= 0) {
+    LOG_ERROR << "scenarioctl: epochs must be > 0";
+    return 2;
+  }
 
   // The experiment-wide hyper-parameters, sized to the training horizon.
   const rl::DqnParams dp = core::standard_dqn(
       static_cast<std::uint64_t>(tp.episodes) *
           static_cast<std::uint64_t>(epochs),
-      cfg.get("seed", std::uint64_t{7}));
+      seed);
 
   // Calibrated once, so neither the probe (built only for the
   // observation/action dimensions) nor the trainer's lanes recalibrate.
@@ -368,6 +372,8 @@ int cmd_train(const util::Config& cfg) {
 /// serving uses — and prints its version (rl::policy_fingerprint).
 int cmd_policy(const util::Config& cfg) {
   const std::string path = cfg.get("file", std::string());
+  const bool expect_git = cfg.get("expect_git", false);
+  util::reject_unknown_args(cfg);
   if (path.empty()) return usage();
   std::ifstream is(path, std::ios::binary);
   if (!is) {
@@ -388,7 +394,7 @@ int cmd_policy(const util::Config& cfg) {
     return 1;
   }
   const rl::PolicyHeader& h = *ckpt.header;
-  if (cfg.get("expect_git", false) && h.git.empty()) {
+  if (expect_git && h.git.empty()) {
     LOG_ERROR << "scenarioctl: " << path
               << ": git provenance is 'unknown' (expect_git=1)";
     return 1;
@@ -409,7 +415,7 @@ int cmd_policy(const util::Config& cfg) {
 int cmd_run(const util::Config& cfg) {
   const std::string path = cfg.get("file", std::string());
   if (path.empty()) return usage();
-  obs::ObsSession session(obs::ObsOptions::from_config(cfg));
+  const obs::ObsOptions obs_options = obs::ObsOptions::from_config(cfg);
   scenario::Scenario s = scenario::ScenarioReader::read_file(path);
   s.cycle_limit = cfg.get("cycle_limit", s.cycle_limit);
   s.duration = cfg.get("duration", s.duration);
@@ -417,17 +423,22 @@ int cmd_run(const util::Config& cfg) {
   // Fault overrides tweak (or switch on) the [faults] section; the merged
   // parameters are validated with the rest of the scenario.
   s.faults = noc::FaultParams::from_config(cfg, s.faults);
+  // Scheduled runs are fixed-length evaluations; their knobs are the
+  // schedule's, not the drain-run horizon. Plain runs read and ignore them.
+  const std::uint64_t epoch_cycles =
+      cfg.get("epoch_cycles", s.controller.epoch_cycles);
+  const int epochs = cfg.get("epochs", s.controller.epochs);
+  const std::string pin = cfg.get("pin", s.controller.policy_pin);
+  util::reject_unknown_args(cfg);
+  obs::ObsSession session(obs_options);
   if (s.controller.scheduled()) {
-    // Scheduled runs are fixed-length evaluations; their knobs are the
-    // schedule's, not the drain-run horizon.
-    s.controller.epoch_cycles =
-        cfg.get("epoch_cycles", s.controller.epoch_cycles);
+    s.controller.epoch_cycles = epoch_cycles;
     if (s.controller.epoch_cycles == 0) {
       LOG_ERROR << "scenarioctl: epoch_cycles must be > 0";
       return 2;
     }
-    s.controller.epochs = cfg.get("epochs", s.controller.epochs);
-    s.controller.policy_pin = cfg.get("pin", s.controller.policy_pin);
+    s.controller.epochs = epochs;
+    s.controller.policy_pin = pin;
     s.validate();  // overrides may have broken the schedule
     const int rc = run_with_schedule(s, session);
     if (!session.finish() && rc == 0) return 1;

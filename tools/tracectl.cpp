@@ -12,6 +12,7 @@
 // src/trace/generators.h (layers=, tiles=, batches=, rounds=, flits=,
 // compute=, interval=).
 #include <algorithm>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -95,6 +96,8 @@ void help(const std::string& command) {
 
 int cmd_info(const util::Config& cfg) {
   const std::string path = cfg.get("file", std::string());
+  const int show = cfg.get("show", 0);
+  util::reject_unknown_args(cfg);
   if (path.empty()) return usage();
   const trace::Trace t = trace::TraceReader::read_file(path);
   const trace::TraceSummary s = t.summary();
@@ -109,7 +112,6 @@ int cmd_info(const util::Config& cfg) {
             << "  offered_rate   " << util::fmt(s.offered_rate, 5)
             << " root pkts/node/cycle\n"
             << "  total_flits    " << s.total_flits << "\n";
-  const int show = cfg.get("show", 0);
   if (show > 0) {
     util::Table tab({"id", "src", "dst", "time", "flits", "deps"});
     int shown = 0;
@@ -138,6 +140,8 @@ int cmd_info(const util::Config& cfg) {
 /// depth 0) — the quick shape check before replaying an unfamiliar trace.
 int cmd_stats(const util::Config& cfg) {
   const std::string path = cfg.get("file", std::string());
+  int top = cfg.get("top", 8);
+  util::reject_unknown_args(cfg);
   if (path.empty()) return usage();
   const trace::Trace t = trace::TraceReader::read_file(path);
 
@@ -178,7 +182,6 @@ int cmd_stats(const util::Config& cfg) {
     const std::uint64_t ya = y.pkts_out + y.pkts_in;
     return xa != ya ? xa > ya : a < b;
   });
-  int top = cfg.get("top", 8);
   if (top <= 0 || top > t.nodes) top = t.nodes;
   std::cout << "busiest " << top << " of " << t.nodes
             << " nodes (pass top=0 for all):\n";
@@ -221,6 +224,7 @@ int cmd_stats(const util::Config& cfg) {
 int cmd_convert(const util::Config& cfg) {
   const std::string in = cfg.get("in", std::string());
   const std::string out = cfg.get("out", std::string());
+  util::reject_unknown_args(cfg);
   if (in.empty() || out.empty()) return usage();
   const trace::Trace t = trace::TraceReader::read_file(in);
   trace::TraceWriter::write_file(out, t);
@@ -232,8 +236,9 @@ int cmd_convert(const util::Config& cfg) {
 int cmd_generate(const util::Config& cfg) {
   const std::string kind = cfg.get("kind", std::string());
   const std::string out = cfg.get("out", std::string());
-  if (kind.empty() || out.empty()) return usage();
-  trace::Trace t;
+  // Each kind reads its own parameters; a key another kind takes is
+  // refused.
+  std::function<trace::Trace()> generate;
   if (kind == "dnn") {
     trace::DnnPipelineParams p;
     p.nodes = cfg.get("nodes", p.nodes);
@@ -243,7 +248,7 @@ int cmd_generate(const util::Config& cfg) {
     p.batch_interval = cfg.get("interval", p.batch_interval);
     p.compute_delay = cfg.get("compute", p.compute_delay);
     p.activation_flits = cfg.get("flits", p.activation_flits);
-    t = trace::generate_dnn_pipeline(p);
+    generate = [p] { return trace::generate_dnn_pipeline(p); };
   } else if (kind == "allreduce") {
     trace::AllReduceRingParams p;
     p.nodes = cfg.get("nodes", p.nodes);
@@ -251,7 +256,7 @@ int cmd_generate(const util::Config& cfg) {
     p.compute_delay = cfg.get("compute", p.compute_delay);
     p.chunk_flits = cfg.get("flits", p.chunk_flits);
     p.start_time = cfg.get("start", p.start_time);
-    t = trace::generate_allreduce_ring(p);
+    generate = [p] { return trace::generate_allreduce_ring(p); };
   } else if (kind == "alltoall") {
     trace::AllToAllParams p;
     p.nodes = cfg.get("nodes", p.nodes);
@@ -259,11 +264,14 @@ int cmd_generate(const util::Config& cfg) {
     p.compute_delay = cfg.get("compute", p.compute_delay);
     p.flits = cfg.get("flits", p.flits);
     p.start_time = cfg.get("start", p.start_time);
-    t = trace::generate_alltoall(p);
-  } else {
+    generate = [p] { return trace::generate_alltoall(p); };
+  } else if (!kind.empty()) {
     LOG_ERROR << "tracectl: unknown kind '" << kind << "'";
     return usage();
   }
+  util::reject_unknown_args(cfg);
+  if (!generate || out.empty()) return usage();
+  const trace::Trace t = generate();
   trace::TraceWriter::write_file(out, t);
   const trace::TraceSummary s = t.summary();
   std::cout << "generated " << kind << " trace: " << out << " ("
@@ -274,27 +282,27 @@ int cmd_generate(const util::Config& cfg) {
 
 int cmd_replay(const util::Config& cfg) {
   const std::string path = cfg.get("file", std::string());
-  if (path.empty()) return usage();
-  trace::Trace t = trace::TraceReader::read_file(path);
-
   noc::NetworkParams p;
   p.topology = cfg.get("topology", std::string("mesh"));
   const int size = cfg.get("size", 4);
   p.width = cfg.get("width", size);
   p.height = cfg.get("height", size);
   p.seed = cfg.get("seed", p.seed);
+  trace::TraceWorkloadParams tw;
+  tw.rate_scale = cfg.get("scale", 1.0);
+  const std::uint64_t limit =
+      cfg.get("cycle_limit", std::uint64_t{1000000});
+  util::reject_unknown_args(cfg);
+  if (path.empty()) return usage();
+  trace::Trace t = trace::TraceReader::read_file(path);
   if (p.width * p.height < t.nodes) {
     LOG_ERROR << "tracectl: trace needs " << t.nodes << " nodes, network has "
               << p.width * p.height << " (pass size=/width=/height=)";
     return 1;
   }
 
-  trace::TraceWorkloadParams tw;
-  tw.rate_scale = cfg.get("scale", 1.0);
   noc::Network net(p);
   trace::TraceWorkload workload(std::move(t), tw);
-  const std::uint64_t limit =
-      cfg.get("cycle_limit", std::uint64_t{1000000});
   const noc::RunResult r =
       trace::run_trace_replay(net, workload, limit);
 
