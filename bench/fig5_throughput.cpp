@@ -15,7 +15,7 @@ int run(const util::Config& cfg) {
   const int size = cfg.get("size", 8);
   const double step = cfg.get("step", 0.04);
   const double max_rate = cfg.get("max_rate", 0.44);
-  const int jobs = util::ThreadPool::resolve_jobs(cfg.get("jobs", 0));
+  const int jobs = util::resolve_jobs(cfg.get("jobs", 0));
   util::reject_unknown_args(cfg);
 
   std::cout << "F5: throughput vs offered load (uniform traffic, " << size

@@ -41,7 +41,7 @@ noc::RunResult replay_once(const noc::NetworkParams& net_params,
 
 int run(const util::Config& cfg) {
   const int size = cfg.get("size", 8);
-  const int jobs = util::ThreadPool::resolve_jobs(cfg.get("jobs", 0));
+  const int jobs = util::resolve_jobs(cfg.get("jobs", 0));
   util::reject_unknown_args(cfg);
 
   noc::NetworkParams net_params;

@@ -173,7 +173,7 @@ int run(const util::Config& cfg) {
   const std::string topology = cfg.get("topology", std::string("mesh"));
   const int size = cfg.get("size", 8);
   const double rate = cfg.get("rate", 0.05);
-  const int jobs = util::ThreadPool::resolve_jobs(cfg.get("jobs", 0));
+  const int jobs = util::resolve_jobs(cfg.get("jobs", 0));
 
   noc::NetworkParams p;
   p.topology = topology;

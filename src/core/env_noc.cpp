@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "noc/simulator.h"
 #include "noc/workload.h"
@@ -100,8 +101,6 @@ NocConfigEnv::NocConfigEnv(NocEnvParams params)
   reward_.set_power_ref(power_ref_mw_);
 }
 
-NocConfigEnv::~NocConfigEnv() = default;
-
 std::size_t NocConfigEnv::state_size() const {
   return features_.state_size();
 }
@@ -118,7 +117,7 @@ void NocConfigEnv::build_network() {
     phase_start = util::Rng(np.seed ^ 0xabcdef123456ULL).uniform();
   }
   workload_.reset();
-  net_ = std::make_unique<noc::Network>(np, params_.power);
+  net_.emplace(np, params_.power);
   // Observability taps survive episode resets: the rebuilt fabric re-attaches
   // the same recorder/metrics, so one trace spans a whole training run.
   if (params_.recorder != nullptr) net_->set_flight_recorder(params_.recorder);
@@ -129,8 +128,9 @@ void NocConfigEnv::build_network() {
   if (params_.scenario->faults.enabled()) {
     net_->set_fault_model(params_.scenario->faults);
   }
-  workload_ = scenario::build_workload(*params_.scenario, net_->topology(),
-                                       phase_start);
+  workload_.emplace(std::move(
+      *scenario::build_workload(*params_.scenario, net_->topology(),
+                                phase_start)));
   net_->set_tenant_tracking(params_.scenario->num_tenants());
 }
 
@@ -139,14 +139,14 @@ rl::State NocConfigEnv::reset() {
   epoch_in_episode_ = 0;
   build_network();
   features_.reset();
-  last_stats_ = net_->run_epoch(workload_.get(), params_.epoch_cycles);
+  last_stats_ = net_->run_epoch(&*workload_, params_.epoch_cycles);
   return features_.extract(last_stats_);
 }
 
 rl::StepResult NocConfigEnv::step(int action) {
   if (!net_) throw std::logic_error("step() before reset()");
   net_->apply_config(params_.actions.decode(action));
-  last_stats_ = net_->run_epoch(workload_.get(), params_.epoch_cycles);
+  last_stats_ = net_->run_epoch(&*workload_, params_.epoch_cycles);
   ++epoch_in_episode_;
 
   rl::StepResult out;

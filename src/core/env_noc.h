@@ -5,22 +5,21 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "core/action_space.h"
 #include "core/features.h"
 #include "core/reward.h"
 #include "noc/network.h"
 #include "rl/env.h"
+#include "scenario/composite_workload.h"
 #include "scenario/scenario.h"
 
 namespace drlnoc::obs {
 class FlightRecorder;
 class NetworkMetrics;
 }  // namespace drlnoc::obs
-
-namespace drlnoc::scenario {
-class CompositeWorkload;
-}  // namespace drlnoc::scenario
 
 namespace drlnoc::core {
 
@@ -75,16 +74,21 @@ PowerRefKey power_ref_key(const NocEnvParams& params);
 /// in mW. A pure function of the key.
 double calibrate_power_ref(const PowerRefKey& key);
 
-class NocConfigEnv : public rl::Environment {
+/// A value type: a copy taken at any point of an episode (fabric, workload,
+/// feature EWMAs, episode counters) steps on exactly as the original does
+/// (docs/ARCHITECTURE.md, "Fabric ownership and copying"). A copy shares
+/// the observability taps in NocEnvParams, as a copied Network does.
+class NocConfigEnv {
  public:
   explicit NocConfigEnv(NocEnvParams params);
-  ~NocConfigEnv() override;
 
-  std::string name() const override { return "noc_config"; }
-  std::size_t state_size() const override;
-  int num_actions() const override { return params_.actions.size(); }
-  rl::State reset() override;
-  rl::StepResult step(int action) override;
+  std::string name() const { return "noc_config"; }
+  std::size_t state_size() const;
+  int num_actions() const { return params_.actions.size(); }
+  /// Starts a new episode and returns the initial state.
+  rl::State reset();
+  /// Applies an action and simulates one epoch.
+  rl::StepResult step(int action);
 
   /// Evaluation mode: fixed traffic seed and phased tenants at phase 0, so
   /// controllers see byte-identical workloads (training episodes reseed and
@@ -98,7 +102,7 @@ class NocConfigEnv : public rl::Environment {
   const noc::EpochStats& last_stats() const { return last_stats_; }
   /// The episode's merged tenants; null before the first reset().
   const scenario::CompositeWorkload* workload() const {
-    return workload_.get();
+    return workload_ ? &*workload_ : nullptr;
   }
   int episode() const { return episode_; }
   /// Positions the episode counter so the NEXT reset() runs global episode
@@ -117,8 +121,8 @@ class NocConfigEnv : public rl::Environment {
   NocEnvParams params_;
   FeatureExtractor features_;
   RewardFunction reward_;
-  std::unique_ptr<noc::Network> net_;
-  std::unique_ptr<scenario::CompositeWorkload> workload_;
+  std::optional<noc::Network> net_;
+  std::optional<scenario::CompositeWorkload> workload_;
   noc::EpochStats last_stats_{};
   int episode_ = 0;
   int epoch_in_episode_ = 0;

@@ -48,7 +48,7 @@ class FeatureExtractor {
   rl::State extract(const noc::EpochStats& stats);
 
  private:
-  const ActionSpace& space_;
+  ActionSpace space_;
   int num_nodes_;
   FeatureParams params_;
   std::vector<TenantQosSpec> tenant_qos_;

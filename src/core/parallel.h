@@ -25,7 +25,7 @@ class ExperimentRunner {
  public:
   /// jobs > 0 is taken literally; jobs <= 0 means one per hardware thread.
   explicit ExperimentRunner(int jobs = 0)
-      : jobs_(util::ThreadPool::resolve_jobs(jobs)) {}
+      : jobs_(util::resolve_jobs(jobs)) {}
 
   int jobs() const { return jobs_; }
 

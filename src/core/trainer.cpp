@@ -205,19 +205,17 @@ TrainResult train_dqn_parallel(const NocEnvParams& base, rl::DqnAgent& agent,
   const int max_lanes = std::min(params.round, params.episodes);
   const ExperimentRunner runner(params.actors);
 
-  // Lane environments persist across rounds; seek_episode() re-pins each
-  // onto the serial per-episode seed stream before every reset, so lane l
-  // of round r replays exactly the traffic a serial trainer would see on
-  // episode r*round + l.
-  std::vector<std::unique_ptr<NocConfigEnv>> envs;
-  envs.reserve(static_cast<std::size_t>(max_lanes));
-  for (int l = 0; l < max_lanes; ++l) {
-    envs.push_back(std::make_unique<NocConfigEnv>(calibrated));
-  }
+  // One env is built (params resolved, scenario validated once): it serves
+  // the greedy evals, and every lane is a copy of it. Lanes persist across
+  // rounds; seek_episode() re-pins each onto the serial per-episode seed
+  // stream before every reset, so lane l of round r replays exactly the
+  // traffic a serial trainer would see on episode r*round + l.
   NocConfigEnv eval_env(calibrated);
+  std::vector<NocConfigEnv> envs(static_cast<std::size_t>(max_lanes),
+                                 eval_env);
 
   const int steps = calibrated.epochs_per_episode;
-  const int num_actions = envs[0]->num_actions();
+  const int num_actions = eval_env.num_actions();
   std::vector<rl::State> states(static_cast<std::size_t>(max_lanes));
   std::vector<std::vector<rl::Transition>> collected(
       static_cast<std::size_t>(max_lanes));
@@ -234,8 +232,8 @@ TrainResult train_dqn_parallel(const NocEnvParams& base, rl::DqnAgent& agent,
 
     // Episode resets simulate a warm-up epoch each, so they fan out too.
     runner.for_each(lanes, [&](int l) {
-      envs[l]->seek_episode(first + l);
-      states[l] = envs[l]->reset();
+      envs[l].seek_episode(first + l);
+      states[l] = envs[l].reset();
     });
     lane_rng.clear();
     for (int l = 0; l < lanes; ++l) {
@@ -278,7 +276,7 @@ TrainResult train_dqn_parallel(const NocEnvParams& base, rl::DqnAgent& agent,
       }
       runner.for_each(lanes, [&](int l) {
         obs::ScopedPhase env_step(obs::Phase::kEnvStep);
-        const rl::StepResult sr = envs[l]->step(actions[l]);
+        const rl::StepResult sr = envs[l].step(actions[l]);
         rl::Transition t;
         t.state = states[l];
         t.action = actions[l];

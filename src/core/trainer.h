@@ -7,7 +7,6 @@
 //     sweep_static_parallel (core/parallel.h)
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 

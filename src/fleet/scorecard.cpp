@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <ostream>
 
 namespace drlnoc::fleet {
@@ -90,6 +91,27 @@ Scorecard score_fleet(const std::vector<FleetScenarioResult>& results,
 
 namespace {
 
+/// `text` as the body of a JSON string: quotes, backslashes and control
+/// characters escaped (spec names and labels are free text).
+std::string json_escaped(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (u < 0x20) {
+      char buf[7];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(u));
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 void summary_fields(std::ostream& os, const std::string& name,
                     const core::MetricSummary& s, bool last = false) {
   os << "    \"" << name << "_mean\": " << s.mean << ",\n";
@@ -103,7 +125,7 @@ void write_scorecard_json(std::ostream& os, const Scorecard& card) {
   const std::streamsize old_precision = os.precision(17);
   os << "{\n";
   os << "  \"scorecard\": " << kScorecardSchema << ",\n";
-  os << "  \"spec\": \"" << card.spec_name << "\",\n";
+  os << "  \"spec\": \"" << json_escaped(card.spec_name) << "\",\n";
   os << "  \"space_size\": " << card.space_size << ",\n";
   os << "  \"scored\": " << card.scored << ",\n";
   os << "  \"missing\": " << card.missing << ",\n";
@@ -117,7 +139,7 @@ void write_scorecard_json(std::ostream& os, const Scorecard& card) {
   os << "  \"slo\": {\n";
   std::size_t i = 0;
   for (const auto& [cls, score] : card.classes) {
-    os << "    \"" << cls << "\": {\n";
+    os << "    \"" << json_escaped(cls) << "\": {\n";
     os << "      \"tenants\": " << score.tenants << ",\n";
     os << "      \"slo_hit_rate\": " << score.slo_hit_rate << ",\n";
     os << "      \"worst_slo_hit_rate\": " << score.worst_slo_hit_rate
@@ -136,7 +158,8 @@ void write_scorecard_json(std::ostream& os, const Scorecard& card) {
   os << "  \"worst\": [\n";
   for (std::size_t j = 0; j < card.worst.size(); ++j) {
     const WorstEntry& w = card.worst[j];
-    os << "    {\"index\": " << w.index << ", \"label\": \"" << w.label
+    os << "    {\"index\": " << w.index << ", \"label\": \""
+       << json_escaped(w.label)
        << "\", \"min_slo_hit_rate\": " << w.min_slo_hit_rate
        << ", \"worst_p95\": " << w.worst_p95 << "}"
        << (j + 1 == card.worst.size() ? "\n" : ",\n");

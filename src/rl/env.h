@@ -1,10 +1,8 @@
-// The discrete-action RL environment interface (episodic MDP) and small
-// shared types. Kept deliberately minimal: states are dense feature vectors,
-// actions are indices — exactly what the NoC configuration MDP needs.
+// The small types an episodic discrete-action MDP exchanges with its agent:
+// states are dense feature vectors, actions are indices — exactly what the
+// NoC configuration MDP (core::NocConfigEnv) needs.
 #pragma once
 
-#include <cstddef>
-#include <string>
 #include <vector>
 
 namespace drlnoc::rl {
@@ -15,18 +13,6 @@ struct StepResult {
   State next_state;
   double reward = 0.0;
   bool done = false;
-};
-
-class Environment {
- public:
-  virtual ~Environment() = default;
-  virtual std::string name() const = 0;
-  virtual std::size_t state_size() const = 0;
-  virtual int num_actions() const = 0;
-  /// Starts a new episode and returns the initial state.
-  virtual State reset() = 0;
-  /// Applies an action.
-  virtual StepResult step(int action) = 0;
 };
 
 /// One transition for replay. `discount` is the bootstrap discount applied

@@ -1,4 +1,4 @@
-// Fixed-width console tables and CSV emission for the benchmark harnesses.
+// Fixed-width console tables for the benchmark harnesses.
 // Every bench binary prints its paper table/figure through this formatter so
 // the output stays uniform and machine-greppable.
 #pragma once
@@ -28,8 +28,6 @@ class Table {
 
   /// Renders with column padding and a header underline.
   void print(std::ostream& os) const;
-  /// Renders as CSV (headers + rows).
-  void print_csv(std::ostream& os) const;
 
   std::size_t rows() const { return rows_.size(); }
 

@@ -1,107 +1,57 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
-#include <utility>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 namespace drlnoc::util {
 
-ThreadPool::ThreadPool(int threads) {
-  if (threads < 1) threads = 1;
-  workers_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push(std::move(task));
-    ++in_flight_;
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
-int ThreadPool::resolve_jobs(int n) {
+int resolve_jobs(int n) {
   if (n > 0) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to run
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) done_cv_.notify_all();
-    }
-  }
-}
-
 void parallel_for(int n, int jobs, const std::function<void(int)>& fn) {
   if (n <= 0) return;
-  jobs = ThreadPool::resolve_jobs(jobs);
+  jobs = resolve_jobs(jobs);
   if (jobs > n) jobs = n;
   if (jobs <= 1) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
 
-  // One shared index counter; workers pull the next undone index. Assignment
-  // of indices to threads varies run to run, but results are stored by index
-  // so the caller never observes the difference. Once any index throws, the
-  // remaining indices are abandoned (tasks can be minutes-long simulations;
-  // the caller should see the failure now, not after the full sweep).
+  // One shared index counter; every thread pulls the next undone index.
+  // Assignment of indices to threads varies run to run, but results are
+  // stored by index so the caller never observes the difference. Once any
+  // index throws, the remaining indices are abandoned (tasks can be
+  // minutes-long simulations; the caller should see the failure now, not
+  // after the full sweep).
   std::atomic<int> next{0};
   std::atomic<bool> failed{false};
-  ThreadPool pool(jobs);
-  for (int w = 0; w < jobs; ++w) {
-    pool.submit([&] {
-      for (int i = next.fetch_add(1); i < n && !failed.load();
-           i = next.fetch_add(1)) {
-        try {
-          fn(i);
-        } catch (...) {
-          failed.store(true);
-          throw;
-        }
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const auto loop = [&] {
+    for (int i = next.fetch_add(1); i < n && !failed.load();
+         i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+        failed.store(true);
       }
-    });
+    }
+  };
+  {
+    // jthreads join on destruction, also when starting a later one throws.
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<std::size_t>(jobs - 1));
+    for (int t = 1; t < jobs; ++t) threads.emplace_back(loop);
+    loop();
   }
-  pool.wait();
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace drlnoc::util

@@ -795,6 +795,31 @@ TEST(FleetScorecard, QuantileAndWorstRanking) {
   EXPECT_EQ(card.classes.at("latency_critical").worst_slo_hit_rate, 0.5);
 }
 
+TEST(FleetScorecard, JsonEscapesFreeText) {
+  // Spec names and labels are free text: the versioned-text reader keeps
+  // quotes and backslashes, so the JSON writer must escape them.
+  std::vector<fleet::FleetScenarioResult> results(1);
+  results[0].label = "a \"b\" \\ c\td";
+  const fleet::Scorecard card =
+      fleet::score_fleet(results, 1, "ci \"quoted\" \\ fleet", 1);
+  std::ostringstream os;
+  fleet::write_scorecard_json(os, card);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"spec\": \"ci \\\"quoted\\\" \\\\ fleet\","),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"label\": \"a \\\"b\\\" \\\\ c\\u0009d\","),
+            std::string::npos)
+      << json;
+
+  // Plain names are written as they are.
+  results[0].label = "r0";
+  std::ostringstream plain;
+  fleet::write_scorecard_json(plain, fleet::score_fleet(results, 1, "t", 1));
+  EXPECT_NE(plain.str().find("\"spec\": \"t\","), std::string::npos);
+  EXPECT_NE(plain.str().find("\"label\": \"r0\","), std::string::npos);
+}
+
 // ---------------------------------------------------- policy versioning ---
 
 /// A small DqnAgent checkpoint dimensioned for `space` under the aggregate

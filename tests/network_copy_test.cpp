@@ -5,14 +5,17 @@
 // replaced at cycle t by copies of the source's — once by copy-construction,
 // once by copy-assignment. All three must end with bit-identical epoch
 // statistics and delivered records, and the copy must pass the quiescence
-// audit.
+// audit. The EnvFork cases do the same one level up, for the RL
+// environment that owns a fabric and its workload.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <type_traits>
 
+#include "core/env_noc.h"
 #include "golden_hash.h"
 #include "noc/network.h"
 #include "noc/workload.h"
@@ -44,6 +47,8 @@ static_assert(std::is_copy_constructible_v<trace::TraceWorkload> &&
               std::is_copy_assignable_v<trace::TraceWorkload>);
 static_assert(std::is_copy_constructible_v<scenario::CompositeWorkload> &&
               std::is_copy_assignable_v<scenario::CompositeWorkload>);
+static_assert(std::is_copy_constructible_v<core::NocConfigEnv> &&
+              std::is_copy_assignable_v<core::NocConfigEnv>);
 
 constexpr noc::Cycle kEpoch = 128;
 constexpr std::uint64_t kCycleLimit = 200000;
@@ -345,6 +350,146 @@ TEST(NetworkCopy, CopySharesObservabilityTaps) {
   EXPECT_EQ(copy.flight_recorder(), &recorder);
   copy.set_flight_recorder(nullptr);
   EXPECT_EQ(net.flight_recorder(), &recorder);
+}
+
+
+// ------------------------------------------------------------- env fork ---
+
+constexpr int kForkEpochs = 8;         ///< epochs per episode
+constexpr int kForkAt = 3;             ///< epochs stepped before the fork
+constexpr int kForkEpochCycles = 256;  ///< router cycles per epoch
+
+/// Per epoch after the fork: a hash of the state, the reward and every
+/// counter of last_stats(); then a hash of the next episode's first state.
+struct EnvTrace {
+  std::vector<std::uint64_t> epochs;
+  std::uint64_t rerouted_hops = 0;
+  bool operator==(const EnvTrace&) const = default;
+};
+
+/// A fixed action sequence that sweeps the action space.
+int fork_action(int epoch, int num_actions) {
+  return (epoch * 7 + 3) % num_actions;
+}
+
+/// Steps `env` from epoch `from` to the end of its episode, then starts the
+/// next episode, recording every epoch.
+EnvTrace run_to_end(core::NocConfigEnv& env, int from) {
+  EnvTrace out;
+  bool done = false;
+  for (int e = from; !done; ++e) {
+    const rl::StepResult r = env.step(fork_action(e, env.num_actions()));
+    done = r.done;
+    GoldenHash h;
+    for (const double x : r.next_state) h.mix(x);
+    h.mix(r.reward);
+    mix_epoch(h, env.last_stats());
+    out.epochs.push_back(h.value());
+    out.rerouted_hops += env.last_stats().rerouted_hops;
+  }
+  // The episode counter and feature EWMAs travel with the copy too.
+  GoldenHash next;
+  for (const double x : env.reset()) next.mix(x);
+  out.epochs.push_back(next.value());
+  return out;
+}
+
+/// Three envs take the same actions: one never copied, one copied at epoch
+/// kForkAt of its second training episode, and that copy. Copy-assignment
+/// lands on an env that has run an episode of its own. All three must
+/// match bit for bit to the end of the episode and into the next. The
+/// source is destroyed before the copies step, so a copy that still read
+/// anything of its source's would read freed memory.
+EnvTrace expect_forks_continue_identically(const core::NocEnvParams& params) {
+  core::NocConfigEnv reference(params);
+  std::optional<core::NocConfigEnv> source(std::in_place, params);
+  const auto warm_up = [](core::NocConfigEnv& env) {
+    (void)env.reset();
+    for (int e = 0; e < kForkEpochs; ++e) {
+      (void)env.step(fork_action(e + 5, env.num_actions()));
+    }
+    (void)env.reset();
+    for (int e = 0; e < kForkAt; ++e) {
+      (void)env.step(fork_action(e, env.num_actions()));
+    }
+  };
+  warm_up(reference);
+  warm_up(*source);
+
+  core::NocConfigEnv constructed(*source);
+  core::NocConfigEnv assigned(params);
+  (void)assigned.reset();
+  (void)assigned.step(0);
+  assigned = *source;
+  EXPECT_EQ(constructed.episode(), source->episode());
+
+  const EnvTrace expected = run_to_end(reference, kForkAt);
+  EXPECT_EQ(expected.epochs.size(),
+            static_cast<std::size_t>(kForkEpochs - kForkAt + 1));
+  EXPECT_EQ(run_to_end(*source, kForkAt), expected);
+  source.reset();
+  EXPECT_EQ(run_to_end(constructed, kForkAt), expected);
+  EXPECT_EQ(run_to_end(assigned, kForkAt), expected);
+  return expected;
+}
+
+core::NocEnvParams fork_env_params(
+    std::shared_ptr<const scenario::Scenario> s) {
+  core::NocEnvParams ep;
+  ep.net.width = ep.net.height = 4;
+  ep.net.seed = 42;
+  ep.actions = core::ActionSpace({1, 2, 4}, {2, 4}, {0, 3});
+  ep.scenario = std::move(s);
+  ep.epoch_cycles = kForkEpochCycles;
+  ep.epochs_per_episode = kForkEpochs;
+  return ep;
+}
+
+TEST(EnvFork, DefaultPhasedScenario) {
+  expect_forks_continue_identically(fork_env_params(nullptr));
+}
+
+TEST(EnvFork, TraceTenantWithQosBackground) {
+  // The T6 shape: a looping latency-critical DNN trace on a node subset
+  // beside uniform background, so reward and features run tenant-aware.
+  auto s = std::make_shared<scenario::Scenario>();
+  s->net.width = s->net.height = 4;
+  scenario::TenantSpec dnn;
+  dnn.name = "dnn";
+  dnn.kind = scenario::WorkloadKind::kTrace;
+  dnn.trace = std::make_shared<const trace::Trace>(
+      trace::generate_dnn_pipeline({8, 2, 4, 3, 64.0, 32.0, 8}));
+  dnn.loop = true;
+  dnn.nodes = {0, 1, 2, 3, 4, 5, 6, 7};
+  dnn.qos = scenario::QosClass::kLatencyCritical;
+  dnn.p95_target = 200.0;
+  s->tenants.push_back(std::move(dnn));
+  scenario::TenantSpec bg;
+  bg.name = "background";
+  bg.rate = 0.05;
+  bg.qos = scenario::QosClass::kBackground;
+  s->tenants.push_back(std::move(bg));
+  s->duration = 1e6;  // episodes end at epochs_per_episode
+  const core::NocEnvParams ep = fork_env_params(std::move(s));
+  ASSERT_FALSE(core::NocConfigEnv(ep).params().reward.tenant_qos.empty());
+  expect_forks_continue_identically(ep);
+}
+
+TEST(EnvFork, FaultedScenarioWithALinkDeath) {
+  // Transient corruption with retries throughout; a link dies after the
+  // fork, so the copies rebuild their routing tables on their own.
+  noc::NetworkParams net;
+  net.width = net.height = 4;
+  auto s = std::make_shared<scenario::Scenario>(scenario::phased_scenario(net));
+  s->faults.seed = 3;
+  s->faults.link_fault_rate = 0.01;
+  s->faults.retry_timeout = 32;
+  // reset() simulates one epoch, so the fork lands at cycle
+  // (kForkAt + 1) * kForkEpochCycles of the episode's fabric.
+  s->faults.events = {fault_event((kForkAt + 1) * kForkEpochCycles + 300,
+                                  noc::FaultEvent::Kind::kLinkDown, 6, 1, 2)};
+  const EnvTrace t = expect_forks_continue_identically(fork_env_params(s));
+  EXPECT_GT(t.rerouted_hops, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -15,31 +16,7 @@
 namespace drlnoc {
 namespace {
 
-// ------------------------------------------------------------ ThreadPool ---
-
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  util::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitPropagatesTaskException) {
-  util::ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("worker failed"); });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-}
-
-TEST(ThreadPool, UsableAfterPropagatedException) {
-  util::ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("first"); });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 1);
-}
+// ----------------------------------------------------------- parallel_for ---
 
 TEST(ParallelFor, CoversEveryIndexOnce) {
   std::vector<std::atomic<int>> hits(64);
@@ -57,7 +34,7 @@ TEST(ParallelFor, ExceptionPropagatesToCaller) {
 }
 
 TEST(ParallelFor, InlineWhenSingleJob) {
-  // jobs=1 must run on the caller's thread (no pool spin-up).
+  // jobs=1 must run on the caller's thread (no thread spin-up).
   const std::thread::id caller = std::this_thread::get_id();
   util::parallel_for(4, 1, [caller](int) {
     EXPECT_EQ(std::this_thread::get_id(), caller);

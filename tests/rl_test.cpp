@@ -125,16 +125,15 @@ TEST(Schedules, LinearAndExponential) {
 // A tiny deterministic chain MDP: states 0..4, action 1 moves right, action 0
 // resets to 0. Reward 1 only on reaching state 4 (episode end). Optimal
 // policy: always go right; optimal return = 1.
-class ChainEnv : public Environment {
+class ChainEnv {
  public:
-  std::string name() const override { return "chain"; }
-  std::size_t state_size() const override { return 5; }
-  int num_actions() const override { return 2; }
-  State reset() override {
+  std::size_t state_size() const { return 5; }
+  int num_actions() const { return 2; }
+  State reset() {
     pos_ = 0;
     return encode();
   }
-  StepResult step(int action) override {
+  StepResult step(int action) {
     if (action == 1) ++pos_;
     else pos_ = 0;
     StepResult r;
